@@ -355,7 +355,6 @@ def cmd_mc_verify(args) -> int:
             trials,
             seed,
             per_step=True,
-            threads=args.threads,
             critical=lam_c,
         )
         rows.append(mc_report_csv_row(report))
@@ -592,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--out",
             help=f"output directory (overrides config out_dir and ${OUT_ENV_VAR})",
         )
-        p.add_argument("--threads", type=int, default=1, help="worker cap for trials")
         p.add_argument(
             "--strict",
             action="store_true",

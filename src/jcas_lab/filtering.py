@@ -162,20 +162,29 @@ def simulate_trajectory(model: GaussMarkovModel, s0, gammas, seed: int):
 
 
 def kalman_gain(model: GaussMarkovModel, p, gamma: float) -> np.ndarray:
-    """Gain K = P C^T (C P C^T + gamma R)^{-1}; the zero matrix at gamma=inf."""
-    p = as_matrix(p, "P")
-    if p.shape != (model.m, model.m):
+    """Gain K = P C^T (C P C^T + gamma R)^{-1}; the zero matrix at gamma=inf.
+
+    p may also be a stack (..., m, m) of covariances, giving a stack of gains.
+    """
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    if p.shape[-2:] != (model.m, model.m):
         raise DimensionError(f"P must be {model.m}x{model.m}, got {p.shape}")
     if math.isinf(gamma):
-        return np.zeros((model.m, model.k))
+        return np.zeros(p.shape[:-2] + (model.m, model.k))
     innov = model.C @ p @ model.C.T + gamma * model.R
     try:
-        return np.linalg.solve(innov, model.C @ p).T
+        return np.linalg.solve(innov, model.C @ p).swapaxes(-1, -2)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"innovation covariance is singular: {exc}",
-            condition=float(np.linalg.cond(innov)),
+            condition=float(np.max(np.linalg.cond(innov))),
         ) from exc
+
+
+def gain_kernel(c: float, r: float, p: float, gamma: float) -> float:
+    """Scalar gain p c / (c p c + gamma r); the shared float kernel of the
+    scalar filter loop and the batched Monte Carlo filter."""
+    return (p * c) / ((c * p) * c + gamma * r)
 
 
 def _check_erasure(z, gamma):
@@ -223,11 +232,33 @@ def kalman_step(model: GaussMarkovModel, state: FilterState, z, gamma: float) ->
     return FilterState(est_next, cov_next, state.time_index + 1, PREDICTED)
 
 
-def _policy_gammas(policy: BeamPolicy, n: int, rng: np.random.Generator) -> np.ndarray:
+def draw_blocks(model: GaussMarkovModel, policy: BeamPolicy) -> list:
+    """The draws of a filter run after its initial state, in stream order.
+
+    Each entry ``draw(rng, rows)`` returns the next ``rows`` time steps of
+    its block: the switching arrivals (switching policies only), then the
+    process noise w ~ N(0, Q), then the measurement noise v ~ N(0, R).  A
+    run draws each whole block before the next one.
+    """
+    lq = psd_sqrt(model.Q)
+    lr = psd_sqrt(model.R)
+    blocks = [
+        lambda rng, rows: rng.standard_normal((rows, model.m)) @ lq.T,
+        lambda rng, rows: rng.standard_normal((rows, model.k)) @ lr.T,
+    ]
     if policy.kind == "switching":
-        u = rng.random(n)
-        return np.where(u < policy.value, 1.0, math.inf)
-    return np.full(n, policy.value)
+        blocks.insert(0, lambda rng, rows: rng.random(rows) < policy.value)
+    return blocks
+
+
+def check_initial_covariance(model: GaussMarkovModel, p0) -> np.ndarray:
+    """P0 as an m x m float array; DimensionError / ParameterError unless PSD."""
+    p0 = as_matrix(p0, "P0")
+    if p0.shape != (model.m, model.m):
+        raise DimensionError(f"P0 must be {model.m}x{model.m}, got {p0.shape}")
+    if min_sym_eig(p0) < -EIG_TOL * max(1.0, float(np.max(np.abs(p0)))):
+        raise ParameterError("P0 must be positive semidefinite")
+    return p0
 
 
 def run_filter(
@@ -252,21 +283,13 @@ def run_filter(
         raise DimensionError(
             f"s0_estimate must have length {model.m}, got {s0_estimate.size}"
         )
-    p0 = as_matrix(p0, "P0")
-    if p0.shape != (model.m, model.m):
-        raise DimensionError(f"P0 must be {model.m}x{model.m}, got {p0.shape}")
-    if min_sym_eig(p0) < -EIG_TOL * max(1.0, float(np.max(np.abs(p0)))):
-        raise ParameterError("P0 must be positive semidefinite")
+    p0 = check_initial_covariance(model, p0)
 
     n = horizon
     rng = make_rng(seed)
-    l0 = psd_sqrt(p0)
-    s_true0 = s0_estimate + l0 @ rng.standard_normal(model.m)
-    gam = _policy_gammas(policy, n, rng)
-    lq = psd_sqrt(model.Q)
-    lr = psd_sqrt(model.R)
-    w = rng.standard_normal((n, model.m)) @ lq.T
-    v = rng.standard_normal((n, model.k)) @ lr.T
+    s_true0 = s0_estimate + psd_sqrt(p0) @ rng.standard_normal(model.m)
+    *arrivals, w, v = [draw(rng, n) for draw in draw_blocks(model, policy)]
+    gam = np.where(arrivals[0], 1.0, math.inf) if arrivals else np.full(n, policy.value)
 
     if model.is_scalar:
         return _run_filter_scalar(model, s_true0, gam, w, v, s0_estimate, p0)
@@ -325,8 +348,7 @@ def _run_filter_scalar(model, s_true0, gam, w, v, s0_estimate, p0) -> Trajectory
             upd = est
             cov = lyap_kernel(a, q, cov, 1.0)
         else:
-            s_innov = (c * cov) * c + g_prev * r
-            gain = (cov * c) / s_innov
+            gain = gain_kernel(c, r, cov, g_prev)
             upd = est + gain * (zs[i - 1] - c * est)
             cov = riccati_kernel(a, c, q, r, cov, g_prev)
         est = a * upd

@@ -101,6 +101,7 @@ def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma: float) -> np.nda
 
     gamma = infinity nullifies the correction and reduces to the open-loop
     step A P A^T + Q (bitwise identical to the alpha=1 Lyapunov step).
+    For a matrix model, p may be a stack (..., m, m) of covariances.
     """
     if math.isinf(gamma):
         return lyapunov_step(model, p, 1.0)
@@ -113,7 +114,7 @@ def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma: float) -> np.nda
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"innovation covariance is singular: {exc}",
-            condition=float(np.linalg.cond(innov)),
+            condition=float(np.max(np.linalg.cond(innov))),
         ) from exc
     corr = (model.A @ p @ model.C.T) @ x
     return symmetrize(model.A @ p @ model.A.T + model.Q - corr)

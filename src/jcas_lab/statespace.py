@@ -32,8 +32,11 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """(M + M^T) / 2 -- used after every covariance step to control drift."""
-    return (m + m.T) / 2.0
+    """(M + M^T) / 2 -- used after every covariance step to control drift.
+
+    Transposes the last two axes, so a stack of matrices works too.
+    """
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
 
 def spectral_radius(a) -> float:
@@ -216,7 +219,10 @@ def lyap_kernel(a: float, q: float, s: float, alpha: float) -> float:
 
 
 def lyapunov_step(model: GaussMarkovModel, s: np.ndarray, alpha: float) -> np.ndarray:
-    """One application of S -> alpha * A S A^T + Q, re-symmetrized."""
+    """One application of S -> alpha * A S A^T + Q, re-symmetrized.
+
+    For a matrix model, s may be a stack (..., m, m) of covariances.
+    """
     if model.is_scalar:
         a, _, q, _ = model.scalars()
         return np.array([[lyap_kernel(a, q, float(s[0, 0]), alpha)]])

@@ -196,7 +196,7 @@ class TestErrorPaths:
             main(["riccati", "--help"])
         assert exc.value.code == 0
         text = capsys.readouterr().out
-        for flag in ("--config", "--seed", "--out", "--threads", "--strict"):
+        for flag in ("--config", "--seed", "--out", "--strict"):
             assert flag in text
 
 

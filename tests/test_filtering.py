@@ -81,6 +81,14 @@ class TestKalmanGain:
         k = kalman_gain(matrix_model, np.eye(2), 2.0)
         assert k.shape == (2, 1)
 
+    def test_stack_matches_single(self, matrix_model):
+        ps = np.stack([np.eye(2), [[2.0, 0.3], [0.3, 1.0]]])
+        for gamma in (2.0, math.inf):
+            k = kalman_gain(matrix_model, ps, gamma)
+            assert k.shape == (2, 2, 1)
+            for k_one, p in zip(k, ps):
+                assert np.array_equal(k_one, kalman_gain(matrix_model, p, gamma))
+
 
 class TestKalmanStep:
     def test_open_loop_covariance(self, unstable_model):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from jcas_lab.errors import ParameterError
+from jcas_lab import montecarlo
+from jcas_lab.errors import DimensionError, ParameterError
 from jcas_lab.montecarlo import (
     empirical_block_distortion,
     expected_covariance_mc,
@@ -14,6 +15,7 @@ from jcas_lab.montecarlo import (
 from jcas_lab.riccati import BeamPolicy, mb_fixed_point
 from jcas_lab.statespace import GaussMarkovModel
 
+import mc_reference
 from conftest import quad_mb_root
 
 
@@ -38,14 +40,32 @@ class TestExpectedCovarianceMc:
             assert lo <= rep.empirical_mean_trace <= hi
             assert rep.verdict == "within"
 
-    def test_deterministic_and_worker_invariant(self, unstable_model):
-        a = expected_covariance_mc(unstable_model, 0.6, 25, 400, seed=9, critical=math.nan)
-        b = expected_covariance_mc(unstable_model, 0.6, 25, 400, seed=9, critical=math.nan)
-        c = expected_covariance_mc(
-            unstable_model, 0.6, 25, 400, seed=9, critical=math.nan, threads=4
+    def test_rerun_deterministic(self, unstable_model):
+        a = expected_covariance_mc(
+            unstable_model, 0.6, 25, 400, seed=9, per_step=True, critical=math.nan
         )
-        assert a.empirical_mean_trace == b.empirical_mean_trace == c.empirical_mean_trace
-        assert a.std_error == b.std_error == c.std_error
+        b = expected_covariance_mc(
+            unstable_model, 0.6, 25, 400, seed=9, per_step=True, critical=math.nan
+        )
+        assert a.empirical_mean_trace == b.empirical_mean_trace
+        assert a.std_error == b.std_error
+        assert np.array_equal(a.per_step_mean, b.per_step_mean)
+
+    def test_scalar_model_rejects_matrix_p0(self, stable_model):
+        with pytest.raises(DimensionError):
+            expected_covariance_mc(
+                stable_model, 0.5, 10, 10, seed=0, p0=np.eye(2), critical=math.nan
+            )
+
+    def test_negative_p0_rejected(self, stable_model):
+        with pytest.raises(ParameterError):
+            expected_covariance_mc(stable_model, 0.5, 10, 10, seed=0, p0=[[-4.0]], critical=math.nan)
+
+    def test_matrix_model_rejects_wrong_p0_shape(self, matrix_model):
+        with pytest.raises(DimensionError):
+            expected_covariance_mc(
+                matrix_model, 0.5, 10, 10, seed=0, p0=np.eye(3), critical=math.nan
+            )
 
     def test_single_trial_infinite_band(self, stable_model):
         rep = expected_covariance_mc(stable_model, 0.5, 10, 1, seed=4, critical=math.nan)
@@ -132,6 +152,96 @@ class TestBlockDistortion:
         )
         assert rep.per_index_mean.shape == (31,)
         assert rep.ci3()[0] <= rep.mean <= rep.ci3()[1]
+
+    def test_rejects_bad_initial_condition(self, matrix_model):
+        policy = BeamPolicy.switching(0.5)
+        with pytest.raises(DimensionError):
+            empirical_block_distortion(matrix_model, policy, 10, 5, 1, [0.0], np.eye(2))
+        with pytest.raises(DimensionError):
+            empirical_block_distortion(matrix_model, policy, 10, 5, 1, [0.0, 0.0], np.eye(3))
+        with pytest.raises(ParameterError):
+            empirical_block_distortion(matrix_model, policy, 10, 5, 1, [0.0, 0.0], -np.eye(2))
+        with pytest.raises(ParameterError):
+            empirical_block_distortion(matrix_model, policy, 0, 5, 1, [0.0, 0.0], np.eye(2))
+
+
+MODELS = ("stable_model", "unstable_model", "matrix_model", "correlated_model")
+
+
+@pytest.fixture
+def correlated_model():
+    """2x2 model with two outputs and correlated noises, so that the noise
+    transforms mix components and their rounding depends on the BLAS path."""
+    return GaussMarkovModel(
+        A=[[1.05, 0.2], [-0.1, 0.9]],
+        C=[[1.0, 0.3], [0.2, 1.0]],
+        Q=[[0.2, 0.07], [0.07, 0.1]],
+        R=[[0.5, 0.1], [0.1, 0.4]],
+    )
+
+
+#: with SEGMENT = 8: below, equal to, a one-step tail past, and not a multiple of it
+SHORT_SEGMENT = 8
+HORIZONS = (5, 8, 17, 19)
+
+
+class TestBatchedEqualsPerTrial:
+    """The batched engine reproduces the per-trial loops bit for bit."""
+
+    @pytest.fixture
+    def short_segments(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "SEGMENT", SHORT_SEGMENT)
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    @pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("trials", [1, 6])
+    def test_covariance_cell(self, request, short_segments, model_name, lam, trials):
+        model = request.getfixturevalue(model_name)
+        for horizon in HORIZONS:
+            rep = expected_covariance_mc(
+                model, lam, horizon, trials, seed=31, per_step=True, critical=math.nan
+            )
+            mean, se, per_step = mc_reference.covariance_mc(model, lam, horizon, trials, 31)
+            assert rep.empirical_mean_trace == mean
+            assert rep.std_error == se
+            assert np.array_equal(rep.per_step_mean, per_step)
+            assert rep.infinite_band == (trials == 1)
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    @pytest.mark.parametrize(
+        "policy",
+        [BeamPolicy.switching(lam) for lam in (0.0, 0.6, 1.0)]
+        + [BeamPolicy.multibeam(g) for g in (1.0, 2.0, math.inf)],
+        ids=lambda p: f"{p.kind}-{p.value}",
+    )
+    @pytest.mark.parametrize("trials", [1, 4])
+    def test_block_distortion(self, request, short_segments, model_name, policy, trials):
+        model = request.getfixturevalue(model_name)
+        s0 = np.linspace(-0.5, 0.5, model.m)
+        p0 = 0.7 * np.eye(model.m)
+        for horizon in HORIZONS:
+            rep = empirical_block_distortion(model, policy, horizon, trials, 23, s0, p0)
+            mean, se, per_index = mc_reference.block_distortion(
+                model, policy, horizon, trials, 23, s0, p0
+            )
+            assert rep.mean == mean
+            assert rep.std_error == se
+            assert np.array_equal(rep.per_index_mean, per_index)
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_default_segment_tail(self, request, model_name):
+        model = request.getfixturevalue(model_name)
+        horizon = 2 * montecarlo.SEGMENT + 1
+        s0, p0 = np.zeros(model.m), np.eye(model.m)
+        policy = BeamPolicy.switching(0.7)
+        rep = empirical_block_distortion(model, policy, horizon, 3, 8, s0, p0)
+        mean, se, per_index = mc_reference.block_distortion(model, policy, horizon, 3, 8, s0, p0)
+        assert rep.mean == mean and rep.std_error == se
+        assert np.array_equal(rep.per_index_mean, per_index)
+        cell = expected_covariance_mc(model, 0.7, horizon, 3, 8, per_step=True, critical=math.nan)
+        ref_mean, ref_se, ref_steps = mc_reference.covariance_mc(model, 0.7, horizon, 3, 8)
+        assert cell.empirical_mean_trace == ref_mean and cell.std_error == ref_se
+        assert np.array_equal(cell.per_step_mean, ref_steps)
 
 
 class TestTrackingLossMonitor:
