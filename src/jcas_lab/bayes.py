@@ -453,6 +453,14 @@ def load_discrete_model(path) -> DiscreteJcasModel:
             raise SchemaError(f"[alphabets] must define a positive size for {name}")
     nx, ns, nz, ny = sizes["X"], sizes["S"], sizes["Z"], sizes["Y"]
 
+    def parse_index(lineno, text, what):
+        try:
+            return int(text)
+        except ValueError as exc:
+            raise SchemaError(
+                f"line {lineno}: {what} index must be an integer, got {text.strip()!r}"
+            ) from exc
+
     def parse_floats(lineno, text, expected, what):
         parts = text.split()
         if len(parts) != expected:
@@ -472,7 +480,7 @@ def load_discrete_model(path) -> DiscreteJcasModel:
         idx = head.split()
         if len(idx) != 2:
             raise SchemaError(f"line {lineno}: channel row needs two indices 'x s'")
-        x, s = int(idx[0]), int(idx[1])
+        x, s = parse_index(lineno, idx[0], "channel x"), parse_index(lineno, idx[1], "channel s")
         if not (0 <= x < nx and 0 <= s < ns):
             raise SchemaError(f"line {lineno}: channel row (x={x}, s={s}) out of range")
         vals = parse_floats(lineno, tail, ny * nz, f"channel row (x={x}, s={s})")
@@ -485,7 +493,7 @@ def load_discrete_model(path) -> DiscreteJcasModel:
         head, _, tail = line.partition(":")
         if not tail:
             raise SchemaError(f"line {lineno}: markov row needs 's : probs'")
-        s = int(head.strip())
+        s = parse_index(lineno, head, "markov row")
         if not (0 <= s < ns):
             raise SchemaError(f"line {lineno}: markov row (s={s}) out of range")
         markov[s] = parse_floats(lineno, tail, ns, f"markov row (s={s})")
@@ -502,7 +510,7 @@ def load_discrete_model(path) -> DiscreteJcasModel:
         head, _, tail = line.partition(":")
         if not tail:
             raise SchemaError(f"line {lineno}: distortion row needs 's : values'")
-        s = int(head.strip())
+        s = parse_index(lineno, head, "distortion row")
         if not (0 <= s < ns):
             raise SchemaError(f"line {lineno}: distortion row (s={s}) out of range")
         distortion[s] = parse_floats(lineno, tail, ns, f"distortion row (s={s})")

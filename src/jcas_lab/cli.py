@@ -48,8 +48,9 @@ from .riccati import (
     gamma_max,
     lambda_s,
     lambda_v,
-    sbar,
-    vbar,
+    sbar_sweep,
+    trace_or_inf,
+    vbar_sweep,
 )
 from .statespace import GaussMarkovModel, validate_model
 from .tradeoff import (
@@ -240,20 +241,10 @@ def cmd_riccati(args) -> int:
         p0_start = np.asarray(p0_start, dtype=float)
     head = stamp("riccati", cfg, seed, f"model=[{model.describe()}]")
 
+    lams = [float(lam) for lam in lam_grid]
     lines = [f"# {head}", "lambda,tr_sbar,tr_vbar"]
-    for lam in lam_grid:
-        lam = float(lam)
-        try:
-            s = sbar(lam, model)
-            s_tr = math.inf if s is None else float(np.trace(s))
-        except ConvergenceError:
-            s_tr = math.inf
-        try:
-            v = vbar(lam, model, p0=p0_start)
-            v_tr = math.inf if v is None else float(np.trace(v))
-        except ConvergenceError:
-            v_tr = math.inf
-        lines.append(f"{lam!r},{s_tr!r},{v_tr!r}")
+    for lam, s, v in zip(lams, sbar_sweep(lams, model), vbar_sweep(lams, model, p0=p0_start)):
+        lines.append(f"{lam!r},{trace_or_inf(s)!r},{trace_or_inf(v)!r}")
     write_lines(out / "riccati_fixed_points.csv", lines)
 
     lam_c = critical_lambda(model)
@@ -627,6 +618,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: step sizes of a ConvergenceError's trace_tail printed on exit 3
+TAIL_SHOWN = 5
+
+
+def error_details(exc) -> list:
+    """The residual, last step sizes or condition number an error carries."""
+    lines = []
+    if getattr(exc, "residual", None) is not None:
+        lines.append(f"residual: {exc.residual!r}")
+    tail = getattr(exc, "trace_tail", None)
+    if tail:
+        shown = ", ".join(repr(float(x)) for x in tail[-TAIL_SHOWN:])
+        lines.append(f"last {min(len(tail), TAIL_SHOWN)} of {len(tail)} step sizes: {shown}")
+    if getattr(exc, "condition", None) is not None:
+        lines.append(f"condition number: {exc.condition!r}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -634,6 +643,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConvergenceError, NumericalError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        for line in error_details(exc):
+            print(f"  {line}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -218,10 +218,19 @@ def lyap_kernel(a: float, q: float, s: float, alpha: float) -> float:
     return alpha * ((a * s) * a) + q
 
 
-def lyapunov_step(model: GaussMarkovModel, s: np.ndarray, alpha: float) -> np.ndarray:
+def lyapunov_diverges(alpha: float, rho: float) -> bool:
+    """True when alpha * rho(A)^2 is within CRITICAL_MARGIN of 1 or beyond.
+
+    The scaled Lyapunov recursion then has no usable fixed point.
+    """
+    return alpha * rho * rho >= 1.0 - CRITICAL_MARGIN
+
+
+def lyapunov_step(model: GaussMarkovModel, s: np.ndarray, alpha) -> np.ndarray:
     """One application of S -> alpha * A S A^T + Q, re-symmetrized.
 
-    For a matrix model, s may be a stack (..., m, m) of covariances.
+    For a matrix model, s may be a stack (n, m, m) of covariances and alpha
+    an (n, 1, 1) array giving each member its own factor.
     """
     if model.is_scalar:
         a, _, q, _ = model.scalars()
@@ -244,8 +253,7 @@ def solve_scaled_lyapunov(
     """
     if not (0.0 <= alpha <= 1.0):
         raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    rho = spectral_radius(model.A)
-    if alpha * rho * rho >= 1.0 - CRITICAL_MARGIN:
+    if lyapunov_diverges(alpha, spectral_radius(model.A)):
         return None
 
     if model.is_scalar:

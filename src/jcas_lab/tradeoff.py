@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
-from .riccati import mb_fixed_point, sbar, vbar
+from .errors import ParameterError
+from .riccati import mb_sweep, sbar_sweep, trace_or_inf, vbar_sweep
 from .statespace import GaussMarkovModel
 
 
@@ -113,10 +113,6 @@ def mb_rate(channel: ChannelSpec, gamma0: float) -> float:
     return 0.5 * math.log1p(((gamma0 - 1.0) / gamma0) * snr)
 
 
-def _trace_or_inf(matrix) -> float:
-    return math.inf if matrix is None else float(np.trace(matrix))
-
-
 def _sorted_points(points):
     return sorted(points, key=lambda p: (p.distortion, p.param))
 
@@ -127,37 +123,29 @@ def bs_curve(model: GaussMarkovModel, channel: ChannelSpec, lambda_grid):
     Returns (inner_points, outer_points), each sorted by distortion.  Grid
     values whose steady state diverges -- or sits too close to the
     divergence boundary to resolve -- are flagged with infinite distortion.
+    Each bound solves the whole grid in one sweep.
     """
-    inner = []
-    outer = []
-    for lam in lambda_grid:
-        lam = float(lam)
-        rate = bs_rate(channel, lam)
-        try:
-            v_trace = _trace_or_inf(vbar(lam, model))
-        except ConvergenceError:
-            v_trace = math.inf
-        try:
-            s_trace = _trace_or_inf(sbar(lam, model))
-        except ConvergenceError:
-            s_trace = math.inf
-        inner.append(RateDistortionPoint(rate, v_trace, "inner", lam))
-        outer.append(RateDistortionPoint(rate, s_trace, "outer", lam))
+    lams = [float(lam) for lam in lambda_grid]
+    rates = [bs_rate(channel, lam) for lam in lams]
+    inner = [
+        RateDistortionPoint(rate, trace_or_inf(v), "inner", lam)
+        for rate, v, lam in zip(rates, vbar_sweep(lams, model), lams)
+    ]
+    outer = [
+        RateDistortionPoint(rate, trace_or_inf(s), "outer", lam)
+        for rate, s, lam in zip(rates, sbar_sweep(lams, model), lams)
+    ]
     return _sorted_points(inner), _sorted_points(outer)
 
 
 def mb_curve(model: GaussMarkovModel, channel: ChannelSpec, gamma_grid):
     """Exact multi-beam curve over a gamma grid, sorted by distortion."""
-    points = []
-    for gamma in gamma_grid:
-        gamma = float(gamma)
-        rate = mb_rate(channel, gamma)
-        try:
-            trace = _trace_or_inf(mb_fixed_point(gamma, model))
-        except ConvergenceError:
-            trace = math.inf
-        points.append(RateDistortionPoint(rate, trace, "exact", gamma))
-    return _sorted_points(points)
+    gammas = [float(gamma) for gamma in gamma_grid]
+    rates = [mb_rate(channel, gamma) for gamma in gammas]
+    return _sorted_points(
+        RateDistortionPoint(rate, trace_or_inf(fp), "exact", gamma)
+        for rate, fp, gamma in zip(rates, mb_sweep(gammas, model), gammas)
+    )
 
 
 @dataclass

@@ -31,6 +31,18 @@ def matrix_model():
     )
 
 
+@pytest.fixture
+def correlated_model():
+    """2x2 model with two outputs and correlated noises, so that the noise
+    transforms mix components and their rounding depends on the BLAS path."""
+    return GaussMarkovModel(
+        A=[[1.05, 0.2], [-0.1, 0.9]],
+        C=[[1.0, 0.3], [0.2, 1.0]],
+        Q=[[0.2, 0.07], [0.07, 0.1]],
+        R=[[0.5, 0.1], [0.1, 0.4]],
+    )
+
+
 def quad_mb_root(a: float, c: float, q: float, r: float, gamma: float) -> float:
     """Independent steady-state oracle for scalar models with c = 1.
 

@@ -297,6 +297,26 @@ class TestModelLoading:
         with pytest.raises(SchemaError, match=r"channel row \(x=0, s=1\)"):
             load_discrete_model(path)
 
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("0 1 : 0.0 0.5 0.0 0.5", "0 x : 0.0 0.5 0.0 0.5", "channel s"),
+            ("0 1 : 0.0 0.5 0.0 0.5", "0.5 1 : 0.0 0.5 0.0 0.5", "channel x"),
+            ("[markov]\n0 :", "[markov]\nzero :", "markov row"),
+            ("1 : 1.0 0.0", "1.0 : 1.0 0.0", "distortion row"),
+        ],
+    )
+    def test_non_integer_index_names_line(self, tmp_path, old, new, where):
+        text = open(toy_model_path()).read()
+        assert old in text
+        text = text.replace(old, new, 1)
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        row = new.split("\n")[-1]
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(row))
+        with pytest.raises(SchemaError, match=rf"line {lineno}: {where} index must be an integer"):
+            load_discrete_model(path)
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "missing.txt"
         path.write_text("[alphabets]\nX = 2\nS = 2\nZ = 2\nY = 2\n")

@@ -179,12 +179,32 @@ class TestErrorPaths:
         from jcas_lab.errors import ConvergenceError
 
         def boom(*args, **kwargs):
-            raise ConvergenceError("stuck")
+            raise ConvergenceError(
+                "stuck", residual=2.5e-07, trace_tail=[0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]
+            )
 
         monkeypatch.setattr(cli, "critical_lambda", boom)
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        assert "numerical error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical error" in err
+        assert "stuck" in err
+        assert "residual: 2.5e-07" in err
+        assert "last 5 of 6 step sizes: 0.25, 0.125, 0.0625, 0.03125, 0.015625" in err
+
+    def test_numerical_error_exit_3_shows_condition(self, tmp_path, monkeypatch, capsys):
+        import jcas_lab.cli as cli
+        from jcas_lab.errors import NumericalError
+
+        def singular(*args, **kwargs):
+            raise NumericalError("innovation covariance is singular", condition=1.5e17)
+
+        monkeypatch.setattr(cli, "critical_lambda", singular)
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "innovation covariance is singular" in err
+        assert "condition number: 1.5e+17" in err
 
     def test_unknown_flag_fails(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

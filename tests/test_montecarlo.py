@@ -168,18 +168,6 @@ class TestBlockDistortion:
 MODELS = ("stable_model", "unstable_model", "matrix_model", "correlated_model")
 
 
-@pytest.fixture
-def correlated_model():
-    """2x2 model with two outputs and correlated noises, so that the noise
-    transforms mix components and their rounding depends on the BLAS path."""
-    return GaussMarkovModel(
-        A=[[1.05, 0.2], [-0.1, 0.9]],
-        C=[[1.0, 0.3], [0.2, 1.0]],
-        Q=[[0.2, 0.07], [0.07, 0.1]],
-        R=[[0.5, 0.1], [0.1, 0.4]],
-    )
-
-
 #: with SEGMENT = 8: below, equal to, a one-step tail past, and not a multiple of it
 SHORT_SEGMENT = 8
 HORIZONS = (5, 8, 17, 19)

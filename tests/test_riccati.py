@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jcas_lab.errors import ParameterError
+from jcas_lab import riccati
+from jcas_lab.errors import ConvergenceError, ParameterError
 from jcas_lab.riccati import (
     BeamPolicy,
     critical_lambda,
@@ -17,12 +18,17 @@ from jcas_lab.riccati import (
     lambda_s,
     lambda_v,
     mb_fixed_point,
+    mb_sweep,
     riccati_step,
     sbar,
+    sbar_sweep,
+    trace_or_inf,
     vbar,
+    vbar_sweep,
 )
-from jcas_lab.statespace import GaussMarkovModel, lyapunov_step
+from jcas_lab.statespace import GaussMarkovModel, lyapunov_step, spectral_radius
 
+import riccati_reference as ref
 from conftest import quad_mb_root, random_psd, scaled_lyap_root
 
 P1 = np.array([[1.0]])
@@ -73,6 +79,21 @@ class TestMaps:
         # 1.5225 - 1.3225 / (1 + 3) = 1.191875
         out = gamma_mb(P1, 2.0, unstable_model)
         assert out[0, 0] == pytest.approx(1.191875, abs=1e-12)
+
+    @pytest.mark.parametrize("model_name", ("matrix_model", "correlated_model"))
+    def test_stacked_steps_equal_single_steps(self, request, model_name):
+        model = request.getfixturevalue(model_name)
+        rng = np.random.default_rng(5)
+        ps = np.stack([random_psd(rng, 2) for _ in range(4)])
+        lams = np.array([0.0, 0.3, 0.7, 1.0])
+        gammas = np.array([1.0, 1.5, 10.0, 1e3])
+        bs = gamma_bs(ps, lams.reshape(-1, 1, 1), model)
+        mb = riccati_step(model, ps, gammas.reshape(-1, 1, 1))
+        for i in range(4):
+            assert np.array_equal(bs[i], gamma_bs(ps[i], float(lams[i]), model))
+            assert np.array_equal(mb[i], riccati_step(model, ps[i], float(gammas[i])))
+        with pytest.raises(ParameterError):
+            gamma_bs(ps, np.array([0.5, 1.5, 0.5, 0.5]).reshape(-1, 1, 1), model)
 
     def test_parameter_validation(self, unstable_model):
         with pytest.raises(ParameterError):
@@ -251,3 +272,163 @@ class TestThresholds:
             lambda_s(0.0, unstable_model)
         with pytest.raises(ParameterError):
             gamma_max(-1.0, unstable_model)
+
+
+    def test_gamma_max_open_loop_stalls_near_unit_root(self):
+        # the open-loop solve hits its cap (rho = 1 - 1e-8); that probe is
+        # over budget, and the bisection still finds the finite answer
+        a, q, r, d = 1.0 - 1e-8, 0.2, 1.5, 5.0
+        model = GaussMarkovModel.scalar(a, 1.0, q, r)
+        # gamma whose steady state is exactly d (root of the c = 1 quadratic)
+        expected = (d * d - q * d) / (r * (q - d * (1.0 - a * a)))
+        assert gamma_max(d, model, bisect_tol=1e-4) == pytest.approx(expected, rel=1e-4)
+
+
+@pytest.fixture
+def bench_model():
+    """The benchmark's unstable 2x2 model, rho(A) = 1.05."""
+    return GaussMarkovModel(
+        A=[[1.05, 0.2], [0.0, 0.9]], C=[[1.0, 0.0]], Q=[[0.1, 0.0], [0.0, 0.1]], R=[[0.5]]
+    )
+
+
+@pytest.fixture
+def seeded_model():
+    """Seeded unstable 8x8 model with two outputs, rho(A) = 1.1."""
+    rng = np.random.default_rng(20240601)
+    a = rng.standard_normal((8, 8))
+    a *= 1.1 / spectral_radius(a)
+    lq = rng.standard_normal((8, 8)) / math.sqrt(8)
+    lr = rng.standard_normal((2, 2))
+    return GaussMarkovModel(
+        A=a,
+        C=rng.standard_normal((2, 8)),
+        Q=lq @ lq.T + 0.1 * np.eye(8),
+        R=lr @ lr.T + 0.5 * np.eye(2),
+    )
+
+
+SWEEP_MODELS = ("bench_model", "matrix_model", "correlated_model", "seeded_model")
+#: the longer grid starts below 1 - 1/rho^2 of both unstable models
+LAM_GRIDS = {"one": [0.6], "many": [0.0, 0.05, 0.3, 0.6, 0.95, 1.0]}
+GAMMA_GRIDS = {"one": [2.0], "many": [1.0, 1.5, 10.0, 1e3, math.inf], "inf": [math.inf]}
+
+
+def assert_same_points(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert np.array_equal(g, w)
+            assert trace_or_inf(g) == trace_or_inf(w)
+
+
+class TestStackedSweep:
+    """Stacked sweeps and stacks of one equal the per-point loops bit for bit."""
+
+    @pytest.mark.parametrize("model_name", SWEEP_MODELS)
+    @pytest.mark.parametrize("grid", LAM_GRIDS.values(), ids=LAM_GRIDS.keys())
+    def test_vbar(self, request, model_name, grid):
+        model = request.getfixturevalue(model_name)
+        want = ref.vbar_points(model, grid)
+        assert_same_points(vbar_sweep(grid, model), want)
+        assert_same_points([vbar(lam, model) for lam in grid], want)
+
+    @pytest.mark.parametrize("model_name", SWEEP_MODELS)
+    @pytest.mark.parametrize("grid", LAM_GRIDS.values(), ids=LAM_GRIDS.keys())
+    def test_sbar(self, request, model_name, grid):
+        model = request.getfixturevalue(model_name)
+        assert_same_points(sbar_sweep(grid, model), ref.sbar_points(model, grid))
+
+    @pytest.mark.parametrize("model_name", SWEEP_MODELS)
+    @pytest.mark.parametrize("grid", GAMMA_GRIDS.values(), ids=GAMMA_GRIDS.keys())
+    def test_mb(self, request, model_name, grid):
+        model = request.getfixturevalue(model_name)
+        want = ref.mb_points(model, grid)
+        assert_same_points(mb_sweep(grid, model), want)
+        assert_same_points([mb_fixed_point(g, model) for g in grid], want)
+
+    def test_vbar_start_point(self, correlated_model):
+        p0 = [[0.4, 0.1], [0.1, 0.3]]
+        grid = LAM_GRIDS["many"]
+        want = ref.vbar_points(correlated_model, grid, p0=p0)
+        assert_same_points(vbar_sweep(grid, correlated_model, p0=p0), want)
+
+    @pytest.mark.parametrize("model_name", SWEEP_MODELS)
+    def test_iteration_cap(self, request, model_name):
+        model = request.getfixturevalue(model_name)
+        rho = spectral_radius(model.A)
+        lams = [lam for lam in LAM_GRIDS["many"] if (1.0 - lam) * rho * rho < 1.0]
+        gammas = GAMMA_GRIDS["many"][:-1]
+        cases = (
+            (riccati._classify_bs, vbar, vbar_sweep, ref.classify_bs, ref.vbar_points, lams),
+            (riccati._classify_mb, mb_fixed_point, mb_sweep, ref.classify_mb, ref.mb_points, gammas),
+        )
+        # 3: too short for the trend test; 100: members finish at different
+        # steps and the 64-deep window has wrapped for those left at the cap
+        for max_iter in (3, 40, 100):
+            for classify, solve, sweep, ref_classify, ref_points, grid in cases:
+                assert_same_points(
+                    sweep(grid, model, max_iter=max_iter), ref_points(model, grid, max_iter=max_iter)
+                )
+                stacked = classify(model, grid, 1e-12, max_iter)
+                for param, (got_status, got_value, got_window) in zip(grid, stacked):
+                    status, value, window = ref_classify(model, param, max_iter=max_iter)
+                    assert got_status == status
+                    assert_same_points([got_value], [value])
+                    if status == ref.UNDECIDED:
+                        assert got_window == list(window)
+                        with pytest.raises(ConvergenceError) as exc:
+                            solve(param, model, max_iter=max_iter)
+                        assert exc.value.trace_tail == list(window)
+                    else:
+                        assert_same_points([solve(param, model, max_iter=max_iter)], [value])
+
+    def test_generic_fixed_point_matches_reference(self, matrix_model):
+        step = lambda p: gamma_bs(p, 0.6, matrix_model)
+        for max_iter in (5, 1_000_000):
+            status, value, window = ref.classify_matrix(step, matrix_model.Q, 1e-12, max_iter)
+            if status == ref.UNDECIDED:
+                with pytest.raises(ConvergenceError) as exc:
+                    fixed_point(step, matrix_model.Q, max_iter=max_iter)
+                assert exc.value.trace_tail == list(window)
+            else:
+                assert np.array_equal(fixed_point(step, matrix_model.Q, max_iter=max_iter), value)
+
+
+class TestPinnedOutputs:
+    """Values computed before the sweep and the divergence short-circuit."""
+
+    def test_critical_lambda_2x2(self, bench_model):
+        assert critical_lambda(bench_model, bisect_tol=1e-3) == 0.09326171875
+
+    @pytest.mark.parametrize(
+        "a, expected", [(-1.15, 0.24385595321655273), (-1.5, 0.5555558204650879)]
+    )
+    def test_critical_lambda_scalar(self, a, expected):
+        assert critical_lambda(GaussMarkovModel.scalar(a, 1.0, 0.2, 1.5)) == expected
+
+    @pytest.mark.parametrize(
+        "d, expected",
+        [
+            (1.0, (0.3950843811035156, 0.9877128601074219, 1.020730250413767)),
+            (3.0, (0.2942695617675781, 0.4414024353027344, 4.796577127028612)),
+        ],
+    )
+    def test_scalar_thresholds(self, unstable_model, d, expected):
+        got = tuple(f(d, unstable_model, bisect_tol=1e-5) for f in (lambda_s, lambda_v, gamma_max))
+        assert got == expected
+
+    def test_matrix_thresholds(self, bench_model):
+        got = tuple(f(3.0, bench_model, bisect_tol=1e-5) for f in (lambda_s, lambda_v, gamma_max))
+        assert got == (0.15814590454101562, 0.21838760375976562, 22.59563720388376)
+
+    @pytest.mark.parametrize(
+        "model_name", ("unstable_model", "bench_model", "correlated_model", "seeded_model")
+    )
+    def test_vbar_diverges_wherever_sbar_does(self, request, model_name):
+        model = request.getfixturevalue(model_name)
+        for lam in np.linspace(0.0, 1.0, 41):
+            if sbar(lam, model) is None:
+                assert vbar(lam, model) is None
