@@ -1,9 +1,11 @@
 """Desk-scale finite-alphabet engine for the general Markov-state model.
 
-Works entirely with exact enumeration at small alphabet sizes: recursive
-predict/update posterior filtering, the risk-minimizing state estimator, the
-input-conditioned sensing cost, and a gridded product-distribution search for
-the best rate under a distortion budget.  Everything is in nats.
+Exact computation at small alphabet sizes: recursive predict/update
+posterior filtering with a path-enumeration oracle, the risk-minimizing
+state estimator, the input-conditioned sensing cost by a forward recursion
+over measurement prefixes, and a gridded product-distribution search for
+the best rate under a distortion budget, evaluated as whole arrays.
+Everything is in nats.
 
 Alphabets are index sets 0..size-1.  The channel is a joint conditional
 table P(y, z | x, s); the state evolves by a row-stochastic kernel
@@ -13,7 +15,6 @@ P(s' | s) from a known initial distribution.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,31 +199,43 @@ def bruteforce_posterior(x_seq, z_seq, model: DiscreteJcasModel) -> Belief:
     return Belief(post / total, steps)
 
 
-def _estimates_along(x_seq, z_path, model: DiscreteJcasModel):
-    """Recursive-estimator outputs [shat_0..shat_n] along one measurement path.
+def _forward_messages(x_seq, model: DiscreteJcasModel):
+    """Yield (alpha, estimates) at indices 0..n of the forward recursion.
 
-    Returns None when the path has zero marginal evidence (and therefore
-    zero joint probability with every state path).
+    Row k of both arrays is the k-th measurement prefix z^j in
+    itertools.product order: alpha[k, s] = P(z^j, s_j = s), and
+    estimates[k] is the recursive estimator's output after that prefix,
+    the risk minimizer of the normalized belief with ties to the smallest
+    index.  A prefix with zero evidence keeps a zero belief; if its alpha
+    is positive anywhere, EvidenceError is raised.
     """
-    belief = Belief(model.initial.copy(), 0)
-    ests = [optimal_estimate(belief, model)[0]]
-    for x, z in zip(x_seq, z_path):
-        belief = belief_predict(belief, model)
-        try:
-            belief = belief_update(belief, x, z, model)
-        except EvidenceError:
-            return None
-        ests.append(optimal_estimate(belief, model)[0])
-    return ests
+    pz = model.z_likelihood()
+    alpha = model.initial[np.newaxis, :]
+    belief = alpha
+    yield alpha, np.argmin(belief @ model.distortion, axis=1)
+    for x in x_seq:
+        like = pz[x].T  # (nz, ns)
+        alpha = ((alpha @ model.markov)[:, np.newaxis, :] * like).reshape(-1, model.ns)
+        post = ((belief @ model.markov)[:, np.newaxis, :] * like).reshape(-1, model.ns)
+        evidence = post.sum(axis=1, keepdims=True)
+        dead = evidence <= 0.0
+        if np.any(alpha[dead[:, 0]] > 0.0):
+            raise EvidenceError("positive-weight path with zero marginal evidence")
+        belief = post / np.where(dead, 1.0, evidence)
+        yield alpha, np.argmin(belief @ model.distortion, axis=1)
 
 
 def sensing_cost(x_seq, model: DiscreteJcasModel) -> float:
     """Expected block distortion of the recursive estimator given the inputs.
 
-    Exact: enumerates every (state path, measurement path) pair, weights by
-    P(s^n) P(z^n | x^n, s^n), runs the recursive estimator along the
-    measurement path, and averages the n+1 per-letter distortions
-    (index 0, estimated from the prior alone, included).
+    Exact, by the forward recursion over measurement prefixes (the HMM
+    forward algorithm): at each index j the prefix probabilities
+    alpha[k, s] = P(z^j = prefix k, s_j = s) weigh the distortion of that
+    prefix's estimate, sum_k sum_s alpha[k, s] d(s, shat_k), and the n+1
+    per-letter terms (index 0, estimated from the prior alone, included)
+    are averaged.  Costs O(|Z|^n n |S|^2); the ``MAX_COST_PATHS`` guard
+    still bounds |S|^(n+1) |Z|^n, the size of the path enumeration it
+    replaces.
     """
     x_seq = [int(x) for x in x_seq]
     n = len(x_seq)
@@ -235,38 +248,10 @@ def sensing_cost(x_seq, model: DiscreteJcasModel) -> float:
             f"sensing cost enumeration would visit {n_paths} paths "
             f"(limit {MAX_COST_PATHS})"
         )
-    if n == 0:
-        belief = Belief(model.initial.copy(), 0)
-        sh0, _ = optimal_estimate(belief, model)
-        return float(model.initial @ model.distortion[:, sh0])
-
-    pz = model.z_likelihood()
-    z_paths = list(itertools.product(range(model.nz), repeat=n))
-    est_by_zpath = {zp: _estimates_along(x_seq, zp, model) for zp in z_paths}
-
     total = 0.0
-    for s_path in itertools.product(range(model.ns), repeat=n + 1):
-        ps = model.initial[s_path[0]]
-        for j in range(1, n + 1):
-            ps *= model.markov[s_path[j - 1], s_path[j]]
-        if ps == 0.0:
-            continue
-        for zp in z_paths:
-            w = ps
-            for j in range(1, n + 1):
-                w *= pz[x_seq[j - 1], s_path[j], zp[j - 1]]
-                if w == 0.0:
-                    break
-            if w == 0.0:
-                continue
-            ests = est_by_zpath[zp]
-            if ests is None:
-                raise EvidenceError("positive-weight path with zero marginal evidence")
-            block = 0.0
-            for j in range(n + 1):
-                block += model.distortion[s_path[j], ests[j]]
-            total += w * block / (n + 1)
-    return float(total)
+    for alpha, estimates in _forward_messages(x_seq, model):
+        total += float(np.sum(alpha * model.distortion[:, estimates].T))
+    return total / (n + 1)
 
 
 def _mutual_information(px: np.ndarray, py_given_x: np.ndarray) -> float:
@@ -288,6 +273,15 @@ def state_marginals(model: DiscreteJcasModel, n: int) -> np.ndarray:
     return out
 
 
+def _conditional_information(px: np.ndarray, py: np.ndarray, marginal: np.ndarray) -> float:
+    """I(X; Y | S) in nats for input px, py[x, s, y] = P(y | x, s) and state law marginal."""
+    mi = 0.0
+    for s, ps in enumerate(marginal):
+        if ps > 0.0:
+            mi += ps * _mutual_information(px, py[:, s, :])
+    return mi
+
+
 def capacity_objective(input_dists, model: DiscreteJcasModel, n: int) -> float:
     """(1/n) sum_i I(X_i; Y_i | S_i) in nats for per-step input distributions."""
     dists = np.asarray(input_dists, dtype=float)
@@ -301,12 +295,7 @@ def capacity_objective(input_dists, model: DiscreteJcasModel, n: int) -> float:
     marginals = state_marginals(model, n)
     total = 0.0
     for i in range(n):
-        mi = 0.0
-        for s in range(model.ns):
-            ps = marginals[i, s]
-            if ps > 0.0:
-                mi += ps * _mutual_information(dists[i], py[:, s, :])
-        total += mi
+        total += _conditional_information(dists[i], py, marginals[i])
     return total / n
 
 
@@ -362,45 +351,40 @@ def bruteforce_open_loop_tradeoff(
 
     x_seqs = list(itertools.product(range(model.nx), repeat=n))
     costs = np.array([sensing_cost(xs, model) for xs in x_seqs])
-    cost_tensor = costs.reshape((model.nx,) * n)
 
-    # per-grid-point, per-step conditional mutual information
-    py = model.y_likelihood()
-    marginals = state_marginals(model, n)
-    mi_table = np.empty((n_points, n))
-    for g in range(n_points):
-        for i in range(n):
-            mi = 0.0
-            for s in range(model.ns):
-                ps = marginals[i, s]
-                if ps > 0.0:
-                    mi += ps * _mutual_information(grid[g], py[:, s, :])
-            mi_table[g, i] = mi
-
-    best_rate = -math.inf
-    best_combo = None
-    n_feasible = 0
-    for combo in itertools.product(range(n_points), repeat=n):
-        expected = cost_tensor
-        for idx in combo:
-            expected = np.tensordot(grid[idx], expected, axes=(0, 0))
-        if float(expected) > distortion_budget + 1e-12:
-            continue
-        n_feasible += 1
-        rate = float(np.mean([mi_table[idx, i] for i, idx in enumerate(combo)]))
-        if rate > best_rate:
-            best_rate = rate
-            best_combo = combo
-
+    # expected cost of every grid combination; contracting x_0 first, axis i
+    # of the result indexes the grid point of step i
+    expected = costs.reshape((model.nx,) * n)
+    for _ in range(n):
+        expected = np.tensordot(expected, grid, axes=(0, 1))
+    infeasible = expected > distortion_budget + 1e-12
+    n_feasible = expected.size - int(np.count_nonzero(infeasible))
     per_seq = {xs: float(c) for xs, c in zip(x_seqs, costs)}
-    if best_combo is None:
+    if n_feasible == 0:
         return TradeoffResult(
             False, None, None, distortion_budget, n, grid_resolution, 0, per_seq
         )
+
+    # a combination's rate is the mean of its per-step conditional mutual
+    # information, summed in step order into the no longer needed cost buffer
+    py = model.y_likelihood()
+    marginals = state_marginals(model, n)
+    mi_table = np.array(
+        [[_conditional_information(q, py, marginals[i]) for i in range(n)] for q in grid]
+    )
+    rate = expected
+    rate.fill(0.0)
+    for i in range(n):
+        rate += mi_table[:, i].reshape((n_points,) + (1,) * (n - 1 - i))
+    rate /= n
+    rate[infeasible] = -np.inf
+    # the first maximum in C order is the first in itertools.product order
+    best = int(np.argmax(rate))
+    combo = np.unravel_index(best, rate.shape)
     return TradeoffResult(
         True,
-        best_rate,
-        np.array([grid[idx] for idx in best_combo]),
+        float(rate.flat[best]),
+        grid[list(combo)],
         distortion_budget,
         n,
         grid_resolution,
@@ -472,7 +456,27 @@ def load_discrete_model(path) -> DiscreteJcasModel:
         except ValueError as exc:
             raise SchemaError(f"line {lineno}: {what} has a non-numeric entry") from exc
 
+    def parse_state_rows(name, entries):
+        """The ns x ns table of a section with one ``s : values`` row per state."""
+        table = np.full((ns, ns), np.nan)
+        seen = set()
+        for lineno, line in sections[name]:
+            head, _, tail = line.partition(":")
+            if not tail:
+                raise SchemaError(f"line {lineno}: {name} row needs 's : {entries}'")
+            s = parse_index(lineno, head, f"{name} row")
+            if not (0 <= s < ns):
+                raise SchemaError(f"line {lineno}: {name} row (s={s}) out of range")
+            if s in seen:
+                raise SchemaError(f"line {lineno}: duplicate {name} row (s={s})")
+            seen.add(s)
+            table[s] = parse_floats(lineno, tail, ns, f"{name} row (s={s})")
+        if np.isnan(table).any():
+            raise SchemaError(f"{name} section is missing one or more rows")
+        return table
+
     channel = np.full((nx, ns, ny, nz), np.nan)
+    seen = set()
     for lineno, line in sections["channel"]:
         head, _, tail = line.partition(":")
         if not tail:
@@ -483,39 +487,22 @@ def load_discrete_model(path) -> DiscreteJcasModel:
         x, s = parse_index(lineno, idx[0], "channel x"), parse_index(lineno, idx[1], "channel s")
         if not (0 <= x < nx and 0 <= s < ns):
             raise SchemaError(f"line {lineno}: channel row (x={x}, s={s}) out of range")
+        if (x, s) in seen:
+            raise SchemaError(f"line {lineno}: duplicate channel row (x={x}, s={s})")
+        seen.add((x, s))
         vals = parse_floats(lineno, tail, ny * nz, f"channel row (x={x}, s={s})")
         channel[x, s] = np.array(vals).reshape(ny, nz)
     if np.isnan(channel).any():
         raise SchemaError("channel section is missing one or more (x, s) rows")
 
-    markov = np.full((ns, ns), np.nan)
-    for lineno, line in sections["markov"]:
-        head, _, tail = line.partition(":")
-        if not tail:
-            raise SchemaError(f"line {lineno}: markov row needs 's : probs'")
-        s = parse_index(lineno, head, "markov row")
-        if not (0 <= s < ns):
-            raise SchemaError(f"line {lineno}: markov row (s={s}) out of range")
-        markov[s] = parse_floats(lineno, tail, ns, f"markov row (s={s})")
-    if np.isnan(markov).any():
-        raise SchemaError("markov section is missing one or more rows")
+    markov = parse_state_rows("markov", "probs")
 
     if len(sections["initial"]) != 1:
         raise SchemaError("[initial] must contain exactly one row")
     lineno, line = sections["initial"][0]
     initial = parse_floats(lineno, line.partition(":")[2] or line, ns, "initial row")
 
-    distortion = np.full((ns, ns), np.nan)
-    for lineno, line in sections["distortion"]:
-        head, _, tail = line.partition(":")
-        if not tail:
-            raise SchemaError(f"line {lineno}: distortion row needs 's : values'")
-        s = parse_index(lineno, head, "distortion row")
-        if not (0 <= s < ns):
-            raise SchemaError(f"line {lineno}: distortion row (s={s}) out of range")
-        distortion[s] = parse_floats(lineno, tail, ns, f"distortion row (s={s})")
-    if np.isnan(distortion).any():
-        raise SchemaError("distortion section is missing one or more rows")
+    distortion = parse_state_rows("distortion", "values")
 
     return DiscreteJcasModel(
         channel=channel, markov=markov, initial=np.array(initial), distortion=distortion

@@ -52,7 +52,7 @@ from .riccati import (
     trace_or_inf,
     vbar_sweep,
 )
-from .statespace import GaussMarkovModel, validate_model
+from .statespace import GaussMarkovModel, check_initial_covariance, validate_model
 from .tradeoff import (
     ChannelSpec,
     bs_curve,
@@ -238,7 +238,10 @@ def cmd_riccati(args) -> int:
     # optional start point for the fixed-point iterations (sensitivity checks)
     p0_start = cfg.get("fixed_point_p0")
     if p0_start is not None:
-        p0_start = np.asarray(p0_start, dtype=float)
+        try:
+            p0_start = check_initial_covariance(model, p0_start)
+        except ValueError as exc:
+            raise SchemaError(f"fixed_point_p0: {exc}") from exc
     head = stamp("riccati", cfg, seed, f"model=[{model.describe()}]")
 
     lams = [float(lam) for lam in lam_grid]

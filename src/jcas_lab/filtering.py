@@ -35,12 +35,11 @@ import numpy as np
 from .errors import DimensionError, NumericalError, ParameterError
 from .riccati import BeamPolicy, riccati_kernel, riccati_step
 from .statespace import (
-    EIG_TOL,
     GaussMarkovModel,
     as_matrix,
+    check_initial_covariance,
     lyap_kernel,
     lyapunov_step,
-    min_sym_eig,
     psd_sqrt,
     symmetrize,
 )
@@ -249,16 +248,6 @@ def draw_blocks(model: GaussMarkovModel, policy: BeamPolicy) -> list:
     if policy.kind == "switching":
         blocks.insert(0, lambda rng, rows: rng.random(rows) < policy.value)
     return blocks
-
-
-def check_initial_covariance(model: GaussMarkovModel, p0) -> np.ndarray:
-    """P0 as an m x m float array; DimensionError / ParameterError unless PSD."""
-    p0 = as_matrix(p0, "P0")
-    if p0.shape != (model.m, model.m):
-        raise DimensionError(f"P0 must be {model.m}x{model.m}, got {p0.shape}")
-    if min_sym_eig(p0) < -EIG_TOL * max(1.0, float(np.max(np.abs(p0)))):
-        raise ParameterError("P0 must be positive semidefinite")
-    return p0
 
 
 def run_filter(

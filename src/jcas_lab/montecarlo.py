@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import DimensionError, ParameterError
 from .filtering import (
-    check_initial_covariance,
     derive_trial_seed,
     draw_blocks,
     gain_kernel,
@@ -57,7 +56,13 @@ from .filtering import (
     make_rng,
 )
 from .riccati import BeamPolicy, critical_lambda, gamma_bs, riccati_kernel, riccati_step
-from .statespace import GaussMarkovModel, lyap_kernel, lyapunov_step, psd_sqrt
+from .statespace import (
+    GaussMarkovModel,
+    check_initial_covariance,
+    lyap_kernel,
+    lyapunov_step,
+    psd_sqrt,
+)
 
 VERDICT_WITHIN = "within"
 VERDICT_VIOLATED = "violated"

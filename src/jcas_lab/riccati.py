@@ -44,6 +44,7 @@ from .statespace import (
     CRITICAL_MARGIN,
     GaussMarkovModel,
     as_matrix,
+    check_initial_covariance,
     lyapunov_diverges,
     lyapunov_step,
     solve_scaled_lyapunov,
@@ -323,7 +324,7 @@ def fixed_point(step, p0, tol: float = 1e-12, max_iter: int = 1_000_000):
 def _classify_grid(model: GaussMarkovModel, kernel, step, params, tol, max_iter, p0) -> list:
     """Classify a fixed point at every parameter: float kernel loops for a
     scalar model, one stacked recursion for a matrix model."""
-    start = model.Q.copy() if p0 is None else as_matrix(p0, "P0")
+    start = model.Q.copy() if p0 is None else check_initial_covariance(model, p0)
     if model.is_scalar:
         a, c, q, r = model.scalars()
         return [

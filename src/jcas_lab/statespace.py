@@ -209,6 +209,16 @@ def validate_model(model: GaussMarkovModel) -> ModelValidation:
     return rep
 
 
+def check_initial_covariance(model: GaussMarkovModel, p0) -> np.ndarray:
+    """P0 as an m x m float array; DimensionError / ParameterError unless PSD."""
+    p0 = as_matrix(p0, "P0")
+    if p0.shape != (model.m, model.m):
+        raise DimensionError(f"P0 must be {model.m}x{model.m}, got {p0.shape}")
+    if min_sym_eig(p0) < -EIG_TOL * max(1.0, float(np.max(np.abs(p0)))):
+        raise ParameterError("P0 must be positive semidefinite")
+    return p0
+
+
 def lyap_kernel(a: float, q: float, s: float, alpha: float) -> float:
     """Scalar step of the scaled Lyapunov recursion (shared float kernel).
 

@@ -1,0 +1,149 @@
+"""Path-enumeration references for the finite-alphabet engine.
+
+``sensing_cost`` enumerates every (state path, measurement path) pair and
+runs the recursive estimator along each measurement path, and
+``open_loop_tradeoff`` visits the grid combinations one at a time in
+``itertools.product`` order, keeping the first strict maximum.  Tests
+compare the forward recursion and the array search with them: costs to a
+relative tolerance, because the summation order differs, and estimates
+and search results by exact equality.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from jcas_lab.bayes import (
+    MAX_COST_PATHS,
+    Belief,
+    TradeoffResult,
+    _mutual_information,
+    belief_predict,
+    belief_update,
+    optimal_estimate,
+    simplex_grid,
+    state_marginals,
+)
+from jcas_lab.errors import EnumerationLimitError, EvidenceError, ParameterError
+
+
+def estimates_along(x_seq, z_path, model):
+    """Recursive-estimator outputs [shat_0..shat_n] along one measurement path.
+
+    Returns None when the path has zero marginal evidence (and therefore
+    zero joint probability with every state path).
+    """
+    belief = Belief(model.initial.copy(), 0)
+    ests = [optimal_estimate(belief, model)[0]]
+    for x, z in zip(x_seq, z_path):
+        belief = belief_predict(belief, model)
+        try:
+            belief = belief_update(belief, x, z, model)
+        except EvidenceError:
+            return None
+        ests.append(optimal_estimate(belief, model)[0])
+    return ests
+
+
+def sensing_cost(x_seq, model) -> float:
+    """Expected block distortion by enumerating every (state path,
+    measurement path) pair, weighted by P(s^n) P(z^n | x^n, s^n)."""
+    x_seq = [int(x) for x in x_seq]
+    n = len(x_seq)
+    for x in x_seq:
+        if not (0 <= x < model.nx):
+            raise ParameterError(f"input symbol {x} outside alphabet of size {model.nx}")
+    n_paths = model.ns ** (n + 1) * model.nz ** n
+    if n_paths > MAX_COST_PATHS:
+        raise EnumerationLimitError(
+            f"sensing cost enumeration would visit {n_paths} paths "
+            f"(limit {MAX_COST_PATHS})"
+        )
+    if n == 0:
+        belief = Belief(model.initial.copy(), 0)
+        sh0, _ = optimal_estimate(belief, model)
+        return float(model.initial @ model.distortion[:, sh0])
+
+    pz = model.z_likelihood()
+    z_paths = list(itertools.product(range(model.nz), repeat=n))
+    est_by_zpath = {zp: estimates_along(x_seq, zp, model) for zp in z_paths}
+
+    total = 0.0
+    for s_path in itertools.product(range(model.ns), repeat=n + 1):
+        ps = model.initial[s_path[0]]
+        for j in range(1, n + 1):
+            ps *= model.markov[s_path[j - 1], s_path[j]]
+        if ps == 0.0:
+            continue
+        for zp in z_paths:
+            w = ps
+            for j in range(1, n + 1):
+                w *= pz[x_seq[j - 1], s_path[j], zp[j - 1]]
+                if w == 0.0:
+                    break
+            if w == 0.0:
+                continue
+            ests = est_by_zpath[zp]
+            if ests is None:
+                raise EvidenceError("positive-weight path with zero marginal evidence")
+            block = 0.0
+            for j in range(n + 1):
+                block += model.distortion[s_path[j], ests[j]]
+            total += w * block / (n + 1)
+    return float(total)
+
+
+def open_loop_tradeoff(model, distortion_budget: float, n: int, grid_resolution: float,
+                       cost=sensing_cost) -> TradeoffResult:
+    """The gridded search, one combination at a time, with costs from ``cost``."""
+    grid = simplex_grid(model.nx, grid_resolution)
+    n_points = grid.shape[0]
+    x_seqs = list(itertools.product(range(model.nx), repeat=n))
+    costs = np.array([cost(xs, model) for xs in x_seqs])
+    cost_tensor = costs.reshape((model.nx,) * n)
+
+    py = model.y_likelihood()
+    marginals = state_marginals(model, n)
+    mi_table = np.empty((n_points, n))
+    for g in range(n_points):
+        for i in range(n):
+            mi = 0.0
+            for s in range(model.ns):
+                ps = marginals[i, s]
+                if ps > 0.0:
+                    mi += ps * _mutual_information(grid[g], py[:, s, :])
+            mi_table[g, i] = mi
+
+    best_rate = -math.inf
+    best_combo = None
+    n_feasible = 0
+    for combo in itertools.product(range(n_points), repeat=n):
+        expected = cost_tensor
+        for idx in combo:
+            expected = np.tensordot(grid[idx], expected, axes=(0, 0))
+        if float(expected) > distortion_budget + 1e-12:
+            continue
+        n_feasible += 1
+        rate = float(np.mean([mi_table[idx, i] for i, idx in enumerate(combo)]))
+        if rate > best_rate:
+            best_rate = rate
+            best_combo = combo
+
+    per_seq = {xs: float(c) for xs, c in zip(x_seqs, costs)}
+    if best_combo is None:
+        return TradeoffResult(
+            False, None, None, distortion_budget, n, grid_resolution, 0, per_seq
+        )
+    return TradeoffResult(
+        True,
+        best_rate,
+        np.array([grid[idx] for idx in best_combo]),
+        distortion_budget,
+        n,
+        grid_resolution,
+        n_feasible,
+        per_seq,
+    )

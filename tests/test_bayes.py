@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from jcas_lab.bayes import (
     Belief,
     DiscreteJcasModel,
+    _forward_messages,
     belief_predict,
     belief_update,
     bruteforce_open_loop_tradeoff,
@@ -17,6 +20,7 @@ from jcas_lab.bayes import (
 )
 from jcas_lab.errors import EnumerationLimitError, EvidenceError, SchemaError
 
+import bayes_reference as ref
 from conftest import random_discrete_model, toy_model_path
 
 
@@ -197,6 +201,77 @@ class TestSensingCost:
             sensing_cost([0] * 12, model)
 
 
+def sparse_discrete_model(rng: np.random.Generator, max_size: int = 3):
+    """Random model with zero channel, kernel and prior entries, so that
+    some measurement prefixes have zero probability."""
+    nx, ns, nz = (int(v) for v in rng.integers(2, max_size + 1, 3))
+    channel = rng.random((nx, ns, 2, nz)) * (rng.random((nx, ns, 2, nz)) < 0.5)
+    channel[..., 0, 0] += 0.05
+    channel /= channel.sum(axis=(2, 3), keepdims=True)
+    markov = rng.random((ns, ns)) * (rng.random((ns, ns)) < 0.5) + 0.05 * np.eye(ns)
+    markov /= markov.sum(axis=1, keepdims=True)
+    initial = np.zeros(ns)
+    initial[: ns - 1] = rng.random(ns - 1) + 0.05
+    initial /= initial.sum()
+    return DiscreteJcasModel(
+        channel=channel, markov=markov, initial=initial, distortion=rng.random((ns, ns))
+    )
+
+
+def equivalence_cases():
+    """(model, x_seq) pairs for n = 0..5 within the enumeration bound."""
+    toy = load_discrete_model(toy_model_path())
+    cases = [(toy, xs) for n in range(6) for xs in itertools.product(range(2), repeat=n)]
+    rng = np.random.default_rng(44)
+    for make in (random_discrete_model, sparse_discrete_model):
+        for n in range(6):
+            for _ in range(6):
+                model = make(rng, max_size=3 if n < 5 else 2)
+                cases.append((model, rng.integers(0, model.nx, n).tolist()))
+    return cases
+
+
+EQUIVALENCE_CASES = equivalence_cases()
+
+
+class TestForwardRecursion:
+    """The forward recursion against the path enumeration in bayes_reference."""
+
+    def test_cost_matches_enumeration(self):
+        worst = 0.0
+        for model, xs in EQUIVALENCE_CASES:
+            want = ref.sensing_cost(xs, model)
+            worst = max(worst, abs(sensing_cost(xs, model) - want) / max(1.0, abs(want)))
+        assert worst <= 1e-13
+
+    def test_estimates_match_reference(self):
+        dead = 0
+        for model, xs in EQUIVALENCE_CASES:
+            n = len(xs)
+            messages = list(_forward_messages(xs, model))
+            for k, zp in enumerate(itertools.product(range(model.nz), repeat=n)):
+                want = ref.estimates_along(xs, zp, model)
+                if want is None:
+                    dead += 1
+                    assert not messages[n][0][k].any()
+                    continue
+                got = [int(est[k // model.nz ** (n - j)]) for j, (_, est) in enumerate(messages)]
+                assert got == want, (xs, zp)
+        assert dead > 0  # the zero-evidence branch ran
+
+    def test_guard_bounds_enumeration_size(self):
+        # 3^6 * 3^5 = 177147 paths are within MAX_COST_PATHS, 3^7 * 3^6 are not
+        model = DiscreteJcasModel(
+            channel=np.full((1, 3, 1, 3), 1.0 / 3.0),
+            markov=np.full((3, 3), 1.0 / 3.0),
+            initial=np.full(3, 1.0 / 3.0),
+            distortion=1.0 - np.eye(3),
+        )
+        assert sensing_cost([0] * 5, model) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        with pytest.raises(EnumerationLimitError, match=r"would visit 1594323 paths \(limit 200000\)"):
+            sensing_cost([0] * 6, model)
+
+
 class TestCapacityObjective:
     def test_output_independent_of_input_is_zero(self):
         model = uniform_channel_model(np.eye(2), np.array([0.5, 0.5]), HAMMING)
@@ -281,6 +356,54 @@ class TestGridTradeoff:
             bruteforce_open_loop_tradeoff(toy, 0.5, 4, 0.1)
 
 
+def assert_same_search(got, want):
+    assert got.feasible == want.feasible
+    assert got.rate == want.rate
+    assert got.n_feasible == want.n_feasible
+    if want.input_distributions is None:
+        assert got.input_distributions is None
+    else:
+        assert np.array_equal(got.input_distributions, want.input_distributions)
+    assert got.per_sequence_costs.keys() == want.per_sequence_costs.keys()
+    for xs, cost in want.per_sequence_costs.items():
+        assert got.per_sequence_costs[xs] == pytest.approx(cost, rel=1e-13, abs=1e-13)
+
+
+class TestArraySearch:
+    """The array search against the one-combination-at-a-time loop in bayes_reference."""
+
+    # grid steps per unit for binary and ternary inputs; coarser for n = 3,
+    # where the loop visits (points)^3 combinations
+    @pytest.mark.parametrize("n, binary_steps, ternary_steps", [(1, 10, 10), (2, 10, 4), (3, 5, 3)])
+    def test_matches_loop(self, toy, n, binary_steps, ternary_steps):
+        rng = np.random.default_rng(60 + n)
+        for model in (toy, random_discrete_model(rng), sparse_discrete_model(rng)):
+            resolution = 1.0 / (binary_steps if model.nx == 2 else ternary_steps)
+            costs = [ref.sensing_cost(xs, model) for xs in itertools.product(range(model.nx), repeat=n)]
+            lo, hi = min(costs), max(costs)
+            for budget in (0.5 * lo, lo, float(np.median(costs)), (lo + hi) / 2.0, hi + 0.1):
+                assert_same_search(
+                    bruteforce_open_loop_tradeoff(model, budget, n, resolution),
+                    ref.open_loop_tradeoff(model, budget, n, resolution),
+                )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tied_rates_keep_first_combination(self, n):
+        # z carries nothing and y = x: every sequence costs 1/2 and a law's
+        # rate is its entropy, so (2/3, 1/3) and (1/3, 2/3) tie at every step
+        channel = np.zeros((2, 2, 2, 2))
+        for x in range(2):
+            channel[x, :, x, :] = 0.5
+        model = DiscreteJcasModel(
+            channel=channel, markov=np.eye(2), initial=np.array([0.5, 0.5]), distortion=HAMMING
+        )
+        got = bruteforce_open_loop_tradeoff(model, 0.5, n, 1.0 / 3.0)
+        assert_same_search(got, ref.open_loop_tradeoff(model, 0.5, n, 1.0 / 3.0))
+        assert got.n_feasible == 4**n
+        assert np.array_equal(got.input_distributions, np.tile([2.0 / 3.0, 1.0 / 3.0], (n, 1)))
+        assert capacity_objective(np.tile([1.0 / 3.0, 2.0 / 3.0], (n, 1)), model, n) == got.rate
+
+
 class TestModelLoading:
     def test_toy_tables(self, toy):
         assert (toy.nx, toy.ns, toy.ny, toy.nz) == (2, 2, 2, 2)
@@ -315,6 +438,24 @@ class TestModelLoading:
         row = new.split("\n")[-1]
         lineno = next(i for i, line in enumerate(text.splitlines(), 1) if line.startswith(row))
         with pytest.raises(SchemaError, match=rf"line {lineno}: {where} index must be an integer"):
+            load_discrete_model(path)
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [
+            ("0 0 : 0.5 0.0 0.5 0.0", "channel row (x=0, s=0)"),
+            ("1 1 : 0.0 0.0 0.5 0.5", "channel row (x=1, s=1)"),
+            ("1 : 0.0 1.0", "markov row (s=1)"),
+            ("0 : 0.0 1.0", "distortion row (s=0)"),
+        ],
+    )
+    def test_duplicate_row_names_line(self, tmp_path, row, what):
+        lines = open(toy_model_path()).read().splitlines()
+        at = lines.index(row)
+        lines.insert(at + 1, row)
+        path = tmp_path / "dup.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"line {at + 2}: duplicate {what}")):
             load_discrete_model(path)
 
     def test_missing_section(self, tmp_path):

@@ -169,6 +169,32 @@ class TestErrorPaths:
         assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "(x=1, s=0)" in capsys.readouterr().err
 
+    def test_bayes_duplicate_row_names_line(self, tmp_path, capsys):
+        lines = open(toy_model_path()).read().splitlines()
+        at = lines.index("0 0 : 0.5 0.0 0.5 0.0")
+        lines.insert(at + 1, lines[at])
+        bad_model = tmp_path / "dup_model.txt"
+        bad_model.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=str(bad_model))
+        assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"line {at + 2}: duplicate channel row (x=0, s=0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, p0, message",
+        [
+            (None, [[1.0, 2.0], [3.0, 4.0]], "P0 must be 1x1"),
+            ({"A": [[1.05, 0.2], [0.0, 0.9]], "C": [[1.0, 0.0]], "Q": [[0.1, 0.0], [0.0, 0.1]],
+              "R": [[0.5]]}, [[1.0]], "P0 must be 2x2"),
+            (None, [[-1.0]], "positive semidefinite"),
+        ],
+    )
+    def test_fixed_point_p0_checked(self, tmp_path, capsys, model, p0, message):
+        overrides = {"fixed_point_p0": p0} if model is None else {"fixed_point_p0": p0, "model": model}
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "fixed_point_p0" in err and message in err
+
     def test_bayes_missing_model_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", discrete_model=str(tmp_path / "ghost.txt"))
         assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path)]) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcas_lab import riccati
-from jcas_lab.errors import ConvergenceError, ParameterError
+from jcas_lab.errors import ConvergenceError, DimensionError, ParameterError
 from jcas_lab.riccati import (
     BeamPolicy,
     critical_lambda,
@@ -131,6 +131,24 @@ class TestFixedPoints:
 
     def test_bs_open_loop_unstable_diverges(self, unstable_model):
         assert fixed_point(lambda p: gamma_bs(p, 0.0, unstable_model), unstable_model.Q) is None
+
+    @pytest.mark.parametrize(
+        "model_name, p0, error",
+        [
+            ("unstable_model", [[1.0, 2.0], [3.0, 4.0]], DimensionError),
+            ("matrix_model", [[1.0]], DimensionError),
+            ("matrix_model", np.eye(3), DimensionError),
+            ("matrix_model", [[1.0, 0.0], [0.0, -1.0]], ParameterError),
+        ],
+    )
+    def test_start_covariance_checked(self, request, model_name, p0, error):
+        model = request.getfixturevalue(model_name)
+        with pytest.raises(error, match="P0"):
+            vbar(0.9, model, p0=p0)
+        with pytest.raises(error, match="P0"):
+            mb_fixed_point(2.0, model, p0=p0)
+        with pytest.raises(error, match="P0"):
+            vbar_sweep([0.8, 0.9], model, p0=p0)
 
     def test_mb_stable_matches_quadratic(self, stable_model):
         root = quad_mb_root(-0.95, 1.0, 0.2, 1.5, 1.0)
