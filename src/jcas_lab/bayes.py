@@ -64,6 +64,9 @@ class DiscreteJcasModel:
             raise SchemaError(f"initial distribution must have {ns} entries")
         if distortion.ndim != 2 or distortion.shape[0] != ns:
             raise SchemaError(f"distortion table must have {ns} rows, got {distortion.shape}")
+        for name, arr in (("channel", channel), ("markov", markov), ("initial", initial)):
+            if not np.all(np.isfinite(arr)):
+                raise SchemaError(f"{name} entries must be finite")
         if np.any(channel < 0):
             raise SchemaError("channel table has negative entries")
         for x in range(nx):
@@ -452,9 +455,12 @@ def load_discrete_model(path) -> DiscreteJcasModel:
                 f"line {lineno}: {what} needs {expected} values, got {len(parts)}"
             )
         try:
-            return [float(p) for p in parts]
+            values = [float(p) for p in parts]
         except ValueError as exc:
             raise SchemaError(f"line {lineno}: {what} has a non-numeric entry") from exc
+        if not all(np.isfinite(values)):
+            raise SchemaError(f"line {lineno}: {what} has a non-finite entry")
+        return values
 
     def parse_state_rows(name, entries):
         """The ns x ns table of a section with one ``s : values`` row per state."""

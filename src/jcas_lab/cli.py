@@ -79,6 +79,17 @@ PRESET_SYSTEMS = {
 }
 PRESET_SNRS_DB = (1.75, 20.0)
 
+#: largest start/stop/count grid, checked before the grid is allocated
+MAX_GRID_POINTS = 100_000
+
+#: config keys some subcommand reads; anything else draws a warning
+KNOWN_KEYS = {
+    "model", "channel", "policy", "seed", "out_dir", "lambda_grid", "gamma_grid",
+    "distortion_budgets", "fixed_point_p0", "dominance_grid_points", "mc_lambdas",
+    "horizon", "trials", "s0_estimate", "p0", "discrete_model", "bayes",
+}
+KNOWN_BAYES_KEYS = {"n", "grid_resolution", "budgets", "trace_len"}
+
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -97,6 +108,11 @@ def load_config(path) -> dict:
         ) from exc
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
+    unknown = sorted(set(cfg) - KNOWN_KEYS)
+    if isinstance(cfg.get("bayes"), dict):
+        unknown += sorted(f"bayes.{k}" for k in set(cfg["bayes"]) - KNOWN_BAYES_KEYS)
+    for key in unknown:
+        print(f"warning: {path}: unknown config key '{key}' is ignored", file=sys.stderr)
     return cfg
 
 
@@ -145,9 +161,13 @@ def parse_grid(spec, name: str) -> np.ndarray:
         for key in ("start", "stop", "count"):
             if key not in spec:
                 raise SchemaError(f"{name}: grid spec needs start/stop/count")
-        count = int(spec["count"])
-        if count < 1:
-            raise SchemaError(f"{name}: grid count must be >= 1")
+        count = spec["count"]
+        if isinstance(count, float) and count.is_integer():
+            count = int(count)
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise SchemaError(f"{name}: grid count must be an integer, got {count!r}")
+        if not 1 <= count <= MAX_GRID_POINTS:
+            raise SchemaError(f"{name}: grid count must lie in [1, {MAX_GRID_POINTS}], got {count}")
         if spec.get("spacing", "linear") == "log":
             arr = np.geomspace(float(spec["start"]), float(spec["stop"]), count)
         else:

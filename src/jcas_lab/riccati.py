@@ -28,7 +28,12 @@ point by point instead.
 Thresholds (critical sensing probability, feasible-lambda and feasible-gamma
 boundaries for a distortion budget) are located by one monotone bisection;
 the feasibility maps are monotone but not smooth at the divergence boundary,
-so no derivative-based search is attempted.
+so no derivative-based search is attempted.  The critical sensing
+probability needs no covariance step when ``unstable_modes_observed``
+certifies the model (C injective on the unstable invariant subspace of A):
+V-bar is then finite exactly where S-bar is, and the bisection runs on the
+closed-form test (1 - lam) rho(A)^2 < 1.  Models the certificate refuses
+keep the bisection on iterated V-bar probes.
 """
 
 from __future__ import annotations
@@ -462,6 +467,39 @@ def _bisect(lo: float, hi: float, tol: float, above) -> float:
     return 0.5 * (lo + hi)
 
 
+#: an eigenbasis of A or a C V_u beyond this condition number is not certified
+CERTIFICATE_COND = 1e8
+
+
+def unstable_modes_observed(model: GaussMarkovModel) -> bool:
+    """Certify that V-bar is finite exactly where S-bar is, so lam_c = 1 - 1/rho(A)^2.
+
+    Let the columns of V_u span the unstable invariant subspace U of A (the
+    eigenvalues with |mu| >= 1 - CRITICAL_MARGIN) and V_s the stable one,
+    whose spectral radius rho_s is below 1.  If C is injective on U, the
+    gain K = -A V_u (C V_u)^+ cancels the unstable block: (A + K C) V_u = 0.
+    In the basis [V_u, V_s], A and A + K C are then block upper triangular
+    with diagonal blocks (Lambda_u, Lambda_s) and (0, Lambda_s), so the
+    linear part of phi_lam(K, X) = (1 - lam) A X A^T + lam (A + K C) X
+    (A + K C)^T + Q + lam K R K^T is block triangular as well, with spectral
+    radius max((1 - lam) rho^2, (1 - lam) rho rho_s, rho_s^2) < 1 whenever
+    (1 - lam) rho^2 < 1.  The beam-switching map is bounded by phi_lam(K, .)
+    for every K (Sinopoli et al., IEEE TAC 2004), and its iterates from Q
+    are nondecreasing, so they converge there; elsewhere S-bar, a lower
+    bound, diverges.  Conservative: False when A has no unstable mode or
+    more of them than C has rows, or when its eigenbasis or C V_u is ill
+    conditioned (which covers a defective A and a rank-deficient C V_u).
+    """
+    if model.m == 1:
+        # eigenbasis [[1]], so C V_u is C; no LAPACK call (and its buffers)
+        return abs(float(model.A[0, 0])) >= 1.0 - CRITICAL_MARGIN and bool(np.any(model.C))
+    mu, v = np.linalg.eig(model.A)
+    unstable = np.abs(mu) >= 1.0 - CRITICAL_MARGIN
+    if not 0 < np.count_nonzero(unstable) <= model.k or np.linalg.cond(v) > CERTIFICATE_COND:
+        return False
+    return bool(np.linalg.cond(model.C @ v[:, unstable]) <= CERTIFICATE_COND)
+
+
 def critical_lambda(
     model: GaussMarkovModel,
     bisect_tol: float = 1e-6,
@@ -471,15 +509,23 @@ def critical_lambda(
     """Sensing probability below which the expected covariance diverges.
 
     Stable dynamics (rho(A)^2 < 1) converge open loop, so the threshold is 0.
-    Otherwise bisect on the convergence/divergence boundary of the
-    beam-switching fixed point.  Probes at or below 1 - 1/rho(A)^2 are
-    divergent without iterating; probes that hit the iteration cap are
-    classified by their step-size trend, which stays correct arbitrarily
-    close to the boundary; undecided probes count as convergent.
+    When ``unstable_modes_observed`` certifies the model, the threshold is
+    1 - 1/rho(A)^2 and the bisection runs on that closed-form test, with no
+    covariance step.  Otherwise bisect on the convergence/divergence
+    boundary of the beam-switching fixed point.  Probes at or below
+    1 - 1/rho(A)^2 are divergent without iterating; probes that hit the
+    iteration cap are classified by their step-size trend, and undecided
+    probes count as convergent.  ``probe_tol`` and ``probe_max_iter`` apply
+    to those probes; ``probe_tol`` is absolute, so a probe whose fixed
+    point has a trace of 1e5 or more can stall in rounding noise and be
+    called divergent.
     """
     rho = spectral_radius(model.A)
     if rho * rho < 1.0 - CRITICAL_MARGIN:
         return 0.0
+    if unstable_modes_observed(model):
+        # lam_c = 1 - 1/rho^2: bisect the closed-form test for the same midpoints
+        return _bisect(0.0, 1.0, bisect_tol, lambda lam: not lyapunov_diverges(1.0 - lam, rho))
 
     def converges(lam: float) -> bool:
         return _classify_bs(model, [lam], probe_tol, probe_max_iter)[0][0] != _DIVERGED

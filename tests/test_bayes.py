@@ -458,6 +458,24 @@ class TestModelLoading:
         with pytest.raises(SchemaError, match=re.escape(f"line {at + 2}: duplicate {what}")):
             load_discrete_model(path)
 
+    @pytest.mark.parametrize(
+        "row, bad, what",
+        [
+            ("0 1 : 0.0 0.5 0.0 0.5", "0 1 : 0.0 nan 0.0 0.5", "channel row (x=0, s=1)"),
+            ("1 : 0.0 1.0", "1 : 0.0 inf", "markov row (s=1)"),
+            ("0.5 0.5", "nan 0.5", "initial row"),
+            ("0 : 0.0 1.0", "0 : -inf 1.0", "distortion row (s=0)"),
+        ],
+    )
+    def test_non_finite_entry_names_line(self, tmp_path, row, bad, what):
+        lines = open(toy_model_path()).read().splitlines()
+        at = lines.index(row)
+        lines[at] = bad
+        path = tmp_path / "nonfinite.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(f"line {at + 1}: {what} has a non-finite")):
+            load_discrete_model(path)
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "missing.txt"
         path.write_text("[alphabets]\nX = 2\nS = 2\nZ = 2\nY = 2\n")
@@ -478,6 +496,13 @@ class TestModelLoading:
             DiscreteJcasModel(
                 channel=channel, markov=np.eye(2), initial=np.array([0.5, 0.5]), distortion=HAMMING
             )
+
+    @pytest.mark.parametrize("section", ("channel", "markov", "initial", "distortion"))
+    def test_ctor_rejects_nan(self, toy, section):
+        tables = {name: getattr(toy, name).copy() for name in ("channel", "markov", "initial", "distortion")}
+        tables[section].flat[0] = np.nan
+        with pytest.raises(SchemaError, match=f"{section} entries must be finite"):
+            DiscreteJcasModel(**tables)
 
     def test_belief_must_normalize(self):
         with pytest.raises(Exception):

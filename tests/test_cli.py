@@ -159,6 +159,39 @@ class TestErrorPaths:
         assert main(["rd-curve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spacing", ("linear", "log"))
+    def test_huge_grid_count_refused_before_allocation(self, tmp_path, capsys, monkeypatch, spacing):
+        import numpy as np
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("grid allocated")
+
+        monkeypatch.setattr(np, "linspace", no_alloc)
+        monkeypatch.setattr(np, "geomspace", no_alloc)
+        grid = {"start": 1.0, "stop": 2.0, "count": 10**15, "spacing": spacing}
+        cfg = write_config(tmp_path / "cfg.json", lambda_grid=grid)
+        assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "lambda_grid" in err and "count" in err
+
+    @pytest.mark.parametrize("count", (2.5, "21", True, 0, -3.0, 10**400))
+    def test_bad_grid_count(self, tmp_path, capsys, count):
+        grid = {"start": 1.0, "stop": 100.0, "count": count, "spacing": "log"}
+        cfg = write_config(tmp_path / "cfg.json", gamma_grid=grid)
+        assert main(["rd-curve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "gamma_grid" in err and "count" in err
+
+    def test_integral_float_count_accepted(self, tmp_path):
+        out = {}
+        for count in (21, 21.0):
+            grid = {"start": 0.0, "stop": 1.0, "count": count}
+            cfg = write_config(tmp_path / "cfg.json", lambda_grid=grid, seed=7)
+            assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / str(count))]) == 0
+            fixed = (tmp_path / str(count) / "riccati_fixed_points.csv").read_text()
+            out[count] = fixed.split("\n", 1)[1]
+        assert out[21] == out[21.0]
+
     def test_bayes_malformed_model_names_row(self, tmp_path, capsys):
         bad_model = tmp_path / "bad_model.txt"
         text = open(toy_model_path()).read().replace(
@@ -244,6 +277,52 @@ class TestErrorPaths:
         text = capsys.readouterr().out
         for flag in ("--config", "--seed", "--out", "--strict"):
             assert flag in text
+
+
+class TestUnknownKeys:
+    def test_unknown_keys_warn(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            fixed_point_po=[[1.0]],
+            dominance_grid_point=10,
+            discrete_model=toy_model_path(),
+            bayes={"n": 1, "budget": [0.4]},
+        )
+        for command in ("riccati", "bayes"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+            err = capsys.readouterr().err
+            for key in ("fixed_point_po", "dominance_grid_point", "bayes.budget"):
+                assert f"unknown config key '{key}'" in err
+
+    def test_known_keys_do_not_warn(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            fixed_point_p0=[[1.0]],
+            dominance_grid_points=10,
+            out_dir=str(tmp_path / "o"),
+            discrete_model=toy_model_path(),
+            bayes={"n": 1, "grid_resolution": 0.5, "budgets": [0.4], "trace_len": 1},
+        )
+        for command in ("riccati", "rd-curve", "mc-verify", "filter-sim", "bayes"):
+            assert main([command, "--config", str(cfg)]) == 0
+            assert "warning" not in capsys.readouterr().err
+
+    def test_warning_writes_nothing_to_outputs(self, tmp_path):
+        # reruns stay byte-identical, and only the stamped config hash
+        # differs from a run without the unknown key
+        plain = write_config(tmp_path / "plain.json")
+        typo = write_config(tmp_path / "typo.json", fixed_point_po=[[1.0]])
+        for run, cfg in (("plain", plain), ("a", typo), ("b", typo)):
+            assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
+        assert read_dir_bytes(tmp_path / "a") == read_dir_bytes(tmp_path / "b")
+
+        def unstamped(run):
+            return {
+                name: [line for line in data.decode().splitlines() if "config_hash=" not in line]
+                for name, data in read_dir_bytes(tmp_path / run).items()
+            }
+
+        assert unstamped("a") == unstamped("plain")
 
 
 class TestOutputDirResolution:

@@ -450,3 +450,149 @@ class TestPinnedOutputs:
         for lam in np.linspace(0.0, 1.0, 41):
             if sbar(lam, model) is None:
                 assert vbar(lam, model) is None
+
+
+def observed_unstable_model(seed: int, m: int, pair: bool) -> GaussMarkovModel:
+    """Seeded m x m model whose only unstable modes, one real eigenvalue or a
+    complex pair of modulus 1.02..1.5, are seen by C (one or two outputs)."""
+    rng = np.random.default_rng([seed, m, pair])
+    k = 2 if pair else 1
+    r = rng.uniform(1.02, 1.5)
+    if pair:
+        theta = rng.uniform(0.3, 2.8)
+        block = r * np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    else:
+        block = np.array([[r * rng.choice([-1.0, 1.0])]])
+    jordan = np.zeros((m, m))
+    jordan[:k, :k] = block
+    jordan[k:, k:] = np.diag(rng.uniform(-0.9, 0.9, m - k))
+    basis = rng.standard_normal((m, m))
+    lq = rng.standard_normal((m, m)) / math.sqrt(m)
+    lr = rng.standard_normal((k, k))
+    return GaussMarkovModel(
+        A=basis @ jordan @ np.linalg.inv(basis),
+        C=rng.standard_normal((k, m)),
+        Q=lq @ lq.T + 0.1 * np.eye(m),
+        R=lr @ lr.T + 0.5 * np.eye(k),
+    )
+
+
+#: the last puts (1 - lam) a^2 at lam = 1/2, a bisection midpoint, inside
+#: CRITICAL_MARGIN below 1, where both routes must still call it divergent
+SCALAR_A = (1.01, -1.01, 1.15, -1.15, -1.3, 1.5, 2.0, 3.0, math.sqrt(2.0 - 1e-9))
+#: (seed, m, complex pair) of seeded models on which the iterative oracle is
+#: wrong: V-bar's trace reaches 1e5..1e7 near the boundary, the absolute
+#: probe_tol = 1e-10 is below its rounding noise, and the stalled probes'
+#: step-size trend calls convergent probes divergent (at bisect_tol 1e-2 its
+#: answer is 0.008 to 0.023 too high); test_gain_bounds_vbar covers them
+ORACLE_FAILS = [(0, 8, True), (1, 8, True), (2, 3, False)]
+#: seeded models compared with the iterative oracle
+SEEDED = [
+    (seed, m, pair)
+    for seed in (0, 1, 2)
+    for m in (2, 3, 8)
+    for pair in (False, True)
+    if (seed, m, pair) not in ORACLE_FAILS
+] + [(1, 5, False), (1, 5, True)]
+
+
+def certified_equals_oracle(model, tol, monkeypatch):
+    """critical_lambda equals the iterative oracle without a covariance step."""
+    want = ref.critical_lambda_iterative(model, bisect_tol=tol)
+    with monkeypatch.context() as patch:
+        for name in ("bs_kernel", "gamma_bs"):
+            patch.setattr(riccati, name, lambda *args: pytest.fail("covariance step"))
+        assert critical_lambda(model, bisect_tol=tol) == want
+
+
+class TestCertifiedCriticalLambda:
+    """critical_lambda on certified models equals the iterative bisection bit
+    for bit and runs no covariance step; refused models still iterate."""
+
+    @pytest.mark.parametrize("tol", (1e-3, 1e-6))
+    @pytest.mark.parametrize("a", SCALAR_A)
+    def test_scalar(self, monkeypatch, a, tol):
+        model = GaussMarkovModel.scalar(a, 1.0, 0.2, 1.5)
+        assert riccati.unstable_modes_observed(model)
+        certified_equals_oracle(model, tol, monkeypatch)
+
+    def test_bench_model(self, monkeypatch, bench_model):
+        assert riccati.unstable_modes_observed(bench_model)
+        certified_equals_oracle(bench_model, 1e-3, monkeypatch)
+
+    def test_stable_models(self, monkeypatch, correlated_model, matrix_model):
+        # rho(A) < 1 returns 0 before the certificate is asked
+        for model in (correlated_model, matrix_model):
+            certified_equals_oracle(model, 1e-6, monkeypatch)
+            assert critical_lambda(model) == 0.0
+
+    @pytest.mark.parametrize("seed, m, pair", SEEDED)
+    def test_seeded(self, monkeypatch, seed, m, pair):
+        model = observed_unstable_model(seed, m, pair)
+        assert riccati.unstable_modes_observed(model)
+        certified_equals_oracle(model, 1e-2, monkeypatch)
+
+    @pytest.mark.parametrize("seed, m, pair", SEEDED + ORACLE_FAILS)
+    def test_gain_bounds_vbar(self, seed, m, pair):
+        # the certificate's proof, checked directly: just above 1 - 1/rho^2
+        # the gain K = -A V_u (C V_u)^+ makes phi_lam(K, .) contract at the
+        # predicted rate, so its fixed point bounds every V-bar iterate
+        model = observed_unstable_model(seed, m, pair)
+        rho = spectral_radius(model.A)
+        mu = np.abs(np.linalg.eigvals(model.A))
+        rho_s = float(np.max(mu[mu < 1.0], initial=0.0))
+        for lam in (1.0 - 1.0 / rho**2 + step for step in (1e-3, 0.05)):
+            radius, bound = ref.certificate_gain_bound(model, lam)
+            predicted = max((1.0 - lam) * rho * rho, (1.0 - lam) * rho * rho_s, rho_s * rho_s)
+            assert radius == pytest.approx(predicted, rel=1e-8)
+            assert radius < 1.0
+            p = model.Q
+            for _ in range(300):
+                p = gamma_bs(p, lam, model)
+                assert np.min(np.linalg.eigvalsh(bound - p)) >= -1e-9 * np.trace(bound)
+
+    @pytest.mark.parametrize(
+        "a, c, tol, expected",
+        [
+            # two unstable modes, one output
+            ([[1.2, 0.0], [0.0, 1.1]], [[1.0, 1.0]], 1e-3, 0.42626953125),
+            # defective eigenbasis
+            ([[1.1, 1.0], [0.0, 1.1]], [[1.0, 0.0]], 1e-2, 0.31640625),
+            # unstable mode unseen by C (not detectable): the iteration raises
+            ([[1.1, 0.0], [0.0, 0.5]], [[0.0, 1.0]], 1e-2, None),
+        ],
+    )
+    def test_refused_models_iterate(self, monkeypatch, a, c, tol, expected):
+        model = GaussMarkovModel(A=a, C=c, Q=np.eye(2), R=[[1.0]])
+        assert not riccati.unstable_modes_observed(model)
+        steps = []
+        step = riccati.gamma_bs
+        monkeypatch.setattr(riccati, "gamma_bs", lambda *args: steps.append(1) or step(*args))
+        if expected is None:
+            with pytest.raises(ConvergenceError):
+                critical_lambda(model, bisect_tol=tol)
+        else:
+            # the threshold lies well above 1 - 1/rho^2, so the closed form
+            # would be wrong here
+            assert critical_lambda(model, bisect_tol=tol) == expected
+            assert expected > 1.0 - 1.0 / spectral_radius(model.A) ** 2 + 0.1
+        assert steps
+
+    def test_certificate_refusals(self):
+        def refused(a, c):
+            model = GaussMarkovModel(A=a, C=c, Q=np.eye(len(a)), R=np.eye(len(c)))
+            return not riccati.unstable_modes_observed(model)
+
+        assert refused([[0.9]], [[1.0]])
+        assert refused([[1.1]], [[0.0]])
+        assert refused([[1.1]], [[0.0], [0.0]])
+        assert not refused([[-1.1]], [[0.0], [0.5]])
+
+        assert refused([[0.9, 0.0], [0.0, 0.5]], [[1.0, 0.0]])  # no unstable mode
+        assert refused([[1.2, 0.0], [0.0, 1.1]], [[1.0, 1.0]])  # more modes than outputs
+        assert refused([[1.1, 1.0], [0.0, 1.1]], [[1.0, 0.0], [0.0, 1.0]])  # defective
+        assert refused([[1.2, 0.0], [0.0, 1.1]], [[1.0, 1.0], [2.0, 2.0]])  # rank-deficient C V_u
+        # nearly defective eigenbasis (cond ~ 1e10) with a well-conditioned C V_u
+        assert refused([[1.2, 1.0], [0.0, 1.2 + 1e-10]], [[1.0, 0.0], [0.0, 1e10]])
+        assert refused([[1.1, 0.0], [0.0, 0.5]], [[0.0, 1.0]])  # unstable mode unseen
+        assert not refused([[1.2, 0.0], [0.0, 1.1]], [[1.0, 1.0], [1.0, 2.0]])
