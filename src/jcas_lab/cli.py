@@ -52,7 +52,7 @@ from .riccati import (
     trace_or_inf,
     vbar_sweep,
 )
-from .statespace import GaussMarkovModel, check_initial_covariance, validate_model
+from .statespace import GaussMarkovModel, validate_model
 from .tradeoff import (
     ChannelSpec,
     bs_curve,
@@ -85,7 +85,7 @@ MAX_GRID_POINTS = 100_000
 #: config keys some subcommand reads; anything else draws a warning
 KNOWN_KEYS = {
     "model", "channel", "policy", "seed", "out_dir", "lambda_grid", "gamma_grid",
-    "distortion_budgets", "fixed_point_p0", "dominance_grid_points", "mc_lambdas",
+    "distortion_budgets", "dominance_grid_points", "mc_lambdas",
     "horizon", "trials", "s0_estimate", "p0", "discrete_model", "bayes",
 }
 KNOWN_BAYES_KEYS = {"n", "grid_resolution", "budgets", "trace_len"}
@@ -116,18 +116,33 @@ def load_config(path) -> dict:
     return cfg
 
 
-def require(cfg: dict, key: str):
+#: JSON kinds a config value can be asked to have, with the types json.loads gives them
+JSON_KINDS = {"object": dict, "list": list, "number": (int, float), "string": str}
+
+
+def expect(key: str, value, *kinds: str):
+    """value, when it is one of the JSON kinds; SchemaError naming the key otherwise."""
+    if not isinstance(value, bool) and isinstance(value, tuple(JSON_KINDS[k] for k in kinds)):
+        return value
+    raise SchemaError(f"config key '{key}' must be a {' or '.join(kinds)}, got {json.dumps(value)}")
+
+
+def require(cfg: dict, key: str, *kinds: str):
+    """cfg[key], checked against the JSON kinds when any are given."""
     if key not in cfg:
         raise SchemaError(f"config missing required key '{key}'")
-    return cfg[key]
+    return expect(key, cfg[key], *kinds) if kinds else cfg[key]
 
 
 def parse_model(cfg: dict) -> GaussMarkovModel:
-    spec = require(cfg, "model")
+    spec = require(cfg, "model", "object")
     for key in ("A", "C", "Q", "R"):
         if key not in spec:
             raise SchemaError(f"config model missing matrix '{key}'")
-    model = GaussMarkovModel(A=spec["A"], C=spec["C"], Q=spec["Q"], R=spec["R"])
+    try:
+        model = GaussMarkovModel(A=spec["A"], C=spec["C"], Q=spec["Q"], R=spec["R"])
+    except TypeError as exc:
+        raise SchemaError(f"config key 'model' must hold matrices of numbers: {exc}") from exc
     report = validate_model(model)
     if not report.valid:
         raise SchemaError("config model invalid: " + "; ".join(report.violations))
@@ -135,14 +150,15 @@ def parse_model(cfg: dict) -> GaussMarkovModel:
 
 
 def parse_channel(cfg: dict) -> ChannelSpec:
-    spec = require(cfg, "channel")
+    spec = require(cfg, "channel", "object")
     kind = spec.get("kind")
     if kind == "noiseless":
-        return ChannelSpec.noiseless(float(spec.get("c0", math.log(2.0))))
+        c0 = expect("channel.c0", spec.get("c0", math.log(2.0)), "number")
+        return ChannelSpec.noiseless(float(c0))
     if kind == "gaussian":
         if "snr_db" not in spec:
             raise SchemaError("gaussian channel needs 'snr_db'")
-        return ChannelSpec.gaussian(float(spec["snr_db"]))
+        return ChannelSpec.gaussian(float(expect("channel.snr_db", spec["snr_db"], "number")))
     raise SchemaError(f"channel kind must be 'noiseless' or 'gaussian', got {kind!r}")
 
 
@@ -155,7 +171,7 @@ def parse_grid(spec, name: str) -> np.ndarray:
                     raise SchemaError(f"{name}: only the string 'inf' is allowed, got {v!r}")
                 vals.append(math.inf)
             else:
-                vals.append(float(v))
+                vals.append(float(expect(name, v, "number")))
         arr = np.array(vals, dtype=float)
     elif isinstance(spec, dict):
         for key in ("start", "stop", "count"):
@@ -168,10 +184,12 @@ def parse_grid(spec, name: str) -> np.ndarray:
             raise SchemaError(f"{name}: grid count must be an integer, got {count!r}")
         if not 1 <= count <= MAX_GRID_POINTS:
             raise SchemaError(f"{name}: grid count must lie in [1, {MAX_GRID_POINTS}], got {count}")
+        start = float(expect(f"{name}.start", spec["start"], "number"))
+        stop = float(expect(f"{name}.stop", spec["stop"], "number"))
         if spec.get("spacing", "linear") == "log":
-            arr = np.geomspace(float(spec["start"]), float(spec["stop"]), count)
+            arr = np.geomspace(start, stop, count)
         else:
-            arr = np.linspace(float(spec["start"]), float(spec["stop"]), count)
+            arr = np.linspace(start, stop, count)
     else:
         raise SchemaError(f"{name}: grid must be a list or a start/stop/count object")
     if arr.size == 0:
@@ -180,11 +198,12 @@ def parse_grid(spec, name: str) -> np.ndarray:
 
 
 def parse_policy(cfg: dict) -> BeamPolicy:
-    spec = require(cfg, "policy")
+    spec = require(cfg, "policy", "object")
     kind = spec.get("kind")
     if "value" not in spec:
         raise SchemaError("policy needs a 'value'")
-    value = math.inf if spec["value"] == "inf" else float(spec["value"])
+    value = spec["value"]
+    value = math.inf if value == "inf" else float(expect("policy.value", value, "number"))
     if kind == "switching":
         return BeamPolicy.switching(value)
     if kind == "multibeam":
@@ -196,7 +215,7 @@ def resolve_seed(args, cfg: dict | None) -> int:
     if args.seed is not None:
         return args.seed
     if cfg is not None and "seed" in cfg:
-        return int(cfg["seed"])
+        return int(expect("seed", cfg["seed"], "number"))
     raise SchemaError("seed required: set 'seed' in the config or pass --seed")
 
 
@@ -204,7 +223,7 @@ def resolve_out_dir(args, cfg: dict | None) -> Path:
     if args.out:
         out = args.out
     elif cfg is not None and cfg.get("out_dir"):
-        out = cfg["out_dir"]
+        out = expect("out_dir", cfg["out_dir"], "string")
     elif os.environ.get(OUT_ENV_VAR):
         out = os.environ[OUT_ENV_VAR]
     else:
@@ -252,21 +271,17 @@ def cmd_riccati(args) -> int:
     seed = resolve_seed(args, cfg)
     out = resolve_out_dir(args, cfg)
     lam_grid = parse_grid(require(cfg, "lambda_grid"), "lambda_grid")
-    budgets = [float(d) for d in require(cfg, "distortion_budgets")]
+    budgets = [
+        float(expect("distortion_budgets", d, "number"))
+        for d in require(cfg, "distortion_budgets", "list")
+    ]
     if not budgets:
         raise SchemaError("distortion_budgets: grid is empty")
-    # optional start point for the fixed-point iterations (sensitivity checks)
-    p0_start = cfg.get("fixed_point_p0")
-    if p0_start is not None:
-        try:
-            p0_start = check_initial_covariance(model, p0_start)
-        except ValueError as exc:
-            raise SchemaError(f"fixed_point_p0: {exc}") from exc
     head = stamp("riccati", cfg, seed, f"model=[{model.describe()}]")
 
     lams = [float(lam) for lam in lam_grid]
     lines = [f"# {head}", "lambda,tr_sbar,tr_vbar"]
-    for lam, s, v in zip(lams, sbar_sweep(lams, model), vbar_sweep(lams, model, p0=p0_start)):
+    for lam, s, v in zip(lams, sbar_sweep(lams, model), vbar_sweep(lams, model)):
         lines.append(f"{lam!r},{trace_or_inf(s)!r},{trace_or_inf(v)!r}")
     write_lines(out / "riccati_fixed_points.csv", lines)
 
@@ -300,15 +315,30 @@ def _dominance_grid(curve_a, curve_b, n_points: int):
     return np.geomspace(lo, hi, n_points) if lo > 0 else np.linspace(lo, hi, n_points)
 
 
-def _write_dominance(report, path: Path, head: str, label: str) -> None:
-    lines = [
-        f"# {head}",
-        f"# {label}: a_ge_b={report.n_a_ge_b} b_gt_a={report.n_b_gt_a}",
-        "distortion,rate_a,rate_b,gap",
-    ]
-    for d, ra, rb in zip(report.distortions, report.rates_a, report.rates_b):
-        lines.append(f"{float(d)!r},{float(ra)!r},{float(rb)!r},{float(ra - rb)!r}")
-    write_lines(path, lines)
+def _write_dominance(mb, inner, outer, n_points: int, head: str, out: Path, pattern: str) -> dict:
+    """Compare the multi-beam curve with each beam-switching bound they overlap.
+
+    Writes one report per bound to out / pattern.format(label), label being
+    "inner" or "outer", and returns the reports by label.
+    """
+    reports = {}
+    for label, other in (("inner", inner), ("outer", outer)):
+        grid = _dominance_grid(mb, other, n_points)
+        if grid is None:
+            continue
+        report = dominance_report(mb, other, grid)
+        if report.empty:
+            continue
+        lines = [
+            f"# {head}",
+            f"# mb vs bs-{label}: a_ge_b={report.n_a_ge_b} b_gt_a={report.n_b_gt_a}",
+            "distortion,rate_a,rate_b,gap",
+        ]
+        for d, ra, rb in zip(report.distortions, report.rates_a, report.rates_b):
+            lines.append(f"{float(d)!r},{float(ra)!r},{float(rb)!r},{float(ra - rb)!r}")
+        write_lines(out / pattern.format(label), lines)
+        reports[label] = report
+    return reports
 
 
 def cmd_rd_curve(args) -> int:
@@ -331,17 +361,12 @@ def cmd_rd_curve(args) -> int:
         mb = mb_curve(model, channel, gam_grid)
         write_curve_csv(mb, out / "mb_curve.csv", comment=head, bits=args.bits)
         written.append("mb_curve.csv")
-        n_points = int(cfg.get("dominance_grid_points", 60))
-        for label, other in (("inner", inner), ("outer", outer)):
-            grid = _dominance_grid(mb, other, n_points)
-            if grid is None:
-                continue
-            rep = dominance_report(mb, other, grid)
-            if rep.empty:
-                continue
-            name = f"dominance_mb_vs_bs_{label}.csv"
-            _write_dominance(rep, out / name, head, f"mb vs bs-{label}")
-            written.append(name)
+        n_points = int(
+            expect("dominance_grid_points", cfg.get("dominance_grid_points", 60), "number")
+        )
+        pattern = "dominance_mb_vs_bs_{}.csv"
+        reports = _write_dominance(mb, inner, outer, n_points, head, out, pattern)
+        written += [pattern.format(label) for label in reports]
 
     print(f"rd-curve: wrote {', '.join(written)} to {out}")
     return EXIT_OK
@@ -353,8 +378,8 @@ def cmd_mc_verify(args) -> int:
     seed = resolve_seed(args, cfg)
     out = resolve_out_dir(args, cfg)
     lams = [float(x) for x in parse_grid(require(cfg, "mc_lambdas"), "mc_lambdas")]
-    horizon = int(require(cfg, "horizon"))
-    trials = int(require(cfg, "trials"))
+    horizon = int(require(cfg, "horizon", "number"))
+    trials = int(require(cfg, "trials", "number"))
     head = stamp("mc-verify", cfg, seed, f"model=[{model.describe()}]")
 
     lam_c = critical_lambda(model, bisect_tol=1e-3)
@@ -389,9 +414,9 @@ def cmd_filter_sim(args) -> int:
     seed = resolve_seed(args, cfg)
     out = resolve_out_dir(args, cfg)
     policy = parse_policy(cfg)
-    horizon = int(require(cfg, "horizon"))
-    s0 = np.asarray(require(cfg, "s0_estimate"), dtype=float)
-    p0 = np.asarray(require(cfg, "p0"), dtype=float)
+    horizon = int(require(cfg, "horizon", "number"))
+    s0 = np.asarray(require(cfg, "s0_estimate", "list", "number"), dtype=float)
+    p0 = np.asarray(require(cfg, "p0", "list", "number"), dtype=float)
     head = stamp("filter-sim", cfg, seed, f"model=[{model.describe()}]")
 
     traj = run_filter(model, policy, horizon, s0, p0, seed)
@@ -407,15 +432,20 @@ def cmd_bayes(args) -> int:
     cfg = load_config(require_config(args))
     seed = resolve_seed(args, cfg)
     out = resolve_out_dir(args, cfg)
-    model_path = require(cfg, "discrete_model")
+    model_path = require(cfg, "discrete_model", "string")
     if not Path(model_path).exists():
         raise SchemaError(f"discrete_model file does not exist: {model_path}")
     model = load_discrete_model(model_path)
-    bayes_cfg = cfg.get("bayes", {})
-    n = int(bayes_cfg.get("n", 1))
-    resolution = float(bayes_cfg.get("grid_resolution", 0.05))
-    budgets = [float(d) for d in bayes_cfg.get("budgets", [])]
-    trace_len = int(bayes_cfg.get("trace_len", 2))
+    bayes_cfg = expect("bayes", cfg.get("bayes", {}), "object")
+    n = int(expect("bayes.n", bayes_cfg.get("n", 1), "number"))
+    resolution = float(
+        expect("bayes.grid_resolution", bayes_cfg.get("grid_resolution", 0.05), "number")
+    )
+    budgets = [
+        float(expect("bayes.budgets", d, "number"))
+        for d in expect("bayes.budgets", bayes_cfg.get("budgets", []), "list")
+    ]
+    trace_len = int(expect("bayes.trace_len", bayes_cfg.get("trace_len", 2), "number"))
     head = stamp("bayes", cfg, seed, f"discrete_model={model_path}")
 
     # recursive posterior along every short trace, checked against the
@@ -540,23 +570,15 @@ def reproduce_fig4(out: Path, seed: int, bits: bool = False) -> list:
                 bits=bits,
             )
             written += [f"fig4_{tag}_bs.csv", f"fig4_{tag}_mb.csv"]
-            mb_ge_inner = ""
-            mb_gt_outer_top = ""
-            for label, other in (("inner", inner), ("outer", outer)):
-                grid = _dominance_grid(mb, other, 60)
-                if grid is None:
-                    continue
-                rep = dominance_report(mb, other, grid)
-                if rep.empty:
-                    continue
-                fname = f"fig4_{tag}_dominance_{label}.csv"
-                _write_dominance(rep, out / fname, head, f"mb vs bs-{label}")
-                written.append(fname)
-                if label == "inner":
-                    mb_ge_inner = str(int(rep.n_b_gt_a == 0))
-                else:
-                    top = rep.gaps[3 * len(rep.gaps) // 4 :]
-                    mb_gt_outer_top = str(int(bool(np.all(top > 0))))
+            pattern = f"fig4_{tag}_dominance_{{}}.csv"
+            reports = _write_dominance(mb, inner, outer, 60, head, out, pattern)
+            written += [pattern.format(label) for label in reports]
+            mb_ge_inner = mb_gt_outer_top = ""
+            if "inner" in reports:
+                mb_ge_inner = str(int(reports["inner"].n_b_gt_a == 0))
+            if "outer" in reports:
+                top = reports["outer"].gaps[3 * len(reports["outer"].gaps) // 4 :]
+                mb_gt_outer_top = str(int(bool(np.all(top > 0))))
             summary.append(
                 f"{name},{snr_db!r},{full_rate(channel)!r},{mb_ge_inner},{mb_gt_outer_top}"
             )

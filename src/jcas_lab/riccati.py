@@ -9,31 +9,32 @@ Two one-step covariance maps drive everything here:
   whose fixed point is the steady-state covariance when every measurement
   arrives with noise inflated by gamma.
 
-Both share one innovation-correction helper, and for matrix models both
-advance a stack (n, m, m) of covariances with a per-member lam or gamma.
+Both share one innovation-correction helper; for matrix models
+``riccati_step`` also advances a stack (n, m, m) of covariances.
 
-The matching lower bound S-bar solves the scaled Lyapunov equation in
-:mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges whenever
-(1 - lam) rho(A)^2 >= 1 (Sinopoli et al., "Kalman filtering with
-intermittent observations", IEEE TAC 2004), so a V-bar probe there is
-classified divergent at once, by the test S-bar uses, without iterating.
-
-On matrix models a whole lam or gamma grid is solved as one stacked
-recursion (``vbar_sweep``, ``sbar_sweep``, ``mb_sweep``): each grid point
-is a member of the stack, stops at its own step with the same converged /
-diverged / undecided rule as a single solve, and then leaves the stack.  A
-single solve is a stack of one.  Scalar models iterate the float kernels
-point by point instead.
+Fixed points are solved, not iterated.  Once a gain K is fixed, the map
+phi_{lam,gamma}(K, X) = (1 - lam) A X A^T + lam (A + K C) X (A + K C)^T
++ Q + lam gamma K R K^T is affine in X, and minimizing over K gives back
+``gamma_bs`` (gamma = 1, fixed point V-bar) or ``gamma_mb`` (lam = 1, the
+multi-beam steady state) (Sinopoli et al., "Kalman filtering with
+intermittent observations", IEEE TAC 2004).  A scalar model takes the
+positive root of the quadratic this fixed point solves.  A matrix model
+runs Hewer's policy iteration, batched over a whole lam or gamma grid, from
+K = 0 when A is stable or from the gain of the ``unstable_modes_observed``
+certificate.  The matching lower bound S-bar is the scaled Lyapunov solve
+of :mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges whenever
+(1 - lam) rho(A)^2 >= 1, so V-bar is None there; on scalar, stable and
+certified models it is finite everywhere else.  Models the certificate
+refuses keep one iterated classifier, point by point: converged, diverged,
+or undecided at the iteration cap.
 
 Thresholds (critical sensing probability, feasible-lambda and feasible-gamma
 boundaries for a distortion budget) are located by one monotone bisection;
 the feasibility maps are monotone but not smooth at the divergence boundary,
-so no derivative-based search is attempted.  The critical sensing
-probability needs no covariance step when ``unstable_modes_observed``
-certifies the model (C injective on the unstable invariant subspace of A):
-V-bar is then finite exactly where S-bar is, and the bisection runs on the
-closed-form test (1 - lam) rho(A)^2 < 1.  Models the certificate refuses
-keep the bisection on iterated V-bar probes.
+so no derivative-based search is attempted.  On certified models the
+critical sensing probability bisects the closed-form test
+(1 - lam) rho(A)^2 < 1 and needs no covariance step; on refused models it
+bisects on iterated V-bar probes.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ from .statespace import (
     CRITICAL_MARGIN,
     GaussMarkovModel,
     as_matrix,
-    check_initial_covariance,
     lyapunov_diverges,
     lyapunov_step,
+    scaled_lyapunov_sweep,
+    solve_affine,
     solve_scaled_lyapunov,
     spectral_radius,
     symmetrize,
@@ -139,7 +141,7 @@ def _corrected_step(model: GaussMarkovModel, p: np.ndarray, gamma, lam) -> np.nd
 
     The innovation correction shared by riccati_step (lam = 1) and gamma_bs
     (gamma = 1); multiplying by 1.0 is exact, so both keep their bits.  p
-    may be a stack (n, m, m), with gamma and lam floats or (n, 1, 1) arrays.
+    may be a stack (n, m, m).
     """
     ap = model.A @ p
     cp = model.C @ p
@@ -159,10 +161,9 @@ def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:
 
     gamma = infinity nullifies the correction and reduces to the open-loop
     step A P A^T + Q (bitwise identical to the alpha=1 Lyapunov step).
-    For a matrix model, p may be a stack (n, m, m) of covariances, and gamma
-    an (n, 1, 1) array of finite per-member gains.
+    For a matrix model, p may be a stack (n, m, m) of covariances.
     """
-    if np.ndim(gamma) == 0 and math.isinf(gamma):
+    if math.isinf(gamma):
         return lyapunov_step(model, p, 1.0)
     if model.is_scalar:
         a, c, q, r = model.scalars()
@@ -175,14 +176,7 @@ def gamma_bs(p: np.ndarray, lam, model: GaussMarkovModel) -> np.ndarray:
 
     lam = 0 takes the open-loop branch and lam = 1 the full-measurement
     Riccati branch, so the endpoints coincide exactly with those steps.
-    For a matrix model, p may be a stack (n, m, m) and lam an (n, 1, 1)
-    array of per-member probabilities; the shared formula then gives the
-    endpoint branches' bits too, as long as the correction is finite.
     """
-    if np.ndim(lam):
-        if not ((lam >= 0.0) & (lam <= 1.0)).all():
-            raise ParameterError(f"lam must lie in [0, 1], got {np.ravel(lam)}")
-        return _corrected_step(model, p, 1.0, lam)
     _check_lam(lam)
     p = as_matrix(p, "P")
     if lam == 0.0:
@@ -217,92 +211,30 @@ def _tail_growing(window) -> bool:
     return second > first
 
 
-def _classify_scalar(stepf, p0: float, tol: float, max_iter: int):
-    """Tight float loop: converged / diverged / undecided at the cap.
+def _classify(step, p0: np.ndarray, tol: float, max_iter: int):
+    """(status, value, window) of iterating a covariance map from p0.
 
-    At the cap the recent delta trend decides: still-growing deltas mean the
-    iterate is escaping (diverged), shrinking deltas mean slow contraction
-    toward a finite fixed point (undecided -- callers near a threshold treat
-    this as the convergent side).  Values come back as 1x1 matrices.
+    Diverged once the trace is non-finite or above TRACE_DIVERGENCE,
+    converged once the max-abs change drops below ``tol``.  At the cap the
+    trend of the last WINDOW changes decides: still-growing changes mean the
+    iterate is escaping (diverged), shrinking ones mean slow contraction
+    toward a finite fixed point (undecided).
     """
     p = p0
     window = deque(maxlen=WINDOW)
     for _ in range(max_iter):
-        pn = stepf(p)
-        if not math.isfinite(pn) or pn > TRACE_DIVERGENCE:
+        pn = step(p)
+        tr = float(np.trace(pn))
+        if not math.isfinite(tr) or tr > TRACE_DIVERGENCE:
             return _DIVERGED, None, window
-        d = abs(pn - p)
+        d = float(np.max(np.abs(pn - p)))
         if d < tol:
-            return _CONVERGED, np.array([[pn]]), window
+            return _CONVERGED, pn, window
         window.append(d)
         p = pn
     if _tail_growing(window):
         return _DIVERGED, None, window
-    return _UNDECIDED, np.array([[p]]), window
-
-
-def _classify_stack(step, p0: np.ndarray, params, tol: float, max_iter: int,
-                    limit: float = TRACE_DIVERGENCE) -> list:
-    """Classify the fixed-point iteration at every parameter of a grid at once.
-
-    ``step(p, params)`` advances an (n, m, m) stack whose member i uses
-    ``params[i]``, passed with shape (n, 1, 1); every member starts at p0.
-    Each member stops at its own step by the rule of _classify_scalar:
-    diverged once its trace is non-finite or above ``limit``, converged
-    once the max-abs change drops below ``tol``, and at the cap decided by
-    the trend of its last WINDOW changes.  Finished members leave the
-    stack.  Returns one (status, value, window) per parameter, in order.
-    """
-    params = np.asarray(params, dtype=float).reshape(-1, 1, 1)
-    n = len(params)
-    results = [None] * n
-    if n == 0:
-        return results
-    live = np.arange(n)
-    p = np.array(np.broadcast_to(p0, (n,) + p0.shape))
-    deltas = np.empty((n, WINDOW))
-    for it in range(max_iter):
-        pn = step(p, params)
-        tr = pn.trace(axis1=1, axis2=2)
-        d = np.abs(pn - p).max(axis=(1, 2))
-        # cheap superset test first: most steps finish no member
-        if d.min() < tol or not np.abs(tr).max() < limit:
-            diverged = ~np.isfinite(tr) | (tr > limit)
-            done = diverged | (d < tol)
-            for j in np.flatnonzero(done):
-                converged = (_CONVERGED, pn[j].copy(), [])
-                results[live[j]] = (_DIVERGED, None, []) if diverged[j] else converged
-            keep = ~done
-            live, pn, params, deltas, d = live[keep], pn[keep], params[keep], deltas[keep], d[keep]
-            if not live.size:
-                return results
-        deltas[:, it % WINDOW] = d
-        p = pn
-    order = np.arange(max_iter - min(max_iter, WINDOW), max_iter) % WINDOW
-    for j, i in enumerate(live):
-        window = deltas[j, order].tolist()
-        growing = _tail_growing(window)
-        results[i] = (_DIVERGED, None, window) if growing else (_UNDECIDED, p[j].copy(), window)
-    return results
-
-
-def _fill(skip, solved, filler) -> list:
-    """Grid-ordered results: filler where skip is set, else the next solved one."""
-    solved = iter(solved)
-    return [filler if s else next(solved) for s in skip]
-
-
-def _value_or_raise(result, message: str):
-    """The fixed point, or None when divergent; ConvergenceError when undecided."""
-    status, value, window = result
-    if status == _UNDECIDED:
-        raise ConvergenceError(message, trace_tail=list(window))
-    return value
-
-
-def _converged(result):
-    status, value, _ = result
-    return value if status == _CONVERGED else None
+    return _UNDECIDED, p, window
 
 
 def trace_or_inf(matrix) -> float:
@@ -318,157 +250,37 @@ def fixed_point(step, p0, tol: float = 1e-12, max_iter: int = 1_000_000):
     Hitting the cap with a shrinking step (oscillation or slow contraction)
     raises ConvergenceError carrying the tail of the step-size history.
     """
-    result = _classify_stack(
-        lambda p, _: step(p[0])[np.newaxis], as_matrix(p0, "P0"), [0.0], tol, max_iter
-    )[0]
-    return _value_or_raise(
-        result, f"fixed-point iteration cap {max_iter} hit without convergence or divergence"
-    )
-
-
-def _classify_grid(model: GaussMarkovModel, kernel, step, params, tol, max_iter, p0) -> list:
-    """Classify a fixed point at every parameter: float kernel loops for a
-    scalar model, one stacked recursion for a matrix model."""
-    start = model.Q.copy() if p0 is None else check_initial_covariance(model, p0)
-    if model.is_scalar:
-        a, c, q, r = model.scalars()
-        return [
-            _classify_scalar(lambda p, x=x: kernel(a, c, q, r, p, x), float(start[0, 0]), tol, max_iter)
-            for x in params
-        ]
-    return _classify_stack(step, start, params, tol, max_iter)
-
-
-def _classify_bs(model: GaussMarkovModel, lams, tol: float, max_iter: int, p0=None) -> list:
-    """Classify the beam-switching fixed point at every lam of a grid.
-
-    A lam with (1 - lam) rho(A)^2 >= 1 - CRITICAL_MARGIN is divergent
-    without iterating (V-bar >= S-bar, which diverges there).  The scalar
-    kernel gives the lam = 0 and lam = 1 branches' bits (see gamma_bs).
-    """
-    rho = spectral_radius(model.A)
-    skip = [lyapunov_diverges(1.0 - lam, rho) for lam in lams]
-    todo = [lam for lam, s in zip(lams, skip) if not s]
-    step = lambda ps, lam: gamma_bs(ps, lam, model)
-    solved = _classify_grid(model, bs_kernel, step, todo, tol, max_iter, p0)
-    return _fill(skip, solved, (_DIVERGED, None, []))
-
-
-def _classify_mb(model: GaussMarkovModel, gammas, tol: float, max_iter: int, p0=None) -> list:
-    """Classify the multi-beam fixed point at every finite gamma of a grid."""
-    step = lambda ps, g: riccati_step(model, ps, g)
-    return _classify_grid(model, riccati_kernel, step, gammas, tol, max_iter, p0)
-
-
-def _lyapunov_or_none(model: GaussMarkovModel, alpha: float, tol: float, max_iter: int):
-    """Scaled-Lyapunov fixed point, or None when it diverges or stalls at the cap."""
-    try:
-        return solve_scaled_lyapunov(model, alpha, tol=tol, max_iter=max_iter)
-    except ConvergenceError:
-        return None
-
-
-def vbar(
-    lam: float,
-    model: GaussMarkovModel,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-    p0=None,
-):
-    """Fixed point of the beam-switching map, or None when it diverges.
-
-    Iteration starts from p0 (default Q, a natural sub-solution that
-    converges from below for these maps); expose p0 for sensitivity checks.
-    """
-    result = _classify_bs(model, [_check_lam(lam)], tol, max_iter, p0)[0]
-    return _value_or_raise(
-        result, f"beam-switching fixed point undecided at cap {max_iter} (lam={lam})"
-    )
-
-
-def vbar_sweep(lams, model: GaussMarkovModel, tol: float = 1e-12,
-               max_iter: int = 1_000_000, p0=None) -> list:
-    """V-bar at every lam of a grid, solved as one stacked recursion.
-
-    An entry is None where the fixed point diverges or is still undecided
-    at the cap (where ``vbar`` would raise ConvergenceError).
-    """
-    lams = [_check_lam(float(lam)) for lam in lams]
-    return [_converged(r) for r in _classify_bs(model, lams, tol, max_iter, p0)]
-
-
-def sbar(lam: float, model: GaussMarkovModel, tol: float = 1e-12, max_iter: int = 1_000_000):
-    """Scaled-Lyapunov lower bound at alpha = 1 - lam, or None when divergent."""
-    return solve_scaled_lyapunov(model, 1.0 - _check_lam(lam), tol=tol, max_iter=max_iter)
-
-
-def sbar_sweep(lams, model: GaussMarkovModel, tol: float = 1e-12,
-               max_iter: int = 1_000_000) -> list:
-    """S-bar at every lam of a grid; matrix models run one stacked recursion.
-
-    An entry is None where ``sbar`` returns None or raises ConvergenceError.
-    """
-    alphas = [1.0 - _check_lam(float(lam)) for lam in lams]
-    if model.is_scalar:
-        return [_lyapunov_or_none(model, alpha, tol, max_iter) for alpha in alphas]
-    rho = spectral_radius(model.A)
-    skip = [lyapunov_diverges(alpha, rho) for alpha in alphas]
-    todo = [alpha for alpha, s in zip(alphas, skip) if not s]
-    # below the rho test the iterates stay bounded, so only non-finite
-    # traces count as divergence, as in solve_scaled_lyapunov
-    solved = _classify_stack(
-        lambda ps, alpha: lyapunov_step(model, ps, alpha), model.Q, todo, tol, max_iter,
-        limit=math.inf,
-    )
-    return _fill(skip, [_converged(r) for r in solved], None)
-
-
-def mb_fixed_point(
-    gamma: float,
-    model: GaussMarkovModel,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-    p0=None,
-):
-    """Steady-state covariance of the multi-beam map, or None when divergent."""
-    if math.isinf(_check_gamma(gamma)):
-        return solve_scaled_lyapunov(model, 1.0, tol=tol, max_iter=max_iter)
-    result = _classify_mb(model, [gamma], tol, max_iter, p0)[0]
-    return _value_or_raise(
-        result, f"multi-beam fixed point undecided at cap {max_iter} (gamma={gamma})"
-    )
-
-
-def mb_sweep(gammas, model: GaussMarkovModel, tol: float = 1e-12,
-             max_iter: int = 1_000_000) -> list:
-    """Multi-beam fixed point at every gamma of a grid, in one stacked recursion.
-
-    gamma = inf takes the open-loop Lyapunov route.  An entry is None where
-    the fixed point diverges or ``mb_fixed_point`` would raise.
-    """
-    gammas = [_check_gamma(float(g)) for g in gammas]
-    skip = [math.isinf(g) for g in gammas]
-    finite = _classify_mb(model, [g for g, s in zip(gammas, skip) if not s], tol, max_iter)
-    open_loop = _lyapunov_or_none(model, 1.0, tol, max_iter) if any(skip) else None
-    return _fill(skip, [_converged(r) for r in finite], open_loop)
-
-
-def _bisect(lo: float, hi: float, tol: float, above) -> float:
-    """Shrink [lo, hi] onto the boundary of a monotone predicate; return its midpoint.
-
-    ``above(x)`` tells whether x lies on hi's side of the boundary.
-    """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    status, value, window = _classify(step, as_matrix(p0, "P0"), tol, max_iter)
+    if status == _UNDECIDED:
+        raise ConvergenceError(
+            f"fixed-point iteration cap {max_iter} hit without convergence or divergence",
+            trace_tail=list(window),
+        )
+    return value
 
 
 #: an eigenbasis of A or a C V_u beyond this condition number is not certified
 CERTIFICATE_COND = 1e8
+
+
+def _certificate_gain(model: GaussMarkovModel):
+    """The gain K = -A V_u (C V_u)^+ of ``unstable_modes_observed``, or None
+    when the certificate refuses the model."""
+    if model.m == 1:
+        # eigenbasis [[1]], so C V_u is C; no LAPACK call (and its buffers)
+        a = float(model.A[0, 0])
+        if abs(a) < 1.0 - CRITICAL_MARGIN or not np.any(model.C):
+            return None
+        return -a * model.C.T / float(np.sum(model.C * model.C))
+    mu, v = np.linalg.eig(model.A)
+    unstable = np.abs(mu) >= 1.0 - CRITICAL_MARGIN
+    if not 0 < np.count_nonzero(unstable) <= model.k or np.linalg.cond(v) > CERTIFICATE_COND:
+        return None
+    v_u = v[:, unstable]
+    if np.linalg.cond(model.C @ v_u) > CERTIFICATE_COND:
+        return None
+    # conjugate eigenvector pairs give a real gain
+    return np.real(-model.A @ v_u @ np.linalg.pinv(model.C @ v_u))
 
 
 def unstable_modes_observed(model: GaussMarkovModel) -> bool:
@@ -486,39 +298,191 @@ def unstable_modes_observed(model: GaussMarkovModel) -> bool:
     (1 - lam) rho^2 < 1.  The beam-switching map is bounded by phi_lam(K, .)
     for every K (Sinopoli et al., IEEE TAC 2004), and its iterates from Q
     are nondecreasing, so they converge there; elsewhere S-bar, a lower
-    bound, diverges.  Conservative: False when A has no unstable mode or
-    more of them than C has rows, or when its eigenbasis or C V_u is ill
-    conditioned (which covers a defective A and a rank-deficient C V_u).
+    bound, diverges.  The same K starts the policy iteration of every fixed
+    point.  Conservative: False when A has no unstable mode or more of them
+    than C has rows, or when its eigenbasis or C V_u is ill conditioned
+    (which covers a defective A and a rank-deficient C V_u).
     """
-    if model.m == 1:
-        # eigenbasis [[1]], so C V_u is C; no LAPACK call (and its buffers)
-        return abs(float(model.A[0, 0])) >= 1.0 - CRITICAL_MARGIN and bool(np.any(model.C))
-    mu, v = np.linalg.eig(model.A)
-    unstable = np.abs(mu) >= 1.0 - CRITICAL_MARGIN
-    if not 0 < np.count_nonzero(unstable) <= model.k or np.linalg.cond(v) > CERTIFICATE_COND:
-        return False
-    return bool(np.linalg.cond(model.C @ v[:, unstable]) <= CERTIFICATE_COND)
+    return _certificate_gain(model) is not None
 
 
-def critical_lambda(
-    model: GaussMarkovModel,
-    bisect_tol: float = 1e-6,
-    probe_tol: float = 1e-10,
-    probe_max_iter: int = 200_000,
-) -> float:
-    """Sensing probability below which the expected covariance diverges.
+def _scalar_root(model: GaussMarkovModel, lam: float, gamma: float):
+    """Scalar fixed point of min_K phi_{lam,gamma}(K, .), or None when it diverges.
 
-    Stable dynamics (rho(A)^2 < 1) converge open loop, so the threshold is 0.
-    When ``unstable_modes_observed`` certifies the model, the threshold is
-    1 - 1/rho(A)^2 and the bisection runs on that closed-form test, with no
-    covariance step.  Otherwise bisect on the convergence/divergence
-    boundary of the beam-switching fixed point.  Probes at or below
-    1 - 1/rho(A)^2 are divergent without iterating; probes that hit the
-    iteration cap are classified by their step-size trend, and undecided
-    probes count as convergent.  ``probe_tol`` and ``probe_max_iter`` apply
-    to those probes; ``probe_tol`` is absolute, so a probe whose fixed
-    point has a trace of 1e5 or more can stall in rounding noise and be
-    called divergent.
+    Clearing the denominator of v = a^2 v + q - lam a^2 c^2 v^2 / (c^2 v + gamma r)
+    gives c^2 (1 - (1 - lam) a^2) v^2 + (gamma r (1 - a^2) - q c^2) v - gamma q r = 0,
+    whose positive root is taken in the form without cancellation.  With
+    c = 0 nothing is sensed, so divergence follows the open-loop test.
+    """
+    a, c, q, r = model.scalars()
+    if lyapunov_diverges(1.0 - lam if c else 1.0, abs(a)):
+        return None
+    gr = gamma * r
+    lead = c * c * (1.0 - (1.0 - lam) * (a * a))
+    b = gr * (1.0 - a * a) - q * (c * c)
+    root = math.sqrt(b * b + 4.0 * lead * gr * q)
+    v = 2.0 * gr * q / (b + root) if b > 0.0 else (root - b) / (2.0 * lead)
+    return np.array([[v]])
+
+
+def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray:
+    """Fixed points of min_K phi_{lam,gamma}(K, .) for a grid of (lam, gamma) pairs.
+
+    phi_{lam,gamma}(K, X) = (1 - lam) A X A^T + lam (A + K C) X (A + K C)^T
+    + Q + lam gamma K R K^T is affine in X once K is fixed, and the
+    predictor gain K = -A X C^T (C X C^T + gamma R)^{-1} minimizes it, where
+    it equals the beam-switching map (gamma = 1) or the multi-beam map
+    (lam = 1).  Hewer's policy iteration (IEEE TAC 1971) alternates the two
+    steps: the affine fixed point for the current gains, one batched
+    Kronecker solve over the grid, then the gain update.  From a gain whose
+    affine map contracts, the iterates decrease monotonically to the fixed
+    point, quadratically near it, so a member stops at its first step whose
+    trace fails to decrease and keeps the iterate before it.
+    """
+    a, c, q, r = model.A, model.C, model.Q, model.R
+    m = model.m
+    lam = np.reshape(lams, (-1, 1, 1))
+    gamma = np.reshape(gammas, (-1, 1, 1))
+    n = len(lam)
+    gains = np.broadcast_to(gain, (n,) + gain.shape)
+    best = np.empty((n, m, m))
+    best_trace = np.full(n, math.inf)
+    live = np.arange(n)
+    # a strictly decreasing float sequence stops within a few steps of
+    # rounding level; the bound only turns a defect into an error
+    for _ in range(100):
+        # (1 - lam) A X A^T + lam F X F^T with F = A + K C, as two factors
+        factors = np.stack([np.sqrt(1.0 - lam) * a, np.sqrt(lam) * (a + gains @ c)], axis=1)
+        x = solve_affine(factors, q + lam * gamma * (gains @ r @ gains.swapaxes(1, 2)))
+        tr = x.trace(axis1=1, axis2=2)
+        if not np.isfinite(tr).all():
+            raise NumericalError("policy iteration produced a non-finite covariance")
+        falling = tr < best_trace[live]
+        live, x, lam, gamma = live[falling], x[falling], lam[falling], gamma[falling]
+        best[live], best_trace[live] = x, tr[falling]
+        if not live.size:
+            return best
+        cx = c @ x
+        gains = -np.linalg.solve(cx @ c.T + gamma * r, cx @ a.T).swapaxes(1, 2)
+    raise NumericalError("policy iteration did not settle in 100 steps")
+
+
+def _solve_grid(model: GaussMarkovModel, lams, gammas, step, strict: bool) -> list:
+    """min_K phi_{lam,gamma}(K, .) fixed point per (lam, gamma) pair, None where
+    it diverges.
+
+    A scalar model takes the closed-form root.  A matrix model is divergent
+    where (1 - lam) rho(A)^2 >= 1 - CRITICAL_MARGIN (the fixed point
+    dominates S-bar, which diverges there); every other point of a stable or
+    certified model is finite and solved by one policy iteration, started
+    from K = 0 or the certificate's gain.  A model the certificate refuses
+    iterates ``step(p, lam, gamma)`` from Q point by point instead; a point
+    left undecided at the cap is None, or raises ConvergenceError when
+    ``strict``.
+    """
+    if model.is_scalar:
+        return [_scalar_root(model, lam, gamma) for lam, gamma in zip(lams, gammas)]
+    rho = spectral_radius(model.A)
+    todo = [i for i, lam in enumerate(lams) if not lyapunov_diverges(1.0 - lam, rho)]
+    out = [None] * len(lams)
+    stable = not lyapunov_diverges(1.0, rho)
+    gain = np.zeros((model.m, model.k)) if stable else _certificate_gain(model)
+    if gain is None:
+        for i in todo:
+            try:
+                out[i] = fixed_point(lambda p, i=i: step(p, lams[i], gammas[i]), model.Q)
+            except ConvergenceError:
+                if strict:
+                    raise
+    elif todo:
+        solved = _policy_iteration(model, [lams[i] for i in todo], [gammas[i] for i in todo], gain)
+        for i, x in zip(todo, solved):
+            out[i] = x
+    return out
+
+
+def _vbar_points(model: GaussMarkovModel, lams, strict: bool = False) -> list:
+    step = lambda p, lam, _: gamma_bs(p, lam, model)
+    return _solve_grid(model, lams, [1.0] * len(lams), step, strict)
+
+
+def _mb_points(model: GaussMarkovModel, gammas, strict: bool = False) -> list:
+    step = lambda p, _, gamma: riccati_step(model, p, gamma)
+    return _solve_grid(model, [1.0] * len(gammas), gammas, step, strict)
+
+
+def vbar(lam: float, model: GaussMarkovModel):
+    """Fixed point of the beam-switching map, or None when it diverges."""
+    return _vbar_points(model, [_check_lam(lam)], strict=True)[0]
+
+
+def vbar_sweep(lams, model: GaussMarkovModel) -> list:
+    """V-bar at every lam of a grid, solved together.
+
+    An entry is None where the fixed point diverges, or, on a model the
+    certificate refuses, where ``vbar`` would raise ConvergenceError.
+    """
+    return _vbar_points(model, [_check_lam(float(lam)) for lam in lams])
+
+
+def sbar(lam: float, model: GaussMarkovModel):
+    """Scaled-Lyapunov lower bound at alpha = 1 - lam, or None when divergent."""
+    return solve_scaled_lyapunov(model, 1.0 - _check_lam(lam))
+
+
+def sbar_sweep(lams, model: GaussMarkovModel) -> list:
+    """S-bar at every lam of a grid, solved together; None where divergent."""
+    return scaled_lyapunov_sweep(model, [1.0 - _check_lam(float(lam)) for lam in lams])
+
+
+def mb_fixed_point(gamma: float, model: GaussMarkovModel):
+    """Steady-state covariance of the multi-beam map, or None when divergent."""
+    if math.isinf(_check_gamma(gamma)):
+        return solve_scaled_lyapunov(model, 1.0)
+    return _mb_points(model, [gamma], strict=True)[0]
+
+
+def mb_sweep(gammas, model: GaussMarkovModel) -> list:
+    """Multi-beam fixed point at every gamma of a grid, solved together.
+
+    gamma = inf takes the open-loop Lyapunov route.  An entry is None where
+    the fixed point diverges or ``mb_fixed_point`` would raise.
+    """
+    gammas = [_check_gamma(float(g)) for g in gammas]
+    finite = iter(_mb_points(model, [g for g in gammas if not math.isinf(g)]))
+    open_loop = solve_scaled_lyapunov(model, 1.0) if math.inf in gammas else None
+    return [open_loop if math.isinf(g) else next(finite) for g in gammas]
+
+
+def _bisect(lo: float, hi: float, tol: float, above) -> float:
+    """Shrink [lo, hi] onto the boundary of a monotone predicate; return its midpoint.
+
+    ``above(x)`` tells whether x lies on hi's side of the boundary.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
+    """The V-bar finiteness threshold: the least lam at which V-bar is finite.
+
+    This is the upper bound on the critical sensing probability lam_c of
+    Sinopoli et al. (IEEE TAC 2004), the threshold the beam-switching
+    guarantee needs.  Stable dynamics (rho(A)^2 < 1) converge open loop, so
+    it is 0.  When ``unstable_modes_observed`` certifies the model it
+    equals 1 - 1/rho(A)^2, and the bisection runs on that closed-form test,
+    with no covariance step.  On a model the certificate refuses it can lie
+    higher: 0.4263 against 1 - 1/rho(A)^2 = 0.3056 for A = diag(1.2, 1.1)
+    with C = [1, 1].  There the bisection probes iterated V-bar: probes at
+    or below 1 - 1/rho(A)^2 are divergent without iterating, the others
+    iterate to a step below 1e-10 or to a cap of 200000 steps, where the
+    step-size trend classifies them, and undecided probes count as
+    convergent.
     """
     rho = spectral_radius(model.A)
     if rho * rho < 1.0 - CRITICAL_MARGIN:
@@ -528,7 +492,10 @@ def critical_lambda(
         return _bisect(0.0, 1.0, bisect_tol, lambda lam: not lyapunov_diverges(1.0 - lam, rho))
 
     def converges(lam: float) -> bool:
-        return _classify_bs(model, [lam], probe_tol, probe_max_iter)[0][0] != _DIVERGED
+        if lyapunov_diverges(1.0 - lam, rho):
+            return False
+        step = lambda p: gamma_bs(p, lam, model)
+        return _classify(step, model.Q, 1e-10, 200_000)[0] != _DIVERGED
 
     if not converges(1.0):
         raise ConvergenceError(
@@ -538,73 +505,53 @@ def critical_lambda(
     return _bisect(0.0, 1.0, bisect_tol, converges)
 
 
-def lambda_s(
-    d: float,
-    model: GaussMarkovModel,
-    bisect_tol: float = 1e-6,
-    probe_tol: float = 1e-12,
-    probe_max_iter: int = 1_000_000,
-):
-    """Least lam with tr(S-bar(lam)) <= d, or None when even lam=1 violates it."""
-    return _lambda_threshold(d, model, "s", bisect_tol, probe_tol, probe_max_iter)
-
-
-def lambda_v(
-    d: float,
-    model: GaussMarkovModel,
-    bisect_tol: float = 1e-6,
-    probe_tol: float = 1e-12,
-    probe_max_iter: int = 1_000_000,
-):
-    """Least lam with tr(V-bar(lam)) <= d, or None when even lam=1 violates it."""
-    return _lambda_threshold(d, model, "v", bisect_tol, probe_tol, probe_max_iter)
-
-
-def _lambda_threshold(d, model, which, bisect_tol, probe_tol, probe_max_iter):
+def _check_budget(d: float) -> None:
     if d <= 0.0:
         raise ParameterError(f"distortion budget must be positive, got {d}")
 
-    def trace_at(lam: float) -> float:
-        if which == "s":
-            fit = _lyapunov_or_none(model, 1.0 - lam, probe_tol, probe_max_iter)
-        else:
-            fit = _converged(_classify_bs(model, [lam], probe_tol, probe_max_iter)[0])
-        return trace_or_inf(fit)
 
-    if trace_at(0.0) <= d:
+def lambda_s(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
+    """Least lam with tr(S-bar(lam)) <= d, or None when even lam=1 violates it."""
+    return _lambda_threshold(d, lambda lam: sbar(lam, model), bisect_tol)
+
+
+def lambda_v(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
+    """Least lam with tr(V-bar(lam)) <= d, or None when even lam=1 violates it."""
+    return _lambda_threshold(d, lambda lam: _vbar_points(model, [lam])[0], bisect_tol)
+
+
+def _lambda_threshold(d, solve, bisect_tol):
+    _check_budget(d)
+
+    def feasible(lam: float) -> bool:
+        return trace_or_inf(solve(lam)) <= d
+
+    if feasible(0.0):
         return 0.0
-    if trace_at(1.0) > d:
+    if not feasible(1.0):
         return None
     # trace is nonincreasing in lam: lo = 0 infeasible, hi = 1 feasible
-    return _bisect(0.0, 1.0, bisect_tol, lambda lam: trace_at(lam) <= d)
+    return _bisect(0.0, 1.0, bisect_tol, feasible)
 
 
 #: bisection range for the multi-beam gain, in nats of log(gamma)
 GAMMA_LOG_RANGE = 40.0
 
 
-def gamma_max(
-    d: float,
-    model: GaussMarkovModel,
-    bisect_tol: float = 1e-6,
-    probe_tol: float = 1e-12,
-    probe_max_iter: int = 1_000_000,
-):
+def gamma_max(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     """Largest multi-beam gain whose steady-state trace stays within budget d.
 
     Returns math.inf when even the open-loop limit satisfies the budget
     (possible only for stable dynamics) and None when gamma = 1, the best
     sensing available, already violates it.  Otherwise bisects on log(gamma)
-    over [0, GAMMA_LOG_RANGE].  An open-loop solve that stalls at the cap
-    counts as over budget, like any other undecided probe.
+    over [0, GAMMA_LOG_RANGE].
     """
-    if d <= 0.0:
-        raise ParameterError(f"distortion budget must be positive, got {d}")
+    _check_budget(d)
 
     def trace_at(gamma: float) -> float:
         if math.isinf(gamma):
-            return trace_or_inf(_lyapunov_or_none(model, 1.0, probe_tol, probe_max_iter))
-        return trace_or_inf(_converged(_classify_mb(model, [gamma], probe_tol, probe_max_iter)[0]))
+            return trace_or_inf(solve_scaled_lyapunov(model, 1.0))
+        return trace_or_inf(_mb_points(model, [gamma])[0])
 
     if trace_at(1.0) > d:
         return None

@@ -3,6 +3,10 @@
 Holds the (A, C, Q, R) model container with validity checks, the spectral
 radius, and the scaled Lyapunov solver S = alpha * A S A^T + Q whose fixed
 point lower-bounds the error covariance of an intermittently updated filter.
+The solver iterates nothing: a scalar model takes the closed form
+q / (1 - alpha a^2), and a matrix model solves the Kronecker system
+(I - alpha A (x) A) vec S = vec Q, batched over a grid of alphas by
+``solve_affine``, which the Riccati fixed points reuse.
 
 All matrices are dense float64 numpy arrays; the design envelope is small
 state dimension (m, k <= ~8).
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
 
 #: eigenvalue tolerance for PSD/PD checks, relative to the largest magnitude
 EIG_TOL = 1e-10
@@ -239,8 +243,7 @@ def lyapunov_diverges(alpha: float, rho: float) -> bool:
 def lyapunov_step(model: GaussMarkovModel, s: np.ndarray, alpha) -> np.ndarray:
     """One application of S -> alpha * A S A^T + Q, re-symmetrized.
 
-    For a matrix model, s may be a stack (n, m, m) of covariances and alpha
-    an (n, 1, 1) array giving each member its own factor.
+    For a matrix model, s may be a stack (n, m, m) of covariances.
     """
     if model.is_scalar:
         a, _, q, _ = model.scalars()
@@ -248,47 +251,58 @@ def lyapunov_step(model: GaussMarkovModel, s: np.ndarray, alpha) -> np.ndarray:
     return symmetrize(alpha * (model.A @ s @ model.A.T) + model.Q)
 
 
-def solve_scaled_lyapunov(
-    model: GaussMarkovModel,
-    alpha: float,
-    tol: float = 1e-12,
-    max_iter: int = 1_000_000,
-):
-    """Fixed point of S = alpha * A S A^T + Q, or None when it diverges.
+def solve_affine(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve X = sum_t F_t X F_t^T + rhs for every member of a stack.
 
-    Iterates from S_0 = Q until the max-abs elementwise change drops below
-    ``tol``.  alpha * rho(A)^2 >= 1 (within CRITICAL_MARGIN) has no usable
-    fixed point and returns None immediately.  Hitting the iteration cap
-    while still contracting raises ConvergenceError with the residual.
+    ``factors`` (n, T, m, m) holds each member's F_1..F_T and ``rhs`` is
+    (n, m, m).  On the row-major vec(X), F X F^T is kron(F, F) vec(X), so a
+    member is one dense (m^2, m^2) system (I - sum_t kron(F_t, F_t)) vec(X)
+    = vec(rhs).  The systems are built in place in one array and solved in
+    one batched call; the solutions come back re-symmetrized.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    if lyapunov_diverges(alpha, spectral_radius(model.A)):
-        return None
+    n, _, m, _ = factors.shape
+    size = m * m
+    system = np.einsum("ntij,ntkl->nikjl", factors, factors).reshape(n, size, size)
+    np.negative(system, out=system)
+    diagonal = np.arange(size)
+    system[:, diagonal, diagonal] += 1.0
+    x = np.linalg.solve(system, np.reshape(rhs, (n, size, 1)))
+    return symmetrize(x.reshape(n, m, m))
 
+
+def scaled_lyapunov_sweep(model: GaussMarkovModel, alphas) -> list:
+    """Fixed point of S = alpha * A S A^T + Q at every alpha of a grid.
+
+    An entry is None where alpha * rho(A)^2 >= 1 (within CRITICAL_MARGIN),
+    which has no usable fixed point.  A scalar model takes the closed form
+    q / (1 - alpha a^2); a matrix model solves the Kronecker system
+    (I - alpha A (x) A) vec S = vec Q for every finite entry at once, with
+    sqrt(alpha) A as the factor of ``solve_affine``.
+    """
+    alphas = [float(alpha) for alpha in alphas]
+    for alpha in alphas:
+        if not (0.0 <= alpha <= 1.0):
+            raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
+    rho = spectral_radius(model.A)
+    skip = [lyapunov_diverges(alpha, rho) for alpha in alphas]
+    finite = [alpha for alpha, s in zip(alphas, skip) if not s]
     if model.is_scalar:
         a, _, q, _ = model.scalars()
-        s = q
-        for _ in range(max_iter):
-            s_next = lyap_kernel(a, q, s, alpha)
-            if abs(s_next - s) < tol:
-                return np.array([[s_next]])
-            s = s_next
-        raise ConvergenceError(
-            f"scaled Lyapunov iteration cap {max_iter} hit (alpha={alpha})",
-            residual=abs(lyap_kernel(a, q, s, alpha) - s),
-        )
+        solved = iter([np.array([[q / (1.0 - alpha * (a * a))]]) for alpha in finite])
+    elif finite:
+        factors = np.sqrt(np.reshape(finite, (-1, 1, 1, 1))) * model.A
+        rhs = np.broadcast_to(model.Q, (len(finite), model.m, model.m))
+        solved = iter(solve_affine(factors, rhs))
+    return [None if s else next(solved) for s in skip]
 
-    s = model.Q.copy()
-    for _ in range(max_iter):
-        s_next = lyapunov_step(model, s, alpha)
-        if float(np.max(np.abs(s_next - s))) < tol:
-            return s_next
-        s = s_next
-    raise ConvergenceError(
-        f"scaled Lyapunov iteration cap {max_iter} hit (alpha={alpha})",
-        residual=float(np.max(np.abs(lyapunov_step(model, s, alpha) - s))),
-    )
+
+def solve_scaled_lyapunov(model: GaussMarkovModel, alpha: float):
+    """Fixed point of S = alpha * A S A^T + Q, or None when it diverges.
+
+    A direct solve (see ``scaled_lyapunov_sweep``); alpha * rho(A)^2 >= 1
+    (within CRITICAL_MARGIN) has no usable fixed point and returns None.
+    """
+    return scaled_lyapunov_sweep(model, [alpha])[0]
 
 
 def lyapunov_sequence(

@@ -1,17 +1,18 @@
-"""Per-point reference loops for the stacked fixed-point sweeps.
+"""Independent oracles for the direct fixed-point solvers.
 
-Each function solves one grid point at a time with a single covariance,
-the way the sweep results are defined: the matrix classifier steps one
-m x m covariance through ``gamma_bs``/``riccati_step`` with a float lam or
-gamma, keeps the last 64 step sizes, and at the cap lets their trend decide.
-V-bar probes are iterated even where S-bar diverges, so the divergence
-short-circuit is checked too.  Tests compare the sweeps with these loops by
-exact equality.
+``vbar_points`` iterates the beam-switching map from Q one grid point at a
+time, the way V-bar is defined: each m x m covariance steps through
+``gamma_bs`` (a scalar one through the float kernel ``bs_kernel``) until
+the max-abs change drops below ``tol``, keeps its last 64
+step sizes, and at the cap lets their trend decide.  V-bar probes are
+iterated even where S-bar diverges, so the divergence short-circuit is
+checked too.  ``dare`` and ``lyapunov`` wrap scipy's solvers, which the
+library must not import.
 
 ``critical_lambda_iterative`` is the critical-lambda bisection on iterated
 V-bar probes that ``critical_lambda`` runs for models its convergence
 certificate refuses; applied to every model, it is the oracle for the
-certified closed-form route.
+certified closed-form route.  It carries its own copy of the classifier.
 """
 
 from __future__ import annotations
@@ -20,21 +21,35 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
-from jcas_lab import riccati
 from jcas_lab.errors import ConvergenceError
-from jcas_lab.riccati import TRACE_DIVERGENCE, _tail_growing, gamma_bs, riccati_step
-from jcas_lab.statespace import CRITICAL_MARGIN, solve_scaled_lyapunov, spectral_radius
+from jcas_lab.riccati import bs_kernel, gamma_bs
+from jcas_lab.statespace import CRITICAL_MARGIN, lyapunov_diverges, spectral_radius
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
 UNDECIDED = "undecided"
 
+#: a covariance trace beyond this is declared divergent
+TRACE_DIVERGENCE = 1e12
+#: step sizes kept for the trend test at the iteration cap
+WINDOW = 64
+
+
+def tail_growing(window) -> bool:
+    """True when the later half of the step sizes averages above the earlier half."""
+    if len(window) < 4:
+        return True
+    half = len(window) // 2
+    steps = list(window)
+    return sum(steps[half:]) / (len(steps) - half) > sum(steps[:half]) / half
+
 
 def classify_matrix(step, p0: np.ndarray, tol: float, max_iter: int):
     """(status, value, window) of one fixed-point iteration from p0."""
     p = p0
-    window = deque(maxlen=64)
+    window = deque(maxlen=WINDOW)
     for _ in range(max_iter):
         pn = step(p)
         tr = float(np.trace(pn))
@@ -45,72 +60,71 @@ def classify_matrix(step, p0: np.ndarray, tol: float, max_iter: int):
             return CONVERGED, pn, window
         window.append(d)
         p = pn
-    if _tail_growing(window):
+    if tail_growing(window):
         return DIVERGED, None, window
     return UNDECIDED, p, window
 
 
-def _start(model, p0):
-    return model.Q.copy() if p0 is None else np.atleast_2d(np.asarray(p0, dtype=float))
+def classify_scalar(step, p0: float, tol: float, max_iter: int):
+    """classify_matrix on floats, for the scalar kernels: the same rule without
+    the cost of stepping 1 x 1 arrays.  Values come back as 1 x 1 matrices."""
+    p = p0
+    window = deque(maxlen=WINDOW)
+    for _ in range(max_iter):
+        pn = step(p)
+        if not math.isfinite(pn) or pn > TRACE_DIVERGENCE:
+            return DIVERGED, None, window
+        d = abs(pn - p)
+        if d < tol:
+            return CONVERGED, np.array([[pn]]), window
+        window.append(d)
+        p = pn
+    if tail_growing(window):
+        return DIVERGED, None, window
+    return UNDECIDED, np.array([[p]]), window
 
 
-def classify_bs(model, lam: float, tol: float = 1e-12, max_iter: int = 1_000_000, p0=None):
-    return classify_matrix(lambda p: gamma_bs(p, lam, model), _start(model, p0), tol, max_iter)
+def classify_bs(model, lam: float, tol: float = 1e-12, max_iter: int = 1_000_000):
+    if model.is_scalar:
+        a, c, q, r = model.scalars()
+        return classify_scalar(lambda p: bs_kernel(a, c, q, r, p, lam), q, tol, max_iter)
+    return classify_matrix(lambda p: gamma_bs(p, lam, model), model.Q.copy(), tol, max_iter)
 
 
-def classify_mb(model, gamma: float, tol: float = 1e-12, max_iter: int = 1_000_000, p0=None):
-    return classify_matrix(lambda p: riccati_step(model, p, gamma), _start(model, p0), tol, max_iter)
-
-
-def _converged(result):
-    status, value, _ = result
-    return value if status == CONVERGED else None
-
-
-def vbar_points(model, lams, tol=1e-12, max_iter=1_000_000, p0=None) -> list:
+def vbar_points(model, lams, tol=1e-12, max_iter=1_000_000) -> list:
     """V-bar per lam; None where it diverges or is undecided at the cap."""
-    return [_converged(classify_bs(model, float(lam), tol, max_iter, p0)) for lam in lams]
-
-
-def sbar_points(model, lams, tol=1e-12, max_iter=1_000_000) -> list:
-    """S-bar per lam; None where it diverges or the solver raises at the cap."""
     out = []
     for lam in lams:
-        try:
-            out.append(solve_scaled_lyapunov(model, 1.0 - float(lam), tol=tol, max_iter=max_iter))
-        except ConvergenceError:
-            out.append(None)
+        status, value, _ = classify_bs(model, float(lam), tol, max_iter)
+        out.append(value if status == CONVERGED else None)
     return out
 
 
-def mb_points(model, gammas, tol=1e-12, max_iter=1_000_000) -> list:
-    """Multi-beam fixed point per gamma; inf takes the open-loop Lyapunov route."""
-    out = []
-    for gamma in gammas:
-        gamma = float(gamma)
-        if math.isinf(gamma):
-            try:
-                out.append(solve_scaled_lyapunov(model, 1.0, tol=tol, max_iter=max_iter))
-            except ConvergenceError:
-                out.append(None)
-        else:
-            out.append(_converged(classify_mb(model, gamma, tol, max_iter)))
-    return out
+def dare(model, gamma: float) -> np.ndarray:
+    """Multi-beam steady state from scipy's DARE (the filter form, transposed)."""
+    return solve_discrete_are(model.A.T, model.C.T, model.Q, gamma * model.R)
+
+
+def lyapunov(model, alpha: float) -> np.ndarray:
+    """S = alpha A S A^T + Q from scipy's discrete Lyapunov solver."""
+    return solve_discrete_lyapunov(math.sqrt(alpha) * model.A, model.Q)
 
 
 def critical_lambda_iterative(model, bisect_tol=1e-6, probe_tol=1e-10, probe_max_iter=200_000):
     """Critical lambda by bisection on iterated V-bar probes, for any model.
 
-    A probe counts as convergent unless the library's classifier calls it
-    divergent (probes at or below 1 - 1/rho^2 are divergent without
-    iterating); the bisection keeps the midpoint of the last bracket.
+    A probe counts as convergent unless the classifier calls it divergent;
+    probes at or below 1 - 1/rho^2 are divergent without iterating.  The
+    bisection keeps the midpoint of the last bracket.
     """
     rho = spectral_radius(model.A)
     if rho * rho < 1.0 - CRITICAL_MARGIN:
         return 0.0
 
     def converges(lam):
-        return riccati._classify_bs(model, [lam], probe_tol, probe_max_iter)[0][0] != DIVERGED
+        if lyapunov_diverges(1.0 - lam, rho):
+            return False
+        return classify_bs(model, lam, probe_tol, probe_max_iter)[0] != DIVERGED
 
     if not converges(1.0):
         raise ConvergenceError("expected covariance diverges even with every measurement")
@@ -125,12 +139,13 @@ def critical_lambda_iterative(model, bisect_tol=1e-6, probe_tol=1e-10, probe_max
 
 
 def certificate_gain_bound(model, lam: float):
-    """(spectral radius, fixed point) of the affine map phi_lam(K, .) for the
-    certificate's gain K = -A V_u (C V_u)^+.
+    """(spectral radius, fixed point, condition number) of the affine map
+    phi_lam(K, .) for the certificate's gain K = -A V_u (C V_u)^+.
 
     The linear part (1 - lam) A X A^T + lam F X F^T with F = A + K C is
     formed as a Kronecker matrix, and the fixed point X_K, which
-    upper-bounds V-bar when the radius is below 1, is one dense solve.
+    upper-bounds V-bar when the radius is below 1, is one dense solve; the
+    condition number of that solve comes back too.
     """
     mu, v = np.linalg.eig(model.A)
     vu = v[:, np.abs(mu) >= 1.0 - CRITICAL_MARGIN]
@@ -139,5 +154,6 @@ def certificate_gain_bound(model, lam: float):
     linear = (1.0 - lam) * np.kron(model.A, model.A) + lam * np.kron(f, f)
     radius = float(np.max(np.abs(np.linalg.eigvals(linear))))
     rhs = (model.Q + lam * gain @ model.R @ gain.T).reshape(-1)
-    fixed = np.linalg.solve(np.eye(model.m * model.m) - linear, rhs).reshape(model.m, model.m)
-    return radius, fixed
+    system = np.eye(model.m * model.m) - linear
+    fixed = np.linalg.solve(system, rhs).reshape(model.m, model.m)
+    return radius, fixed, float(np.linalg.cond(system))

@@ -213,20 +213,23 @@ class TestErrorPaths:
         assert f"line {at + 2}: duplicate channel row (x=0, s=0)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "model, p0, message",
+        "command, key, value",
         [
-            (None, [[1.0, 2.0], [3.0, 4.0]], "P0 must be 1x1"),
-            ({"A": [[1.05, 0.2], [0.0, 0.9]], "C": [[1.0, 0.0]], "Q": [[0.1, 0.0], [0.0, 0.1]],
-              "R": [[0.5]]}, [[1.0]], "P0 must be 2x2"),
-            (None, [[-1.0]], "positive semidefinite"),
+            ("bayes", "bayes", 3),
+            ("riccati", "distortion_budgets", 2.0),
+            ("riccati", "model", 5),
+            ("riccati", "model", {"A": [[-1.15]], "C": [[1.0]], "Q": [[0.2]], "R": {"r": 1.5}}),
+            ("riccati", "model", {"A": [[{}]], "C": [[1.0]], "Q": [[0.2]], "R": [[1.5]]}),
+            ("rd-curve", "channel", "x"),
+            ("filter-sim", "policy", 3),
+            ("mc-verify", "horizon", [5]),
+            ("riccati", "seed", [1]),
         ],
     )
-    def test_fixed_point_p0_checked(self, tmp_path, capsys, model, p0, message):
-        overrides = {"fixed_point_p0": p0} if model is None else {"fixed_point_p0": p0, "model": model}
-        cfg = write_config(tmp_path / "cfg.json", **overrides)
-        assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert "fixed_point_p0" in err and message in err
+    def test_wrong_value_type_names_key(self, tmp_path, capsys, command, key, value):
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=toy_model_path(), **{key: value})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config key '{key}' must" in capsys.readouterr().err
 
     def test_bayes_missing_model_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", discrete_model=str(tmp_path / "ghost.txt"))
@@ -284,6 +287,7 @@ class TestUnknownKeys:
         cfg = write_config(
             tmp_path / "cfg.json",
             fixed_point_po=[[1.0]],
+            fixed_point_p0=[[1.0]],
             dominance_grid_point=10,
             discrete_model=toy_model_path(),
             bayes={"n": 1, "budget": [0.4]},
@@ -291,13 +295,13 @@ class TestUnknownKeys:
         for command in ("riccati", "bayes"):
             assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
             err = capsys.readouterr().err
-            for key in ("fixed_point_po", "dominance_grid_point", "bayes.budget"):
+            # fixed_point_p0 is no longer read: fixed points do not depend on a start
+            for key in ("fixed_point_po", "fixed_point_p0", "dominance_grid_point", "bayes.budget"):
                 assert f"unknown config key '{key}'" in err
 
     def test_known_keys_do_not_warn(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
-            fixed_point_p0=[[1.0]],
             dominance_grid_points=10,
             out_dir=str(tmp_path / "o"),
             discrete_model=toy_model_path(),
