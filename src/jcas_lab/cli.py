@@ -82,13 +82,20 @@ PRESET_SNRS_DB = (1.75, 20.0)
 #: largest start/stop/count grid, checked before the grid is allocated
 MAX_GRID_POINTS = 100_000
 
-#: config keys some subcommand reads; anything else draws a warning
+GRID_KEYS = {"start", "stop", "count", "spacing"}
+#: config keys some subcommand reads, each with the keys read inside it when
+#: it is an object; anything else draws a warning
 KNOWN_KEYS = {
-    "model", "channel", "policy", "seed", "out_dir", "lambda_grid", "gamma_grid",
-    "distortion_budgets", "dominance_grid_points", "mc_lambdas",
-    "horizon", "trials", "s0_estimate", "p0", "discrete_model", "bayes",
+    "model": {"A", "C", "Q", "R"},
+    "channel": {"kind", "c0", "snr_db"},
+    "policy": {"kind", "value"},
+    "bayes": {"n", "grid_resolution", "budgets", "trace_len"},
+    "lambda_grid": GRID_KEYS,
+    "gamma_grid": GRID_KEYS,
+    "mc_lambdas": GRID_KEYS,
+    **dict.fromkeys(("seed", "out_dir", "distortion_budgets", "dominance_grid_points", "horizon",
+                     "trials", "s0_estimate", "p0", "discrete_model"), set()),
 }
-KNOWN_BAYES_KEYS = {"n", "grid_resolution", "budgets", "trace_len"}
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +115,10 @@ def load_config(path) -> dict:
         ) from exc
     if not isinstance(cfg, dict):
         raise SchemaError("config must be a JSON object")
-    unknown = sorted(set(cfg) - KNOWN_KEYS)
-    if isinstance(cfg.get("bayes"), dict):
-        unknown += sorted(f"bayes.{k}" for k in set(cfg["bayes"]) - KNOWN_BAYES_KEYS)
+    unknown = sorted(cfg.keys() - KNOWN_KEYS.keys())
+    for section, known in KNOWN_KEYS.items():
+        if isinstance(cfg.get(section), dict):
+            unknown += sorted(f"{section}.{k}" for k in set(cfg[section]) - known)
     for key in unknown:
         print(f"warning: {path}: unknown config key '{key}' is ignored", file=sys.stderr)
     return cfg
@@ -134,11 +142,23 @@ def require(cfg: dict, key: str, *kinds: str):
     return expect(key, cfg[key], *kinds) if kinds else cfg[key]
 
 
+def check_entries(key: str, value) -> None:
+    """SchemaError naming the key unless every entry of value is a finite number."""
+    if isinstance(value, list):
+        for entry in value:
+            check_entries(key, entry)
+        return
+    number = expect(key, value, "number")
+    if not abs(number) <= sys.float_info.max:  # also NaN and ints past the float range
+        raise SchemaError(f"config key '{key}' must hold finite numbers, got {json.dumps(number)}")
+
+
 def parse_model(cfg: dict) -> GaussMarkovModel:
     spec = require(cfg, "model", "object")
     for key in ("A", "C", "Q", "R"):
         if key not in spec:
             raise SchemaError(f"config model missing matrix '{key}'")
+        check_entries(f"model.{key}", spec[key])
     try:
         model = GaussMarkovModel(A=spec["A"], C=spec["C"], Q=spec["Q"], R=spec["R"])
     except TypeError as exc:
@@ -421,6 +441,10 @@ def cmd_filter_sim(args) -> int:
 
     traj = run_filter(model, policy, horizon, s0, p0, seed)
     write_trajectory_csv(traj, out / "trajectory.csv", comment=head)
+    lost = traj.precision_loss_index()
+    if lost is not None:
+        print(f"warning: filter-sim: from index {lost} on, |s_i| >> sqrt(tr P_i), so the written "
+              "s_i - shat_i and d_i keep under 6 significant digits (d_i may read 0)", file=sys.stderr)
     print(
         f"filter-sim: horizon={horizon} block_distortion={traj.block_distortion()!r}; "
         f"wrote trajectory.csv to {out}"

@@ -23,6 +23,26 @@ Conventions
   then the whole process-noise block, then the whole measurement-noise
   block (measurement noise is drawn even for erased steps so the stream
   layout does not depend on the arrival pattern).
+
+One recursion
+-------------
+``filter_trials`` is the only filter loop.  It advances every trial of a
+run together, one time step at a time, and yields each step; ``run_filter``
+is that recursion with one trial (trial 0 reads seed XOR 0 = seed) and
+records it, and ``montecarlo.empirical_block_distortion`` keeps only the
+per-letter distortions.  Covariances are held as floats or ``(trials, 1)``
+arrays for scalar models (stepped by the shared ``riccati_kernel``/
+``lyap_kernel``) or as ``(m, m)`` matrices or ``(trials, m, m)`` stacks
+(stepped by ``riccati_step``/``lyapunov_step``), states and estimates as
+``(trials, m)``; ``np.where`` picks each trial's arrival branch.  Under a
+multi-beam policy every trial follows the same covariance and gain path,
+so that path is computed once.  Each trial equals, bit for bit, the
+per-trial loops in ``tests/mc_reference.py`` (one-shot draws, then
+``kalman_step`` or the scalar kernels step by step).
+
+Memory: every draw block is read in time segments of ``SEGMENT`` steps,
+from one saved generator state per block and trial; chunked ``random`` and
+``standard_normal`` calls reproduce the one-shot stream.
 """
 
 from __future__ import annotations
@@ -118,46 +138,19 @@ class Trajectory:
         """Average of the n+1 per-letter distortions."""
         return float(np.mean(self.per_letter_distortions))
 
+    def precision_loss_index(self, rel: float = 1e-6):
+        """First time index whose error s_i - shat_i has lost precision, else None.
 
-def _validate_gammas(gammas) -> np.ndarray:
-    arr = np.asarray(gammas, dtype=float).reshape(-1)
-    if arr.size and (np.isnan(arr).any() or (arr < 1.0).any()):
-        raise ParameterError("every gamma must lie in [1, inf]")
-    return arr
-
-
-def simulate_trajectory(model: GaussMarkovModel, s0, gammas, seed: int):
-    """Sample the truth s_1..s_n and measurements z_i = C s_i + v_i.
-
-    gammas has one entry per step i = 1..n; gamma = infinity records the
-    measurement as absent.  Returns (states, measurements, gammas_full)
-    with sequences aligned on indices 0..n (index 0 carries the given s0,
-    no measurement, gamma = infinity).
-    """
-    gam = _validate_gammas(gammas)
-    n = gam.size
-    s0 = np.asarray(s0, dtype=float).reshape(-1)
-    if s0.size != model.m:
-        raise DimensionError(f"s0 must have length {model.m}, got {s0.size}")
-
-    rng = make_rng(seed)
-    lq = psd_sqrt(model.Q)
-    lr = psd_sqrt(model.R)
-    w = rng.standard_normal((n, model.m)) @ lq.T
-    v = rng.standard_normal((n, model.k)) @ lr.T
-
-    states = np.empty((n + 1, model.m))
-    states[0] = s0
-    measurements: list = [None]
-    for i in range(1, n + 1):
-        states[i] = model.A @ states[i - 1] + w[i - 1]
-        g = gam[i - 1]
-        if math.isinf(g):
-            measurements.append(None)
-        else:
-            measurements.append(model.C @ states[i] + math.sqrt(g) * v[i - 1])
-    gammas_full = np.concatenate([[math.inf], gam])
-    return states, measurements, gammas_full
+        States and estimates are stored raw.  On an unstable model both grow
+        without bound while their difference stays near sqrt(tr P_i), so once
+        the float spacing at max(|s_i|, |shat_i|) exceeds rel * sqrt(tr P_i)
+        the written error keeps fewer than about -log10(rel) digits (and
+        soon rounds to 0).  A step with P_i = 0 has an exact zero error.
+        """
+        scale = np.maximum(np.abs(self.states), np.abs(self.estimates)).max(axis=1)
+        spread = np.sqrt(np.trace(self.covariances, axis1=1, axis2=2))
+        lost = np.flatnonzero((spread > 0) & (np.spacing(scale) > rel * spread))
+        return int(lost[0]) if lost.size else None
 
 
 def kalman_gain(model: GaussMarkovModel, p, gamma: float) -> np.ndarray:
@@ -181,8 +174,7 @@ def kalman_gain(model: GaussMarkovModel, p, gamma: float) -> np.ndarray:
 
 
 def gain_kernel(c: float, r: float, p: float, gamma: float) -> float:
-    """Scalar gain p c / (c p c + gamma r); the shared float kernel of the
-    scalar filter loop and the batched Monte Carlo filter."""
+    """Scalar gain p c / (c p c + gamma r); the float kernel of scalar filters."""
     return (p * c) / ((c * p) * c + gamma * r)
 
 
@@ -250,6 +242,230 @@ def draw_blocks(model: GaussMarkovModel, policy: BeamPolicy) -> list:
     return blocks
 
 
+#: time steps per draw segment
+SEGMENT = 500
+
+
+def _segments(steps: int) -> list:
+    """(start, stop) runs of SEGMENT time steps covering 0..steps-1.
+
+    A one-step tail joins the run before it: a one-row noise segment would
+    be transformed by BLAS gemv instead of the gemm of a one-shot draw, and
+    the two round differently.
+    """
+    bounds = list(range(0, steps, SEGMENT)) + [steps]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class _TrialDraws:
+    """Every trial's draw blocks, served one time segment at a time.
+
+    Trial t reads ``make_rng(seed XOR t)``: ``head`` standard normals, then
+    one block per entry of ``blocks``; ``draw(rng, rows)`` returns ``rows``
+    consecutive time steps of its block.  The constructor walks each
+    trial's stream once, keeping the first segment of every block and the
+    generator state where its second segment starts; ``segments`` reads the
+    later segments from those states into the same buffers, one shared
+    generator swapping them.
+    """
+
+    def __init__(self, seed: int, trials: int, head: int, steps: int, blocks: list):
+        self.spans = _segments(steps)
+        self.blocks = blocks
+        self.head = np.empty((trials, head))
+        self.drawn = [None] * len(blocks)
+        self.states = [[None] * trials for _ in blocks]
+        last = len(blocks) - 1
+        for t in range(trials):
+            rng = make_rng(derive_trial_seed(seed, t))
+            if head:
+                self.head[t] = rng.standard_normal(head)
+            for b, draw in enumerate(blocks):
+                for s, (start, stop) in enumerate(self.spans):
+                    if s == 1:
+                        self.states[b][t] = rng.bit_generator.state
+                        if b == last:
+                            break
+                    values = draw(rng, stop - start)
+                    if s == 0:
+                        self.drawn[b] = _store(self.drawn[b], t, values, trials)
+        self.rng = rng
+
+    def segments(self):
+        """Yield ((start, stop), [per-block (trials, stop - start, ...) draws]).
+
+        The draw arrays are buffers that the next segment overwrites.
+        """
+        drawn = self.drawn
+        yield self.spans[0], drawn
+        bit_generator = self.rng.bit_generator
+        for start, stop in self.spans[1:]:
+            for b, (draw, states) in enumerate(zip(self.blocks, self.states)):
+                for t, state in enumerate(states):
+                    bit_generator.state = state
+                    drawn[b] = _store(drawn[b], t, draw(self.rng, stop - start), len(states))
+                    states[t] = bit_generator.state
+            yield (start, stop), drawn
+
+
+def _store(out, t: int, values: np.ndarray, trials: int) -> np.ndarray:
+    """Put trial t's values into the segment buffer, reallocating on a new shape."""
+    if out is None or out.shape[1:] != values.shape:
+        out = np.empty((trials,) + values.shape, values.dtype)
+    out[t] = values
+    return out
+
+
+def _pick(mask: np.ndarray, x, y, core: int):
+    """Per-trial branch: x where mask, else y (``core`` trailing axes per trial)."""
+    return np.where(mask.reshape((-1,) + (1,) * core), x, y)
+
+
+class _ScalarSteps:
+    """Steps of a scalar model on trial arrays, through the shared kernels.
+
+    A covariance is a length-1 vector per trial, like a state, or a float
+    while every trial shares it.
+    """
+
+    core = 1
+
+    def __init__(self, model: GaussMarkovModel):
+        self.a, self.c, self.q, self.r = model.scalars()
+
+    def initial(self, p0: np.ndarray) -> float:
+        return float(p0[0, 0])
+
+    def predict(self, x):
+        return self.a * x
+
+    def observe(self, x):
+        return self.c * x
+
+    def open_loop(self, p):
+        return lyap_kernel(self.a, self.q, p, 1.0)
+
+    def sense(self, p, g: float):
+        return riccati_kernel(self.a, self.c, self.q, self.r, p, g)
+
+    def gain(self, p, g: float):
+        return gain_kernel(self.c, self.r, p, g)
+
+    def apply(self, gain, innovation):
+        return gain * innovation
+
+    def trace(self, p):
+        return p[..., 0]
+
+
+class _MatrixSteps:
+    """Steps of a matrix model on (trials, m, m) stacks, as in ``kalman_step``."""
+
+    core = 2
+
+    def __init__(self, model: GaussMarkovModel):
+        self.model = model
+
+    def initial(self, p0: np.ndarray) -> np.ndarray:
+        return p0
+
+    def predict(self, x):
+        return (self.model.A @ x[..., None])[..., 0]
+
+    def observe(self, x):
+        return (self.model.C @ x[..., None])[..., 0]
+
+    def open_loop(self, p):
+        return lyapunov_step(self.model, p, 1.0)
+
+    def sense(self, p, g: float):
+        return riccati_step(self.model, p, g)
+
+    def gain(self, p, g: float):
+        return kalman_gain(self.model, p, g)
+
+    def apply(self, gain, innovation):
+        return (gain @ innovation[..., None])[..., 0]
+
+    def trace(self, p):
+        return np.trace(p, axis1=-2, axis2=-1)
+
+
+def _steps(model: GaussMarkovModel):
+    return _ScalarSteps(model) if model.is_scalar else _MatrixSteps(model)
+
+
+def _filter_step(steps, arrived, est, z, p, g: float):
+    """Absorb the measurement z taken with gain g, then predict one step.
+
+    ``arrived`` is a bool shared by every trial or a per-trial mask; an
+    erased measurement leaves the estimate and takes the open-loop
+    covariance step.  Returns the next (estimate, covariance).
+    """
+    if arrived is False:
+        return steps.predict(est), steps.open_loop(p)
+    updated = est + steps.apply(steps.gain(p, g), z - steps.observe(est))
+    p_next = steps.sense(p, g)
+    if arrived is not True:
+        updated = _pick(arrived, updated, est, 1)
+        p_next = _pick(arrived, p_next, steps.open_loop(p), steps.core)
+    return steps.predict(updated), p_next
+
+
+def filter_trials(model, policy, horizon: int, trials: int, seed: int, s0, p0):
+    """Run ``trials`` filtered trajectories together; yield each time step.
+
+    Trial t is the run of seed ``seed XOR t``: its true initial state is
+    drawn from N(s0, P0) and the filter starts from (s0, P0).  At time
+    i = 0..horizon this yields ``(states, estimates, p, arrived, z)``:
+    (trials, m) arrays of s_i and of the causal estimate, the covariance P_i
+    (one value while every trial shares it, else per trial), and the
+    measurement z_i, present where ``arrived`` holds (a bool for every trial
+    or a per-trial mask; False at time 0).  Yielded arrays are never
+    modified afterwards.  The arguments are checked before this returns.
+    """
+    if horizon < 1:
+        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+    s0 = np.asarray(s0, dtype=float).reshape(-1)
+    if s0.size != model.m:
+        raise DimensionError(f"initial estimate must have length {model.m}, got {s0.size}")
+    p0 = check_initial_covariance(model, p0)
+    return _recursion(model, policy, horizon, trials, seed, s0, p0)
+
+
+def _recursion(model, policy, horizon: int, trials: int, seed: int, s0, p0):
+    switching = policy.kind == "switching"
+    draws = _TrialDraws(seed, trials, model.m, horizon, draw_blocks(model, policy))
+    g = 1.0 if switching else policy.value
+    noise_gain = math.sqrt(g)
+
+    steps = _steps(model)
+    state = s0 + (psd_sqrt(p0) @ draws.head[..., None])[..., 0]
+    est = s0
+    p = steps.initial(p0)
+    # the measurement of the current time index; none at time 0
+    z, arrived = None, False
+    yield state, est, p, arrived, z
+    for (start, stop), drawn in draws.segments():
+        w, v = drawn[-2:]
+        for j in range(stop - start):
+            est, p = _filter_step(steps, arrived, est, z, p, g)
+            state = steps.predict(state) + w[:, j]
+            if not switching:
+                arrived = not math.isinf(g)
+            elif trials == 1:
+                # a lone trial shares its arrival, which keeps P unbatched
+                arrived = bool(drawn[0][0, j])
+            else:
+                # a copy: the next step reads it after the buffer may be refilled
+                arrived = drawn[0][:, j].copy()
+            if arrived is not False:
+                z = steps.observe(state) + noise_gain * v[:, j]
+            yield state, est, p, arrived, z
+
+
 def run_filter(
     model: GaussMarkovModel,
     policy: BeamPolicy,
@@ -263,102 +479,22 @@ def run_filter(
     The true initial state is drawn from N(s0_estimate, P0), so the filter
     initialization is consistent by construction.  Per-letter distortion at
     time i is the squared Euclidean error of the causal estimate (which
-    uses measurements through i-1; see the module docstring).
+    uses measurements through i-1; see the module docstring).  This is
+    trial 0 of ``filter_trials``, whose seed is ``seed`` itself.
     """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    s0_estimate = np.asarray(s0_estimate, dtype=float).reshape(-1)
-    if s0_estimate.size != model.m:
-        raise DimensionError(
-            f"s0_estimate must have length {model.m}, got {s0_estimate.size}"
-        )
-    p0 = check_initial_covariance(model, p0)
+    run = filter_trials(model, policy, horizon, 1, seed, s0_estimate, p0)
+    states = np.empty((horizon + 1, model.m))
+    estimates = np.empty_like(states)
+    covariances = np.empty((horizon + 1, model.m, model.m))
+    measurements = []
+    for i, (state, est, p, arrived, z) in enumerate(run):
+        states[i], estimates[i], covariances[i] = state, est, p
+        measurements.append(z[0] if arrived else None)
 
-    n = horizon
-    rng = make_rng(seed)
-    s_true0 = s0_estimate + psd_sqrt(p0) @ rng.standard_normal(model.m)
-    *arrivals, w, v = [draw(rng, n) for draw in draw_blocks(model, policy)]
-    gam = np.where(arrivals[0], 1.0, math.inf) if arrivals else np.full(n, policy.value)
-
-    if model.is_scalar:
-        return _run_filter_scalar(model, s_true0, gam, w, v, s0_estimate, p0)
-
-    states = np.empty((n + 1, model.m))
-    states[0] = s_true0
-    measurements: list = [None]
-    for i in range(1, n + 1):
-        states[i] = model.A @ states[i - 1] + w[i - 1]
-        g = gam[i - 1]
-        if math.isinf(g):
-            measurements.append(None)
-        else:
-            measurements.append(model.C @ states[i] + math.sqrt(g) * v[i - 1])
-
-    estimates = np.empty((n + 1, model.m))
-    covariances = np.empty((n + 1, model.m, model.m))
-    state = FilterState(s0_estimate, p0, 0, PREDICTED)
-    estimates[0] = state.estimate
-    covariances[0] = state.covariance
-    # step i absorbs the measurement at time i (none at i=0) and predicts i+1
-    for i in range(n):
-        g_i = math.inf if i == 0 else gam[i - 1]
-        state = kalman_step(model, state, measurements[i], g_i)
-        estimates[i + 1] = state.estimate
-        covariances[i + 1] = state.covariance
-
+    gamma = 1.0 if policy.kind == "switching" else policy.value
+    gammas = np.where([z is not None for z in measurements], gamma, math.inf)
     dists = np.sum((states - estimates) ** 2, axis=1)
-    gammas_full = np.concatenate([[math.inf], gam])
-    return Trajectory(states, measurements, gammas_full, estimates, dists, covariances)
-
-
-def _run_filter_scalar(model, s_true0, gam, w, v, s0_estimate, p0) -> Trajectory:
-    """Tight float loop for m = k = 1; same kernels as the matrix path."""
-    a, c, q, r = model.scalars()
-    n = gam.size
-    w1 = w[:, 0]
-    v1 = v[:, 0]
-
-    states = np.empty(n + 1)
-    states[0] = float(s_true0[0])
-    zs = np.zeros(n + 1)
-    present = np.zeros(n + 1, dtype=bool)
-    estimates = np.empty(n + 1)
-    covs = np.empty(n + 1)
-    est = float(s0_estimate[0])
-    cov = float(p0[0, 0])
-    estimates[0] = est
-    covs[0] = cov
-    for i in range(1, n + 1):
-        s_new = a * states[i - 1] + w1[i - 1]
-        states[i] = s_new
-        # advance the filter from time i-1 to i using the measurement at i-1
-        g_prev = gam[i - 2] if i >= 2 else math.inf
-        if math.isinf(g_prev):
-            upd = est
-            cov = lyap_kernel(a, q, cov, 1.0)
-        else:
-            gain = gain_kernel(c, r, cov, g_prev)
-            upd = est + gain * (zs[i - 1] - c * est)
-            cov = riccati_kernel(a, c, q, r, cov, g_prev)
-        est = a * upd
-        estimates[i] = est
-        covs[i] = cov
-        g = gam[i - 1]
-        if not math.isinf(g):
-            zs[i] = c * s_new + math.sqrt(g) * v1[i - 1]
-            present[i] = True
-
-    measurements: list = [np.array([zs[i]]) if present[i] else None for i in range(n + 1)]
-    dists = (states - estimates) ** 2
-    gammas_full = np.concatenate([[math.inf], gam])
-    return Trajectory(
-        states.reshape(-1, 1),
-        measurements,
-        gammas_full,
-        estimates.reshape(-1, 1),
-        dists,
-        covs.reshape(-1, 1, 1),
-    )
+    return Trajectory(states, measurements, gammas, estimates, dists, covariances)
 
 
 def write_trajectory_csv(traj: Trajectory, path, comment: str | None = None) -> None:

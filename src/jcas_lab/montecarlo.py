@@ -10,22 +10,16 @@ finite-horizon lower/upper iterates S_n and V_n started from the same P0.
 averages the per-block distortion, the quantity the steady-state traces are
 supposed to predict.
 
-Both advance every trial together, one time step at a time.  Covariances
-are held as ``(trials, 1)`` arrays for scalar models (stepped by the shared
-``riccati_kernel``/``lyap_kernel``) or ``(trials, m, m)`` stacks (stepped by
-``riccati_step``/``lyapunov_step``), states and estimates as
-``(trials, m)``; ``np.where`` picks each trial's arrival branch.  Under a
-multi-beam policy every trial follows the same covariance and gain path, so
-that path is computed once.
-
-Each result equals, bit for bit, running every trial on its own through the
-same steps (for block distortion: ``run_filter`` per trial), because the
+Both advance every trial together, one time step at a time, on the draw
+segments and step classes of ``filtering``; block distortion runs the
+filter recursion ``filtering.filter_trials`` itself.  Each result equals,
+bit for bit, the per-trial loops in ``tests/mc_reference.py``, because the
 engine keeps these invariants:
 
 * Seeds and draw order: trial t reads ``make_rng(seed XOR t)``.  A
   covariance cell draws ``horizon`` arrival uniforms; a filter run draws
   the initial state, then the switching uniforms, then the process-noise
-  block, then the measurement-noise block, as ``run_filter`` does.
+  block, then the measurement-noise block.
 * Reductions over trials are centered and in fixed order: deviations from
   trial 0 are added sequentially in trial-index order (never in the
   pairwise order of ``np.sum``), so reruns are bit-identical and
@@ -33,11 +27,9 @@ engine keeps these invariants:
 * A trial's block distortion is the mean of its contiguous row of
   per-letter distortions.
 
-Memory: every draw block is read in time segments of ``SEGMENT`` steps,
-from one saved generator state per block and trial; chunked ``random`` and
-``standard_normal`` calls reproduce the one-shot stream.  The block engine
-holds one ``trials x (horizon+1)`` float64 distortion matrix (a covariance
-cell holds the same with ``per_step=True``) plus O(trials x SEGMENT) draws.
+Memory: the block engine holds one ``trials x (horizon+1)`` float64
+distortion matrix (a covariance cell holds the same with ``per_step=True``)
+plus O(trials x SEGMENT) draws.
 """
 
 from __future__ import annotations
@@ -47,22 +39,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
-from .filtering import (
-    derive_trial_seed,
-    draw_blocks,
-    gain_kernel,
-    kalman_gain,
-    make_rng,
-)
-from .riccati import BeamPolicy, critical_lambda, gamma_bs, riccati_kernel, riccati_step
-from .statespace import (
-    GaussMarkovModel,
-    check_initial_covariance,
-    lyap_kernel,
-    lyapunov_step,
-    psd_sqrt,
-)
+from .errors import ParameterError
+from .filtering import _pick, _steps, _TrialDraws, filter_trials
+from .riccati import BeamPolicy, critical_lambda, gamma_bs, iterate_map
+from .statespace import GaussMarkovModel, check_initial_covariance, lyapunov_sequence
 
 VERDICT_WITHIN = "within"
 VERDICT_VIOLATED = "violated"
@@ -146,9 +126,6 @@ def write_per_step_csv(report: McReport, path, comment: str | None = None) -> No
         fh.write("\n".join(lines) + "\n")
 
 
-#: time steps per draw segment
-SEGMENT = 500
-
 #: values per chunk of the centered trial accumulation
 _ACCUMULATE_CHUNK = 1 << 14
 
@@ -167,157 +144,6 @@ def _centered_mean(values: np.ndarray) -> np.ndarray:
         chunk = np.concatenate([acc[None], values[start:start + rows] - ref])
         acc = np.add.accumulate(chunk, axis=0)[-1]
     return ref + acc / len(values)
-
-
-def _segments(steps: int) -> list:
-    """(start, stop) runs of SEGMENT time steps covering 0..steps-1.
-
-    A one-step tail joins the run before it: a one-row noise segment would
-    be transformed by BLAS gemv instead of the gemm of a one-shot draw, and
-    the two round differently.
-    """
-    bounds = list(range(0, steps, SEGMENT)) + [steps]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-class _TrialDraws:
-    """Every trial's draw blocks, served one time segment at a time.
-
-    Trial t reads ``make_rng(seed XOR t)``: ``head`` standard normals, then
-    one block per entry of ``blocks``; ``draw(rng, rows)`` returns ``rows``
-    consecutive time steps of its block.  The constructor walks each
-    trial's stream once, keeping the first segment of every block and the
-    generator state where its second segment starts; ``segments`` reads the
-    later segments from those states into the same buffers, one shared
-    generator swapping them.
-    """
-
-    def __init__(self, seed: int, trials: int, head: int, steps: int, blocks: list):
-        self.spans = _segments(steps)
-        self.blocks = blocks
-        self.head = np.empty((trials, head))
-        self.drawn = [None] * len(blocks)
-        self.states = [[None] * trials for _ in blocks]
-        last = len(blocks) - 1
-        for t in range(trials):
-            rng = make_rng(derive_trial_seed(seed, t))
-            if head:
-                self.head[t] = rng.standard_normal(head)
-            for b, draw in enumerate(blocks):
-                for s, (start, stop) in enumerate(self.spans):
-                    if s == 1:
-                        self.states[b][t] = rng.bit_generator.state
-                        if b == last:
-                            break
-                    values = draw(rng, stop - start)
-                    if s == 0:
-                        self.drawn[b] = _store(self.drawn[b], t, values, trials)
-        self.rng = rng
-
-    def segments(self):
-        """Yield ((start, stop), [per-block (trials, stop - start, ...) draws]).
-
-        The draw arrays are buffers that the next segment overwrites.
-        """
-        drawn = self.drawn
-        yield self.spans[0], drawn
-        bit_generator = self.rng.bit_generator
-        for start, stop in self.spans[1:]:
-            for b, (draw, states) in enumerate(zip(self.blocks, self.states)):
-                for t, state in enumerate(states):
-                    bit_generator.state = state
-                    drawn[b] = _store(drawn[b], t, draw(self.rng, stop - start), len(states))
-                    states[t] = bit_generator.state
-            yield (start, stop), drawn
-
-
-def _store(out, t: int, values: np.ndarray, trials: int) -> np.ndarray:
-    """Put trial t's values into the segment buffer, reallocating on a new shape."""
-    if out is None or out.shape[1:] != values.shape:
-        out = np.empty((trials,) + values.shape, values.dtype)
-    out[t] = values
-    return out
-
-
-def _pick(mask: np.ndarray, x, y, core: int):
-    """Per-trial branch: x where mask, else y (``core`` trailing axes per trial)."""
-    return np.where(mask.reshape((-1,) + (1,) * core), x, y)
-
-
-class _ScalarSteps:
-    """Steps of a scalar model on trial arrays, through the shared kernels.
-
-    A covariance is a length-1 vector per trial, like a state, or a float
-    while every trial shares it.
-    """
-
-    core = 1
-
-    def __init__(self, model: GaussMarkovModel):
-        self.a, self.c, self.q, self.r = model.scalars()
-
-    def initial(self, p0: np.ndarray) -> float:
-        return float(p0[0, 0])
-
-    def predict(self, x):
-        return self.a * x
-
-    def observe(self, x):
-        return self.c * x
-
-    def open_loop(self, p):
-        return lyap_kernel(self.a, self.q, p, 1.0)
-
-    def sense(self, p, g: float):
-        return riccati_kernel(self.a, self.c, self.q, self.r, p, g)
-
-    def gain(self, p, g: float):
-        return gain_kernel(self.c, self.r, p, g)
-
-    def apply(self, gain, innovation):
-        return gain * innovation
-
-    def trace(self, p):
-        return p[..., 0]
-
-
-class _MatrixSteps:
-    """Steps of a matrix model on (trials, m, m) stacks, as in ``kalman_step``."""
-
-    core = 2
-
-    def __init__(self, model: GaussMarkovModel):
-        self.model = model
-
-    def initial(self, p0: np.ndarray) -> np.ndarray:
-        return p0
-
-    def predict(self, x):
-        return (self.model.A @ x[..., None])[..., 0]
-
-    def observe(self, x):
-        return (self.model.C @ x[..., None])[..., 0]
-
-    def open_loop(self, p):
-        return lyapunov_step(self.model, p, 1.0)
-
-    def sense(self, p, g: float):
-        return riccati_step(self.model, p, g)
-
-    def gain(self, p, g: float):
-        return kalman_gain(self.model, p, g)
-
-    def apply(self, gain, innovation):
-        return (gain @ innovation[..., None])[..., 0]
-
-    def trace(self, p):
-        return np.trace(p, axis1=-2, axis2=-1)
-
-
-def _steps(model: GaussMarkovModel):
-    return _ScalarSteps(model) if model.is_scalar else _MatrixSteps(model)
 
 
 def expected_covariance_mc(
@@ -349,11 +175,8 @@ def expected_covariance_mc(
     p0 = model.Q.copy() if p0 is None else check_initial_covariance(model, p0)
 
     # deterministic finite-horizon bounds from the same starting covariance
-    s_seq = [p0]
-    v_seq = [p0]
-    for _ in range(horizon):
-        s_seq.append(lyapunov_step(model, s_seq[-1], 1.0 - lam))
-        v_seq.append(gamma_bs(v_seq[-1], lam, model))
+    s_seq = lyapunov_sequence(model, 1.0 - lam, horizon, p0)
+    v_seq = iterate_map(lambda p: gamma_bs(p, lam, model), p0, horizon)
 
     steps = _steps(model)
     p = steps.initial(p0)
@@ -421,23 +244,6 @@ class BlockDistortionReport:
         return (self.mean - 3.0 * self.std_error, self.mean + 3.0 * self.std_error)
 
 
-def _filter_step(steps, arrived, est, z, p, g: float):
-    """Absorb the measurement z taken with gain g, then predict one step.
-
-    ``arrived`` is a bool shared by every trial or a per-trial mask; an
-    erased measurement leaves the estimate and takes the open-loop
-    covariance step.  Returns the next (estimate, covariance).
-    """
-    if arrived is False:
-        return steps.predict(est), steps.open_loop(p)
-    updated = est + steps.apply(steps.gain(p, g), z - steps.observe(est))
-    p_next = steps.sense(p, g)
-    if arrived is not True:
-        updated = _pick(arrived, updated, est, 1)
-        p_next = _pick(arrived, p_next, steps.open_loop(p), steps.core)
-    return steps.predict(updated), p_next
-
-
 def empirical_block_distortion(
     model: GaussMarkovModel,
     policy: BeamPolicy,
@@ -456,36 +262,10 @@ def empirical_block_distortion(
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    s0 = np.asarray(s0_mean, dtype=float).reshape(-1)
-    if s0.size != model.m:
-        raise DimensionError(f"s0_mean must have length {model.m}, got {s0.size}")
-    p0 = check_initial_covariance(model, s0_cov)
-
-    switching = policy.kind == "switching"
-    draws = _TrialDraws(seed, trials, model.m, horizon, draw_blocks(model, policy))
-    g = 1.0 if switching else policy.value
-    noise_gain = math.sqrt(g)
-
-    steps = _steps(model)
-    state = s0 + (psd_sqrt(p0) @ draws.head[..., None])[..., 0]
-    est = s0
-    p = steps.initial(p0)
+    run = filter_trials(model, policy, horizon, trials, seed, s0_mean, s0_cov)
     dist = np.empty((trials, horizon + 1))
-    dist[:, 0] = np.sum((state - est) ** 2, axis=1)
-    # the measurement of the previous time index; none at time 0
-    z, arrived = None, False
-    for (start, stop), drawn in draws.segments():
-        w, v = drawn[-2:]
-        for j in range(stop - start):
-            est, p = _filter_step(steps, arrived, est, z, p, g)
-            state = steps.predict(state) + w[:, j]
-            # a copy: the next step reads it after the buffer may be refilled
-            arrived = drawn[0][:, j].copy() if switching else not math.isinf(g)
-            if arrived is not False:
-                z = steps.observe(state) + noise_gain * v[:, j]
-            dist[:, start + j + 1] = np.sum((state - est) ** 2, axis=1)
+    for i, (state, est, *_) in enumerate(run):
+        dist[:, i] = np.sum((state - est) ** 2, axis=1)
 
     blocks = np.array([np.mean(row) for row in dist])
     mean = float(_centered_mean(blocks))

@@ -1,7 +1,16 @@
+import hashlib
 import json
+import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import jcas_lab
 from jcas_lab.cli import main
 
 from conftest import toy_model_path
@@ -29,6 +38,22 @@ def write_config(path, **overrides):
 
 def read_dir_bytes(d):
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def unstamped(d):
+    """Every output file's lines, less the stamp line carrying the config hash."""
+    return {
+        name: [line for line in data.decode().splitlines() if "config_hash=" not in line]
+        for name, data in read_dir_bytes(d).items()
+    }
+
+
+#: the benchmark 2x2 model (unstable, one output)
+BENCH_2X2 = {
+    "model": {"A": [[1.05, 0.2], [0.0, 0.9]], "C": [[1.0, 0.0]], "Q": [[0.1, 0.0], [0.0, 0.1]], "R": [[0.5]]},
+    "s0_estimate": [0.0, 0.0],
+    "p0": [[1.0, 0.0], [0.0, 1.0]],
+}
 
 
 class TestSubcommands:
@@ -229,7 +254,27 @@ class TestErrorPaths:
     def test_wrong_value_type_names_key(self, tmp_path, capsys, command, key, value):
         cfg = write_config(tmp_path / "cfg.json", discrete_model=toy_model_path(), **{key: value})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert f"config key '{key}' must" in capsys.readouterr().err
+        # a bad matrix entry names the matrix: 'model.A'
+        assert re.search(rf"config key '{key}(\.[ACQR])?' must", capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "matrix, entry, shown",
+        [
+            ("A", math.nan, "NaN"),
+            ("Q", math.inf, "Infinity"),
+            ("R", 10**400, "1" + "0" * 400),
+            ("A", True, "true"),
+            ("C", "1", '"1"'),
+        ],
+        ids=["nan", "inf", "huge-int", "bool", "string"],
+    )
+    def test_bad_model_entry_names_matrix(self, tmp_path, capsys, matrix, entry, shown):
+        model = {"A": [[-1.15]], "C": [[1.0]], "Q": [[0.2]], "R": [[1.5]]}
+        model[matrix] = [[entry]]
+        cfg = write_config(tmp_path / "cfg.json", model=model)
+        assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config key 'model.{matrix}' must" in err and shown in err
 
     def test_bayes_missing_model_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", discrete_model=str(tmp_path / "ghost.txt"))
@@ -319,14 +364,26 @@ class TestUnknownKeys:
         for run, cfg in (("plain", plain), ("a", typo), ("b", typo)):
             assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
         assert read_dir_bytes(tmp_path / "a") == read_dir_bytes(tmp_path / "b")
+        assert unstamped(tmp_path / "a") == unstamped(tmp_path / "plain")
 
-        def unstamped(run):
-            return {
-                name: [line for line in data.decode().splitlines() if "config_hash=" not in line]
-                for name, data in read_dir_bytes(tmp_path / run).items()
-            }
-
-        assert unstamped("a") == unstamped("plain")
+    def test_unknown_nested_keys_warn(self, tmp_path, capsys):
+        plain = write_config(tmp_path / "plain.json")
+        cfg = json.loads(plain.read_text())
+        cfg["model"]["extra"] = 1
+        cfg["channel"]["snrdb"] = 3.0
+        cfg["policy"]["lam"] = 0.5
+        cfg["lambda_grid"]["step"] = 0.05
+        cfg["gamma_grid"]["spaceing"] = "log"
+        typo = tmp_path / "typo.json"
+        typo.write_text(json.dumps(cfg))
+        for command in ("rd-curve", "filter-sim"):
+            assert main([command, "--config", str(plain), "--out", str(tmp_path / f"plain-{command}")]) == 0
+            assert "warning" not in capsys.readouterr().err
+            assert main([command, "--config", str(typo), "--out", str(tmp_path / command)]) == 0
+            err = capsys.readouterr().err
+            for key in ("model.extra", "channel.snrdb", "policy.lam", "lambda_grid.step", "gamma_grid.spaceing"):
+                assert f"unknown config key '{key}'" in err
+            assert unstamped(tmp_path / command) == unstamped(tmp_path / f"plain-{command}")
 
 
 class TestOutputDirResolution:
@@ -352,3 +409,72 @@ class TestOutputDirResolution:
         assert main(["filter-sim", "--config", str(cfg), "--out", str(out2), "--seed", "7"]) == 0
         assert "seed=7" in (out1 / "trajectory.csv").read_text().split("\n")[0]
         assert read_dir_bytes(out1) == read_dir_bytes(out2)
+
+
+#: sha256 of trajectory.csv as written when run_filter still had its own
+#: matrix and scalar loops; the single batched recursion writes the same bytes
+TRAJECTORY_SHA256 = {
+    "scalar_unstable_switching": "b12cf10a493738b0eea1aadea45160f9492affc55a3c1f26f65139967e17480b",
+    "2x2_switching": "e82b23ca313483686cf30a58cbc3d5dbf14bfdd8ebbe7371c1c32ae7ac66636b",
+    "scalar_unstable_switching_5000": "2aa3f4ad680d35b6806ce2d3eb717ff781acf0e62339520fecc6839d908005e1",
+}
+
+TRAJECTORY_CONFIGS = {
+    "scalar_unstable_switching": dict(horizon=300),
+    "2x2_switching": dict(BENCH_2X2, horizon=300),
+    "scalar_unstable_switching_5000": dict(horizon=5000),
+}
+
+
+class TestFilterSimOutput:
+    @pytest.mark.parametrize("name", ["scalar_unstable_switching", "2x2_switching"])
+    def test_trajectory_bytes_pinned(self, tmp_path, name):
+        cfg = write_config(tmp_path / "cfg.json", **TRAJECTORY_CONFIGS[name])
+        assert main(["filter-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        data = (tmp_path / "o" / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == TRAJECTORY_SHA256[name]
+
+    def test_precision_loss_warns_once(self, tmp_path, capsys):
+        # a = -1.15, lam = 0.7: |s_i| grows like 1.15^i while the error stays O(1)
+        name = "scalar_unstable_switching_5000"
+        cfg = write_config(tmp_path / "cfg.json", **TRAJECTORY_CONFIGS[name])
+        assert main(["filter-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert len(warnings) == 1 and "from index" in warnings[0]
+        index = int(warnings[0].split("from index ")[1].split()[0])
+        assert 50 < index < 500
+        data = (tmp_path / "o" / "trajectory.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == TRAJECTORY_SHA256[name]
+
+    def test_stable_run_does_not_warn(self, tmp_path, capsys):
+        model = {"A": [[-0.95]], "C": [[1.0]], "Q": [[0.2]], "R": [[1.5]]}
+        # P_0 = 0: s_0 = shat_0 exactly, which is no loss of precision
+        cfg = write_config(tmp_path / "cfg.json", model=model, horizon=5000, p0=[[0.0]])
+        assert main(["filter-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """scipy is a test oracle only: no subcommand may import it."""
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        discrete_model=toy_model_path(),
+        bayes={"n": 1, "grid_resolution": 0.1, "budgets": [0.4], "trace_len": 1},
+    )
+    runs = [
+        [command, "--config", str(cfg), "--out", str(tmp_path / command)]
+        for command in ("riccati", "rd-curve", "mc-verify", "filter-sim", "bayes")
+    ] + [["reproduce", fig, "--out", str(tmp_path / fig)] for fig in ("fig3", "fig4")]
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now fails
+        from jcas_lab.cli import main
+        for argv in {runs!r}:
+            assert main(argv) == 0, argv
+        """
+    )
+    src = str(Path(jcas_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

@@ -12,54 +12,93 @@ from jcas_lab.filtering import (
     kalman_step,
     measurement_update,
     run_filter,
-    simulate_trajectory,
     write_trajectory_csv,
 )
 from jcas_lab.riccati import BeamPolicy, mb_fixed_point, riccati_step
 from jcas_lab.statespace import GaussMarkovModel, lyapunov_sequence, lyapunov_step
 
+import mc_reference
 from conftest import random_psd
 
 
-class TestSimulateTrajectory:
+class TestRunFilterTruth:
+    """The simulated truth s_i, independent of the filter."""
+
     def test_zero_process_noise_is_deterministic_decay(self):
         model = GaussMarkovModel.scalar(-0.95, 1.0, 0.0, 1.5)
-        states, _, _ = simulate_trajectory(model, [2.0], [math.inf] * 6, seed=1)
+        traj = run_filter(model, BeamPolicy.multibeam(math.inf), 6, [2.0], [[0.0]], seed=1)
         expected = 2.0 * (-0.95) ** np.arange(7)
-        np.testing.assert_allclose(states[:, 0], expected, atol=1e-12)
+        np.testing.assert_allclose(traj.states[:, 0], expected, atol=1e-12)
 
     def test_repeat_call_identical(self, unstable_model):
-        out1 = simulate_trajectory(unstable_model, [0.3], [1.0, math.inf, 2.0] * 17, seed=99)
-        out2 = simulate_trajectory(unstable_model, [0.3], [1.0, math.inf, 2.0] * 17, seed=99)
-        assert np.array_equal(out1[0], out2[0])
-        for z1, z2 in zip(out1[1], out2[1]):
+        out1 = run_filter(unstable_model, BeamPolicy.switching(0.6), 51, [0.3], [[1.0]], seed=99)
+        out2 = run_filter(unstable_model, BeamPolicy.switching(0.6), 51, [0.3], [[1.0]], seed=99)
+        assert np.array_equal(out1.states, out2.states)
+        for z1, z2 in zip(out1.measurements, out2.measurements):
             assert (z1 is None and z2 is None) or np.array_equal(z1, z2)
 
-    def test_gamma_below_one_rejected(self, unstable_model):
-        with pytest.raises(ParameterError):
-            simulate_trajectory(unstable_model, [0.0], [0.5], seed=0)
-
     def test_erased_steps_have_no_measurement(self, unstable_model):
-        _, measurements, gammas = simulate_trajectory(
-            unstable_model, [0.0], [1.0, math.inf, 1.0], seed=5
-        )
-        assert measurements[0] is None and math.isinf(gammas[0])
-        assert measurements[1] is not None
-        assert measurements[2] is None
-        assert measurements[3] is not None
+        traj = run_filter(unstable_model, BeamPolicy.switching(0.5), 40, [0.0], [[1.0]], seed=5)
+        assert traj.measurements[0] is None and math.isinf(traj.gammas[0])
+        erased = [z is None for z in traj.measurements]
+        assert erased == [math.isinf(g) for g in traj.gammas]
+        assert 5 < sum(erased) < 35
 
     def test_two_step_variance_matches_propagation(self, unstable_model):
         # Var(s_2) = A^2 Q + Q = 0.4645 with s_0 = 0
         n_trials = 10_000
         vals = np.empty(n_trials)
         for t in range(n_trials):
-            states, _, _ = simulate_trajectory(
-                unstable_model, [0.0], [math.inf, math.inf], seed=derive_trial_seed(42, t)
+            traj = run_filter(
+                unstable_model, BeamPolicy.multibeam(math.inf), 2, [0.0], [[0.0]],
+                seed=derive_trial_seed(42, t),
             )
-            vals[t] = states[2, 0]
+            vals[t] = traj.states[2, 0]
         target = (-1.15) ** 2 * 0.2 + 0.2
         se = target * math.sqrt(2.0 / (n_trials - 1))
         assert abs(np.var(vals, ddof=1) - target) < 3 * se
+
+
+#: the benchmark 2x2 model (unstable, one output)
+BENCH_2X2 = GaussMarkovModel(A=[[1.05, 0.2], [0.0, 0.9]], C=[[1.0, 0.0]], Q=0.1 * np.eye(2), R=[[0.5]])
+
+
+class TestRunFilterEqualsReference:
+    """run_filter reproduces the per-trial loops of mc_reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            GaussMarkovModel.scalar(1.15, 1.0, 0.2, 1.5),
+            "unstable_model",
+            "stable_model",
+            BENCH_2X2,
+            "correlated_model",
+        ],
+        ids=["scalar+1.15", "scalar-1.15", "scalar-0.95", "bench2x2", "correlated2x2"],
+    )
+    @pytest.mark.parametrize(
+        "policy",
+        [BeamPolicy.switching(lam) for lam in (0.0, 0.6, 1.0)]
+        + [BeamPolicy.multibeam(g) for g in (1.0, 2.0, math.inf)],
+        ids=lambda p: f"{p.kind}-{p.value}",
+    )
+    def test_fields_equal(self, request, model, policy):
+        if isinstance(model, str):
+            model = request.getfixturevalue(model)
+        s0 = np.linspace(-0.5, 0.5, model.m)
+        p0 = 0.7 * np.eye(model.m)
+        # around the 500-step draw segments: below, at, past, one-step tail
+        for horizon in (1, 2, 499, 500, 501, 1203):
+            traj = run_filter(model, policy, horizon, s0, p0, seed=23 + horizon)
+            ref = mc_reference.filter_trial(model, policy, horizon, s0, p0, 23 + horizon)
+            for field in ("states", "estimates", "covariances", "gammas", "per_letter_distortions"):
+                got, want = getattr(traj, field), getattr(ref, field)
+                assert got.shape == want.shape and np.array_equal(got, want), field
+            assert len(traj.measurements) == horizon + 1
+            for z, z_ref in zip(traj.measurements, ref.measurements):
+                assert (z is None) == (z_ref is None)
+                assert z is None or (z.shape == z_ref.shape and np.array_equal(z, z_ref))
 
 
 class TestKalmanGain:

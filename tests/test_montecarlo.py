@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jcas_lab import montecarlo
+from jcas_lab import filtering
 from jcas_lab.errors import DimensionError, ParameterError
 from jcas_lab.montecarlo import (
     empirical_block_distortion,
@@ -178,7 +178,7 @@ class TestBatchedEqualsPerTrial:
 
     @pytest.fixture
     def short_segments(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "SEGMENT", SHORT_SEGMENT)
+        monkeypatch.setattr(filtering, "SEGMENT", SHORT_SEGMENT)
 
     @pytest.mark.parametrize("model_name", MODELS)
     @pytest.mark.parametrize("lam", [0.0, 0.6, 1.0])
@@ -219,7 +219,7 @@ class TestBatchedEqualsPerTrial:
     @pytest.mark.parametrize("model_name", MODELS)
     def test_default_segment_tail(self, request, model_name):
         model = request.getfixturevalue(model_name)
-        horizon = 2 * montecarlo.SEGMENT + 1
+        horizon = 2 * filtering.SEGMENT + 1
         s0, p0 = np.zeros(model.m), np.eye(model.m)
         policy = BeamPolicy.switching(0.7)
         rep = empirical_block_distortion(model, policy, horizon, 3, 8, s0, p0)
