@@ -35,7 +35,7 @@ from .bayes import (
     sensing_cost,
 )
 from .errors import ConvergenceError, EvidenceError, NumericalError, SchemaError
-from .filtering import run_filter, write_trajectory_csv
+from .filtering import PRECISION_DIGITS, run_filter, write_trajectory_csv
 from .montecarlo import (
     CSV_HEADER,
     expected_covariance_mc,
@@ -444,7 +444,8 @@ def cmd_filter_sim(args) -> int:
     lost = traj.precision_loss_index()
     if lost is not None:
         print(f"warning: filter-sim: from index {lost} on, |s_i| >> sqrt(tr P_i), so the written "
-              "s_i - shat_i and d_i keep under 6 significant digits (d_i may read 0)", file=sys.stderr)
+              f"s_i - shat_i and d_i keep under {PRECISION_DIGITS} significant digits "
+              "(d_i may read 0)", file=sys.stderr)
     print(
         f"filter-sim: horizon={horizon} block_distortion={traj.block_distortion()!r}; "
         f"wrote trajectory.csv to {out}"

@@ -22,7 +22,8 @@ Conventions
   64 bits).  Draw order per run: initial state, then the gamma choices,
   then the whole process-noise block, then the whole measurement-noise
   block (measurement noise is drawn even for erased steps so the stream
-  layout does not depend on the arrival pattern).
+  layout does not depend on the arrival pattern).  A covariance-only run
+  (``covariance_trials``) draws just its ``horizon`` arrival uniforms.
 
 One recursion
 -------------
@@ -30,7 +31,9 @@ One recursion
 run together, one time step at a time, and yields each step; ``run_filter``
 is that recursion with one trial (trial 0 reads seed XOR 0 = seed) and
 records it, and ``montecarlo.empirical_block_distortion`` keeps only the
-per-letter distortions.  Covariances are held as floats or ``(trials, 1)``
+per-letter distortions.  ``covariance_trials`` steps the covariances alone
+on the same draw segments and step classes (``montecarlo``'s covariance
+cells).  Covariances are held as floats or ``(trials, 1)``
 arrays for scalar models (stepped by the shared ``riccati_kernel``/
 ``lyap_kernel``) or as ``(m, m)`` matrices or ``(trials, m, m)`` stacks
 (stepped by ``riccati_step``/``lyapunov_step``), states and estimates as
@@ -68,6 +71,10 @@ PREDICTED = "predicted"
 UPDATED = "updated"
 
 _MASK64 = (1 << 64) - 1
+
+#: significant digits below which ``Trajectory.precision_loss_index`` calls
+#: a written error s_i - shat_i imprecise
+PRECISION_DIGITS = 6
 
 
 def derive_trial_seed(seed: int, trial_index: int) -> int:
@@ -138,17 +145,19 @@ class Trajectory:
         """Average of the n+1 per-letter distortions."""
         return float(np.mean(self.per_letter_distortions))
 
-    def precision_loss_index(self, rel: float = 1e-6):
+    def precision_loss_index(self):
         """First time index whose error s_i - shat_i has lost precision, else None.
 
         States and estimates are stored raw.  On an unstable model both grow
         without bound while their difference stays near sqrt(tr P_i), so once
-        the float spacing at max(|s_i|, |shat_i|) exceeds rel * sqrt(tr P_i)
-        the written error keeps fewer than about -log10(rel) digits (and
-        soon rounds to 0).  A step with P_i = 0 has an exact zero error.
+        the float spacing at max(|s_i|, |shat_i|) exceeds
+        10^-PRECISION_DIGITS * sqrt(tr P_i) the written error keeps fewer
+        than about PRECISION_DIGITS digits (and soon rounds to 0).  A step
+        with P_i = 0 has an exact zero error.
         """
         scale = np.maximum(np.abs(self.states), np.abs(self.estimates)).max(axis=1)
         spread = np.sqrt(np.trace(self.covariances, axis1=1, axis2=2))
+        rel = 10.0 ** -PRECISION_DIGITS
         lost = np.flatnonzero((spread > 0) & (np.spacing(scale) > rel * spread))
         return int(lost[0]) if lost.size else None
 
@@ -178,18 +187,12 @@ def gain_kernel(c: float, r: float, p: float, gamma: float) -> float:
     return (p * c) / ((c * p) * c + gamma * r)
 
 
-def _check_erasure(z, gamma):
-    if (z is None) != math.isinf(gamma):
-        raise ParameterError(
-            "measurement must be absent exactly when gamma is infinite"
-        )
-
-
 def measurement_update(model: GaussMarkovModel, state: FilterState, z, gamma: float) -> FilterState:
     """Absorb the measurement at state.time_index (identity when erased)."""
     if state.phase != PREDICTED:
         raise ParameterError("measurement_update expects a predicted-phase state")
-    _check_erasure(z, gamma)
+    if (z is None) != math.isinf(gamma):
+        raise ParameterError("measurement must be absent exactly when gamma is infinite")
     if z is None:
         return FilterState(state.estimate, state.covariance, state.time_index, UPDATED)
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -356,9 +359,6 @@ class _ScalarSteps:
     def apply(self, gain, innovation):
         return gain * innovation
 
-    def trace(self, p):
-        return p[..., 0]
-
 
 class _MatrixSteps:
     """Steps of a matrix model on (trials, m, m) stacks, as in ``kalman_step``."""
@@ -388,9 +388,6 @@ class _MatrixSteps:
 
     def apply(self, gain, innovation):
         return (gain @ innovation[..., None])[..., 0]
-
-    def trace(self, p):
-        return np.trace(p, axis1=-2, axis2=-1)
 
 
 def _steps(model: GaussMarkovModel):
@@ -464,6 +461,22 @@ def _recursion(model, policy, horizon: int, trials: int, seed: int, s0, p0):
             if arrived is not False:
                 z = steps.observe(state) + noise_gain * v[:, j]
             yield state, est, p, arrived, z
+
+
+def covariance_trials(model, lam: float, horizon: int, trials: int, seed: int, p0):
+    """Every trial's P_i, i = 0..horizon, as (trials, m, m) arrays, from the checked P_0 = p0.
+
+    Trial t (seed XOR t) draws ``horizon`` arrival uniforms; step i senses
+    where its uniform is below lam and takes the open-loop step otherwise.
+    """
+    steps = _steps(model)
+    p = steps.initial(p0)
+    yield np.broadcast_to(p0, (trials, model.m, model.m))
+    draws = _TrialDraws(seed, trials, 0, horizon, [lambda rng, rows: rng.random(rows) < lam])
+    for (start, stop), (arrivals,) in draws.segments():
+        for j in range(stop - start):
+            p = _pick(arrivals[:, j], steps.sense(p, 1.0), steps.open_loop(p), steps.core)
+            yield p.reshape(trials, model.m, model.m)
 
 
 def run_filter(

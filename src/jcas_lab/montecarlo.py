@@ -10,16 +10,14 @@ finite-horizon lower/upper iterates S_n and V_n started from the same P0.
 averages the per-block distortion, the quantity the steady-state traces are
 supposed to predict.
 
-Both advance every trial together, one time step at a time, on the draw
-segments and step classes of ``filtering``; block distortion runs the
-filter recursion ``filtering.filter_trials`` itself.  Each result equals,
-bit for bit, the per-trial loops in ``tests/mc_reference.py``, because the
-engine keeps these invariants:
+Both advance every trial together, one time step at a time, through
+``filtering``, which owns the draws: a covariance cell runs
+``filtering.covariance_trials`` and block distortion runs the filter
+recursion ``filtering.filter_trials``.  Each result equals, bit for bit,
+the per-trial loops in ``tests/mc_reference.py``, because:
 
-* Seeds and draw order: trial t reads ``make_rng(seed XOR t)``.  A
-  covariance cell draws ``horizon`` arrival uniforms; a filter run draws
-  the initial state, then the switching uniforms, then the process-noise
-  block, then the measurement-noise block.
+* Seeds and draw order: trial t reads ``make_rng(seed XOR t)`` in the
+  order the ``filtering`` module docstring gives.
 * Reductions over trials are centered and in fixed order: deviations from
   trial 0 are added sequentially in trial-index order (never in the
   pairwise order of ``np.sum``), so reruns are bit-identical and
@@ -40,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .filtering import _pick, _steps, _TrialDraws, filter_trials
+from .filtering import covariance_trials, filter_trials
 from .riccati import BeamPolicy, critical_lambda, gamma_bs, iterate_map
 from .statespace import GaussMarkovModel, check_initial_covariance, lyapunov_sequence
 
@@ -178,19 +176,12 @@ def expected_covariance_mc(
     s_seq = lyapunov_sequence(model, 1.0 - lam, horizon, p0)
     v_seq = iterate_map(lambda p: gamma_bs(p, lam, model), p0, horizon)
 
-    steps = _steps(model)
-    p = steps.initial(p0)
     track = np.empty((trials, horizon + 1)) if per_step else None
-    if per_step:
-        track[:, 0] = float(np.trace(p0))
-    draws = _TrialDraws(seed, trials, 0, horizon, [lambda rng, rows: rng.random(rows) < lam])
-    for (start, stop), (arrivals,) in draws.segments():
-        for j in range(stop - start):
-            p = _pick(arrivals[:, j], steps.sense(p, 1.0), steps.open_loop(p), steps.core)
-            if per_step:
-                track[:, start + j + 1] = steps.trace(p)
+    for i, p in enumerate(covariance_trials(model, lam, horizon, trials, seed, p0)):
+        if per_step:
+            track[:, i] = np.trace(p, axis1=1, axis2=2)
 
-    traces = steps.trace(p)
+    traces = np.trace(p, axis1=1, axis2=2)
     if trials > 1:
         std_error = float(np.std(traces, ddof=1) / math.sqrt(trials))
         infinite_band = False
@@ -198,7 +189,7 @@ def expected_covariance_mc(
         std_error = math.inf
         infinite_band = True
 
-    emp = float(steps.trace(_centered_mean(p)))
+    emp = float(np.trace(_centered_mean(p)))
     s_trace = float(np.trace(s_seq[-1]))
     v_trace = float(np.trace(v_seq[-1]))
     within = (s_trace - 3.0 * std_error) <= emp <= (v_trace + 3.0 * std_error)

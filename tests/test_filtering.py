@@ -38,10 +38,16 @@ class TestRunFilterTruth:
             assert (z1 is None and z2 is None) or np.array_equal(z1, z2)
 
     def test_erased_steps_have_no_measurement(self, unstable_model):
+        never = run_filter(unstable_model, BeamPolicy.multibeam(math.inf), 40, [0.0], [[1.0]], seed=5)
+        always = run_filter(unstable_model, BeamPolicy.multibeam(1.0), 40, [0.0], [[1.0]], seed=5)
+        assert all(z is None for z in never.measurements)
+        assert always.measurements[0] is None
+        assert all(z is not None for z in always.measurements[1:])
+        # a switching run predicts without an update exactly where it records no measurement
         traj = run_filter(unstable_model, BeamPolicy.switching(0.5), 40, [0.0], [[1.0]], seed=5)
-        assert traj.measurements[0] is None and math.isinf(traj.gammas[0])
-        erased = [z is None for z in traj.measurements]
-        assert erased == [math.isinf(g) for g in traj.gammas]
+        est = traj.estimates[:, 0]
+        erased = [z is None for z in traj.measurements[:-1]]
+        assert erased == list(est[1:] == -1.15 * est[:-1])
         assert 5 < sum(erased) < 35
 
     def test_two_step_variance_matches_propagation(self, unstable_model):
