@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bayes import (
+    MAX_STEPS_EXACT,
     Belief,
     belief_predict,
     belief_update,
@@ -81,6 +82,10 @@ PRESET_SNRS_DB = (1.75, 20.0)
 
 #: largest start/stop/count grid, checked before the grid is allocated
 MAX_GRID_POINTS = 100_000
+
+#: largest horizon and trial count a run accepts
+MAX_HORIZON = 1_000_000
+MAX_TRIALS = 1_000_000
 
 GRID_KEYS = {"start", "stop", "count", "spacing"}
 #: config keys some subcommand reads, each with the keys read inside it when
@@ -142,6 +147,18 @@ def require(cfg: dict, key: str, *kinds: str):
     return expect(key, cfg[key], *kinds) if kinds else cfg[key]
 
 
+def integer(key: str, value, lo: int, hi: int) -> int:
+    """value as an int in [lo, hi], an integral float such as 21.0 included;
+    SchemaError naming the key otherwise (bools and non-finite numbers too)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"config key '{key}' must be an integer, got {json.dumps(value)}")
+    if not lo <= value <= hi:
+        raise SchemaError(f"config key '{key}' must lie in [{lo}, {hi}], got {value}")
+    return value
+
+
 def check_entries(key: str, value) -> None:
     """SchemaError naming the key unless every entry of value is a finite number."""
     if isinstance(value, list):
@@ -197,13 +214,7 @@ def parse_grid(spec, name: str) -> np.ndarray:
         for key in ("start", "stop", "count"):
             if key not in spec:
                 raise SchemaError(f"{name}: grid spec needs start/stop/count")
-        count = spec["count"]
-        if isinstance(count, float) and count.is_integer():
-            count = int(count)
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise SchemaError(f"{name}: grid count must be an integer, got {count!r}")
-        if not 1 <= count <= MAX_GRID_POINTS:
-            raise SchemaError(f"{name}: grid count must lie in [1, {MAX_GRID_POINTS}], got {count}")
+        count = integer(f"{name}.count", spec["count"], 1, MAX_GRID_POINTS)
         start = float(expect(f"{name}.start", spec["start"], "number"))
         stop = float(expect(f"{name}.stop", spec["stop"], "number"))
         if spec.get("spacing", "linear") == "log":
@@ -235,7 +246,7 @@ def resolve_seed(args, cfg: dict | None) -> int:
     if args.seed is not None:
         return args.seed
     if cfg is not None and "seed" in cfg:
-        return int(expect("seed", cfg["seed"], "number"))
+        return integer("seed", cfg["seed"], 0, 2**64 - 1)
     raise SchemaError("seed required: set 'seed' in the config or pass --seed")
 
 
@@ -381,8 +392,8 @@ def cmd_rd_curve(args) -> int:
         mb = mb_curve(model, channel, gam_grid)
         write_curve_csv(mb, out / "mb_curve.csv", comment=head, bits=args.bits)
         written.append("mb_curve.csv")
-        n_points = int(
-            expect("dominance_grid_points", cfg.get("dominance_grid_points", 60), "number")
+        n_points = integer(
+            "dominance_grid_points", cfg.get("dominance_grid_points", 60), 1, MAX_GRID_POINTS
         )
         pattern = "dominance_mb_vs_bs_{}.csv"
         reports = _write_dominance(mb, inner, outer, n_points, head, out, pattern)
@@ -398,8 +409,8 @@ def cmd_mc_verify(args) -> int:
     seed = resolve_seed(args, cfg)
     out = resolve_out_dir(args, cfg)
     lams = [float(x) for x in parse_grid(require(cfg, "mc_lambdas"), "mc_lambdas")]
-    horizon = int(require(cfg, "horizon", "number"))
-    trials = int(require(cfg, "trials", "number"))
+    horizon = integer("horizon", require(cfg, "horizon"), 1, MAX_HORIZON)
+    trials = integer("trials", require(cfg, "trials"), 1, MAX_TRIALS)
     head = stamp("mc-verify", cfg, seed, f"model=[{model.describe()}]")
 
     lam_c = critical_lambda(model, bisect_tol=1e-3)
@@ -434,7 +445,7 @@ def cmd_filter_sim(args) -> int:
     seed = resolve_seed(args, cfg)
     out = resolve_out_dir(args, cfg)
     policy = parse_policy(cfg)
-    horizon = int(require(cfg, "horizon", "number"))
+    horizon = integer("horizon", require(cfg, "horizon"), 1, MAX_HORIZON)
     s0 = np.asarray(require(cfg, "s0_estimate", "list", "number"), dtype=float)
     p0 = np.asarray(require(cfg, "p0", "list", "number"), dtype=float)
     head = stamp("filter-sim", cfg, seed, f"model=[{model.describe()}]")
@@ -462,7 +473,7 @@ def cmd_bayes(args) -> int:
         raise SchemaError(f"discrete_model file does not exist: {model_path}")
     model = load_discrete_model(model_path)
     bayes_cfg = expect("bayes", cfg.get("bayes", {}), "object")
-    n = int(expect("bayes.n", bayes_cfg.get("n", 1), "number"))
+    n = integer("bayes.n", bayes_cfg.get("n", 1), 1, MAX_STEPS_EXACT)
     resolution = float(
         expect("bayes.grid_resolution", bayes_cfg.get("grid_resolution", 0.05), "number")
     )
@@ -470,7 +481,7 @@ def cmd_bayes(args) -> int:
         float(expect("bayes.budgets", d, "number"))
         for d in expect("bayes.budgets", bayes_cfg.get("budgets", []), "list")
     ]
-    trace_len = int(expect("bayes.trace_len", bayes_cfg.get("trace_len", 2), "number"))
+    trace_len = integer("bayes.trace_len", bayes_cfg.get("trace_len", 2), 0, MAX_STEPS_EXACT)
     head = stamp("bayes", cfg, seed, f"discrete_model={model_path}")
 
     # recursive posterior along every short trace, checked against the
@@ -693,10 +704,8 @@ TAIL_SHOWN = 5
 
 
 def error_details(exc) -> list:
-    """The residual, last step sizes or condition number an error carries."""
+    """The last step sizes or condition number an error carries."""
     lines = []
-    if getattr(exc, "residual", None) is not None:
-        lines.append(f"residual: {exc.residual!r}")
     tail = getattr(exc, "trace_tail", None)
     if tail:
         shown = ", ".join(repr(float(x)) for x in tail[-TAIL_SHOWN:])

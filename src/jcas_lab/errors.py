@@ -12,9 +12,8 @@ class ParameterError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iteration hit its cap without converging or diverging cleanly."""
 
-    def __init__(self, message, residual=None, trace_tail=None):
+    def __init__(self, message, trace_tail=None):
         super().__init__(message)
-        self.residual = residual
         self.trace_tail = list(trace_tail) if trace_tail is not None else []
 
 

@@ -33,11 +33,11 @@ is that recursion with one trial (trial 0 reads seed XOR 0 = seed) and
 records it, and ``montecarlo.empirical_block_distortion`` keeps only the
 per-letter distortions.  ``covariance_trials`` steps the covariances alone
 on the same draw segments and step classes (``montecarlo``'s covariance
-cells).  Covariances are held as floats or ``(trials, 1)``
-arrays for scalar models (stepped by the shared ``riccati_kernel``/
-``lyap_kernel``) or as ``(m, m)`` matrices or ``(trials, m, m)`` stacks
-(stepped by ``riccati_step``/``lyapunov_step``), states and estimates as
-``(trials, m)``; ``np.where`` picks each trial's arrival branch.  Under a
+cells).  Covariances are held as floats or ``(trials, 1)`` arrays for
+scalar models or as ``(m, m)`` matrices or ``(trials, m, m)`` stacks,
+states and estimates as ``(trials, m)``; ``np.where`` picks each trial's
+arrival branch.  A sensing step takes its gain and next covariance from one
+``riccati.innovation_kernel`` or ``riccati.innovation`` call.  Under a
 multi-beam policy every trial follows the same covariance and gain path,
 so that path is computed once.  Each trial equals, bit for bit, the
 per-trial loops in ``tests/mc_reference.py`` (one-shot draws, then
@@ -55,8 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError
-from .riccati import BeamPolicy, riccati_kernel, riccati_step
+from .errors import DimensionError, ParameterError
+from .riccati import BeamPolicy, innovation, innovation_kernel, riccati_step
 from .statespace import (
     GaussMarkovModel,
     as_matrix,
@@ -172,19 +172,7 @@ def kalman_gain(model: GaussMarkovModel, p, gamma: float) -> np.ndarray:
         raise DimensionError(f"P must be {model.m}x{model.m}, got {p.shape}")
     if math.isinf(gamma):
         return np.zeros(p.shape[:-2] + (model.m, model.k))
-    innov = model.C @ p @ model.C.T + gamma * model.R
-    try:
-        return np.linalg.solve(innov, model.C @ p).swapaxes(-1, -2)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"innovation covariance is singular: {exc}",
-            condition=float(np.max(np.linalg.cond(innov))),
-        ) from exc
-
-
-def gain_kernel(c: float, r: float, p: float, gamma: float) -> float:
-    """Scalar gain p c / (c p c + gamma r); the float kernel of scalar filters."""
-    return (p * c) / ((c * p) * c + gamma * r)
+    return innovation(model, p, gamma)[0]
 
 
 def measurement_update(model: GaussMarkovModel, state: FilterState, z, gamma: float) -> FilterState:
@@ -330,7 +318,8 @@ class _ScalarSteps:
     """Steps of a scalar model on trial arrays, through the shared kernels.
 
     A covariance is a length-1 vector per trial, like a state, or a float
-    while every trial shares it.
+    while every trial shares it.  ``sense`` returns the gain and the next
+    covariance of one innovation computation, in both step classes.
     """
 
     core = 1
@@ -351,13 +340,10 @@ class _ScalarSteps:
         return lyap_kernel(self.a, self.q, p, 1.0)
 
     def sense(self, p, g: float):
-        return riccati_kernel(self.a, self.c, self.q, self.r, p, g)
+        return innovation_kernel(self.a, self.c, self.q, self.r, p, g, 1.0)
 
-    def gain(self, p, g: float):
-        return gain_kernel(self.c, self.r, p, g)
-
-    def apply(self, gain, innovation):
-        return gain * innovation
+    def apply(self, gain, residual):
+        return gain * residual
 
 
 class _MatrixSteps:
@@ -381,13 +367,10 @@ class _MatrixSteps:
         return lyapunov_step(self.model, p, 1.0)
 
     def sense(self, p, g: float):
-        return riccati_step(self.model, p, g)
+        return innovation(self.model, p, g)
 
-    def gain(self, p, g: float):
-        return kalman_gain(self.model, p, g)
-
-    def apply(self, gain, innovation):
-        return (gain @ innovation[..., None])[..., 0]
+    def apply(self, gain, residual):
+        return (gain @ residual[..., None])[..., 0]
 
 
 def _steps(model: GaussMarkovModel):
@@ -403,8 +386,8 @@ def _filter_step(steps, arrived, est, z, p, g: float):
     """
     if arrived is False:
         return steps.predict(est), steps.open_loop(p)
-    updated = est + steps.apply(steps.gain(p, g), z - steps.observe(est))
-    p_next = steps.sense(p, g)
+    gain, p_next = steps.sense(p, g)
+    updated = est + steps.apply(gain, z - steps.observe(est))
     if arrived is not True:
         updated = _pick(arrived, updated, est, 1)
         p_next = _pick(arrived, p_next, steps.open_loop(p), steps.core)
@@ -475,7 +458,7 @@ def covariance_trials(model, lam: float, horizon: int, trials: int, seed: int, p
     draws = _TrialDraws(seed, trials, 0, horizon, [lambda rng, rows: rng.random(rows) < lam])
     for (start, stop), (arrivals,) in draws.segments():
         for j in range(stop - start):
-            p = _pick(arrivals[:, j], steps.sense(p, 1.0), steps.open_loop(p), steps.core)
+            p = _pick(arrivals[:, j], steps.sense(p, 1.0)[1], steps.open_loop(p), steps.core)
             yield p.reshape(trials, model.m, model.m)
 
 

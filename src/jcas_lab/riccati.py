@@ -9,8 +9,9 @@ Two one-step covariance maps drive everything here:
   whose fixed point is the steady-state covariance when every measurement
   arrives with noise inflated by gamma.
 
-Both share one innovation-correction helper; for matrix models
-``riccati_step`` also advances a stack (n, m, m) of covariances.
+Every gain and correction, here and in the Kalman filter, comes from one
+solve of the innovation covariance S = C P C^T + gamma R:
+``_solve_innovation`` (matrix models) or ``innovation_kernel`` (scalar).
 
 Fixed points are solved, not iterated.  Once a gain K is fixed, the map
 phi_{lam,gamma}(K, X) = (1 - lam) A X A^T + lam (A + K C) X (A + K C)^T
@@ -120,40 +121,51 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-def riccati_kernel(a: float, c: float, q: float, r: float, p: float, gamma: float) -> float:
-    """Scalar one-step covariance update with measurement gain gamma.
+def innovation_kernel(a: float, c: float, q: float, r: float, p: float, gamma: float, lam: float):
+    """Scalar ``innovation``: (p c / s, a p a + q - lam (a p c)(c p a) / s).
 
-    Single shared expression; the vectorized Monte Carlo recursion and the
-    boxed matrix path reuse it so their results agree bit for bit.
+    s = c p c + gamma r is computed once.  Every scalar step reads this one
+    expression, so they agree bit for bit; p may be an array of trials.
     """
     s = (c * p) * c + gamma * r
-    return (a * p) * a + q - ((a * p) * c) * (((c * p) * a) / s)
+    return (p * c) / s, (a * p) * a + q - lam * (((a * p) * c) * (((c * p) * a) / s))
+
+
+def riccati_kernel(a: float, c: float, q: float, r: float, p: float, gamma: float) -> float:
+    """Scalar one-step covariance update with measurement gain gamma."""
+    return innovation_kernel(a, c, q, r, p, gamma, 1.0)[1]
 
 
 def bs_kernel(a: float, c: float, q: float, r: float, p: float, lam: float) -> float:
     """Scalar erasure-averaged covariance step (sensing probability lam)."""
-    s = (c * p) * c + r
-    return (a * p) * a + q - lam * (((a * p) * c) * (((c * p) * a) / s))
+    return innovation_kernel(a, c, q, r, p, 1.0, lam)[1]
 
 
-def _corrected_step(model: GaussMarkovModel, p: np.ndarray, gamma, lam) -> np.ndarray:
-    """A P A^T + Q - lam * A P C^T (C P C^T + gamma R)^{-1} C P A^T, re-symmetrized.
+def _solve_innovation(model: GaussMarkovModel, p: np.ndarray, gamma):
+    """(S^{-1} C P, S^{-1} C P A^T) from the one solve of S = C P C^T + gamma R.
 
-    The innovation correction shared by riccati_step (lam = 1) and gamma_bs
-    (gamma = 1); multiplying by 1.0 is exact, so both keep their bits.  p
-    may be a stack (n, m, m).
+    p may be a stack (n, m, m), gamma an array broadcasting against it.  A
+    singular S raises NumericalError carrying its condition number.
     """
-    ap = model.A @ p
     cp = model.C @ p
     innov = cp @ model.C.T + gamma * model.R
     try:
-        x = np.linalg.solve(innov, cp @ model.A.T)
+        x = np.linalg.solve(innov, np.concatenate((cp, cp @ model.A.T), axis=-1))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"innovation covariance is singular: {exc}",
             condition=float(np.max(np.linalg.cond(innov))),
         ) from exc
-    return symmetrize(ap @ model.A.T + model.Q - lam * ((ap @ model.C.T) @ x))
+    return x[..., : model.m], x[..., model.m :]
+
+
+def innovation(model: GaussMarkovModel, p: np.ndarray, gamma, lam=1.0):
+    """(K, P') of one ``_solve_innovation``: the filter gain K = P C^T S^{-1}
+    and P' = A P A^T + Q - lam A P C^T S^{-1} C P A^T, re-symmetrized."""
+    gain, corr = _solve_innovation(model, p, gamma)
+    ap = model.A @ p
+    p_next = symmetrize(ap @ model.A.T + model.Q - lam * ((ap @ model.C.T) @ corr))
+    return gain.swapaxes(-1, -2), p_next
 
 
 def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:
@@ -168,25 +180,23 @@ def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:
     if model.is_scalar:
         a, c, q, r = model.scalars()
         return np.array([[riccati_kernel(a, c, q, r, float(p[0, 0]), gamma)]])
-    return _corrected_step(model, p, gamma, 1.0)
+    return innovation(model, p, gamma)[1]
 
 
 def gamma_bs(p: np.ndarray, lam, model: GaussMarkovModel) -> np.ndarray:
     """One application of the beam-switching expected-covariance map.
 
-    lam = 0 takes the open-loop branch and lam = 1 the full-measurement
-    Riccati branch, so the endpoints coincide exactly with those steps.
+    lam = 0 takes the open-loop step, and at lam = 1 the factor 1.0 is exact,
+    so the endpoints coincide bit for bit with the Lyapunov and Riccati steps.
     """
     _check_lam(lam)
     p = as_matrix(p, "P")
     if lam == 0.0:
         return lyapunov_step(model, p, 1.0)
-    if lam == 1.0:
-        return riccati_step(model, p, 1.0)
     if model.is_scalar:
         a, c, q, r = model.scalars()
         return np.array([[bs_kernel(a, c, q, r, float(p[0, 0]), lam)]])
-    return _corrected_step(model, p, 1.0, lam)
+    return innovation(model, p, 1.0, lam)[1]
 
 
 def gamma_mb(p: np.ndarray, gamma: float, model: GaussMarkovModel) -> np.ndarray:
@@ -334,10 +344,11 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
     it equals the beam-switching map (gamma = 1) or the multi-beam map
     (lam = 1).  Hewer's policy iteration (IEEE TAC 1971) alternates the two
     steps: the affine fixed point for the current gains, one batched
-    Kronecker solve over the grid, then the gain update.  From a gain whose
-    affine map contracts, the iterates decrease monotonically to the fixed
-    point, quadratically near it, so a member stops at its first step whose
-    trace fails to decrease and keeps the iterate before it.
+    Kronecker solve over the grid, then the gain update, read from the
+    innovation solve.  From a gain whose affine map contracts, the iterates
+    decrease monotonically to the fixed point, quadratically near it, so a
+    member stops at its first step whose trace fails to decrease and keeps
+    the iterate before it.
     """
     a, c, q, r = model.A, model.C, model.Q, model.R
     m = model.m
@@ -362,8 +373,7 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
         best[live], best_trace[live] = x, tr[falling]
         if not live.size:
             return best
-        cx = c @ x
-        gains = -np.linalg.solve(cx @ c.T + gamma * r, cx @ a.T).swapaxes(1, 2)
+        gains = -_solve_innovation(model, x, gamma)[1].swapaxes(1, 2)
     raise NumericalError("policy iteration did not settle in 100 steps")
 
 

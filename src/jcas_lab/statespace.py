@@ -226,8 +226,8 @@ def check_initial_covariance(model: GaussMarkovModel, p0) -> np.ndarray:
 def lyap_kernel(a: float, q: float, s: float, alpha: float) -> float:
     """Scalar step of the scaled Lyapunov recursion (shared float kernel).
 
-    Kept as a single expression so every caller -- solver, filter open-loop
-    step, Monte Carlo recursion -- rounds identically.
+    The open-loop step of the scalar trial engine, on floats or trial
+    arrays; ``lyapunov_step`` rounds the same on a 1x1 model.
     """
     return alpha * ((a * s) * a) + q
 
@@ -243,11 +243,9 @@ def lyapunov_diverges(alpha: float, rho: float) -> bool:
 def lyapunov_step(model: GaussMarkovModel, s: np.ndarray, alpha) -> np.ndarray:
     """One application of S -> alpha * A S A^T + Q, re-symmetrized.
 
-    For a matrix model, s may be a stack (n, m, m) of covariances.
+    s may be a stack (n, m, m) of covariances.  A 1x1 model rounds exactly
+    as ``lyap_kernel`` below half the float range.
     """
-    if model.is_scalar:
-        a, _, q, _ = model.scalars()
-        return np.array([[lyap_kernel(a, q, float(s[0, 0]), alpha)]])
     return symmetrize(alpha * (model.A @ s @ model.A.T) + model.Q)
 
 

@@ -1,14 +1,17 @@
 """Per-trial reference loops for the filter recursion and the Monte Carlo engine.
 
 Each function runs one trial at a time, the way the engine's results are
-defined.  The covariance cell steps a single covariance through the scalar
-kernels or ``riccati_step``/``lyapunov_step``.  A filter run draws its
-whole stream at once (initial state, switching uniforms, process noise,
-measurement noise) and then steps the matrix filter through ``kalman_step``
-or the scalar filter through the float kernels; block distortion averages
-such runs.  Means use the centered accumulation over a list of per-trial
-results in trial order.  Tests compare ``run_filter`` and the batched
-engine with these loops by exact equality.
+defined.  The covariance cell steps a single covariance through
+``riccati_kernel``/``lyap_kernel`` or ``riccati_step``/``lyapunov_step``.
+A filter run draws its whole stream at once (initial state, switching
+uniforms, process noise, measurement noise) and then steps the matrix
+filter through ``kalman_step``, which takes its gain and its covariance
+from two separate innovation solves, or the scalar filter through
+``riccati_kernel``/``lyap_kernel`` and its own gain p c / (c p c + g r);
+the engine computes each step's innovation once.  Block distortion
+averages such runs.  Means use the centered accumulation over a list of
+per-trial results in trial order.  Tests compare ``run_filter`` and the
+batched engine with these loops by exact equality.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from jcas_lab.filtering import (
     FilterState,
     Trajectory,
     derive_trial_seed,
-    gain_kernel,
     kalman_step,
     make_rng,
 )
@@ -147,7 +149,7 @@ def _scalar_filter(model, s_true0, gam, w, v, s0_estimate, p0):
             upd = est
             cov = lyap_kernel(a, q, cov, 1.0)
         else:
-            gain = gain_kernel(c, r, cov, g_prev)
+            gain = (cov * c) / ((c * cov) * c + g_prev * r)
             upd = est + gain * (zs[i - 1] - c * est)
             cov = riccati_kernel(a, c, q, r, cov, g_prev)
         est = a * upd

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jcas_lab.errors import ParameterError
+from jcas_lab.errors import NumericalError, ParameterError
 from jcas_lab.filtering import (
     FilterState,
     PREDICTED,
@@ -14,7 +14,7 @@ from jcas_lab.filtering import (
     run_filter,
     write_trajectory_csv,
 )
-from jcas_lab.riccati import BeamPolicy, mb_fixed_point, riccati_step
+from jcas_lab.riccati import BeamPolicy, gamma_bs, mb_fixed_point, riccati_step
 from jcas_lab.statespace import GaussMarkovModel, lyapunov_sequence, lyapunov_step
 
 import mc_reference
@@ -133,6 +133,38 @@ class TestKalmanGain:
             assert k.shape == (2, 2, 1)
             for k_one, p in zip(k, ps):
                 assert np.array_equal(k_one, kalman_gain(matrix_model, p, gamma))
+
+
+class TestInnovationSolve:
+    def test_singular_innovation_raises_with_condition(self):
+        # R = 0 and P = 0 make S = C P C^T + gamma R zero; Q = 0 keeps P at 0
+        model = GaussMarkovModel(A=[[1.05, 0.2], [0.0, 0.9]], C=[[1.0, 0.0]], Q=np.zeros((2, 2)), R=[[0.0]])
+        p = np.zeros((2, 2))
+        calls = [
+            lambda: riccati_step(model, p, 1.0),
+            lambda: gamma_bs(p, 0.5, model),
+            lambda: kalman_gain(model, p, 1.0),
+            lambda: run_filter(model, BeamPolicy.multibeam(1.0), 3, [0.0, 0.0], p, seed=1),
+            lambda: run_filter(model, BeamPolicy.switching(1.0), 3, [0.0, 0.0], p, seed=1),
+        ]
+        for call in calls:
+            with pytest.raises(NumericalError, match="innovation covariance is singular") as info:
+                call()
+            assert info.value.condition == math.inf
+
+    def test_one_solve_per_filter_step(self, matrix_model, monkeypatch):
+        solve = np.linalg.solve
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        horizon = 40
+        run_filter(matrix_model, BeamPolicy.multibeam(2.0), horizon, [0.0, 0.0], np.eye(2), seed=5)
+        # no measurement at time 0; each later step solves its innovation once
+        assert len(calls) == horizon - 1
 
 
 class TestKalmanStep:
