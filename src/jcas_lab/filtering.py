@@ -23,7 +23,10 @@ Conventions
   then the whole process-noise block, then the whole measurement-noise
   block (measurement noise is drawn even for erased steps so the stream
   layout does not depend on the arrival pattern).  A covariance-only run
-  (``covariance_trials``) draws just its ``horizon`` arrival uniforms.
+  (``covariance_trials``) draws just its ``horizon`` arrival uniforms, for
+  every trial at once, from ``_trial_uniforms``: a numpy copy of PCG64 and
+  its SeedSequence seeding on uint64 arrays, which gives bit for bit what
+  ``make_rng(seed XOR t).random()`` gives.
 
 One recursion
 -------------
@@ -32,20 +35,24 @@ run together, one time step at a time, and yields each step; ``run_filter``
 is that recursion with one trial (trial 0 reads seed XOR 0 = seed) and
 records it, and ``montecarlo.empirical_block_distortion`` keeps only the
 per-letter distortions.  ``covariance_trials`` steps the covariances alone
-on the same draw segments and step classes (``montecarlo``'s covariance
-cells).  Covariances are held as floats or ``(trials, 1)`` arrays for
-scalar models or as ``(m, m)`` matrices or ``(trials, m, m)`` stacks,
-states and estimates as ``(trials, m)``; ``np.where`` picks each trial's
-arrival branch.  A sensing step takes its gain and next covariance from one
-``riccati.innovation_kernel`` or ``riccati.innovation`` call.  Under a
-multi-beam policy every trial follows the same covariance and gain path,
-so that path is computed once.  Each trial equals, bit for bit, the
-per-trial loops in ``tests/mc_reference.py`` (one-shot draws, then
-``kalman_step`` or the scalar kernels step by step).
+through the same step classes (``montecarlo``'s covariance cells).
+Covariances are held as floats or ``(trials, 1)`` arrays for scalar models
+or as ``(m, m)`` matrices or ``(trials, m, m)`` stacks, states and
+estimates as ``(trials, m)``; ``np.where`` picks each trial's arrival
+branch.  A filter's sensing step takes its gain and next covariance from
+one ``riccati.innovation_kernel`` or ``riccati.innovation`` call; a
+covariance cell's takes the covariance alone (``riccati_kernel`` or
+``riccati_step``).  Under a multi-beam policy every trial follows the same
+covariance and gain path, so that path is computed once.  Each trial
+equals, bit for bit, the per-trial loops in ``tests/mc_reference.py``
+(one-shot draws, then ``kalman_step`` or the scalar kernels step by step).
 
-Memory: every draw block is read in time segments of ``SEGMENT`` steps,
-from one saved generator state per block and trial; chunked ``random`` and
-``standard_normal`` calls reproduce the one-shot stream.
+Memory: a filter run reads every draw block in time segments of
+``SEGMENT`` steps, from one saved generator state per block and trial;
+chunked ``random`` and ``standard_normal`` calls reproduce the one-shot
+stream.  A covariance run holds every trial's 128-bit generator increment
+and one block of its states, at most ``max(trials, UNIFORM_BLOCK)`` states
+in all, as uint64 (high, low) words.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .riccati import BeamPolicy, innovation, innovation_kernel, riccati_step
+from .riccati import BeamPolicy, innovation, innovation_kernel, riccati_kernel, riccati_step
 from .statespace import (
     GaussMarkovModel,
     as_matrix,
@@ -88,6 +95,123 @@ def derive_trial_seed(seed: int, trial_index: int) -> int:
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+
+
+_MASK128 = (1 << 128) - 1
+#: PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: draws (trials x steps) per block of a covariance run's arrival uniforms;
+#: a block spans at least one step
+UNIFORM_BLOCK = 1 << 12
+
+
+def _seed_hash(init: int, mult: int):
+    """numpy's SeedSequence hash on uint32 arrays, with its running constant.
+
+    Each call xors the constant in, advances it by ``mult`` (mod 2^32),
+    multiplies by the new constant and xor-shifts right by 16.
+    """
+    const = init
+
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hash_
+
+
+def _seed_mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _lcg_jump(steps: int) -> tuple:
+    """(M^steps, 1 + M + ... + M^(steps-1)) mod 2^128: ``steps`` LCG steps
+    take a state s to M^steps s + (1 + ... + M^(steps-1)) inc."""
+    mult, incr = 1, 0
+    for _ in range(steps):
+        mult, incr = mult * _PCG_MULT & _MASK128, (incr * _PCG_MULT + 1) & _MASK128
+    return mult, incr
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, const: int) -> tuple:
+    """(hi, lo) * const mod 2^128 on uint64 word arrays, the low words'
+    64 x 64 -> 128 bit product taken in 32-bit limbs."""
+    half, low32 = np.uint64(32), np.uint64(0xFFFFFFFF)
+    c_hi, c_lo = np.uint64(const >> 64), np.uint64(const & _MASK64)
+    c0, c1 = c_lo & low32, c_lo >> half
+    lo0, lo1 = lo & low32, lo >> half
+    p00, p01, p10 = lo0 * c0, lo0 * c1, lo1 * c0
+    mid = (p00 >> half) + (p01 & low32) + (p10 & low32)
+    carry = lo1 * c1 + (p01 >> half) + (p10 >> half) + (mid >> half)
+    return carry + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < b[1]), lo
+
+
+def _pcg64_seeds(seed: int, trials: int) -> tuple:
+    """The PCG64 (state, inc) of ``make_rng(seed XOR t)`` for every trial t,
+    each as (trials, 1) uint64 (high, low) words, seeded as numpy seeds one
+    generator: the SeedSequence pool hash of the seed's 32-bit words,
+    ``generate_state(4, uint64)``, then ``srandom`` (step, add the seed,
+    step)."""
+    seeds = np.uint64(int(seed) & _MASK64) ^ np.arange(trials, dtype=np.uint64)
+    zero = np.zeros(trials, np.uint32)
+    low, high = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+    # SeedSequence.mix_entropy: a pool of 4 words, each mixed into the others
+    hash_ = _seed_hash(0x43B0D7E5, 0x931E8875)
+    pool = [hash_(w) for w in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _seed_mix(pool[dst], hash_(pool[src]))
+    # generate_state(4, uint64): 8 hashed pool words, paired low word first
+    hash_ = _seed_hash(0x8B51F9DD, 0x58F38DED)
+    out = [hash_(pool[i % 4]).astype(np.uint64)[:, None] for i in range(8)]
+    state_hi, state_lo, seq_hi, seq_lo = (
+        out[i] | (out[i + 1] << np.uint64(32)) for i in range(0, 8, 2)
+    )
+    # srandom: inc = 2 seq + 1; state 0 steps to inc, adds the seed, steps
+    one = np.uint64(1)
+    inc = (seq_hi << one) | (seq_lo >> np.uint64(63)), (seq_lo << one) | one
+    return _add128(_mul128(*_add128(inc, (state_hi, state_lo)), _PCG_MULT), inc), inc
+
+
+def _trial_uniforms(seed: int, trials: int, width: int):
+    """Yield every trial's ``make_rng(seed XOR t).random()`` stream as
+    (trials, width) blocks, the next ``width`` draws of each trial per block.
+
+    PCG64 (O'Neill 2014, XSL-RR 128/64) keeps a 128-bit LCG state and
+    increment, held here for all trials as uint64 (high, low) word arrays
+    (``_pcg64_seeds``).  A block holds the next ``width`` LCG states of
+    every trial, and each draw is (xsl_rr(state) >> 11) * 2^-53.  The first
+    block is widened by doubling jumps; each later one jumps ``width`` steps
+    at once.  Every operand is a uint32 or uint64 array or scalar, whose
+    array arithmetic wraps silently.
+    """
+    state, inc = _pcg64_seeds(seed, trials)
+    block, filled = _add128(_mul128(*state, _PCG_MULT), inc), 1
+    while filled < width:
+        mult, incr = _lcg_jump(filled)
+        ahead = _add128(_mul128(*block, mult), _mul128(*inc, incr))
+        block = tuple(np.concatenate(pair, axis=1) for pair in zip(block, ahead))
+        filled *= 2
+    block = tuple(words[:, :width] for words in block)
+    mult, incr = _lcg_jump(width)
+    incr = _mul128(*inc, incr)
+    while True:
+        hi, lo = block
+        x = hi ^ lo
+        rot = hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        yield (x >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+        block = _add128(_mul128(hi, lo, mult), incr)
 
 
 @dataclass(frozen=True)
@@ -175,17 +299,25 @@ def kalman_gain(model: GaussMarkovModel, p, gamma: float) -> np.ndarray:
     return innovation(model, p, gamma)[0]
 
 
-def measurement_update(model: GaussMarkovModel, state: FilterState, z, gamma: float) -> FilterState:
-    """Absorb the measurement at state.time_index (identity when erased)."""
+def _checked_measurement(model: GaussMarkovModel, state: FilterState, z, gamma: float, name: str):
+    """z as a length-k vector, or None for an erasure; checks the state phase."""
     if state.phase != PREDICTED:
-        raise ParameterError("measurement_update expects a predicted-phase state")
+        raise ParameterError(f"{name} expects a predicted-phase state")
     if (z is None) != math.isinf(gamma):
         raise ParameterError("measurement must be absent exactly when gamma is infinite")
     if z is None:
-        return FilterState(state.estimate, state.covariance, state.time_index, UPDATED)
+        return None
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != model.k:
         raise DimensionError(f"z must have length {model.k}, got {z.size}")
+    return z
+
+
+def measurement_update(model: GaussMarkovModel, state: FilterState, z, gamma: float) -> FilterState:
+    """Absorb the measurement at state.time_index (identity when erased)."""
+    z = _checked_measurement(model, state, z, gamma, "measurement_update")
+    if z is None:
+        return FilterState(state.estimate, state.covariance, state.time_index, UPDATED)
     gain = kalman_gain(model, state.covariance, gamma)
     innovation = z - model.C @ state.estimate
     est = state.estimate + gain @ innovation
@@ -199,19 +331,23 @@ def kalman_step(model: GaussMarkovModel, state: FilterState, z, gamma: float) ->
     The next covariance is computed by the one-shot recursion
     P' = A P A^T + Q - A P C^T (C P C^T + gamma R)^{-1} C P A^T (open-loop
     A P A^T + Q when erased), so iterating this step reproduces the Riccati
-    map path exactly.
+    map path exactly.  The gain and P' come from one innovation computation:
+    ``riccati.innovation`` on matrix models, ``innovation_kernel`` on scalar
+    ones.
     """
-    if state.phase != PREDICTED:
-        raise ParameterError("kalman_step expects a predicted-phase state")
     if not math.isinf(gamma) and (math.isnan(gamma) or gamma < 1.0):
         raise ParameterError(f"gamma must lie in [1, inf], got {gamma}")
-    updated = measurement_update(model, state, z, gamma)
-    est_next = model.A @ updated.estimate
+    z = _checked_measurement(model, state, z, gamma, "kalman_step")
+    p, est, t_next = state.covariance, state.estimate, state.time_index + 1
     if z is None:
-        cov_next = lyapunov_step(model, state.covariance, 1.0)
+        return FilterState(model.A @ est, lyapunov_step(model, p, 1.0), t_next, PREDICTED)
+    if model.is_scalar:
+        gain, p_next = innovation_kernel(*model.scalars(), float(p[0, 0]), gamma, 1.0)
+        gain, p_next = np.array([[gain]]), np.array([[p_next]])
     else:
-        cov_next = riccati_step(model, state.covariance, gamma)
-    return FilterState(est_next, cov_next, state.time_index + 1, PREDICTED)
+        gain, p_next = innovation(model, p, gamma)
+    est = est + gain @ (z - model.C @ est)
+    return FilterState(model.A @ est, p_next, t_next, PREDICTED)
 
 
 def draw_blocks(model: GaussMarkovModel, policy: BeamPolicy) -> list:
@@ -271,8 +407,7 @@ class _TrialDraws:
         last = len(blocks) - 1
         for t in range(trials):
             rng = make_rng(derive_trial_seed(seed, t))
-            if head:
-                self.head[t] = rng.standard_normal(head)
+            self.head[t] = rng.standard_normal(head)
             for b, draw in enumerate(blocks):
                 for s, (start, stop) in enumerate(self.spans):
                     if s == 1:
@@ -319,7 +454,8 @@ class _ScalarSteps:
 
     A covariance is a length-1 vector per trial, like a state, or a float
     while every trial shares it.  ``sense`` returns the gain and the next
-    covariance of one innovation computation, in both step classes.
+    covariance of one innovation computation, in both step classes, and
+    ``correct`` the next covariance of a sensing step alone (gamma = 1).
     """
 
     core = 1
@@ -341,6 +477,9 @@ class _ScalarSteps:
 
     def sense(self, p, g: float):
         return innovation_kernel(self.a, self.c, self.q, self.r, p, g, 1.0)
+
+    def correct(self, p):
+        return riccati_kernel(self.a, self.c, self.q, self.r, p, 1.0)
 
     def apply(self, gain, residual):
         return gain * residual
@@ -368,6 +507,9 @@ class _MatrixSteps:
 
     def sense(self, p, g: float):
         return innovation(self.model, p, g)
+
+    def correct(self, p):
+        return riccati_step(self.model, p, 1.0)
 
     def apply(self, gain, residual):
         return (gain @ residual[..., None])[..., 0]
@@ -449,17 +591,21 @@ def _recursion(model, policy, horizon: int, trials: int, seed: int, s0, p0):
 def covariance_trials(model, lam: float, horizon: int, trials: int, seed: int, p0):
     """Every trial's P_i, i = 0..horizon, as (trials, m, m) arrays, from the checked P_0 = p0.
 
-    Trial t (seed XOR t) draws ``horizon`` arrival uniforms; step i senses
-    where its uniform is below lam and takes the open-loop step otherwise.
+    Trial t (seed XOR t) draws one arrival uniform per step, through
+    ``_trial_uniforms`` in blocks of at most ``UNIFORM_BLOCK`` draws (and
+    at least one step); step i senses where its uniform is below lam and
+    takes the open-loop step otherwise.
     """
     steps = _steps(model)
     p = steps.initial(p0)
     yield np.broadcast_to(p0, (trials, model.m, model.m))
-    draws = _TrialDraws(seed, trials, 0, horizon, [lambda rng, rows: rng.random(rows) < lam])
-    for (start, stop), (arrivals,) in draws.segments():
-        for j in range(stop - start):
-            p = _pick(arrivals[:, j], steps.sense(p, 1.0)[1], steps.open_loop(p), steps.core)
-            yield p.reshape(trials, model.m, model.m)
+    width = max(1, min(horizon, UNIFORM_BLOCK // trials))
+    blocks = _trial_uniforms(seed, trials, width)
+    for i in range(horizon):
+        if i % width == 0:
+            arrivals = next(blocks) < lam
+        p = _pick(arrivals[:, i % width], steps.correct(p), steps.open_loop(p), steps.core)
+        yield p.reshape(trials, model.m, model.m)
 
 
 def run_filter(

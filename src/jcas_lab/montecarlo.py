@@ -16,8 +16,9 @@ Both advance every trial together, one time step at a time, through
 recursion ``filtering.filter_trials``.  Each result equals, bit for bit,
 the per-trial loops in ``tests/mc_reference.py``, because:
 
-* Seeds and draw order: trial t reads ``make_rng(seed XOR t)`` in the
-  order the ``filtering`` module docstring gives.
+* Seeds and draw order: trial t reads the stream of ``make_rng(seed XOR t)``
+  in the order the ``filtering`` module docstring gives (a covariance cell
+  through the vectorized PCG64 copy there).
 * Reductions over trials are centered and in fixed order: deviations from
   trial 0 are added sequentially in trial-index order (never in the
   pairwise order of ``np.sum``), so reruns are bit-identical and
@@ -26,8 +27,9 @@ the per-trial loops in ``tests/mc_reference.py``, because:
   per-letter distortions.
 
 Memory: the block engine holds one ``trials x (horizon+1)`` float64
-distortion matrix (a covariance cell holds the same with ``per_step=True``)
-plus O(trials x SEGMENT) draws.
+distortion matrix plus O(trials x SEGMENT) draws.  A covariance cell holds
+the same matrix with ``per_step=True`` plus O(trials + UNIFORM_BLOCK)
+generator state (``filtering``).
 """
 
 from __future__ import annotations

@@ -12,6 +12,9 @@ Two one-step covariance maps drive everything here:
 Every gain and correction, here and in the Kalman filter, comes from one
 solve of the innovation covariance S = C P C^T + gamma R:
 ``_solve_innovation`` (matrix models) or ``innovation_kernel`` (scalar).
+The matrix solve takes the right-hand sides [C P, C P A^T] for a filter
+gain and C P A^T alone where no gain is needed (``riccati_step``,
+``gamma_bs``, the policy iteration); on m >= 2 both give the same bits.
 
 Fixed points are solved, not iterated.  Once a gain K is fixed, the map
 phi_{lam,gamma}(K, X) = (1 - lam) A X A^T + lam (A + K C) X (A + K C)^T
@@ -141,31 +144,39 @@ def bs_kernel(a: float, c: float, q: float, r: float, p: float, lam: float) -> f
     return innovation_kernel(a, c, q, r, p, 1.0, lam)[1]
 
 
-def _solve_innovation(model: GaussMarkovModel, p: np.ndarray, gamma):
-    """(S^{-1} C P, S^{-1} C P A^T) from the one solve of S = C P C^T + gamma R.
+def _solve_innovation(model: GaussMarkovModel, p: np.ndarray, gamma, gain: bool):
+    """S^{-1} [C P, C P A^T], or S^{-1} C P A^T alone when not ``gain``, from
+    the one solve of S = C P C^T + gamma R.
 
     p may be a stack (n, m, m), gamma an array broadcasting against it.  A
     singular S raises NumericalError carrying its condition number.
     """
     cp = model.C @ p
     innov = cp @ model.C.T + gamma * model.R
+    rhs = cp @ model.A.T
+    if gain:
+        rhs = np.concatenate((cp, rhs), axis=-1)
     try:
-        x = np.linalg.solve(innov, np.concatenate((cp, cp @ model.A.T), axis=-1))
+        return np.linalg.solve(innov, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"innovation covariance is singular: {exc}",
             condition=float(np.max(np.linalg.cond(innov))),
         ) from exc
-    return x[..., : model.m], x[..., model.m :]
 
 
-def innovation(model: GaussMarkovModel, p: np.ndarray, gamma, lam=1.0):
-    """(K, P') of one ``_solve_innovation``: the filter gain K = P C^T S^{-1}
-    and P' = A P A^T + Q - lam A P C^T S^{-1} C P A^T, re-symmetrized."""
-    gain, corr = _solve_innovation(model, p, gamma)
+def _corrected(model: GaussMarkovModel, p: np.ndarray, corr: np.ndarray, lam) -> np.ndarray:
+    """P' = A P A^T + Q - lam A P C^T corr, re-symmetrized, for the solved
+    corr = S^{-1} C P A^T."""
     ap = model.A @ p
-    p_next = symmetrize(ap @ model.A.T + model.Q - lam * ((ap @ model.C.T) @ corr))
-    return gain.swapaxes(-1, -2), p_next
+    return symmetrize(ap @ model.A.T + model.Q - lam * ((ap @ model.C.T) @ corr))
+
+
+def innovation(model: GaussMarkovModel, p: np.ndarray, gamma):
+    """(K, P') of one ``_solve_innovation``: the filter gain K = P C^T S^{-1}
+    and P' = A P A^T + Q - A P C^T S^{-1} C P A^T, re-symmetrized."""
+    x = _solve_innovation(model, p, gamma, True)
+    return x[..., : model.m].swapaxes(-1, -2), _corrected(model, p, x[..., model.m :], 1.0)
 
 
 def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:
@@ -180,7 +191,7 @@ def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:
     if model.is_scalar:
         a, c, q, r = model.scalars()
         return np.array([[riccati_kernel(a, c, q, r, float(p[0, 0]), gamma)]])
-    return innovation(model, p, gamma)[1]
+    return _corrected(model, p, _solve_innovation(model, p, gamma, False), 1.0)
 
 
 def gamma_bs(p: np.ndarray, lam, model: GaussMarkovModel) -> np.ndarray:
@@ -196,7 +207,7 @@ def gamma_bs(p: np.ndarray, lam, model: GaussMarkovModel) -> np.ndarray:
     if model.is_scalar:
         a, c, q, r = model.scalars()
         return np.array([[bs_kernel(a, c, q, r, float(p[0, 0]), lam)]])
-    return innovation(model, p, 1.0, lam)[1]
+    return _corrected(model, p, _solve_innovation(model, p, 1.0, False), lam)
 
 
 def gamma_mb(p: np.ndarray, gamma: float, model: GaussMarkovModel) -> np.ndarray:
@@ -373,7 +384,7 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
         best[live], best_trace[live] = x, tr[falling]
         if not live.size:
             return best
-        gains = -_solve_innovation(model, x, gamma)[1].swapaxes(1, 2)
+        gains = -_solve_innovation(model, x, gamma, False).swapaxes(1, 2)
     raise NumericalError("policy iteration did not settle in 100 steps")
 
 

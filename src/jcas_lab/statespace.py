@@ -38,9 +38,12 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """(M + M^T) / 2 -- used after every covariance step to control drift.
 
-    Transposes the last two axes, so a stack of matrices works too.
+    Computed as 0.5 M + 0.5 M^T, which rounds the same for normal-range
+    entries but stays finite up to the largest float, where the sum would
+    overflow above half of it.  Transposes the last two axes, so a stack of
+    matrices works too.
     """
-    return (m + m.swapaxes(-1, -2)) / 2.0
+    return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
 
 
 def spectral_radius(a) -> float:
@@ -244,7 +247,7 @@ def lyapunov_step(model: GaussMarkovModel, s: np.ndarray, alpha) -> np.ndarray:
     """One application of S -> alpha * A S A^T + Q, re-symmetrized.
 
     s may be a stack (n, m, m) of covariances.  A 1x1 model rounds exactly
-    as ``lyap_kernel`` below half the float range.
+    as ``lyap_kernel`` on normal-range values, up to and past overflow.
     """
     return symmetrize(alpha * (model.A @ s @ model.A.T) + model.Q)
 

@@ -6,12 +6,13 @@ defined.  The covariance cell steps a single covariance through
 A filter run draws its whole stream at once (initial state, switching
 uniforms, process noise, measurement noise) and then steps the matrix
 filter through ``kalman_step``, which takes its gain and its covariance
-from two separate innovation solves, or the scalar filter through
-``riccati_kernel``/``lyap_kernel`` and its own gain p c / (c p c + g r);
-the engine computes each step's innovation once.  Block distortion
-averages such runs.  Means use the centered accumulation over a list of
-per-trial results in trial order.  Tests compare ``run_filter`` and the
-batched engine with these loops by exact equality.
+from one ``riccati.innovation`` call, or the scalar filter through
+``riccati_kernel``/``lyap_kernel`` and its own gain p c / (c p c + g r).
+Trial t draws from ``make_rng(seed XOR t)`` itself, never from the
+engine's vectorized generator.  Block distortion averages such runs.
+Means use the centered accumulation over a list of per-trial results in
+trial order.  Tests compare ``run_filter`` and the batched engine with
+these loops by exact equality.
 """
 
 from __future__ import annotations

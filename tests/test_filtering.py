@@ -1,8 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jcas_lab import filtering
 from jcas_lab.errors import NumericalError, ParameterError
 from jcas_lab.filtering import (
     FilterState,
@@ -10,11 +14,12 @@ from jcas_lab.filtering import (
     derive_trial_seed,
     kalman_gain,
     kalman_step,
+    make_rng,
     measurement_update,
     run_filter,
     write_trajectory_csv,
 )
-from jcas_lab.riccati import BeamPolicy, gamma_bs, mb_fixed_point, riccati_step
+from jcas_lab.riccati import BeamPolicy, gamma_bs, innovation, mb_fixed_point, riccati_step
 from jcas_lab.statespace import GaussMarkovModel, lyapunov_sequence, lyapunov_step
 
 import mc_reference
@@ -165,6 +170,33 @@ class TestInnovationSolve:
         run_filter(matrix_model, BeamPolicy.multibeam(2.0), horizon, [0.0, 0.0], np.eye(2), seed=5)
         # no measurement at time 0; each later step solves its innovation once
         assert len(calls) == horizon - 1
+
+        calls.clear()
+        state = FilterState([0.0, 0.0], np.eye(2), 0)
+        measurements = [[0.3], None, [-0.2], [0.1], None]
+        for z in measurements:
+            state = kalman_step(matrix_model, state, z, math.inf if z is None else 2.0)
+        assert len(calls) == sum(z is not None for z in measurements)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_correction_alone_rounds_as_with_gain(self, m):
+        # riccati_step (like gamma_bs and the policy iteration) solves S
+        # against C P A^T alone, innovation against [C P, C P A^T]; the
+        # shared block must come out the same
+        rng = np.random.default_rng(m)
+        for k in range(1, m + 1):
+            model = GaussMarkovModel(
+                A=rng.standard_normal((m, m)) / math.sqrt(m),
+                C=rng.standard_normal((k, m)),
+                Q=random_psd(rng, m),
+                R=random_psd(rng, k),
+            )
+            ps = np.stack([random_psd(rng, m) for _ in range(3)])
+            for gamma in (1.0, 2.5):
+                assert np.array_equal(riccati_step(model, ps, gamma), innovation(model, ps, gamma)[1])
+                assert np.array_equal(
+                    riccati_step(model, ps[0], gamma), innovation(model, ps[0], gamma)[1]
+                )
 
 
 class TestKalmanStep:
@@ -334,6 +366,48 @@ class TestTrajectoryCsv:
         first = lines[2].split(",")
         assert first[0] == "0" and first[2] == "0" and first[3] == ""
         assert first[4] == "inf"
+
+
+class TestTrialUniforms:
+    """The vectorized PCG64 kernel draws what make_rng(seed XOR t).random() draws."""
+
+    @staticmethod
+    def check(seed: int, trials: int, draws: int, width: int):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = filtering._trial_uniforms(seed, trials, width)
+            got = np.concatenate([next(blocks) for _ in range(-(-draws // width))], axis=1)
+        expected = np.stack(
+            [make_rng(derive_trial_seed(seed, t)).random(draws) for t in range(trials)]
+        )
+        assert got.dtype == np.float64 and got.shape[1] % width == 0
+        assert np.array_equal(got[:, :draws], expected)
+
+    # seeds of one and of two 32-bit words, a zero low word, the sign bit
+    # and the 64-bit ends; 0xFFFFFFFF ^ t stays below 2**32 and
+    # 2**32 ^ t keeps its high word
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 4242, 2**32 - 1, 2**32, 2**32 + 1, 2**33 - 1, 0xFFFFFFFF00000000,
+         2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1],
+    )
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_edge_seeds(self, seed, width):
+        self.check(seed, 70, 40, width)
+
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        trials=st.integers(1, 9),
+        draws=st.integers(1, 40),
+        width=st.integers(1, 12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_seeds(self, seed, trials, draws, width):
+        self.check(seed, trials, draws, width)
+
+    @pytest.mark.parametrize("width", [1, 64, filtering.SEGMENT + 7])
+    def test_one_trial_past_a_segment(self, width):
+        self.check(31, 1, filtering.SEGMENT + 7, width)
 
 
 def test_trial_seed_mixing():

@@ -232,6 +232,22 @@ class TestBatchedEqualsPerTrial:
         assert np.array_equal(cell.per_step_mean, ref_steps)
 
 
+@pytest.mark.parametrize("model_name", MODELS)
+@pytest.mark.parametrize("trials", [1, 6])
+def test_covariance_cell_across_uniform_blocks(request, monkeypatch, model_name, trials):
+    # a block of 20 draws: 6 trials read 3 steps per block and one trial 19,
+    # so the horizons below end inside a block and cross several
+    monkeypatch.setattr(filtering, "UNIFORM_BLOCK", 20)
+    model = request.getfixturevalue(model_name)
+    for horizon in (17, 19, 41):
+        rep = expected_covariance_mc(
+            model, 0.6, horizon, trials, seed=2**32 + 3, per_step=True, critical=math.nan
+        )
+        mean, se, per_step = mc_reference.covariance_mc(model, 0.6, horizon, trials, 2**32 + 3)
+        assert rep.empirical_mean_trace == mean and rep.std_error == se
+        assert np.array_equal(rep.per_step_mean, per_step)
+
+
 class TestTrackingLossMonitor:
     def test_all_below_threshold(self):
         assert tracking_loss_monitor([0.1, 0.2, 0.3], 1.0) is None

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from jcas_lab.errors import DimensionError, ParameterError
 from jcas_lab.statespace import (
     GaussMarkovModel,
+    lyap_kernel,
     lyapunov_sequence,
     lyapunov_step,
     solve_scaled_lyapunov,
@@ -120,6 +123,20 @@ class TestScaledLyapunov:
         for s in seq[1:]:
             cur = lyapunov_step(matrix_model, cur, 0.8)
             assert np.array_equal(s, cur)
+
+    def test_scalar_sequence_matches_kernel_through_overflow(self):
+        # the iterate grows by a^2 = 1.3225 a step: it passes half the float
+        # range a few steps before it overflows, and symmetrizing must not
+        # overflow first
+        a, q, n = -1.15, 1.0, 2600
+        model = GaussMarkovModel.scalar(a, 1.0, q, 1.0)
+        with np.errstate(over="ignore"):
+            seq = [float(s[0, 0]) for s in lyapunov_sequence(model, 1.0, n, [[1.0]])]
+        expected = [1.0]
+        for _ in range(n):
+            expected.append(lyap_kernel(a, q, expected[-1], 1.0))
+        assert 0 < expected.index(math.inf) < n
+        assert seq == expected
 
 
 class TestValidateModel:
