@@ -22,7 +22,11 @@ Conventions
   64 bits).  Draw order per run: initial state, then the gamma choices,
   then the whole process-noise block, then the whole measurement-noise
   block (measurement noise is drawn even for erased steps so the stream
-  layout does not depend on the arrival pattern).  A covariance-only run
+  layout does not depend on the arrival pattern).  A filter run reads each
+  block from its own generator per trial, positioned once where the block
+  starts: arrival uniforms take one 64-bit output each, so
+  ``PCG64.advance`` skips their block, and a process-noise block is passed
+  over by drawing it once untransformed.  A covariance-only run
   (``covariance_trials``) draws just its ``horizon`` arrival uniforms, for
   every trial at once, from ``_trial_uniforms``: a numpy copy of PCG64 and
   its SeedSequence seeding on uint64 arrays, which gives bit for bit what
@@ -31,28 +35,33 @@ Conventions
 One recursion
 -------------
 ``filter_trials`` is the only filter loop.  It advances every trial of a
-run together, one time step at a time, and yields each step; ``run_filter``
-is that recursion with one trial (trial 0 reads seed XOR 0 = seed) and
-records it, and ``montecarlo.empirical_block_distortion`` keeps only the
-per-letter distortions.  ``covariance_trials`` steps the covariances alone
-through the same step classes (``montecarlo``'s covariance cells).
-Covariances are held as floats or ``(trials, 1)`` arrays for scalar models
-or as ``(m, m)`` matrices or ``(trials, m, m)`` stacks, states and
-estimates as ``(trials, m)``; ``np.where`` picks each trial's arrival
-branch.  A filter's sensing step takes its gain and next covariance from
-one ``riccati.innovation_kernel`` or ``riccati.innovation`` call; a
-covariance cell's takes the covariance alone (``riccati_kernel`` or
+run together and yields one block of time steps per draw segment;
+``run_filter`` is that recursion with one trial (trial 0 reads seed XOR 0
+= seed) and copies the blocks, and
+``montecarlo.empirical_block_distortion`` keeps only the per-letter
+distortions.  A segment runs in passes: the truth recursion alone, its
+measurements C s + sqrt(g) v in one vectorized expression, then the
+covariance/gain and estimate recursion step by step.
+``covariance_trials`` steps the covariances alone through the same step
+classes (``montecarlo``'s covariance cells).  Covariances are held as
+floats or ``(trials, 1)`` arrays for scalar models or as ``(m, m)``
+matrices or ``(trials, m, m)`` stacks, a step's states and estimates as
+``(trials, m)``; ``np.where`` picks each trial's arrival branch.  A
+filter's sensing step takes its gain and next covariance from one
+``riccati.innovation_kernel`` or ``riccati.innovation`` call; a covariance
+cell's takes the covariance alone (``riccati_kernel`` or
 ``riccati_step``).  Under a multi-beam policy every trial follows the same
 covariance and gain path, so that path is computed once.  Each trial
 equals, bit for bit, the per-trial loops in ``tests/mc_reference.py``
 (one-shot draws, then ``kalman_step`` or the scalar kernels step by step).
 
-Memory: a filter run reads every draw block in time segments of
-``SEGMENT`` steps, from one saved generator state per block and trial;
-chunked ``random`` and ``standard_normal`` calls reproduce the one-shot
-stream.  A covariance run holds every trial's 128-bit generator increment
-and one block of its states, at most ``max(trials, UNIFORM_BLOCK)`` states
-in all, as uint64 (high, low) words.
+Memory: a filter run holds one generator per draw block and trial and
+time-major buffers of ``SEGMENT`` + 1 steps for the states, the estimates
+(which share the buffer of the raw draws) and the measurements; each
+segment overwrites them, and chunked ``random`` and ``standard_normal``
+calls reproduce the one-shot stream.  A covariance run holds every
+trial's 128-bit generator increment and one block of its states, at most
+``max(trials, UNIFORM_BLOCK)`` states in all, as uint64 (high, low) words.
 """
 
 from __future__ import annotations
@@ -351,26 +360,29 @@ def kalman_step(model: GaussMarkovModel, state: FilterState, z, gamma: float) ->
 
 
 def draw_blocks(model: GaussMarkovModel, policy: BeamPolicy) -> list:
-    """The draws of a filter run after its initial state, in stream order.
+    """The draw blocks of a filter run after its initial state, in stream order.
 
-    Each entry ``draw(rng, rows)`` returns the next ``rows`` time steps of
-    its block: the switching arrivals (switching policies only), then the
-    process noise w ~ N(0, Q), then the measurement noise v ~ N(0, R).  A
-    run draws each whole block before the next one.
+    Each entry is ``(width, finish)``: a time step reads ``width`` standard
+    normals, or one uniform where ``width`` is None, and ``finish(raw, out)``
+    turns a (trials, rows[, width]) array of raw draws into the block's
+    values in ``out``.  The blocks are the switching arrivals (switching
+    policies only), then the process noise w ~ N(0, Q), then the
+    measurement noise v ~ N(0, R).  A run draws each whole block before the
+    next one.
     """
     lq = psd_sqrt(model.Q)
     lr = psd_sqrt(model.R)
     blocks = [
-        lambda rng, rows: rng.standard_normal((rows, model.m)) @ lq.T,
-        lambda rng, rows: rng.standard_normal((rows, model.k)) @ lr.T,
+        (model.m, lambda raw, out: np.matmul(raw, lq.T, out=out)),
+        (model.k, lambda raw, out: np.matmul(raw, lr.T, out=out)),
     ]
     if policy.kind == "switching":
-        blocks.insert(0, lambda rng, rows: rng.random(rows) < policy.value)
+        blocks.insert(0, (None, lambda raw, out: np.less(raw, policy.value, out=out)))
     return blocks
 
 
 #: time steps per draw segment
-SEGMENT = 500
+SEGMENT = 250
 
 
 def _segments(steps: int) -> list:
@@ -387,61 +399,50 @@ def _segments(steps: int) -> list:
 
 
 class _TrialDraws:
-    """Every trial's draw blocks, served one time segment at a time.
+    """Every trial's draw blocks, read one time segment at a time.
 
     Trial t reads ``make_rng(seed XOR t)``: ``head`` standard normals, then
-    one block per entry of ``blocks``; ``draw(rng, rows)`` returns ``rows``
-    consecutive time steps of its block.  The constructor walks each
-    trial's stream once, keeping the first segment of every block and the
-    generator state where its second segment starts; ``segments`` reads the
-    later segments from those states into the same buffers, one shared
-    generator swapping them.
+    one block of ``steps`` time steps per entry of ``blocks``.  The
+    constructor positions one generator per block and trial where its block
+    starts: every block but the last gets a copy of the trial's generator,
+    which then passes over the block once, by ``PCG64.advance`` for arrival
+    uniforms (one 64-bit output each) or by drawing the normals
+    untransformed into scratch.  ``draw`` reads each trial's next rows of a
+    block into a raw buffer and finishes the whole buffer in one call.
     """
 
     def __init__(self, seed: int, trials: int, head: int, steps: int, blocks: list):
         self.spans = _segments(steps)
+        self.rows = max(stop - start for start, stop in self.spans)
         self.blocks = blocks
         self.head = np.empty((trials, head))
-        self.drawn = [None] * len(blocks)
-        self.states = [[None] * trials for _ in blocks]
-        last = len(blocks) - 1
+        self.rngs = [[None] * trials for _ in blocks]
+        scratch = np.empty(steps * max(width or 1 for width, _ in blocks[:-1]))
+        *passed, last = self.rngs
         for t in range(trials):
             rng = make_rng(derive_trial_seed(seed, t))
-            self.head[t] = rng.standard_normal(head)
-            for b, draw in enumerate(blocks):
-                for s, (start, stop) in enumerate(self.spans):
-                    if s == 1:
-                        self.states[b][t] = rng.bit_generator.state
-                        if b == last:
-                            break
-                    values = draw(rng, stop - start)
-                    if s == 0:
-                        self.drawn[b] = _store(self.drawn[b], t, values, trials)
-        self.rng = rng
+            rng.standard_normal(out=self.head[t])
+            for rngs, (width, _) in zip(passed, blocks):
+                # a copy of the trial's generator where the block starts
+                rngs[t] = make_rng(0)
+                rngs[t].bit_generator.state = rng.bit_generator.state
+                if width is None:
+                    rng.bit_generator.advance(steps)
+                else:
+                    rng.standard_normal(out=scratch[:steps * width])
+            last[t] = rng
 
-    def segments(self):
-        """Yield ((start, stop), [per-block (trials, stop - start, ...) draws]).
-
-        The draw arrays are buffers that the next segment overwrites.
-        """
-        drawn = self.drawn
-        yield self.spans[0], drawn
-        bit_generator = self.rng.bit_generator
-        for start, stop in self.spans[1:]:
-            for b, (draw, states) in enumerate(zip(self.blocks, self.states)):
-                for t, state in enumerate(states):
-                    bit_generator.state = state
-                    drawn[b] = _store(drawn[b], t, draw(self.rng, stop - start), len(states))
-                    states[t] = bit_generator.state
-            yield (start, stop), drawn
-
-
-def _store(out, t: int, values: np.ndarray, trials: int) -> np.ndarray:
-    """Put trial t's values into the segment buffer, reallocating on a new shape."""
-    if out is None or out.shape[1:] != values.shape:
-        out = np.empty((trials,) + values.shape, values.dtype)
-    out[t] = values
-    return out
+    def draw(self, block: int, out: np.ndarray, scratch: np.ndarray) -> None:
+        """Write the next rows of every trial's block into ``out``, a
+        time-major (rows, trials[, width]) array, drawing into the flat
+        float ``scratch`` of at least ``out.size`` values."""
+        width, finish = self.blocks[block]
+        rows, trials = out.shape[:2]
+        raw = scratch[:out.size].reshape((trials, rows) + out.shape[2:])
+        fill = "random" if width is None else "standard_normal"
+        for rng, row in zip(self.rngs[block], raw):
+            getattr(rng, fill)(out=row)
+        finish(raw, out.swapaxes(0, 1))
 
 
 def _pick(mask: np.ndarray, x, y, core: int):
@@ -537,16 +538,18 @@ def _filter_step(steps, arrived, est, z, p, g: float):
 
 
 def filter_trials(model, policy, horizon: int, trials: int, seed: int, s0, p0):
-    """Run ``trials`` filtered trajectories together; yield each time step.
+    """Run ``trials`` filtered trajectories together; yield one block per segment.
 
     Trial t is the run of seed ``seed XOR t``: its true initial state is
-    drawn from N(s0, P0) and the filter starts from (s0, P0).  At time
-    i = 0..horizon this yields ``(states, estimates, p, arrived, z)``:
-    (trials, m) arrays of s_i and of the causal estimate, the covariance P_i
-    (one value while every trial shares it, else per trial), and the
-    measurement z_i, present where ``arrived`` holds (a bool for every trial
-    or a per-trial mask; False at time 0).  Yielded arrays are never
-    modified afterwards.  The arguments are checked before this returns.
+    drawn from N(s0, P0) and the filter starts from (s0, P0).  Each block
+    covers consecutive time indices from ``start`` (together 0..horizon)
+    and is ``(start, states, estimates, covariances, present, z)``:
+    time-major (rows, trials, m) arrays of s_i and of the causal estimate,
+    a list of the covariances P_i (one value while every trial shares it,
+    else per trial), a (rows, trials) mask of the measurements z_i that
+    arrived (none at time 0) and the (rows, trials, k) measurements, valid
+    where the mask holds.  The arrays are buffers that the next block
+    overwrites.  The arguments are checked before this returns.
     """
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
@@ -561,31 +564,54 @@ def _recursion(model, policy, horizon: int, trials: int, seed: int, s0, p0):
     switching = policy.kind == "switching"
     draws = _TrialDraws(seed, trials, model.m, horizon, draw_blocks(model, policy))
     g = 1.0 if switching else policy.value
+    sensed = switching or not math.isinf(g)
     noise_gain = math.sqrt(g)
 
     steps = _steps(model)
-    state = s0 + (psd_sqrt(p0) @ draws.head[..., None])[..., 0]
-    est = s0
-    p = steps.initial(p0)
-    # the measurement of the current time index; none at time 0
-    z, arrived = None, False
-    yield state, est, p, arrived, z
-    for (start, stop), drawn in draws.segments():
-        w, v = drawn[-2:]
-        for j in range(stop - start):
-            est, p = _filter_step(steps, arrived, est, z, p, g)
-            state = steps.predict(state) + w[:, j]
-            if not switching:
-                arrived = not math.isinf(g)
-            elif trials == 1:
-                # a lone trial shares its arrival, which keeps P unbatched
-                arrived = bool(drawn[0][0, j])
-            else:
-                # a copy: the next step reads it after the buffer may be refilled
-                arrived = drawn[0][:, j].copy()
-            if arrived is not False:
-                z = steps.observe(state) + noise_gain * v[:, j]
-            yield state, est, p, arrived, z
+    # row 0 of each segment buffer holds the time index before the segment
+    states = np.empty((draws.rows + 1, trials, model.m))
+    # one buffer holds a segment's raw draws, then its estimates
+    shared = np.empty((draws.rows + 1) * trials * max(model.m, model.k))
+    estimates = shared[:states.size].reshape(states.shape)
+    z = np.empty((draws.rows + 1, trials, model.k))
+    present = np.full((draws.rows + 1, trials), sensed and not switching)
+    states[0] = s0 + (psd_sqrt(p0) @ draws.head[..., None])[..., 0]
+    present[0] = False
+    est, p = s0, steps.initial(p0)
+    for start, stop in draws.spans:
+        rows = stop - start
+        if switching:
+            draws.draw(0, present[1:rows + 1], shared)
+        # the truth pass overwrites each w_i with s_{i+1} = A s_i + w_i
+        draws.draw(-2, states[1:rows + 1], shared)
+        for j in range(rows):
+            np.add(steps.predict(states[j]), states[j + 1], out=states[j + 1])
+        if sensed:
+            zs = z[1:rows + 1]
+            draws.draw(-1, zs, shared)
+            np.add(steps.observe(states[1:rows + 1]), np.multiply(noise_gain, zs, out=zs), out=zs)
+        if not switching:
+            arrivals = [sensed] * rows
+        elif trials == 1:
+            # a lone trial shares its arrival, which keeps P unbatched
+            arrivals = present[:rows, 0].tolist()
+        else:
+            arrivals = list(present[:rows])
+        if start == 0:
+            arrivals[0] = False
+        estimates[0] = est
+        covariances = [p]
+        for j, arrived in enumerate(arrivals):
+            est, p = _filter_step(steps, arrived, est, z[j], p, g)
+            estimates[j + 1] = est
+            covariances.append(p)
+        first = 0 if start == 0 else 1
+        yield (
+            start + first, states[first:rows + 1], estimates[first:rows + 1],
+            covariances[first:], present[first:rows + 1], z[first:rows + 1],
+        )
+        for buffer in (states, present, z):
+            buffer[0] = buffer[rows]
 
 
 def covariance_trials(model, lam: float, horizon: int, trials: int, seed: int, p0):
@@ -594,11 +620,18 @@ def covariance_trials(model, lam: float, horizon: int, trials: int, seed: int, p
     Trial t (seed XOR t) draws one arrival uniform per step, through
     ``_trial_uniforms`` in blocks of at most ``UNIFORM_BLOCK`` draws (and
     at least one step); step i senses where its uniform is below lam and
-    takes the open-loop step otherwise.
+    takes the open-loop step otherwise.  At lam = 0 (1) every trial shares
+    the open-loop (sensing) path, and the other branch is never computed.
     """
     steps = _steps(model)
     p = steps.initial(p0)
     yield np.broadcast_to(p0, (trials, model.m, model.m))
+    if lam in (0.0, 1.0):
+        step = steps.correct if lam == 1.0 else steps.open_loop
+        for _ in range(horizon):
+            p = step(p)
+            yield np.broadcast_to(np.reshape(p, (model.m, model.m)), (trials, model.m, model.m))
+        return
     width = max(1, min(horizon, UNIFORM_BLOCK // trials))
     blocks = _trial_uniforms(seed, trials, width)
     for i in range(horizon):
@@ -629,9 +662,11 @@ def run_filter(
     estimates = np.empty_like(states)
     covariances = np.empty((horizon + 1, model.m, model.m))
     measurements = []
-    for i, (state, est, p, arrived, z) in enumerate(run):
-        states[i], estimates[i], covariances[i] = state, est, p
-        measurements.append(z[0] if arrived else None)
+    for start, s, est, covs, present, z in run:
+        stop = start + len(covs)
+        states[start:stop], estimates[start:stop] = s[:, 0], est[:, 0]
+        covariances[start:stop] = np.reshape(covs, (-1, model.m, model.m))
+        measurements += [zj.copy() if on else None for zj, on in zip(z[:, 0], present[:, 0])]
 
     gamma = 1.0 if policy.kind == "switching" else policy.value
     gammas = np.where([z is not None for z in measurements], gamma, math.inf)

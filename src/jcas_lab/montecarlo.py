@@ -10,11 +10,11 @@ finite-horizon lower/upper iterates S_n and V_n started from the same P0.
 averages the per-block distortion, the quantity the steady-state traces are
 supposed to predict.
 
-Both advance every trial together, one time step at a time, through
-``filtering``, which owns the draws: a covariance cell runs
-``filtering.covariance_trials`` and block distortion runs the filter
-recursion ``filtering.filter_trials``.  Each result equals, bit for bit,
-the per-trial loops in ``tests/mc_reference.py``, because:
+Both advance every trial together through ``filtering``, which owns the
+draws: a covariance cell runs ``filtering.covariance_trials`` one time step
+at a time, and block distortion runs the filter recursion
+``filtering.filter_trials`` in segment passes.  Each result equals, bit for
+bit, the per-trial loops in ``tests/mc_reference.py``, because:
 
 * Seeds and draw order: trial t reads the stream of ``make_rng(seed XOR t)``
   in the order the ``filtering`` module docstring gives (a covariance cell
@@ -27,9 +27,11 @@ the per-trial loops in ``tests/mc_reference.py``, because:
   per-letter distortions.
 
 Memory: the block engine holds one ``trials x (horizon+1)`` float64
-distortion matrix plus O(trials x SEGMENT) draws.  A covariance cell holds
-the same matrix with ``per_step=True`` plus O(trials + UNIFORM_BLOCK)
-generator state (``filtering``).
+distortion matrix, into which each segment of ``filtering.filter_trials``
+writes its distortions in one expression, plus one generator per draw
+block and trial and O(trials x SEGMENT) segment buffers.  A covariance
+cell holds the same matrix with ``per_step=True`` plus O(trials +
+UNIFORM_BLOCK) generator state (``filtering``).
 """
 
 from __future__ import annotations
@@ -70,10 +72,7 @@ class McReport:
     per_step_v: np.ndarray | None = None
 
     def band(self) -> tuple:
-        return (
-            self.s_bound_trace - 3.0 * self.std_error,
-            self.v_bound_trace + 3.0 * self.std_error,
-        )
+        return _band(self.s_bound_trace, self.v_bound_trace, self.std_error)
 
     def to_text(self) -> str:
         lo, hi = self.band()
@@ -91,6 +90,13 @@ class McReport:
         if self.near_critical:
             lines.append("  note: near-critical sensing probability, interpret with care")
         return "\n".join(lines)
+
+
+def _band(s_trace: float, v_trace: float, std_error: float) -> tuple:
+    """[tr(S_n) - 3 SE, tr(V_n) + 3 SE]; the whole line when SE is infinite."""
+    if math.isinf(std_error):
+        return (-math.inf, math.inf)
+    return (s_trace - 3.0 * std_error, v_trace + 3.0 * std_error)
 
 
 CSV_HEADER = (
@@ -136,14 +142,21 @@ def _centered_mean(values: np.ndarray) -> np.ndarray:
     Deviations from trial 0 are added in trial order (``np.add.accumulate``
     over row chunks, sequential by definition).  Identical trials give back
     trial 0 bit for bit, which keeps the zero-variance sanity cases exact.
+    An entry with a +inf trial and no nan one has mean +inf (a +inf trial 0
+    would make the deviations inf - inf).
     """
     ref = values[0]
     acc = np.zeros_like(ref)
     rows = max(1, _ACCUMULATE_CHUNK // ref.size)
-    for start in range(0, len(values), rows):
-        chunk = np.concatenate([acc[None], values[start:start + rows] - ref])
-        acc = np.add.accumulate(chunk, axis=0)[-1]
-    return ref + acc / len(values)
+    with np.errstate(invalid="ignore"):
+        for start in range(0, len(values), rows):
+            chunk = np.concatenate([acc[None], values[start:start + rows] - ref])
+            acc = np.add.accumulate(chunk, axis=0)[-1]
+    mean = ref + acc / len(values)
+    if np.isnan(mean).any():
+        overflow = np.isposinf(values).any(axis=0) & ~np.isnan(values).any(axis=0)
+        mean = np.where(overflow, math.inf, mean)
+    return mean
 
 
 def expected_covariance_mc(
@@ -184,17 +197,16 @@ def expected_covariance_mc(
             track[:, i] = np.trace(p, axis1=1, axis2=2)
 
     traces = np.trace(p, axis1=1, axis2=2)
-    if trials > 1:
-        std_error = float(np.std(traces, ddof=1) / math.sqrt(trials))
-        infinite_band = False
-    else:
+    infinite_band = trials == 1
+    if infinite_band or not np.isfinite(traces).all():
         std_error = math.inf
-        infinite_band = True
+    else:
+        std_error = float(np.std(traces, ddof=1) / math.sqrt(trials))
 
     emp = float(np.trace(_centered_mean(p)))
     s_trace = float(np.trace(s_seq[-1]))
     v_trace = float(np.trace(v_seq[-1]))
-    within = (s_trace - 3.0 * std_error) <= emp <= (v_trace + 3.0 * std_error)
+    lo, hi = _band(s_trace, v_trace, std_error)
 
     if critical is None:
         critical = critical_lambda(model, bisect_tol=1e-3)
@@ -214,7 +226,7 @@ def expected_covariance_mc(
         std_error=std_error,
         s_bound_trace=s_trace,
         v_bound_trace=v_trace,
-        verdict=VERDICT_WITHIN if within else VERDICT_VIOLATED,
+        verdict=VERDICT_WITHIN if lo <= emp <= hi else VERDICT_VIOLATED,
         near_critical=near,
         infinite_band=infinite_band,
         per_step_mean=per_mean,
@@ -257,8 +269,8 @@ def empirical_block_distortion(
         raise ParameterError(f"trials must be >= 1, got {trials}")
     run = filter_trials(model, policy, horizon, trials, seed, s0_mean, s0_cov)
     dist = np.empty((trials, horizon + 1))
-    for i, (state, est, *_) in enumerate(run):
-        dist[:, i] = np.sum((state - est) ** 2, axis=1)
+    for start, states, estimates, *_ in run:
+        np.sum((states - estimates) ** 2, axis=2, out=dist[:, start:start + len(states)].T)
 
     blocks = np.array([np.mean(row) for row in dist])
     mean = float(_centered_mean(blocks))

@@ -130,8 +130,9 @@ def innovation_kernel(a: float, c: float, q: float, r: float, p: float, gamma: f
     s = c p c + gamma r is computed once.  Every scalar step reads this one
     expression, so they agree bit for bit; p may be an array of trials.
     """
-    s = (c * p) * c + gamma * r
-    return (p * c) / s, (a * p) * a + q - lam * (((a * p) * c) * (((c * p) * a) / s))
+    cp, ap = c * p, a * p
+    s = cp * c + gamma * r
+    return cp / s, ap * a + q - lam * ((ap * c) * ((cp * a) / s))
 
 
 def riccati_kernel(a: float, c: float, q: float, r: float, p: float, gamma: float) -> float:

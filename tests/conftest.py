@@ -43,6 +43,18 @@ def correlated_model():
     )
 
 
+@pytest.fixture
+def wide_model():
+    """3x3 model with two outputs (m = 3, k = 2), so the process- and
+    measurement-noise draw blocks have different widths."""
+    return GaussMarkovModel(
+        A=[[1.02, 0.1, 0.0], [0.0, 0.85, 0.2], [0.1, -0.1, 0.7]],
+        C=[[1.0, 0.0, 0.5], [0.0, 1.0, -0.3]],
+        Q=[[0.2, 0.05, 0.0], [0.05, 0.1, 0.02], [0.0, 0.02, 0.15]],
+        R=[[0.5, 0.1], [0.1, 0.3]],
+    )
+
+
 def quad_mb_root(a: float, c: float, q: float, r: float, gamma: float) -> float:
     """Independent steady-state oracle for scalar models with c = 1.
 

@@ -85,8 +85,9 @@ class TestRunFilterEqualsReference:
             "stable_model",
             BENCH_2X2,
             "correlated_model",
+            "wide_model",
         ],
-        ids=["scalar+1.15", "scalar-1.15", "scalar-0.95", "bench2x2", "correlated2x2"],
+        ids=["scalar+1.15", "scalar-1.15", "scalar-0.95", "bench2x2", "correlated2x2", "wide3x3"],
     )
     @pytest.mark.parametrize(
         "policy",
@@ -99,7 +100,7 @@ class TestRunFilterEqualsReference:
             model = request.getfixturevalue(model)
         s0 = np.linspace(-0.5, 0.5, model.m)
         p0 = 0.7 * np.eye(model.m)
-        # around the 500-step draw segments: below, at, past, one-step tail
+        # around two draw segments (2 x SEGMENT = 500 steps): below, at, one-step tail, past
         for horizon in (1, 2, 499, 500, 501, 1203):
             traj = run_filter(model, policy, horizon, s0, p0, seed=23 + horizon)
             ref = mc_reference.filter_trial(model, policy, horizon, s0, p0, 23 + horizon)
@@ -110,6 +111,49 @@ class TestRunFilterEqualsReference:
             for z, z_ref in zip(traj.measurements, ref.measurements):
                 assert (z is None) == (z_ref is None)
                 assert z is None or (z.shape == z_ref.shape and np.array_equal(z, z_ref))
+
+
+class TestFilterTrials:
+    """Trial t of a batched run is the run_filter run of seed seed XOR t."""
+
+    @pytest.mark.parametrize(
+        "model_name", ["stable_model", "unstable_model", "matrix_model", "correlated_model"]
+    )
+    @pytest.mark.parametrize(
+        "policy",
+        [BeamPolicy.switching(0.6), BeamPolicy.multibeam(2.0)],
+        ids=lambda p: f"{p.kind}-{p.value}",
+    )
+    def test_trial_equals_run_filter(self, request, monkeypatch, model_name, policy):
+        # segments of 8 steps: the 19-step run crosses two segment boundaries
+        monkeypatch.setattr(filtering, "SEGMENT", 8)
+        model = request.getfixturevalue(model_name)
+        horizon, trials, seed = 19, 4, 2**40 + 5
+        s0, p0 = np.linspace(-0.5, 0.5, model.m), 0.7 * np.eye(model.m)
+        m, k = model.m, model.k
+        states = np.empty((horizon + 1, trials, m))
+        estimates = np.empty_like(states)
+        covariances = np.empty((horizon + 1, trials, m, m))
+        present = np.empty((horizon + 1, trials), bool)
+        z = np.empty((horizon + 1, trials, k))
+        starts = []
+        run = filtering.filter_trials(model, policy, horizon, trials, seed, s0, p0)
+        for start, s, e, ps, arrived, zs in run:
+            stop = start + len(s)
+            starts.append(start)
+            states[start:stop], estimates[start:stop], present[start:stop] = s, e, arrived
+            z[start:stop] = zs
+            for i, p in enumerate(ps, start):
+                covariances[i] = np.reshape(p, (-1, m, m))
+        assert starts == [0, 9, 17]
+        for t in range(trials):
+            traj = run_filter(model, policy, horizon, s0, p0, seed=derive_trial_seed(seed, t))
+            assert np.array_equal(states[:, t], traj.states)
+            assert np.array_equal(estimates[:, t], traj.estimates)
+            assert np.array_equal(covariances[:, t], traj.covariances)
+            assert list(present[:, t]) == [zt is not None for zt in traj.measurements]
+            for i, zt in enumerate(traj.measurements):
+                assert zt is None or np.array_equal(z[i, t], zt)
 
 
 class TestKalmanGain:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,22 @@ class TestExpectedCovarianceMc:
         with pytest.raises(ParameterError):
             expected_covariance_mc(stable_model, 1.2, 10, 10, seed=0)
 
+    def test_overflowing_cell_reports_inf_within(self, unstable_model):
+        # never sensed, a = -1.15 overflows P_n to +inf well before 3000 steps;
+        # overflow warnings may stay, but nothing may compute inf - inf or inf / inf
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.filterwarnings("error", message="invalid value", category=RuntimeWarning)
+            rep = expected_covariance_mc(
+                unstable_model, 0.0, 3000, 50, seed=1, per_step=True, critical=math.nan
+            )
+        assert rep.empirical_mean_trace == rep.std_error == math.inf
+        assert rep.s_bound_trace == rep.v_bound_trace == math.inf
+        assert rep.verdict == "within" and not rep.infinite_band
+        assert rep.band() == (-math.inf, math.inf)
+        assert np.isposinf(rep.per_step_mean[-1]) and not np.isnan(rep.per_step_mean).any()
+        _, _, per_step = mc_reference.covariance_mc(unstable_model, 0.0, 100, 50, 1)
+        assert np.array_equal(rep.per_step_mean[:101], per_step)
+
     def test_per_step_traces(self, stable_model, tmp_path):
         rep = expected_covariance_mc(
             stable_model, 0.5, 15, 100, seed=7, per_step=True, critical=math.nan
@@ -166,6 +183,8 @@ class TestBlockDistortion:
 
 
 MODELS = ("stable_model", "unstable_model", "matrix_model", "correlated_model")
+#: a 3x3 model with k = 2 as well, whose w and v draw blocks differ in width
+BLOCK_MODELS = MODELS + ("wide_model",)
 
 
 #: with SEGMENT = 8: below, equal to, a one-step tail past, and not a multiple of it
@@ -195,7 +214,7 @@ class TestBatchedEqualsPerTrial:
             assert np.array_equal(rep.per_step_mean, per_step)
             assert rep.infinite_band == (trials == 1)
 
-    @pytest.mark.parametrize("model_name", MODELS)
+    @pytest.mark.parametrize("model_name", BLOCK_MODELS)
     @pytest.mark.parametrize(
         "policy",
         [BeamPolicy.switching(lam) for lam in (0.0, 0.6, 1.0)]
