@@ -16,9 +16,10 @@ at a time, and block distortion runs the filter recursion
 ``filtering.filter_trials`` in segment passes.  Each result equals, bit for
 bit, the per-trial loops in ``tests/mc_reference.py``, because:
 
-* Seeds and draw order: trial t reads the stream of ``make_rng(seed XOR t)``
-  in the order the ``filtering`` module docstring gives (a covariance cell
-  through the vectorized PCG64 copy there).
+* Seeds and draw order: every draw block of a run has one generator, drawn
+  time-major, and trial t reads column t of each block, in the order the
+  ``filtering`` module docstring gives.  Different seeds give independent
+  runs; a trial's draws depend on the run's trial count.
 * Reductions over trials are centered and in fixed order: deviations from
   trial 0 are added sequentially in trial-index order (never in the
   pairwise order of ``np.sum``), so reruns are bit-identical and
@@ -29,9 +30,9 @@ bit, the per-trial loops in ``tests/mc_reference.py``, because:
 Memory: the block engine holds one ``trials x (horizon+1)`` float64
 distortion matrix, into which each segment of ``filtering.filter_trials``
 writes its distortions in one expression, plus one generator per draw
-block and trial and O(trials x SEGMENT) segment buffers.  A covariance
-cell holds the same matrix with ``per_step=True`` plus O(trials +
-UNIFORM_BLOCK) generator state (``filtering``).
+block and O(trials x SEGMENT) segment buffers.  A covariance cell holds
+the same matrix with ``per_step=True``, one generator and one step's
+``trials`` uniforms (``filtering``).
 """
 
 from __future__ import annotations
@@ -261,9 +262,9 @@ def empirical_block_distortion(
     """Average block distortion over independent filtered trajectories.
 
     The initial true state is drawn from N(s0_mean, s0_cov) and the filter
-    starts from the matching estimate/covariance pair; each trial is the
-    trajectory ``run_filter`` gives for seed ``seed XOR t``.  Also returns
-    the per-index mean distortion sequence for tracking-loss monitoring.
+    starts from the matching estimate/covariance pair; trial t is column t
+    of the run's draw blocks (``filtering.filter_trials``).  Also returns
+    the per-index mean distortion sequence.
     """
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
@@ -280,12 +281,3 @@ def empirical_block_distortion(
         std_error = math.inf
     return BlockDistortionReport(trials, horizon, mean, std_error, _centered_mean(dist))
 
-
-def tracking_loss_monitor(per_index_distortion, threshold: float):
-    """First index whose mean distortion exceeds the loss threshold, else None."""
-    if not (threshold > 0.0):
-        raise ParameterError(f"loss threshold must be positive, got {threshold}")
-    for i, value in enumerate(per_index_distortion):
-        if value > threshold:
-            return i
-    return None

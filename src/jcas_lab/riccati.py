@@ -129,10 +129,41 @@ def innovation_kernel(a: float, c: float, q: float, r: float, p: float, gamma: f
 
     s = c p c + gamma r is computed once.  Every scalar step reads this one
     expression, so they agree bit for bit; p may be an array of trials.
+    Where a p a overflows, as at an overflowed p = +inf, the expression
+    would give inf - inf; ``_innovation_limit`` takes over.
     """
     cp, ap = c * p, a * p
+    apa = ap * a
+    if (apa.max() if isinstance(apa, np.ndarray) else apa) == math.inf:
+        return _innovation_limit(a, c, q, r, p, gamma, lam)
     s = cp * c + gamma * r
-    return cp / s, ap * a + q - lam * ((ap * c) * ((cp * a) / s))
+    return cp / s, apa + q - lam * ((ap * c) * ((cp * a) / s))
+
+
+def _innovation_limit(a: float, c: float, q: float, r: float, p, gamma: float, lam: float):
+    """``innovation_kernel`` where a p a overflows to +inf.
+
+    Those entries take the form that stays finite as p -> inf: with
+    d = c^2 + gamma r / p, the gain c / d and the covariance
+    a^2 lam gamma r / d + q + (1 - lam) a^2 p.  At p = +inf that is the gain
+    1/c and a^2 gamma r / c^2 + q at lam = 1, +inf at lam < 1.  With c = 0
+    nothing is sensed (gain 0, covariance +inf).  The other entries keep
+    ``innovation_kernel``'s bits.
+    """
+    array = isinstance(p, np.ndarray)
+    big = np.isposinf(a * p * a)
+    gain, p_next = innovation_kernel(a, c, q, r, np.where(big, 1.0, p), gamma, lam)
+    if c == 0.0:
+        top_gain, top = 0.0, math.inf
+    else:
+        p = np.where(big, p, 1.0)
+        d = c * c + gamma * r / p
+        top_gain, top = c / d, (a * a) * (lam * (gamma * r) / d) + q
+        if lam < 1.0:
+            top = top + (1.0 - lam) * p * a * a
+    gain = np.where(big, top_gain, gain)
+    p_next = np.where(big, top, p_next)
+    return (gain, p_next) if array else (float(gain), float(p_next))
 
 
 def riccati_kernel(a: float, c: float, q: float, r: float, p: float, gamma: float) -> float:

@@ -3,13 +3,16 @@
 Each function runs one trial at a time, the way the engine's results are
 defined.  The covariance cell steps a single covariance through
 ``riccati_kernel``/``lyap_kernel`` or ``riccati_step``/``lyapunov_step``.
-A filter run draws its whole stream at once (initial state, switching
-uniforms, process noise, measurement noise) and then steps the matrix
-filter through ``kalman_step``, which takes its gain and its covariance
-from one ``riccati.innovation`` call, or the scalar filter through
-``riccati_kernel``/``lyap_kernel`` and its own gain p c / (c p c + g r).
-Trial t draws from ``make_rng(seed XOR t)`` itself, never from the
-engine's vectorized generator.  Block distortion averages such runs.
+Draws come from the generators of ``filtering.draw_generators``, one per
+block.  Each block is drawn whole, in one shot and time-major as (steps,
+trials[, width]), and transformed whole; trial t then reads column t.  (A
+single trial's (steps, m) column transformed on its own rounds
+differently.)  A filter run's blocks are the initial state, the switching
+uniforms, the process noise and the measurement noise; it then steps the
+matrix filter through ``kalman_step``, which takes its gain and its
+covariance from one ``riccati.innovation`` call, or the scalar filter
+through ``riccati_kernel``/``lyap_kernel`` and its own gain
+p c / (c p c + g r).  Block distortion averages such runs.
 Means use the centered accumulation over a list of per-trial results in
 trial order.  Tests compare ``run_filter`` and the batched engine with
 these loops by exact equality.
@@ -21,14 +24,7 @@ import math
 
 import numpy as np
 
-from jcas_lab.filtering import (
-    PREDICTED,
-    FilterState,
-    Trajectory,
-    derive_trial_seed,
-    kalman_step,
-    make_rng,
-)
+from jcas_lab.filtering import PREDICTED, FilterState, Trajectory, draw_generators, kalman_step
 from jcas_lab.riccati import riccati_kernel, riccati_step
 from jcas_lab.statespace import lyap_kernel, lyapunov_step, psd_sqrt
 
@@ -47,10 +43,10 @@ def _std_error(values, trials: int) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(trials))
 
 
-def covariance_trial(model, lam, horizon, seed, t, p0):
-    """Final covariance and per-step traces of one trial of the MC cell."""
-    rng = make_rng(derive_trial_seed(seed, t))
-    arrivals = rng.random(horizon) < lam
+def covariance_trial(model, arrivals, p0):
+    """Final covariance and per-step traces of one trial of the MC cell,
+    sensing at the steps where ``arrivals`` holds."""
+    horizon = len(arrivals)
     track = np.empty(horizon + 1)
     if model.is_scalar:
         a, c, q, r = model.scalars()
@@ -71,31 +67,44 @@ def covariance_trial(model, lam, horizon, seed, t, p0):
 def covariance_mc(model, lam, horizon, trials, seed, p0=None):
     """(mean trace, std error, per-step mean trace) over per-trial runs."""
     p0 = model.Q.copy() if p0 is None else np.atleast_2d(np.asarray(p0, dtype=float))
-    results = [covariance_trial(model, lam, horizon, seed, t, p0) for t in range(trials)]
+    (rng,) = draw_generators(seed, cell=True)
+    arrivals = rng.random((horizon, trials)) < lam
+    results = [covariance_trial(model, arrivals[:, t], p0) for t in range(trials)]
     finals = [res[0] for res in results]
     traces = np.array([float(np.trace(p)) for p in finals])
     mean_trace = float(np.trace(centered_mean(finals)))
     return mean_trace, _std_error(traces, trials), centered_mean([res[1] for res in results])
 
 
-def filter_trial(model, policy, horizon, s0_estimate, p0, seed) -> Trajectory:
-    """One filter run of seed ``seed``, drawn in one shot and stepped per time index."""
+def filter_trials(model, policy, horizon, trials, s0_estimate, p0, seed) -> list:
+    """Every trial's filter run of seed ``seed``, stepped per time index."""
     n = horizon
     s0_estimate = np.asarray(s0_estimate, dtype=float).reshape(-1)
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
-    rng = make_rng(seed)
-    s_true0 = s0_estimate + psd_sqrt(p0) @ rng.standard_normal(model.m)
+    initial, arrival, process, measurement = draw_generators(seed)
+    x0 = initial.standard_normal((trials, model.m))
     if policy.kind == "switching":
-        gam = np.where(rng.random(n) < policy.value, 1.0, math.inf)
+        gam = np.where(arrival.random((n, trials)) < policy.value, 1.0, math.inf)
     else:
-        gam = np.full(n, policy.value)
-    w = rng.standard_normal((n, model.m)) @ psd_sqrt(model.Q).T
-    v = rng.standard_normal((n, model.k)) @ psd_sqrt(model.R).T
+        gam = np.full((n, trials), policy.value)
+    w = process.standard_normal((n, trials, model.m)) @ psd_sqrt(model.Q).T
+    v = measurement.standard_normal((n, trials, model.k)) @ psd_sqrt(model.R).T
     loop = _scalar_filter if model.is_scalar else _matrix_filter
-    states, measurements, estimates, covariances = loop(model, s_true0, gam, w, v, s0_estimate, p0)
-    dists = np.sum((states - estimates) ** 2, axis=1)
-    gammas = np.concatenate([[math.inf], gam])
-    return Trajectory(states, measurements, gammas, estimates, dists, covariances)
+    trajs = []
+    for t in range(trials):
+        s_true0 = s0_estimate + psd_sqrt(p0) @ x0[t]
+        states, measurements, estimates, covariances = loop(
+            model, s_true0, gam[:, t], w[:, t], v[:, t], s0_estimate, p0
+        )
+        dists = np.sum((states - estimates) ** 2, axis=1)
+        gammas = np.concatenate([[math.inf], gam[:, t]])
+        trajs.append(Trajectory(states, measurements, gammas, estimates, dists, covariances))
+    return trajs
+
+
+def filter_trial(model, policy, horizon, s0_estimate, p0, seed) -> Trajectory:
+    """The one trial of a one-trial run, as ``run_filter`` runs it."""
+    return filter_trials(model, policy, horizon, 1, s0_estimate, p0, seed)[0]
 
 
 def _matrix_filter(model, s_true0, gam, w, v, s0_estimate, p0):
@@ -166,11 +175,8 @@ def _scalar_filter(model, s_true0, gam, w, v, s0_estimate, p0):
 
 
 def block_distortion(model, policy, horizon, trials, seed, s0_mean, s0_cov):
-    """(mean, std error, per-index mean) over ``filter_trial`` per trial."""
-    trajs = [
-        filter_trial(model, policy, horizon, s0_mean, s0_cov, derive_trial_seed(seed, t))
-        for t in range(trials)
-    ]
+    """(mean, std error, per-index mean) over the runs of ``filter_trials``."""
+    trajs = filter_trials(model, policy, horizon, trials, s0_mean, s0_cov, seed)
     blocks = np.array([traj.block_distortion() for traj in trajs])
     mean = float(centered_mean([np.array(b) for b in blocks]))
     per_index = centered_mean([traj.per_letter_distortions for traj in trajs])

@@ -432,12 +432,13 @@ class TestOutputDirResolution:
         assert read_dir_bytes(out1) == read_dir_bytes(out2)
 
 
-#: sha256 of trajectory.csv as written when run_filter still had its own
-#: matrix and scalar loops; the single batched recursion writes the same bytes
+#: sha256 of trajectory.csv with one generator per draw block, each block
+#: drawn time-major (``filtering.draw_generators``); a change of the draws
+#: moves them
 TRAJECTORY_SHA256 = {
-    "scalar_unstable_switching": "b12cf10a493738b0eea1aadea45160f9492affc55a3c1f26f65139967e17480b",
-    "2x2_switching": "e82b23ca313483686cf30a58cbc3d5dbf14bfdd8ebbe7371c1c32ae7ac66636b",
-    "scalar_unstable_switching_5000": "2aa3f4ad680d35b6806ce2d3eb717ff781acf0e62339520fecc6839d908005e1",
+    "scalar_unstable_switching": "08e78678f653705233505349f5eeffb9d03dac22c1289041149094107ff3be14",
+    "2x2_switching": "000ac90f1d4183a295cc6b6e2c36e44dedb24f83b9c36525c2bcd3c0618345b1",
+    "scalar_unstable_switching_5000": "55a3804aa3d2d4205702f394e31bc6c9f39a89bc6921e96346f9e7d8ea3748df",
 }
 
 TRAJECTORY_CONFIGS = {

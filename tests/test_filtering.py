@@ -1,20 +1,15 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from jcas_lab import filtering
 from jcas_lab.errors import NumericalError, ParameterError
 from jcas_lab.filtering import (
     FilterState,
     PREDICTED,
-    derive_trial_seed,
     kalman_gain,
     kalman_step,
-    make_rng,
     measurement_update,
     run_filter,
     write_trajectory_csv,
@@ -56,15 +51,13 @@ class TestRunFilterTruth:
         assert 5 < sum(erased) < 35
 
     def test_two_step_variance_matches_propagation(self, unstable_model):
-        # Var(s_2) = A^2 Q + Q = 0.4645 with s_0 = 0
+        # Var(s_2) = A^2 Q + Q = 0.4645 with s_0 = 0, over the trials of one run
         n_trials = 10_000
-        vals = np.empty(n_trials)
-        for t in range(n_trials):
-            traj = run_filter(
-                unstable_model, BeamPolicy.multibeam(math.inf), 2, [0.0], [[0.0]],
-                seed=derive_trial_seed(42, t),
-            )
-            vals[t] = traj.states[2, 0]
+        run = filtering.filter_trials(
+            unstable_model, BeamPolicy.multibeam(math.inf), 2, n_trials, 42, [0.0], [[0.0]]
+        )
+        ((_, states, *_),) = run
+        vals = states[2, :, 0]
         target = (-1.15) ** 2 * 0.2 + 0.2
         se = target * math.sqrt(2.0 / (n_trials - 1))
         assert abs(np.var(vals, ddof=1) - target) < 3 * se
@@ -114,7 +107,7 @@ class TestRunFilterEqualsReference:
 
 
 class TestFilterTrials:
-    """Trial t of a batched run is the run_filter run of seed seed XOR t."""
+    """Trial t of a batched run is column t of its draw blocks."""
 
     @pytest.mark.parametrize(
         "model_name", ["stable_model", "unstable_model", "matrix_model", "correlated_model"]
@@ -124,7 +117,7 @@ class TestFilterTrials:
         [BeamPolicy.switching(0.6), BeamPolicy.multibeam(2.0)],
         ids=lambda p: f"{p.kind}-{p.value}",
     )
-    def test_trial_equals_run_filter(self, request, monkeypatch, model_name, policy):
+    def test_trial_is_column(self, request, monkeypatch, model_name, policy):
         # segments of 8 steps: the 19-step run crosses two segment boundaries
         monkeypatch.setattr(filtering, "SEGMENT", 8)
         model = request.getfixturevalue(model_name)
@@ -146,8 +139,8 @@ class TestFilterTrials:
             for i, p in enumerate(ps, start):
                 covariances[i] = np.reshape(p, (-1, m, m))
         assert starts == [0, 9, 17]
-        for t in range(trials):
-            traj = run_filter(model, policy, horizon, s0, p0, seed=derive_trial_seed(seed, t))
+        refs = mc_reference.filter_trials(model, policy, horizon, trials, s0, p0, seed)
+        for t, traj in enumerate(refs):
             assert np.array_equal(states[:, t], traj.states)
             assert np.array_equal(estimates[:, t], traj.estimates)
             assert np.array_equal(covariances[:, t], traj.covariances)
@@ -410,51 +403,3 @@ class TestTrajectoryCsv:
         first = lines[2].split(",")
         assert first[0] == "0" and first[2] == "0" and first[3] == ""
         assert first[4] == "inf"
-
-
-class TestTrialUniforms:
-    """The vectorized PCG64 kernel draws what make_rng(seed XOR t).random() draws."""
-
-    @staticmethod
-    def check(seed: int, trials: int, draws: int, width: int):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            blocks = filtering._trial_uniforms(seed, trials, width)
-            got = np.concatenate([next(blocks) for _ in range(-(-draws // width))], axis=1)
-        expected = np.stack(
-            [make_rng(derive_trial_seed(seed, t)).random(draws) for t in range(trials)]
-        )
-        assert got.dtype == np.float64 and got.shape[1] % width == 0
-        assert np.array_equal(got[:, :draws], expected)
-
-    # seeds of one and of two 32-bit words, a zero low word, the sign bit
-    # and the 64-bit ends; 0xFFFFFFFF ^ t stays below 2**32 and
-    # 2**32 ^ t keeps its high word
-    @pytest.mark.parametrize(
-        "seed",
-        [0, 1, 4242, 2**32 - 1, 2**32, 2**32 + 1, 2**33 - 1, 0xFFFFFFFF00000000,
-         2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1],
-    )
-    @pytest.mark.parametrize("width", [1, 7])
-    def test_edge_seeds(self, seed, width):
-        self.check(seed, 70, 40, width)
-
-    @given(
-        seed=st.integers(0, 2**64 - 1),
-        trials=st.integers(1, 9),
-        draws=st.integers(1, 40),
-        width=st.integers(1, 12),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_random_seeds(self, seed, trials, draws, width):
-        self.check(seed, trials, draws, width)
-
-    @pytest.mark.parametrize("width", [1, 64, filtering.SEGMENT + 7])
-    def test_one_trial_past_a_segment(self, width):
-        self.check(31, 1, filtering.SEGMENT + 7, width)
-
-
-def test_trial_seed_mixing():
-    assert derive_trial_seed(0b1100, 0b1010) == 0b0110
-    assert derive_trial_seed(2**64 - 1, 1) == 2**64 - 2
-    assert derive_trial_seed(5, 0) == 5

@@ -10,7 +10,6 @@ from jcas_lab.montecarlo import (
     empirical_block_distortion,
     expected_covariance_mc,
     mc_report_csv_row,
-    tracking_loss_monitor,
     write_per_step_csv,
 )
 from jcas_lab.riccati import BeamPolicy, mb_fixed_point
@@ -103,6 +102,16 @@ class TestExpectedCovarianceMc:
         assert np.isposinf(rep.per_step_mean[-1]) and not np.isnan(rep.per_step_mean).any()
         _, _, per_step = mc_reference.covariance_mc(unstable_model, 0.0, 100, 50, 1)
         assert np.array_equal(rep.per_step_mean[:101], per_step)
+
+    def test_overflow_then_sensing_is_not_nan(self):
+        # a = 1e30 overflows P to +inf within a few erasures; a sensing step
+        # from +inf takes the Riccati step's limit a^2 r / c^2 + q, not nan
+        model = GaussMarkovModel.scalar(1e30, 1.0, 0.2, 1.5)
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.filterwarnings("error", message="invalid value", category=RuntimeWarning)
+            rep = expected_covariance_mc(model, 0.5, 30, 200, seed=1, per_step=True, critical=math.nan)
+        assert mc_report_csv_row(rep).split(",")[3:8] == ["inf", "inf", "inf", "inf", "within"]
+        assert not np.isnan(rep.per_step_mean).any()
 
     def test_per_step_traces(self, stable_model, tmp_path):
         rep = expected_covariance_mc(
@@ -251,45 +260,30 @@ class TestBatchedEqualsPerTrial:
         assert np.array_equal(cell.per_step_mean, ref_steps)
 
 
-@pytest.mark.parametrize("model_name", MODELS)
-@pytest.mark.parametrize("trials", [1, 6])
-def test_covariance_cell_across_uniform_blocks(request, monkeypatch, model_name, trials):
-    # a block of 20 draws: 6 trials read 3 steps per block and one trial 19,
-    # so the horizons below end inside a block and cross several
-    monkeypatch.setattr(filtering, "UNIFORM_BLOCK", 20)
-    model = request.getfixturevalue(model_name)
-    for horizon in (17, 19, 41):
-        rep = expected_covariance_mc(
-            model, 0.6, horizon, trials, seed=2**32 + 3, per_step=True, critical=math.nan
-        )
-        mean, se, per_step = mc_reference.covariance_mc(model, 0.6, horizon, trials, 2**32 + 3)
-        assert rep.empirical_mean_trace == mean and rep.std_error == se
-        assert np.array_equal(rep.per_step_mean, per_step)
+class TestSeedIndependence:
+    """Adjacent seeds give independent trials, not a permutation of the same ones.
 
+    Per-trial seeds seed XOR t would make the seeds 1000 and 1001 with 2048
+    trials both run the trial seeds 0..2047, in another order.
+    """
 
-class TestTrackingLossMonitor:
-    def test_all_below_threshold(self):
-        assert tracking_loss_monitor([0.1, 0.2, 0.3], 1.0) is None
+    SEEDS, TRIALS = (1000, 1001), 2048
 
-    def test_infinite_threshold(self):
-        assert tracking_loss_monitor([1e300, 1e305], math.inf) is None
+    def test_covariance_cells(self, unstable_model):
+        finals = []
+        for seed in self.SEEDS:
+            *_, p = filtering.covariance_trials(
+                unstable_model, 0.5, 30, self.TRIALS, seed, np.array([[0.2]])
+            )
+            finals.append(np.sort(np.trace(p, axis1=1, axis2=2)))
+        assert not np.array_equal(*finals)
 
-    def test_unstable_open_loop_violation_index_shrinks_with_threshold(self, unstable_model):
-        rep = empirical_block_distortion(
-            unstable_model,
-            BeamPolicy.switching(0.0),
-            60,
-            200,
-            seed=7,
-            s0_mean=[0.0],
-            s0_cov=[[1.0]],
-        )
-        # open-loop error grows geometrically, oracle: direct recursion
-        idx_hi = tracking_loss_monitor(rep.per_index_mean, 50.0)
-        idx_lo = tracking_loss_monitor(rep.per_index_mean, 5.0)
-        assert idx_hi is not None and idx_lo is not None
-        assert idx_lo < idx_hi
-
-    def test_threshold_validation(self):
-        with pytest.raises(ParameterError):
-            tracking_loss_monitor([0.1], 0.0)
+    def test_block_distortion_trials(self, stable_model):
+        blocks = []
+        for seed in self.SEEDS:
+            run = filtering.filter_trials(
+                stable_model, BeamPolicy.switching(0.5), 10, self.TRIALS, seed, [0.0], [[1.0]]
+            )
+            ((_, states, estimates, *_),) = run
+            blocks.append(np.sort(np.mean(np.sum((states - estimates) ** 2, axis=2), axis=0)))
+        assert not np.array_equal(*blocks)

@@ -118,6 +118,40 @@ class TestMaps:
             assert np.trace(diff) >= -1e-9
 
 
+class TestOverflowedCovariance:
+    """The scalar kernels at an overflowed p = +inf take the limit as p -> inf."""
+
+    def test_riccati_step_limit(self):
+        # a^2 gamma r / c^2 + q, where the plain expression gives inf / inf
+        for gamma in (1.0, 2.0):
+            gain, p_next = riccati.innovation_kernel(1e30, 2.0, 0.2, 1.5, math.inf, gamma, 1.0)
+            assert gain == 0.5
+            assert p_next == pytest.approx(1e60 * gamma * 1.5 / 4.0 + 0.2, rel=1e-15)
+        assert riccati.riccati_kernel(1e30, 1.0, 0.2, 1.5, math.inf, 1.0) == pytest.approx(1.5e60)
+
+    def test_erasure_average_diverges(self):
+        assert riccati.bs_kernel(1e30, 1.0, 0.2, 1.5, math.inf, 0.5) == math.inf
+        assert riccati.bs_kernel(-1.15, 1.0, 0.2, 1.5, math.inf, 0.99) == math.inf
+
+    def test_unobserved_model(self):
+        assert riccati.innovation_kernel(-1.15, 0.0, 0.2, 1.5, math.inf, 1.0, 1.0) == (0.0, math.inf)
+
+    def test_finite_entries_keep_their_bits(self):
+        a, c, q, r = -1.15, 0.7, 0.2, 1.5
+        finite = np.array([[0.0], [1e-3], [1.0], [37.5], [1e12]])
+        for gamma, lam in ((1.0, 1.0), (2.5, 1.0), (1.0, 0.4)):
+            alone = riccati.innovation_kernel(a, c, q, r, finite, gamma, lam)
+            mixed = riccati.innovation_kernel(a, c, q, r, np.vstack([finite, [[math.inf]]]), gamma, lam)
+            for got, want in zip(mixed, alone):
+                assert np.array_equal(got[:-1], want)
+            for i, p in enumerate(finite[:, 0]):
+                cp, ap = c * float(p), a * float(p)
+                s = cp * c + gamma * r
+                plain = (cp / s, ap * a + q - lam * ((ap * c) * ((cp * a) / s)))
+                assert riccati.innovation_kernel(a, c, q, r, float(p), gamma, lam) == plain
+                assert (alone[0][i, 0], alone[1][i, 0]) == plain
+
+
 class TestFixedPoints:
     def test_bs_full_measurement_unstable(self, unstable_model):
         root = quad_mb_root(-1.15, 1.0, 0.2, 1.5, 1.0)  # 0.987536301...
