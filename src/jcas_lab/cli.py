@@ -454,9 +454,9 @@ def cmd_filter_sim(args) -> int:
     write_trajectory_csv(traj, out / "trajectory.csv", comment=head)
     lost = traj.precision_loss_index()
     if lost is not None:
-        print(f"warning: filter-sim: from index {lost} on, |s_i| >> sqrt(tr P_i), so the written "
-              f"s_i - shat_i and d_i keep under {PRECISION_DIGITS} significant digits "
-              "(d_i may read 0)", file=sys.stderr)
+        print(f"warning: filter-sim: from index {lost} on, |s_i| >> sqrt(tr P_i), so s_i - shat_i "
+              f"recomputed from the written columns keeps under {PRECISION_DIGITS} significant "
+              "digits (d_i comes from the simulated error and keeps its digits)", file=sys.stderr)
     print(
         f"filter-sim: horizon={horizon} block_distortion={traj.block_distortion()!r}; "
         f"wrote trajectory.csv to {out}"

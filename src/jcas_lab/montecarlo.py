@@ -6,15 +6,18 @@ does not depend on the measurement values, which makes the check sharp and
 fast) and compares the empirical mean at the horizon against the
 finite-horizon lower/upper iterates S_n and V_n started from the same P0.
 
-``empirical_block_distortion`` runs the full state/filter simulation and
-averages the per-block distortion, the quantity the steady-state traces are
-supposed to predict.
+``empirical_block_distortion`` runs the filter and averages the per-block
+distortion, the quantity the steady-state traces are supposed to predict.
+The filter recursion ``filtering.filter_trials`` simulates the estimation
+error e_i = s_i - shat_i itself, never the raw state, so the per-letter
+distortion |e_i|^2 keeps its digits on unstable models, where s_i grows
+like |a|^i.
 
 Both advance every trial together through ``filtering``, which owns the
 draws: a covariance cell runs ``filtering.covariance_trials`` one time step
-at a time, and block distortion runs the filter recursion
-``filtering.filter_trials`` in segment passes.  Each result equals, bit for
-bit, the per-trial loops in ``tests/mc_reference.py``, because:
+at a time, and block distortion runs ``filtering.filter_trials`` in segment
+passes.  Each result equals, bit for bit, the per-trial loops in
+``tests/mc_reference.py``, because:
 
 * Seeds and draw order: every draw block of a run has one generator, drawn
   time-major, and trial t reads column t of each block, in the order the
@@ -29,10 +32,10 @@ bit, the per-trial loops in ``tests/mc_reference.py``, because:
 
 Memory: the block engine holds one ``trials x (horizon+1)`` float64
 distortion matrix, into which each segment of ``filtering.filter_trials``
-writes its distortions in one expression, plus one generator per draw
-block and O(trials x SEGMENT) segment buffers.  A covariance cell holds
-the same matrix with ``per_step=True``, one generator and one step's
-``trials`` uniforms (``filtering``).
+writes |e_i|^2 in one expression, plus one generator per draw block and
+O(trials x SEGMENT) segment buffers.  A covariance cell holds the same
+matrix with ``per_step=True``, one generator and at most 2^16 arrival
+uniforms (``filtering``).
 """
 
 from __future__ import annotations
@@ -270,8 +273,8 @@ def empirical_block_distortion(
         raise ParameterError(f"trials must be >= 1, got {trials}")
     run = filter_trials(model, policy, horizon, trials, seed, s0_mean, s0_cov)
     dist = np.empty((trials, horizon + 1))
-    for start, states, estimates, *_ in run:
-        np.sum((states - estimates) ** 2, axis=2, out=dist[:, start:start + len(states)].T)
+    for start, errors, *_ in run:
+        np.sum(errors ** 2, axis=2, out=dist[:, start:start + len(errors)].T)
 
     blocks = np.array([np.mean(row) for row in dist])
     mean = float(_centered_mean(blocks))

@@ -9,6 +9,9 @@ from jcas_lab.statespace import GaussMarkovModel
 UNSTABLE = dict(a=-1.15, c=1.0, q=0.2, r=1.5)
 STABLE = dict(a=-0.95, c=1.0, q=0.2, r=1.5)
 
+#: the benchmark 2x2 model (unstable, one output)
+BENCH_2X2 = GaussMarkovModel(A=[[1.05, 0.2], [0.0, 0.9]], C=[[1.0, 0.0]], Q=0.1 * np.eye(2), R=[[0.5]])
+
 
 @pytest.fixture
 def unstable_model():

@@ -433,12 +433,13 @@ class TestOutputDirResolution:
 
 
 #: sha256 of trajectory.csv with one generator per draw block, each block
-#: drawn time-major (``filtering.draw_generators``); a change of the draws
-#: moves them
+#: drawn time-major (``filtering.draw_generators``), and the estimates and
+#: distortions of the simulated error (shat = s - e, d = |e|^2); a change of
+#: the draws or of the error recursion moves them
 TRAJECTORY_SHA256 = {
-    "scalar_unstable_switching": "08e78678f653705233505349f5eeffb9d03dac22c1289041149094107ff3be14",
-    "2x2_switching": "000ac90f1d4183a295cc6b6e2c36e44dedb24f83b9c36525c2bcd3c0618345b1",
-    "scalar_unstable_switching_5000": "55a3804aa3d2d4205702f394e31bc6c9f39a89bc6921e96346f9e7d8ea3748df",
+    "scalar_unstable_switching": "7fcff32af631fcd5221d9416d676370c8524c68111ef2f791f6f8779609df4f6",
+    "2x2_switching": "2a14da283e2dc5d5a18882090ec501c074c35b1b238b5d492e6e2f79c745eae9",
+    "scalar_unstable_switching_5000": "96e4f0853aab4c495c621d1df4759f6b7de1b8fecf66d2d5b43cc5a9e9fec725",
 }
 
 TRAJECTORY_CONFIGS = {
@@ -465,8 +466,12 @@ class TestFilterSimOutput:
         assert len(warnings) == 1 and "from index" in warnings[0]
         index = int(warnings[0].split("from index ")[1].split()[0])
         assert 50 < index < 500
+        assert "recomputed from the written columns" in warnings[0]
         data = (tmp_path / "o" / "trajectory.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == TRAJECTORY_SHA256[name]
+        # d_i comes from the simulated error, so none rounds to 0
+        rows = data.decode().splitlines()[2:]
+        assert len(rows) == 5001 and all(float(row.split(",")[-1]) > 0 for row in rows)
 
     def test_stable_run_does_not_warn(self, tmp_path, capsys):
         model = {"A": [[-0.95]], "C": [[1.0]], "Q": [[0.2]], "R": [[1.5]]}

@@ -5,20 +5,13 @@ import pytest
 
 from jcas_lab import filtering
 from jcas_lab.errors import NumericalError, ParameterError
-from jcas_lab.filtering import (
-    FilterState,
-    PREDICTED,
-    kalman_gain,
-    kalman_step,
-    measurement_update,
-    run_filter,
-    write_trajectory_csv,
-)
+from jcas_lab.filtering import run_filter, write_trajectory_csv
 from jcas_lab.riccati import BeamPolicy, gamma_bs, innovation, mb_fixed_point, riccati_step
 from jcas_lab.statespace import GaussMarkovModel, lyapunov_sequence, lyapunov_step
 
 import mc_reference
-from conftest import random_psd
+from conftest import BENCH_2X2, random_psd
+from mc_reference import PREDICTED, FilterState, kalman_gain, kalman_step, measurement_update
 
 
 class TestRunFilterTruth:
@@ -43,11 +36,15 @@ class TestRunFilterTruth:
         assert all(z is None for z in never.measurements)
         assert always.measurements[0] is None
         assert all(z is not None for z in always.measurements[1:])
-        # a switching run predicts without an update exactly where it records no measurement
+        # a switching run predicts without an update exactly where it records
+        # no measurement: there shat_{i+1} = a shat_i up to the rounding of the
+        # written s - e (a few units of roundoff of |s| and |shat|)
         traj = run_filter(unstable_model, BeamPolicy.switching(0.5), 40, [0.0], [[1.0]], seed=5)
-        est = traj.estimates[:, 0]
+        s, est = traj.states[:, 0], traj.estimates[:, 0]
         erased = [z is None for z in traj.measurements[:-1]]
-        assert erased == list(est[1:] == -1.15 * est[:-1])
+        drift = np.abs(est[1:] - -1.15 * est[:-1])
+        scale = np.abs(s[1:]) + np.abs(est[1:]) + 1.15 * (np.abs(s[:-1]) + np.abs(est[:-1]))
+        assert erased == list(drift <= 8 * np.finfo(float).epsneg * scale)
         assert 5 < sum(erased) < 35
 
     def test_two_step_variance_matches_propagation(self, unstable_model):
@@ -56,19 +53,18 @@ class TestRunFilterTruth:
         run = filtering.filter_trials(
             unstable_model, BeamPolicy.multibeam(math.inf), 2, n_trials, 42, [0.0], [[0.0]]
         )
-        ((_, states, *_),) = run
-        vals = states[2, :, 0]
+        # never sensed from shat_0 = s_0 = 0, the estimate stays 0 and the error is the state
+        ((_, errors, *_),) = run
+        vals = errors[2, :, 0]
         target = (-1.15) ** 2 * 0.2 + 0.2
         se = target * math.sqrt(2.0 / (n_trials - 1))
         assert abs(np.var(vals, ddof=1) - target) < 3 * se
 
 
-#: the benchmark 2x2 model (unstable, one output)
-BENCH_2X2 = GaussMarkovModel(A=[[1.05, 0.2], [0.0, 0.9]], C=[[1.0, 0.0]], Q=0.1 * np.eye(2), R=[[0.5]])
-
-
 class TestRunFilterEqualsReference:
-    """run_filter reproduces the per-trial loops of mc_reference bit for bit."""
+    """run_filter reproduces the per-trial loops of mc_reference bit for bit:
+    the per-step loop's truth, measurements and covariances, the error loop's
+    estimates s - e and distortions |e|^2."""
 
     @pytest.mark.parametrize(
         "model",
@@ -124,29 +120,78 @@ class TestFilterTrials:
         horizon, trials, seed = 19, 4, 2**40 + 5
         s0, p0 = np.linspace(-0.5, 0.5, model.m), 0.7 * np.eye(model.m)
         m, k = model.m, model.k
-        states = np.empty((horizon + 1, trials, m))
-        estimates = np.empty_like(states)
+        errors = np.empty((horizon + 1, trials, m))
+        drive = np.empty_like(errors)
         covariances = np.empty((horizon + 1, trials, m, m))
         present = np.empty((horizon + 1, trials), bool)
-        z = np.empty((horizon + 1, trials, k))
+        noise = np.empty((horizon + 1, trials, k))
         starts = []
         run = filtering.filter_trials(model, policy, horizon, trials, seed, s0, p0)
-        for start, s, e, ps, arrived, zs in run:
-            stop = start + len(s)
+        for start, e, ps, arrived, d, nv in run:
+            stop = start + len(e)
             starts.append(start)
-            states[start:stop], estimates[start:stop], present[start:stop] = s, e, arrived
-            z[start:stop] = zs
+            errors[start:stop], drive[start:stop], present[start:stop] = e, d, arrived
+            noise[start:stop] = nv
             for i, p in enumerate(ps, start):
                 covariances[i] = np.reshape(p, (-1, m, m))
         assert starts == [0, 9, 17]
         refs = mc_reference.filter_trials(model, policy, horizon, trials, s0, p0, seed)
-        for t, traj in enumerate(refs):
-            assert np.array_equal(states[:, t], traj.states)
-            assert np.array_equal(estimates[:, t], traj.estimates)
+        for t, ref in enumerate(refs):
+            traj = ref.trajectory
+            assert np.array_equal(errors[:, t], ref.errors)
+            assert np.array_equal(drive[:, t], ref.drive)
             assert np.array_equal(covariances[:, t], traj.covariances)
             assert list(present[:, t]) == [zt is not None for zt in traj.measurements]
-            for i, zt in enumerate(traj.measurements):
-                assert zt is None or np.array_equal(z[i, t], zt)
+            arrived = present[:, t]
+            assert np.array_equal(noise[arrived, t], ref.noise[arrived])
+
+
+class TestErrorRecursion:
+    """The error loop against the truth/estimate recursion on the same draws.
+
+    The two recursions differ only in rounding; ``mc_reference.rounding_bound``
+    propagates both local rounding errors, the recursion's scaled by |s_i|
+    and |shat_i|, through the closed loop.
+    """
+
+    @pytest.mark.parametrize("model_name", ["stable_model", "matrix_model"])
+    @pytest.mark.parametrize(
+        "policy",
+        [BeamPolicy.switching(0.6), BeamPolicy.multibeam(2.0)],
+        ids=lambda p: f"{p.kind}-{p.value}",
+    )
+    def test_stable_matches_per_step_loop(self, request, model_name, policy):
+        model = request.getfixturevalue(model_name)
+        s0, p0 = np.full(model.m, 0.5), np.eye(model.m)
+        for ref in mc_reference.filter_trials(model, policy, 600, 3, s0, p0, 41):
+            s, est = ref.trajectory.states, ref.loop_estimates
+            z = s @ model.C.T + ref.noise
+            bound = mc_reference.rounding_bound(model, ref, s, est, z, np.finfo(float).epsneg)
+            assert np.all(np.abs(ref.errors - (s - est)) <= bound)
+
+    @pytest.mark.parametrize(
+        "model",
+        [GaussMarkovModel.scalar(-1.15, 1.0, 0.2, 1.5), GaussMarkovModel.scalar(1.15, 1.0, 0.2, 1.5), BENCH_2X2],
+        ids=["scalar-1.15", "scalar+1.15", "bench2x2"],
+    )
+    @pytest.mark.parametrize(
+        "policy",
+        [BeamPolicy.switching(0.6), BeamPolicy.multibeam(2.0)],
+        ids=lambda p: f"{p.kind}-{p.value}",
+    )
+    def test_unstable_matches_extended_precision(self, model, policy):
+        # at 150 steps |s_i| reaches about 1.15^150 = 1e9: float64 truth and
+        # estimate keep about 7 digits of their difference, np.longdouble
+        # about 10, and the error loop all of them
+        s0, p0 = np.full(model.m, 0.5), np.eye(model.m)
+        unit = np.finfo(np.longdouble).epsneg
+        for ref in mc_reference.filter_trials(model, policy, 150, 3, s0, p0, 43):
+            s, est, z = mc_reference.truth_estimate(model, ref, s0)
+            bound = mc_reference.rounding_bound(model, ref, s, est, z, unit)
+            assert np.all(np.abs(ref.errors - (s - est)) <= bound)
+            # the bound is tight enough to reject the float64 raw-state loop
+            loop = ref.trajectory.states - ref.loop_estimates
+            assert np.any(np.abs(loop - (s - est)) > bound)
 
 
 class TestKalmanGain:
@@ -327,12 +372,24 @@ class TestRunFilter:
             assert np.array_equal(a.estimates, b.estimates)
             assert np.array_equal(a.gammas, b.gammas)
 
-    def test_distortions_recompute_from_states_and_estimates(self, matrix_model):
-        traj = run_filter(matrix_model, BeamPolicy.switching(0.5), 60, [0.0, 0.0], np.eye(2), seed=17)
-        recomputed = np.sum((traj.states - traj.estimates) ** 2, axis=1)
-        np.testing.assert_allclose(traj.per_letter_distortions, recomputed, atol=1e-12)
-        assert len(traj.measurements) == 61
-        assert traj.measurements[0] is None and math.isinf(traj.gammas[0])
+    def test_distortions_recompute_from_states_and_estimates(self, matrix_model, unstable_model):
+        # d_i = |e_i|^2 of the simulated error; the written shat = s - e rounds,
+        # so s - shat recomputed from the columns is e within
+        # delta = u (|shat| + |s - shat|) per component, and the squares
+        # within sum delta (2 |s - shat| + delta) plus the two sums' own
+        # rounding; on the unstable model that slack grows with |s_i|
+        u = np.finfo(float).epsneg
+        for model in (matrix_model, unstable_model):
+            traj = run_filter(model, BeamPolicy.switching(0.5), 60, np.zeros(model.m), np.eye(model.m), seed=17)
+            diff = traj.states - traj.estimates
+            recomputed = np.sum(diff ** 2, axis=1)
+            delta = u * (np.abs(traj.estimates) + np.abs(diff))
+            gamma = (model.m + 1) * u / (1 - (model.m + 1) * u)
+            slack = np.sum(delta * (2 * np.abs(diff) + delta), axis=1)
+            slack += gamma * (traj.per_letter_distortions + recomputed)
+            assert np.all(np.abs(traj.per_letter_distortions - recomputed) <= slack)
+            assert len(traj.measurements) == 61
+            assert traj.measurements[0] is None and math.isinf(traj.gammas[0])
 
     def test_horizon_validation(self, unstable_model):
         with pytest.raises(ParameterError):

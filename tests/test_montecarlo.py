@@ -12,11 +12,11 @@ from jcas_lab.montecarlo import (
     mc_report_csv_row,
     write_per_step_csv,
 )
-from jcas_lab.riccati import BeamPolicy, mb_fixed_point
+from jcas_lab.riccati import BeamPolicy, mb_fixed_point, sbar, vbar
 from jcas_lab.statespace import GaussMarkovModel
 
 import mc_reference
-from conftest import quad_mb_root
+from conftest import BENCH_2X2, quad_mb_root
 
 
 class TestExpectedCovarianceMc:
@@ -179,6 +179,31 @@ class TestBlockDistortion:
         assert rep.per_index_mean.shape == (31,)
         assert rep.ci3()[0] <= rep.mean <= rep.ci3()[1]
 
+    @staticmethod
+    def assert_in_switching_band(rep, model, lam):
+        lo = float(np.trace(sbar(lam, model))) - 3.0 * rep.std_error
+        hi = float(np.trace(vbar(lam, model))) + 3.0 * rep.std_error
+        assert lo <= rep.mean <= hi
+
+    def test_unstable_switching_keeps_the_error(self, unstable_model):
+        # a = -1.15: s_i and shat_i grow like 1.15^i, and a raw-state filter
+        # rounds their difference to 0 after about 250 steps
+        rep = empirical_block_distortion(
+            unstable_model, BeamPolicy.switching(0.7), 2000, 200, seed=1, s0_mean=[0.0], s0_cov=[[1.0]]
+        )
+        self.assert_in_switching_band(rep, unstable_model, 0.7)
+        assert np.all(rep.per_index_mean[-100:] != 0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unstable_2x2_switching_in_band(self, seed):
+        # the benchmark 2x2 model has eigenvalue 1.05; lost digits would
+        # inflate the standard error far past 0.1
+        rep = empirical_block_distortion(
+            BENCH_2X2, BeamPolicy.switching(0.7), 1000, 20, seed, s0_mean=[0.0, 0.0], s0_cov=np.eye(2)
+        )
+        assert rep.std_error < 0.1
+        self.assert_in_switching_band(rep, BENCH_2X2, 0.7)
+
     def test_rejects_bad_initial_condition(self, matrix_model):
         policy = BeamPolicy.switching(0.5)
         with pytest.raises(DimensionError):
@@ -284,6 +309,6 @@ class TestSeedIndependence:
             run = filtering.filter_trials(
                 stable_model, BeamPolicy.switching(0.5), 10, self.TRIALS, seed, [0.0], [[1.0]]
             )
-            ((_, states, estimates, *_),) = run
-            blocks.append(np.sort(np.mean(np.sum((states - estimates) ** 2, axis=2), axis=0)))
+            ((_, errors, *_),) = run
+            blocks.append(np.sort(np.mean(np.sum(errors ** 2, axis=2), axis=0)))
         assert not np.array_equal(*blocks)
