@@ -184,12 +184,6 @@ class _ScalarSteps:
     def initial(self, p0: np.ndarray) -> float:
         return float(p0[0, 0])
 
-    def predict(self, x):
-        return self.a * x
-
-    def observe(self, x):
-        return self.c * x
-
     def open_loop(self, p):
         return lyap_kernel(self.a, self.q, p, 1.0)
 
@@ -223,12 +217,6 @@ class _MatrixSteps:
 
     def initial(self, p0: np.ndarray) -> np.ndarray:
         return p0
-
-    def predict(self, x):
-        return (self.model.A @ x[..., None])[..., 0]
-
-    def observe(self, x):
-        return (self.model.C @ x[..., None])[..., 0]
 
     def open_loop(self, p):
         return lyapunov_step(self.model, p, 1.0)
@@ -404,10 +392,10 @@ def run_filter(
         states[start:stop], errors[start:stop], noise[start:stop] = drive, e, nv
         present[start:stop] = arrived[:, 0]
         covariances[start:stop] = np.reshape(covs, (-1, model.m, model.m))
-    steps = _steps(model)
+    # s_{i+1} = A s_i + w_i, z_i = C s_i + sqrt(g) v_i; a 1x1 product is one rounded multiply
     for i in range(horizon):
-        np.add(steps.predict(states[i]), states[i + 1], out=states[i + 1])
-    z = np.add(steps.observe(states), noise, out=noise)[:, 0]
+        np.add((model.A @ states[i][..., None])[..., 0], states[i + 1], out=states[i + 1])
+    z = np.add((model.C @ states[..., None])[..., 0], noise, out=noise)[:, 0]
     measurements = [zi.copy() if on else None for zi, on in zip(z, present)]
 
     gamma = 1.0 if policy.kind == "switching" else policy.value

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import ParameterError
 from .filtering import covariance_trials, filter_trials
 from .riccati import BeamPolicy, critical_lambda, gamma_bs, iterate_map
-from .statespace import GaussMarkovModel, check_initial_covariance, lyapunov_sequence
+from .statespace import GaussMarkovModel, check_initial_covariance, lyapunov_step
 
 VERDICT_WITHIN = "within"
 VERDICT_VIOLATED = "violated"
@@ -163,6 +163,14 @@ def _centered_mean(values: np.ndarray) -> np.ndarray:
     return mean
 
 
+def _std_error(values: np.ndarray) -> float:
+    """Standard error of the mean over trials: inf for a single trial or
+    any non-finite value, whose spread is unknown."""
+    if len(values) == 1 or not np.isfinite(values).all():
+        return math.inf
+    return float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
 def expected_covariance_mc(
     model: GaussMarkovModel,
     lam: float,
@@ -192,7 +200,7 @@ def expected_covariance_mc(
     p0 = model.Q.copy() if p0 is None else check_initial_covariance(model, p0)
 
     # deterministic finite-horizon bounds from the same starting covariance
-    s_seq = lyapunov_sequence(model, 1.0 - lam, horizon, p0)
+    s_seq = iterate_map(lambda p: lyapunov_step(model, p, 1.0 - lam), p0, horizon)
     v_seq = iterate_map(lambda p: gamma_bs(p, lam, model), p0, horizon)
 
     track = np.empty((trials, horizon + 1)) if per_step else None
@@ -200,13 +208,7 @@ def expected_covariance_mc(
         if per_step:
             track[:, i] = np.trace(p, axis1=1, axis2=2)
 
-    traces = np.trace(p, axis1=1, axis2=2)
-    infinite_band = trials == 1
-    if infinite_band or not np.isfinite(traces).all():
-        std_error = math.inf
-    else:
-        std_error = float(np.std(traces, ddof=1) / math.sqrt(trials))
-
+    std_error = _std_error(np.trace(p, axis1=1, axis2=2))
     emp = float(np.trace(_centered_mean(p)))
     s_trace = float(np.trace(s_seq[-1]))
     v_trace = float(np.trace(v_seq[-1]))
@@ -232,7 +234,7 @@ def expected_covariance_mc(
         v_bound_trace=v_trace,
         verdict=VERDICT_WITHIN if lo <= emp <= hi else VERDICT_VIOLATED,
         near_critical=near,
-        infinite_band=infinite_band,
+        infinite_band=trials == 1,
         per_step_mean=per_mean,
         per_step_s=per_s,
         per_step_v=per_v,
@@ -250,7 +252,7 @@ class BlockDistortionReport:
     per_index_mean: np.ndarray = field(repr=False, default=None)
 
     def ci3(self) -> tuple:
-        return (self.mean - 3.0 * self.std_error, self.mean + 3.0 * self.std_error)
+        return _band(self.mean, self.mean, self.std_error)
 
 
 def empirical_block_distortion(
@@ -278,9 +280,5 @@ def empirical_block_distortion(
 
     blocks = np.array([np.mean(row) for row in dist])
     mean = float(_centered_mean(blocks))
-    if trials > 1:
-        std_error = float(np.std(blocks, ddof=1) / math.sqrt(trials))
-    else:
-        std_error = math.inf
-    return BlockDistortionReport(trials, horizon, mean, std_error, _centered_mean(dist))
+    return BlockDistortionReport(trials, horizon, mean, _std_error(blocks), _centered_mean(dist))
 

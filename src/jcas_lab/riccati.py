@@ -460,8 +460,12 @@ def _vbar_points(model: GaussMarkovModel, lams, strict: bool = False) -> list:
 
 
 def _mb_points(model: GaussMarkovModel, gammas, strict: bool = False) -> list:
+    """Multi-beam fixed point per gamma; gamma = inf is the open-loop Lyapunov solve."""
     step = lambda p, _, gamma: riccati_step(model, p, gamma)
-    return _solve_grid(model, [1.0] * len(gammas), gammas, step, strict)
+    finite = [gamma for gamma in gammas if not math.isinf(gamma)]
+    solved = iter(_solve_grid(model, [1.0] * len(finite), finite, step, strict))
+    open_loop = solve_scaled_lyapunov(model, 1.0) if math.inf in gammas else None
+    return [open_loop if math.isinf(gamma) else next(solved) for gamma in gammas]
 
 
 def vbar(lam: float, model: GaussMarkovModel):
@@ -490,9 +494,7 @@ def sbar_sweep(lams, model: GaussMarkovModel) -> list:
 
 def mb_fixed_point(gamma: float, model: GaussMarkovModel):
     """Steady-state covariance of the multi-beam map, or None when divergent."""
-    if math.isinf(_check_gamma(gamma)):
-        return solve_scaled_lyapunov(model, 1.0)
-    return _mb_points(model, [gamma], strict=True)[0]
+    return _mb_points(model, [_check_gamma(gamma)], strict=True)[0]
 
 
 def mb_sweep(gammas, model: GaussMarkovModel) -> list:
@@ -501,10 +503,7 @@ def mb_sweep(gammas, model: GaussMarkovModel) -> list:
     gamma = inf takes the open-loop Lyapunov route.  An entry is None where
     the fixed point diverges or ``mb_fixed_point`` would raise.
     """
-    gammas = [_check_gamma(float(g)) for g in gammas]
-    finite = iter(_mb_points(model, [g for g in gammas if not math.isinf(g)]))
-    open_loop = solve_scaled_lyapunov(model, 1.0) if math.inf in gammas else None
-    return [open_loop if math.isinf(g) else next(finite) for g in gammas]
+    return _mb_points(model, [_check_gamma(float(g)) for g in gammas])
 
 
 def _bisect(lo: float, hi: float, tol: float, above) -> float:
@@ -602,8 +601,6 @@ def gamma_max(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     _check_budget(d)
 
     def trace_at(gamma: float) -> float:
-        if math.isinf(gamma):
-            return trace_or_inf(solve_scaled_lyapunov(model, 1.0))
         return trace_or_inf(_mb_points(model, [gamma])[0])
 
     if trace_at(1.0) > d:

@@ -304,15 +304,3 @@ def solve_scaled_lyapunov(model: GaussMarkovModel, alpha: float):
     (within CRITICAL_MARGIN) has no usable fixed point and returns None.
     """
     return scaled_lyapunov_sweep(model, [alpha])[0]
-
-
-def lyapunov_sequence(
-    model: GaussMarkovModel, alpha: float, n: int, p0: np.ndarray
-) -> list:
-    """Finite-horizon iterates [S_0=P0, S_1, ..., S_n] of the scaled recursion."""
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    seq = [as_matrix(p0, "P0")]
-    for _ in range(n):
-        seq.append(lyapunov_step(model, seq[-1], alpha))
-    return seq

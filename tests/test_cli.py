@@ -448,6 +448,35 @@ TRAJECTORY_CONFIGS = {
     "scalar_unstable_switching_5000": dict(horizon=5000),
 }
 
+#: ``dir_sha256`` of whole output directories (the stamp line carries the
+#: version); a change that claims byte-identical outputs leaves them alone
+OUTPUT_DIR_SHA256 = {
+    "reproduce_fig3": "9e393be983489b8fc3f124e85717a2a044f25e0071df182393c79f71ca1ece00",
+    "reproduce_fig4": "d24ffa321922a0357158733031c5cce7f2499de6cdf0426bc17c3f179baa17d5",
+    "mc_verify_2x2": "f42899c5d76d01acdef53768f5995c805c3d2aebaa2ad99c36b877a32bebf770",
+}
+
+
+def dir_sha256(d) -> str:
+    """sha256 over every file's name and sha256, in name order."""
+    digest = hashlib.sha256()
+    for name, data in read_dir_bytes(d).items():
+        digest.update(name.encode() + b"\0" + hashlib.sha256(data).digest())
+    return digest.hexdigest()
+
+
+def output_dir_argv(name, tmp_path):
+    if name == "mc_verify_2x2":
+        cfg = write_config(tmp_path / "cfg.json", **BENCH_2X2, mc_lambdas=[0.0, 0.3, 0.7, 1.0])
+        return ["mc-verify", "--config", str(cfg)]
+    return ["reproduce", name.split("_")[1]]
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIR_SHA256))
+def test_output_dir_bytes_pinned(tmp_path, name):
+    assert main(output_dir_argv(name, tmp_path) + ["--out", str(tmp_path / "o")]) == 0
+    assert dir_sha256(tmp_path / "o") == OUTPUT_DIR_SHA256[name]
+
 
 class TestFilterSimOutput:
     @pytest.mark.parametrize("name", ["scalar_unstable_switching", "2x2_switching"])

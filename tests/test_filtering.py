@@ -6,8 +6,8 @@ import pytest
 from jcas_lab import filtering
 from jcas_lab.errors import NumericalError, ParameterError
 from jcas_lab.filtering import run_filter, write_trajectory_csv
-from jcas_lab.riccati import BeamPolicy, gamma_bs, innovation, mb_fixed_point, riccati_step
-from jcas_lab.statespace import GaussMarkovModel, lyapunov_sequence, lyapunov_step
+from jcas_lab.riccati import BeamPolicy, gamma_bs, innovation, iterate_map, mb_fixed_point, riccati_step
+from jcas_lab.statespace import GaussMarkovModel, lyapunov_step
 
 import mc_reference
 from conftest import BENCH_2X2, random_psd
@@ -360,7 +360,7 @@ class TestRunFilter:
             (matrix_model, np.array([[0.7, 0.1], [0.1, 0.9]])),
         ):
             traj = run_filter(model, BeamPolicy.multibeam(math.inf), 20, np.zeros(model.m), p0, seed=8)
-            seq = lyapunov_sequence(model, 1.0, 20, p0)
+            seq = iterate_map(lambda p: lyapunov_step(model, p, 1.0), p0, 20)
             for i in range(21):
                 assert np.array_equal(traj.covariances[i], seq[i])
 

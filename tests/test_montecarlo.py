@@ -194,6 +194,18 @@ class TestBlockDistortion:
         self.assert_in_switching_band(rep, unstable_model, 0.7)
         assert np.all(rep.per_index_mean[-100:] != 0.0)
 
+    def test_overflowing_block_reports_inf(self, unstable_model):
+        # never sensed, a = -1.15 overflows |e_i|^2 to +inf well before 3000
+        # steps; like an overflowing covariance cell, the standard error is
+        # inf, and nothing may compute inf - inf
+        with np.errstate(over="ignore"):
+            rep = empirical_block_distortion(
+                unstable_model, BeamPolicy.switching(0.0), 3000, 4, seed=1, s0_mean=[0.0], s0_cov=[[1.0]]
+            )
+        assert rep.mean == rep.std_error == math.inf
+        assert rep.ci3() == (-math.inf, math.inf)
+        assert np.isposinf(rep.per_index_mean[-1]) and not np.isnan(rep.per_index_mean).any()
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_unstable_2x2_switching_in_band(self, seed):
         # the benchmark 2x2 model has eigenvalue 1.05; lost digits would

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,10 +23,17 @@ from jcas_lab.riccati import (
     riccati_step,
     sbar,
     sbar_sweep,
+    trace_or_inf,
     vbar,
     vbar_sweep,
 )
-from jcas_lab.statespace import CRITICAL_MARGIN, GaussMarkovModel, lyapunov_step, spectral_radius
+from jcas_lab.statespace import (
+    CRITICAL_MARGIN,
+    GaussMarkovModel,
+    lyapunov_step,
+    solve_scaled_lyapunov,
+    spectral_radius,
+)
 from jcas_lab.tradeoff import ChannelSpec, bs_curve, mb_curve
 
 import riccati_reference as ref
@@ -326,12 +334,11 @@ def bench_model():
     )
 
 
-@pytest.fixture
-def seeded_model():
-    """Seeded unstable 8x8 model with two outputs, rho(A) = 1.1."""
-    rng = np.random.default_rng(20240601)
+def seeded_8x8(seed: int, rho: float) -> GaussMarkovModel:
+    """Seeded 8x8 model with two outputs and rho(A) = rho."""
+    rng = np.random.default_rng(seed)
     a = rng.standard_normal((8, 8))
-    a *= 1.1 / spectral_radius(a)
+    a *= rho / spectral_radius(a)
     lq = rng.standard_normal((8, 8)) / math.sqrt(8)
     lr = rng.standard_normal((2, 2))
     return GaussMarkovModel(
@@ -340,6 +347,18 @@ def seeded_model():
         Q=lq @ lq.T + 0.1 * np.eye(8),
         R=lr @ lr.T + 0.5 * np.eye(2),
     )
+
+
+@pytest.fixture
+def seeded_model():
+    """Seeded unstable 8x8 model with two outputs, rho(A) = 1.1."""
+    return seeded_8x8(20240601, 1.1)
+
+
+@pytest.fixture
+def stable_seeded_model():
+    """Seeded stable 8x8 model with two outputs, rho(A) = 0.9."""
+    return seeded_8x8(20240602, 0.9)
 
 
 SWEEP_MODELS = ("bench_model", "matrix_model", "correlated_model", "seeded_model")
@@ -433,6 +452,36 @@ class TestStackedSweep:
                 assert exc.value.trace_tail == list(window)
             else:
                 assert np.array_equal(fixed_point(step, matrix_model.Q, max_iter=max_iter), value)
+
+
+def assert_same_point(got, want):
+    """Bit for bit, None included."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model_name", ("bench_model", "stable_seeded_model"))
+class TestOpenLoopLimit:
+    """gamma = inf is the open-loop Lyapunov solve, bit for bit, on matrix
+    models: None on the unstable 2x2 model, finite on the stable 8x8 one."""
+
+    def test_fixed_point_and_sweep(self, request, model_name):
+        model = request.getfixturevalue(model_name)
+        open_loop = solve_scaled_lyapunov(model, 1.0)
+        assert (open_loop is None) == (model_name == "bench_model")
+        assert_same_point(mb_fixed_point(math.inf, model), open_loop)
+        assert_same_point(mb_sweep([1.0, 2.0, math.inf], model)[2], open_loop)
+
+    def test_gamma_max_open_loop_branch(self, request, model_name):
+        # gamma_max is inf exactly when the budget covers the open-loop trace
+        model = request.getfixturevalue(model_name)
+        open_loop = trace_or_inf(solve_scaled_lyapunov(model, 1.0))
+        if math.isinf(open_loop):
+            assert gamma_max(sys.float_info.max, model) < math.inf
+        else:
+            assert gamma_max(open_loop, model) == math.inf
+            assert gamma_max(np.nextafter(open_loop, 0.0), model, bisect_tol=1e-2) < math.inf
 
 
 class TestPinnedOutputs:

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcas_lab.errors import DimensionError, ParameterError
+from jcas_lab.riccati import iterate_map
 from jcas_lab.statespace import (
     GaussMarkovModel,
     lyap_kernel,
-    lyapunov_sequence,
     lyapunov_step,
     solve_scaled_lyapunov,
     spectral_radius,
@@ -117,7 +117,7 @@ class TestScaledLyapunov:
 
     def test_sequence_matches_manual_iterates(self, matrix_model):
         p0 = np.eye(2)
-        seq = lyapunov_sequence(matrix_model, 0.8, 4, p0)
+        seq = iterate_map(lambda p: lyapunov_step(matrix_model, p, 0.8), p0, 4)
         assert len(seq) == 5
         cur = p0
         for s in seq[1:]:
@@ -131,7 +131,8 @@ class TestScaledLyapunov:
         a, q, n = -1.15, 1.0, 2600
         model = GaussMarkovModel.scalar(a, 1.0, q, 1.0)
         with np.errstate(over="ignore"):
-            seq = [float(s[0, 0]) for s in lyapunov_sequence(model, 1.0, n, [[1.0]])]
+            seq = iterate_map(lambda p: lyapunov_step(model, p, 1.0), [[1.0]], n)
+            seq = [float(s[0, 0]) for s in seq]
         expected = [1.0]
         for _ in range(n):
             expected.append(lyap_kernel(a, q, expected[-1], 1.0))
