@@ -2,10 +2,11 @@
 
 Subcommands: ``riccati``, ``rd-curve``, ``mc-verify``, ``filter-sim``,
 ``bayes``, ``reproduce {fig3|fig4}``.  Experiments are configured by a single
-JSON file (flags override it; flags win).  Every CSV written starts with a
-comment line recording the tool version, a hash of the effective config, and
-the seed, and contains no timestamps, so reruns with the same seed are
-byte-identical.
+JSON file (flags override it; flags win).  The library modules compute;
+this module formats every output file and writes it through ``write_lines``.
+Every CSV written starts with a comment line recording the tool version, a
+hash of the effective config, and the seed, and contains no timestamps, so
+reruns with the same seed are byte-identical.
 
 Exit codes: 0 success, 2 config error, 3 numerical/convergence error,
 4 infeasible-only results under --strict.
@@ -36,13 +37,8 @@ from .bayes import (
     sensing_cost,
 )
 from .errors import ConvergenceError, EvidenceError, NumericalError, SchemaError
-from .filtering import PRECISION_DIGITS, run_filter, write_trajectory_csv
-from .montecarlo import (
-    CSV_HEADER,
-    expected_covariance_mc,
-    mc_report_csv_row,
-    write_per_step_csv,
-)
+from .filtering import PRECISION_DIGITS, run_filter
+from .montecarlo import expected_covariance_mc
 from .riccati import (
     BeamPolicy,
     critical_lambda,
@@ -57,10 +53,10 @@ from .statespace import GaussMarkovModel, validate_model
 from .tradeoff import (
     ChannelSpec,
     bs_curve,
+    distortion_overlap,
     dominance_report,
     full_rate,
     mb_curve,
-    write_curve_csv,
 )
 
 EXIT_OK = 0
@@ -149,13 +145,15 @@ def require(cfg: dict, key: str, *kinds: str):
 
 def integer(key: str, value, lo: int, hi: int) -> int:
     """value as an int in [lo, hi], an integral float such as 21.0 included;
-    SchemaError naming the key otherwise (bools and non-finite numbers too)."""
+    SchemaError naming the key (or the flag, for a key such as '--seed')
+    otherwise (bools and non-finite numbers too)."""
+    name = key if key.startswith("--") else f"config key '{key}'"
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"config key '{key}' must be an integer, got {json.dumps(value)}")
+        raise SchemaError(f"{name} must be an integer, got {json.dumps(value)}")
     if not lo <= value <= hi:
-        raise SchemaError(f"config key '{key}' must lie in [{lo}, {hi}], got {value}")
+        raise SchemaError(f"{name} must lie in [{lo}, {hi}], got {value}")
     return value
 
 
@@ -217,10 +215,12 @@ def parse_grid(spec, name: str) -> np.ndarray:
         count = integer(f"{name}.count", spec["count"], 1, MAX_GRID_POINTS)
         start = float(expect(f"{name}.start", spec["start"], "number"))
         stop = float(expect(f"{name}.stop", spec["stop"], "number"))
-        if spec.get("spacing", "linear") == "log":
-            arr = np.geomspace(start, stop, count)
-        else:
-            arr = np.linspace(start, stop, count)
+        spacing = spec.get("spacing", "linear")
+        if spacing not in ("linear", "log"):
+            raise SchemaError(f"{name}.spacing must be 'linear' or 'log', got {json.dumps(spacing)}")
+        if spacing == "log" and not (start > 0.0 and stop > 0.0):
+            raise SchemaError(f"{name}: a log grid needs positive start and stop, got {start!r}, {stop!r}")
+        arr = (np.geomspace if spacing == "log" else np.linspace)(start, stop, count)
     else:
         raise SchemaError(f"{name}: grid must be a list or a start/stop/count object")
     if arr.size == 0:
@@ -244,7 +244,7 @@ def parse_policy(cfg: dict) -> BeamPolicy:
 
 def resolve_seed(args, cfg: dict | None) -> int:
     if args.seed is not None:
-        return args.seed
+        return integer("--seed", args.seed, 0, 2**64 - 1)
     if cfg is not None and "seed" in cfg:
         return integer("seed", cfg["seed"], 0, 2**64 - 1)
     raise SchemaError("seed required: set 'seed' in the config or pass --seed")
@@ -260,7 +260,10 @@ def resolve_out_dir(args, cfg: dict | None) -> Path:
     else:
         out = "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"cannot use output directory {out}: {exc}") from exc
     return path
 
 
@@ -288,8 +291,79 @@ def fmt(x) -> str:
 
 
 def write_lines(path: Path, lines) -> None:
+    """Write one output file; every file a subcommand writes goes through here."""
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _reprs(values) -> list:
+    return [repr(float(x)) for x in values]
+
+
+def curve_lines(points, head: str, bits: bool) -> list:
+    """A curve as CSV: param, rate_nats, distortion, bound_kind, finite, and
+    with ``bits`` a rate_bits column (the points themselves stay in nats)."""
+    lines = [f"# {head}", "param,rate_nats,distortion,bound_kind,finite" + (",rate_bits" if bits else "")]
+    for p in points:
+        row = f"{float(p.param)!r},{float(p.rate)!r},{float(p.distortion)!r},{p.bound_kind},{int(p.finite)}"
+        if bits:
+            row += f",{float(p.rate / math.log(2.0))!r}"
+        lines.append(row)
+    return lines
+
+
+def mc_row(report) -> str:
+    """One Monte Carlo cell as a row of mc_reports.csv."""
+    return (
+        f"{report.lam!r},{report.trials},{report.horizon},"
+        f"{report.empirical_mean_trace!r},{report.std_error!r},"
+        f"{report.s_bound_trace!r},{report.v_bound_trace!r},"
+        f"{report.verdict},{int(report.near_critical)},{int(report.infinite_band)}"
+    )
+
+
+def mc_text(report) -> str:
+    """One Monte Carlo cell as a block of mc_reports.txt."""
+    lo, hi = report.band()
+    lines = [
+        f"lam={report.lam!r} trials={report.trials} horizon={report.horizon}",
+        f"  empirical mean trace : {report.empirical_mean_trace!r}",
+        f"  std error            : {report.std_error!r}",
+        f"  lower bound tr(S_n)  : {report.s_bound_trace!r}",
+        f"  upper bound tr(V_n)  : {report.v_bound_trace!r}",
+        f"  3-sigma band         : [{lo!r}, {hi!r}]",
+        f"  verdict              : {report.verdict}",
+    ]
+    if report.infinite_band:
+        lines.append("  note: single trial, no variance estimate (infinite band)")
+    if report.near_critical:
+        lines.append("  note: near-critical sensing probability, interpret with care")
+    return "\n".join(lines)
+
+
+def per_step_lines(report, head: str) -> list:
+    """A cell's per-step traces as CSV: i, mean_trace, s_bound, v_bound."""
+    lines = [f"# {head}", "i,mean_trace,s_bound,v_bound"]
+    steps = zip(report.per_step_mean, report.per_step_s, report.per_step_v)
+    lines += [f"{i},{','.join(_reprs(row))}" for i, row in enumerate(steps)]
+    return lines
+
+
+def trajectory_lines(traj, model: GaussMarkovModel, head: str) -> list:
+    """A filter run as CSV: i, s[0..m), z_present, z[0..k), gamma, shat[0..m),
+    d_i; a step without a measurement leaves its z columns empty."""
+    header = [
+        "i", *(f"s{j}" for j in range(model.m)), "z_present", *(f"z{j}" for j in range(model.k)),
+        "gamma", *(f"shat{j}" for j in range(model.m)), "d_i",
+    ]
+    lines = [f"# {head}", ",".join(header)]
+    for i, z in enumerate(traj.measurements):
+        row = [str(i), *_reprs(traj.states[i]), "0" if z is None else "1"]
+        row += [""] * model.k if z is None else _reprs(z)
+        row += [repr(float(traj.gammas[i])), *_reprs(traj.estimates[i])]
+        row.append(repr(float(traj.per_letter_distortions[i])))
+        lines.append(",".join(row))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +408,6 @@ def cmd_riccati(args) -> int:
     return EXIT_OK
 
 
-def _dominance_grid(curve_a, curve_b, n_points: int):
-    finite_a = [p.distortion for p in curve_a if p.finite]
-    finite_b = [p.distortion for p in curve_b if p.finite]
-    if len(finite_a) < 2 or len(finite_b) < 2:
-        return None
-    lo = max(min(finite_a), min(finite_b))
-    hi = min(max(finite_a), max(finite_b))
-    if not (hi > lo):
-        return None
-    return np.geomspace(lo, hi, n_points) if lo > 0 else np.linspace(lo, hi, n_points)
-
-
 def _write_dominance(mb, inner, outer, n_points: int, head: str, out: Path, pattern: str) -> dict:
     """Compare the multi-beam curve with each beam-switching bound they overlap.
 
@@ -354,10 +416,11 @@ def _write_dominance(mb, inner, outer, n_points: int, head: str, out: Path, patt
     """
     reports = {}
     for label, other in (("inner", inner), ("outer", outer)):
-        grid = _dominance_grid(mb, other, n_points)
-        if grid is None:
+        span = distortion_overlap(mb, other)
+        if span is None or span[0] == span[1]:
             continue
-        report = dominance_report(mb, other, grid)
+        lo, hi = span
+        report = dominance_report(mb, other, (np.geomspace if lo > 0 else np.linspace)(lo, hi, n_points))
         if report.empty:
             continue
         lines = [
@@ -384,13 +447,13 @@ def cmd_rd_curve(args) -> int:
     )
 
     inner, outer = bs_curve(model, channel, lam_grid)
-    write_curve_csv(inner + outer, out / "bs_curve.csv", comment=head, bits=args.bits)
+    write_lines(out / "bs_curve.csv", curve_lines(inner + outer, head, args.bits))
     written = ["bs_curve.csv"]
 
     if channel.kind == "gaussian":
         gam_grid = parse_grid(require(cfg, "gamma_grid"), "gamma_grid")
         mb = mb_curve(model, channel, gam_grid)
-        write_curve_csv(mb, out / "mb_curve.csv", comment=head, bits=args.bits)
+        write_lines(out / "mb_curve.csv", curve_lines(mb, head, args.bits))
         written.append("mb_curve.csv")
         n_points = integer(
             "dominance_grid_points", cfg.get("dominance_grid_points", 60), 1, MAX_GRID_POINTS
@@ -414,7 +477,11 @@ def cmd_mc_verify(args) -> int:
     head = stamp("mc-verify", cfg, seed, f"model=[{model.describe()}]")
 
     lam_c = critical_lambda(model, bisect_tol=1e-3)
-    rows = [f"# {head}", CSV_HEADER]
+    rows = [
+        f"# {head}",
+        "lam,trials,horizon,empirical_mean_trace,std_error,"
+        "s_bound_trace,v_bound_trace,verdict,near_critical,infinite_band",
+    ]
     texts = []
     n_within = 0
     for idx, lam in enumerate(lams):
@@ -427,12 +494,10 @@ def cmd_mc_verify(args) -> int:
             per_step=True,
             critical=lam_c,
         )
-        rows.append(mc_report_csv_row(report))
-        texts.append(report.to_text())
+        rows.append(mc_row(report))
+        texts.append(mc_text(report))
         n_within += report.verdict == "within"
-        write_per_step_csv(
-            report, out / f"mc_steps_{idx:03d}.csv", comment=f"{head} lam={lam!r}"
-        )
+        write_lines(out / f"mc_steps_{idx:03d}.csv", per_step_lines(report, f"{head} lam={lam!r}"))
     write_lines(out / "mc_reports.csv", rows)
     write_lines(out / "mc_reports.txt", texts)
     print(f"mc-verify: {n_within}/{len(lams)} verdicts within; wrote files to {out}")
@@ -451,7 +516,7 @@ def cmd_filter_sim(args) -> int:
     head = stamp("filter-sim", cfg, seed, f"model=[{model.describe()}]")
 
     traj = run_filter(model, policy, horizon, s0, p0, seed)
-    write_trajectory_csv(traj, out / "trajectory.csv", comment=head)
+    write_lines(out / "trajectory.csv", trajectory_lines(traj, model, head))
     lost = traj.precision_loss_index()
     if lost is not None:
         print(f"warning: filter-sim: from index {lost} on, |s_i| >> sqrt(tr P_i), so s_i - shat_i "
@@ -469,9 +534,10 @@ def cmd_bayes(args) -> int:
     seed = resolve_seed(args, cfg)
     out = resolve_out_dir(args, cfg)
     model_path = require(cfg, "discrete_model", "string")
-    if not Path(model_path).exists():
-        raise SchemaError(f"discrete_model file does not exist: {model_path}")
-    model = load_discrete_model(model_path)
+    try:
+        model = load_discrete_model(model_path)
+    except OSError as exc:
+        raise SchemaError(f"discrete_model file does not exist or cannot be read: {exc}") from exc
     bayes_cfg = expect("bayes", cfg.get("bayes", {}), "object")
     n = integer("bayes.n", bayes_cfg.get("n", 1), 1, MAX_STEPS_EXACT)
     resolution = float(
@@ -559,12 +625,8 @@ def reproduce_fig3(out: Path, seed: int, bits: bool = False) -> dict:
     for name in ("unstable", "stable"):
         model = _preset_model(name)
         inner, outer = bs_curve(model, channel, lam_grid)
-        write_curve_csv(
-            inner + outer,
-            out / f"fig3_{name}_bs.csv",
-            comment=f"{head} system={name} channel=noiseless(c0=1.0)",
-            bits=bits,
-        )
+        curve_head = f"{head} system={name} channel=noiseless(c0=1.0)"
+        write_lines(out / f"fig3_{name}_bs.csv", curve_lines(inner + outer, curve_head, bits))
         lam_c = critical_lambda(model)
         max_rate = (1.0 - lam_c) * channel.c0
         summary[name] = (lam_c, max_rate)
@@ -593,18 +655,9 @@ def reproduce_fig4(out: Path, seed: int, bits: bool = False) -> list:
             tag = f"{name}_snr{snr_db:g}db"
             inner, outer = bs_curve(model, channel, lam_grid)
             mb = mb_curve(model, channel, gam_grid)
-            write_curve_csv(
-                inner + outer,
-                out / f"fig4_{tag}_bs.csv",
-                comment=f"{head} system={name} channel={channel.describe()}",
-                bits=bits,
-            )
-            write_curve_csv(
-                mb,
-                out / f"fig4_{tag}_mb.csv",
-                comment=f"{head} system={name} channel={channel.describe()}",
-                bits=bits,
-            )
+            curve_head = f"{head} system={name} channel={channel.describe()}"
+            write_lines(out / f"fig4_{tag}_bs.csv", curve_lines(inner + outer, curve_head, bits))
+            write_lines(out / f"fig4_{tag}_mb.csv", curve_lines(mb, curve_head, bits))
             written += [f"fig4_{tag}_bs.csv", f"fig4_{tag}_mb.csv"]
             pattern = f"fig4_{tag}_dominance_{{}}.csv"
             reports = _write_dominance(mb, inner, outer, 60, head, out, pattern)
@@ -623,7 +676,7 @@ def reproduce_fig4(out: Path, seed: int, bits: bool = False) -> list:
 
 
 def cmd_reproduce(args) -> int:
-    seed = args.seed if args.seed is not None else PRESET_SEED
+    seed = resolve_seed(args, {"seed": PRESET_SEED})
     out = resolve_out_dir(args, None)
     if args.figure == "fig3":
         summary = reproduce_fig3(out, seed, bits=args.bits)

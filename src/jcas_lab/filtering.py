@@ -403,41 +403,3 @@ def run_filter(
     states, errors = states[:, 0], errors[:, 0]
     dists = np.sum(errors ** 2, axis=1)
     return Trajectory(states, measurements, gammas, states - errors, dists, covariances)
-
-
-def write_trajectory_csv(traj: Trajectory, path, comment: str | None = None) -> None:
-    """Columns: i, s[0..m), z_present, z[0..k), gamma, shat[0..m), d_i."""
-    m = traj.states.shape[1]
-    k = 0
-    for z in traj.measurements:
-        if z is not None:
-            k = len(z)
-            break
-    header = (
-        ["i"]
-        + [f"s{j}" for j in range(m)]
-        + ["z_present"]
-        + [f"z{j}" for j in range(k)]
-        + ["gamma"]
-        + [f"shat{j}" for j in range(m)]
-        + ["d_i"]
-    )
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(",".join(header))
-    for i in range(traj.states.shape[0]):
-        z = traj.measurements[i]
-        row = [str(i)]
-        row += [repr(float(x)) for x in traj.states[i]]
-        row.append("1" if z is not None else "0")
-        if z is not None:
-            row += [repr(float(x)) for x in z]
-        else:
-            row += [""] * k
-        row.append(repr(float(traj.gammas[i])))
-        row += [repr(float(x)) for x in traj.estimates[i]]
-        row.append(repr(float(traj.per_letter_distortions[i])))
-        lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

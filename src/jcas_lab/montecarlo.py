@@ -78,62 +78,12 @@ class McReport:
     def band(self) -> tuple:
         return _band(self.s_bound_trace, self.v_bound_trace, self.std_error)
 
-    def to_text(self) -> str:
-        lo, hi = self.band()
-        lines = [
-            f"lam={self.lam!r} trials={self.trials} horizon={self.horizon}",
-            f"  empirical mean trace : {self.empirical_mean_trace!r}",
-            f"  std error            : {self.std_error!r}",
-            f"  lower bound tr(S_n)  : {self.s_bound_trace!r}",
-            f"  upper bound tr(V_n)  : {self.v_bound_trace!r}",
-            f"  3-sigma band         : [{lo!r}, {hi!r}]",
-            f"  verdict              : {self.verdict}",
-        ]
-        if self.infinite_band:
-            lines.append("  note: single trial, no variance estimate (infinite band)")
-        if self.near_critical:
-            lines.append("  note: near-critical sensing probability, interpret with care")
-        return "\n".join(lines)
-
 
 def _band(s_trace: float, v_trace: float, std_error: float) -> tuple:
     """[tr(S_n) - 3 SE, tr(V_n) + 3 SE]; the whole line when SE is infinite."""
     if math.isinf(std_error):
         return (-math.inf, math.inf)
     return (s_trace - 3.0 * std_error, v_trace + 3.0 * std_error)
-
-
-CSV_HEADER = (
-    "lam,trials,horizon,empirical_mean_trace,std_error,"
-    "s_bound_trace,v_bound_trace,verdict,near_critical,infinite_band"
-)
-
-
-def mc_report_csv_row(report: McReport) -> str:
-    return (
-        f"{report.lam!r},{report.trials},{report.horizon},"
-        f"{report.empirical_mean_trace!r},{report.std_error!r},"
-        f"{report.s_bound_trace!r},{report.v_bound_trace!r},"
-        f"{report.verdict},{1 if report.near_critical else 0},"
-        f"{1 if report.infinite_band else 0}"
-    )
-
-
-def write_per_step_csv(report: McReport, path, comment: str | None = None) -> None:
-    """Long-format per-step traces: i, mean_trace, s_bound, v_bound."""
-    if report.per_step_mean is None:
-        raise ParameterError("report was built without per-step traces")
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append("i,mean_trace,s_bound,v_bound")
-    for i in range(len(report.per_step_mean)):
-        lines.append(
-            f"{i},{float(report.per_step_mean[i])!r},"
-            f"{float(report.per_step_s[i])!r},{float(report.per_step_v[i])!r}"
-        )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 #: values per chunk of the centered trial accumulation

@@ -6,8 +6,7 @@ the traces of the S-bar (lower/outer) and V-bar (upper/inner) steady states.
 Multi-beam senses every step with gain gamma0 and communicates with the
 complementary power fraction, giving an exact curve.
 
-Rates are in nats throughout; CSV output can append a bits column but the
-math never leaves nats.
+Rates are in nats throughout.
 """
 
 from __future__ import annotations
@@ -187,46 +186,32 @@ def _interp_arrays(points):
     return np.array(dist), np.array(rate)
 
 
+def _overlap(da: np.ndarray, db: np.ndarray):
+    """(lo, hi), lo <= hi, the span of two sorted distortion arrays of at
+    least two points each; None when there is no such span."""
+    if da.size < 2 or db.size < 2:
+        return None
+    lo, hi = max(da[0], db[0]), min(da[-1], db[-1])
+    return (lo, hi) if lo <= hi else None
+
+
+def distortion_overlap(curve_a, curve_b):
+    """(lo, hi), the finite distortions both curves reach, or None when
+    they share none (or either has fewer than two distinct ones)."""
+    return _overlap(_interp_arrays(curve_a)[0], _interp_arrays(curve_b)[0])
+
+
 def dominance_report(curve_a, curve_b, distortion_grid) -> DominanceReport:
     """rate_a(d) - rate_b(d) on shared grid points, linear interpolation.
 
-    Grid points outside the finite-distortion overlap of the two curves are
-    dropped; with no overlap the report is empty.
+    Grid points outside the finite-distortion overlap of the two curves
+    (``distortion_overlap``) are dropped; with no overlap the report is empty.
     """
     da, ra = _interp_arrays(curve_a)
     db, rb = _interp_arrays(curve_b)
+    span = _overlap(da, db)
     grid = np.asarray(list(distortion_grid), dtype=float)
-    if da.size < 2 or db.size < 2:
-        return DominanceReport(np.array([]), np.array([]), np.array([]))
-    lo = max(da[0], db[0])
-    hi = min(da[-1], db[-1])
-    sel = grid[(grid >= lo) & (grid <= hi)]
+    sel = grid[(grid >= span[0]) & (grid <= span[1])] if span else grid[:0]
     if sel.size == 0:
         return DominanceReport(np.array([]), np.array([]), np.array([]))
     return DominanceReport(sel, np.interp(sel, da, ra), np.interp(sel, db, rb))
-
-
-def write_curve_csv(points, path, comment: str | None = None, bits: bool = False) -> None:
-    """CSV columns: param, rate_nats, distortion, bound_kind, finite.
-
-    The first line is a '#' comment recording the provenance string passed
-    by the caller (model, channel, grid, seed).  ``bits`` appends a
-    rate_bits column; internal values stay in nats.
-    """
-    lines = []
-    if comment:
-        lines.append(f"# {comment}")
-    header = "param,rate_nats,distortion,bound_kind,finite"
-    if bits:
-        header += ",rate_bits"
-    lines.append(header)
-    for p in points:
-        row = (
-            f"{float(p.param)!r},{float(p.rate)!r},{float(p.distortion)!r},"
-            f"{p.bound_kind},{1 if p.finite else 0}"
-        )
-        if bits:
-            row += f",{float(p.rate / math.log(2.0))!r}"
-        lines.append(row)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -120,6 +120,31 @@ class TestSubcommands:
         assert lines[1] == "i,s0,z_present,z0,gamma,shat0,d_i"
         assert len(lines) == 2 + 21
 
+    @pytest.mark.parametrize(
+        "policy, seed",
+        [({"kind": "switching", "value": 0.3}, seed) for seed in (4, 6, 8)]
+        + [({"kind": "multibeam", "value": "inf"}, 1)],
+    )
+    def test_filter_sim_z_columns_without_arrivals(self, tmp_path, policy, seed):
+        # no measurement arrives in these runs; the z columns still follow model.k
+        model = {"A": [[-0.95]], "C": [[1.0]], "Q": [[0.2]], "R": [[1.5]]}
+        cfg = write_config(tmp_path / "cfg.json", model=model, policy=policy, horizon=3, seed=seed)
+        out = tmp_path / "out"
+        assert main(["filter-sim", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "trajectory.csv").read_text().strip().split("\n")
+        assert lines[1] == "i,s0,z_present,z0,gamma,shat0,d_i"
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == 4 and all(row[2] == "0" and row[3] == "" for row in rows)
+
+    def test_filter_sim_2x2_z_columns_follow_model_k(self, tmp_path):
+        model = dict(BENCH_2X2["model"], C=[[1.0, 0.0], [0.0, 1.0]], R=[[0.5, 0.0], [0.0, 0.5]])
+        policy = {"kind": "multibeam", "value": "inf"}
+        cfg = write_config(tmp_path / "cfg.json", **dict(BENCH_2X2, model=model), policy=policy, horizon=2)
+        assert main(["filter-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "trajectory.csv").read_text().strip().split("\n")
+        assert lines[1] == "i,s0,s1,z_present,z0,z1,gamma,shat0,shat1,d_i"
+        assert all(line.split(",")[3:6] == ["0", "", ""] for line in lines[2:])
+
     def test_bayes_outputs(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -206,6 +231,51 @@ class TestErrorPaths:
         assert main(["rd-curve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "gamma_grid" in err and "count" in err
+
+    @pytest.mark.parametrize("spacing", ("Log", 5, None))
+    def test_unknown_spacing_names_key(self, tmp_path, capsys, spacing):
+        grid = {"start": 1.0, "stop": 100.0, "count": 15, "spacing": spacing}
+        cfg = write_config(tmp_path / "cfg.json", gamma_grid=grid)
+        assert main(["rd-curve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "gamma_grid.spacing must be 'linear' or 'log'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start, stop", ((0.0, 100.0), (-1.0, 1.0), (1.0, -5.0)))
+    def test_log_grid_needs_positive_endpoints(self, tmp_path, capsys, start, stop):
+        grid = {"start": start, "stop": stop, "count": 3, "spacing": "log"}
+        cfg = write_config(tmp_path / "cfg.json", gamma_grid=grid)
+        assert main(["rd-curve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "gamma_grid: a log grid needs positive start and stop" in capsys.readouterr().err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert main(["riccati", "--config", str(cfg), "--out", str(taken)]) == 2
+        assert str(taken) in capsys.readouterr().err
+        assert main(["reproduce", "fig3", "--out", str(taken / "sub")]) == 2
+        assert str(taken / "sub") in capsys.readouterr().err
+
+    def test_bayes_model_naming_a_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=str(tmp_path))
+        assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "discrete_model" in err and str(tmp_path) in err
+
+    @pytest.mark.parametrize("seed", ("-1", str(2**64), str(2**64 + 1)))
+    @pytest.mark.parametrize("command", ("filter-sim", "reproduce"))
+    def test_seed_flag_out_of_range_names_flag(self, tmp_path, capsys, command, seed):
+        argv = ["reproduce", "fig3"]
+        if command != "reproduce":
+            argv = [command, "--config", str(write_config(tmp_path / "cfg.json"))]
+        assert main(argv + [f"--seed={seed}", "--out", str(tmp_path / "o")]) == 2
+        assert f"--seed must lie in [0, {2**64 - 1}], got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_flag_range_ends_accepted(self, tmp_path):
+        for seed in (0, 2**64 - 1):
+            out = tmp_path / str(seed)
+            assert main(["reproduce", "fig3", "--seed", str(seed), "--out", str(out)]) == 0
+            assert f"seed={seed}" in (out / "fig3_summary.txt").read_text()
 
     def test_integral_float_count_accepted(self, tmp_path):
         out = {}
@@ -454,6 +524,8 @@ OUTPUT_DIR_SHA256 = {
     "reproduce_fig3": "9e393be983489b8fc3f124e85717a2a044f25e0071df182393c79f71ca1ece00",
     "reproduce_fig4": "d24ffa321922a0357158733031c5cce7f2499de6cdf0426bc17c3f179baa17d5",
     "mc_verify_2x2": "f42899c5d76d01acdef53768f5995c805c3d2aebaa2ad99c36b877a32bebf770",
+    "rd_curve_gaussian_bits": "bfd4bd273946f420cd13737d9f448ba356e1bd5e126490c05b956f8bb03113a6",
+    "riccati_scalar_unstable": "5841de422c41df207332a080abe3f1e982c7097975b13480da5a7d4b2eff76d3",
 }
 
 
@@ -469,6 +541,10 @@ def output_dir_argv(name, tmp_path):
     if name == "mc_verify_2x2":
         cfg = write_config(tmp_path / "cfg.json", **BENCH_2X2, mc_lambdas=[0.0, 0.3, 0.7, 1.0])
         return ["mc-verify", "--config", str(cfg)]
+    if name == "rd_curve_gaussian_bits":
+        return ["rd-curve", "--bits", "--config", str(write_config(tmp_path / "cfg.json"))]
+    if name == "riccati_scalar_unstable":
+        return ["riccati", "--config", str(write_config(tmp_path / "cfg.json"))]
     return ["reproduce", name.split("_")[1]]
 
 
@@ -508,6 +584,36 @@ class TestFilterSimOutput:
         cfg = write_config(tmp_path / "cfg.json", model=model, horizon=5000, p0=[[0.0]])
         assert main(["filter-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert "warning" not in capsys.readouterr().err
+
+
+def test_every_output_file_goes_through_write_lines(tmp_path, monkeypatch):
+    import jcas_lab.cli as cli
+
+    written = []
+
+    def recording(path, lines):
+        written.append(Path(path))
+        original(path, lines)
+
+    original = cli.write_lines
+    monkeypatch.setattr(cli, "write_lines", recording)
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        discrete_model=toy_model_path(),
+        bayes={"n": 1, "grid_resolution": 0.1, "budgets": [0.4], "trace_len": 1},
+    )
+    runs = {
+        command: [command, "--config", str(cfg)]
+        for command in ("riccati", "rd-curve", "mc-verify", "filter-sim", "bayes")
+    }
+    runs.update({fig: ["reproduce", fig] for fig in ("fig3", "fig4")})
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0, name
+        files = sorted(out.iterdir())
+        assert files, name
+        assert files == sorted(p for p in written if p.parent == out), name
+    assert len(written) == len(set(written))
 
 
 def test_every_subcommand_runs_without_scipy(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 from jcas_lab import filtering
 from jcas_lab.errors import NumericalError, ParameterError
-from jcas_lab.filtering import run_filter, write_trajectory_csv
+from jcas_lab.cli import trajectory_lines, write_lines
+from jcas_lab.filtering import run_filter
 from jcas_lab.riccati import BeamPolicy, gamma_bs, innovation, iterate_map, mb_fixed_point, riccati_step
 from jcas_lab.statespace import GaussMarkovModel, lyapunov_step
 
@@ -452,7 +453,7 @@ class TestTrajectoryCsv:
     def test_columns_and_erasures(self, unstable_model, tmp_path):
         traj = run_filter(unstable_model, BeamPolicy.switching(0.5), 20, [0.0], [[1.0]], seed=4)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path, comment="unit test")
+        write_lines(path, trajectory_lines(traj, unstable_model, "unit test"))
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("#")
         assert lines[1] == "i,s0,z_present,z0,gamma,shat0,d_i"

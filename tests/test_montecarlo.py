@@ -6,12 +6,8 @@ import pytest
 
 from jcas_lab import filtering
 from jcas_lab.errors import DimensionError, ParameterError
-from jcas_lab.montecarlo import (
-    empirical_block_distortion,
-    expected_covariance_mc,
-    mc_report_csv_row,
-    write_per_step_csv,
-)
+from jcas_lab.cli import mc_row, per_step_lines, write_lines
+from jcas_lab.montecarlo import empirical_block_distortion, expected_covariance_mc
 from jcas_lab.riccati import BeamPolicy, mb_fixed_point, sbar, vbar
 from jcas_lab.statespace import GaussMarkovModel
 
@@ -110,7 +106,7 @@ class TestExpectedCovarianceMc:
         with warnings.catch_warnings(), np.errstate(over="ignore"):
             warnings.filterwarnings("error", message="invalid value", category=RuntimeWarning)
             rep = expected_covariance_mc(model, 0.5, 30, 200, seed=1, per_step=True, critical=math.nan)
-        assert mc_report_csv_row(rep).split(",")[3:8] == ["inf", "inf", "inf", "inf", "within"]
+        assert mc_row(rep).split(",")[3:8] == ["inf", "inf", "inf", "inf", "within"]
         assert not np.isnan(rep.per_step_mean).any()
 
     def test_per_step_traces(self, stable_model, tmp_path):
@@ -120,14 +116,14 @@ class TestExpectedCovarianceMc:
         assert len(rep.per_step_mean) == 16
         assert rep.per_step_s[0] == rep.per_step_v[0] == rep.per_step_mean[0]
         path = tmp_path / "steps.csv"
-        write_per_step_csv(rep, path, comment="test")
+        write_lines(path, per_step_lines(rep, "test"))
         lines = path.read_text().strip().split("\n")
         assert lines[1] == "i,mean_trace,s_bound,v_bound"
         assert len(lines) == 2 + 16
 
     def test_csv_row_fields(self, stable_model):
         rep = expected_covariance_mc(stable_model, 0.5, 10, 50, seed=8, critical=math.nan)
-        row = mc_report_csv_row(rep)
+        row = mc_row(rep)
         assert row.split(",")[7] == "within"
 
 

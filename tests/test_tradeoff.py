@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jcas_lab.cli import curve_lines, write_lines
 from jcas_lab.errors import ParameterError
 from jcas_lab.riccati import mb_fixed_point
 from jcas_lab.tradeoff import (
@@ -10,12 +11,12 @@ from jcas_lab.tradeoff import (
     RateDistortionPoint,
     bs_curve,
     bs_rate,
+    distortion_overlap,
     dominance_report,
     full_rate,
     mb_curve,
     mb_rate,
     snr_linear,
-    write_curve_csv,
 )
 
 from conftest import quad_mb_root, scaled_lyap_root
@@ -157,6 +158,16 @@ class TestDominance:
         rep = dominance_report(a, b, np.linspace(0.5, 10.0, 5))
         assert rep.empty
 
+    def test_overlap_of_finite_distortions(self):
+        def curve(*ds):
+            return [RateDistortionPoint(0.1 * i, d, "exact", 1.0) for i, d in enumerate(ds)]
+
+        assert distortion_overlap(curve(1.0, 3.0, math.inf), curve(2.0, 5.0)) == (2.0, 3.0)
+        assert distortion_overlap(curve(1.0, 2.0), curve(2.0, 5.0)) == (2.0, 2.0)
+        assert distortion_overlap(curve(1.0, 2.0), curve(5.0, 6.0)) is None
+        # fewer than two distinct finite distortions is no curve to compare
+        assert distortion_overlap(curve(1.0, 1.0, math.inf), curve(0.5, 5.0)) is None
+
     def test_mb_dominates_bs_inner(self, stable_model):
         grid_l = np.linspace(0.0, 1.0, 60)
         grid_g = np.concatenate([np.geomspace(1.0, 1e4, 60), [math.inf]])
@@ -173,8 +184,8 @@ class TestCurveCsv:
     def test_layout_and_determinism(self, stable_model, tmp_path):
         pts = mb_curve(stable_model, GAUSS_175, [1.0, 2.0, math.inf])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_curve_csv(pts, p1, comment="model=stable grid=3")
-        write_curve_csv(pts, p2, comment="model=stable grid=3")
+        write_lines(p1, curve_lines(pts, "model=stable grid=3", bits=False))
+        write_lines(p2, curve_lines(pts, "model=stable grid=3", bits=False))
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text().strip().split("\n")
         assert lines[0] == "# model=stable grid=3"
@@ -183,9 +194,7 @@ class TestCurveCsv:
 
     def test_bits_column(self, stable_model, tmp_path):
         pts = mb_curve(stable_model, GAUSS_175, [2.0])
-        path = tmp_path / "bits.csv"
-        write_curve_csv(pts, path, bits=True)
-        header, row = path.read_text().strip().split("\n")
+        header, row = curve_lines(pts, "bits", bits=True)[1:]
         assert header.endswith(",rate_bits")
         rate_nats = float(row.split(",")[1])
         rate_bits = float(row.split(",")[-1])
