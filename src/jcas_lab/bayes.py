@@ -1,7 +1,7 @@
 """Desk-scale finite-alphabet engine for the general Markov-state model.
 
 Exact computation at small alphabet sizes: recursive predict/update
-posterior filtering with a path-enumeration oracle, the risk-minimizing
+posterior filtering with an array path-enumeration oracle, the risk-minimizing
 state estimator, the input-conditioned sensing cost by a forward recursion
 over measurement prefixes, and a gridded product-distribution search for
 the best rate under a distortion budget, evaluated as whole arrays.
@@ -89,6 +89,8 @@ class DiscreteJcasModel:
             ("markov", markov),
             ("initial", initial),
             ("distortion", distortion),
+            ("_z_like", channel.sum(axis=2)),
+            ("_y_like", channel.sum(axis=3)),
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -114,12 +116,12 @@ class DiscreteJcasModel:
         return self.distortion.shape[1]
 
     def z_likelihood(self) -> np.ndarray:
-        """P(z | x, s): channel marginalized over y; shape (nx, ns, nz)."""
-        return self.channel.sum(axis=2)
+        """P(z | x, s): channel marginalized over y; shape (nx, ns, nz), read-only."""
+        return self._z_like
 
     def y_likelihood(self) -> np.ndarray:
-        """P(y | x, s): channel marginalized over z; shape (nx, ns, ny)."""
-        return self.channel.sum(axis=3)
+        """P(y | x, s): channel marginalized over z; shape (nx, ns, ny), read-only."""
+        return self._y_like
 
 
 @dataclass(frozen=True)
@@ -172,11 +174,13 @@ def bruteforce_posterior(x_seq, z_seq, model: DiscreteJcasModel) -> Belief:
     """Exact posterior over the current state by full path enumeration.
 
     Sums P(s_0) prod_j P(s_j|s_{j-1}) P(z_j|x_j,s_j) over every state path;
-    the independent oracle for the recursive predict/update filter.  Empty
-    sequences return the initial distribution.
+    the independent oracle for the recursive predict/update filter.  All
+    |S|^(n+1) path weights form one array (axis j is s_j; about 16 MB at the
+    guard limit), each rounded as the left-to-right product of its factors,
+    and a sequential cumsum adds them by final state in itertools.product
+    order.  Empty sequences return the initial distribution.
     """
-    x_seq = list(x_seq)
-    z_seq = list(z_seq)
+    x_seq, z_seq = list(x_seq), list(z_seq)
     if len(x_seq) != len(z_seq):
         raise ParameterError("x and z sequences must have equal length")
     steps = len(x_seq)
@@ -188,14 +192,10 @@ def bruteforce_posterior(x_seq, z_seq, model: DiscreteJcasModel) -> Belief:
     if steps == 0:
         return Belief(model.initial.copy(), 0)
     pz = model.z_likelihood()
-    post = np.zeros(model.ns)
-    for path in itertools.product(range(model.ns), repeat=steps + 1):
-        w = model.initial[path[0]]
-        for j in range(1, steps + 1):
-            if w == 0.0:
-                break
-            w *= model.markov[path[j - 1], path[j]] * pz[x_seq[j - 1], path[j], z_seq[j - 1]]
-        post[path[-1]] += w
+    w = model.initial
+    for x, z in zip(x_seq, z_seq):
+        w = w[..., np.newaxis] * (model.markov * pz[x, :, z])
+    post = np.cumsum(w.reshape(-1, model.ns), axis=0)[-1]
     total = float(post.sum())
     if total <= 0.0:
         raise EvidenceError("measurement sequence has zero probability")

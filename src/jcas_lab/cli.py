@@ -292,8 +292,11 @@ def fmt(x) -> str:
 
 def write_lines(path: Path, lines) -> None:
     """Write one output file; every file a subcommand writes goes through here."""
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise SchemaError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _reprs(values) -> list:
@@ -563,11 +566,8 @@ def cmd_bayes(args) -> int:
                     continue  # zero-probability trace
                 belief = Belief(model.initial.copy(), 0)
                 for x, z in zip(x_seq, z_seq):
-                    belief = belief_predict(belief, model)
-                    belief = belief_update(belief, x, z, model)
-                gap = float(
-                    np.max(np.abs(belief.probabilities - brute.probabilities))
-                )
+                    belief = belief_update(belief_predict(belief, model), x, z, model)
+                gap = float(np.max(np.abs(belief.probabilities - brute.probabilities)))
                 max_gap = max(max_gap, gap)
                 posterior = "|".join(repr(float(p)) for p in belief.probabilities)
                 gap_lines.append(

@@ -1,5 +1,8 @@
 """Path-enumeration references for the finite-alphabet engine.
 
+``bruteforce_posterior`` is the one-path-at-a-time loop that the array
+enumeration of ``jcas_lab.bayes.bruteforce_posterior`` replaced; tests
+require the two to agree bit for bit.
 ``sensing_cost`` enumerates every (state path, measurement path) pair and
 runs the recursive estimator along each measurement path, and
 ``open_loop_tradeoff`` visits the grid combinations one at a time in
@@ -18,6 +21,8 @@ import numpy as np
 
 from jcas_lab.bayes import (
     MAX_COST_PATHS,
+    MAX_STATES_EXACT,
+    MAX_STEPS_EXACT,
     Belief,
     TradeoffResult,
     _mutual_information,
@@ -28,6 +33,39 @@ from jcas_lab.bayes import (
     state_marginals,
 )
 from jcas_lab.errors import EnumerationLimitError, EvidenceError, ParameterError
+
+
+def bruteforce_posterior(x_seq, z_seq, model) -> Belief:
+    """Exact posterior over the current state, one state path at a time.
+
+    Each path's weight is the left-to-right product of its factors and is
+    added to its final state's total in itertools.product order.
+    """
+    x_seq = list(x_seq)
+    z_seq = list(z_seq)
+    if len(x_seq) != len(z_seq):
+        raise ParameterError("x and z sequences must have equal length")
+    steps = len(x_seq)
+    if model.ns > MAX_STATES_EXACT or steps > MAX_STEPS_EXACT:
+        raise EnumerationLimitError(
+            f"exact enumeration limited to |S| <= {MAX_STATES_EXACT}, "
+            f"steps <= {MAX_STEPS_EXACT}"
+        )
+    if steps == 0:
+        return Belief(model.initial.copy(), 0)
+    pz = model.z_likelihood()
+    post = np.zeros(model.ns)
+    for path in itertools.product(range(model.ns), repeat=steps + 1):
+        w = model.initial[path[0]]
+        for j in range(1, steps + 1):
+            if w == 0.0:
+                break
+            w *= model.markov[path[j - 1], path[j]] * pz[x_seq[j - 1], path[j], z_seq[j - 1]]
+        post[path[-1]] += w
+    total = float(post.sum())
+    if total <= 0.0:
+        raise EvidenceError("measurement sequence has zero probability")
+    return Belief(post / total, steps)
 
 
 def estimates_along(x_seq, z_path, model):

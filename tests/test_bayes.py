@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +160,132 @@ class TestBruteforcePosterior:
             bruteforce_posterior([0], [0], model)
         with pytest.raises(EnumerationLimitError):
             bruteforce_posterior([0] * 9, [0] * 9, random_discrete_model(np.random.default_rng(0)))
+
+
+def sense_or_talk_model(seed: int, nx=3, ns=3, nz=3, ny=2):
+    """Seeded strictly positive model: input 0 senses the state through z,
+    the last input talks through y (the benchmark's bayes model shape)."""
+    rng = np.random.default_rng([seed, nx, ns, nz, ny])
+    channel = np.empty((nx, ns, ny, nz))
+    for x in range(nx):
+        sense = 0.85 * (1.0 - x / (nx - 1))
+        for s in range(ns):
+            pz = (1.0 - sense) * (rng.random(nz) + 0.05)
+            pz = pz / pz.sum() * (1.0 - sense)
+            pz[s % nz] += sense
+            talk = 0.85 - sense
+            py = rng.random(ny) + 0.05
+            py = py / py.sum() * (1.0 - talk)
+            py[x % ny] += talk
+            channel[x, s] = np.outer(py, pz)
+    markov = 0.6 * np.eye(ns) + 0.4 * (rng.random((ns, ns)) + 0.05)
+    markov /= markov.sum(axis=1, keepdims=True)
+    initial = rng.random(ns) + 0.05
+    initial /= initial.sum()
+    distortion = (1.0 - np.eye(ns)) * (0.5 + rng.random((ns, ns)))
+    return DiscreteJcasModel(
+        channel=channel, markov=markov, initial=initial, distortion=distortion
+    )
+
+
+def every_trace(model, max_len: int):
+    for length in range(max_len + 1):
+        for xs in itertools.product(range(model.nx), repeat=length):
+            for zs in itertools.product(range(model.nz), repeat=length):
+                yield xs, zs
+
+
+class TestArrayEnumeration:
+    """The array enumeration against the one-path-at-a-time loop in bayes_reference."""
+
+    @staticmethod
+    def assert_same_posterior(model, xs, zs):
+        try:
+            want = ref.bruteforce_posterior(xs, zs, model)
+        except EvidenceError:
+            with pytest.raises(EvidenceError):
+                bruteforce_posterior(xs, zs, model)
+            return False
+        got = bruteforce_posterior(xs, zs, model)
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        assert got.time_index == want.time_index
+        return True
+
+    @pytest.mark.parametrize("seed", [4242, 7])
+    def test_seeded_models_bit_for_bit(self, seed):
+        model = sense_or_talk_model(seed)
+        assert all(self.assert_same_posterior(model, xs, zs) for xs, zs in every_trace(model, 3))
+
+    def test_toy_model_bit_for_bit(self, toy):
+        outcomes = [self.assert_same_posterior(toy, xs, zs) for xs, zs in every_trace(toy, 5)]
+        # the toy model's zero entries leave many traces without evidence
+        assert 0 < outcomes.count(False) < len(outcomes)
+
+    def test_sparse_models_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        for _ in range(4):
+            model = sparse_discrete_model(rng)
+            for xs, zs in every_trace(model, 2):
+                self.assert_same_posterior(model, xs, zs)
+
+    def test_guard_size_is_fast_and_small(self):
+        model = sense_or_talk_model(4242, ns=5)
+        rng = np.random.default_rng(8)
+        xs = rng.integers(0, model.nx, 8).tolist()
+        zs = rng.integers(0, model.nz, 8).tolist()
+        belief = Belief(model.initial.copy(), 0)
+        for x, z in zip(xs, zs):
+            belief = belief_update(belief_predict(belief, model), x, z, model)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            brute = bruteforce_posterior(xs, zs, model)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(brute.probabilities, belief.probabilities, rtol=0, atol=1e-12)
+        assert elapsed < 1.0
+        # 5^9 path weights are 15.6 MB; the final-state sums copy them once
+        assert peak < 64e6
+
+
+class TestLikelihoodTables:
+    def test_cached_tables_equal_channel_marginals(self, toy):
+        for model in (toy, sense_or_talk_model(4242), random_discrete_model(np.random.default_rng(3))):
+            assert model.z_likelihood().tobytes() == model.channel.sum(axis=2).tobytes()
+            assert model.y_likelihood().tobytes() == model.channel.sum(axis=3).tobytes()
+            assert model.z_likelihood() is model.z_likelihood()
+            assert model.y_likelihood() is model.y_likelihood()
+
+    def test_cached_tables_are_read_only(self, toy):
+        for table in (toy.z_likelihood(), toy.y_likelihood()):
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 0.5
+
+    def test_library_reads_the_cached_tables(self):
+        # a NaN channel behind the cached marginals: any caller that sums the
+        # channel itself would return NaN instead of the intact model's values
+        model = sense_or_talk_model(4242)
+        stale = sense_or_talk_model(4242)
+        object.__setattr__(stale, "channel", np.full(model.channel.shape, np.nan))
+        xs, zs = [0, 1, 2], [2, 0, 1]
+        b = Belief(model.initial.copy(), 0)
+        assert (
+            belief_update(b, 0, 1, stale).probabilities.tobytes()
+            == belief_update(b, 0, 1, model).probabilities.tobytes()
+        )
+        assert (
+            bruteforce_posterior(xs, zs, stale).probabilities.tobytes()
+            == bruteforce_posterior(xs, zs, model).probabilities.tobytes()
+        )
+        assert sensing_cost(xs, stale) == sensing_cost(xs, model)
+        dists = np.tile([0.2, 0.3, 0.5], (2, 1))
+        assert capacity_objective(dists, stale, 2) == capacity_objective(dists, model, 2)
+        budget = sensing_cost([1, 1], model)
+        got = bruteforce_open_loop_tradeoff(stale, budget, 2, 0.25)
+        assert_same_search(got, bruteforce_open_loop_tradeoff(model, budget, 2, 0.25))
+        assert got.feasible
 
 
 class TestSensingCost:

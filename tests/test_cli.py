@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -254,6 +255,13 @@ class TestErrorPaths:
         assert str(taken) in capsys.readouterr().err
         assert main(["reproduce", "fig3", "--out", str(taken / "sub")]) == 2
         assert str(taken / "sub") in capsys.readouterr().err
+
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        (tmp_path / "o" / "trajectory.csv").mkdir(parents=True)
+        assert main(["filter-sim", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(tmp_path / "o" / "trajectory.csv") in err
 
     def test_bayes_model_naming_a_directory_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", discrete_model=str(tmp_path))
@@ -526,6 +534,7 @@ OUTPUT_DIR_SHA256 = {
     "mc_verify_2x2": "f42899c5d76d01acdef53768f5995c805c3d2aebaa2ad99c36b877a32bebf770",
     "rd_curve_gaussian_bits": "bfd4bd273946f420cd13737d9f448ba356e1bd5e126490c05b956f8bb03113a6",
     "riccati_scalar_unstable": "5841de422c41df207332a080abe3f1e982c7097975b13480da5a7d4b2eff76d3",
+    "bayes_toy": "c0b41b8ead7cb85d2c2c3d6e2260602f3285cddd057c787d1096d78bea9e7557",
 }
 
 
@@ -545,11 +554,19 @@ def output_dir_argv(name, tmp_path):
         return ["rd-curve", "--bits", "--config", str(write_config(tmp_path / "cfg.json"))]
     if name == "riccati_scalar_unstable":
         return ["riccati", "--config", str(write_config(tmp_path / "cfg.json"))]
+    if name == "bayes_toy":
+        # a model path relative to the working directory keeps the stamp
+        # line, and so the digest, independent of where the package lives
+        shutil.copy(toy_model_path(), tmp_path / "toy_model.txt")
+        bayes = {"n": 2, "grid_resolution": 0.05, "budgets": [0.3, 0.6], "trace_len": 3}
+        cfg = write_config(tmp_path / "cfg.json", discrete_model="toy_model.txt", bayes=bayes)
+        return ["bayes", "--config", str(cfg)]
     return ["reproduce", name.split("_")[1]]
 
 
 @pytest.mark.parametrize("name", sorted(OUTPUT_DIR_SHA256))
-def test_output_dir_bytes_pinned(tmp_path, name):
+def test_output_dir_bytes_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
     assert main(output_dir_argv(name, tmp_path) + ["--out", str(tmp_path / "o")]) == 0
     assert dir_sha256(tmp_path / "o") == OUTPUT_DIR_SHA256[name]
 
