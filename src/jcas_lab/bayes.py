@@ -340,8 +340,11 @@ def bruteforce_open_loop_tradeoff(
     depends on per-step marginals only, and restricting to products keeps
     the desk-scale search honest about what it optimizes.  Values are
     finite-n averages, labeled as such by the ``n`` field of the result.
-    An empty feasible set is a result (feasible=False), not an error.
+    An empty feasible set is a result (feasible=False), not an error; a NaN
+    budget, which every comparison would call met, is a ParameterError.
     """
+    if np.isnan(distortion_budget):
+        raise ParameterError(f"distortion budget must be a number, got {distortion_budget}")
     if not (1 <= n <= 3):
         raise EnumerationLimitError(f"grid search supports n in 1..3, got {n}")
     grid = simplex_grid(model.nx, grid_resolution)

@@ -36,7 +36,7 @@ from .bayes import (
     load_discrete_model,
     sensing_cost,
 )
-from .errors import ConvergenceError, EvidenceError, NumericalError, SchemaError
+from .errors import EvidenceError, NumericalError, SchemaError
 from .filtering import PRECISION_DIGITS, run_filter
 from .montecarlo import expected_covariance_mc
 from .riccati import (
@@ -130,9 +130,13 @@ JSON_KINDS = {"object": dict, "list": list, "number": (int, float), "string": st
 
 
 def expect(key: str, value, *kinds: str):
-    """value, when it is one of the JSON kinds; SchemaError naming the key otherwise."""
-    if not isinstance(value, bool) and isinstance(value, tuple(JSON_KINDS[k] for k in kinds)):
-        return value
+    """value, when it is one of the JSON kinds; SchemaError naming the key
+    otherwise.  Of the numbers json.loads reads, NaN and an int past the
+    float range (which float() cannot convert) count as none."""
+    size = abs(value) if isinstance(value, (int, float)) else 0.0
+    if size <= sys.float_info.max or size == math.inf:
+        if not isinstance(value, bool) and isinstance(value, tuple(JSON_KINDS[k] for k in kinds)):
+            return value
     raise SchemaError(f"config key '{key}' must be a {' or '.join(kinds)}, got {json.dumps(value)}")
 
 
@@ -164,7 +168,7 @@ def check_entries(key: str, value) -> None:
             check_entries(key, entry)
         return
     number = expect(key, value, "number")
-    if not abs(number) <= sys.float_info.max:  # also NaN and ints past the float range
+    if abs(number) == math.inf:
         raise SchemaError(f"config key '{key}' must hold finite numbers, got {json.dumps(number)}")
 
 
@@ -514,8 +518,11 @@ def cmd_filter_sim(args) -> int:
     out = resolve_out_dir(args, cfg)
     policy = parse_policy(cfg)
     horizon = integer("horizon", require(cfg, "horizon"), 1, MAX_HORIZON)
-    s0 = np.asarray(require(cfg, "s0_estimate", "list", "number"), dtype=float)
-    p0 = np.asarray(require(cfg, "p0", "list", "number"), dtype=float)
+    s0 = require(cfg, "s0_estimate", "list", "number")
+    p0 = require(cfg, "p0", "list", "number")
+    check_entries("s0_estimate", s0)
+    check_entries("p0", p0)
+    s0, p0 = np.asarray(s0, dtype=float), np.asarray(p0, dtype=float)
     head = stamp("filter-sim", cfg, seed, f"model=[{model.describe()}]")
 
     traj = run_filter(model, policy, horizon, s0, p0, seed)
@@ -752,31 +759,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: step sizes of a ConvergenceError's trace_tail printed on exit 3
-TAIL_SHOWN = 5
-
-
-def error_details(exc) -> list:
-    """The last step sizes or condition number an error carries."""
-    lines = []
-    tail = getattr(exc, "trace_tail", None)
-    if tail:
-        shown = ", ".join(repr(float(x)) for x in tail[-TAIL_SHOWN:])
-        lines.append(f"last {min(len(tail), TAIL_SHOWN)} of {len(tail)} step sizes: {shown}")
-    if getattr(exc, "condition", None) is not None:
-        lines.append(f"condition number: {exc.condition!r}")
-    return lines
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConvergenceError, NumericalError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
-        for line in error_details(exc):
-            print(f"  {line}", file=sys.stderr)
+        if exc.condition is not None:
+            print(f"  condition number: {exc.condition!r}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,14 +9,6 @@ class ParameterError(ValueError):
     """A parameter lies outside its allowed range."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iteration hit its cap without converging or diverging cleanly."""
-
-    def __init__(self, message, trace_tail=None):
-        super().__init__(message)
-        self.trace_tail = list(trace_tail) if trace_tail is not None else []
-
-
 class NumericalError(RuntimeError):
     """A linear solve failed or is too ill-conditioned to trust."""
 

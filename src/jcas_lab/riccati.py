@@ -23,14 +23,16 @@ phi_{lam,gamma}(K, X) = (1 - lam) A X A^T + lam (A + K C) X (A + K C)^T
 multi-beam steady state) (Sinopoli et al., "Kalman filtering with
 intermittent observations", IEEE TAC 2004).  A scalar model takes the
 positive root of the quadratic this fixed point solves.  A matrix model
-runs Hewer's policy iteration, batched over a whole lam or gamma grid, from
-K = 0 when A is stable or from the gain of the ``unstable_modes_observed``
-certificate.  The matching lower bound S-bar is the scaled Lyapunov solve
-of :mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges whenever
-(1 - lam) rho(A)^2 >= 1, so V-bar is None there; on scalar, stable and
-certified models it is finite everywhere else.  Models the certificate
-refuses keep one iterated classifier, point by point: converged, diverged,
-or undecided at the iteration cap.
+runs Hewer's policy iteration, batched over a whole lam or gamma grid,
+from a gain K whose affine map contracts: K = 0 when A is stable, the gain
+of the ``unstable_modes_observed`` certificate, or, on a model the
+certificate refuses, a gain found by iterating the map itself from Q
+(``_contracting_gain``).  Any such K proves the fixed point finite, since
+phi(K, .) bounds the map.  The matching lower bound S-bar is the scaled
+Lyapunov solve of :mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges
+whenever (1 - lam) rho(A)^2 >= 1, so V-bar is None there; on scalar, stable
+and certified models it is finite everywhere else, and on refused models
+wherever the search finds a gain.
 
 Thresholds (critical sensing probability, feasible-lambda and feasible-gamma
 boundaries for a distortion budget) are located by one monotone bisection;
@@ -38,18 +40,17 @@ the feasibility maps are monotone but not smooth at the divergence boundary,
 so no derivative-based search is attempted.  On certified models the
 critical sensing probability bisects the closed-form test
 (1 - lam) rho(A)^2 < 1 and needs no covariance step; on refused models it
-bisects on iterated V-bar probes.
+bisects on whether the gain search succeeds.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .statespace import (
     CRITICAL_MARGIN,
     GaussMarkovModel,
@@ -66,12 +67,9 @@ from .statespace import (
 #: a covariance trace beyond this is declared divergent
 TRACE_DIVERGENCE = 1e12
 
-#: step sizes kept per solve for the trend test at the iteration cap
-WINDOW = 64
-
-_CONVERGED = "converged"
-_DIVERGED = "diverged"
-_UNDECIDED = "undecided"
+#: covariance steps the gain search of a refused model takes before it
+#: calls the point divergent
+GAIN_SEARCH_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -255,61 +253,9 @@ def iterate_map(step, p0: np.ndarray, n: int) -> list:
     return seq
 
 
-def _tail_growing(window) -> bool:
-    if len(window) < 4:
-        return True
-    half = len(window) // 2
-    first = sum(list(window)[:half]) / half
-    second = sum(list(window)[half:]) / (len(window) - half)
-    return second > first
-
-
-def _classify(step, p0: np.ndarray, tol: float, max_iter: int):
-    """(status, value, window) of iterating a covariance map from p0.
-
-    Diverged once the trace is non-finite or above TRACE_DIVERGENCE,
-    converged once the max-abs change drops below ``tol``.  At the cap the
-    trend of the last WINDOW changes decides: still-growing changes mean the
-    iterate is escaping (diverged), shrinking ones mean slow contraction
-    toward a finite fixed point (undecided).
-    """
-    p = p0
-    window = deque(maxlen=WINDOW)
-    for _ in range(max_iter):
-        pn = step(p)
-        tr = float(np.trace(pn))
-        if not math.isfinite(tr) or tr > TRACE_DIVERGENCE:
-            return _DIVERGED, None, window
-        d = float(np.max(np.abs(pn - p)))
-        if d < tol:
-            return _CONVERGED, pn, window
-        window.append(d)
-        p = pn
-    if _tail_growing(window):
-        return _DIVERGED, None, window
-    return _UNDECIDED, p, window
-
-
 def trace_or_inf(matrix) -> float:
     """Trace of a fixed point; infinite for the None of a divergent one."""
     return math.inf if matrix is None else float(np.trace(matrix))
-
-
-def fixed_point(step, p0, tol: float = 1e-12, max_iter: int = 1_000_000):
-    """Iterate a covariance map to its fixed point.
-
-    Returns the fixed point matrix, or None when the trace blows past
-    ``TRACE_DIVERGENCE`` or the iterate is still growing at the cap.
-    Hitting the cap with a shrinking step (oscillation or slow contraction)
-    raises ConvergenceError carrying the tail of the step-size history.
-    """
-    status, value, window = _classify(step, as_matrix(p0, "P0"), tol, max_iter)
-    if status == _UNDECIDED:
-        raise ConvergenceError(
-            f"fixed-point iteration cap {max_iter} hit without convergence or divergence",
-            trace_tail=list(window),
-        )
-    return value
 
 
 #: an eigenbasis of A or a C V_u beyond this condition number is not certified
@@ -359,6 +305,33 @@ def unstable_modes_observed(model: GaussMarkovModel) -> bool:
     return _certificate_gain(model) is not None
 
 
+def _contracting_gain(model: GaussMarkovModel, lam: float, gamma: float):
+    """A predictor gain K whose affine map phi_{lam,gamma}(K, .) contracts, or
+    None when the search calls the point divergent.
+
+    The min_K phi_{lam,gamma}(K, .) map is iterated from Q.  Each step's
+    innovation solve gives both the step and the predictor gain K of that
+    iterate, and at steps 1, 2, 4, 8, ... K is tested:
+    rho((1 - lam) A (x) A + lam F (x) F) < 1 with F = A + K C.  The point is
+    divergent once the trace is non-finite or above TRACE_DIVERGENCE, or when
+    no gain passes within GAIN_SEARCH_STEPS steps.
+    """
+    a_kron = (1.0 - lam) * np.kron(model.A, model.A)
+    p = model.Q
+    for step in range(1, GAIN_SEARCH_STEPS + 1):
+        corr = _solve_innovation(model, p, gamma, False)
+        if step & (step - 1) == 0:
+            gain = -corr.T
+            f = model.A + gain @ model.C
+            if np.max(np.abs(np.linalg.eigvals(a_kron + lam * np.kron(f, f)))) < 1.0:
+                return gain
+        p = _corrected(model, p, corr, lam)
+        tr = float(np.trace(p))
+        if not math.isfinite(tr) or tr > TRACE_DIVERGENCE:
+            return None
+    return None
+
+
 def _scalar_root(model: GaussMarkovModel, lam: float, gamma: float):
     """Scalar fixed point of min_K phi_{lam,gamma}(K, .), or None when it diverges.
 
@@ -388,7 +361,8 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
     (lam = 1).  Hewer's policy iteration (IEEE TAC 1971) alternates the two
     steps: the affine fixed point for the current gains, one batched
     Kronecker solve over the grid, then the gain update, read from the
-    innovation solve.  From a gain whose affine map contracts, the iterates
+    innovation solve.  ``gain`` starts every member, or is a stack of one
+    gain per member.  From a gain whose affine map contracts, the iterates
     decrease monotonically to the fixed point, quadratically near it, so a
     member stops at its first step whose trace fails to decrease and keeps
     the iterate before it.
@@ -398,7 +372,7 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
     lam = np.reshape(lams, (-1, 1, 1))
     gamma = np.reshape(gammas, (-1, 1, 1))
     n = len(lam)
-    gains = np.broadcast_to(gain, (n,) + gain.shape)
+    gains = np.broadcast_to(gain, (n, m, model.k))
     best = np.empty((n, m, m))
     best_trace = np.full(n, math.inf)
     live = np.arange(n)
@@ -420,18 +394,17 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
     raise NumericalError("policy iteration did not settle in 100 steps")
 
 
-def _solve_grid(model: GaussMarkovModel, lams, gammas, step, strict: bool) -> list:
+def _solve_grid(model: GaussMarkovModel, lams, gammas) -> list:
     """min_K phi_{lam,gamma}(K, .) fixed point per (lam, gamma) pair, None where
     it diverges.
 
     A scalar model takes the closed-form root.  A matrix model is divergent
     where (1 - lam) rho(A)^2 >= 1 - CRITICAL_MARGIN (the fixed point
     dominates S-bar, which diverges there); every other point of a stable or
-    certified model is finite and solved by one policy iteration, started
-    from K = 0 or the certificate's gain.  A model the certificate refuses
-    iterates ``step(p, lam, gamma)`` from Q point by point instead; a point
-    left undecided at the cap is None, or raises ConvergenceError when
-    ``strict``.
+    certified model is finite, started from K = 0 or the certificate's gain.
+    On a model the certificate refuses, each point searches for its own
+    starting gain and is divergent where none is found.  All started points
+    are solved by one policy iteration.
     """
     if model.is_scalar:
         return [_scalar_root(model, lam, gamma) for lam, gamma in zip(lams, gammas)]
@@ -441,43 +414,38 @@ def _solve_grid(model: GaussMarkovModel, lams, gammas, step, strict: bool) -> li
     stable = not lyapunov_diverges(1.0, rho)
     gain = np.zeros((model.m, model.k)) if stable else _certificate_gain(model)
     if gain is None:
-        for i in todo:
-            try:
-                out[i] = fixed_point(lambda p, i=i: step(p, lams[i], gammas[i]), model.Q)
-            except ConvergenceError:
-                if strict:
-                    raise
-    elif todo:
+        gains = {i: _contracting_gain(model, lams[i], gammas[i]) for i in todo}
+        todo = [i for i in todo if gains[i] is not None]
+        gain = np.array([gains[i] for i in todo])
+    if todo:
         solved = _policy_iteration(model, [lams[i] for i in todo], [gammas[i] for i in todo], gain)
         for i, x in zip(todo, solved):
             out[i] = x
     return out
 
 
-def _vbar_points(model: GaussMarkovModel, lams, strict: bool = False) -> list:
-    step = lambda p, lam, _: gamma_bs(p, lam, model)
-    return _solve_grid(model, lams, [1.0] * len(lams), step, strict)
+def _vbar_points(model: GaussMarkovModel, lams) -> list:
+    return _solve_grid(model, lams, [1.0] * len(lams))
 
 
-def _mb_points(model: GaussMarkovModel, gammas, strict: bool = False) -> list:
+def _mb_points(model: GaussMarkovModel, gammas) -> list:
     """Multi-beam fixed point per gamma; gamma = inf is the open-loop Lyapunov solve."""
-    step = lambda p, _, gamma: riccati_step(model, p, gamma)
     finite = [gamma for gamma in gammas if not math.isinf(gamma)]
-    solved = iter(_solve_grid(model, [1.0] * len(finite), finite, step, strict))
+    solved = iter(_solve_grid(model, [1.0] * len(finite), finite))
     open_loop = solve_scaled_lyapunov(model, 1.0) if math.inf in gammas else None
     return [open_loop if math.isinf(gamma) else next(solved) for gamma in gammas]
 
 
 def vbar(lam: float, model: GaussMarkovModel):
     """Fixed point of the beam-switching map, or None when it diverges."""
-    return _vbar_points(model, [_check_lam(lam)], strict=True)[0]
+    return _vbar_points(model, [_check_lam(lam)])[0]
 
 
 def vbar_sweep(lams, model: GaussMarkovModel) -> list:
-    """V-bar at every lam of a grid, solved together.
+    """V-bar at every lam of a grid, solved together; None where it diverges.
 
-    An entry is None where the fixed point diverges, or, on a model the
-    certificate refuses, where ``vbar`` would raise ConvergenceError.
+    On a model the certificate refuses, a point is None also where the gain
+    search finds no contracting gain within GAIN_SEARCH_STEPS steps.
     """
     return _vbar_points(model, [_check_lam(float(lam)) for lam in lams])
 
@@ -494,14 +462,14 @@ def sbar_sweep(lams, model: GaussMarkovModel) -> list:
 
 def mb_fixed_point(gamma: float, model: GaussMarkovModel):
     """Steady-state covariance of the multi-beam map, or None when divergent."""
-    return _mb_points(model, [_check_gamma(gamma)], strict=True)[0]
+    return _mb_points(model, [_check_gamma(gamma)])[0]
 
 
 def mb_sweep(gammas, model: GaussMarkovModel) -> list:
     """Multi-beam fixed point at every gamma of a grid, solved together.
 
     gamma = inf takes the open-loop Lyapunov route.  An entry is None where
-    the fixed point diverges or ``mb_fixed_point`` would raise.
+    the fixed point diverges.
     """
     return _mb_points(model, [_check_gamma(float(g)) for g in gammas])
 
@@ -530,11 +498,11 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
     equals 1 - 1/rho(A)^2, and the bisection runs on that closed-form test,
     with no covariance step.  On a model the certificate refuses it can lie
     higher: 0.4263 against 1 - 1/rho(A)^2 = 0.3056 for A = diag(1.2, 1.1)
-    with C = [1, 1].  There the bisection probes iterated V-bar: probes at
-    or below 1 - 1/rho(A)^2 are divergent without iterating, the others
-    iterate to a step below 1e-10 or to a cap of 200000 steps, where the
-    step-size trend classifies them, and undecided probes count as
-    convergent.
+    with C = [1, 1].  There the bisection probes the gain search of
+    ``vbar``: probes at or below 1 - 1/rho(A)^2 are divergent without a
+    search, the others are convergent exactly when a gain K with
+    rho((1 - lam) A (x) A + lam F (x) F) < 1, F = A + K C, is found, which
+    proves V-bar finite.  NumericalError when no gain is found at lam = 1.
     """
     rho = spectral_radius(model.A)
     if rho * rho < 1.0 - CRITICAL_MARGIN:
@@ -546,20 +514,19 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
     def converges(lam: float) -> bool:
         if lyapunov_diverges(1.0 - lam, rho):
             return False
-        step = lambda p: gamma_bs(p, lam, model)
-        return _classify(step, model.Q, 1e-10, 200_000)[0] != _DIVERGED
+        return _contracting_gain(model, lam, 1.0) is not None
 
     if not converges(1.0):
-        raise ConvergenceError(
-            "expected covariance diverges even with every measurement; "
-            "model is likely not detectable"
+        raise NumericalError(
+            "no gain makes the beam-switching map contract even with every "
+            "measurement; model is likely not detectable"
         )
     return _bisect(0.0, 1.0, bisect_tol, converges)
 
 
 def _check_budget(d: float) -> None:
-    if d <= 0.0:
-        raise ParameterError(f"distortion budget must be positive, got {d}")
+    if not 0.0 < d < math.inf:
+        raise ParameterError(f"distortion budget must be positive and finite, got {d}")
 
 
 def lambda_s(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):

@@ -10,9 +10,11 @@ checked too.  ``dare`` and ``lyapunov`` wrap scipy's solvers, which the
 library must not import.
 
 ``critical_lambda_iterative`` is the critical-lambda bisection on iterated
-V-bar probes that ``critical_lambda`` runs for models its convergence
-certificate refuses; applied to every model, it is the oracle for the
-certified closed-form route.  It carries its own copy of the classifier.
+V-bar probes: each probe iterates the map and lets the step-size trend
+classify it.  It is the oracle for the closed form ``critical_lambda`` runs
+on certified models, and it gives the same pins as the gain search that
+decides refused ones.  ``iterated_fixed_point`` is the classifier as a
+plain iteration helper.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from collections import deque
 import numpy as np
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
-from jcas_lab.errors import ConvergenceError
+from jcas_lab.errors import NumericalError
 from jcas_lab.riccati import bs_kernel, gamma_bs
 from jcas_lab.statespace import CRITICAL_MARGIN, lyapunov_diverges, spectral_radius
 
@@ -84,6 +86,14 @@ def classify_scalar(step, p0: float, tol: float, max_iter: int):
     return UNDECIDED, np.array([[p]]), window
 
 
+def iterated_fixed_point(step, p0: np.ndarray, tol: float = 1e-12, max_iter: int = 1_000_000):
+    """The matrix classify_matrix converges to from p0, None where it diverges;
+    an iteration undecided at the cap fails the calling test."""
+    status, value, _ = classify_matrix(step, p0, tol, max_iter)
+    assert status != UNDECIDED, f"iteration undecided after {max_iter} steps"
+    return value
+
+
 def classify_bs(model, lam: float, tol: float = 1e-12, max_iter: int = 1_000_000):
     if model.is_scalar:
         a, c, q, r = model.scalars()
@@ -127,7 +137,7 @@ def critical_lambda_iterative(model, bisect_tol=1e-6, probe_tol=1e-10, probe_max
         return classify_bs(model, lam, probe_tol, probe_max_iter)[0] != DIVERGED
 
     if not converges(1.0):
-        raise ConvergenceError("expected covariance diverges even with every measurement")
+        raise NumericalError("expected covariance diverges even with every measurement")
     lo, hi = 0.0, 1.0
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)

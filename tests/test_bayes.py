@@ -20,7 +20,7 @@ from jcas_lab.bayes import (
     optimal_estimate,
     sensing_cost,
 )
-from jcas_lab.errors import EnumerationLimitError, EvidenceError, SchemaError
+from jcas_lab.errors import EnumerationLimitError, EvidenceError, ParameterError, SchemaError
 
 import bayes_reference as ref
 from conftest import random_discrete_model, toy_model_path
@@ -459,6 +459,11 @@ class TestGridTradeoff:
         assert res.feasible
         assert res.input_distributions[0][1] == pytest.approx(0.5, abs=1e-9)
         assert res.rate == pytest.approx(0.21576155433883565, abs=1e-12)
+
+    def test_nan_budget_refused(self, toy):
+        # every cost comparison with NaN is false, which read as feasible
+        with pytest.raises(ParameterError):
+            bruteforce_open_loop_tradeoff(toy, math.nan, 1, 0.05)
 
     def test_budget_below_floor_is_infeasible(self, toy):
         res = bruteforce_open_loop_tradeoff(toy, 0.1, 1, 0.05)

@@ -49,6 +49,32 @@ def unstamped(d):
     }
 
 
+MODEL_KEYS = ("model.A", "model.C", "model.Q", "model.R")
+
+
+def grid_keys(*grids):
+    return tuple(f"{grid}.{part}" for grid in grids for part in ("start", "stop", "count"))
+
+
+#: every numeric config key each subcommand reads; the grids as start/stop/count objects
+NUMERIC_KEYS = {
+    "riccati": (*MODEL_KEYS, *grid_keys("lambda_grid"), "distortion_budgets", "seed"),
+    "rd-curve": (
+        *MODEL_KEYS, "channel.snr_db", "channel.c0", *grid_keys("lambda_grid", "gamma_grid"),
+        "dominance_grid_points", "seed",
+    ),
+    "mc-verify": (*MODEL_KEYS, "mc_lambdas", "horizon", "trials", "seed"),
+    "filter-sim": (*MODEL_KEYS, "policy.value", "horizon", "s0_estimate", "p0", "seed"),
+    "bayes": ("bayes.n", "bayes.grid_resolution", "bayes.budgets", "bayes.trace_len", "seed"),
+}
+
+
+def with_nan(value):
+    """value with NaN for a number, for the first entry of a list, and for the
+    first entry of a matrix's first row."""
+    return [with_nan(value[0]), *value[1:]] if isinstance(value, list) else math.nan
+
+
 #: the benchmark 2x2 model (unstable, one output)
 BENCH_2X2 = {
     "model": {"A": [[1.05, 0.2], [0.0, 0.9]], "C": [[1.0, 0.0]], "Q": [[0.1, 0.0], [0.0, 0.1]], "R": [[0.5]]},
@@ -378,25 +404,30 @@ class TestErrorPaths:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"config key '{key}' must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key", [(command, key) for command, keys in NUMERIC_KEYS.items() for key in keys]
+    )
+    def test_nan_names_key(self, tmp_path, capsys, command, key):
+        # json.dumps writes math.nan as the literal NaN, which json.loads reads back
+        bayes = {"n": 1, "grid_resolution": 0.5, "budgets": [0.4], "trace_len": 1}
+        cfg = json.loads(
+            write_config(
+                tmp_path / "base.json", discrete_model=toy_model_path(), bayes=bayes, dominance_grid_points=5
+            ).read_text()
+        )
+        if key == "channel.c0":
+            cfg["channel"] = {"kind": "noiseless", "c0": 1.0}
+        section, _, name = key.rpartition(".")
+        owner = cfg[section] if section else cfg
+        owner[name] = with_nan(owner[name])
+        path = write_config(tmp_path / "cfg.json", **cfg)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"config key '{key}' must" in capsys.readouterr().err
+
     def test_bayes_missing_model_file(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", discrete_model=str(tmp_path / "ghost.txt"))
         assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "does not exist" in capsys.readouterr().err
-
-    def test_convergence_error_exit_3(self, tmp_path, monkeypatch, capsys):
-        import jcas_lab.cli as cli
-        from jcas_lab.errors import ConvergenceError
-
-        def boom(*args, **kwargs):
-            raise ConvergenceError("stuck", trace_tail=[0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
-
-        monkeypatch.setattr(cli, "critical_lambda", boom)
-        cfg = write_config(tmp_path / "cfg.json")
-        assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err
-        assert "numerical error" in err
-        assert "stuck" in err
-        assert "last 5 of 6 step sizes: 0.25, 0.125, 0.0625, 0.03125, 0.015625" in err
 
     def test_numerical_error_exit_3_shows_condition(self, tmp_path, monkeypatch, capsys):
         import jcas_lab.cli as cli

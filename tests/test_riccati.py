@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jcas_lab import riccati, statespace
-from jcas_lab.errors import ConvergenceError, ParameterError
+from jcas_lab.errors import NumericalError, ParameterError
 from jcas_lab.riccati import (
     BeamPolicy,
     critical_lambda,
-    fixed_point,
     gamma_bs,
     gamma_max,
     gamma_mb,
@@ -163,12 +162,13 @@ class TestOverflowedCovariance:
 class TestFixedPoints:
     def test_bs_full_measurement_unstable(self, unstable_model):
         root = quad_mb_root(-1.15, 1.0, 0.2, 1.5, 1.0)  # 0.987536301...
-        fp = fixed_point(lambda p: gamma_bs(p, 1.0, unstable_model), unstable_model.Q)
+        fp = ref.iterated_fixed_point(lambda p: gamma_bs(p, 1.0, unstable_model), unstable_model.Q)
         assert abs(fp[0, 0] - root) <= 1e-10
         assert root == pytest.approx(0.987536, abs=1e-5)
 
     def test_bs_open_loop_unstable_diverges(self, unstable_model):
-        assert fixed_point(lambda p: gamma_bs(p, 0.0, unstable_model), unstable_model.Q) is None
+        step = lambda p: gamma_bs(p, 0.0, unstable_model)
+        assert ref.iterated_fixed_point(step, unstable_model.Q) is None
 
     def test_mb_stable_matches_quadratic(self, stable_model):
         root = quad_mb_root(-0.95, 1.0, 0.2, 1.5, 1.0)
@@ -181,15 +181,9 @@ class TestFixedPoints:
             root = quad_mb_root(a, 1.0, 0.2, 1.5, gamma)
             assert abs(mb_fixed_point(gamma, model)[0, 0] - root) <= 1e-10
 
-    def test_oscillating_map_raises_convergence_error(self):
-        from jcas_lab.errors import ConvergenceError
-
-        with pytest.raises(ConvergenceError) as exc:
-            fixed_point(lambda p: -p, np.array([[1.0]]), max_iter=500)
-        assert len(exc.value.trace_tail) > 0
-
     def test_wrapper_agrees_with_generic_fixed_point(self, stable_model):
-        via_generic = fixed_point(lambda p: gamma_mb(p, 3.0, stable_model), stable_model.Q)
+        step = lambda p: gamma_mb(p, 3.0, stable_model)
+        via_generic = ref.iterated_fixed_point(step, stable_model.Q)
         via_wrapper = mb_fixed_point(3.0, stable_model)
         # the iteration stops at a step below tol = 1e-12; with the map's
         # slope rho at the fixed point, it is then within tol rho / (1 - rho)
@@ -198,7 +192,7 @@ class TestFixedPoints:
         assert abs(via_generic[0, 0] - v) <= 1e-12 * rho / (1.0 - rho)
 
     def test_matrix_fixed_point_residual(self, matrix_model):
-        fp = fixed_point(lambda p: gamma_bs(p, 0.6, matrix_model), matrix_model.Q)
+        fp = ref.iterated_fixed_point(lambda p: gamma_bs(p, 0.6, matrix_model), matrix_model.Q)
         assert np.max(np.abs(fp - gamma_bs(fp, 0.6, matrix_model))) <= 1e-10
 
     def test_mb_trace_nondecreasing_in_gamma(self, stable_model):
@@ -315,6 +309,14 @@ class TestThresholds:
         with pytest.raises(ParameterError):
             gamma_max(-1.0, unstable_model)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf])
+    def test_finite_budget_required(self, unstable_model, d):
+        # a NaN budget compared as met nowhere and an infinite one everywhere,
+        # even by the divergent open loop
+        for f in (lambda_s, lambda_v, gamma_max):
+            with pytest.raises(ParameterError):
+                f(d, unstable_model)
+
 
     def test_gamma_max_open_loop_stalls_near_unit_root(self):
         # the open-loop steady state q / (1 - a^2) ~ 1e7 (rho = 1 - 1e-8) is
@@ -371,15 +373,15 @@ GAMMA_GRIDS = {"one": [2.0], "many": [1.0, 1.5, 10.0, 1e3, math.inf], "inf": [ma
 ORACLE_RTOL = 1e-10
 
 
-def assert_close_points(got, want):
-    """Same None pattern; elsewhere within ORACLE_RTOL of the oracle, in max-abs norm."""
+def assert_close_points(got, want, rtol=ORACLE_RTOL):
+    """Same None pattern; elsewhere within rtol of the oracle, in max-abs norm."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
         if w is None:
             assert g is None
         else:
             assert g is not None
-            assert np.max(np.abs(g - w)) <= ORACLE_RTOL * np.max(np.abs(w))
+            assert np.max(np.abs(g - w)) <= rtol * np.max(np.abs(w))
 
 
 def sbar_oracle(model, lams) -> list:
@@ -441,17 +443,6 @@ class TestStackedSweep:
         assert len(mb_curve(model, channel, gammas)) == len(gammas)
         for f in (lambda_s, lambda_v, gamma_max):
             f(3.0, model, bisect_tol=1e-4)
-
-    def test_generic_fixed_point_matches_reference(self, matrix_model):
-        step = lambda p: gamma_bs(p, 0.6, matrix_model)
-        for max_iter in (5, 1_000_000):
-            status, value, window = ref.classify_matrix(step, matrix_model.Q, 1e-12, max_iter)
-            if status == ref.UNDECIDED:
-                with pytest.raises(ConvergenceError) as exc:
-                    fixed_point(step, matrix_model.Q, max_iter=max_iter)
-                assert exc.value.trace_tail == list(window)
-            else:
-                assert np.array_equal(fixed_point(step, matrix_model.Q, max_iter=max_iter), value)
 
 
 def assert_same_point(got, want):
@@ -574,9 +565,45 @@ def certified_equals_oracle(model, tol, monkeypatch):
         assert critical_lambda(model, bisect_tol=tol) == want
 
 
+#: models the certificate refuses, both with a V-bar threshold well above
+#: 1 - 1/rho^2; Q = I and R = 1
+REFUSED = {
+    "two-modes-one-output": ([[1.2, 0.0], [0.0, 1.1]], [[1.0, 1.0]]),
+    "defective": ([[1.1, 1.0], [0.0, 1.1]], [[1.0, 0.0]]),
+}
+
+
+def kron_radius(model, lam, gain) -> float:
+    """rho((1 - lam) A (x) A + lam F (x) F) with F = A + K C."""
+    f = model.A + gain @ model.C
+    linear = (1.0 - lam) * np.kron(model.A, model.A) + lam * np.kron(f, f)
+    return float(np.max(np.abs(np.linalg.eigvals(linear))))
+
+
+def record_gain_searches(monkeypatch) -> list:
+    """(model, lam, gain) of every gain search, in call order."""
+    searches = []
+    search = riccati._contracting_gain
+
+    def recorded(model, lam, gamma):
+        gain = search(model, lam, gamma)
+        searches.append((model, lam, gain))
+        return gain
+
+    monkeypatch.setattr(riccati, "_contracting_gain", recorded)
+    return searches
+
+
+def assert_gains_contract(searches):
+    for model, lam, gain in searches:
+        if gain is not None:
+            assert kron_radius(model, lam, gain) < 1.0
+
+
 class TestCertifiedCriticalLambda:
     """critical_lambda on certified models equals the iterative bisection bit
-    for bit and runs no covariance step; refused models still iterate."""
+    for bit and runs no covariance step; refused models search for a
+    contracting gain."""
 
     @pytest.mark.parametrize("tol", (1e-3, 1e-6))
     @pytest.mark.parametrize("a", SCALAR_A)
@@ -627,25 +654,26 @@ class TestCertifiedCriticalLambda:
             ([[1.2, 0.0], [0.0, 1.1]], [[1.0, 1.0]], 1e-3, 0.42626953125),
             # defective eigenbasis
             ([[1.1, 1.0], [0.0, 1.1]], [[1.0, 0.0]], 1e-2, 0.31640625),
-            # unstable mode unseen by C (not detectable): the iteration raises
+            # unstable mode unseen by C (not detectable): no gain at lam = 1
             ([[1.1, 0.0], [0.0, 0.5]], [[0.0, 1.0]], 1e-2, None),
         ],
     )
     def test_refused_models_iterate(self, monkeypatch, a, c, tol, expected):
         model = GaussMarkovModel(A=a, C=c, Q=np.eye(2), R=[[1.0]])
         assert not riccati.unstable_modes_observed(model)
-        steps = []
-        step = riccati.gamma_bs
-        monkeypatch.setattr(riccati, "gamma_bs", lambda *args: steps.append(1) or step(*args))
+        searches = record_gain_searches(monkeypatch)
         if expected is None:
-            with pytest.raises(ConvergenceError):
+            with pytest.raises(NumericalError):
                 critical_lambda(model, bisect_tol=tol)
+            assert [gain for _, _, gain in searches] == [None]
         else:
             # the threshold lies well above 1 - 1/rho^2, so the closed form
             # would be wrong here
             assert critical_lambda(model, bisect_tol=tol) == expected
             assert expected > 1.0 - 1.0 / spectral_radius(model.A) ** 2 + 0.1
-        assert steps
+            assert_gains_contract(searches)
+            assert any(gain is not None for _, _, gain in searches)
+            assert any(gain is None for _, _, gain in searches)
 
     def test_certificate_refusals(self):
         def refused(a, c):
@@ -665,6 +693,27 @@ class TestCertifiedCriticalLambda:
         assert refused([[1.2, 1.0], [0.0, 1.2 + 1e-10]], [[1.0, 0.0], [0.0, 1e10]])
         assert refused([[1.1, 0.0], [0.0, 0.5]], [[0.0, 1.0]])  # unstable mode unseen
         assert not refused([[1.2, 0.0], [0.0, 1.1]], [[1.0, 1.0], [1.0, 2.0]])
+
+
+class TestRefusedSweeps:
+    """On refused models each point's gain search starts the one batched
+    policy iteration: V-bar against the iterated map, the multi-beam steady
+    state against scipy's DARE, both within 1e-12."""
+
+    @pytest.mark.parametrize("a, c", REFUSED.values(), ids=REFUSED.keys())
+    def test_sweeps_match_oracles(self, monkeypatch, a, c):
+        model = GaussMarkovModel(A=a, C=c, Q=np.eye(2), R=[[1.0]])
+        searches = record_gain_searches(monkeypatch)
+        # 0.0 lies below 1 - 1/rho^2 of both models; on the defective one 0.2
+        # lies between that and its V-bar threshold, where the search fails
+        lams = [0.0, 0.2, 0.5, 0.6, 0.8, 0.95, 1.0]
+        want = ref.vbar_points(model, lams)
+        assert_close_points(vbar_sweep(lams, model), want, rtol=1e-12)
+        gammas = [1.0, 1.5, 10.0]
+        assert_close_points(mb_sweep(gammas, model), [ref.dare(model, g) for g in gammas], rtol=1e-12)
+        assert_gains_contract(searches)
+        found = sum(gain is not None for _, _, gain in searches)
+        assert found == sum(w is not None for w in want) + len(gammas)
 
 
 def assert_solved_near_critical(model):
