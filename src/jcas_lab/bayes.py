@@ -7,6 +7,13 @@ over measurement prefixes, and a gridded product-distribution search for
 the best rate under a distortion budget, evaluated as whole arrays.
 Everything is in nats.
 
+A belief is validated once, by the public ``Belief(...)`` constructor; the
+beliefs that ``belief_predict``, ``belief_update`` and
+``bruteforce_posterior`` return are products of validated tables and a
+validated belief and skip the checks.  I(X; Y | S) is one array evaluation
+over a stack of input laws (``information_table``), shared by the rate
+search and ``capacity_objective``.
+
 Alphabets are index sets 0..size-1.  The channel is a joint conditional
 table P(y, z | x, s); the state evolves by a row-stochastic kernel
 P(s' | s) from a known initial distribution.
@@ -133,15 +140,29 @@ class Belief:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float).reshape(-1)
-        if np.any(p < -PROB_TOL) or abs(float(p.sum()) - 1.0) > 1e-9:
+        if (
+            not np.all(np.isfinite(p))
+            or np.any(p < -PROB_TOL)
+            or abs(float(p.sum()) - 1.0) > 1e-9
+        ):
             raise ParameterError("belief must be a probability distribution")
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
 
+    @classmethod
+    def _derived(cls, p: np.ndarray, time_index: int) -> Belief:
+        """A belief computed from validated tables and a validated belief;
+        the checks of the public constructor are not re-run."""
+        belief = object.__new__(cls)
+        p.setflags(write=False)
+        object.__setattr__(belief, "probabilities", p)
+        object.__setattr__(belief, "time_index", time_index)
+        return belief
+
 
 def belief_predict(belief: Belief, model: DiscreteJcasModel) -> Belief:
     """Push the belief through the state kernel: b'(s') = sum_s P(s'|s) b(s)."""
-    return Belief(belief.probabilities @ model.markov, belief.time_index + 1)
+    return Belief._derived(belief.probabilities @ model.markov, belief.time_index + 1)
 
 
 def belief_update(belief: Belief, x: int, z: int, model: DiscreteJcasModel) -> Belief:
@@ -157,7 +178,7 @@ def belief_update(belief: Belief, x: int, z: int, model: DiscreteJcasModel) -> B
         raise EvidenceError(
             f"measurement z={z} has zero probability under input x={x}"
         )
-    return Belief(post / total, belief.time_index)
+    return Belief._derived(post / total, belief.time_index)
 
 
 def optimal_estimate(belief: Belief, model: DiscreteJcasModel):
@@ -190,7 +211,7 @@ def bruteforce_posterior(x_seq, z_seq, model: DiscreteJcasModel) -> Belief:
             f"steps <= {MAX_STEPS_EXACT}"
         )
     if steps == 0:
-        return Belief(model.initial.copy(), 0)
+        return Belief._derived(model.initial.copy(), 0)
     pz = model.z_likelihood()
     w = model.initial
     for x, z in zip(x_seq, z_seq):
@@ -199,7 +220,7 @@ def bruteforce_posterior(x_seq, z_seq, model: DiscreteJcasModel) -> Belief:
     total = float(post.sum())
     if total <= 0.0:
         raise EvidenceError("measurement sequence has zero probability")
-    return Belief(post / total, steps)
+    return Belief._derived(post / total, steps)
 
 
 def _forward_messages(x_seq, model: DiscreteJcasModel):
@@ -257,15 +278,6 @@ def sensing_cost(x_seq, model: DiscreteJcasModel) -> float:
     return total / (n + 1)
 
 
-def _mutual_information(px: np.ndarray, py_given_x: np.ndarray) -> float:
-    """I(X;Y) in nats for input px and transition rows py_given_x."""
-    joint = px[:, None] * py_given_x
-    py = joint.sum(axis=0)
-    mask = joint > 0.0
-    py_full = np.broadcast_to(py, joint.shape)
-    return float(np.sum(joint[mask] * np.log(py_given_x[mask] / py_full[mask])))
-
-
 def state_marginals(model: DiscreteJcasModel, n: int) -> np.ndarray:
     """P(S_i) for i = 1..n by chain iteration; shape (n, ns)."""
     out = np.empty((n, model.ns))
@@ -276,13 +288,59 @@ def state_marginals(model: DiscreteJcasModel, n: int) -> np.ndarray:
     return out
 
 
-def _conditional_information(px: np.ndarray, py: np.ndarray, marginal: np.ndarray) -> float:
-    """I(X; Y | S) in nats for input px, py[x, s, y] = P(y | x, s) and state law marginal."""
-    mi = 0.0
-    for s, ps in enumerate(marginal):
-        if ps > 0.0:
-            mi += ps * _mutual_information(px, py[:, s, :])
-    return mi
+#: rows x (x, y) terms of one block of the information table's temporaries
+_INFO_BLOCK_TERMS = 1 << 16
+
+
+def _mutual_information_rows(q: np.ndarray, channel: np.ndarray) -> np.ndarray:
+    """I(X; Y) in nats for every input law q[r] through channel[x, y] = P(y | x).
+
+    Each row rounds as a one-law evaluation would: the output law p(y)
+    sums the joint over x in order, and the positive (x, y) terms of
+    p(x, y) ln(P(y | x) / p(y)) are compacted into C-contiguous rows and
+    summed along them, so numpy's pairwise summation groups them as it
+    does a 1-D array.  Rows are grouped by which terms are positive, so a
+    group shares one compaction.
+    """
+    ny = channel.shape[1]
+    joint = q[:, :, np.newaxis] * channel
+    py = joint.sum(axis=1)
+    joint = joint.reshape(len(q), -1)
+    supports, group = np.unique(joint > 0.0, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    out = np.empty(len(q))
+    for k, support in enumerate(supports):
+        rows = np.flatnonzero(group == k)[:, np.newaxis]
+        terms = np.flatnonzero(support)
+        ratio = channel.reshape(-1)[terms] / py[rows, terms % ny]
+        out[rows[:, 0]] = np.sum(np.ascontiguousarray(joint[rows, terms]) * np.log(ratio), axis=1)
+    return out
+
+
+def information_table(q: np.ndarray, model: DiscreteJcasModel) -> np.ndarray:
+    """I(X; Y | S = s) in nats for every input law q[r]; shape (len(q), ns).
+
+    Grid rows go through in blocks, so the temporaries stay small however
+    many laws there are.
+    """
+    py = model.y_likelihood()
+    out = np.empty((len(q), model.ns))
+    block = max(1, _INFO_BLOCK_TERMS // (model.nx * model.ny))
+    for start in range(0, len(q), block):
+        rows = slice(start, start + block)
+        for s in range(model.ns):
+            out[rows, s] = _mutual_information_rows(q[rows], py[:, s, :])
+    return out
+
+
+def _average_over_states(info: np.ndarray, laws: np.ndarray) -> np.ndarray:
+    """sum_s laws[..., s] info[..., s], added in state order from 0.0 and
+    skipping zero-probability states."""
+    total = np.zeros(np.broadcast_shapes(info.shape, laws.shape)[:-1])
+    for s in range(info.shape[-1]):
+        weight = laws[..., s]
+        np.add(total, weight * info[..., s], out=total, where=weight > 0.0)
+    return total
 
 
 def capacity_objective(input_dists, model: DiscreteJcasModel, n: int) -> float:
@@ -292,13 +350,16 @@ def capacity_objective(input_dists, model: DiscreteJcasModel, n: int) -> float:
         dists = np.tile(dists, (n, 1))
     if dists.shape != (n, model.nx):
         raise ParameterError(f"need {n} input distributions of size {model.nx}")
-    if np.any(dists < -1e-12) or np.any(np.abs(dists.sum(axis=1) - 1.0) > 1e-9):
+    if (
+        not np.all(np.isfinite(dists))
+        or np.any(dists < -1e-12)
+        or np.any(np.abs(dists.sum(axis=1) - 1.0) > 1e-9)
+    ):
         raise ParameterError("input distributions must be probability vectors")
-    py = model.y_likelihood()
-    marginals = state_marginals(model, n)
+    per_step = _average_over_states(information_table(dists, model), state_marginals(model, n))
     total = 0.0
-    for i in range(n):
-        total += _conditional_information(dists[i], py, marginals[i])
+    for value in per_step.tolist():
+        total += value
     return total / n
 
 
@@ -373,10 +434,8 @@ def bruteforce_open_loop_tradeoff(
 
     # a combination's rate is the mean of its per-step conditional mutual
     # information, summed in step order into the no longer needed cost buffer
-    py = model.y_likelihood()
-    marginals = state_marginals(model, n)
-    mi_table = np.array(
-        [[_conditional_information(q, py, marginals[i]) for i in range(n)] for q in grid]
+    mi_table = _average_over_states(
+        information_table(grid, model)[:, np.newaxis, :], state_marginals(model, n)
     )
     rate = expected
     rate.fill(0.0)

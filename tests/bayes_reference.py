@@ -6,10 +6,12 @@ require the two to agree bit for bit.
 ``sensing_cost`` enumerates every (state path, measurement path) pair and
 runs the recursive estimator along each measurement path, and
 ``open_loop_tradeoff`` visits the grid combinations one at a time in
-``itertools.product`` order, keeping the first strict maximum.  Tests
+``itertools.product`` order, keeping the first strict maximum.
+``conditional_information`` scores one input law at a time, the per-point
+evaluation that ``jcas_lab.bayes.information_table`` replaced.  Tests
 compare the forward recursion and the array search with them: costs to a
-relative tolerance, because the summation order differs, and estimates
-and search results by exact equality.
+relative tolerance, because the summation order differs, and estimates,
+information tables and search results by exact equality.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from jcas_lab.bayes import (
     MAX_STEPS_EXACT,
     Belief,
     TradeoffResult,
-    _mutual_information,
     belief_predict,
     belief_update,
     optimal_estimate,
@@ -134,6 +135,34 @@ def sensing_cost(x_seq, model) -> float:
     return float(total)
 
 
+def mutual_information(px: np.ndarray, py_given_x: np.ndarray) -> float:
+    """I(X;Y) in nats for input px and transition rows py_given_x."""
+    joint = px[:, None] * py_given_x
+    py = joint.sum(axis=0)
+    mask = joint > 0.0
+    py_full = np.broadcast_to(py, joint.shape)
+    return float(np.sum(joint[mask] * np.log(py_given_x[mask] / py_full[mask])))
+
+
+def conditional_information(px: np.ndarray, py: np.ndarray, marginal: np.ndarray) -> float:
+    """I(X; Y | S) in nats for input px, py[x, s, y] = P(y | x, s) and state law marginal."""
+    mi = 0.0
+    for s, ps in enumerate(marginal):
+        if ps > 0.0:
+            mi += ps * mutual_information(px, py[:, s, :])
+    return mi
+
+
+def capacity_objective(input_dists, model, n: int) -> float:
+    """(1/n) sum_i I(X_i; Y_i | S_i), one step at a time."""
+    py = model.y_likelihood()
+    marginals = state_marginals(model, n)
+    total = 0.0
+    for i in range(n):
+        total += conditional_information(np.asarray(input_dists[i], dtype=float), py, marginals[i])
+    return total / n
+
+
 def open_loop_tradeoff(model, distortion_budget: float, n: int, grid_resolution: float,
                        cost=sensing_cost) -> TradeoffResult:
     """The gridded search, one combination at a time, with costs from ``cost``."""
@@ -148,12 +177,7 @@ def open_loop_tradeoff(model, distortion_budget: float, n: int, grid_resolution:
     mi_table = np.empty((n_points, n))
     for g in range(n_points):
         for i in range(n):
-            mi = 0.0
-            for s in range(model.ns):
-                ps = marginals[i, s]
-                if ps > 0.0:
-                    mi += ps * _mutual_information(grid[g], py[:, s, :])
-            mi_table[g, i] = mi
+            mi_table[g, i] = conditional_information(grid[g], py, marginals[i])
 
     best_rate = -math.inf
     best_combo = None

@@ -6,19 +6,26 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jcas_lab import bayes
 from jcas_lab.bayes import (
     Belief,
     DiscreteJcasModel,
+    _average_over_states,
     _forward_messages,
     belief_predict,
     belief_update,
     bruteforce_open_loop_tradeoff,
     bruteforce_posterior,
     capacity_objective,
+    information_table,
     load_discrete_model,
     optimal_estimate,
     sensing_cost,
+    simplex_grid,
+    state_marginals,
 )
 from jcas_lab.errors import EnumerationLimitError, EvidenceError, ParameterError, SchemaError
 
@@ -88,6 +95,43 @@ class TestBeliefOps:
     def test_update_zero_evidence_raises(self, toy):
         with pytest.raises(EvidenceError):
             belief_update(Belief(np.array([1.0, 0.0])), 0, 1, toy)
+
+
+class TestDerivedBeliefs:
+    """Predicted and updated beliefs skip the public checks; they must still pass them."""
+
+    @staticmethod
+    def assert_valid(belief):
+        p = belief.probabilities
+        assert not p.flags.writeable
+        assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+        assert abs(float(p.sum()) - 1.0) <= 1e-9
+        assert Belief(p, belief.time_index).probabilities.tobytes() == p.tobytes()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sparse=st.booleans(),
+        steps=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_predict_and_update_return_valid_beliefs(self, seed, sparse, steps):
+        rng = np.random.default_rng(seed)
+        model = (sparse_discrete_model if sparse else random_discrete_model)(rng)
+        belief = Belief(model.initial.copy(), 0)
+        for _ in range(steps):
+            belief = belief_predict(belief, model)
+            self.assert_valid(belief)
+            x = int(rng.integers(model.nx))
+            # a measurement drawn from the predicted law has positive evidence
+            pz = belief.probabilities @ model.z_likelihood()[x]
+            z = int(rng.choice(model.nz, p=pz / pz.sum()))
+            belief = belief_update(belief, x, z, model)
+            self.assert_valid(belief)
+
+    @pytest.mark.parametrize("bad", ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0], [0.5, -np.inf]))
+    def test_public_constructor_rejects_non_finite(self, bad):
+        with pytest.raises(ParameterError):
+            Belief(np.array(bad))
 
 
 class TestOptimalEstimate:
@@ -346,6 +390,24 @@ def sparse_discrete_model(rng: np.random.Generator, max_size: int = 3):
     )
 
 
+def wide_sparse_model(seed: int, nx: int, ny: int, ns: int = 3, nz: int = 2):
+    """Seeded model with zero channel entries and an unreachable last state,
+    so its state marginals have a zero entry at every step."""
+    rng = np.random.default_rng([seed, nx, ny, ns])
+    channel = rng.random((nx, ns, ny, nz)) * (rng.random((nx, ns, ny, nz)) < 0.6)
+    channel[..., 0, 0] += 0.05
+    channel /= channel.sum(axis=(2, 3), keepdims=True)
+    markov = rng.random((ns, ns)) + 0.05
+    markov[:-1, -1] = 0.0
+    markov /= markov.sum(axis=1, keepdims=True)
+    initial = rng.random(ns) + 0.05
+    initial[-1] = 0.0
+    initial /= initial.sum()
+    return DiscreteJcasModel(
+        channel=channel, markov=markov, initial=initial, distortion=1.0 - np.eye(ns)
+    )
+
+
 def equivalence_cases():
     """(model, x_seq) pairs for n = 0..5 within the enumeration bound."""
     toy = load_discrete_model(toy_model_path())
@@ -430,6 +492,12 @@ class TestCapacityObjective:
         got = capacity_objective(np.array([0.5, 0.5]), model, 3)
         assert got == pytest.approx(0.3680642071684971, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]))
+    def test_non_finite_distribution_refused(self, bad):
+        # every comparison with NaN is false, so the range checks alone pass it
+        with pytest.raises(ParameterError):
+            capacity_objective(np.array(bad), sense_or_talk_model(4242), 2)
+
     def test_concave_along_random_segments(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
@@ -510,7 +578,8 @@ class TestArraySearch:
     @pytest.mark.parametrize("n, binary_steps, ternary_steps", [(1, 10, 10), (2, 10, 4), (3, 5, 3)])
     def test_matches_loop(self, toy, n, binary_steps, ternary_steps):
         rng = np.random.default_rng(60 + n)
-        for model in (toy, random_discrete_model(rng), sparse_discrete_model(rng)):
+        models = (toy, random_discrete_model(rng), sparse_discrete_model(rng), wide_sparse_model(n, 3, 3))
+        for model in models:
             resolution = 1.0 / (binary_steps if model.nx == 2 else ternary_steps)
             costs = [ref.sensing_cost(xs, model) for xs in itertools.product(range(model.nx), repeat=n)]
             lo, hi = min(costs), max(costs)
@@ -535,6 +604,43 @@ class TestArraySearch:
         assert got.n_feasible == 4**n
         assert np.array_equal(got.input_distributions, np.tile([2.0 / 3.0, 1.0 / 3.0], (n, 1)))
         assert capacity_objective(np.tile([1.0 / 3.0, 2.0 / 3.0], (n, 1)), model, n) == got.rate
+
+
+class TestInformationTable:
+    """The array I(X; Y | S) against the per-point evaluation in bayes_reference."""
+
+    # (nx, ny, grid resolution): at least 8 (x, y) terms, where numpy's
+    # pairwise summation starts to group terms
+    SHAPES = [(2, 4, 0.05), (3, 3, 0.1), (4, 3, 0.2), (4, 5, 0.25), (6, 2, 0.5)]
+
+    @pytest.mark.parametrize("nx, ny, resolution", SHAPES)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_table_bit_for_bit(self, seed, nx, ny, resolution):
+        model = wide_sparse_model(seed, nx, ny)
+        assert (model.channel == 0.0).any()
+        grid = simplex_grid(nx, resolution)
+        marginals = state_marginals(model, 3)
+        assert (marginals == 0.0).any()
+        py = model.y_likelihood()
+        info = information_table(grid, model)
+        want = np.array([
+            [ref.mutual_information(q, py[:, s, :]) for s in range(model.ns)] for q in grid
+        ])
+        assert np.array_equal(info, want)
+        got = _average_over_states(info[:, np.newaxis, :], marginals)
+        want = np.array([
+            [ref.conditional_information(q, py, marginals[i]) for i in range(3)] for q in grid
+        ])
+        assert np.array_equal(got, want)
+        dists = grid[np.random.default_rng(seed).integers(0, len(grid), 3)]
+        assert capacity_objective(dists, model, 3) == ref.capacity_objective(dists, model, 3)
+
+    def test_blocks_do_not_change_bits(self, monkeypatch):
+        model = wide_sparse_model(3, 4, 3)
+        grid = simplex_grid(4, 0.1)
+        whole = information_table(grid, model)
+        monkeypatch.setattr(bayes, "_INFO_BLOCK_TERMS", 5 * 4 * 3)
+        assert np.array_equal(information_table(grid, model), whole)
 
 
 class TestModelLoading:
