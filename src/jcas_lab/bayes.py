@@ -40,6 +40,9 @@ MAX_STATES_EXACT = 5
 MAX_STEPS_EXACT = 8
 MAX_COST_PATHS = 200_000
 MAX_GRID_COMBOS = 5_000_000
+#: largest channel table P(y, z | x, s) a model file may declare: the exact
+#: posterior's state bound times the path bound (10^6 entries, 8 MB)
+MAX_CHANNEL_ENTRIES = MAX_STATES_EXACT * MAX_COST_PATHS
 
 
 @dataclass(frozen=True)
@@ -488,19 +491,33 @@ def load_discrete_model(path) -> DiscreteJcasModel:
         if required not in sections:
             raise SchemaError(f"missing [{required}] section")
 
-    sizes = {}
+    sizes, where = {}, {}
     for lineno, line in sections["alphabets"]:
         if "=" not in line:
             raise SchemaError(f"line {lineno}: expected 'NAME = size'")
         name, _, value = line.partition("=")
+        name = name.strip().upper()
+        if name not in ("X", "S", "Z", "Y"):
+            raise SchemaError(f"line {lineno}: unknown alphabet {name!r}, expected X, S, Z or Y")
+        if name in sizes:
+            raise SchemaError(f"line {lineno}: duplicate alphabet {name}")
         try:
-            sizes[name.strip().upper()] = int(value)
+            sizes[name] = int(value)
         except ValueError as exc:
             raise SchemaError(f"line {lineno}: alphabet size must be an integer") from exc
+        where[name] = lineno
     for name in ("X", "S", "Z", "Y"):
         if name not in sizes or sizes[name] < 1:
             raise SchemaError(f"[alphabets] must define a positive size for {name}")
     nx, ns, nz, ny = sizes["X"], sizes["S"], sizes["Z"], sizes["Y"]
+    # checked before any table is allocated; the line named is the largest size's
+    for names, count, limit, what in (
+        ("SZ", ns * ns * nz, MAX_COST_PATHS, "|S|^2 |Z| paths of a one-step sensing cost"),
+        ("XSZY", nx * ns * nz * ny, MAX_CHANNEL_ENTRIES, "channel table entries"),
+    ):
+        if count > limit:
+            lineno = where[max(names, key=sizes.get)]
+            raise SchemaError(f"line {lineno}: alphabet sizes give {count} {what}, above {limit}")
 
     def parse_index(lineno, text, what):
         try:

@@ -16,69 +16,61 @@ Conventions
   inside each step and drives the next prediction; it is just not the one
   whose error the distortion accounting tracks.)
 * Randomness: every draw block of a run reads its own numpy PCG64
-  generator, spawned in draw order from ``SeedSequence(seed)``
-  (``draw_generators``).  A filter run has four blocks: the initial state,
-  the switching arrivals (read by switching policies only), the process
-  noise and the measurement noise (drawn even for erased steps, so no block
-  depends on the arrival pattern).  A covariance-only run
-  (``covariance_trials``) has one, its arrival uniforms.  Every block is
-  drawn time-major, (steps, trials[, width]), so trial t is column t of
-  each block, and a run reads the next contiguous chunk of a block's
-  stream: chunked draws equal one-shot draws.  Runs are reproducible bit
-  for bit, different seeds give independent runs, and a trial's draws
-  depend on the run's trial count.
+  generator (``draw_generators``).  Every block is drawn time-major,
+  (steps, trials[, width]), so trial t is column t of each block, and a
+  run reads the next contiguous chunk of a block's stream: chunked draws
+  equal one-shot draws.  The measurement noise is drawn even for erased
+  steps, so no block depends on the arrival pattern.  Runs are
+  reproducible bit for bit, different seeds give independent runs, and a
+  trial's draws depend on the run's trial count.
 
 One recursion
 -------------
 ``filter_trials`` is the only filter loop.  It advances every trial of a
 run together and yields one block of time steps per draw segment.  It
 carries the estimation error e_i = s_i - shat_i, never the state or the
-estimate: with the arrival bit m_i, the filter gain K_i and the process
-and measurement noise rows w_i and v_i,
+estimate: with the arrival bit m_i, the predictor gain
+L_i = A P_i C^T S_i^{-1} and the process and measurement noise rows w_i
+and v_i,
 
-    e_{i+1} = alpha_i e_i + u_i,  alpha_i = A (I - m_i K_i C),
-    u_i = w_i - m_i A K_i sqrt(g) v_i
+    e_{i+1} = alpha_i e_i + u_i,  alpha_i = A - m_i L_i C,
+    u_i = w_i - m_i L_i sqrt(g) v_i
 
 (the intermittent-observation recursion of Sinopoli et al., IEEE TAC
 2004).  e_i stays near sqrt(tr P_i) however large s_i grows, so |e_i|^2
-keeps its digits on unstable models.  A segment runs a covariance/gain
-pass (P through the ``sense`` and ``open_loop`` kernels, each gain masked
-by its arrival bit), forms alpha_i and u_i as whole-segment array
+keeps its digits on unstable models.  A segment runs ``_covariance_pass``,
+whose sensing steps take L_i and P_{i+1} from one
+``riccati.innovation_kernel`` or ``riccati.innovation`` call, masks each
+gain by its arrival bit, forms alpha_i and u_i as whole-segment array
 expressions, then runs the error pass, one product and one add a step.
-Under a multi-beam policy every trial follows the same covariance and
-gain path, so that path and alpha_i are computed once.
+Under a multi-beam policy every trial shares one covariance and gain path.
 ``montecarlo.empirical_block_distortion`` keeps only |e_i|^2;
 ``run_filter`` is the recursion with one trial, rebuilds the truth
 s_{i+1} = A s_i + w_i and the measurements z_i = C s_i + sqrt(g) v_i from
 the yielded noise rows and writes shat_i = s_i - e_i.
-``covariance_trials`` steps the covariances alone through the same step
-classes (``montecarlo``'s covariance cells).  Covariances are held as
-floats or ``(trials, 1)`` arrays for scalar models or as ``(m, m)``
-matrices or ``(trials, m, m)`` stacks; ``np.where`` picks each trial's
-arrival branch.  A filter's sensing step takes its gain and next
-covariance from one ``riccati.innovation_kernel`` or ``riccati.innovation``
-call; a covariance cell's takes the covariance alone (``riccati_kernel`` or
-``riccati_step``).  Each trial equals, bit for bit, the per-trial loops in
-``tests/mc_reference.py`` (whole blocks drawn one-shot and transformed,
-then column t stepped through the same expressions).  The noise transform
-is one matrix product per time step, so it rounds alike in any chunking.
+``covariance_trials`` (``montecarlo``'s covariance cells) keeps only the
+covariances of the same pass.  Covariances are floats or ``(trials, 1)``
+arrays for scalar models, ``(m, m)`` matrices or ``(trials, m, m)``
+stacks otherwise.  Each trial equals, bit for bit, the per-trial loops in
+``tests/mc_reference.py``.  The noise transform is one matrix product per
+time step, so it rounds alike in any chunking.
 
 Memory: a filter run holds its four generators and time-major buffers of
-``SEGMENT`` + 1 steps for the errors, the process and measurement noise,
-the gains and the raw draws (which then hold u_i); each segment overwrites
-them.  A covariance run holds one generator and at
+``SEGMENT`` + 1 steps for the errors, the noise, the gains and the raw
+draws (which then hold u_i).  A covariance run holds one generator and at
 most 2^16 arrival uniforms at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .riccati import BeamPolicy, innovation, innovation_kernel, riccati_kernel, riccati_step
+from .riccati import BeamPolicy, innovation, innovation_kernel
 from .statespace import (
     GaussMarkovModel,
     check_initial_covariance,
@@ -164,11 +156,10 @@ class _ScalarSteps:
     """Steps of a scalar model on trial arrays, through the shared kernels.
 
     A covariance is a length-1 vector per trial, like a state or an error,
-    or a float while every trial shares it.  ``sense`` returns the gain and
-    the next covariance of one innovation computation, in both step
-    classes, and ``correct`` the next covariance of a sensing step alone
-    (gamma = 1).  ``coefficients`` gives a segment's alpha_i = a (1 - G_i c),
-    over its masked gains G_i, and u_i = w_i - (a G_i) sqrt(g) v_i, into the
+    or a float while every trial shares it.  ``sense`` returns the predictor
+    gain and the next covariance of one innovation computation, in both
+    step classes.  ``coefficients`` gives a segment's alpha_i = a - L_i c,
+    over its masked gains L_i, and u_i = w_i - L_i sqrt(g) v_i, into the
     buffer ``u``; ``product`` applies alpha_i to an error, whose trailing
     ``column`` axes it sets.
     """
@@ -190,21 +181,16 @@ class _ScalarSteps:
     def sense(self, p, g: float):
         return innovation_kernel(self.a, self.c, self.q, self.r, p, g, 1.0)
 
-    def correct(self, p):
-        return riccati_kernel(self.a, self.c, self.q, self.r, p, 1.0)
-
     def coefficients(self, gains, w, noise, u):
-        np.multiply(self.a, gains, out=u)
-        np.subtract(w, np.multiply(u, noise, out=u), out=u)
-        np.multiply(gains, self.c, out=gains)
-        np.multiply(self.a, np.subtract(1.0, gains, out=gains), out=gains)
+        np.subtract(w, np.multiply(gains, noise, out=u), out=u)
+        np.subtract(self.a, np.multiply(gains, self.c, out=gains), out=gains)
         return gains, u
 
 
 class _MatrixSteps:
     """Steps of a matrix model on (trials, m, m) stacks; errors are (m, 1) columns.
 
-    ``coefficients`` returns alpha_i = A (I - G_i C) as a new array.
+    ``coefficients`` returns alpha_i = A - L_i C as a new array.
     """
 
     core = 2
@@ -224,17 +210,26 @@ class _MatrixSteps:
     def sense(self, p, g: float):
         return innovation(self.model, p, g)
 
-    def correct(self, p):
-        return riccati_step(self.model, p, 1.0)
-
     def coefficients(self, gains, w, noise, u):
-        a, c = self.model.A, self.model.C
-        np.subtract(w[..., None], (a @ gains) @ noise[..., None], out=u)
-        return a @ (np.eye(self.model.m) - gains @ c), u
+        np.subtract(w[..., None], gains @ noise[..., None], out=u)
+        return self.model.A - gains @ self.model.C, u
 
 
 def _steps(model: GaussMarkovModel):
     return _ScalarSteps(model) if model.is_scalar else _MatrixSteps(model)
+
+
+def _covariance_pass(steps, p, arrivals, g: float):
+    """Yield (gain, P_{i+1}) per arrival from P_i = p: ``False`` takes only the
+    open-loop step (gain 0), ``True`` only the sensing step with noise gain
+    g, and a per-trial mask both, picking each trial's with ``np.where``."""
+    for arrived in arrivals:
+        if arrived is False:
+            gain, p = 0.0, steps.open_loop(p)
+        else:
+            gain, p_next = steps.sense(p, g)
+            p = p_next if arrived is True else _pick(arrived, p_next, steps.open_loop(p), steps.core)
+        yield gain, p
 
 
 def filter_trials(model, policy, horizon: int, trials: int, seed: int, s0, p0):
@@ -310,15 +305,9 @@ def _recursion(model, policy, horizon: int, trials: int, seed: int, s0, p0):
             arrivals = list(present[:rows])
         if start == 0:
             arrivals[0] = False
-        # the covariance/gain pass
         covariances = [p]
-        for j, arrived in enumerate(arrivals):
-            if arrived is False:
-                gains[j] = 0.0
-                p = steps.open_loop(p)
-            else:
-                gains[j], p_next = steps.sense(p, g)
-                p = p_next if arrived is True else _pick(arrived, p_next, steps.open_loop(p), steps.core)
+        for j, (gain, p) in enumerate(_covariance_pass(steps, p, arrivals, g)):
+            gains[j] = gain
             covariances.append(p)
         if width > 1:
             gains[:rows][~present[:rows]] = 0.0
@@ -347,20 +336,16 @@ def covariance_trials(model, lam: float, horizon: int, trials: int, seed: int, p
     the open-loop (sensing) path, and the other branch is never computed.
     """
     steps = _steps(model)
-    p = steps.initial(p0)
-    yield np.broadcast_to(p0, (trials, model.m, model.m))
-    if lam in (0.0, 1.0):
-        step = steps.correct if lam == 1.0 else steps.open_loop
-        for _ in range(horizon):
-            p = step(p)
-            yield np.broadcast_to(np.reshape(p, (model.m, model.m)), (trials, model.m, model.m))
-        return
-    (arrivals,) = draw_generators(seed, cell=True)
-    chunk = max(1, (1 << 16) // trials)
-    for start in range(0, horizon, chunk):
-        for sensed in arrivals.random((min(chunk, horizon - start), trials)) < lam:
-            p = _pick(sensed, steps.correct(p), steps.open_loop(p), steps.core)
-            yield p.reshape(trials, model.m, model.m)
+    shape = (trials, model.m, model.m)
+    yield np.broadcast_to(p0, shape)
+    arrivals = itertools.repeat(lam == 1.0, horizon)
+    if lam not in (0.0, 1.0):
+        (rng,) = draw_generators(seed, cell=True)
+        chunk = max(1, (1 << 16) // trials)
+        rows = (min(chunk, horizon - start) for start in range(0, horizon, chunk))
+        arrivals = itertools.chain.from_iterable(rng.random((n, trials)) < lam for n in rows)
+    for _, p in _covariance_pass(steps, steps.initial(p0), arrivals, 1.0):
+        yield np.broadcast_to(np.reshape(p, (-1, model.m, model.m)), shape)
 
 
 def run_filter(

@@ -10,25 +10,24 @@ Two one-step covariance maps drive everything here:
   arrives with noise inflated by gamma.
 
 Every gain and correction, here and in the Kalman filter, comes from one
-solve of the innovation covariance S = C P C^T + gamma R:
+solve of the innovation covariance S = C P C^T + gamma R against C P A^T:
 ``_solve_innovation`` (matrix models) or ``innovation_kernel`` (scalar).
-The matrix solve takes the right-hand sides [C P, C P A^T] for a filter
-gain and C P A^T alone where no gain is needed (``riccati_step``,
-``gamma_bs``, the policy iteration); on m >= 2 both give the same bits.
+Its transpose, the predictor gain L = A P C^T S^{-1}, is the only gain; the
+filter, the policy iteration and the gain search use F = A - L C.
 
-Fixed points are solved, not iterated.  Once a gain K is fixed, the map
-phi_{lam,gamma}(K, X) = (1 - lam) A X A^T + lam (A + K C) X (A + K C)^T
-+ Q + lam gamma K R K^T is affine in X, and minimizing over K gives back
+Fixed points are solved, not iterated.  Once a gain L is fixed, the map
+phi_{lam,gamma}(L, X) = (1 - lam) A X A^T + lam (A - L C) X (A - L C)^T
++ Q + lam gamma L R L^T is affine in X, and minimizing over L gives back
 ``gamma_bs`` (gamma = 1, fixed point V-bar) or ``gamma_mb`` (lam = 1, the
 multi-beam steady state) (Sinopoli et al., "Kalman filtering with
 intermittent observations", IEEE TAC 2004).  A scalar model takes the
 positive root of the quadratic this fixed point solves.  A matrix model
 runs Hewer's policy iteration, batched over a whole lam or gamma grid,
-from a gain K whose affine map contracts: K = 0 when A is stable, the gain
+from a gain L whose affine map contracts: L = 0 when A is stable, the gain
 of the ``unstable_modes_observed`` certificate, or, on a model the
 certificate refuses, a gain found by iterating the map itself from Q
-(``_contracting_gain``).  Any such K proves the fixed point finite, since
-phi(K, .) bounds the map.  The matching lower bound S-bar is the scaled
+(``_contracting_gain``).  Any such L proves the fixed point finite, since
+phi(L, .) bounds the map.  The matching lower bound S-bar is the scaled
 Lyapunov solve of :mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges
 whenever (1 - lam) rho(A)^2 >= 1, so V-bar is None there; on scalar, stable
 and certified models it is finite everywhere else, and on refused models
@@ -108,8 +107,6 @@ class BeamPolicy:
         return cls("multibeam", float(gamma0))
 
 
-
-
 def _check_lam(lam: float) -> float:
     if not (0.0 <= lam <= 1.0):
         raise ParameterError(f"lam must lie in [0, 1], got {lam}")
@@ -123,7 +120,7 @@ def _check_gamma(gamma: float) -> float:
 
 
 def innovation_kernel(a: float, c: float, q: float, r: float, p: float, gamma: float, lam: float):
-    """Scalar ``innovation``: (p c / s, a p a + q - lam (a p c)(c p a) / s).
+    """Scalar ``innovation``: (l, a p a + q - lam (a p c) l), l = (c p a) / s.
 
     s = c p c + gamma r is computed once.  Every scalar step reads this one
     expression, so they agree bit for bit; p may be an array of trials.
@@ -135,16 +132,17 @@ def innovation_kernel(a: float, c: float, q: float, r: float, p: float, gamma: f
     if (apa.max() if isinstance(apa, np.ndarray) else apa) == math.inf:
         return _innovation_limit(a, c, q, r, p, gamma, lam)
     s = cp * c + gamma * r
-    return cp / s, apa + q - lam * ((ap * c) * ((cp * a) / s))
+    gain = (cp * a) / s
+    return gain, apa + q - lam * ((ap * c) * gain)
 
 
 def _innovation_limit(a: float, c: float, q: float, r: float, p, gamma: float, lam: float):
     """``innovation_kernel`` where a p a overflows to +inf.
 
     Those entries take the form that stays finite as p -> inf: with
-    d = c^2 + gamma r / p, the gain c / d and the covariance
+    d = c^2 + gamma r / p, the gain (c a) / d and the covariance
     a^2 lam gamma r / d + q + (1 - lam) a^2 p.  At p = +inf that is the gain
-    1/c and a^2 gamma r / c^2 + q at lam = 1, +inf at lam < 1.  With c = 0
+    a/c and a^2 gamma r / c^2 + q at lam = 1, +inf at lam < 1.  With c = 0
     nothing is sensed (gain 0, covariance +inf).  The other entries keep
     ``innovation_kernel``'s bits.
     """
@@ -156,7 +154,7 @@ def _innovation_limit(a: float, c: float, q: float, r: float, p, gamma: float, l
     else:
         p = np.where(big, p, 1.0)
         d = c * c + gamma * r / p
-        top_gain, top = c / d, (a * a) * (lam * (gamma * r) / d) + q
+        top_gain, top = (c * a) / d, (a * a) * (lam * (gamma * r) / d) + q
         if lam < 1.0:
             top = top + (1.0 - lam) * p * a * a
     gain = np.where(big, top_gain, gain)
@@ -174,20 +172,17 @@ def bs_kernel(a: float, c: float, q: float, r: float, p: float, lam: float) -> f
     return innovation_kernel(a, c, q, r, p, 1.0, lam)[1]
 
 
-def _solve_innovation(model: GaussMarkovModel, p: np.ndarray, gamma, gain: bool):
-    """S^{-1} [C P, C P A^T], or S^{-1} C P A^T alone when not ``gain``, from
-    the one solve of S = C P C^T + gamma R.
+def _solve_innovation(model: GaussMarkovModel, p: np.ndarray, gamma):
+    """S^{-1} C P A^T for S = C P C^T + gamma R, the transpose of the
+    predictor gain L = A P C^T S^{-1}.
 
     p may be a stack (n, m, m), gamma an array broadcasting against it.  A
     singular S raises NumericalError carrying its condition number.
     """
     cp = model.C @ p
     innov = cp @ model.C.T + gamma * model.R
-    rhs = cp @ model.A.T
-    if gain:
-        rhs = np.concatenate((cp, rhs), axis=-1)
     try:
-        return np.linalg.solve(innov, rhs)
+        return np.linalg.solve(innov, cp @ model.A.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"innovation covariance is singular: {exc}",
@@ -203,10 +198,10 @@ def _corrected(model: GaussMarkovModel, p: np.ndarray, corr: np.ndarray, lam) ->
 
 
 def innovation(model: GaussMarkovModel, p: np.ndarray, gamma):
-    """(K, P') of one ``_solve_innovation``: the filter gain K = P C^T S^{-1}
-    and P' = A P A^T + Q - A P C^T S^{-1} C P A^T, re-symmetrized."""
-    x = _solve_innovation(model, p, gamma, True)
-    return x[..., : model.m].swapaxes(-1, -2), _corrected(model, p, x[..., model.m :], 1.0)
+    """(L, P') of one ``_solve_innovation``: the predictor gain L = A P C^T S^{-1}
+    and P' = A P A^T + Q - L C P A^T, re-symmetrized."""
+    corr = _solve_innovation(model, p, gamma)
+    return corr.swapaxes(-1, -2), _corrected(model, p, corr, 1.0)
 
 
 def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:
@@ -221,7 +216,7 @@ def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:
     if model.is_scalar:
         a, c, q, r = model.scalars()
         return np.array([[riccati_kernel(a, c, q, r, float(p[0, 0]), gamma)]])
-    return _corrected(model, p, _solve_innovation(model, p, gamma, False), 1.0)
+    return _corrected(model, p, _solve_innovation(model, p, gamma), 1.0)
 
 
 def gamma_bs(p: np.ndarray, lam, model: GaussMarkovModel) -> np.ndarray:
@@ -237,7 +232,7 @@ def gamma_bs(p: np.ndarray, lam, model: GaussMarkovModel) -> np.ndarray:
     if model.is_scalar:
         a, c, q, r = model.scalars()
         return np.array([[bs_kernel(a, c, q, r, float(p[0, 0]), lam)]])
-    return _corrected(model, p, _solve_innovation(model, p, 1.0, False), lam)
+    return _corrected(model, p, _solve_innovation(model, p, 1.0), lam)
 
 
 def gamma_mb(p: np.ndarray, gamma: float, model: GaussMarkovModel) -> np.ndarray:
@@ -263,14 +258,14 @@ CERTIFICATE_COND = 1e8
 
 
 def _certificate_gain(model: GaussMarkovModel):
-    """The gain K = -A V_u (C V_u)^+ of ``unstable_modes_observed``, or None
+    """The gain L = A V_u (C V_u)^+ of ``unstable_modes_observed``, or None
     when the certificate refuses the model."""
     if model.m == 1:
         # eigenbasis [[1]], so C V_u is C; no LAPACK call (and its buffers)
         a = float(model.A[0, 0])
         if abs(a) < 1.0 - CRITICAL_MARGIN or not np.any(model.C):
             return None
-        return -a * model.C.T / float(np.sum(model.C * model.C))
+        return a * model.C.T / float(np.sum(model.C * model.C))
     mu, v = np.linalg.eig(model.A)
     unstable = np.abs(mu) >= 1.0 - CRITICAL_MARGIN
     if not 0 < np.count_nonzero(unstable) <= model.k or np.linalg.cond(v) > CERTIFICATE_COND:
@@ -279,7 +274,7 @@ def _certificate_gain(model: GaussMarkovModel):
     if np.linalg.cond(model.C @ v_u) > CERTIFICATE_COND:
         return None
     # conjugate eigenvector pairs give a real gain
-    return np.real(-model.A @ v_u @ np.linalg.pinv(model.C @ v_u))
+    return np.real(model.A @ v_u @ np.linalg.pinv(model.C @ v_u))
 
 
 def unstable_modes_observed(model: GaussMarkovModel) -> bool:
@@ -288,16 +283,16 @@ def unstable_modes_observed(model: GaussMarkovModel) -> bool:
     Let the columns of V_u span the unstable invariant subspace U of A (the
     eigenvalues with |mu| >= 1 - CRITICAL_MARGIN) and V_s the stable one,
     whose spectral radius rho_s is below 1.  If C is injective on U, the
-    gain K = -A V_u (C V_u)^+ cancels the unstable block: (A + K C) V_u = 0.
-    In the basis [V_u, V_s], A and A + K C are then block upper triangular
+    gain L = A V_u (C V_u)^+ cancels the unstable block: (A - L C) V_u = 0.
+    In the basis [V_u, V_s], A and A - L C are then block upper triangular
     with diagonal blocks (Lambda_u, Lambda_s) and (0, Lambda_s), so the
-    linear part of phi_lam(K, X) = (1 - lam) A X A^T + lam (A + K C) X
-    (A + K C)^T + Q + lam K R K^T is block triangular as well, with spectral
+    linear part of phi_lam(L, X) = (1 - lam) A X A^T + lam (A - L C) X
+    (A - L C)^T + Q + lam L R L^T is block triangular as well, with spectral
     radius max((1 - lam) rho^2, (1 - lam) rho rho_s, rho_s^2) < 1 whenever
-    (1 - lam) rho^2 < 1.  The beam-switching map is bounded by phi_lam(K, .)
-    for every K (Sinopoli et al., IEEE TAC 2004), and its iterates from Q
+    (1 - lam) rho^2 < 1.  The beam-switching map is bounded by phi_lam(L, .)
+    for every L (Sinopoli et al., IEEE TAC 2004), and its iterates from Q
     are nondecreasing, so they converge there; elsewhere S-bar, a lower
-    bound, diverges.  The same K starts the policy iteration of every fixed
+    bound, diverges.  The same L starts the policy iteration of every fixed
     point.  Conservative: False when A has no unstable mode or more of them
     than C has rows, or when its eigenbasis or C V_u is ill conditioned
     (which covers a defective A and a rank-deficient C V_u).
@@ -306,23 +301,23 @@ def unstable_modes_observed(model: GaussMarkovModel) -> bool:
 
 
 def _contracting_gain(model: GaussMarkovModel, lam: float, gamma: float):
-    """A predictor gain K whose affine map phi_{lam,gamma}(K, .) contracts, or
+    """A predictor gain L whose affine map phi_{lam,gamma}(L, .) contracts, or
     None when the search calls the point divergent.
 
-    The min_K phi_{lam,gamma}(K, .) map is iterated from Q.  Each step's
-    innovation solve gives both the step and the predictor gain K of that
-    iterate, and at steps 1, 2, 4, 8, ... K is tested:
-    rho((1 - lam) A (x) A + lam F (x) F) < 1 with F = A + K C.  The point is
+    The min_L phi_{lam,gamma}(L, .) map is iterated from Q.  Each step's
+    innovation solve gives both the step and the predictor gain L of that
+    iterate, and at steps 1, 2, 4, 8, ... L is tested:
+    rho((1 - lam) A (x) A + lam F (x) F) < 1 with F = A - L C.  The point is
     divergent once the trace is non-finite or above TRACE_DIVERGENCE, or when
     no gain passes within GAIN_SEARCH_STEPS steps.
     """
     a_kron = (1.0 - lam) * np.kron(model.A, model.A)
     p = model.Q
     for step in range(1, GAIN_SEARCH_STEPS + 1):
-        corr = _solve_innovation(model, p, gamma, False)
+        corr = _solve_innovation(model, p, gamma)
         if step & (step - 1) == 0:
-            gain = -corr.T
-            f = model.A + gain @ model.C
+            gain = corr.T
+            f = model.A - gain @ model.C
             if np.max(np.abs(np.linalg.eigvals(a_kron + lam * np.kron(f, f)))) < 1.0:
                 return gain
         p = _corrected(model, p, corr, lam)
@@ -333,7 +328,7 @@ def _contracting_gain(model: GaussMarkovModel, lam: float, gamma: float):
 
 
 def _scalar_root(model: GaussMarkovModel, lam: float, gamma: float):
-    """Scalar fixed point of min_K phi_{lam,gamma}(K, .), or None when it diverges.
+    """Scalar fixed point of min_L phi_{lam,gamma}(L, .), or None when it diverges.
 
     Clearing the denominator of v = a^2 v + q - lam a^2 c^2 v^2 / (c^2 v + gamma r)
     gives c^2 (1 - (1 - lam) a^2) v^2 + (gamma r (1 - a^2) - q c^2) v - gamma q r = 0,
@@ -352,11 +347,11 @@ def _scalar_root(model: GaussMarkovModel, lam: float, gamma: float):
 
 
 def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray:
-    """Fixed points of min_K phi_{lam,gamma}(K, .) for a grid of (lam, gamma) pairs.
+    """Fixed points of min_L phi_{lam,gamma}(L, .) for a grid of (lam, gamma) pairs.
 
-    phi_{lam,gamma}(K, X) = (1 - lam) A X A^T + lam (A + K C) X (A + K C)^T
-    + Q + lam gamma K R K^T is affine in X once K is fixed, and the
-    predictor gain K = -A X C^T (C X C^T + gamma R)^{-1} minimizes it, where
+    phi_{lam,gamma}(L, X) = (1 - lam) A X A^T + lam (A - L C) X (A - L C)^T
+    + Q + lam gamma L R L^T is affine in X once L is fixed, and the
+    predictor gain L = A X C^T (C X C^T + gamma R)^{-1} minimizes it, where
     it equals the beam-switching map (gamma = 1) or the multi-beam map
     (lam = 1).  Hewer's policy iteration (IEEE TAC 1971) alternates the two
     steps: the affine fixed point for the current gains, one batched
@@ -379,8 +374,8 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
     # a strictly decreasing float sequence stops within a few steps of
     # rounding level; the bound only turns a defect into an error
     for _ in range(100):
-        # (1 - lam) A X A^T + lam F X F^T with F = A + K C, as two factors
-        factors = np.stack([np.sqrt(1.0 - lam) * a, np.sqrt(lam) * (a + gains @ c)], axis=1)
+        # (1 - lam) A X A^T + lam F X F^T with F = A - L C, as two factors
+        factors = np.stack([np.sqrt(1.0 - lam) * a, np.sqrt(lam) * (a - gains @ c)], axis=1)
         x = solve_affine(factors, q + lam * gamma * (gains @ r @ gains.swapaxes(1, 2)))
         tr = x.trace(axis1=1, axis2=2)
         if not np.isfinite(tr).all():
@@ -390,18 +385,18 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
         best[live], best_trace[live] = x, tr[falling]
         if not live.size:
             return best
-        gains = -_solve_innovation(model, x, gamma, False).swapaxes(1, 2)
+        gains = _solve_innovation(model, x, gamma).swapaxes(1, 2)
     raise NumericalError("policy iteration did not settle in 100 steps")
 
 
 def _solve_grid(model: GaussMarkovModel, lams, gammas) -> list:
-    """min_K phi_{lam,gamma}(K, .) fixed point per (lam, gamma) pair, None where
+    """min_L phi_{lam,gamma}(L, .) fixed point per (lam, gamma) pair, None where
     it diverges.
 
     A scalar model takes the closed-form root.  A matrix model is divergent
     where (1 - lam) rho(A)^2 >= 1 - CRITICAL_MARGIN (the fixed point
     dominates S-bar, which diverges there); every other point of a stable or
-    certified model is finite, started from K = 0 or the certificate's gain.
+    certified model is finite, started from L = 0 or the certificate's gain.
     On a model the certificate refuses, each point searches for its own
     starting gain and is divergent where none is found.  All started points
     are solved by one policy iteration.
@@ -500,8 +495,8 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
     higher: 0.4263 against 1 - 1/rho(A)^2 = 0.3056 for A = diag(1.2, 1.1)
     with C = [1, 1].  There the bisection probes the gain search of
     ``vbar``: probes at or below 1 - 1/rho(A)^2 are divergent without a
-    search, the others are convergent exactly when a gain K with
-    rho((1 - lam) A (x) A + lam F (x) F) < 1, F = A + K C, is found, which
+    search, the others are convergent exactly when a gain L with
+    rho((1 - lam) A (x) A + lam F (x) F) < 1, F = A - L C, is found, which
     proves V-bar finite.  NumericalError when no gain is found at lam = 1.
     """
     rho = spectral_radius(model.A)

@@ -11,18 +11,17 @@ differently.)  A filter run's blocks are the initial state, the switching
 uniforms, the process noise and the measurement noise.
 
 A filter trial runs two loops on those draws.  The per-step loop steps the
-truth, the measurements and the estimate recursion: the matrix filter
-through ``kalman_step``, which takes its gain and its covariance from one
-``riccati.innovation`` call, the scalar filter through
-``riccati_kernel``/``lyap_kernel`` and its own gain p c / (c p c + g r).
-It gives the states, measurements and covariances.  The error loop then
-steps e_{i+1} = alpha_i e_i + u_i with alpha_i = A (I - G_i C) and
-u_i = w_i - (A G_i) sqrt(g) v_i, G_i the filter gain of P_i where z_i
-arrived and 0 elsewhere, in the engine's expressions; the estimate is
-s_i - e_i and the distortion |e_i|^2.  Block distortion averages such
-runs.  Means use the centered accumulation over a list of per-trial
-results in trial order.  Tests compare ``run_filter`` and the batched
-engine with these loops by exact equality.
+truth, the measurements, the covariances and the estimate recursion
+shat_{i+1} = A shat_i + L_i (z_i - C shat_i), with the predictor gain L_i
+and P_{i+1} of one engine innovation computation (``riccati.innovation``,
+or ``innovation_kernel`` on scalar models).  The error loop then steps
+e_{i+1} = alpha_i e_i + u_i with alpha_i = A - L_i C and
+u_i = w_i - L_i sqrt(g) v_i, L_i zero where z_i did not arrive, in the
+engine's expressions; the estimate is s_i - e_i and the distortion
+|e_i|^2.  Block distortion averages such runs.  Means use the centered
+accumulation over a list of per-trial results in trial order.  Tests
+compare ``run_filter`` and the batched engine with these loops by exact
+equality.
 
 The per-step loop's own estimates carry the raw state, whose rounding
 grows with |s_i|; ``truth_estimate`` runs the same recursion in any dtype
@@ -31,6 +30,8 @@ how far the error loop and such a recursion may drift apart.
 
 The per-step filter API (``FilterState``, ``kalman_gain``,
 ``measurement_update``, ``kalman_step``) lives here: only the tests use it.
+It solves for the filter gain K = P C^T S^{-1} itself, apart from the
+engine's predictor gain L = A K, and takes P_{i+1} from ``riccati_step``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jcas_lab.errors import DimensionError, ParameterError
+from jcas_lab.errors import DimensionError, NumericalError, ParameterError
 from jcas_lab.filtering import Trajectory, draw_generators
 from jcas_lab.riccati import innovation, innovation_kernel, riccati_kernel, riccati_step
 from jcas_lab.statespace import (
@@ -97,7 +98,15 @@ def kalman_gain(model: GaussMarkovModel, p, gamma: float) -> np.ndarray:
         raise DimensionError(f"P must be {model.m}x{model.m}, got {p.shape}")
     if math.isinf(gamma):
         return np.zeros(p.shape[:-2] + (model.m, model.k))
-    return innovation(model, p, gamma)[0]
+    cp = model.C @ p
+    innov = cp @ model.C.T + gamma * model.R
+    try:
+        return np.linalg.solve(innov, cp).swapaxes(-1, -2)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"innovation covariance is singular: {exc}",
+            condition=float(np.max(np.linalg.cond(innov))),
+        ) from exc
 
 
 def _checked_measurement(model: GaussMarkovModel, state: FilterState, z, gamma: float, name: str):
@@ -129,12 +138,10 @@ def measurement_update(model: GaussMarkovModel, state: FilterState, z, gamma: fl
 def kalman_step(model: GaussMarkovModel, state: FilterState, z, gamma: float) -> FilterState:
     """Measurement update at time i followed by prediction to i+1.
 
-    The next covariance is computed by the one-shot recursion
-    P' = A P A^T + Q - A P C^T (C P C^T + gamma R)^{-1} C P A^T (open-loop
-    A P A^T + Q when erased), so iterating this step reproduces the Riccati
-    map path exactly.  The gain and P' come from one innovation computation:
-    ``riccati.innovation`` on matrix models, ``innovation_kernel`` on scalar
-    ones.
+    The estimate takes the gain of ``kalman_gain``; the next covariance is
+    ``riccati_step``'s P' = A P A^T + Q - A P C^T (C P C^T + gamma R)^{-1}
+    C P A^T (open-loop A P A^T + Q when erased), so iterating this step
+    reproduces the Riccati map path exactly.
     """
     if not math.isinf(gamma) and (math.isnan(gamma) or gamma < 1.0):
         raise ParameterError(f"gamma must lie in [1, inf], got {gamma}")
@@ -142,13 +149,8 @@ def kalman_step(model: GaussMarkovModel, state: FilterState, z, gamma: float) ->
     p, est, t_next = state.covariance, state.estimate, state.time_index + 1
     if z is None:
         return FilterState(model.A @ est, lyapunov_step(model, p, 1.0), t_next, PREDICTED)
-    if model.is_scalar:
-        gain, p_next = innovation_kernel(*model.scalars(), float(p[0, 0]), gamma, 1.0)
-        gain, p_next = np.array([[gain]]), np.array([[p_next]])
-    else:
-        gain, p_next = innovation(model, p, gamma)
-    est = est + gain @ (z - model.C @ est)
-    return FilterState(model.A @ est, p_next, t_next, PREDICTED)
+    est = est + kalman_gain(model, p, gamma) @ (z - model.C @ est)
+    return FilterState(model.A @ est, riccati_step(model, p, gamma), t_next, PREDICTED)
 
 
 def centered_mean(values: list):
@@ -205,8 +207,8 @@ class ReferenceTrial:
     trajectory: Trajectory      # truth, measurements, covariances; shat_i = s_i - e_i
     errors: np.ndarray          # (n+1, m) e_i of the error loop
     loop_estimates: np.ndarray  # (n+1, m) the per-step loop's estimate recursion
-    gains: np.ndarray           # (n, m, k) G_i: the gain of P_i where z_i arrived, else 0
-    alphas: np.ndarray          # (n, m, m) A (I - G_i C)
+    gains: np.ndarray           # (n, m, k) L_i: the predictor gain of P_i where z_i arrived, else 0
+    alphas: np.ndarray          # (n, m, m) A - L_i C
     drive: np.ndarray           # (n+1, m): s_0, then w_0..w_{n-1}
     noise: np.ndarray           # (n+1, k): sqrt(g) v_i where z_i arrived, else 0
 
@@ -226,20 +228,16 @@ def filter_trials(model, policy, horizon, trials, s0_estimate, p0, seed) -> list
         gam = np.full((n, trials), g)
     w = process.standard_normal((n, trials, model.m)) @ psd_sqrt(model.Q).T
     v = measurement.standard_normal((n, trials, model.k)) @ psd_sqrt(model.R).T
-    loop = _scalar_filter if model.is_scalar else _matrix_filter
     runs = []
     for t in range(trials):
         s_true0 = s0_estimate + psd_sqrt(p0) @ x0[t]
-        states, measurements, estimates, covariances = loop(
+        states, measurements, estimates, covariances, gains = _per_step_filter(
             model, s_true0, gam[:, t], w[:, t], v[:, t], s0_estimate, p0
         )
         present = np.array([z is not None for z in measurements])
         drive = np.concatenate([states[:1], w[:, t]])
         noise = np.zeros((n + 1, model.k))
         noise[1:][present[1:]] = math.sqrt(g) * v[:, t][present[1:]]
-        gains = np.zeros((n, model.m, model.k))
-        for i in np.flatnonzero(present[:n]):
-            gains[i] = _gain(model, covariances[i], g)
         errors, alphas = error_loop(model, states[0] - s0_estimate, gains, drive[1:], noise[:n])
         gammas = np.concatenate([[math.inf], gam[:, t]])
         dists = np.sum(errors ** 2, axis=1)
@@ -253,21 +251,57 @@ def filter_trial(model, policy, horizon, s0_estimate, p0, seed) -> Trajectory:
     return filter_trials(model, policy, horizon, 1, s0_estimate, p0, seed)[0].trajectory
 
 
-def _gain(model, p, g):
-    """The filter gain of P as an (m, k) matrix, from the engine's kernel."""
+def _sense(model, p, g):
+    """(L, P') of one engine innovation computation, as (m, k) and (m, m) matrices."""
     if model.is_scalar:
-        a, c, q, r = model.scalars()
-        return np.array([[innovation_kernel(a, c, q, r, float(p[0, 0]), g, 1.0)[0]]])
-    # a contiguous copy, as the engine's gain buffer holds it
-    return np.ascontiguousarray(innovation(model, p, g)[0])
+        gain, p_next = innovation_kernel(*model.scalars(), float(p[0, 0]), g, 1.0)
+        return np.array([[gain]]), np.array([[p_next]])
+    return innovation(model, p, g)
+
+
+def _open_loop(model, p):
+    """A P A^T + Q; scalar models through ``lyap_kernel``, as the engine steps them."""
+    if model.is_scalar:
+        a, _, q, _ = model.scalars()
+        return np.array([[lyap_kernel(a, q, float(p[0, 0]), 1.0)]])
+    return lyapunov_step(model, p, 1.0)
+
+
+def _per_step_filter(model, s_true0, gam, w, v, s0_estimate, p0):
+    """States, measurements, estimates, covariances and gains of one trial.
+
+    s_i = A s_{i-1} + w_{i-1}, z_i = C s_i + sqrt(g_i) v_{i-1} where it
+    arrived (never at i = 0); step i absorbs z_i and predicts i+1.
+    """
+    n = gam.size
+    states = np.empty((n + 1, model.m))
+    states[0] = s_true0
+    measurements: list = [None]
+    for i in range(1, n + 1):
+        states[i] = model.A @ states[i - 1] + w[i - 1]
+        g = gam[i - 1]
+        measurements.append(None if math.isinf(g) else model.C @ states[i] + math.sqrt(g) * v[i - 1])
+
+    estimates = np.empty((n + 1, model.m))
+    covariances = np.empty((n + 1, model.m, model.m))
+    gains = np.zeros((n, model.m, model.k))
+    estimates[0], covariances[0] = s0_estimate, p0
+    for i, z in enumerate(measurements[:n]):
+        est, p = estimates[i], covariances[i]
+        if z is None:
+            estimates[i + 1], covariances[i + 1] = model.A @ est, _open_loop(model, p)
+        else:
+            gains[i], covariances[i + 1] = _sense(model, p, gam[i - 1])
+            estimates[i + 1] = model.A @ est + gains[i] @ (z - model.C @ est)
+    return states, measurements, estimates, covariances, gains
 
 
 def error_loop(model, e0, gains, w, noise):
     """e_0 = e0, e_{i+1} = alpha_i e_i + u_i; returns the (n+1, m) errors and the alphas.
 
-    Scalar models use alpha = a (1 - G c) and u = w - (a G) noise on
-    floats, matrix models alpha = A (I - G C) and u = w - (A G) noise on
-    (m, 1) columns, as the engine does.
+    Scalar models use alpha = a - L c and u = w - L noise on floats, matrix
+    models alpha = A - L C and u = w - L noise on (m, 1) columns, as the
+    engine does.
     """
     n, m = len(gains), model.m
     errors = np.empty((n + 1, m))
@@ -278,14 +312,14 @@ def error_loop(model, e0, gains, w, noise):
         e = float(e0[0])
         for i in range(n):
             gain = float(gains[i, 0, 0])
-            alpha = a * (1.0 - gain * c)
-            e = alpha * e + (float(w[i, 0]) - (a * gain) * float(noise[i, 0]))
+            alpha = a - gain * c
+            e = alpha * e + (float(w[i, 0]) - gain * float(noise[i, 0]))
             errors[i + 1], alphas[i] = e, alpha
         return errors, alphas
     e = errors[0][:, None]
     for i in range(n):
-        alphas[i] = model.A @ (np.eye(m) - gains[i] @ model.C)
-        u = w[i][:, None] - (model.A @ gains[i]) @ noise[i][:, None]
+        alphas[i] = model.A - gains[i] @ model.C
+        u = w[i][:, None] - gains[i] @ noise[i][:, None]
         e = alphas[i] @ e + u
         errors[i + 1] = e[:, 0]
     return errors, alphas
@@ -295,7 +329,7 @@ def truth_estimate(model, run: ReferenceTrial, s0_estimate, dtype=np.longdouble)
     """The truth and the estimate recursion of ``run``'s draws and gains in ``dtype``.
 
     s_{i+1} = A s_i + w_i, z_i = C s_i + sqrt(g) v_i and
-    shat_{i+1} = A (shat_i + G_i (z_i - C shat_i)); returns (s, shat, z).
+    shat_{i+1} = A shat_i + L_i (z_i - C shat_i); returns (s, shat, z).
     """
     a, c = model.A.astype(dtype), model.C.astype(dtype)
     gains, drive, noise = (x.astype(dtype) for x in (run.gains, run.drive, run.noise))
@@ -308,7 +342,7 @@ def truth_estimate(model, run: ReferenceTrial, s0_estimate, dtype=np.longdouble)
         z[i] = c @ s[i] + noise[i]
         if i < n:
             s[i + 1] = a @ s[i] + drive[i + 1]
-            est[i + 1] = a @ (est[i] + gains[i] @ (z[i] - c @ est[i]))
+            est[i + 1] = a @ est[i] + gains[i] @ (z[i] - c @ est[i])
     return s, est, z
 
 
@@ -325,9 +359,9 @@ def rounding_bound(model, run: ReferenceTrial, s, est, z, unit: float) -> np.nda
     their distance obeys D_{i+1} = |alpha_i| D_i + r_i, where r_i bounds the
     two local errors of step i to first order (Higham's gamma_n, counting
     the roundings of each expression):
-    the error loop's gamma_{2m+k+2} (|A| (I + |G| |C|) |e_i| + |w_i| + |A| |G| |noise_i|),
-    and the recursion's gamma_{2m+k+2}(unit) (|A| |s_i| + |w_i| + |A| |G| (|C| |s_i| + |noise_i|)
-    + |A| (|shat_i| + |G| (|z_i| + |C| |shat_i|))).  The final subtraction
+    the error loop's gamma_{2m+k+2} ((|A| + |L| |C|) |e_i| + |w_i| + |L| |noise_i|),
+    and the recursion's gamma_{2m+k+2}(unit) (|A| |s_i| + |w_i| + |L| (|C| |s_i| + |noise_i|)
+    + |A| |shat_i| + |L| (|z_i| + |C| |shat_i|)).  The final subtraction
     s_i - shat_i adds unit |s_i - shat_i|.  The largest terms are the
     spacing of |s_i| and |shat_i|, which is where the raw-state recursion
     loses the error's digits.
@@ -336,7 +370,6 @@ def rounding_bound(model, run: ReferenceTrial, s, est, z, unit: float) -> np.nda
     gam_e = _gamma(2 * m + k + 2, np.finfo(float).epsneg)
     gam_r = _gamma(2 * m + k + 2, unit)
     abs_a, abs_c = np.abs(model.A), np.abs(model.C)
-    eye = np.eye(m)
     s, est, z = (np.abs(x).astype(float) for x in (s, est, z))
     e = np.abs(run.errors)
     diff = np.abs(s - est)
@@ -345,81 +378,14 @@ def rounding_bound(model, run: ReferenceTrial, s, est, z, unit: float) -> np.nda
     bound[0] = drift + unit * diff[0]
     for i, (gain, alpha) in enumerate(zip(np.abs(run.gains), np.abs(run.alphas))):
         w, nv = np.abs(run.drive[i + 1]), np.abs(run.noise[i])
-        local = gam_e * (abs_a @ (eye + gain @ abs_c) @ e[i] + w + abs_a @ gain @ nv)
+        local = gam_e * ((abs_a + gain @ abs_c) @ e[i] + w + gain @ nv)
         local += gam_r * (
-            abs_a @ s[i] + w + abs_a @ gain @ (abs_c @ s[i] + nv)
-            + abs_a @ (est[i] + gain @ (z[i] + abs_c @ est[i]))
+            abs_a @ s[i] + w + gain @ (abs_c @ s[i] + nv)
+            + abs_a @ est[i] + gain @ (z[i] + abs_c @ est[i])
         )
         drift = alpha @ drift + local
         bound[i + 1] = drift + unit * diff[i + 1]
     return bound
-
-
-def _matrix_filter(model, s_true0, gam, w, v, s0_estimate, p0):
-    n = gam.size
-    states = np.empty((n + 1, model.m))
-    states[0] = s_true0
-    measurements: list = [None]
-    for i in range(1, n + 1):
-        states[i] = model.A @ states[i - 1] + w[i - 1]
-        g = gam[i - 1]
-        if math.isinf(g):
-            measurements.append(None)
-        else:
-            measurements.append(model.C @ states[i] + math.sqrt(g) * v[i - 1])
-
-    estimates = np.empty((n + 1, model.m))
-    covariances = np.empty((n + 1, model.m, model.m))
-    state = FilterState(s0_estimate, p0, 0, PREDICTED)
-    estimates[0] = state.estimate
-    covariances[0] = state.covariance
-    # step i absorbs the measurement at time i (none at i=0) and predicts i+1
-    for i in range(n):
-        g_i = math.inf if i == 0 else gam[i - 1]
-        state = kalman_step(model, state, measurements[i], g_i)
-        estimates[i + 1] = state.estimate
-        covariances[i + 1] = state.covariance
-    return states, measurements, estimates, covariances
-
-
-def _scalar_filter(model, s_true0, gam, w, v, s0_estimate, p0):
-    a, c, q, r = model.scalars()
-    n = gam.size
-    w1 = w[:, 0]
-    v1 = v[:, 0]
-
-    states = np.empty(n + 1)
-    states[0] = float(s_true0[0])
-    zs = np.zeros(n + 1)
-    present = np.zeros(n + 1, dtype=bool)
-    estimates = np.empty(n + 1)
-    covs = np.empty(n + 1)
-    est = float(s0_estimate[0])
-    cov = float(p0[0, 0])
-    estimates[0] = est
-    covs[0] = cov
-    for i in range(1, n + 1):
-        s_new = a * states[i - 1] + w1[i - 1]
-        states[i] = s_new
-        # advance the filter from time i-1 to i using the measurement at i-1
-        g_prev = gam[i - 2] if i >= 2 else math.inf
-        if math.isinf(g_prev):
-            upd = est
-            cov = lyap_kernel(a, q, cov, 1.0)
-        else:
-            gain = (cov * c) / ((c * cov) * c + g_prev * r)
-            upd = est + gain * (zs[i - 1] - c * est)
-            cov = riccati_kernel(a, c, q, r, cov, g_prev)
-        est = a * upd
-        estimates[i] = est
-        covs[i] = cov
-        g = gam[i - 1]
-        if not math.isinf(g):
-            zs[i] = c * s_new + math.sqrt(g) * v1[i - 1]
-            present[i] = True
-
-    measurements: list = [np.array([zs[i]]) if present[i] else None for i in range(n + 1)]
-    return states.reshape(-1, 1), measurements, estimates.reshape(-1, 1), covs.reshape(-1, 1, 1)
 
 
 def block_distortion(model, policy, horizon, trials, seed, s0_mean, s0_cov):

@@ -715,6 +715,39 @@ class TestModelLoading:
         with pytest.raises(SchemaError, match=re.escape(f"line {at + 1}: {what} has a non-finite")):
             load_discrete_model(path)
 
+    @pytest.mark.parametrize(
+        "sizes, lineno, what",
+        [
+            ((1000, 1000, 1000, 1000), 3, "1000000000 |S|^2 |Z| paths"),
+            ((1000, 2, 2, 1000), 2, "4000000 channel table entries"),
+            ((1, 2, 2, 250_001), 5, "1000004 channel table entries"),
+        ],
+    )
+    def test_oversized_alphabets_refused_before_allocation(self, tmp_path, monkeypatch, sizes, lineno, what):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was allocated")
+
+        monkeypatch.setattr(np, "full", refuse)
+        names = "\n".join(f"{name} = {size}" for name, size in zip("XSZY", sizes))
+        path = tmp_path / "huge.txt"
+        path.write_text(f"[alphabets]\n{names}\n[channel]\n[markov]\n[initial]\n[distortion]\n")
+        with pytest.raises(SchemaError, match=re.escape(f"line {lineno}: alphabet sizes give {what}")):
+            load_discrete_model(path)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [("X = 7", "line 8: duplicate alphabet X"), ("W = 3", "line 7: unknown alphabet 'W'")],
+    )
+    def test_alphabet_names_checked(self, tmp_path, extra, message):
+        lines = open(toy_model_path()).read().splitlines()
+        at = lines.index("X = 2")
+        lines.insert(at, extra)
+        assert at + 1 == 7
+        path = tmp_path / "alphabets.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            load_discrete_model(path)
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "missing.txt"
         path.write_text("[alphabets]\nX = 2\nS = 2\nZ = 2\nY = 2\n")

@@ -342,6 +342,23 @@ class TestErrorPaths:
         assert f"line {at + 2}: duplicate channel row (x=0, s=0)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "alphabets, message",
+        [
+            ("X = 1000\nS = 1000\nZ = 1000\nY = 1000", "line 3: alphabet sizes give 1000000000"),
+            ("X = 7\nX = 2\nS = 2\nZ = 2\nY = 2", "line 3: duplicate alphabet X"),
+            ("W = 3\nX = 2\nS = 2\nZ = 2\nY = 2", "line 2: unknown alphabet 'W'"),
+        ],
+    )
+    def test_bayes_bad_alphabets_exit_2(self, tmp_path, capsys, alphabets, message):
+        text = open(toy_model_path()).read()
+        body = text[text.index("[channel]"):]
+        bad_model = tmp_path / "alphabets.txt"
+        bad_model.write_text(f"[alphabets]\n{alphabets}\n{body}")
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=str(bad_model))
+        assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "command, key, value",
         [
             ("bayes", "bayes", 3),
@@ -546,9 +563,9 @@ class TestOutputDirResolution:
 #: distortions of the simulated error (shat = s - e, d = |e|^2); a change of
 #: the draws or of the error recursion moves them
 TRAJECTORY_SHA256 = {
-    "scalar_unstable_switching": "7fcff32af631fcd5221d9416d676370c8524c68111ef2f791f6f8779609df4f6",
-    "2x2_switching": "2a14da283e2dc5d5a18882090ec501c074c35b1b238b5d492e6e2f79c745eae9",
-    "scalar_unstable_switching_5000": "96e4f0853aab4c495c621d1df4759f6b7de1b8fecf66d2d5b43cc5a9e9fec725",
+    "scalar_unstable_switching": "d9944162f7b47308c0a83247e09ba5462ddc20ea526b5efe1dd4619a1224ccc5",
+    "2x2_switching": "99aa87b4a11c287b7aa179a0a46a4242240008a7ec0faa288b1b7a3f18578889",
+    "scalar_unstable_switching_5000": "6dfdfc1717682382454841f5d86ad51121683b87eaba27f6f9f6915b76d6b5ef",
 }
 
 TRAJECTORY_CONFIGS = {

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from jcas_lab import filtering
+from jcas_lab import filtering, riccati
 from jcas_lab.errors import NumericalError, ParameterError
 from jcas_lab.cli import trajectory_lines, write_lines
 from jcas_lab.filtering import run_filter
@@ -251,35 +252,78 @@ class TestInnovationSolve:
         monkeypatch.setattr(np.linalg, "solve", counted)
         horizon = 40
         run_filter(matrix_model, BeamPolicy.multibeam(2.0), horizon, [0.0, 0.0], np.eye(2), seed=5)
-        # no measurement at time 0; each later step solves its innovation once
+        # no measurement at time 0; each later step solves its innovation once,
+        # against the m columns of C P A^T
         assert len(calls) == horizon - 1
+        assert all(rhs.shape[-1] == matrix_model.m for _, rhs in calls)
 
         calls.clear()
         state = FilterState([0.0, 0.0], np.eye(2), 0)
         measurements = [[0.3], None, [-0.2], [0.1], None]
         for z in measurements:
             state = kalman_step(matrix_model, state, z, math.inf if z is None else 2.0)
-        assert len(calls) == sum(z is not None for z in measurements)
+        # the oracle solves for its own filter gain, riccati_step for P'
+        assert len(calls) == 2 * sum(z is not None for z in measurements)
+        assert all(rhs.shape[-1] == matrix_model.m for _, rhs in calls)
 
-    @pytest.mark.parametrize("m", range(2, 9))
-    def test_correction_alone_rounds_as_with_gain(self, m):
-        # riccati_step (like gamma_bs and the policy iteration) solves S
-        # against C P A^T alone, innovation against [C P, C P A^T]; the
-        # shared block must come out the same
-        rng = np.random.default_rng(m)
-        for k in range(1, m + 1):
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_predictor_gain_is_a_times_filter_gain(self, m):
+        # L = (S^{-1} C P A^T)^T and A K, K = (S^{-1} C P)^T, share the
+        # computed S and C P.  With Y = S^{-1} fl(C P A^T), X = S^{-1} fl(C P),
+        #   L - A K = (L^T - Y)^T + (Y - X A^T)^T + A (X - K^T)^T + (A K^T - fl(A K^T)).
+        # LU with partial pivoting solves (S + dS) x = b with
+        # |dS| <= gamma_{3k} |L_S| |U_S| (Higham, Thm 9.4), so a computed
+        # solution x^ is off by S^{-1} dS x^; fl(C P A^T) and fl(A K^T) are
+        # off by at most gamma_m times the product of the absolute values.
+        rng = np.random.default_rng(100 + m)
+        u = np.finfo(float).eps / 2
+
+        def gam(n):
+            return n * u / (1.0 - n * u)
+
+        for k in range(1, m + 2):
             model = GaussMarkovModel(
                 A=rng.standard_normal((m, m)) / math.sqrt(m),
                 C=rng.standard_normal((k, m)),
                 Q=random_psd(rng, m),
                 R=random_psd(rng, k),
             )
-            ps = np.stack([random_psd(rng, m) for _ in range(3)])
+            a = model.A
             for gamma in (1.0, 2.5):
-                assert np.array_equal(riccati_step(model, ps, gamma), innovation(model, ps, gamma)[1])
-                assert np.array_equal(
-                    riccati_step(model, ps[0], gamma), innovation(model, ps[0], gamma)[1]
+                p = random_psd(rng, m)
+                gain = innovation(model, p, gamma)[0]
+                filter_gain = kalman_gain(model, p, gamma)
+                cp = model.C @ p
+                s = cp @ model.C.T + gamma * model.R
+                _, l_s, u_s = scipy.linalg.lu(s)
+                ds = gam(3 * k) * np.linalg.norm(np.abs(l_s) @ np.abs(u_s))
+                inv = np.linalg.norm(np.linalg.inv(s), 2)
+                bound = 2.0 * (
+                    inv * ds * (np.linalg.norm(gain) + np.linalg.norm(a, 2) * np.linalg.norm(filter_gain))
+                    + inv * gam(m) * np.linalg.norm(np.abs(cp) @ np.abs(a.T))
+                    + gam(m) * np.linalg.norm(np.abs(a) @ np.abs(filter_gain))
                 )
+                assert gain.shape == (m, k)
+                assert np.linalg.norm(gain - a @ filter_gain) <= bound
+                # the bound resolves far less than the gain itself
+                assert bound <= 1e-10 * np.linalg.norm(gain)
+
+    def test_scalar_kernel_matches_matrix_solve(self):
+        # a 1x1 model through LAPACK and through innovation_kernel: the same
+        # expressions but for the solve, which LAPACK may round as a
+        # reciprocal multiply, so they agree within a few ulps
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            a, c = rng.uniform(-2.0, 2.0, 2)
+            q, r, p = rng.uniform(0.01, 5.0, 3)
+            gamma = float(rng.choice([1.0, 2.5, 40.0]))
+            model = GaussMarkovModel.scalar(a, c, q, r)
+            gain, p_next = riccati.innovation_kernel(a, c, q, r, p, gamma, 1.0)
+            mat_gain, mat_next = innovation(model, np.array([[p]]), gamma)
+            assert abs(mat_gain[0, 0] - gain) <= 2 * np.spacing(abs(gain))
+            assert abs(mat_next[0, 0] - p_next) <= 4 * np.spacing(a * p * a + q)
+            # the gain is the predictor gain a K of the oracle's filter gain K
+            assert abs(a * kalman_gain(model, [[p]], gamma)[0, 0] - gain) <= 4 * np.spacing(abs(gain))
 
 
 class TestKalmanStep:

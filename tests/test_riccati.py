@@ -129,10 +129,11 @@ class TestOverflowedCovariance:
     """The scalar kernels at an overflowed p = +inf take the limit as p -> inf."""
 
     def test_riccati_step_limit(self):
-        # a^2 gamma r / c^2 + q, where the plain expression gives inf / inf
+        # gain a/c and covariance a^2 gamma r / c^2 + q, where the plain
+        # expression gives inf / inf
         for gamma in (1.0, 2.0):
             gain, p_next = riccati.innovation_kernel(1e30, 2.0, 0.2, 1.5, math.inf, gamma, 1.0)
-            assert gain == 0.5
+            assert gain == 1e30 / 2.0
             assert p_next == pytest.approx(1e60 * gamma * 1.5 / 4.0 + 0.2, rel=1e-15)
         assert riccati.riccati_kernel(1e30, 1.0, 0.2, 1.5, math.inf, 1.0) == pytest.approx(1.5e60)
 
@@ -154,7 +155,7 @@ class TestOverflowedCovariance:
             for i, p in enumerate(finite[:, 0]):
                 cp, ap = c * float(p), a * float(p)
                 s = cp * c + gamma * r
-                plain = (cp / s, ap * a + q - lam * ((ap * c) * ((cp * a) / s)))
+                plain = ((cp * a) / s, ap * a + q - lam * ((ap * c) * ((cp * a) / s)))
                 assert riccati.innovation_kernel(a, c, q, r, float(p), gamma, lam) == plain
                 assert (alone[0][i, 0], alone[1][i, 0]) == plain
 
@@ -574,8 +575,8 @@ REFUSED = {
 
 
 def kron_radius(model, lam, gain) -> float:
-    """rho((1 - lam) A (x) A + lam F (x) F) with F = A + K C."""
-    f = model.A + gain @ model.C
+    """rho((1 - lam) A (x) A + lam F (x) F) with F = A - L C."""
+    f = model.A - gain @ model.C
     linear = (1.0 - lam) * np.kron(model.A, model.A) + lam * np.kron(f, f)
     return float(np.max(np.abs(np.linalg.eigvals(linear))))
 
