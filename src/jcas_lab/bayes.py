@@ -2,10 +2,15 @@
 
 Exact computation at small alphabet sizes: recursive predict/update
 posterior filtering with an array path-enumeration oracle, the risk-minimizing
-state estimator, the input-conditioned sensing cost by a forward recursion
-over measurement prefixes, and a gridded product-distribution search for
-the best rate under a distortion budget, evaluated as whole arrays.
-Everything is in nats.
+state estimator, and a gridded product-distribution search for the best
+rate under a distortion budget, evaluated as whole arrays.  Everything is
+in nats.
+
+One belief recursion serves the engine: ``forward_messages`` is the scaled
+forward pass (Rabiner 1989) over every (input, measurement) prefix of a
+set of input levels, carrying each prefix's normalized belief and its
+weight P(z^j | x^j).  ``sensing_cost`` reads it along one input sequence,
+and the CLI's posterior table along every input sequence at once.
 
 A belief is validated once, by the public ``Belief(...)`` constructor; the
 beliefs that ``belief_predict``, ``belief_update`` and
@@ -22,6 +27,7 @@ P(s' | s) from a known initial distribution.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,43 +232,39 @@ def bruteforce_posterior(x_seq, z_seq, model: DiscreteJcasModel) -> Belief:
     return Belief._derived(post / total, steps)
 
 
-def _forward_messages(x_seq, model: DiscreteJcasModel):
-    """Yield (alpha, estimates) at indices 0..n of the forward recursion.
+def forward_messages(levels, model: DiscreteJcasModel):
+    """Yield (belief, weight) at indices 0..n of the scaled forward pass.
 
-    Row k of both arrays is the k-th measurement prefix z^j in
-    itertools.product order: alpha[k, s] = P(z^j, s_j = s), and
-    estimates[k] is the recursive estimator's output after that prefix,
-    the risk minimizer of the normalized belief with ties to the smallest
-    index.  A prefix with zero evidence keeps a zero belief; if its alpha
-    is positive anywhere, EvidenceError is raised.
+    ``levels[j]`` holds the input symbols of step j + 1.  Each row is one
+    (x^j, z^j), x^j over the levels and z^j over Z^j, both in
+    itertools.product order, x^j major.  belief[r] is the filter's
+    posterior P(s_j | x^j, z^j) and weight[r] = P(z^j | x^j), the product
+    of the steps' evidence (Rabiner's scale factors); a pair of zero
+    evidence has weight 0 and a zero belief.
     """
     pz = model.z_likelihood()
-    alpha = model.initial[np.newaxis, :]
-    belief = alpha
-    yield alpha, np.argmin(belief @ model.distortion, axis=1)
-    for x in x_seq:
-        like = pz[x].T  # (nz, ns)
-        alpha = ((alpha @ model.markov)[:, np.newaxis, :] * like).reshape(-1, model.ns)
-        post = ((belief @ model.markov)[:, np.newaxis, :] * like).reshape(-1, model.ns)
-        evidence = post.sum(axis=1, keepdims=True)
-        dead = evidence <= 0.0
-        if np.any(alpha[dead[:, 0]] > 0.0):
-            raise EvidenceError("positive-weight path with zero marginal evidence")
-        belief = post / np.where(dead, 1.0, evidence)
-        yield alpha, np.argmin(belief @ model.distortion, axis=1)
+    belief, weight = model.initial[np.newaxis, :], np.ones(1)
+    yield belief, weight
+    for j, level in enumerate(levels):
+        like = pz[list(level)].transpose(0, 2, 1)[:, np.newaxis]  # (x_j, 1, z_j, s)
+        pred = (belief @ model.markov).reshape(-1, 1, model.nz ** j, 1, model.ns)
+        post = pred * like  # axes (x^(j-1), x_j, z^(j-1), z_j, s)
+        evidence = post.sum(axis=-1)
+        weight = (weight.reshape(pred.shape[:-1]) * evidence).reshape(-1)
+        belief = (post / np.where(evidence > 0.0, evidence, 1.0)[..., np.newaxis]).reshape(-1, model.ns)
+        yield belief, weight
 
 
 def sensing_cost(x_seq, model: DiscreteJcasModel) -> float:
     """Expected block distortion of the recursive estimator given the inputs.
 
-    Exact, by the forward recursion over measurement prefixes (the HMM
-    forward algorithm): at each index j the prefix probabilities
-    alpha[k, s] = P(z^j = prefix k, s_j = s) weigh the distortion of that
-    prefix's estimate, sum_k sum_s alpha[k, s] d(s, shat_k), and the n+1
-    per-letter terms (index 0, estimated from the prior alone, included)
-    are averaged.  Costs O(|Z|^n n |S|^2); the ``MAX_COST_PATHS`` guard
-    still bounds |S|^(n+1) |Z|^n, the size of the path enumeration it
-    replaces.
+    Exact, by one forward pass over measurement prefixes: at each index j
+    the prefixes' probabilities P(z^j | x^j) weigh the least expected
+    distortion of their beliefs, min_shat sum_s b(s) d(s, shat), and the
+    n+1 per-letter terms (index 0, estimated from the prior alone,
+    included) are averaged.  Costs O(|Z|^n n |S|^2); the
+    ``MAX_COST_PATHS`` guard still bounds |S|^(n+1) |Z|^n, the size of the
+    path enumeration it replaces.
     """
     x_seq = [int(x) for x in x_seq]
     n = len(x_seq)
@@ -276,8 +278,8 @@ def sensing_cost(x_seq, model: DiscreteJcasModel) -> float:
             f"(limit {MAX_COST_PATHS})"
         )
     total = 0.0
-    for alpha, estimates in _forward_messages(x_seq, model):
-        total += float(np.sum(alpha * model.distortion[:, estimates].T))
+    for belief, weight in forward_messages([[x] for x in x_seq], model):
+        total += float(weight @ np.min(belief @ model.distortion, axis=1))
     return total / (n + 1)
 
 
@@ -366,11 +368,16 @@ def capacity_objective(input_dists, model: DiscreteJcasModel, n: int) -> float:
     return total / n
 
 
-def simplex_grid(dim: int, resolution: float) -> np.ndarray:
-    """All probability vectors with entries on a grid of the given step."""
+def _grid_steps(resolution: float) -> int:
+    """Number of grid steps k of a simplex grid, whose entries are multiples of 1/k."""
     if not (0.0 < resolution <= 1.0):
         raise ParameterError(f"grid resolution must lie in (0, 1], got {resolution}")
-    k = max(1, round(1.0 / resolution))
+    return max(1, round(1.0 / resolution))
+
+
+def simplex_grid(dim: int, resolution: float) -> np.ndarray:
+    """All probability vectors with entries on a grid of the given step."""
+    k = _grid_steps(resolution)
     points = []
     for combo in itertools.combinations_with_replacement(range(dim), k):
         counts = np.bincount(np.array(combo, dtype=int), minlength=dim)
@@ -411,13 +418,15 @@ def bruteforce_open_loop_tradeoff(
         raise ParameterError(f"distortion budget must be a number, got {distortion_budget}")
     if not (1 <= n <= 3):
         raise EnumerationLimitError(f"grid search supports n in 1..3, got {n}")
+    # C(k + |X| - 1, |X| - 1) grid points per step, counted before any is built
+    k = _grid_steps(grid_resolution)
+    n_combos = math.comb(k + model.nx - 1, model.nx - 1) ** n
+    if n_combos > MAX_GRID_COMBOS:
+        raise EnumerationLimitError(
+            f"grid search would visit {n_combos} combinations (limit {MAX_GRID_COMBOS})"
+        )
     grid = simplex_grid(model.nx, grid_resolution)
     n_points = grid.shape[0]
-    if n_points ** n > MAX_GRID_COMBOS:
-        raise EnumerationLimitError(
-            f"grid search would visit {n_points ** n} combinations "
-            f"(limit {MAX_GRID_COMBOS})"
-        )
 
     x_seqs = list(itertools.product(range(model.nx), repeat=n))
     costs = np.array([sensing_cost(xs, model) for xs in x_seqs])

@@ -27,12 +27,11 @@ import numpy as np
 
 from . import __version__
 from .bayes import (
+    MAX_CHANNEL_ENTRIES,
     MAX_STEPS_EXACT,
-    Belief,
-    belief_predict,
-    belief_update,
     bruteforce_open_loop_tradeoff,
     bruteforce_posterior,
+    forward_messages,
     load_discrete_model,
     sensing_cost,
 )
@@ -558,29 +557,40 @@ def cmd_bayes(args) -> int:
         for d in expect("bayes.budgets", bayes_cfg.get("budgets", []), "list")
     ]
     trace_len = integer("bayes.trace_len", bayes_cfg.get("trace_len", 2), 0, MAX_STEPS_EXACT)
+    # the posterior table, and the cost table's passes together, hold
+    # (|X| |Z|)^steps |S| entries; refused before any of them is computed
+    for key, steps in (("bayes.trace_len", trace_len), ("bayes.n", n)):
+        entries = (model.nx * model.nz) ** steps * model.ns
+        if entries > MAX_CHANNEL_ENTRIES:
+            raise SchemaError(
+                f"config key '{key}' = {steps} gives {entries} forward-pass entries "
+                f"(|X| |Z|)^{steps} |S|, above {MAX_CHANNEL_ENTRIES}"
+            )
     head = stamp("bayes", cfg, seed, f"discrete_model={model_path}")
 
-    # recursive posterior along every short trace, checked against the
-    # brute-force enumeration oracle
+    # every trace's posterior from one forward pass over all inputs, checked
+    # against the brute-force enumeration oracle
     max_gap = 0.0
     gap_lines = [f"# {head}", "x_seq,z_seq,posterior,max_abs_gap"]
-    for length in range(1, trace_len + 1):
-        for x_seq in itertools.product(range(model.nx), repeat=length):
-            for z_seq in itertools.product(range(model.nz), repeat=length):
-                try:
-                    brute = bruteforce_posterior(x_seq, z_seq, model)
-                except EvidenceError:
-                    continue  # zero-probability trace
-                belief = Belief(model.initial.copy(), 0)
-                for x, z in zip(x_seq, z_seq):
-                    belief = belief_update(belief_predict(belief, model), x, z, model)
-                gap = float(np.max(np.abs(belief.probabilities - brute.probabilities)))
-                max_gap = max(max_gap, gap)
-                posterior = "|".join(repr(float(p)) for p in belief.probabilities)
-                gap_lines.append(
-                    f"{''.join(map(str, x_seq))},{''.join(map(str, z_seq))},"
-                    f"{posterior},{gap!r}"
-                )
+    passes = forward_messages([range(model.nx)] * trace_len, model)
+    next(passes)  # index 0, the prior
+    for length, (beliefs, _) in enumerate(passes, start=1):
+        x_seqs = itertools.product(range(model.nx), repeat=length)
+        traces = itertools.product(x_seqs, itertools.product(range(model.nz), repeat=length))
+        for (x_seq, z_seq), belief in zip(traces, beliefs, strict=True):
+            try:
+                brute = bruteforce_posterior(x_seq, z_seq, model)
+            except EvidenceError:
+                continue  # zero-probability trace
+            if not belief.any():
+                raise EvidenceError(f"forward pass rules out possible trace x={x_seq} z={z_seq}")
+            gap = float(np.max(np.abs(belief - brute.probabilities)))
+            max_gap = max(max_gap, gap)
+            posterior = "|".join(repr(float(p)) for p in belief)
+            gap_lines.append(
+                f"{''.join(map(str, x_seq))},{''.join(map(str, z_seq))},"
+                f"{posterior},{gap!r}"
+            )
     write_lines(out / "bayes_posteriors.csv", gap_lines)
 
     cost_lines = [f"# {head}", "x_seq,cost"]

@@ -149,9 +149,12 @@ def expected_covariance_mc(
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
     p0 = model.Q.copy() if p0 is None else check_initial_covariance(model, p0)
 
-    # deterministic finite-horizon bounds from the same starting covariance
-    s_seq = iterate_map(lambda p: lyapunov_step(model, p, 1.0 - lam), p0, horizon)
-    v_seq = iterate_map(lambda p: gamma_bs(p, lam, model), p0, horizon)
+    # traces of the deterministic finite-horizon bounds S_i and V_i from the
+    # same starting covariance, one running iterate each
+    s_iterates = iterate_map(lambda p: lyapunov_step(model, p, 1.0 - lam), p0, horizon)
+    v_iterates = iterate_map(lambda p: gamma_bs(p, lam, model), p0, horizon)
+    s_traces = np.fromiter(map(np.trace, s_iterates), float, horizon + 1)
+    v_traces = np.fromiter(map(np.trace, v_iterates), float, horizon + 1)
 
     track = np.empty((trials, horizon + 1)) if per_step else None
     for i, p in enumerate(covariance_trials(model, lam, horizon, trials, seed, p0)):
@@ -160,8 +163,7 @@ def expected_covariance_mc(
 
     std_error = _std_error(np.trace(p, axis1=1, axis2=2))
     emp = float(np.trace(_centered_mean(p)))
-    s_trace = float(np.trace(s_seq[-1]))
-    v_trace = float(np.trace(v_seq[-1]))
+    s_trace, v_trace = float(s_traces[-1]), float(v_traces[-1])
     lo, hi = _band(s_trace, v_trace, std_error)
 
     if critical is None:
@@ -170,9 +172,7 @@ def expected_covariance_mc(
 
     per_mean = per_s = per_v = None
     if per_step:
-        per_mean = _centered_mean(track)
-        per_s = np.array([float(np.trace(s)) for s in s_seq])
-        per_v = np.array([float(np.trace(v)) for v in v_seq])
+        per_mean, per_s, per_v = _centered_mean(track), s_traces, v_traces
 
     return McReport(
         lam=lam,

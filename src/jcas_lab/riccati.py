@@ -240,12 +240,13 @@ def gamma_mb(p: np.ndarray, gamma: float, model: GaussMarkovModel) -> np.ndarray
     return riccati_step(model, as_matrix(p, "P"), _check_gamma(gamma))
 
 
-def iterate_map(step, p0: np.ndarray, n: int) -> list:
-    """[P0, step(P0), step^2(P0), ..., step^n(P0)]."""
-    seq = [as_matrix(p0, "P0")]
+def iterate_map(step, p0: np.ndarray, n: int):
+    """Yield P0, step(P0), step^2(P0), ..., step^n(P0), holding only the current one."""
+    p = as_matrix(p0, "P0")
+    yield p
     for _ in range(n):
-        seq.append(step(seq[-1]))
-    return seq
+        p = step(p)
+        yield p
 
 
 def trace_or_inf(matrix) -> float:

@@ -7,6 +7,9 @@ require the two to agree bit for bit.
 runs the recursive estimator along each measurement path, and
 ``open_loop_tradeoff`` visits the grid combinations one at a time in
 ``itertools.product`` order, keeping the first strict maximum.
+``evidence`` sums P(z^n | x^n) one state path at a time and
+``posterior_along`` runs the per-trace predict/update filter that the
+CLI's posterior table used before the all-input forward pass.
 ``conditional_information`` scores one input law at a time, the per-point
 evaluation that ``jcas_lab.bayes.information_table`` replaced.  Tests
 compare the forward recursion and the array search with them: costs to a
@@ -67,6 +70,30 @@ def bruteforce_posterior(x_seq, z_seq, model) -> Belief:
     if total <= 0.0:
         raise EvidenceError("measurement sequence has zero probability")
     return Belief(post / total, steps)
+
+
+def evidence(x_seq, z_seq, model) -> float:
+    """P(z^n | x^n), the sum of every state path's weight, one path at a time."""
+    pz = model.z_likelihood()
+    total = 0.0
+    for path in itertools.product(range(model.ns), repeat=len(x_seq) + 1):
+        w = model.initial[path[0]]
+        for j in range(1, len(x_seq) + 1):
+            w *= model.markov[path[j - 1], path[j]] * pz[x_seq[j - 1], path[j], z_seq[j - 1]]
+        total += w
+    return float(total)
+
+
+def posterior_along(x_seq, z_seq, model):
+    """The per-trace predict/update filter's posterior, or None when a
+    measurement has zero probability along the way."""
+    belief = Belief(model.initial.copy(), 0)
+    for x, z in zip(x_seq, z_seq):
+        try:
+            belief = belief_update(belief_predict(belief, model), x, z, model)
+        except EvidenceError:
+            return None
+    return belief.probabilities
 
 
 def estimates_along(x_seq, z_path, model):

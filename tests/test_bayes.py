@@ -14,12 +14,12 @@ from jcas_lab.bayes import (
     Belief,
     DiscreteJcasModel,
     _average_over_states,
-    _forward_messages,
     belief_predict,
     belief_update,
     bruteforce_open_loop_tradeoff,
     bruteforce_posterior,
     capacity_objective,
+    forward_messages,
     information_table,
     load_discrete_model,
     optimal_estimate,
@@ -438,16 +438,69 @@ class TestForwardRecursion:
         dead = 0
         for model, xs in EQUIVALENCE_CASES:
             n = len(xs)
-            messages = list(_forward_messages(xs, model))
+            messages = list(forward_messages([[x] for x in xs], model))
+            estimates = [np.argmin(belief @ model.distortion, axis=1) for belief, _ in messages]
+            final, weight = messages[n]
             for k, zp in enumerate(itertools.product(range(model.nz), repeat=n)):
                 want = ref.estimates_along(xs, zp, model)
                 if want is None:
                     dead += 1
-                    assert not messages[n][0][k].any()
+                    assert weight[k] == 0.0 and not final[k].any()
                     continue
-                got = [int(est[k // model.nz ** (n - j)]) for j, (_, est) in enumerate(messages)]
+                assert weight[k] > 0.0 and final[k].any()
+                got = [int(est[k // model.nz ** (n - j)]) for j, est in enumerate(estimates)]
                 assert got == want, (xs, zp)
         assert dead > 0  # the zero-evidence branch ran
+
+    @staticmethod
+    def all_input_cases():
+        rng = np.random.default_rng(45)
+        cases = [(load_discrete_model(toy_model_path()), 4)]
+        for ns in (2, 3, 4, 5):
+            cases.append((random_discrete_model(rng, max_size=3), 3))
+            cases.append((wide_sparse_model(ns, nx=2, ny=2, ns=ns, nz=2), 3))
+        return cases
+
+    def test_all_input_pass_matches_per_trace_filter(self):
+        # Every belief is the exact posterior up to a common scale, each
+        # entry off by at most (|S| + 2) roundings a step (predict sums |S|
+        # terms, then one product and one quotient); normalizing at most
+        # doubles that, and two such computations differ by twice it.
+        eps = np.finfo(float).eps
+        dead = 0
+        for model, steps in self.all_input_cases():
+            passes = forward_messages([range(model.nx)] * steps, model)
+            for length, (beliefs, weight) in enumerate(passes):
+                traces = itertools.product(
+                    itertools.product(range(model.nx), repeat=length),
+                    itertools.product(range(model.nz), repeat=length),
+                )
+                bound = 4 * (length * (model.ns + 2) + model.ns + 1) * eps
+                for (xs, zs), belief, w in zip(traces, beliefs, weight, strict=True):
+                    want = ref.posterior_along(xs, zs, model)
+                    if want is None:
+                        dead += 1
+                        assert w == 0.0 and not belief.any()
+                    else:
+                        assert np.max(np.abs(belief - want)) <= bound, (xs, zs)
+        assert dead > 0
+
+    def test_weights_are_enumerated_evidence(self):
+        # P(z^j | x^j) is a sum of |S|^(j+1) path products of 2j + 1 factors,
+        # added one at a time; the pass's product of j evidences rounds
+        # (|S| + 3) times a step
+        eps = np.finfo(float).eps
+        for model, steps in self.all_input_cases():
+            passes = forward_messages([range(model.nx)] * steps, model)
+            for length, (_, weight) in enumerate(passes):
+                per_input = weight.reshape(model.nx ** length, model.nz ** length)
+                rounds = model.ns ** (length + 1) + (model.ns + 5) * length + 1
+                x_seqs = itertools.product(range(model.nx), repeat=length)
+                for xs, row in zip(x_seqs, per_input, strict=True):
+                    assert abs(row.sum() - 1.0) <= (length * (model.ns + 3) + len(row)) * eps
+                    for zs, w in zip(itertools.product(range(model.nz), repeat=length), row):
+                        want = ref.evidence(xs, zs, model)
+                        assert abs(w - want) <= rounds * eps * want, (xs, zs)
 
     def test_guard_bounds_enumeration_size(self):
         # 3^6 * 3^5 = 177147 paths are within MAX_COST_PATHS, 3^7 * 3^6 are not
@@ -551,6 +604,19 @@ class TestGridTradeoff:
         res = bruteforce_open_loop_tradeoff(toy, 0.4, 2, 0.25)
         assert res.feasible
         assert res.input_distributions.shape == (2, 2)
+
+    def test_grid_counted_before_it_is_built(self, monkeypatch):
+        # |X| = 40 at resolution 0.05 has C(59, 20), about 2.8e15, points
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(bayes, "simplex_grid", refuse)
+        model = DiscreteJcasModel(
+            channel=np.ones((40, 1, 1, 1)), markov=np.ones((1, 1)), initial=np.ones(1),
+            distortion=np.zeros((1, 1)),
+        )
+        with pytest.raises(EnumerationLimitError, match=f"would visit {math.comb(59, 20)} "):
+            bruteforce_open_loop_tradeoff(model, 0.5, 1, 0.05)
 
     def test_n_out_of_range(self, toy):
         with pytest.raises(EnumerationLimitError):

@@ -9,6 +9,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jcas_lab
@@ -445,6 +446,71 @@ class TestErrorPaths:
         cfg = write_config(tmp_path / "cfg.json", discrete_model=str(tmp_path / "ghost.txt"))
         assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @staticmethod
+    def uniform_model(tmp_path, nx, ns, nz):
+        """A model file on the given alphabets, |Y| = 1, every table uniform."""
+        row = " ".join([repr(1.0 / nz)] * nz)
+        channel = "\n".join(f"{x} {s} : {row}" for x in range(nx) for s in range(ns))
+        states = " ".join([repr(1.0 / ns)] * ns)
+        markov = "\n".join(f"{s} : {states}" for s in range(ns))
+        distortion = "\n".join(f"{s} : " + " ".join(["1.0"] * ns) for s in range(ns))
+        path = tmp_path / "uniform.txt"
+        path.write_text(
+            f"[alphabets]\nX = {nx}\nS = {ns}\nZ = {nz}\nY = 1\n[channel]\n{channel}\n"
+            f"[markov]\n{markov}\n[initial]\n{states}\n[distortion]\n{distortion}\n"
+        )
+        return path
+
+    @pytest.mark.parametrize(
+        "key, steps, entries",
+        [("bayes.trace_len", 5, None), ("bayes.trace_len", 6, 1594323),
+         ("bayes.n", 5, None), ("bayes.n", 6, 1594323)],
+    )
+    def test_bayes_tables_bounded_before_any_work(self, tmp_path, monkeypatch, capsys, key, steps, entries):
+        # (|X| |Z|)^steps |S| = 9^5 * 3 = 177147 entries pass, 9^6 * 3 do not
+        import jcas_lab.cli as cli
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "forward_messages", reached)
+        bayes = {"n": 1, "trace_len": 1, key.split(".")[1]: steps}
+        model = self.uniform_model(tmp_path, 3, 3, 3)
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=str(model), bayes=bayes)
+        argv = ["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if entries is None:
+            with pytest.raises(Reached):
+                main(argv)
+            return
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"config key '{key}' = {steps} gives {entries} forward-pass entries" in err
+        assert not any((tmp_path / "o").iterdir())
+
+    def test_bayes_grid_refused_before_it_is_built(self, tmp_path, capsys):
+        # |X| = 40 at resolution 0.05: C(59, 20), about 2.8e15 grid points
+        model = self.uniform_model(tmp_path, 40, 1, 1)
+        bayes = {"n": 1, "grid_resolution": 0.05, "budgets": [0.5], "trace_len": 1}
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=str(model), bayes=bayes)
+        assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"grid search would visit {math.comb(59, 20)} combinations" in capsys.readouterr().err
+
+    def test_bayes_possible_trace_dead_in_the_pass_exit_2(self, tmp_path, monkeypatch, capsys):
+        import jcas_lab.cli as cli
+
+        def dead_pass(levels, model):
+            for belief, weight in forward_messages(levels, model):
+                yield np.zeros_like(belief), np.zeros_like(weight)
+
+        forward_messages = cli.forward_messages
+        monkeypatch.setattr(cli, "forward_messages", dead_pass)
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=toy_model_path())
+        assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "forward pass rules out possible trace x=(0,) z=(0,)" in capsys.readouterr().err
 
     def test_numerical_error_exit_3_shows_condition(self, tmp_path, monkeypatch, capsys):
         import jcas_lab.cli as cli

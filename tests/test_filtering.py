@@ -405,7 +405,7 @@ class TestRunFilter:
             (matrix_model, np.array([[0.7, 0.1], [0.1, 0.9]])),
         ):
             traj = run_filter(model, BeamPolicy.multibeam(math.inf), 20, np.zeros(model.m), p0, seed=8)
-            seq = iterate_map(lambda p: lyapunov_step(model, p, 1.0), p0, 20)
+            seq = list(iterate_map(lambda p: lyapunov_step(model, p, 1.0), p0, 20))
             for i in range(21):
                 assert np.array_equal(traj.covariances[i], seq[i])
 

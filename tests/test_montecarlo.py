@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -120,6 +121,19 @@ class TestExpectedCovarianceMc:
         lines = path.read_text().strip().split("\n")
         assert lines[1] == "i,mean_trace,s_bound,v_bound"
         assert len(lines) == 2 + 16
+
+    def test_bound_iterates_not_kept(self, stable_model):
+        # the S_n and V_n bounds keep one float trace per step, not the
+        # horizon + 1 covariance matrices (about 280 B a step)
+        peaks = []
+        for horizon in (1000, 4000):
+            tracemalloc.start()
+            try:
+                expected_covariance_mc(stable_model, 0.5, horizon, 1, seed=5, critical=math.nan)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 3000 * 64
 
     def test_csv_row_fields(self, stable_model):
         rep = expected_covariance_mc(stable_model, 0.5, 10, 50, seed=8, critical=math.nan)

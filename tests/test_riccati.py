@@ -245,7 +245,7 @@ class TestBounds:
         assert all(t1 >= t2 - 1e-10 for t1, t2 in zip(v_traces, v_traces[1:]))
 
     def test_iterate_map_lengths(self, stable_model):
-        seq = iterate_map(lambda p: gamma_bs(p, 0.5, stable_model), stable_model.Q, 7)
+        seq = list(iterate_map(lambda p: gamma_bs(p, 0.5, stable_model), stable_model.Q, 7))
         assert len(seq) == 8
 
 

@@ -117,7 +117,7 @@ class TestScaledLyapunov:
 
     def test_sequence_matches_manual_iterates(self, matrix_model):
         p0 = np.eye(2)
-        seq = iterate_map(lambda p: lyapunov_step(matrix_model, p, 0.8), p0, 4)
+        seq = list(iterate_map(lambda p: lyapunov_step(matrix_model, p, 0.8), p0, 4))
         assert len(seq) == 5
         cur = p0
         for s in seq[1:]:
@@ -131,7 +131,7 @@ class TestScaledLyapunov:
         a, q, n = -1.15, 1.0, 2600
         model = GaussMarkovModel.scalar(a, 1.0, q, 1.0)
         with np.errstate(over="ignore"):
-            seq = iterate_map(lambda p: lyapunov_step(model, p, 1.0), [[1.0]], n)
+            seq = list(iterate_map(lambda p: lyapunov_step(model, p, 1.0), [[1.0]], n))
             seq = [float(s[0, 0]) for s in seq]
         expected = [1.0]
         for _ in range(n):
