@@ -399,6 +399,21 @@ class TradeoffResult:
     per_sequence_costs: dict = field(default_factory=dict)
 
 
+def check_grid_search(model: DiscreteJcasModel, n: int, grid_resolution: float) -> None:
+    """Refuse a ``bruteforce_open_loop_tradeoff`` search before any work:
+    n outside 1..3, a grid resolution outside (0, 1], or more than
+    MAX_GRID_COMBOS grid combinations."""
+    if not (1 <= n <= 3):
+        raise EnumerationLimitError(f"grid search supports n in 1..3, got {n}")
+    # C(k + |X| - 1, |X| - 1) grid points per step, counted before any is built
+    k = _grid_steps(grid_resolution)
+    n_combos = math.comb(k + model.nx - 1, model.nx - 1) ** n
+    if n_combos > MAX_GRID_COMBOS:
+        raise EnumerationLimitError(
+            f"grid search would visit {n_combos} combinations (limit {MAX_GRID_COMBOS})"
+        )
+
+
 def bruteforce_open_loop_tradeoff(
     model: DiscreteJcasModel,
     distortion_budget: float,
@@ -416,15 +431,7 @@ def bruteforce_open_loop_tradeoff(
     """
     if np.isnan(distortion_budget):
         raise ParameterError(f"distortion budget must be a number, got {distortion_budget}")
-    if not (1 <= n <= 3):
-        raise EnumerationLimitError(f"grid search supports n in 1..3, got {n}")
-    # C(k + |X| - 1, |X| - 1) grid points per step, counted before any is built
-    k = _grid_steps(grid_resolution)
-    n_combos = math.comb(k + model.nx - 1, model.nx - 1) ** n
-    if n_combos > MAX_GRID_COMBOS:
-        raise EnumerationLimitError(
-            f"grid search would visit {n_combos} combinations (limit {MAX_GRID_COMBOS})"
-        )
+    check_grid_search(model, n, grid_resolution)
     grid = simplex_grid(model.nx, grid_resolution)
     n_points = grid.shape[0]
 

@@ -31,6 +31,7 @@ from .bayes import (
     MAX_STEPS_EXACT,
     bruteforce_open_loop_tradeoff,
     bruteforce_posterior,
+    check_grid_search,
     forward_messages,
     load_discrete_model,
     sensing_cost,
@@ -566,6 +567,9 @@ def cmd_bayes(args) -> int:
                 f"config key '{key}' = {steps} gives {entries} forward-pass entries "
                 f"(|X| |Z|)^{steps} |S|, above {MAX_CHANNEL_ENTRIES}"
             )
+    if budgets:
+        # the tradeoff search's limits, checked before any table is written
+        check_grid_search(model, n, resolution)
     head = stamp("bayes", cfg, seed, f"discrete_model={model_path}")
 
     # every trace's posterior from one forward pass over all inputs, checked

@@ -34,12 +34,20 @@ and certified models it is finite everywhere else, and on refused models
 wherever the search finds a gain.
 
 Thresholds (critical sensing probability, feasible-lambda and feasible-gamma
-boundaries for a distortion budget) are located by one monotone bisection;
-the feasibility maps are monotone but not smooth at the divergence boundary,
-so no derivative-based search is attempted.  On certified models the
+boundaries for a distortion budget) are located by one monotone bisection,
+``_bisect``; the feasibility maps are monotone but not smooth at the
+divergence boundary, so no derivative-based search is attempted.  A
+threshold solves its endpoints in one call of its feasibility test.  On
+matrix models each further call decides BISECT_LEVELS halvings: every
+midpoint they can visit is solved in one batched policy iteration (or
+S-bar sweep), and the bisection reads the verdicts of the midpoints it
+visits, so it returns what a one-probe bisection returns.  Scalar models
+probe one point at a time, since each probe is a closed form.  So do the
+V-bar and multi-beam probes of refused models, since each extra probe
+would start a gain search of its own.  On certified models the
 critical sensing probability bisects the closed-form test
 (1 - lam) rho(A)^2 < 1 and needs no covariance step; on refused models it
-bisects on whether the gain search succeeds.
+bisects on whether the gain search succeeds, one probe per call.
 """
 
 from __future__ import annotations
@@ -470,17 +478,76 @@ def mb_sweep(gammas, model: GaussMarkovModel) -> list:
     return _mb_points(model, [_check_gamma(float(g)) for g in gammas])
 
 
-def _bisect(lo: float, hi: float, tol: float, above) -> float:
+#: halvings one batched threshold probe decides on matrix models (for
+#: V-bar and multi-beam probes, on stable and certified ones)
+BISECT_LEVELS = 3
+
+
+def _searches_gains(model: GaussMarkovModel) -> bool:
+    """Whether each V-bar or multi-beam probe of ``model`` runs a
+    ``_contracting_gain`` search: an unstable matrix model the certificate
+    refuses."""
+    if model.is_scalar or not lyapunov_diverges(1.0, spectral_radius(model.A)):
+        return False
+    return _certificate_gain(model) is None
+
+
+def _bisect_levels(model: GaussMarkovModel, searches_gains: bool) -> int:
+    """Halvings per call of a threshold's predicate: BISECT_LEVELS, or 1
+    where a speculative probe costs a whole solve of its own.
+
+    A scalar model solves each probe in closed form (``_scalar_root`` or
+    the scalar S-bar), so batching saves nothing.  A probe that
+    ``searches_gains`` runs a ``_contracting_gain`` search of its own, and a
+    divergent one can take GAIN_SEARCH_STEPS steps.  S-bar probes are
+    Lyapunov solves and batch on every matrix model.
+    """
+    return 1 if model.is_scalar or searches_gains else BISECT_LEVELS
+
+
+def _midpoints(lo: float, hi: float, tol: float, levels: int) -> list:
+    """Every midpoint the next ``levels`` halvings of [lo, hi] can visit.
+
+    Heap order: node j halves its span, and its children 2j + 1 and 2j + 2
+    hold the lower and the upper half.  A node whose span is already within
+    tol is None, and so are the nodes below it.
+    """
+    spans = [(lo, hi)]
+    mids = []
+    for j in range(2**levels - 1):
+        span = spans[j]
+        if span is None or not span[1] - span[0] > tol:
+            mids.append(None)
+            spans += [None, None]
+        else:
+            a, b = span
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            spans += [(a, mid), (mid, b)]
+    return mids
+
+
+def _bisect(lo: float, hi: float, tol: float, above, levels: int = 1) -> float:
     """Shrink [lo, hi] onto the boundary of a monotone predicate; return its midpoint.
 
-    ``above(x)`` tells whether x lies on hi's side of the boundary.
+    ``above(xs)`` tells, for each x of a list, whether x lies on hi's side
+    of the boundary.  One call decides up to ``levels`` halvings: it gets
+    every midpoint those halvings can visit, at most 2^levels - 1 of them,
+    so a batched solver prices them together.  The walk then halves as a
+    one-probe bisection would, reading the verdicts of the midpoints it
+    visits, so the visited points and the result do not depend on
+    ``levels``, even for a predicate that is not monotone.
     """
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
+        mids = _midpoints(lo, hi, tol, levels)
+        verdicts = iter(above([mid for mid in mids if mid is not None]))
+        verdict = [None if mid is None else next(verdicts) for mid in mids]
+        j = 0
+        while j < len(mids) and mids[j] is not None:
+            if verdict[j]:
+                hi, j = mids[j], 2 * j + 1
+            else:
+                lo, j = mids[j], 2 * j + 2
     return 0.5 * (lo + hi)
 
 
@@ -505,14 +572,15 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
         return 0.0
     if unstable_modes_observed(model):
         # lam_c = 1 - 1/rho^2: bisect the closed-form test for the same midpoints
-        return _bisect(0.0, 1.0, bisect_tol, lambda lam: not lyapunov_diverges(1.0 - lam, rho))
+        return _bisect(0.0, 1.0, bisect_tol, lambda lams: [not lyapunov_diverges(1.0 - lams[0], rho)])
 
-    def converges(lam: float) -> bool:
+    def converges(lams) -> list:
+        lam = lams[0]
         if lyapunov_diverges(1.0 - lam, rho):
-            return False
-        return _contracting_gain(model, lam, 1.0) is not None
+            return [False]
+        return [_contracting_gain(model, lam, 1.0) is not None]
 
-    if not converges(1.0):
+    if not converges([1.0])[0]:
         raise NumericalError(
             "no gain makes the beam-switching map contract even with every "
             "measurement; model is likely not detectable"
@@ -526,27 +594,43 @@ def _check_budget(d: float) -> None:
 
 
 def lambda_s(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
-    """Least lam with tr(S-bar(lam)) <= d, or None when even lam=1 violates it."""
-    return _lambda_threshold(d, lambda lam: sbar(lam, model), bisect_tol)
+    """Least lam with tr(S-bar(lam)) <= d, or None when even lam=1 violates it.
+
+    On every matrix model one S-bar sweep solves the endpoints lam = 0
+    and 1, and each further sweep decides BISECT_LEVELS halvings of the
+    bisection;
+    scalar models probe one lam at a time.
+    """
+    levels = _bisect_levels(model, False)
+    return _lambda_threshold(d, lambda lams: sbar_sweep(lams, model), bisect_tol, levels)
 
 
 def lambda_v(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
-    """Least lam with tr(V-bar(lam)) <= d, or None when even lam=1 violates it."""
-    return _lambda_threshold(d, lambda lam: _vbar_points(model, [lam])[0], bisect_tol)
+    """Least lam with tr(V-bar(lam)) <= d, or None when even lam=1 violates it.
+
+    The endpoints lam = 0 and 1 are solved together.  On stable and
+    certified matrix models each batched policy iteration then decides
+    BISECT_LEVELS halvings of the bisection.  Scalar models (closed-form
+    roots) and refused models (one gain search per probe) bisect one probe
+    at a time.
+    """
+    levels = _bisect_levels(model, _searches_gains(model))
+    return _lambda_threshold(d, lambda lams: _vbar_points(model, lams), bisect_tol, levels)
 
 
-def _lambda_threshold(d, solve, bisect_tol):
+def _lambda_threshold(d, solve, bisect_tol, levels):
     _check_budget(d)
 
-    def feasible(lam: float) -> bool:
-        return trace_or_inf(solve(lam)) <= d
+    def feasible(lams) -> list:
+        return [trace_or_inf(x) <= d for x in solve(lams)]
 
-    if feasible(0.0):
+    at_zero, at_one = feasible([0.0, 1.0])
+    if at_zero:
         return 0.0
-    if not feasible(1.0):
+    if not at_one:
         return None
     # trace is nonincreasing in lam: lo = 0 infeasible, hi = 1 feasible
-    return _bisect(0.0, 1.0, bisect_tol, feasible)
+    return _bisect(0.0, 1.0, bisect_tol, feasible, levels)
 
 
 #: bisection range for the multi-beam gain, in nats of log(gamma)
@@ -559,21 +643,40 @@ def gamma_max(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     Returns math.inf when even the open-loop limit satisfies the budget
     (possible only for stable dynamics) and None when gamma = 1, the best
     sensing available, already violates it.  Otherwise bisects on log(gamma)
-    over [0, GAMMA_LOG_RANGE].
+    over [0, GAMMA_LOG_RANGE].  The endpoints gamma = 1, inf and
+    e^GAMMA_LOG_RANGE are solved together, except on refused models, where
+    gamma = 1 goes first.  As in ``lambda_v``, stable and certified matrix
+    models then decide BISECT_LEVELS halvings per batched solve, and scalar
+    and refused models probe one gamma at a time.
     """
     _check_budget(d)
+    searches = _searches_gains(model)
+    levels = _bisect_levels(model, searches)
 
-    def trace_at(gamma: float) -> float:
-        return trace_or_inf(_mb_points(model, [gamma])[0])
+    def fits(gammas) -> list:
+        return [trace_or_inf(x) <= d for x in _mb_points(model, gammas)]
 
-    if trace_at(1.0) > d:
+    top = math.exp(GAMMA_LOG_RANGE)
+    if searches:
+        # the search at e^GAMMA_LOG_RANGE diverges slowly near rho(A) = 1, so
+        # it waits for gamma = 1 to pass (a failing gamma_max took 0.54 s
+        # instead of 0.16 s on diag(1.001, 1.0005), C = [1, 1])
+        (at_one,) = fits([1.0])
+        open_loop, at_top = fits([math.inf, top]) if at_one else (False, False)
+    else:
+        at_one, open_loop, at_top = fits([1.0, math.inf, top])
+    if not at_one:
         return None
-    if trace_at(math.inf) <= d:
+    if open_loop:
         return math.inf
     # log-gamma: lo = 0 feasible, hi infeasible unless even e^hi meets d
-    if trace_at(math.exp(GAMMA_LOG_RANGE)) <= d:
-        return math.exp(GAMMA_LOG_RANGE)
+    if at_top:
+        return top
     log_gamma = _bisect(
-        0.0, GAMMA_LOG_RANGE, bisect_tol, lambda lg: not trace_at(math.exp(lg)) <= d
+        0.0,
+        GAMMA_LOG_RANGE,
+        bisect_tol,
+        lambda lgs: [not ok for ok in fits([math.exp(lg) for lg in lgs])],
+        levels,
     )
     return math.exp(log_gamma)

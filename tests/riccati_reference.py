@@ -15,6 +15,11 @@ classify it.  It is the oracle for the closed form ``critical_lambda`` runs
 on certified models, and it gives the same pins as the gain search that
 decides refused ones.  ``iterated_fixed_point`` is the classifier as a
 plain iteration helper.
+
+``bisect`` is the one-probe bisection: one predicate call per halving.
+``lambda_s``, ``lambda_v`` and ``gamma_max`` run it on the library's
+single-point solves (``sbar``, ``vbar``, ``mb_fixed_point``), each endpoint
+in turn, as the thresholds did before their probes were batched.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 from jcas_lab.errors import NumericalError
-from jcas_lab.riccati import bs_kernel, gamma_bs
+from jcas_lab.riccati import GAMMA_LOG_RANGE, bs_kernel, gamma_bs, mb_fixed_point, sbar, vbar
 from jcas_lab.statespace import CRITICAL_MARGIN, lyapunov_diverges, spectral_radius
 
 CONVERGED = "converged"
@@ -138,14 +143,58 @@ def critical_lambda_iterative(model, bisect_tol=1e-6, probe_tol=1e-10, probe_max
 
     if not converges(1.0):
         raise NumericalError("expected covariance diverges even with every measurement")
-    lo, hi = 0.0, 1.0
-    while hi - lo > bisect_tol:
+    return bisect(0.0, 1.0, bisect_tol, converges)
+
+
+def bisect(lo: float, hi: float, tol: float, above) -> float:
+    """Halve [lo, hi] one probe at a time, keeping hi's side where above(mid);
+    return the midpoint of the last bracket."""
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if converges(mid):
+        if above(mid):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def _lambda_threshold(d: float, solve, tol: float):
+    def feasible(lam: float) -> bool:
+        x = solve(lam)
+        return x is not None and float(np.trace(x)) <= d
+
+    if feasible(0.0):
+        return 0.0
+    if not feasible(1.0):
+        return None
+    return bisect(0.0, 1.0, tol, feasible)
+
+
+def lambda_s(d: float, model, tol: float):
+    """Least lam with tr(S-bar) <= d, one ``sbar`` solve per probe."""
+    return _lambda_threshold(d, lambda lam: sbar(lam, model), tol)
+
+
+def lambda_v(d: float, model, tol: float):
+    """Least lam with tr(V-bar) <= d, one ``vbar`` solve per probe."""
+    return _lambda_threshold(d, lambda lam: vbar(lam, model), tol)
+
+
+def gamma_max(d: float, model, tol: float):
+    """Largest gamma with tr(multi-beam fixed point) <= d, one
+    ``mb_fixed_point`` solve per probe, bisected on log(gamma)."""
+
+    def fits(gamma: float) -> bool:
+        x = mb_fixed_point(gamma, model)
+        return x is not None and float(np.trace(x)) <= d
+
+    if not fits(1.0):
+        return None
+    if fits(math.inf):
+        return math.inf
+    if fits(math.exp(GAMMA_LOG_RANGE)):
+        return math.exp(GAMMA_LOG_RANGE)
+    return math.exp(bisect(0.0, GAMMA_LOG_RANGE, tol, lambda lg: not fits(math.exp(lg))))
 
 
 def certificate_gain_bound(model, lam: float):

@@ -498,6 +498,22 @@ class TestErrorPaths:
         cfg = write_config(tmp_path / "cfg.json", discrete_model=str(model), bayes=bayes)
         assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"grid search would visit {math.comb(59, 20)} combinations" in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())
+
+    def test_bayes_search_steps_refused_before_any_table(self, tmp_path, capsys):
+        # the tradeoff search supports n in 1..3; with budgets, n = 4 is
+        # refused before the posterior and cost tables are written
+        bayes = {"n": 4, "budgets": [0.3], "trace_len": 1}
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=toy_model_path(), bayes=bayes)
+        assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "grid search supports n in 1..3, got 4" in capsys.readouterr().err
+        assert not any((tmp_path / "o").iterdir())
+        # without budgets no search runs, so n = 4 only sizes the cost table
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=toy_model_path(), bayes=dict(bayes, budgets=[]))
+        assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(f.name for f in (tmp_path / "o").iterdir()) == [
+            "bayes_costs.csv", "bayes_posteriors.csv", "bayes_tradeoff.csv"
+        ]
 
     def test_bayes_possible_trace_dead_in_the_pass_exit_2(self, tmp_path, monkeypatch, capsys):
         import jcas_lab.cli as cli
@@ -648,6 +664,7 @@ OUTPUT_DIR_SHA256 = {
     "mc_verify_2x2": "f42899c5d76d01acdef53768f5995c805c3d2aebaa2ad99c36b877a32bebf770",
     "rd_curve_gaussian_bits": "bfd4bd273946f420cd13737d9f448ba356e1bd5e126490c05b956f8bb03113a6",
     "riccati_scalar_unstable": "5841de422c41df207332a080abe3f1e982c7097975b13480da5a7d4b2eff76d3",
+    "riccati_2x2": "b9ebd7f6294e6f8b502069075de3e395754195024eef095c056dae665b16f4ff",
     "bayes_toy": "c0b41b8ead7cb85d2c2c3d6e2260602f3285cddd057c787d1096d78bea9e7557",
 }
 
@@ -668,6 +685,10 @@ def output_dir_argv(name, tmp_path):
         return ["rd-curve", "--bits", "--config", str(write_config(tmp_path / "cfg.json"))]
     if name == "riccati_scalar_unstable":
         return ["riccati", "--config", str(write_config(tmp_path / "cfg.json"))]
+    if name == "riccati_2x2":
+        budgets = [0.5, 1.0, 3.0, 10.0, 100.0]
+        cfg = write_config(tmp_path / "cfg.json", **BENCH_2X2, distortion_budgets=budgets)
+        return ["riccati", "--config", str(cfg)]
     if name == "bayes_toy":
         # a model path relative to the working directory keeps the stamp
         # line, and so the digest, independent of where the package lives

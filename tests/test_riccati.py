@@ -337,31 +337,31 @@ def bench_model():
     )
 
 
-def seeded_8x8(seed: int, rho: float) -> GaussMarkovModel:
-    """Seeded 8x8 model with two outputs and rho(A) = rho."""
+def seeded_random_model(seed, rho: float, m: int = 8, k: int = 2) -> GaussMarkovModel:
+    """Seeded m x m model with k outputs and rho(A) = rho."""
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((8, 8))
+    a = rng.standard_normal((m, m))
     a *= rho / spectral_radius(a)
-    lq = rng.standard_normal((8, 8)) / math.sqrt(8)
-    lr = rng.standard_normal((2, 2))
+    lq = rng.standard_normal((m, m)) / math.sqrt(m)
+    lr = rng.standard_normal((k, k))
     return GaussMarkovModel(
         A=a,
-        C=rng.standard_normal((2, 8)),
-        Q=lq @ lq.T + 0.1 * np.eye(8),
-        R=lr @ lr.T + 0.5 * np.eye(2),
+        C=rng.standard_normal((k, m)),
+        Q=lq @ lq.T + 0.1 * np.eye(m),
+        R=lr @ lr.T + 0.5 * np.eye(k),
     )
 
 
 @pytest.fixture
 def seeded_model():
     """Seeded unstable 8x8 model with two outputs, rho(A) = 1.1."""
-    return seeded_8x8(20240601, 1.1)
+    return seeded_random_model(20240601, 1.1)
 
 
 @pytest.fixture
 def stable_seeded_model():
     """Seeded stable 8x8 model with two outputs, rho(A) = 0.9."""
-    return seeded_8x8(20240602, 0.9)
+    return seeded_random_model(20240602, 0.9)
 
 
 SWEEP_MODELS = ("bench_model", "matrix_model", "correlated_model", "seeded_model")
@@ -753,3 +753,145 @@ class TestDirectSolves:
     @pytest.mark.parametrize("seed, m, pair", SEEDED)
     def test_near_critical_seeded(self, seed, m, pair):
         assert_solved_near_critical(observed_unstable_model(seed, m, pair))
+
+
+class Recorded:
+    """A predicate's verdict on x that records x when the bisection reads it."""
+
+    def __init__(self, x: float, value: bool, reads: list):
+        self.x, self.value, self.reads = x, value, reads
+
+    def __bool__(self) -> bool:
+        self.reads.append(self.x)
+        return self.value
+
+
+class TestBatchedBisection:
+    """``_bisect`` deciding several halvings per predicate call walks exactly
+    as the one-probe oracle, on any verdict table, monotone or not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lo=st.floats(-10.0, 10.0),
+        width=st.floats(1e-3, 20.0),
+        tol=st.sampled_from([1e-9, 1e-6, 1e-3, 0.05, 0.5, 30.0]),
+        monotone=st.booleans(),
+        frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32),
+        levels=st.integers(1, 5),
+    )
+    def test_same_walk_as_one_probe(self, lo, width, tol, monotone, frac, seed, levels):
+        hi = lo + width
+        boundary = lo + frac * width
+        if monotone:
+            table = lambda x: x >= boundary
+        else:
+            # float hashes are not salted, so the table is a fixed function of x
+            table = lambda x: hash((seed, x)) % 2 == 1
+        visits = []
+        want = ref.bisect(lo, hi, tol, lambda x: visits.append(x) or table(x))
+        for depth in sorted({1, levels}):
+            reads, calls = [], []
+
+            def above(xs):
+                calls.append(list(xs))
+                return [Recorded(x, table(x), reads) for x in xs]
+
+            got = riccati._bisect(lo, hi, tol, above, depth)
+            assert got.hex() == want.hex()
+            assert reads == visits
+            assert len(calls) <= math.ceil(len(visits) / depth)
+            assert all(len(xs) <= 2**depth - 1 for xs in calls)
+
+    def test_midpoints_stop_at_tol(self):
+        # the fourth halving of [0, 1] starts from spans of 1/8; at tol 0.2
+        # the bisection stops before it, so its midpoints are not asked for
+        assert len([x for x in riccati._midpoints(0.0, 1.0, 1e-3, 4) if x is not None]) == 15
+        assert len([x for x in riccati._midpoints(0.0, 1.0, 0.2, 4) if x is not None]) == 7
+
+
+#: seeded stable and certified models, m = 2..8
+BATCH_MODELS = {
+    **{
+        f"stable-m{m}-k{k}": (seeded_random_model, ([3, m, k], 0.8, m, k))
+        for m in range(2, 9)
+        for k in (1, 2)
+    },
+    **{
+        f"certified-m{m}-pair{pair}": (observed_unstable_model, (1, m, pair))
+        for m in (2, 3, 5, 8)
+        for pair in (False, True)
+    },
+}
+
+
+def two_modes_one_output() -> GaussMarkovModel:
+    """The refused diag(1.2, 1.1), C = [1, 1] model of REFUSED."""
+    a, c = REFUSED["two-modes-one-output"]
+    return GaussMarkovModel(A=a, C=c, Q=np.eye(2), R=[[1.0]])
+
+
+def batch_model(name: str) -> GaussMarkovModel:
+    make, args = BATCH_MODELS[name]
+    return make(*args)
+
+
+class TestBatchedProbes:
+    """The thresholds' batched probes give each member's single solve bit for bit."""
+
+    @pytest.mark.parametrize("name", BATCH_MODELS)
+    def test_grid_members_equal_single_solves(self, name):
+        model = batch_model(name)
+        lam_c = max(0.0, 1.0 - 1.0 / spectral_radius(model.A) ** 2)
+        lams = [*np.linspace(0.0, 1.0, 9), lam_c + 1e-3, lam_c + 1e-6]
+        gammas = [*np.exp(np.linspace(0.0, riccati.GAMMA_LOG_RANGE, 9)), 1.5]
+        for ls, gs in ((lams, [1.0] * len(lams)), ([1.0] * len(gammas), gammas)):
+            for got, lam, gamma in zip(riccati._solve_grid(model, ls, gs), ls, gs):
+                assert_same_point(got, riccati._solve_grid(model, [lam], [gamma])[0])
+        for got, lam in zip(sbar_sweep(lams, model), lams):
+            assert_same_point(got, sbar(lam, model))
+
+    @pytest.mark.parametrize("tol", (1e-3, 1e-6))
+    @pytest.mark.parametrize("name", ("bench", "stable-m8-k2", "certified-m5-pairTrue"))
+    def test_thresholds_equal_sequential_oracle(self, bench_model, name, tol):
+        model = bench_model if name == "bench" else batch_model(name)
+        assert riccati._bisect_levels(model, riccati._searches_gains(model)) == riccati.BISECT_LEVELS
+        v1 = trace_or_inf(vbar(1.0, model))
+        for d in (0.9 * v1, 1.01 * v1, 1.3 * v1, 3.0 * v1, 30.0 * v1, 1e6 * v1):
+            assert lambda_s(d, model, tol) == ref.lambda_s(d, model, tol)
+            assert lambda_v(d, model, tol) == ref.lambda_v(d, model, tol)
+            assert gamma_max(d, model, tol) == ref.gamma_max(d, model, tol)
+
+    def test_scalar_and_refused_probe_one_at_a_time(self, unstable_model):
+        refused = two_modes_one_output()
+        assert not riccati._searches_gains(unstable_model)
+        assert riccati._searches_gains(refused)
+        assert riccati._bisect_levels(unstable_model, False) == 1
+        assert riccati._bisect_levels(refused, True) == 1
+        # S-bar probes are Lyapunov solves, batched on refused models too
+        assert riccati._bisect_levels(refused, False) == riccati.BISECT_LEVELS
+
+    @pytest.mark.parametrize("d", (100.0, 250.0, 1000.0))
+    def test_refused_thresholds_equal_sequential_oracle(self, d):
+        # tr V-bar(1) = 200.5, so d = 100 leaves lambda_v and gamma_max None
+        model = two_modes_one_output()
+        assert lambda_s(d, model) == ref.lambda_s(d, model, 1e-6)
+        assert lambda_v(d, model) == ref.lambda_v(d, model, 1e-6)
+        assert gamma_max(d, model) == ref.gamma_max(d, model, 1e-6)
+
+    def test_refused_gamma_max_searches_only_gamma_one_when_it_fails(self, monkeypatch):
+        searches = record_gain_searches(monkeypatch)
+        assert gamma_max(100.0, two_modes_one_output()) is None
+        assert len(searches) == 1
+
+    @pytest.mark.parametrize("d", (250.0, 300.0))
+    def test_refused_gain_searches_unchanged(self, monkeypatch, d):
+        # V-bar's trace is 200.5 at lam = 1 and 563 at lam = 0.5, so every
+        # probe lies above 0.5, clear of the capped searches below lam_V
+        model = two_modes_one_output()
+        searches = record_gain_searches(monkeypatch)
+        want = ref.lambda_v(d, model, 1e-6)
+        sequential = [lam for _, lam, _ in searches]
+        searches.clear()
+        assert lambda_v(d, model, 1e-6) == want
+        assert [lam for _, lam, _ in searches] == sequential
