@@ -25,12 +25,13 @@ positive root of the quadratic this fixed point solves.  A matrix model
 runs Hewer's policy iteration, batched over a whole lam or gamma grid,
 from a gain L whose affine map contracts: L = 0 when A is stable, the gain
 of the ``unstable_modes_observed`` certificate, or, on a model the
-certificate refuses, a gain found by iterating the map itself from Q
-(``_contracting_gain``).  Any such L proves the fixed point finite, since
-phi(L, .) bounds the map.  The matching lower bound S-bar is the scaled
-Lyapunov solve of :mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges
-whenever (1 - lam) rho(A)^2 >= 1, so V-bar is None there; on scalar, stable
-and certified models it is finite everywhere else, and on refused models
+certificate refuses, a gain found by iterating the map itself from Q.
+That search (``_contracting_gains``) runs every point of a call as one
+stack.  Any such L proves the fixed point finite, since phi(L, .) bounds
+the map.  The matching lower bound S-bar is the scaled Lyapunov solve of
+:mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges whenever
+(1 - lam) rho(A)^2 >= 1, so V-bar is None there; on scalar, stable and
+certified models it is finite everywhere else, and on refused models
 wherever the search finds a gain.
 
 Thresholds (critical sensing probability, feasible-lambda and feasible-gamma
@@ -38,16 +39,15 @@ boundaries for a distortion budget) are located by one monotone bisection,
 ``_bisect``; the feasibility maps are monotone but not smooth at the
 divergence boundary, so no derivative-based search is attempted.  A
 threshold solves its endpoints in one call of its feasibility test.  On
-matrix models each further call decides BISECT_LEVELS halvings: every
+every matrix model each further call decides BISECT_LEVELS halvings: every
 midpoint they can visit is solved in one batched policy iteration (or
-S-bar sweep), and the bisection reads the verdicts of the midpoints it
-visits, so it returns what a one-probe bisection returns.  Scalar models
-probe one point at a time, since each probe is a closed form.  So do the
-V-bar and multi-beam probes of refused models, since each extra probe
-would start a gain search of its own.  On certified models the
+S-bar sweep), after one gain search over all of them on a refused model,
+and the bisection reads the verdicts of the midpoints it visits, so it
+returns what a one-probe bisection returns.  Scalar models probe one point
+at a time, since each probe is a closed form.  On certified models the
 critical sensing probability bisects the closed-form test
 (1 - lam) rho(A)^2 < 1 and needs no covariance step; on refused models it
-bisects on whether the gain search succeeds, one probe per call.
+bisects on whether V-bar is finite.
 """
 
 from __future__ import annotations
@@ -309,31 +309,45 @@ def unstable_modes_observed(model: GaussMarkovModel) -> bool:
     return _certificate_gain(model) is not None
 
 
-def _contracting_gain(model: GaussMarkovModel, lam: float, gamma: float):
-    """A predictor gain L whose affine map phi_{lam,gamma}(L, .) contracts, or
-    None when the search calls the point divergent.
+def _contracting_gains(model: GaussMarkovModel, lams, gammas) -> list:
+    """Per (lam, gamma) pair a predictor gain L whose affine map
+    phi_{lam,gamma}(L, .) contracts, or None where the search calls the point
+    divergent.
 
-    The min_L phi_{lam,gamma}(L, .) map is iterated from Q.  Each step's
-    innovation solve gives both the step and the predictor gain L of that
-    iterate, and at steps 1, 2, 4, 8, ... L is tested:
-    rho((1 - lam) A (x) A + lam F (x) F) < 1 with F = A - L C.  The point is
-    divergent once the trace is non-finite or above TRACE_DIVERGENCE, or when
-    no gain passes within GAIN_SEARCH_STEPS steps.
+    Every point iterates the min_L phi_{lam,gamma}(L, .) map from Q, all of
+    them as one (n, m, m) stack.  Each step's innovation solve gives both the
+    step and the predictor gain L of that iterate, and at steps 1, 2, 4, 8,
+    ... one batched ``eigvals`` tests every member's L:
+    rho((1 - lam) A (x) A + lam F (x) F) < 1 with F = A - L C.  A member
+    leaves the stack once its gain passes, or as divergent once its trace is
+    non-finite or above TRACE_DIVERGENCE; members left after
+    GAIN_SEARCH_STEPS steps are divergent too.
     """
-    a_kron = (1.0 - lam) * np.kron(model.A, model.A)
-    p = model.Q
+    m = model.m
+    lam = np.reshape(lams, (-1, 1, 1))
+    gamma = np.reshape(gammas, (-1, 1, 1))
+    p = np.broadcast_to(model.Q, (len(lam), m, m))
+    found = [None] * len(lam)
+    live = np.arange(len(lam))
     for step in range(1, GAIN_SEARCH_STEPS + 1):
         corr = _solve_innovation(model, p, gamma)
         if step & (step - 1) == 0:
-            gain = corr.T
-            f = model.A - gain @ model.C
-            if np.max(np.abs(np.linalg.eigvals(a_kron + lam * np.kron(f, f)))) < 1.0:
-                return gain
+            gains = corr.swapaxes(1, 2)
+            f = model.A - gains @ model.C
+            f_kron = (f[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, m * m, m * m)
+            linear = (1.0 - lam) * np.kron(model.A, model.A) + lam * f_kron
+            passed = np.max(np.abs(np.linalg.eigvals(linear)), axis=1) < 1.0
+            for i, gain in zip(live[passed], gains[passed]):
+                found[i] = gain
+            live, p, corr, lam, gamma = (x[~passed] for x in (live, p, corr, lam, gamma))
         p = _corrected(model, p, corr, lam)
-        tr = float(np.trace(p))
-        if not math.isfinite(tr) or tr > TRACE_DIVERGENCE:
-            return None
-    return None
+        tr = p.trace(axis1=1, axis2=2)
+        rest = tr <= TRACE_DIVERGENCE  # False for NaN and +inf
+        if not rest.all():
+            live, p, lam, gamma = (x[rest] for x in (live, p, lam, gamma))
+        if not live.size:
+            break
+    return found
 
 
 def _scalar_root(model: GaussMarkovModel, lam: float, gamma: float):
@@ -406,9 +420,9 @@ def _solve_grid(model: GaussMarkovModel, lams, gammas) -> list:
     where (1 - lam) rho(A)^2 >= 1 - CRITICAL_MARGIN (the fixed point
     dominates S-bar, which diverges there); every other point of a stable or
     certified model is finite, started from L = 0 or the certificate's gain.
-    On a model the certificate refuses, each point searches for its own
-    starting gain and is divergent where none is found.  All started points
-    are solved by one policy iteration.
+    On a model the certificate refuses, one ``_contracting_gains`` search
+    finds each point's starting gain, and a point is divergent where none is
+    found.  All started points are solved by one policy iteration.
     """
     if model.is_scalar:
         return [_scalar_root(model, lam, gamma) for lam, gamma in zip(lams, gammas)]
@@ -418,9 +432,9 @@ def _solve_grid(model: GaussMarkovModel, lams, gammas) -> list:
     stable = not lyapunov_diverges(1.0, rho)
     gain = np.zeros((model.m, model.k)) if stable else _certificate_gain(model)
     if gain is None:
-        gains = {i: _contracting_gain(model, lams[i], gammas[i]) for i in todo}
-        todo = [i for i in todo if gains[i] is not None]
-        gain = np.array([gains[i] for i in todo])
+        gains = _contracting_gains(model, [lams[i] for i in todo], [gammas[i] for i in todo])
+        todo = [i for i, g in zip(todo, gains) if g is not None]
+        gain = np.array([g for g in gains if g is not None])
     if todo:
         solved = _policy_iteration(model, [lams[i] for i in todo], [gammas[i] for i in todo], gain)
         for i, x in zip(todo, solved):
@@ -448,8 +462,9 @@ def vbar(lam: float, model: GaussMarkovModel):
 def vbar_sweep(lams, model: GaussMarkovModel) -> list:
     """V-bar at every lam of a grid, solved together; None where it diverges.
 
-    On a model the certificate refuses, a point is None also where the gain
-    search finds no contracting gain within GAIN_SEARCH_STEPS steps.
+    On a model the certificate refuses, one gain search runs every point as
+    one stack, and a point is None also where it finds no contracting gain
+    within GAIN_SEARCH_STEPS steps.
     """
     return _vbar_points(model, [_check_lam(float(lam)) for lam in lams])
 
@@ -478,31 +493,18 @@ def mb_sweep(gammas, model: GaussMarkovModel) -> list:
     return _mb_points(model, [_check_gamma(float(g)) for g in gammas])
 
 
-#: halvings one batched threshold probe decides on matrix models (for
-#: V-bar and multi-beam probes, on stable and certified ones)
+#: halvings one batched threshold probe decides on matrix models; scalar
+#: models solve each probe in closed form, so they probe one at a time
 BISECT_LEVELS = 3
 
 
-def _searches_gains(model: GaussMarkovModel) -> bool:
-    """Whether each V-bar or multi-beam probe of ``model`` runs a
-    ``_contracting_gain`` search: an unstable matrix model the certificate
-    refuses."""
-    if model.is_scalar or not lyapunov_diverges(1.0, spectral_radius(model.A)):
-        return False
-    return _certificate_gain(model) is None
+def _bisect_levels(model: GaussMarkovModel) -> int:
+    return 1 if model.is_scalar else BISECT_LEVELS
 
 
-def _bisect_levels(model: GaussMarkovModel, searches_gains: bool) -> int:
-    """Halvings per call of a threshold's predicate: BISECT_LEVELS, or 1
-    where a speculative probe costs a whole solve of its own.
-
-    A scalar model solves each probe in closed form (``_scalar_root`` or
-    the scalar S-bar), so batching saves nothing.  A probe that
-    ``searches_gains`` runs a ``_contracting_gain`` search of its own, and a
-    divergent one can take GAIN_SEARCH_STEPS steps.  S-bar probes are
-    Lyapunov solves and batch on every matrix model.
-    """
-    return 1 if model.is_scalar or searches_gains else BISECT_LEVELS
+def _check_tol(bisect_tol: float) -> None:
+    if not 0.0 < bisect_tol < math.inf:
+        raise ParameterError(f"bisect_tol must be positive and finite, got {bisect_tol}")
 
 
 def _midpoints(lo: float, hi: float, tol: float, levels: int) -> list:
@@ -510,20 +512,20 @@ def _midpoints(lo: float, hi: float, tol: float, levels: int) -> list:
 
     Heap order: node j halves its span, and its children 2j + 1 and 2j + 2
     hold the lower and the upper half.  A node whose span is already within
-    tol is None, and so are the nodes below it.
+    tol is None, as is one whose midpoint rounds to an end of its span, and
+    so are the nodes below it.
     """
     spans = [(lo, hi)]
     mids = []
     for j in range(2**levels - 1):
         span = spans[j]
-        if span is None or not span[1] - span[0] > tol:
+        mid = None if span is None else 0.5 * (span[0] + span[1])
+        if mid is not None and span[1] - span[0] > tol and span[0] < mid < span[1]:
+            mids.append(mid)
+            spans += [(span[0], mid), (mid, span[1])]
+        else:
             mids.append(None)
             spans += [None, None]
-        else:
-            a, b = span
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            spans += [(a, mid), (mid, b)]
     return mids
 
 
@@ -536,10 +538,10 @@ def _bisect(lo: float, hi: float, tol: float, above, levels: int = 1) -> float:
     so a batched solver prices them together.  The walk then halves as a
     one-probe bisection would, reading the verdicts of the midpoints it
     visits, so the visited points and the result do not depend on
-    ``levels``, even for a predicate that is not monotone.
+    ``levels``, even for a predicate that is not monotone.  It stops once
+    [lo, hi] is within tol or its midpoint rounds to lo or hi.
     """
-    while hi - lo > tol:
-        mids = _midpoints(lo, hi, tol, levels)
+    while (mids := _midpoints(lo, hi, tol, levels))[0] is not None:
         verdicts = iter(above([mid for mid in mids if mid is not None]))
         verdict = [None if mid is None else next(verdicts) for mid in mids]
         j = 0
@@ -561,31 +563,31 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
     equals 1 - 1/rho(A)^2, and the bisection runs on that closed-form test,
     with no covariance step.  On a model the certificate refuses it can lie
     higher: 0.4263 against 1 - 1/rho(A)^2 = 0.3056 for A = diag(1.2, 1.1)
-    with C = [1, 1].  There the bisection probes the gain search of
-    ``vbar``: probes at or below 1 - 1/rho(A)^2 are divergent without a
-    search, the others are convergent exactly when a gain L with
-    rho((1 - lam) A (x) A + lam F (x) F) < 1, F = A - L C, is found, which
-    proves V-bar finite.  NumericalError when no gain is found at lam = 1.
+    with C = [1, 1].  There the bisection asks whether V-bar is finite, as
+    ``vbar_sweep`` does, and each call decides BISECT_LEVELS halvings: its
+    midpoints at or below 1 - 1/rho(A)^2 are divergent without a search,
+    and the others share one gain search, finite exactly where a gain L
+    with rho((1 - lam) A (x) A + lam F (x) F) < 1, F = A - L C, is found,
+    which proves V-bar finite.  NumericalError when V-bar diverges at
+    lam = 1; ParameterError unless bisect_tol is positive and finite.
     """
+    _check_tol(bisect_tol)
     rho = spectral_radius(model.A)
     if rho * rho < 1.0 - CRITICAL_MARGIN:
         return 0.0
     if unstable_modes_observed(model):
         # lam_c = 1 - 1/rho^2: bisect the closed-form test for the same midpoints
         return _bisect(0.0, 1.0, bisect_tol, lambda lams: [not lyapunov_diverges(1.0 - lams[0], rho)])
-
-    def converges(lams) -> list:
-        lam = lams[0]
-        if lyapunov_diverges(1.0 - lam, rho):
-            return [False]
-        return [_contracting_gain(model, lam, 1.0) is not None]
-
-    if not converges([1.0])[0]:
+    if _vbar_points(model, [1.0])[0] is None:
         raise NumericalError(
             "no gain makes the beam-switching map contract even with every "
             "measurement; model is likely not detectable"
         )
-    return _bisect(0.0, 1.0, bisect_tol, converges)
+
+    def finite(lams) -> list:
+        return [x is not None for x in _vbar_points(model, lams)]
+
+    return _bisect(0.0, 1.0, bisect_tol, finite, _bisect_levels(model))
 
 
 def _check_budget(d: float) -> None:
@@ -598,28 +600,29 @@ def lambda_s(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
 
     On every matrix model one S-bar sweep solves the endpoints lam = 0
     and 1, and each further sweep decides BISECT_LEVELS halvings of the
-    bisection;
-    scalar models probe one lam at a time.
+    bisection; scalar models probe one lam at a time.
     """
-    levels = _bisect_levels(model, False)
+    levels = _bisect_levels(model)
     return _lambda_threshold(d, lambda lams: sbar_sweep(lams, model), bisect_tol, levels)
 
 
 def lambda_v(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     """Least lam with tr(V-bar(lam)) <= d, or None when even lam=1 violates it.
 
-    The endpoints lam = 0 and 1 are solved together.  On stable and
-    certified matrix models each batched policy iteration then decides
-    BISECT_LEVELS halvings of the bisection.  Scalar models (closed-form
-    roots) and refused models (one gain search per probe) bisect one probe
-    at a time.
+    The endpoints lam = 0 and 1 are solved together.  On every matrix model
+    each further call of ``vbar_sweep``'s solver then decides BISECT_LEVELS
+    halvings of the bisection: one batched policy iteration solves all its
+    midpoints, after one gain search over all of them on a model the
+    certificate refuses.  Scalar models (closed-form roots) bisect one
+    probe at a time.
     """
-    levels = _bisect_levels(model, _searches_gains(model))
+    levels = _bisect_levels(model)
     return _lambda_threshold(d, lambda lams: _vbar_points(model, lams), bisect_tol, levels)
 
 
 def _lambda_threshold(d, solve, bisect_tol, levels):
     _check_budget(d)
+    _check_tol(bisect_tol)
 
     def feasible(lams) -> list:
         return [trace_or_inf(x) <= d for x in solve(lams)]
@@ -644,27 +647,19 @@ def gamma_max(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     (possible only for stable dynamics) and None when gamma = 1, the best
     sensing available, already violates it.  Otherwise bisects on log(gamma)
     over [0, GAMMA_LOG_RANGE].  The endpoints gamma = 1, inf and
-    e^GAMMA_LOG_RANGE are solved together, except on refused models, where
-    gamma = 1 goes first.  As in ``lambda_v``, stable and certified matrix
-    models then decide BISECT_LEVELS halvings per batched solve, and scalar
-    and refused models probe one gamma at a time.
+    e^GAMMA_LOG_RANGE are solved together.  As in ``lambda_v``, every
+    matrix model then decides BISECT_LEVELS halvings per batched solve (and
+    gain search, on refused models), and scalar models probe one gamma at a
+    time.
     """
     _check_budget(d)
-    searches = _searches_gains(model)
-    levels = _bisect_levels(model, searches)
+    _check_tol(bisect_tol)
 
     def fits(gammas) -> list:
         return [trace_or_inf(x) <= d for x in _mb_points(model, gammas)]
 
     top = math.exp(GAMMA_LOG_RANGE)
-    if searches:
-        # the search at e^GAMMA_LOG_RANGE diverges slowly near rho(A) = 1, so
-        # it waits for gamma = 1 to pass (a failing gamma_max took 0.54 s
-        # instead of 0.16 s on diag(1.001, 1.0005), C = [1, 1])
-        (at_one,) = fits([1.0])
-        open_loop, at_top = fits([math.inf, top]) if at_one else (False, False)
-    else:
-        at_one, open_loop, at_top = fits([1.0, math.inf, top])
+    at_one, open_loop, at_top = fits([1.0, math.inf, top])
     if not at_one:
         return None
     if open_loop:
@@ -677,6 +672,6 @@ def gamma_max(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
         GAMMA_LOG_RANGE,
         bisect_tol,
         lambda lgs: [not ok for ok in fits([math.exp(lg) for lg in lgs])],
-        levels,
+        _bisect_levels(model),
     )
     return math.exp(log_gamma)

@@ -16,6 +16,9 @@ on certified models, and it gives the same pins as the gain search that
 decides refused ones.  ``iterated_fixed_point`` is the classifier as a
 plain iteration helper.
 
+``contracting_gain`` is the gain search of a refused model one point at a
+time, the oracle for each member of the library's batched search.
+
 ``bisect`` is the one-probe bisection: one predicate call per halving.
 ``lambda_s``, ``lambda_v`` and ``gamma_max`` run it on the library's
 single-point solves (``sbar``, ``vbar``, ``mb_fixed_point``), each endpoint
@@ -31,7 +34,17 @@ import numpy as np
 from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 from jcas_lab.errors import NumericalError
-from jcas_lab.riccati import GAMMA_LOG_RANGE, bs_kernel, gamma_bs, mb_fixed_point, sbar, vbar
+from jcas_lab.riccati import (
+    GAIN_SEARCH_STEPS,
+    GAMMA_LOG_RANGE,
+    _corrected,
+    _solve_innovation,
+    bs_kernel,
+    gamma_bs,
+    mb_fixed_point,
+    sbar,
+    vbar,
+)
 from jcas_lab.statespace import CRITICAL_MARGIN, lyapunov_diverges, spectral_radius
 
 CONVERGED = "converged"
@@ -144,6 +157,33 @@ def critical_lambda_iterative(model, bisect_tol=1e-6, probe_tol=1e-10, probe_max
     if not converges(1.0):
         raise NumericalError("expected covariance diverges even with every measurement")
     return bisect(0.0, 1.0, bisect_tol, converges)
+
+
+def contracting_gain(model, lam: float, gamma: float):
+    """A predictor gain L whose affine map phi_{lam,gamma}(L, .) contracts, or
+    None when the search calls the point divergent, for one point.
+
+    The min_L phi_{lam,gamma}(L, .) map is iterated from Q.  Each step's
+    innovation solve gives both the step and the predictor gain L of that
+    iterate, and at steps 1, 2, 4, 8, ... L is tested:
+    rho((1 - lam) A (x) A + lam F (x) F) < 1 with F = A - L C.  The point is
+    divergent once the trace is non-finite or above TRACE_DIVERGENCE, or when
+    no gain passes within GAIN_SEARCH_STEPS steps.
+    """
+    a_kron = (1.0 - lam) * np.kron(model.A, model.A)
+    p = model.Q
+    for step in range(1, GAIN_SEARCH_STEPS + 1):
+        corr = _solve_innovation(model, p, gamma)
+        if step & (step - 1) == 0:
+            gain = corr.T
+            f = model.A - gain @ model.C
+            if np.max(np.abs(np.linalg.eigvals(a_kron + lam * np.kron(f, f)))) < 1.0:
+                return gain
+        p = _corrected(model, p, corr, lam)
+        tr = float(np.trace(p))
+        if not math.isfinite(tr) or tr > TRACE_DIVERGENCE:
+            return None
+    return None
 
 
 def bisect(lo: float, hi: float, tol: float, above) -> float:

@@ -318,6 +318,16 @@ class TestThresholds:
             with pytest.raises(ParameterError):
                 f(d, unstable_model)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_positive_finite_bisect_tol_required(self, stable_model, bench_model, tol):
+        # a tol <= 0 is never reached; the stable model's critical lambda
+        # checks it before it returns 0
+        for model in (stable_model, bench_model):
+            with pytest.raises(ParameterError):
+                critical_lambda(model, bisect_tol=tol)
+            for f in (lambda_s, lambda_v, gamma_max):
+                with pytest.raises(ParameterError):
+                    f(3.0, model, bisect_tol=tol)
 
     def test_gamma_max_open_loop_stalls_near_unit_root(self):
         # the open-loop steady state q / (1 - a^2) ~ 1e7 (rho = 1 - 1e-8) is
@@ -582,21 +592,26 @@ def kron_radius(model, lam, gain) -> float:
 
 
 def record_gain_searches(monkeypatch) -> list:
-    """(model, lam, gain) of every gain search, in call order."""
+    """Every batched gain search, in call order, as the list of its members'
+    (model, lam, gamma, gain)."""
     searches = []
-    search = riccati._contracting_gain
+    search = riccati._contracting_gains
 
-    def recorded(model, lam, gamma):
-        gain = search(model, lam, gamma)
-        searches.append((model, lam, gain))
-        return gain
+    def recorded(model, lams, gammas):
+        gains = search(model, lams, gammas)
+        searches.append([(model, lam, gamma, gain) for lam, gamma, gain in zip(lams, gammas, gains)])
+        return gains
 
-    monkeypatch.setattr(riccati, "_contracting_gain", recorded)
+    monkeypatch.setattr(riccati, "_contracting_gains", recorded)
     return searches
 
 
+def members(searches) -> list:
+    return [member for search in searches for member in search]
+
+
 def assert_gains_contract(searches):
-    for model, lam, gain in searches:
+    for model, lam, _, gain in members(searches):
         if gain is not None:
             assert kron_radius(model, lam, gain) < 1.0
 
@@ -666,15 +681,20 @@ class TestCertifiedCriticalLambda:
         if expected is None:
             with pytest.raises(NumericalError):
                 critical_lambda(model, bisect_tol=tol)
-            assert [gain for _, _, gain in searches] == [None]
+            assert [[gain for *_, gain in search] for search in searches] == [[None]]
         else:
             # the threshold lies well above 1 - 1/rho^2, so the closed form
             # would be wrong here
             assert critical_lambda(model, bisect_tol=tol) == expected
             assert expected > 1.0 - 1.0 / spectral_radius(model.A) ** 2 + 0.1
             assert_gains_contract(searches)
-            assert any(gain is not None for _, _, gain in searches)
-            assert any(gain is None for _, _, gain in searches)
+            assert any(gain is not None for *_, gain in members(searches))
+            assert any(gain is None for *_, gain in members(searches))
+            # after lam = 1 alone, each search holds the midpoints of up to
+            # BISECT_LEVELS halvings that lie above 1 - 1/rho^2
+            assert len(searches[0]) == 1
+            assert max(len(search) for search in searches) > 1
+            assert all(len(search) <= 2**riccati.BISECT_LEVELS - 1 for search in searches)
 
     def test_certificate_refusals(self):
         def refused(a, c):
@@ -696,10 +716,53 @@ class TestCertifiedCriticalLambda:
         assert not refused([[1.2, 0.0], [0.0, 1.1]], [[1.0, 1.0], [1.0, 2.0]])
 
 
+def refused_family_model(seed: int, m: int, k: int) -> GaussMarkovModel:
+    """Seeded m x m model with k outputs and more unstable modes than
+    outputs: k + 1..m real eigenvalues of modulus 1.02..1.3 and either sign,
+    the others in (-0.9, 0.9), in a random basis; Q = I and R = I."""
+    rng = np.random.default_rng([seed, m, k])
+    u = int(rng.integers(k + 1, m + 1))
+    unstable = rng.uniform(1.02, 1.3, u) * rng.choice([-1.0, 1.0], u)
+    mu = np.concatenate([unstable, rng.uniform(-0.9, 0.9, m - u)])
+    basis = rng.standard_normal((m, m))
+    return GaussMarkovModel(
+        A=basis @ np.diag(mu) @ np.linalg.inv(basis),
+        C=rng.standard_normal((k, m)),
+        Q=np.eye(m),
+        R=np.eye(k),
+    )
+
+
+#: (seed, m, k) of refused family models -> their V-bar threshold lam_V,
+#: from critical_lambda at bisect_tol 1e-3.  One model per (m, k), taken
+#: from a scan of seeds 0..23 among those whose tr V-bar(1) stays below 400
+#: and whose lam_V lies 0.06 or more above 1 - 1/rho^2.  Most seeds have
+#: V-bar traces of 1e4..1e7 near lam_V, where the iterated oracle's absolute
+#: step tolerance 1e-12 lies below its rounding noise and it cannot decide.
+REFUSED_FAMILY = {
+    (7, 3, 1): 0.622,
+    (3, 3, 2): 0.441,
+    (5, 4, 1): 0.597,
+    (13, 4, 2): 0.491,
+    (1, 5, 1): 0.261,
+    (1, 5, 2): 0.390,
+}
+
+
+def refused_family_grid(lam_v: float) -> list:
+    """0 (below 1 - 1/rho^2), a point of the band between that and lam_V
+    where the search fails, and two finite points; each lies 0.06 or more
+    from lam_V, so no search runs to GAIN_SEARCH_STEPS.  The finite one
+    below 1 sits 0.2 above lam_V, where the fixed point is conditioned well
+    enough for the iterated oracle to agree within 1e-12."""
+    return [0.0, lam_v - 0.06, lam_v + 0.2, 1.0]
+
+
 class TestRefusedSweeps:
-    """On refused models each point's gain search starts the one batched
+    """On refused models one batched gain search starts the one batched
     policy iteration: V-bar against the iterated map, the multi-beam steady
-    state against scipy's DARE, both within 1e-12."""
+    state against scipy's DARE, both within 1e-12.  Each member of the
+    search equals the per-point search bit for bit."""
 
     @pytest.mark.parametrize("a, c", REFUSED.values(), ids=REFUSED.keys())
     def test_sweeps_match_oracles(self, monkeypatch, a, c):
@@ -713,8 +776,40 @@ class TestRefusedSweeps:
         gammas = [1.0, 1.5, 10.0]
         assert_close_points(mb_sweep(gammas, model), [ref.dare(model, g) for g in gammas], rtol=1e-12)
         assert_gains_contract(searches)
-        found = sum(gain is not None for _, _, gain in searches)
+        found = sum(gain is not None for *_, gain in members(searches))
         assert found == sum(w is not None for w in want) + len(gammas)
+        # one search per sweep, over every point above 1 - 1/rho^2
+        searched = sum((1.0 - lam) * spectral_radius(model.A) ** 2 < 1.0 for lam in lams)
+        assert [len(search) for search in searches] == [searched, len(gammas)]
+
+    @pytest.mark.parametrize("seed, m, k", REFUSED_FAMILY)
+    def test_family_searches_equal_per_point_search(self, seed, m, k):
+        model = refused_family_model(seed, m, k)
+        assert not riccati.unstable_modes_observed(model)
+        lams = refused_family_grid(REFUSED_FAMILY[seed, m, k])
+        # V-bar points (gamma = 1) and multi-beam points (lam = 1) share a stack
+        lams, gammas = lams + [1.0] * 3, [1.0] * len(lams) + [1.5, 10.0, 1e3]
+        got = riccati._contracting_gains(model, lams, gammas)
+        want = [ref.contracting_gain(model, lam, gamma) for lam, gamma in zip(lams, gammas)]
+        for g, w in zip(got, want):
+            assert_same_point(g, w)
+        # lam = 0 and the band point diverge; every other point finds a gain
+        assert [w is None for w in want] == [True, True] + [False] * 5
+
+    @pytest.mark.parametrize("seed, m, k", REFUSED_FAMILY)
+    def test_family_sweeps_match_oracles(self, seed, m, k):
+        model = refused_family_model(seed, m, k)
+        lams = refused_family_grid(REFUSED_FAMILY[seed, m, k])
+        assert_close_points(vbar_sweep(lams, model), ref.vbar_points(model, lams), rtol=1e-12)
+        gammas = [1.0, 1.5, 10.0]
+        assert_close_points(mb_sweep(gammas, model), [ref.dare(model, g) for g in gammas], rtol=1e-12)
+
+    @pytest.mark.parametrize("seed, m, k", REFUSED_FAMILY)
+    def test_family_thresholds_equal_sequential_oracle(self, seed, m, k):
+        model = refused_family_model(seed, m, k)
+        d = 2.0 * trace_or_inf(vbar(1.0, model))
+        assert lambda_v(d, model, 1e-3) == ref.lambda_v(d, model, 1e-3)
+        assert gamma_max(d, model, 1e-3) == ref.gamma_max(d, model, 1e-3)
 
 
 def assert_solved_near_critical(model):
@@ -803,6 +898,24 @@ class TestBatchedBisection:
             assert len(calls) <= math.ceil(len(visits) / depth)
             assert all(len(xs) <= 2**depth - 1 for xs in calls)
 
+    @pytest.mark.parametrize("levels", (1, 3))
+    @pytest.mark.parametrize("tol", (0.0, -1.0, 1e-300))
+    def test_stops_where_midpoints_round_to_an_end(self, tol, levels):
+        # no bracket of floats around 1/3 is ever within these tols, so the
+        # bisection must stop once the midpoint rounds to lo or hi, after 54
+        # halvings in; the predicate fails the test instead of hanging it
+        calls = []
+
+        def above(xs):
+            calls.append(xs)
+            if len(calls) > 200:
+                pytest.fail("bisection did not stop")
+            return [x >= 1.0 / 3.0 for x in xs]
+
+        got = riccati._bisect(0.0, 1.0, tol, above, levels)
+        assert got in (1.0 / 3.0, np.nextafter(1.0 / 3.0, 0.0))
+        assert len(calls) == math.ceil(54 / levels)
+
     def test_midpoints_stop_at_tol(self):
         # the fourth halving of [0, 1] starts from spans of 1/8; at tol 0.2
         # the bisection stops before it, so its midpoints are not asked for
@@ -855,21 +968,22 @@ class TestBatchedProbes:
     @pytest.mark.parametrize("name", ("bench", "stable-m8-k2", "certified-m5-pairTrue"))
     def test_thresholds_equal_sequential_oracle(self, bench_model, name, tol):
         model = bench_model if name == "bench" else batch_model(name)
-        assert riccati._bisect_levels(model, riccati._searches_gains(model)) == riccati.BISECT_LEVELS
+        assert riccati._bisect_levels(model) == riccati.BISECT_LEVELS
         v1 = trace_or_inf(vbar(1.0, model))
         for d in (0.9 * v1, 1.01 * v1, 1.3 * v1, 3.0 * v1, 30.0 * v1, 1e6 * v1):
             assert lambda_s(d, model, tol) == ref.lambda_s(d, model, tol)
             assert lambda_v(d, model, tol) == ref.lambda_v(d, model, tol)
             assert gamma_max(d, model, tol) == ref.gamma_max(d, model, tol)
 
-    def test_scalar_and_refused_probe_one_at_a_time(self, unstable_model):
+    def test_only_scalar_models_probe_one_at_a_time(self, monkeypatch, unstable_model):
+        assert riccati._bisect_levels(unstable_model) == 1
+        # V-bar, multi-beam and S-bar probes of refused models batch alike
         refused = two_modes_one_output()
-        assert not riccati._searches_gains(unstable_model)
-        assert riccati._searches_gains(refused)
-        assert riccati._bisect_levels(unstable_model, False) == 1
-        assert riccati._bisect_levels(refused, True) == 1
-        # S-bar probes are Lyapunov solves, batched on refused models too
-        assert riccati._bisect_levels(refused, False) == riccati.BISECT_LEVELS
+        assert riccati._bisect_levels(refused) == riccati.BISECT_LEVELS
+        searches = record_gain_searches(monkeypatch)
+        assert lambda_v(1000.0, refused) == 0.46207666397094727
+        assert max(len(search) for search in searches) > 2
+        assert all(len(search) <= 2**riccati.BISECT_LEVELS - 1 for search in searches)
 
     @pytest.mark.parametrize("d", (100.0, 250.0, 1000.0))
     def test_refused_thresholds_equal_sequential_oracle(self, d):
@@ -879,19 +993,33 @@ class TestBatchedProbes:
         assert lambda_v(d, model) == ref.lambda_v(d, model, 1e-6)
         assert gamma_max(d, model) == ref.gamma_max(d, model, 1e-6)
 
-    def test_refused_gamma_max_searches_only_gamma_one_when_it_fails(self, monkeypatch):
+    def test_refused_gamma_max_searches_its_endpoints_once(self, monkeypatch):
+        # gamma = 1 finds a gain but fails the budget (tr V-bar(1) = 200.5),
+        # so the one search, shared with e^GAMMA_LOG_RANGE, is the last;
+        # gamma = inf is the open-loop Lyapunov solve and searches nothing
         searches = record_gain_searches(monkeypatch)
         assert gamma_max(100.0, two_modes_one_output()) is None
         assert len(searches) == 1
+        (at_one, at_top), top = searches[0], math.exp(riccati.GAMMA_LOG_RANGE)
+        assert at_one[1:3] == (1.0, 1.0) and at_one[3] is not None
+        assert at_top[1:3] == (1.0, top) and at_top[3] is None
 
     @pytest.mark.parametrize("d", (250.0, 300.0))
     def test_refused_gain_searches_unchanged(self, monkeypatch, d):
         # V-bar's trace is 200.5 at lam = 1 and 563 at lam = 0.5, so every
-        # probe lies above 0.5, clear of the capped searches below lam_V
+        # probe of the one-probe bisection lies above 0.5, clear of the
+        # capped searches below lam_V; the batched one adds 0.375 (lam_V -
+        # 0.05) to its first search
         model = two_modes_one_output()
         searches = record_gain_searches(monkeypatch)
         want = ref.lambda_v(d, model, 1e-6)
-        sequential = [lam for _, lam, _ in searches]
+        # lam = 0 lies below 1 - 1/rho^2, so its search has no member
+        assert all(len(search) <= 1 for search in searches)
+        sequential = members(searches)
         searches.clear()
         assert lambda_v(d, model, 1e-6) == want
-        assert [lam for _, lam, _ in searches] == sequential
+        batched = {lam: gain for _, lam, _, gain in members(searches)}
+        for _, lam, _, gain in sequential:
+            assert_same_point(batched[lam], gain)
+        assert [lam for lam in batched if lam < 0.5] == [0.375]
+        assert len(searches) < len(sequential)
