@@ -1,23 +1,25 @@
 """Desk-scale finite-alphabet engine for the general Markov-state model.
 
 Exact computation at small alphabet sizes: recursive predict/update
-posterior filtering with an array path-enumeration oracle, the risk-minimizing
-state estimator, and a gridded product-distribution search for the best
-rate under a distortion budget, evaluated as whole arrays.  Everything is
-in nats.
+posterior filtering with an array path-enumeration oracle, the sensing
+cost of the risk-minimizing estimator, and a gridded product-distribution
+search for the best rate under a distortion budget, as whole arrays.
+Everything is in nats.
 
 One belief recursion serves the engine: ``forward_messages`` is the scaled
 forward pass (Rabiner 1989) over every (input, measurement) prefix of a
 set of input levels, carrying each prefix's normalized belief and its
-weight P(z^j | x^j).  ``sensing_cost`` reads it along one input sequence,
-and the CLI's posterior table along every input sequence at once.
+weight P(z^j | x^j).  ``sequence_costs`` reduces one pass to every input
+sequence's sensing cost for ``sensing_cost``, the rate search and the
+CLI's cost table; the CLI's posterior table reads the beliefs.
 
 A belief is validated once, by the public ``Belief(...)`` constructor; the
 beliefs that ``belief_predict``, ``belief_update`` and
 ``bruteforce_posterior`` return are products of validated tables and a
-validated belief and skip the checks.  I(X; Y | S) is one array evaluation
-over a stack of input laws (``information_table``), shared by the rate
-search and ``capacity_objective``.
+validated belief and skip the checks; symbols are checked where they index
+a table (``_symbol``).  I(X; Y | S) is one array evaluation over a stack of
+input laws (``information_table``), shared by the rate search and
+``capacity_objective``.
 
 Alphabets are index sets 0..size-1.  The channel is a joint conditional
 table P(y, z | x, s); the state evolves by a row-stochastic kernel
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,6 +172,17 @@ class Belief:
         return belief
 
 
+def _symbol(value, size: int, what: str) -> int:
+    """``value`` as an index of the alphabet, never wrapped or truncated."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} symbol {value!r} is not an integer") from None
+    if not 0 <= index < size:
+        raise ParameterError(f"{what} symbol {value} outside alphabet of size {size}")
+    return index
+
+
 def belief_predict(belief: Belief, model: DiscreteJcasModel) -> Belief:
     """Push the belief through the state kernel: b'(s') = sum_s P(s'|s) b(s)."""
     return Belief._derived(belief.probabilities @ model.markov, belief.time_index + 1)
@@ -180,6 +194,7 @@ def belief_update(belief: Belief, x: int, z: int, model: DiscreteJcasModel) -> B
     Zero-probability evidence raises EvidenceError rather than silently
     renormalizing; it signals a model/trace mismatch.
     """
+    x, z = _symbol(x, model.nx, "input"), _symbol(z, model.nz, "measurement")
     like = model.z_likelihood()[x, :, z]
     post = like * belief.probabilities
     total = float(post.sum())
@@ -188,16 +203,6 @@ def belief_update(belief: Belief, x: int, z: int, model: DiscreteJcasModel) -> B
             f"measurement z={z} has zero probability under input x={x}"
         )
     return Belief._derived(post / total, belief.time_index)
-
-
-def optimal_estimate(belief: Belief, model: DiscreteJcasModel):
-    """Risk-minimizing estimate under the belief; ties break to the smallest index.
-
-    Returns (estimate_index, expected_per_letter_distortion).
-    """
-    costs = belief.probabilities @ model.distortion
-    idx = int(np.argmin(costs))
-    return idx, float(costs[idx])
 
 
 def bruteforce_posterior(x_seq, z_seq, model: DiscreteJcasModel) -> Belief:
@@ -210,7 +215,9 @@ def bruteforce_posterior(x_seq, z_seq, model: DiscreteJcasModel) -> Belief:
     and a sequential cumsum adds them by final state in itertools.product
     order.  Empty sequences return the initial distribution.
     """
-    x_seq, z_seq = list(x_seq), list(z_seq)
+    nx, nz = model.nx, model.nz
+    x_seq = [_symbol(x, nx, "input") for x in x_seq]
+    z_seq = [_symbol(z, nz, "measurement") for z in z_seq]
     if len(x_seq) != len(z_seq):
         raise ParameterError("x and z sequences must have equal length")
     steps = len(x_seq)
@@ -242,45 +249,63 @@ def forward_messages(levels, model: DiscreteJcasModel):
     of the steps' evidence (Rabiner's scale factors); a pair of zero
     evidence has weight 0 and a zero belief.
     """
-    pz = model.z_likelihood()
+    like = model.z_likelihood().transpose(0, 2, 1)[:, np.newaxis]  # (x, 1, z, s)
     belief, weight = model.initial[np.newaxis, :], np.ones(1)
     yield belief, weight
     for j, level in enumerate(levels):
-        like = pz[list(level)].transpose(0, 2, 1)[:, np.newaxis]  # (x_j, 1, z_j, s)
         pred = (belief @ model.markov).reshape(-1, 1, model.nz ** j, 1, model.ns)
-        post = pred * like  # axes (x^(j-1), x_j, z^(j-1), z_j, s)
-        evidence = post.sum(axis=-1)
+        post = pred * like[list(level)]  # axes (x^(j-1), x_j, z^(j-1), z_j, s)
+        evidence = np.add.reduce(post, axis=-1)
         weight = (weight.reshape(pred.shape[:-1]) * evidence).reshape(-1)
         belief = (post / np.where(evidence > 0.0, evidence, 1.0)[..., np.newaxis]).reshape(-1, model.ns)
         yield belief, weight
 
 
+def sequence_costs(levels, model: DiscreteJcasModel) -> np.ndarray:
+    """Sensing cost of every input sequence over ``levels`` (as for
+    ``forward_messages``), in itertools.product order, from one pass: the
+    mean of a sequence's n + 1 prefix terms, added in index order, where an
+    x^j prefix's term sums P(z^j | x^j) min_shat sum_s b(s) d(s, shat) over
+    z^j.  A pass that would end with more than ``MAX_CHANNEL_ENTRIES``
+    (sequence, z^n, s) entries is refused.
+    """
+    levels = [[_symbol(x, model.nx, "input") for x in level] for level in levels]
+    n, nz = len(levels), model.nz
+    shape = [len(level) for level in levels]
+    entries = math.prod(shape) * nz ** n * model.ns
+    if entries > MAX_CHANNEL_ENTRIES:
+        raise EnumerationLimitError(
+            f"sensing-cost table would hold {entries} forward-pass entries "
+            f"(limit {MAX_CHANNEL_ENTRIES})"
+        )
+    # total[r] sums the terms of the x^j prefix r; each step repeats it for
+    # every symbol of the next level
+    total = np.zeros(1)
+    passes = zip([1] + shape, forward_messages(levels, model))
+    for j, (count, (belief, weight)) in enumerate(passes):
+        least = np.minimum.reduce(belief @ model.distortion, axis=1)
+        # one dot per x^j prefix, rounding as a 1-D dot over its z^j row
+        terms = np.matmul(weight.reshape(-1, 1, nz ** j), least.reshape(-1, nz ** j, 1))
+        total = total.repeat(count) + terms.reshape(-1)
+    return total / (n + 1)
+
+
 def sensing_cost(x_seq, model: DiscreteJcasModel) -> float:
     """Expected block distortion of the recursive estimator given the inputs.
 
-    Exact, by one forward pass over measurement prefixes: at each index j
-    the prefixes' probabilities P(z^j | x^j) weigh the least expected
-    distortion of their beliefs, min_shat sum_s b(s) d(s, shat), and the
-    n+1 per-letter terms (index 0, estimated from the prior alone,
-    included) are averaged.  Costs O(|Z|^n n |S|^2); the
-    ``MAX_COST_PATHS`` guard still bounds |S|^(n+1) |Z|^n, the size of the
-    path enumeration it replaces.
+    Exact, from ``sequence_costs`` along the one sequence.  Costs
+    O(|Z|^n n |S|^2); the ``MAX_COST_PATHS`` guard still bounds
+    |S|^(n+1) |Z|^n, the size of the path enumeration it replaces.
     """
-    x_seq = [int(x) for x in x_seq]
+    x_seq = list(x_seq)
     n = len(x_seq)
-    for x in x_seq:
-        if not (0 <= x < model.nx):
-            raise ParameterError(f"input symbol {x} outside alphabet of size {model.nx}")
     n_paths = model.ns ** (n + 1) * model.nz ** n
     if n_paths > MAX_COST_PATHS:
         raise EnumerationLimitError(
             f"sensing cost enumeration would visit {n_paths} paths "
             f"(limit {MAX_COST_PATHS})"
         )
-    total = 0.0
-    for belief, weight in forward_messages([[x] for x in x_seq], model):
-        total += float(weight @ np.min(belief @ model.distortion, axis=1))
-    return total / (n + 1)
+    return float(sequence_costs([[x] for x in x_seq], model)[0])
 
 
 def state_marginals(model: DiscreteJcasModel, n: int) -> np.ndarray:
@@ -432,11 +457,9 @@ def bruteforce_open_loop_tradeoff(
     if np.isnan(distortion_budget):
         raise ParameterError(f"distortion budget must be a number, got {distortion_budget}")
     check_grid_search(model, n, grid_resolution)
+    costs = sequence_costs([range(model.nx)] * n, model)
     grid = simplex_grid(model.nx, grid_resolution)
     n_points = grid.shape[0]
-
-    x_seqs = list(itertools.product(range(model.nx), repeat=n))
-    costs = np.array([sensing_cost(xs, model) for xs in x_seqs])
 
     # expected cost of every grid combination; contracting x_0 first, axis i
     # of the result indexes the grid point of step i
@@ -445,7 +468,7 @@ def bruteforce_open_loop_tradeoff(
         expected = np.tensordot(expected, grid, axes=(0, 1))
     infeasible = expected > distortion_budget + 1e-12
     n_feasible = expected.size - int(np.count_nonzero(infeasible))
-    per_seq = {xs: float(c) for xs, c in zip(x_seqs, costs)}
+    per_seq = dict(zip(itertools.product(range(model.nx), repeat=n), costs.tolist()))
     if n_feasible == 0:
         return TradeoffResult(
             False, None, None, distortion_budget, n, grid_resolution, 0, per_seq

@@ -34,7 +34,7 @@ from .bayes import (
     check_grid_search,
     forward_messages,
     load_discrete_model,
-    sensing_cost,
+    sequence_costs,
 )
 from .errors import EvidenceError, NumericalError, SchemaError
 from .filtering import PRECISION_DIGITS, run_filter
@@ -558,8 +558,8 @@ def cmd_bayes(args) -> int:
         for d in expect("bayes.budgets", bayes_cfg.get("budgets", []), "list")
     ]
     trace_len = integer("bayes.trace_len", bayes_cfg.get("trace_len", 2), 0, MAX_STEPS_EXACT)
-    # the posterior table, and the cost table's passes together, hold
-    # (|X| |Z|)^steps |S| entries; refused before any of them is computed
+    # the posterior table's pass and the cost table's pass each end with
+    # (|X| |Z|)^steps |S| entries; refused before either is computed
     for key, steps in (("bayes.trace_len", trace_len), ("bayes.n", n)):
         entries = (model.nx * model.nz) ** steps * model.ns
         if entries > MAX_CHANNEL_ENTRIES:
@@ -597,10 +597,10 @@ def cmd_bayes(args) -> int:
             )
     write_lines(out / "bayes_posteriors.csv", gap_lines)
 
-    cost_lines = [f"# {head}", "x_seq,cost"]
-    for x_seq in itertools.product(range(model.nx), repeat=n):
-        cost_lines.append(f"{''.join(map(str, x_seq))},{sensing_cost(x_seq, model)!r}")
-    write_lines(out / "bayes_costs.csv", cost_lines)
+    costs = sequence_costs([range(model.nx)] * n, model).tolist()
+    x_seqs = itertools.product(range(model.nx), repeat=n)
+    cost_lines = [f"{''.join(map(str, xs))},{c!r}" for xs, c in zip(x_seqs, costs, strict=True)]
+    write_lines(out / "bayes_costs.csv", [f"# {head}", "x_seq,cost", *cost_lines])
 
     any_feasible = not budgets
     trade_lines = [f"# {head}", "D,feasible,rate_nats,input_distributions"]

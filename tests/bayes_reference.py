@@ -10,6 +10,11 @@ runs the recursive estimator along each measurement path, and
 ``evidence`` sums P(z^n | x^n) one state path at a time and
 ``posterior_along`` runs the per-trace predict/update filter that the
 CLI's posterior table used before the all-input forward pass.
+``forward_cost`` is the one-sequence-at-a-time reduction of the forward
+pass that ``jcas_lab.bayes.sequence_costs`` replaced; ``sensing_cost``
+must equal it bit for bit.  ``optimal_estimate`` is the risk-minimizing
+estimate of one belief, which the path enumeration runs along each
+measurement path.
 ``conditional_information`` scores one input law at a time, the per-point
 evaluation that ``jcas_lab.bayes.information_table`` replaced.  Tests
 compare the forward recursion and the array search with them: costs to a
@@ -32,7 +37,7 @@ from jcas_lab.bayes import (
     TradeoffResult,
     belief_predict,
     belief_update,
-    optimal_estimate,
+    forward_messages,
     simplex_grid,
     state_marginals,
 )
@@ -94,6 +99,16 @@ def posterior_along(x_seq, z_seq, model):
         except EvidenceError:
             return None
     return belief.probabilities
+
+
+def optimal_estimate(belief: Belief, model):
+    """Risk-minimizing estimate under the belief; ties break to the smallest index.
+
+    Returns (estimate_index, expected_per_letter_distortion).
+    """
+    costs = belief.probabilities @ model.distortion
+    idx = int(np.argmin(costs))
+    return idx, float(costs[idx])
 
 
 def estimates_along(x_seq, z_path, model):
@@ -160,6 +175,26 @@ def sensing_cost(x_seq, model) -> float:
                 block += model.distortion[s_path[j], ests[j]]
             total += w * block / (n + 1)
     return float(total)
+
+
+def forward_cost(x_seq, model) -> float:
+    """Expected block distortion from one forward pass along the one input
+    sequence, its n + 1 per-letter terms added as Python floats."""
+    x_seq = [int(x) for x in x_seq]
+    n = len(x_seq)
+    for x in x_seq:
+        if not (0 <= x < model.nx):
+            raise ParameterError(f"input symbol {x} outside alphabet of size {model.nx}")
+    n_paths = model.ns ** (n + 1) * model.nz ** n
+    if n_paths > MAX_COST_PATHS:
+        raise EnumerationLimitError(
+            f"sensing cost enumeration would visit {n_paths} paths "
+            f"(limit {MAX_COST_PATHS})"
+        )
+    total = 0.0
+    for belief, weight in forward_messages([[x] for x in x_seq], model):
+        total += float(weight @ np.min(belief @ model.distortion, axis=1))
+    return total / (n + 1)
 
 
 def mutual_information(px: np.ndarray, py_given_x: np.ndarray) -> float:

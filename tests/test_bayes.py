@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from jcas_lab import bayes
 from jcas_lab.bayes import (
+    MAX_COST_PATHS,
     Belief,
     DiscreteJcasModel,
     _average_over_states,
@@ -22,8 +23,8 @@ from jcas_lab.bayes import (
     forward_messages,
     information_table,
     load_discrete_model,
-    optimal_estimate,
     sensing_cost,
+    sequence_costs,
     simplex_grid,
     state_marginals,
 )
@@ -135,26 +136,28 @@ class TestDerivedBeliefs:
 
 
 class TestOptimalEstimate:
+    """The risk-minimizing estimate that the path enumeration runs."""
+
     def test_hamming_picks_mode(self, toy):
-        idx, cost = optimal_estimate(Belief(np.array([0.2, 0.8])), toy)
+        idx, cost = ref.optimal_estimate(Belief(np.array([0.2, 0.8])), toy)
         assert idx == 1
         assert cost == pytest.approx(0.2, abs=1e-15)
 
     def test_point_mass(self, toy):
-        idx, cost = optimal_estimate(Belief(np.array([0.0, 1.0])), toy)
+        idx, cost = ref.optimal_estimate(Belief(np.array([0.0, 1.0])), toy)
         assert idx == 1 and cost == 0.0
 
     def test_asymmetric_cost_oracle(self):
         model = uniform_channel_model(
             np.eye(2), np.array([0.5, 0.5]), np.array([[0.0, 1.0], [4.0, 0.0]])
         )
-        idx, cost = optimal_estimate(Belief(np.array([0.6, 0.4])), model)
+        idx, cost = ref.optimal_estimate(Belief(np.array([0.6, 0.4])), model)
         assert idx == 1  # 0.6 beats 1.6
         assert cost == pytest.approx(0.6, abs=1e-15)
 
     def test_tie_breaks_to_smallest_index(self):
         model = uniform_channel_model(np.eye(2), np.array([0.5, 0.5]), HAMMING)
-        idx, _ = optimal_estimate(Belief(np.array([0.5, 0.5])), model)
+        idx, _ = ref.optimal_estimate(Belief(np.array([0.5, 0.5])), model)
         assert idx == 0
 
     def test_never_beaten_by_fixed_alternative(self):
@@ -163,7 +166,7 @@ class TestOptimalEstimate:
             model = random_discrete_model(rng)
             b = rng.random(model.ns) + 0.01
             belief = Belief(b / b.sum())
-            idx, cost = optimal_estimate(belief, model)
+            idx, cost = ref.optimal_estimate(belief, model)
             for alt in range(model.n_estimates):
                 assert cost <= belief.probabilities @ model.distortion[:, alt] + 1e-15
 
@@ -204,6 +207,48 @@ class TestBruteforcePosterior:
             bruteforce_posterior([0], [0], model)
         with pytest.raises(EnumerationLimitError):
             bruteforce_posterior([0] * 9, [0] * 9, random_discrete_model(np.random.default_rng(0)))
+
+
+BAD_INPUTS = [
+    (0.9, "input symbol 0.9 is not an integer"),
+    (-1, "input symbol -1 outside alphabet of size 2"),
+    (5, "input symbol 5 outside alphabet of size 2"),
+]
+BAD_MEASUREMENTS = [
+    (1.0, "measurement symbol 1.0 is not an integer"),
+    (-1, "measurement symbol -1 outside alphabet of size 2"),
+    (5, "measurement symbol 5 outside alphabet of size 2"),
+]
+SYMBOL_CALLS = {
+    "sensing_cost": lambda toy, x, z: sensing_cost([x], toy),
+    "sequence_costs": lambda toy, x, z: sequence_costs([[0, x]], toy),
+    "bruteforce_posterior": lambda toy, x, z: bruteforce_posterior([x], [z], toy),
+    "belief_update": lambda toy, x, z: belief_update(Belief(toy.initial), x, z, toy),
+}
+SYMBOL_CASES = [
+    (call, x, 0, message) for call in sorted(SYMBOL_CALLS) for x, message in BAD_INPUTS
+] + [
+    (call, 0, z, message)
+    for call in ("bruteforce_posterior", "belief_update")
+    for z, message in BAD_MEASUREMENTS
+]
+
+
+class TestSymbols:
+    """A symbol that is not an index of its alphabet is refused and named,
+    never truncated (0.9 read as 0), wrapped (-1 read as the last symbol)
+    or left to a bare IndexError."""
+
+    @pytest.mark.parametrize("call, x, z, message", SYMBOL_CASES)
+    def test_refused_and_named(self, toy, call, x, z, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            SYMBOL_CALLS[call](toy, x, z)
+
+    def test_numpy_integers_accepted(self, toy):
+        symbols = np.array([0, 1])
+        assert sensing_cost(symbols, toy) == sensing_cost([0, 1], toy)
+        got = bruteforce_posterior(symbols, symbols[::-1], toy).probabilities
+        assert np.array_equal(got, bruteforce_posterior([0, 1], [1, 0], toy).probabilities)
 
 
 def sense_or_talk_model(seed: int, nx=3, ns=3, nz=3, ny=2):
@@ -513,6 +558,92 @@ class TestForwardRecursion:
         assert sensing_cost([0] * 5, model) == pytest.approx(2.0 / 3.0, abs=1e-15)
         with pytest.raises(EnumerationLimitError, match=r"would visit 1594323 paths \(limit 200000\)"):
             sensing_cost([0] * 6, model)
+
+
+class TestSequenceCosts:
+    """The one-pass cost table against the per-sequence reduction it replaced."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sparse=st.booleans(),
+        n=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_sequence_equals_forward_cost(self, seed, sparse, n):
+        rng = np.random.default_rng(seed)
+        model = (sparse_discrete_model if sparse else random_discrete_model)(rng)
+        xs = rng.integers(0, model.nx, n).tolist()
+        if model.ns ** (n + 1) * model.nz ** n > MAX_COST_PATHS:
+            with pytest.raises(EnumerationLimitError):
+                sensing_cost(xs, model)
+            return
+        assert sensing_cost(xs, model) == ref.forward_cost(xs, model)
+
+    def test_toy_rows_equal_sensing_cost(self, toy):
+        for n in range(7):
+            x_seqs = itertools.product(range(toy.nx), repeat=n)
+            table = sequence_costs([range(toy.nx)] * n, toy).tolist()
+            assert table == [sensing_cost(xs, toy) for xs in x_seqs]
+
+    def test_rows_equal_sensing_cost_on_random_models(self):
+        # taller stacks in the forward pass may round the predicted belief
+        # differently, so a row may differ from the one-sequence cost in
+        # its last bits
+        rng = np.random.default_rng(46)
+        for case in range(60):
+            make = (random_discrete_model, sparse_discrete_model)[case % 2]
+            model = make(rng, max_size=5)
+            n = int(rng.integers(0, 4))
+            levels = [
+                sorted(rng.choice(model.nx, int(rng.integers(1, model.nx + 1)), replace=False))
+                for _ in range(n)
+            ]
+            if math.prod(map(len, levels)) * model.nz ** n * model.ns > bayes.MAX_CHANNEL_ENTRIES:
+                continue
+            table = sequence_costs(levels, model)
+            x_seqs = list(itertools.product(*levels))
+            assert table.shape == (len(x_seqs),)
+            for xs, got in zip(x_seqs, table):
+                want = sensing_cost(xs, model)
+                assert abs(got - want) <= 1e-15 * abs(want), (case, xs)
+
+    def test_wide_alphabet_refused_before_the_pass(self, monkeypatch):
+        # |X|^3 |Z|^3 |S| = 50^3 4^3 3 = 24 000 000 entries; the grid has only
+        # 50^3 combinations at resolution 1, within MAX_GRID_COMBOS
+        def refuse(*args, **kwargs):
+            raise AssertionError("the forward pass was reached")
+
+        monkeypatch.setattr(bayes, "forward_messages", refuse)
+        monkeypatch.setattr(bayes, "simplex_grid", refuse)
+        channel = np.full((50, 3, 2, 4), 1.0 / 8.0)
+        model = DiscreteJcasModel(
+            channel=channel, markov=np.full((3, 3), 1.0 / 3.0), initial=np.full(3, 1.0 / 3.0),
+            distortion=1.0 - np.eye(3),
+        )
+        with pytest.raises(EnumerationLimitError, match=r"hold 24000000 forward-pass entries"):
+            bruteforce_open_loop_tradeoff(model, 0.5, 3, 1.0)
+        with pytest.raises(EnumerationLimitError, match=r"hold 24000000 "):
+            sequence_costs([range(50)] * 3, model)
+
+    def test_search_reads_the_table(self, toy, monkeypatch):
+        rng = np.random.default_rng(47)
+        for model in (toy, random_discrete_model(rng), sparse_discrete_model(rng)):
+            for n in (1, 2, 3):
+                table = sequence_costs([range(model.nx)] * n, model).tolist()
+                res = bruteforce_open_loop_tradeoff(model, 0.4, n, 0.5)
+                assert list(res.per_sequence_costs) == list(
+                    itertools.product(range(model.nx), repeat=n)
+                )
+                assert list(res.per_sequence_costs.values()) == table
+        # one pass per search, and no per-sequence cost
+        calls = []
+        monkeypatch.setattr(bayes, "sensing_cost", lambda *a: calls.append("sensing_cost"))
+        original = bayes.forward_messages
+        monkeypatch.setattr(
+            bayes, "forward_messages", lambda *a: calls.append("pass") or original(*a)
+        )
+        bruteforce_open_loop_tradeoff(toy, 0.4, 3, 0.5)
+        assert calls == ["pass"]
 
 
 class TestCapacityObjective:
