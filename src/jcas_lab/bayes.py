@@ -6,12 +6,12 @@ cost of the risk-minimizing estimator, and a gridded product-distribution
 search for the best rate under a distortion budget, as whole arrays.
 Everything is in nats.
 
-One belief recursion serves the engine: ``forward_messages`` is the scaled
+One belief recursion serves the engine: ``forward_messages``, the scaled
 forward pass (Rabiner 1989) over every (input, measurement) prefix of a
-set of input levels, carrying each prefix's normalized belief and its
-weight P(z^j | x^j).  ``sequence_costs`` reduces one pass to every input
-sequence's sensing cost for ``sensing_cost``, the rate search and the
-CLI's cost table; the CLI's posterior table reads the beliefs.
+set of input levels, carries each prefix's belief and weight P(z^j | x^j),
+and alone bounds the pass (``MAX_CHANNEL_ENTRIES`` entries).  Every cost
+(``sequence_costs``: ``sensing_cost``, the rate search, the CLI's cost
+table) and the CLI's posterior table read a pass.
 
 A belief is validated once, by the public ``Belief(...)`` constructor; the
 beliefs that ``belief_predict``, ``belief_update`` and
@@ -47,11 +47,10 @@ PROB_TOL = 1e-12
 #: enumeration guards (documented desk-scale bounds)
 MAX_STATES_EXACT = 5
 MAX_STEPS_EXACT = 8
-MAX_COST_PATHS = 200_000
 MAX_GRID_COMBOS = 5_000_000
-#: largest channel table P(y, z | x, s) a model file may declare: the exact
-#: posterior's state bound times the path bound (10^6 entries, 8 MB)
-MAX_CHANNEL_ENTRIES = MAX_STATES_EXACT * MAX_COST_PATHS
+#: largest table (8 MB of floats): a model file's channel and |S| x |S|
+#: tables, and the final (x^n, z^n, s) entries of one forward pass
+MAX_CHANNEL_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,8 @@ class DiscreteJcasModel:
             raise SchemaError(f"markov kernel must be {ns}x{ns}, got {markov.shape}")
         if initial.shape != (ns,):
             raise SchemaError(f"initial distribution must have {ns} entries")
-        if distortion.ndim != 2 or distortion.shape[0] != ns:
-            raise SchemaError(f"distortion table must have {ns} rows, got {distortion.shape}")
+        if distortion.ndim != 2 or distortion.shape[0] != ns or distortion.shape[1] == 0:
+            raise SchemaError(f"distortion table must be {ns} x (k >= 1), got {distortion.shape}")
         for name, arr in (("channel", channel), ("markov", markov), ("initial", initial)):
             if not np.all(np.isfinite(arr)):
                 raise SchemaError(f"{name} entries must be finite")
@@ -205,6 +204,14 @@ def belief_update(belief: Belief, x: int, z: int, model: DiscreteJcasModel) -> B
     return Belief._derived(post / total, belief.time_index)
 
 
+def check_posterior_enumeration(model: DiscreteJcasModel, steps: int) -> None:
+    """Refuse ``bruteforce_posterior`` over ``steps`` > 0 steps before any work."""
+    if steps and (model.ns > MAX_STATES_EXACT or steps > MAX_STEPS_EXACT):
+        raise EnumerationLimitError(
+            f"exact enumeration limited to |S| <= {MAX_STATES_EXACT}, steps <= {MAX_STEPS_EXACT}"
+        )
+
+
 def bruteforce_posterior(x_seq, z_seq, model: DiscreteJcasModel) -> Belief:
     """Exact posterior over the current state by full path enumeration.
 
@@ -221,11 +228,7 @@ def bruteforce_posterior(x_seq, z_seq, model: DiscreteJcasModel) -> Belief:
     if len(x_seq) != len(z_seq):
         raise ParameterError("x and z sequences must have equal length")
     steps = len(x_seq)
-    if model.ns > MAX_STATES_EXACT or steps > MAX_STEPS_EXACT:
-        raise EnumerationLimitError(
-            f"exact enumeration limited to |S| <= {MAX_STATES_EXACT}, "
-            f"steps <= {MAX_STEPS_EXACT}"
-        )
+    check_posterior_enumeration(model, steps)
     if steps == 0:
         return Belief._derived(model.initial.copy(), 0)
     pz = model.z_likelihood()
@@ -247,14 +250,25 @@ def forward_messages(levels, model: DiscreteJcasModel):
     itertools.product order, x^j major.  belief[r] is the filter's
     posterior P(s_j | x^j, z^j) and weight[r] = P(z^j | x^j), the product
     of the steps' evidence (Rabiner's scale factors); a pair of zero
-    evidence has weight 0 and a zero belief.
+    evidence has weight 0 and a zero belief.  A pass ending with more than
+    ``MAX_CHANNEL_ENTRIES`` (x^n, z^n, s) entries is refused on the call.
     """
+    levels = [[_symbol(x, model.nx, "input") for x in level] for level in levels]
+    entries = math.prod(map(len, levels)) * model.nz ** len(levels) * model.ns
+    if entries > MAX_CHANNEL_ENTRIES:
+        raise EnumerationLimitError(
+            f"forward pass would end with {entries} entries (limit {MAX_CHANNEL_ENTRIES})"
+        )
+    return _forward_pass(levels, model)
+
+
+def _forward_pass(levels, model: DiscreteJcasModel):
     like = model.z_likelihood().transpose(0, 2, 1)[:, np.newaxis]  # (x, 1, z, s)
     belief, weight = model.initial[np.newaxis, :], np.ones(1)
     yield belief, weight
     for j, level in enumerate(levels):
         pred = (belief @ model.markov).reshape(-1, 1, model.nz ** j, 1, model.ns)
-        post = pred * like[list(level)]  # axes (x^(j-1), x_j, z^(j-1), z_j, s)
+        post = pred * like[level]  # axes (x^(j-1), x_j, z^(j-1), z_j, s)
         evidence = np.add.reduce(post, axis=-1)
         weight = (weight.reshape(pred.shape[:-1]) * evidence).reshape(-1)
         belief = (post / np.where(evidence > 0.0, evidence, 1.0)[..., np.newaxis]).reshape(-1, model.ns)
@@ -263,25 +277,17 @@ def forward_messages(levels, model: DiscreteJcasModel):
 
 def sequence_costs(levels, model: DiscreteJcasModel) -> np.ndarray:
     """Sensing cost of every input sequence over ``levels`` (as for
-    ``forward_messages``), in itertools.product order, from one pass: the
-    mean of a sequence's n + 1 prefix terms, added in index order, where an
-    x^j prefix's term sums P(z^j | x^j) min_shat sum_s b(s) d(s, shat) over
-    z^j.  A pass that would end with more than ``MAX_CHANNEL_ENTRIES``
-    (sequence, z^n, s) entries is refused.
+    ``forward_messages``, whose bound it shares), in itertools.product
+    order, from one pass: the mean of a sequence's n + 1 prefix terms,
+    added in index order, where an x^j prefix's term sums
+    P(z^j | x^j) min_shat sum_s b(s) d(s, shat) over z^j.
     """
-    levels = [[_symbol(x, model.nx, "input") for x in level] for level in levels]
+    levels = [list(level) for level in levels]
     n, nz = len(levels), model.nz
-    shape = [len(level) for level in levels]
-    entries = math.prod(shape) * nz ** n * model.ns
-    if entries > MAX_CHANNEL_ENTRIES:
-        raise EnumerationLimitError(
-            f"sensing-cost table would hold {entries} forward-pass entries "
-            f"(limit {MAX_CHANNEL_ENTRIES})"
-        )
     # total[r] sums the terms of the x^j prefix r; each step repeats it for
     # every symbol of the next level
     total = np.zeros(1)
-    passes = zip([1] + shape, forward_messages(levels, model))
+    passes = zip([1] + [len(level) for level in levels], forward_messages(levels, model))
     for j, (count, (belief, weight)) in enumerate(passes):
         least = np.minimum.reduce(belief @ model.distortion, axis=1)
         # one dot per x^j prefix, rounding as a 1-D dot over its z^j row
@@ -293,18 +299,10 @@ def sequence_costs(levels, model: DiscreteJcasModel) -> np.ndarray:
 def sensing_cost(x_seq, model: DiscreteJcasModel) -> float:
     """Expected block distortion of the recursive estimator given the inputs.
 
-    Exact, from ``sequence_costs`` along the one sequence.  Costs
-    O(|Z|^n n |S|^2); the ``MAX_COST_PATHS`` guard still bounds
-    |S|^(n+1) |Z|^n, the size of the path enumeration it replaces.
+    Exact, from ``sequence_costs`` along the one sequence: O(|Z|^n n |S|^2)
+    work, refused when the pass would end with more than
+    ``MAX_CHANNEL_ENTRIES`` (z^n, s) entries.
     """
-    x_seq = list(x_seq)
-    n = len(x_seq)
-    n_paths = model.ns ** (n + 1) * model.nz ** n
-    if n_paths > MAX_COST_PATHS:
-        raise EnumerationLimitError(
-            f"sensing cost enumeration would visit {n_paths} paths "
-            f"(limit {MAX_COST_PATHS})"
-        )
     return float(sequence_costs([[x] for x in x_seq], model)[0])
 
 
@@ -550,13 +548,15 @@ def load_discrete_model(path) -> DiscreteJcasModel:
             raise SchemaError(f"[alphabets] must define a positive size for {name}")
     nx, ns, nz, ny = sizes["X"], sizes["S"], sizes["Z"], sizes["Y"]
     # checked before any table is allocated; the line named is the largest size's
-    for names, count, limit, what in (
-        ("SZ", ns * ns * nz, MAX_COST_PATHS, "|S|^2 |Z| paths of a one-step sensing cost"),
-        ("XSZY", nx * ns * nz * ny, MAX_CHANNEL_ENTRIES, "channel table entries"),
+    for names, count, what in (
+        ("S", ns * ns, "|S| x |S| table entries"),
+        ("XSZY", nx * ns * nz * ny, "channel table entries"),
     ):
-        if count > limit:
+        if count > MAX_CHANNEL_ENTRIES:
             lineno = where[max(names, key=sizes.get)]
-            raise SchemaError(f"line {lineno}: alphabet sizes give {count} {what}, above {limit}")
+            raise SchemaError(
+                f"line {lineno}: alphabet sizes give {count} {what}, above {MAX_CHANNEL_ENTRIES}"
+            )
 
     def parse_index(lineno, text, what):
         try:

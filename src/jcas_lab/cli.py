@@ -27,16 +27,16 @@ import numpy as np
 
 from . import __version__
 from .bayes import (
-    MAX_CHANNEL_ENTRIES,
     MAX_STEPS_EXACT,
     bruteforce_open_loop_tradeoff,
     bruteforce_posterior,
     check_grid_search,
+    check_posterior_enumeration,
     forward_messages,
     load_discrete_model,
     sequence_costs,
 )
-from .errors import EvidenceError, NumericalError, SchemaError
+from .errors import EnumerationLimitError, EvidenceError, NumericalError, SchemaError
 from .filtering import PRECISION_DIGITS, run_filter
 from .montecarlo import expected_covariance_mc
 from .riccati import (
@@ -558,25 +558,25 @@ def cmd_bayes(args) -> int:
         for d in expect("bayes.budgets", bayes_cfg.get("budgets", []), "list")
     ]
     trace_len = integer("bayes.trace_len", bayes_cfg.get("trace_len", 2), 0, MAX_STEPS_EXACT)
-    # the posterior table's pass and the cost table's pass each end with
-    # (|X| |Z|)^steps |S| entries; refused before either is computed
-    for key, steps in (("bayes.trace_len", trace_len), ("bayes.n", n)):
-        entries = (model.nx * model.nz) ** steps * model.ns
-        if entries > MAX_CHANNEL_ENTRIES:
-            raise SchemaError(
-                f"config key '{key}' = {steps} gives {entries} forward-pass entries "
-                f"(|X| |Z|)^{steps} |S|, above {MAX_CHANNEL_ENTRIES}"
-            )
     if budgets:
-        # the tradeoff search's limits, checked before any table is written
+        # the tradeoff search's limits, checked before any table is computed
         check_grid_search(model, n, resolution)
+    # the posterior and cost tables' own library bounds, checked before any
+    # file is written; a refusal names the config key that set the size
+    try:
+        key, steps = "bayes.trace_len", trace_len
+        passes = forward_messages([range(model.nx)] * trace_len, model)
+        check_posterior_enumeration(model, trace_len)
+        key, steps = "bayes.n", n
+        costs = sequence_costs([range(model.nx)] * n, model).tolist()
+    except EnumerationLimitError as exc:
+        raise SchemaError(f"config key '{key}' = {steps}: {exc}") from exc
     head = stamp("bayes", cfg, seed, f"discrete_model={model_path}")
 
     # every trace's posterior from one forward pass over all inputs, checked
     # against the brute-force enumeration oracle
     max_gap = 0.0
     gap_lines = [f"# {head}", "x_seq,z_seq,posterior,max_abs_gap"]
-    passes = forward_messages([range(model.nx)] * trace_len, model)
     next(passes)  # index 0, the prior
     for length, (beliefs, _) in enumerate(passes, start=1):
         x_seqs = itertools.product(range(model.nx), repeat=length)
@@ -597,7 +597,6 @@ def cmd_bayes(args) -> int:
             )
     write_lines(out / "bayes_posteriors.csv", gap_lines)
 
-    costs = sequence_costs([range(model.nx)] * n, model).tolist()
     x_seqs = itertools.product(range(model.nx), repeat=n)
     cost_lines = [f"{''.join(map(str, xs))},{c!r}" for xs, c in zip(x_seqs, costs, strict=True)]
     write_lines(out / "bayes_costs.csv", [f"# {head}", "x_seq,cost", *cost_lines])

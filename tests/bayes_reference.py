@@ -30,7 +30,6 @@ import math
 import numpy as np
 
 from jcas_lab.bayes import (
-    MAX_COST_PATHS,
     MAX_STATES_EXACT,
     MAX_STEPS_EXACT,
     Belief,
@@ -42,6 +41,9 @@ from jcas_lab.bayes import (
     state_marginals,
 )
 from jcas_lab.errors import EnumerationLimitError, EvidenceError, ParameterError
+
+#: most (state path, measurement path) pairs ``sensing_cost`` enumerates
+MAX_COST_PATHS = 200_000
 
 
 def bruteforce_posterior(x_seq, z_seq, model) -> Belief:
@@ -185,12 +187,6 @@ def forward_cost(x_seq, model) -> float:
     for x in x_seq:
         if not (0 <= x < model.nx):
             raise ParameterError(f"input symbol {x} outside alphabet of size {model.nx}")
-    n_paths = model.ns ** (n + 1) * model.nz ** n
-    if n_paths > MAX_COST_PATHS:
-        raise EnumerationLimitError(
-            f"sensing cost enumeration would visit {n_paths} paths "
-            f"(limit {MAX_COST_PATHS})"
-        )
     total = 0.0
     for belief, weight in forward_messages([[x] for x in x_seq], model):
         total += float(weight @ np.min(belief @ model.distortion, axis=1))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from jcas_lab import bayes
 from jcas_lab.bayes import (
-    MAX_COST_PATHS,
+    MAX_CHANNEL_ENTRIES,
     Belief,
     DiscreteJcasModel,
     _average_over_states,
@@ -548,7 +548,8 @@ class TestForwardRecursion:
                         assert abs(w - want) <= rounds * eps * want, (xs, zs)
 
     def test_guard_bounds_enumeration_size(self):
-        # 3^6 * 3^5 = 177147 paths are within MAX_COST_PATHS, 3^7 * 3^6 are not
+        # the pass along n inputs ends with |Z|^n |S| entries: 3^11 * 3 =
+        # 531441 are within MAX_CHANNEL_ENTRIES, 3^12 * 3 are not
         model = DiscreteJcasModel(
             channel=np.full((1, 3, 1, 3), 1.0 / 3.0),
             markov=np.full((3, 3), 1.0 / 3.0),
@@ -556,8 +557,14 @@ class TestForwardRecursion:
             distortion=1.0 - np.eye(3),
         )
         assert sensing_cost([0] * 5, model) == pytest.approx(2.0 / 3.0, abs=1e-15)
-        with pytest.raises(EnumerationLimitError, match=r"would visit 1594323 paths \(limit 200000\)"):
-            sensing_cost([0] * 6, model)
+        assert sensing_cost([0] * 6, model) == ref.forward_cost([0] * 6, model)
+        # 3^11 weights of 3^-11 each, so the sum rounds a few ulps off 2/3
+        assert sensing_cost([0] * 11, model) == ref.forward_cost([0] * 11, model)
+        assert sensing_cost([0] * 11, model) == pytest.approx(2.0 / 3.0, abs=1e-14)
+        with pytest.raises(
+            EnumerationLimitError, match=r"forward pass would end with 1594323 entries \(limit 1000000\)"
+        ):
+            sensing_cost([0] * 12, model)
 
 
 class TestSequenceCosts:
@@ -573,7 +580,7 @@ class TestSequenceCosts:
         rng = np.random.default_rng(seed)
         model = (sparse_discrete_model if sparse else random_discrete_model)(rng)
         xs = rng.integers(0, model.nx, n).tolist()
-        if model.ns ** (n + 1) * model.nz ** n > MAX_COST_PATHS:
+        if model.nz ** n * model.ns > MAX_CHANNEL_ENTRIES:
             with pytest.raises(EnumerationLimitError):
                 sensing_cost(xs, model)
             return
@@ -598,7 +605,7 @@ class TestSequenceCosts:
                 sorted(rng.choice(model.nx, int(rng.integers(1, model.nx + 1)), replace=False))
                 for _ in range(n)
             ]
-            if math.prod(map(len, levels)) * model.nz ** n * model.ns > bayes.MAX_CHANNEL_ENTRIES:
+            if math.prod(map(len, levels)) * model.nz ** n * model.ns > MAX_CHANNEL_ENTRIES:
                 continue
             table = sequence_costs(levels, model)
             x_seqs = list(itertools.product(*levels))
@@ -613,17 +620,20 @@ class TestSequenceCosts:
         def refuse(*args, **kwargs):
             raise AssertionError("the forward pass was reached")
 
-        monkeypatch.setattr(bayes, "forward_messages", refuse)
+        monkeypatch.setattr(bayes, "_forward_pass", refuse)
         monkeypatch.setattr(bayes, "simplex_grid", refuse)
         channel = np.full((50, 3, 2, 4), 1.0 / 8.0)
         model = DiscreteJcasModel(
             channel=channel, markov=np.full((3, 3), 1.0 / 3.0), initial=np.full(3, 1.0 / 3.0),
             distortion=1.0 - np.eye(3),
         )
-        with pytest.raises(EnumerationLimitError, match=r"hold 24000000 forward-pass entries"):
+        refused = r"forward pass would end with 24000000 entries \(limit 1000000\)"
+        with pytest.raises(EnumerationLimitError, match=refused):
             bruteforce_open_loop_tradeoff(model, 0.5, 3, 1.0)
-        with pytest.raises(EnumerationLimitError, match=r"hold 24000000 "):
+        with pytest.raises(EnumerationLimitError, match=refused):
             sequence_costs([range(50)] * 3, model)
+        with pytest.raises(EnumerationLimitError, match=refused):
+            forward_messages([range(50)] * 3, model)
 
     def test_search_reads_the_table(self, toy, monkeypatch):
         rng = np.random.default_rng(47)
@@ -915,9 +925,10 @@ class TestModelLoading:
     @pytest.mark.parametrize(
         "sizes, lineno, what",
         [
-            ((1000, 1000, 1000, 1000), 3, "1000000000 |S|^2 |Z| paths"),
+            ((1000, 1000, 1000, 1000), 2, "1000000000000 channel table entries"),
             ((1000, 2, 2, 1000), 2, "4000000 channel table entries"),
             ((1, 2, 2, 250_001), 5, "1000004 channel table entries"),
+            ((1, 1001, 1, 1), 3, "1002001 |S| x |S| table entries"),
         ],
     )
     def test_oversized_alphabets_refused_before_allocation(self, tmp_path, monkeypatch, sizes, lineno, what):
@@ -929,6 +940,19 @@ class TestModelLoading:
         path = tmp_path / "huge.txt"
         path.write_text(f"[alphabets]\n{names}\n[channel]\n[markov]\n[initial]\n[distortion]\n")
         with pytest.raises(SchemaError, match=re.escape(f"line {lineno}: alphabet sizes give {what}")):
+            load_discrete_model(path)
+
+    @pytest.mark.parametrize("sizes", [(1, 1000, 1, 1), (1, 2, 2, 250_000)])
+    def test_alphabets_at_the_bound_reach_allocation(self, tmp_path, monkeypatch, sizes):
+        # |S|^2 = 10^6 and 10^6 channel entries are within MAX_CHANNEL_ENTRIES
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was allocated")
+
+        monkeypatch.setattr(np, "full", refuse)
+        names = "\n".join(f"{name} = {size}" for name, size in zip("XSZY", sizes))
+        path = tmp_path / "edge.txt"
+        path.write_text(f"[alphabets]\n{names}\n[channel]\n[markov]\n[initial]\n[distortion]\n")
+        with pytest.raises(AssertionError, match="a table was allocated"):
             load_discrete_model(path)
 
     @pytest.mark.parametrize(
@@ -965,6 +989,14 @@ class TestModelLoading:
             DiscreteJcasModel(
                 channel=channel, markov=np.eye(2), initial=np.array([0.5, 0.5]), distortion=HAMMING
             )
+
+    @pytest.mark.parametrize("shape", [(2, 0), (2,), (3, 2)])
+    def test_ctor_rejects_distortion_shape(self, toy, shape):
+        # a table without estimate columns left sensing_cost and sequence_costs
+        # failing inside a numpy reduction
+        tables = {name: getattr(toy, name) for name in ("channel", "markov", "initial")}
+        with pytest.raises(SchemaError, match=re.escape(f"distortion table must be 2 x (k >= 1), got {shape}")):
+            DiscreteJcasModel(**tables, distortion=np.zeros(shape))
 
     @pytest.mark.parametrize("section", ("channel", "markov", "initial", "distortion"))
     def test_ctor_rejects_nan(self, toy, section):

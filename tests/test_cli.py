@@ -14,6 +14,7 @@ import pytest
 
 import jcas_lab
 from jcas_lab.cli import main
+from jcas_lab.errors import EnumerationLimitError
 
 from conftest import toy_model_path
 
@@ -345,9 +346,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "alphabets, message",
         [
-            ("X = 1000\nS = 1000\nZ = 1000\nY = 1000", "line 3: alphabet sizes give 1000000000"),
+            ("X = 1000\nS = 1000\nZ = 1000\nY = 1000", "line 2: alphabet sizes give 1000000000000 channel"),
             ("X = 7\nX = 2\nS = 2\nZ = 2\nY = 2", "line 3: duplicate alphabet X"),
             ("W = 3\nX = 2\nS = 2\nZ = 2\nY = 2", "line 2: unknown alphabet 'W'"),
+            ("X = 1\nS = 1001\nZ = 1\nY = 1", "line 3: alphabet sizes give 1002001 |S| x |S| table"),
         ],
     )
     def test_bayes_bad_alphabets_exit_2(self, tmp_path, capsys, alphabets, message):
@@ -468,19 +470,21 @@ class TestErrorPaths:
          ("bayes.n", 5, None), ("bayes.n", 6, 1594323)],
     )
     def test_bayes_tables_bounded_before_any_work(self, tmp_path, monkeypatch, capsys, key, steps, entries):
-        # (|X| |Z|)^steps |S| = 9^5 * 3 = 177147 entries pass, 9^6 * 3 do not
-        import jcas_lab.cli as cli
+        # each table's forward pass ends with (|X| |Z|)^steps |S| entries:
+        # 9^5 * 3 = 177147 pass, 9^6 * 3 do not
+        import jcas_lab.bayes as bayes
 
         class Reached(Exception):
             pass
 
         def reached(*args, **kwargs):
             raise Reached
+            yield
 
-        monkeypatch.setattr(cli, "forward_messages", reached)
-        bayes = {"n": 1, "trace_len": 1, key.split(".")[1]: steps}
+        monkeypatch.setattr(bayes, "_forward_pass", reached)
+        bayes_cfg = {"n": 1, "trace_len": 1, key.split(".")[1]: steps}
         model = self.uniform_model(tmp_path, 3, 3, 3)
-        cfg = write_config(tmp_path / "cfg.json", discrete_model=str(model), bayes=bayes)
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=str(model), bayes=bayes_cfg)
         argv = ["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]
         if entries is None:
             with pytest.raises(Reached):
@@ -488,8 +492,59 @@ class TestErrorPaths:
             return
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"config key '{key}' = {steps} gives {entries} forward-pass entries" in err
+        assert (
+            f"config key '{key}' = {steps}: forward pass would end with {entries} entries "
+            "(limit 1000000)"
+        ) in err
         assert not any((tmp_path / "o").iterdir())
+
+    def test_one_bound_for_every_pass(self, tmp_path, monkeypatch, capsys):
+        # |X| = 2, |S| = |Z| = 3 under a bound of 108 entries: every pass
+        # over two steps of both inputs (6^2 * 3 = 108 entries) fits and
+        # every pass over three (648) is refused, by the library calls and
+        # by both CLI tables alike; one sequence fits up to 3^3 * 3 = 81
+        import jcas_lab.bayes as bayes
+
+        monkeypatch.setattr(bayes, "MAX_CHANNEL_ENTRIES", 108)
+        path = self.uniform_model(tmp_path, 2, 3, 3)
+        model = bayes.load_discrete_model(path)
+        refused = "forward pass would end with 648 entries (limit 108)"
+        assert len(bayes.sequence_costs([range(2)] * 2, model)) == 4
+        assert bayes.bruteforce_open_loop_tradeoff(model, 1.0, 2, 1.0).feasible
+        assert bayes.sensing_cost([0] * 3, model) == pytest.approx(1.0, abs=1e-15)
+        for refuse in (
+            lambda: bayes.sequence_costs([range(2)] * 3, model),
+            lambda: bayes.bruteforce_open_loop_tradeoff(model, 1.0, 3, 1.0),
+        ):
+            with pytest.raises(EnumerationLimitError, match=re.escape(refused)):
+                refuse()
+        with pytest.raises(EnumerationLimitError, match=re.escape("end with 243 entries (limit 108)")):
+            bayes.sensing_cost([0] * 4, model)
+        for key in ("n", "trace_len"):
+            for steps, code in ((2, 0), (3, 2)):
+                out = tmp_path / f"{key}{steps}"
+                bayes_cfg = {"n": 1, "trace_len": 1, key: steps}
+                cfg = write_config(tmp_path / "cfg.json", discrete_model=str(path), bayes=bayes_cfg)
+                assert main(["bayes", "--config", str(cfg), "--out", str(out)]) == code
+            assert f"config key 'bayes.{key}' = 3: {refused}" in capsys.readouterr().err
+            assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("trace_len, code", [(1, 2), (0, 0)])
+    def test_bayes_posterior_enumeration_bound(self, tmp_path, capsys, trace_len, code):
+        # the posterior table's oracle enumerates |S| <= 5 states; with six,
+        # a posterior table with traces is refused before any file is written
+        model = self.uniform_model(tmp_path, 2, 6, 2)
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=str(model), bayes={"trace_len": trace_len})
+        assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        written = sorted(f.name for f in (tmp_path / "o").iterdir())
+        if code == 2:
+            assert (
+                "config key 'bayes.trace_len' = 1: exact enumeration limited to |S| <= 5, steps <= 8"
+                in capsys.readouterr().err
+            )
+            assert written == []
+        else:
+            assert written == ["bayes_costs.csv", "bayes_posteriors.csv", "bayes_tradeoff.csv"]
 
     def test_bayes_grid_refused_before_it_is_built(self, tmp_path, capsys):
         # |X| = 40 at resolution 0.05: C(59, 20), about 2.8e15 grid points
