@@ -39,10 +39,10 @@ and v_i,
 (the intermittent-observation recursion of Sinopoli et al., IEEE TAC
 2004).  e_i stays near sqrt(tr P_i) however large s_i grows, so |e_i|^2
 keeps its digits on unstable models.  A segment runs ``_covariance_pass``,
-whose sensing steps take L_i and P_{i+1} from one
-``riccati.innovation_kernel`` or ``riccati.innovation`` call, masks each
-gain by its arrival bit, forms alpha_i and u_i as whole-segment array
-expressions, then runs the error pass, one product and one add a step.
+whose steps take every trial's L_i and P_{i+1} = A P_i A^T + Q - m_i L_i C
+P_i A^T from one ``riccati.innovation_kernel`` or ``riccati.innovation``
+call with the arrival bits as lam, masks each gain by its arrival bit,
+forms alpha_i and u_i as whole-segment arrays, then runs the error pass.
 Under a multi-beam policy every trial shares one covariance and gain path.
 ``montecarlo.empirical_block_distortion`` keeps only |e_i|^2;
 ``run_filter`` is the recursion with one trial, rebuilds the truth
@@ -147,21 +147,16 @@ class Trajectory:
 SEGMENT = 250
 
 
-def _pick(mask: np.ndarray, x, y, core: int):
-    """Per-trial branch: x where mask, else y (``core`` trailing axes per trial)."""
-    return np.where(mask.reshape((-1,) + (1,) * core), x, y)
-
-
 class _ScalarSteps:
     """Steps of a scalar model on trial arrays, through the shared kernels.
 
     A covariance is a length-1 vector per trial, like a state or an error,
-    or a float while every trial shares it.  ``sense`` returns the predictor
-    gain and the next covariance of one innovation computation, in both
-    step classes.  ``coefficients`` gives a segment's alpha_i = a - L_i c,
-    over its masked gains L_i, and u_i = w_i - L_i sqrt(g) v_i, into the
-    buffer ``u``; ``product`` applies alpha_i to an error, whose trailing
-    ``column`` axes it sets.
+    or a float while every trial shares it.  ``sense`` returns the gain and
+    the next covariance of one innovation computation, lam an arrival mask
+    or 1, in both step classes.  ``coefficients`` gives a segment's
+    alpha_i = a - L_i c, over its masked gains L_i, and
+    u_i = w_i - L_i sqrt(g) v_i, into the buffer ``u``; ``product`` applies
+    alpha_i to an error, whose trailing ``column`` axes it sets.
     """
 
     core = 1
@@ -178,8 +173,8 @@ class _ScalarSteps:
     def open_loop(self, p):
         return lyap_kernel(self.a, self.q, p, 1.0)
 
-    def sense(self, p, g: float):
-        return innovation_kernel(self.a, self.c, self.q, self.r, p, g, 1.0)
+    def sense(self, p, g: float, lam):
+        return innovation_kernel(self.a, self.c, self.q, self.r, p, g, lam)
 
     def coefficients(self, gains, w, noise, u):
         np.subtract(w, np.multiply(gains, noise, out=u), out=u)
@@ -207,8 +202,8 @@ class _MatrixSteps:
     def open_loop(self, p):
         return lyapunov_step(self.model, p, 1.0)
 
-    def sense(self, p, g: float):
-        return innovation(self.model, p, g)
+    def sense(self, p, g: float, lam):
+        return innovation(self.model, p, g, lam)
 
     def coefficients(self, gains, w, noise, u):
         np.subtract(w[..., None], gains @ noise[..., None], out=u)
@@ -220,15 +215,16 @@ def _steps(model: GaussMarkovModel):
 
 
 def _covariance_pass(steps, p, arrivals, g: float):
-    """Yield (gain, P_{i+1}) per arrival from P_i = p: ``False`` takes only the
-    open-loop step (gain 0), ``True`` only the sensing step with noise gain
-    g, and a per-trial mask both, picking each trial's with ``np.where``."""
+    """Yield (gain, P_{i+1}) per arrival from P_i = p: ``False`` takes the
+    open-loop step (gain 0), ``True`` the sensing step with noise gain g,
+    and a per-trial mask one sensing step with the mask as lam: an erased
+    trial's P_{i+1} is its open-loop step's, its gain left for the caller to mask."""
     for arrived in arrivals:
         if arrived is False:
             gain, p = 0.0, steps.open_loop(p)
         else:
-            gain, p_next = steps.sense(p, g)
-            p = p_next if arrived is True else _pick(arrived, p_next, steps.open_loop(p), steps.core)
+            lam = 1.0 if arrived is True else arrived.reshape((-1,) + (1,) * steps.core)
+            gain, p = steps.sense(p, g, lam)
         yield gain, p
 
 

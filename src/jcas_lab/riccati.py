@@ -131,14 +131,15 @@ def innovation_kernel(a: float, c: float, q: float, r: float, p: float, gamma: f
     """Scalar ``innovation``: (l, a p a + q - lam (a p c) l), l = (c p a) / s.
 
     s = c p c + gamma r is computed once.  Every scalar step reads this one
-    expression, so they agree bit for bit; p may be an array of trials.
+    expression, so they agree bit for bit; p and lam may be trial arrays.
     Where a p a overflows, as at an overflowed p = +inf, the expression
     would give inf - inf; ``_innovation_limit`` takes over.
     """
-    cp, ap = c * p, a * p
+    ap = a * p
     apa = ap * a
     if (apa.max() if isinstance(apa, np.ndarray) else apa) == math.inf:
         return _innovation_limit(a, c, q, r, p, gamma, lam)
+    cp = c * p
     s = cp * c + gamma * r
     gain = (cp * a) / s
     return gain, apa + q - lam * ((ap * c) * gain)
@@ -151,10 +152,10 @@ def _innovation_limit(a: float, c: float, q: float, r: float, p, gamma: float, l
     d = c^2 + gamma r / p, the gain (c a) / d and the covariance
     a^2 lam gamma r / d + q + (1 - lam) a^2 p.  At p = +inf that is the gain
     a/c and a^2 gamma r / c^2 + q at lam = 1, +inf at lam < 1.  With c = 0
-    nothing is sensed (gain 0, covariance +inf).  The other entries keep
-    ``innovation_kernel``'s bits.
+    nothing is sensed (gain 0, covariance +inf).  An array lam is taken
+    entry by entry.  The other entries keep ``innovation_kernel``'s bits.
     """
-    array = isinstance(p, np.ndarray)
+    array = isinstance(p, np.ndarray) or isinstance(lam, np.ndarray)
     big = np.isposinf(a * p * a)
     gain, p_next = innovation_kernel(a, c, q, r, np.where(big, 1.0, p), gamma, lam)
     if c == 0.0:
@@ -163,8 +164,9 @@ def _innovation_limit(a: float, c: float, q: float, r: float, p, gamma: float, l
         p = np.where(big, p, 1.0)
         d = c * c + gamma * r / p
         top_gain, top = (c * a) / d, (a * a) * (lam * (gamma * r) / d) + q
-        if lam < 1.0:
-            top = top + (1.0 - lam) * p * a * a
+        if isinstance(lam, np.ndarray) or lam < 1.0:
+            # an entry at lam = 1 adds (0 * 0) a a, never 0 * inf
+            top = top + (1.0 - lam) * np.where(lam < 1.0, p, 0.0) * a * a
     gain = np.where(big, top_gain, gain)
     p_next = np.where(big, top, p_next)
     return (gain, p_next) if array else (float(gain), float(p_next))
@@ -205,11 +207,12 @@ def _corrected(model: GaussMarkovModel, p: np.ndarray, corr: np.ndarray, lam) ->
     return symmetrize(ap @ model.A.T + model.Q - lam * ((ap @ model.C.T) @ corr))
 
 
-def innovation(model: GaussMarkovModel, p: np.ndarray, gamma):
+def innovation(model: GaussMarkovModel, p: np.ndarray, gamma, lam=1.0):
     """(L, P') of one ``_solve_innovation``: the predictor gain L = A P C^T S^{-1}
-    and P' = A P A^T + Q - L C P A^T, re-symmetrized."""
+    and P' = A P A^T + Q - lam L C P A^T, re-symmetrized.  At a 0 entry of
+    an arrival mask lam, P' is ``lyapunov_step(model, p, 1.0)`` bit for bit."""
     corr = _solve_innovation(model, p, gamma)
-    return corr.swapaxes(-1, -2), _corrected(model, p, corr, 1.0)
+    return corr.swapaxes(-1, -2), _corrected(model, p, corr, lam)
 
 
 def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:

@@ -229,8 +229,9 @@ def check_initial_covariance(model: GaussMarkovModel, p0) -> np.ndarray:
 def lyap_kernel(a: float, q: float, s: float, alpha: float) -> float:
     """Scalar step of the scaled Lyapunov recursion (shared float kernel).
 
-    The open-loop step of the scalar trial engine, on floats or trial
-    arrays; ``lyapunov_step`` rounds the same on a 1x1 model.
+    The scalar trial engine's step when no trial senses (erased trials of a
+    masked step get its bits from ``innovation_kernel``, lam = 0), on
+    floats or trial arrays; ``lyapunov_step`` rounds the same on 1x1.
     """
     return alpha * ((a * s) * a) + q
 

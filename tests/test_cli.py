@@ -717,6 +717,7 @@ OUTPUT_DIR_SHA256 = {
     "reproduce_fig3": "9e393be983489b8fc3f124e85717a2a044f25e0071df182393c79f71ca1ece00",
     "reproduce_fig4": "d24ffa321922a0357158733031c5cce7f2499de6cdf0426bc17c3f179baa17d5",
     "mc_verify_2x2": "f42899c5d76d01acdef53768f5995c805c3d2aebaa2ad99c36b877a32bebf770",
+    "mc_verify_scalar_unstable": "e8c13a8bc28d30858704e65aae8b31251e63b9f9e96a5f9d1c80ef6f4e5d304f",
     "rd_curve_gaussian_bits": "bfd4bd273946f420cd13737d9f448ba356e1bd5e126490c05b956f8bb03113a6",
     "riccati_scalar_unstable": "5841de422c41df207332a080abe3f1e982c7097975b13480da5a7d4b2eff76d3",
     "riccati_2x2": "b9ebd7f6294e6f8b502069075de3e395754195024eef095c056dae665b16f4ff",
@@ -736,6 +737,9 @@ def output_dir_argv(name, tmp_path):
     if name == "mc_verify_2x2":
         cfg = write_config(tmp_path / "cfg.json", **BENCH_2X2, mc_lambdas=[0.0, 0.3, 0.7, 1.0])
         return ["mc-verify", "--config", str(cfg)]
+    if name == "mc_verify_scalar_unstable":
+        # the default scalar model at lam = 0.5 and 0.9: masked scalar steps
+        return ["mc-verify", "--config", str(write_config(tmp_path / "cfg.json"))]
     if name == "rd_curve_gaussian_bits":
         return ["rd-curve", "--bits", "--config", str(write_config(tmp_path / "cfg.json"))]
     if name == "riccati_scalar_unstable":

@@ -41,6 +41,11 @@ from conftest import quad_mb_root, random_psd, scaled_lyap_root
 P1 = np.array([[1.0]])
 
 
+def bits(x) -> bytes:
+    """The float64 bytes of x, so +0 and -0 differ and nan equals itself."""
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
 class TestBeamPolicy:
     def test_switching_range(self):
         BeamPolicy.switching(0.0)
@@ -158,6 +163,28 @@ class TestOverflowedCovariance:
                 plain = ((cp * a) / s, ap * a + q - lam * ((ap * c) * ((cp * a) / s)))
                 assert riccati.innovation_kernel(a, c, q, r, float(p), gamma, lam) == plain
                 assert (alone[0][i, 0], alone[1][i, 0]) == plain
+
+    @pytest.mark.parametrize("a, c", [(-1.15, 0.7), (1e30, 1.0), (1e30, 2.0), (-1.15, 0.0)])
+    def test_arrival_mask_picks_entry_by_entry(self, a, c):
+        # lam as a 0/1 mask: a 1 entry has the sensing step's bits, a 0 entry
+        # the open-loop step's, from finite p through overflow to +inf
+        q, r = 0.2, 1.5
+        values = np.array([0.0, 1e-3, 37.5, 1e12, 1e308, math.inf])
+        p = np.repeat(values, 2)[:, None]
+        alternating = np.arange(p.size)[:, None] % 2 == 1
+        with np.errstate(over="ignore"):
+            for gamma in (1.0, 2.5):
+                sensed_gain, sensed = riccati.innovation_kernel(a, c, q, r, p, gamma, 1.0)
+                erased = statespace.lyap_kernel(a, q, p, 1.0)
+                for mask in (alternating, ~alternating, np.full(p.shape, True), np.full(p.shape, False)):
+                    gain, p_next = riccati.innovation_kernel(a, c, q, r, p, gamma, mask)
+                    assert bits(gain) == bits(sensed_gain)
+                    assert bits(p_next) == bits(np.where(mask, sensed, erased))
+                # a p shared by every trial broadcasts against the mask
+                for i, value in enumerate(values):
+                    _, p_next = riccati.innovation_kernel(a, c, q, r, float(value), gamma, alternating)
+                    pick = np.where(alternating, sensed[2 * i], erased[2 * i])
+                    assert bits(p_next) == bits(pick)
 
 
 class TestFixedPoints:
@@ -360,6 +387,24 @@ def seeded_random_model(seed, rho: float, m: int = 8, k: int = 2) -> GaussMarkov
         Q=lq @ lq.T + 0.1 * np.eye(m),
         R=lr @ lr.T + 0.5 * np.eye(k),
     )
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_arrival_mask_picks_sensing_or_open_loop(m):
+    # innovation with a (trials, 1, 1) 0/1 mask as lam equals, bit for bit,
+    # the two-branch pick: the sensing step where 1, the open-loop step where 0
+    for k in (1, 2):
+        model = seeded_random_model([7, m, k], 1.1, m, k)
+        rng = np.random.default_rng([8, m, k])
+        stack = np.stack([random_psd(rng, m) for _ in range(6)])
+        mask = (rng.random(6) < 0.5)[:, None, None]
+        mask[:2, 0, 0] = True, False
+        for p in (stack, stack[0]):
+            for gamma in (1.0, 2.5):
+                sensed_gain, sensed = riccati.innovation(model, p, gamma)
+                gain, p_next = riccati.innovation(model, p, gamma, mask)
+                assert bits(gain) == bits(sensed_gain)
+                assert bits(p_next) == bits(np.where(mask, sensed, lyapunov_step(model, p, 1.0)))
 
 
 @pytest.fixture
