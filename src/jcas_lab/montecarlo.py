@@ -89,23 +89,32 @@ def _band(s_trace: float, v_trace: float, std_error: float) -> tuple:
 #: values per chunk of the centered trial accumulation
 _ACCUMULATE_CHUNK = 1 << 14
 
+#: trials with at least this many values are added one row at a time
+_WIDE_ROW = 256
+
 
 def _centered_mean(values: np.ndarray) -> np.ndarray:
     """Mean over the leading trial axis by fixed-order accumulation.
 
-    Deviations from trial 0 are added in trial order (``np.add.accumulate``
-    over row chunks, sequential by definition).  Identical trials give back
-    trial 0 bit for bit, which keeps the zero-variance sanity cases exact.
-    An entry with a +inf trial and no nan one has mean +inf (a +inf trial 0
-    would make the deviations inf - inf).
+    Deviations from trial 0 are added in trial order: wide trials one
+    vectorized row add each, narrow ones by ``np.add.accumulate`` over row
+    chunks, sequential by definition, whose inner loop runs down a chunk's
+    rows.  Identical trials give back trial 0 bit for bit, which keeps the
+    zero-variance sanity cases exact.  An entry with a +inf trial and no
+    nan one has mean +inf (a +inf trial 0 would make the deviations
+    inf - inf).
     """
     ref = values[0]
     acc = np.zeros_like(ref)
-    rows = max(1, _ACCUMULATE_CHUNK // ref.size)
     with np.errstate(invalid="ignore"):
-        for start in range(0, len(values), rows):
-            chunk = np.concatenate([acc[None], values[start:start + rows] - ref])
-            acc = np.add.accumulate(chunk, axis=0)[-1]
+        if ref.size >= _WIDE_ROW:
+            for row in values:
+                acc += row - ref
+        else:
+            rows = _ACCUMULATE_CHUNK // ref.size
+            for start in range(0, len(values), rows):
+                chunk = np.concatenate([acc[None], values[start:start + rows] - ref])
+                acc = np.add.accumulate(chunk, axis=0)[-1]
     mean = ref + acc / len(values)
     if np.isnan(mean).any():
         overflow = np.isposinf(values).any(axis=0) & ~np.isnan(values).any(axis=0)
@@ -228,7 +237,7 @@ def empirical_block_distortion(
     for start, errors, *_ in run:
         np.sum(errors ** 2, axis=2, out=dist[:, start:start + len(errors)].T)
 
-    blocks = np.array([np.mean(row) for row in dist])
+    blocks = dist.mean(axis=1)
     mean = float(_centered_mean(blocks))
     return BlockDistortionReport(trials, horizon, mean, _std_error(blocks), _centered_mean(dist))
 

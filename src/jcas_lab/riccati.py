@@ -13,7 +13,11 @@ Every gain and correction, here and in the Kalman filter, comes from one
 solve of the innovation covariance S = C P C^T + gamma R against C P A^T:
 ``_solve_innovation`` (matrix models) or ``innovation_kernel`` (scalar).
 Its transpose, the predictor gain L = A P C^T S^{-1}, is the only gain; the
-filter, the policy iteration and the gain search use F = A - L C.
+filter, the policy iteration and the gain search use F = A - L C.  On a
+stack of covariances, each product with a model matrix (A P, A P A^T,
+A P C^T) is one 2-D product over every member, and a one-output model
+solves by LAPACK's own 1x1 arithmetic in numpy, so neither makes a BLAS or
+LAPACK call per member and both keep the per-member bits.
 
 Fixed points are solved, not iterated.  Once a gain L is fixed, the map
 phi_{lam,gamma}(L, X) = (1 - lam) A X A^T + lam (A - L C) X (A - L C)^T
@@ -64,11 +68,13 @@ from .statespace import (
     as_matrix,
     lyapunov_diverges,
     lyapunov_step,
+    matrix_times,
     scaled_lyapunov_sweep,
     solve_affine,
     solve_scaled_lyapunov,
     spectral_radius,
     symmetrize,
+    times_matrix,
 )
 
 #: a covariance trace beyond this is declared divergent
@@ -132,31 +138,43 @@ def innovation_kernel(a: float, c: float, q: float, r: float, p: float, gamma: f
 
     s = c p c + gamma r is computed once.  Every scalar step reads this one
     expression, so they agree bit for bit; p and lam may be trial arrays.
-    Where a p a overflows, as at an overflowed p = +inf, the expression
-    would give inf - inf; ``_innovation_limit`` takes over.
+    Where a p a or s overflows, as at an overflowed p = +inf, the expression
+    would give inf - inf or inf / inf; ``_innovation_limit`` takes over.
+    The test reads whichever overflows first: s when |c| > |a|, else a p a,
+    where s overflows alone only if gamma r is near the float maximum and
+    the gain 0 is right.  c p, 0 * inf at c = 0 and p = +inf, comes after
+    the test.
     """
     ap = a * p
     apa = ap * a
-    if (apa.max() if isinstance(apa, np.ndarray) else apa) == math.inf:
+    sensed_first = abs(c) > abs(a)
+    if sensed_first:
+        cp = c * p
+        s = cp * c + gamma * r
+    top = s if sensed_first else apa
+    if (top.max() if isinstance(top, np.ndarray) else top) == math.inf:
         return _innovation_limit(a, c, q, r, p, gamma, lam)
-    cp = c * p
-    s = cp * c + gamma * r
+    if not sensed_first:
+        cp = c * p
+        s = cp * c + gamma * r
     gain = (cp * a) / s
     return gain, apa + q - lam * ((ap * c) * gain)
 
 
 def _innovation_limit(a: float, c: float, q: float, r: float, p, gamma: float, lam: float):
-    """``innovation_kernel`` where a p a overflows to +inf.
+    """``innovation_kernel`` where a p a, or s = c p c + gamma r when |c| > |a|,
+    overflows to +inf.
 
     Those entries take the form that stays finite as p -> inf: with
     d = c^2 + gamma r / p, the gain (c a) / d and the covariance
     a^2 lam gamma r / d + q + (1 - lam) a^2 p.  At p = +inf that is the gain
     a/c and a^2 gamma r / c^2 + q at lam = 1, +inf at lam < 1.  With c = 0
     nothing is sensed (gain 0, covariance +inf).  An array lam is taken
-    entry by entry.  The other entries keep ``innovation_kernel``'s bits.
+    entry by entry.  The other entries keep ``innovation_kernel``'s bits:
+    they are picked by the kernel's own test, so they never come back here.
     """
     array = isinstance(p, np.ndarray) or isinstance(lam, np.ndarray)
-    big = np.isposinf(a * p * a)
+    big = np.isposinf((c * p) * c + gamma * r if abs(c) > abs(a) else a * p * a)
     gain, p_next = innovation_kernel(a, c, q, r, np.where(big, 1.0, p), gamma, lam)
     if c == 0.0:
         top_gain, top = 0.0, math.inf
@@ -187,12 +205,23 @@ def _solve_innovation(model: GaussMarkovModel, p: np.ndarray, gamma):
     predictor gain L = A P C^T S^{-1}.
 
     p may be a stack (n, m, m), gamma an array broadcasting against it.  A
-    singular S raises NumericalError carrying its condition number.
+    singular S raises NumericalError carrying its condition number, here
+    and nowhere else.  With one output S is 1x1, solved by LAPACK's own
+    arithmetic without a call per member: a multiply by 1 / S, or with one
+    right-hand column (m = 1) a division.
     """
+    # stacked, unlike A P: with k = 1 each member's C P is a gemv, whose
+    # bits one 2-D product does not give
     cp = model.C @ p
     innov = cp @ model.C.T + gamma * model.R
+    rhs = cp @ model.A.T
     try:
-        return np.linalg.solve(innov, cp @ model.A.T)
+        if model.k > 1:
+            return np.linalg.solve(innov, rhs)
+        if not innov.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rhs / innov if model.m == 1 else rhs * (1.0 / innov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"innovation covariance is singular: {exc}",
@@ -202,9 +231,10 @@ def _solve_innovation(model: GaussMarkovModel, p: np.ndarray, gamma):
 
 def _corrected(model: GaussMarkovModel, p: np.ndarray, corr: np.ndarray, lam) -> np.ndarray:
     """P' = A P A^T + Q - lam A P C^T corr, re-symmetrized, for the solved
-    corr = S^{-1} C P A^T."""
-    ap = model.A @ p
-    return symmetrize(ap @ model.A.T + model.Q - lam * ((ap @ model.C.T) @ corr))
+    corr = S^{-1} C P A^T; a stack's products with A and C^T are each one
+    2-D product (``statespace.times_matrix``)."""
+    ap = matrix_times(model.A, p)
+    return symmetrize(times_matrix(ap, model.A.T) + model.Q - lam * (times_matrix(ap, model.C.T) @ corr))
 
 
 def innovation(model: GaussMarkovModel, p: np.ndarray, gamma, lam=1.0):

@@ -46,6 +46,31 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * m + 0.5 * m.swapaxes(-1, -2)
 
 
+def times_matrix(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """x @ matrix, a stack (n, a, b) of two or more members as one 2-D
+    product over its rows (in the order of x's memory, member-major or, as
+    ``matrix_times`` returns, row-major), not a BLAS call per member.  Each
+    entry is the same dot product, so it rounds as the stacked product."""
+    if x.ndim != 3 or len(x) < 2:
+        return x @ matrix
+    n, a, b = x.shape
+    rows = x.transpose(1, 0, 2)
+    if rows.flags.c_contiguous:
+        return (rows.reshape(a * n, b) @ matrix).reshape(a, n, matrix.shape[1]).transpose(1, 0, 2)
+    return (x.reshape(n * a, b) @ matrix).reshape(n, a, matrix.shape[1])
+
+
+def matrix_times(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """matrix @ x, a stack (n, a, b) of two or more members as one 2-D
+    product with the members side by side in its columns; see
+    ``times_matrix``."""
+    if x.ndim != 3 or len(x) < 2:
+        return matrix @ x
+    n, a, b = x.shape
+    cols = x.transpose(1, 0, 2).reshape(a, n * b)
+    return (matrix @ cols).reshape(len(matrix), n, b).transpose(1, 0, 2)
+
+
 def spectral_radius(a) -> float:
     """Largest absolute eigenvalue of a square matrix."""
     arr = as_matrix(a, "A")
@@ -247,10 +272,11 @@ def lyapunov_diverges(alpha: float, rho: float) -> bool:
 def lyapunov_step(model: GaussMarkovModel, s: np.ndarray, alpha) -> np.ndarray:
     """One application of S -> alpha * A S A^T + Q, re-symmetrized.
 
-    s may be a stack (n, m, m) of covariances.  A 1x1 model rounds exactly
-    as ``lyap_kernel`` on normal-range values, up to and past overflow.
+    s may be a stack (n, m, m) of covariances, whose products with A are
+    one 2-D product each.  A 1x1 model rounds exactly as ``lyap_kernel`` on
+    normal-range values, up to and past overflow.
     """
-    return symmetrize(alpha * (model.A @ s @ model.A.T) + model.Q)
+    return symmetrize(alpha * times_matrix(matrix_times(model.A, s), model.A.T) + model.Q)
 
 
 def solve_affine(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:

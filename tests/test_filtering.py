@@ -225,7 +225,7 @@ class TestKalmanGain:
 
 
 class TestInnovationSolve:
-    def test_singular_innovation_raises_with_condition(self):
+    def test_singular_innovation_raises_with_condition(self, monkeypatch):
         # R = 0 and P = 0 make S = C P C^T + gamma R zero; Q = 0 keeps P at 0
         model = GaussMarkovModel(A=[[1.05, 0.2], [0.0, 0.9]], C=[[1.0, 0.0]], Q=np.zeros((2, 2)), R=[[0.0]])
         p = np.zeros((2, 2))
@@ -241,30 +241,108 @@ class TestInnovationSolve:
                 call()
             assert info.value.condition == math.inf
 
+        # A swaps the coordinates and R = Q = 0: from P = I a sensing step
+        # gives diag(1, 0) and a second one diag(0, 0), whose S = P[0, 0] is
+        # 0; an open-loop step swaps the diagonal.  Three trials reach a
+        # masked step whose stack has S = 0 in one member only
+        swap = GaussMarkovModel(A=[[0.0, 1.0], [1.0, 0.0]], C=[[1.0, 0.0]], Q=np.zeros((2, 2)), R=[[0.0]])
+        solve, stacks = riccati._solve_innovation, []
+
+        def recorded(model, p, gamma):
+            stacks.append(p)
+            return solve(model, p, gamma)
+
+        monkeypatch.setattr(riccati, "_solve_innovation", recorded)
+        runs = [
+            lambda: filtering.covariance_trials(swap, 0.5, 20, 3, 1, np.eye(2)),
+            lambda: filtering.filter_trials(swap, BeamPolicy.switching(0.5), 20, 3, 2, [0.0, 0.0], np.eye(2)),
+        ]
+        for run in runs:
+            stacks.clear()
+            with pytest.raises(NumericalError, match="innovation covariance is singular") as info:
+                for _ in run():
+                    pass
+            assert info.value.condition == math.inf
+            assert stacks[-1].shape == (3, 2, 2)
+            assert sorted(stacks[-1][:, 0, 0]) == [0.0, 1.0, 1.0]
+
     def test_one_solve_per_filter_step(self, matrix_model, monkeypatch):
-        solve = np.linalg.solve
-        calls = []
+        # every step that senses computes its innovation once, through
+        # riccati._solve_innovation; with one output that is a reciprocal
+        # multiply, with two it is one LAPACK solve against the m columns of
+        # C P A^T
+        innovations, solves = [], []
+        innovation_solve, lapack_solve = riccati._solve_innovation, np.linalg.solve
 
-        def counted(*args):
-            calls.append(args)
-            return solve(*args)
+        def counted_innovation(model, p, gamma):
+            innovations.append(p)
+            return innovation_solve(model, p, gamma)
 
-        monkeypatch.setattr(np.linalg, "solve", counted)
+        def counted_solve(*args):
+            solves.append(args)
+            return lapack_solve(*args)
+
+        monkeypatch.setattr(riccati, "_solve_innovation", counted_innovation)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        two_outputs = GaussMarkovModel(
+            A=matrix_model.A, C=[[1.0, 0.0], [0.5, 1.0]], Q=matrix_model.Q, R=[[0.5, 0.1], [0.1, 0.8]]
+        )
         horizon = 40
-        run_filter(matrix_model, BeamPolicy.multibeam(2.0), horizon, [0.0, 0.0], np.eye(2), seed=5)
-        # no measurement at time 0; each later step solves its innovation once,
-        # against the m columns of C P A^T
-        assert len(calls) == horizon - 1
-        assert all(rhs.shape[-1] == matrix_model.m for _, rhs in calls)
+        for model in (matrix_model, two_outputs):
+            lapack = model.k > 1
+            innovations.clear()
+            solves.clear()
+            run_filter(model, BeamPolicy.multibeam(2.0), horizon, [0.0, 0.0], np.eye(2), seed=5)
+            # no measurement at time 0, one innovation on every later step
+            assert len(innovations) == horizon - 1
+            assert len(solves) == lapack * (horizon - 1)
+            assert all(rhs.shape[-1] == model.m for _, rhs in solves)
 
-        calls.clear()
-        state = FilterState([0.0, 0.0], np.eye(2), 0)
-        measurements = [[0.3], None, [-0.2], [0.1], None]
-        for z in measurements:
-            state = kalman_step(matrix_model, state, z, math.inf if z is None else 2.0)
-        # the oracle solves for its own filter gain, riccati_step for P'
-        assert len(calls) == 2 * sum(z is not None for z in measurements)
-        assert all(rhs.shape[-1] == matrix_model.m for _, rhs in calls)
+            innovations.clear()
+            solves.clear()
+            state = FilterState([0.0, 0.0], np.eye(2), 0)
+            measurements = [None if z is None else [z] * model.k for z in (0.3, None, -0.2, 0.1, None)]
+            for z in measurements:
+                state = kalman_step(model, state, z, math.inf if z is None else 2.0)
+            # riccati_step computes the innovation for P'; the oracle solves
+            # for its own filter gain K = P C^T S^{-1} with LAPACK
+            arrived = sum(z is not None for z in measurements)
+            assert len(innovations) == arrived
+            assert len(solves) == (1 + lapack) * arrived
+            assert all(rhs.shape[-1] == model.m for _, rhs in solves)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_single_output_solve_is_lapacks(self, m):
+        # with k = 1, S^{-1} C P A^T is the arithmetic of LAPACK's 1x1 solve:
+        # a reciprocal multiply, or with one right-hand column (m = 1) a
+        # division; gamma = 0 makes S = P[0, 0] exactly, so S takes every
+        # magnitude, subnormals, infinities and nan, and C P A^T overflows
+        # and turns nan in places
+        rng = np.random.default_rng([12, m])
+        n = 3000
+        model = GaussMarkovModel(A=rng.standard_normal((m, m)), C=np.eye(1, m), Q=np.eye(m), R=[[1.0]])
+        p = rng.choice([-1.0, 1.0], (n, m, m)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, m, m))
+        s = p[:, 0, 0]
+        s[::10] = rng.choice([-1.0, 1.0], n // 10) * 10.0 ** rng.uniform(-323.0, -308.0, n // 10)
+        s[1::10], s[2::10], s[3::10] = math.inf, -math.inf, math.nan
+        p[4::10, 0, -1], p[5::10, 0, -1] = math.inf, math.nan
+        gamma = np.zeros((n, 1, 1))
+        assert (s != 0.0).all() and (abs(s[::10]) < np.finfo(float).tiny).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            cp = model.C @ p
+            expected = np.linalg.solve(cp @ model.C.T, cp @ model.A.T)
+            got = riccati._solve_innovation(model, p, gamma)
+            got_2d = [riccati._solve_innovation(model, p[i], 0.0) for i in range(0, n, 97)]
+        # with m = 1, C P A^T = a S, so only nan leaves the finite range
+        assert np.isnan(got).any() and (m == 1 or np.isinf(got).any())
+
+        def bits(x):
+            # signed zeros apart, every nan alike
+            return np.isnan(x).tobytes() + np.where(np.isnan(x), 0.0, x).tobytes()
+
+        assert bits(got) == bits(expected)
+        for one, want in zip(got_2d, expected[::97]):
+            assert bits(one) == bits(want)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_predictor_gain_is_a_times_filter_gain(self, m):

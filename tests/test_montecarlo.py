@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jcas_lab import filtering
+from jcas_lab import filtering, montecarlo
 from jcas_lab.errors import DimensionError, ParameterError
 from jcas_lab.cli import mc_row, per_step_lines, write_lines
 from jcas_lab.montecarlo import empirical_block_distortion, expected_covariance_mc
@@ -139,6 +139,16 @@ class TestExpectedCovarianceMc:
         rep = expected_covariance_mc(stable_model, 0.5, 10, 50, seed=8, critical=math.nan)
         row = mc_row(rep)
         assert row.split(",")[7] == "within"
+
+
+@pytest.mark.parametrize("shape", [(200, 5001), (30, 256), (30, 255), (7, 33), (10000, 1), (10000,), (500, 2, 2)])
+def test_centered_mean_adds_in_trial_order(shape):
+    # wide trials are added one row at a time, narrow ones by accumulate
+    # over row chunks; both give the trial-order loop's bits
+    rng = np.random.default_rng(list(shape))
+    values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    want = mc_reference.centered_mean(list(values))
+    assert np.asarray(montecarlo._centered_mean(values)).tobytes() == np.asarray(want).tobytes()
 
 
 class TestBlockDistortion:

@@ -164,6 +164,31 @@ class TestOverflowedCovariance:
                 assert riccati.innovation_kernel(a, c, q, r, float(p), gamma, lam) == plain
                 assert (alone[0][i, 0], alone[1][i, 0]) == plain
 
+    def test_overflowed_innovation_takes_the_limit(self):
+        # with |c| > |a|, s = c p c + gamma r overflows while a p a does not;
+        # the sensing step then takes the limit form: gain (c a) / d and
+        # a^2 gamma r / d + q with d = c^2 + gamma r / p, near a / c and
+        # a^2 gamma r / c^2 + q (it gave nan, or gain 0 and a p a + q)
+        a, c, q, r = 1.2, 3.0, 0.2, 1.5
+        for p in (2e307, 1e308, 1.7e308, math.inf):
+            gain, p_next = riccati.innovation_kernel(a, c, q, r, p, 1.0, 1.0)
+            assert gain == pytest.approx(a / c, rel=1e-15)
+            assert p_next == pytest.approx(a * a * r / (c * c) + q, rel=1e-15)
+        # on a masked trial array a sensed entry takes the limit, an erased
+        # one the open-loop step's bits, and a finite one the plain step's
+        p = np.repeat([1.0, 2e307, 5e307, 1e308, 1.7e308], 2)[:, None]
+        mask = np.arange(p.size)[:, None] % 2 == 1
+        with np.errstate(over="ignore"):
+            gain, p_next = riccati.innovation_kernel(a, c, q, r, p, 1.0, mask)
+            erased = statespace.lyap_kernel(a, q, p, 1.0)
+        d = c * c + r / p[2:]
+        assert bits(gain[2:]) == bits(c * a / d)
+        assert bits(p_next[2:][mask[2:]]) == bits(((a * a) * (r / d) + q)[mask[2:]])
+        assert bits(p_next[~mask]) == bits(erased[~mask])
+        plain_gain, plain_next = riccati.innovation_kernel(a, c, q, r, 1.0, 1.0, 1.0)
+        assert bits(gain[:2]) == bits([plain_gain, plain_gain])
+        assert p_next[1, 0] == plain_next
+
     @pytest.mark.parametrize("a, c", [(-1.15, 0.7), (1e30, 1.0), (1e30, 2.0), (-1.15, 0.0)])
     def test_arrival_mask_picks_entry_by_entry(self, a, c):
         # lam as a 0/1 mask: a 1 entry has the sensing step's bits, a 0 entry
@@ -405,6 +430,30 @@ def test_arrival_mask_picks_sensing_or_open_loop(m):
                 gain, p_next = riccati.innovation(model, p, gamma, mask)
                 assert bits(gain) == bits(sensed_gain)
                 assert bits(p_next) == bits(np.where(mask, sensed, lyapunov_step(model, p, 1.0)))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_stack_steps_round_as_member_steps(m):
+    # a stack's products with a model matrix (A P, (A P) A^T, (A P) C^T) are
+    # one 2-D product over all members; every member keeps the bits of its
+    # own step, on stacks of every size from empty up and over nine decades
+    for k in (1, 2, 3):
+        model = seeded_random_model([9, m, k], 1.1, m, k)
+        rng = np.random.default_rng([10, m, k])
+        scales = 10.0 ** rng.uniform(-9.0, 9.0, 61)
+        stack = np.stack([s * random_psd(rng, m) for s in scales])
+        mask = (rng.random(61) < 0.5)[:, None, None] * 1.0
+        for n in (0, 1, 2, 5, 61):
+            p, lam = stack[:n], mask[:n]
+            gain, p_next = riccati.innovation(model, p, 2.5, lam)
+            open_loop = lyapunov_step(model, p, 0.7)
+            assert gain.shape == (n, m, k)
+            assert p_next.shape == open_loop.shape == (n, m, m)
+            for i in range(n):
+                one_gain, one_next = riccati.innovation(model, p[i], 2.5, lam[i])
+                assert bits(gain[i]) == bits(one_gain)
+                assert bits(p_next[i]) == bits(one_next)
+                assert bits(open_loop[i]) == bits(lyapunov_step(model, p[i], 0.7))
 
 
 @pytest.fixture
