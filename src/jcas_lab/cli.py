@@ -45,9 +45,8 @@ from .riccati import (
     gamma_max,
     lambda_s,
     lambda_v,
-    sbar_sweep,
-    trace_or_inf,
-    vbar_sweep,
+    sbar_traces,
+    vbar_traces,
 )
 from .statespace import GaussMarkovModel, validate_model
 from .tradeoff import (
@@ -391,10 +390,9 @@ def cmd_riccati(args) -> int:
         raise SchemaError("distortion_budgets: grid is empty")
     head = stamp("riccati", cfg, seed, f"model=[{model.describe()}]")
 
-    lams = [float(lam) for lam in lam_grid]
+    traces = zip(lam_grid.tolist(), sbar_traces(lam_grid, model).tolist(), vbar_traces(lam_grid, model).tolist())
     lines = [f"# {head}", "lambda,tr_sbar,tr_vbar"]
-    for lam, s, v in zip(lams, sbar_sweep(lams, model), vbar_sweep(lams, model)):
-        lines.append(f"{lam!r},{trace_or_inf(s)!r},{trace_or_inf(v)!r}")
+    lines += [f"{lam!r},{s!r},{v!r}" for lam, s, v in traces]
     write_lines(out / "riccati_fixed_points.csv", lines)
 
     lam_c = critical_lambda(model)
@@ -435,8 +433,8 @@ def _write_dominance(mb, inner, outer, n_points: int, head: str, out: Path, patt
             f"# mb vs bs-{label}: a_ge_b={report.n_a_ge_b} b_gt_a={report.n_b_gt_a}",
             "distortion,rate_a,rate_b,gap",
         ]
-        for d, ra, rb in zip(report.distortions, report.rates_a, report.rates_b):
-            lines.append(f"{float(d)!r},{float(ra)!r},{float(rb)!r},{float(ra - rb)!r}")
+        rows = (x.tolist() for x in (report.distortions, report.rates_a, report.rates_b, report.gaps))
+        lines += [f"{d!r},{ra!r},{rb!r},{gap!r}" for d, ra, rb, gap in zip(*rows)]
         write_lines(out / pattern.format(label), lines)
         reports[label] = report
     return reports

@@ -25,9 +25,10 @@ phi_{lam,gamma}(L, X) = (1 - lam) A X A^T + lam (A - L C) X (A - L C)^T
 ``gamma_bs`` (gamma = 1, fixed point V-bar) or ``gamma_mb`` (lam = 1, the
 multi-beam steady state) (Sinopoli et al., "Kalman filtering with
 intermittent observations", IEEE TAC 2004).  A scalar model takes the
-positive root of the quadratic this fixed point solves.  A matrix model
-runs Hewer's policy iteration, batched over a whole lam or gamma grid,
-from a gain L whose affine map contracts: L = 0 when A is stable, the gain
+positive root of the quadratic this fixed point solves, as one array
+expression over a whole grid.  A matrix model runs Hewer's policy
+iteration, batched over a whole lam or gamma grid, from a gain L whose
+affine map contracts: L = 0 when A is stable, the gain
 of the ``unstable_modes_observed`` certificate, or, on a model the
 certificate refuses, a gain found by iterating the map itself from Q.
 That search (``_contracting_gains``) runs every point of a call as one
@@ -48,8 +49,11 @@ midpoint they can visit is solved in one batched policy iteration (or
 S-bar sweep), after one gain search over all of them on a refused model,
 and the bisection reads the verdicts of the midpoints it visits, so it
 returns what a one-probe bisection returns.  Scalar models probe one point
-at a time, since each probe is a closed form.  On certified models the
-critical sensing probability bisects the closed-form test
+at a time, since each probe is a closed form, which stays on float
+arithmetic.  Every solve of a grid comes back as a stack and a finite mask
+(``statespace.grid_traces`` and ``grid_members`` read it), so a curve's
+traces are one stacked trace.  On certified models the critical sensing
+probability bisects the closed-form test
 (1 - lam) rho(A)^2 < 1 and needs no covariance step; on refused models it
 bisects on whether V-bar is finite.
 """
@@ -66,10 +70,13 @@ from .statespace import (
     CRITICAL_MARGIN,
     GaussMarkovModel,
     as_matrix,
+    grid_members,
+    grid_traces,
     lyapunov_diverges,
+    lyapunov_root,
     lyapunov_step,
     matrix_times,
-    scaled_lyapunov_sweep,
+    scaled_lyapunov_grid,
     solve_affine,
     solve_scaled_lyapunov,
     spectral_radius,
@@ -131,6 +138,22 @@ def _check_gamma(gamma: float) -> float:
     if math.isnan(gamma) or gamma < 1.0:
         raise ParameterError(f"gamma must lie in [1, inf], got {gamma}")
     return gamma
+
+
+def _lam_grid(lams) -> np.ndarray:
+    lams = np.asarray(lams, dtype=float)
+    bad = ~((0.0 <= lams) & (lams <= 1.0))
+    if bad.any():
+        _check_lam(lams[bad][0])
+    return lams
+
+
+def _gamma_grid(gammas) -> np.ndarray:
+    gammas = np.asarray(gammas, dtype=float)
+    bad = np.isnan(gammas) | (gammas < 1.0)
+    if bad.any():
+        _check_gamma(gammas[bad][0])
+    return gammas
 
 
 def innovation_kernel(a: float, c: float, q: float, r: float, p: float, gamma: float, lam: float):
@@ -290,11 +313,6 @@ def iterate_map(step, p0: np.ndarray, n: int):
         yield p
 
 
-def trace_or_inf(matrix) -> float:
-    """Trace of a fixed point; infinite for the None of a divergent one."""
-    return math.inf if matrix is None else float(np.trace(matrix))
-
-
 #: an eigenbasis of A or a C V_u beyond this condition number is not certified
 CERTIFICATE_COND = 1e8
 
@@ -383,23 +401,43 @@ def _contracting_gains(model: GaussMarkovModel, lams, gammas) -> list:
     return found
 
 
-def _scalar_root(model: GaussMarkovModel, lam: float, gamma: float):
-    """Scalar fixed point of min_L phi_{lam,gamma}(L, .), or None when it diverges.
+def _where(cond, x, y):
+    """np.where on arrays, a conditional expression on floats."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _scalar_root(a: float, c: float, q: float, r: float, lam, gamma):
+    """Scalar fixed point of min_L phi_{lam,gamma}(L, .) where it does not
+    diverge (``_scalar_diverges``).
 
     Clearing the denominator of v = a^2 v + q - lam a^2 c^2 v^2 / (c^2 v + gamma r)
     gives c^2 (1 - (1 - lam) a^2) v^2 + (gamma r (1 - a^2) - q c^2) v - gamma q r = 0,
-    whose positive root is taken in the form without cancellation.  With
-    c = 0 nothing is sensed, so divergence follows the open-loop test.
+    whose positive root is taken in the form without cancellation.  lam and
+    gamma are floats, or arrays of a grid, as in ``innovation_kernel``: one
+    expression serves a threshold's one-point probe on float arithmetic and
+    a whole grid, with the same operations in the same order.  A divergent
+    entry of an array comes out as nan or inf (the caller silences numpy).
     """
-    a, c, q, r = model.scalars()
-    if lyapunov_diverges(1.0 - lam if c else 1.0, abs(a)):
-        return None
     gr = gamma * r
     lead = c * c * (1.0 - (1.0 - lam) * (a * a))
     b = gr * (1.0 - a * a) - q * (c * c)
-    root = math.sqrt(b * b + 4.0 * lead * gr * q)
-    v = 2.0 * gr * q / (b + root) if b > 0.0 else (root - b) / (2.0 * lead)
-    return np.array([[v]])
+    disc = b * b + 4.0 * lead * gr * q
+    root = np.sqrt(disc) if isinstance(disc, np.ndarray) else math.sqrt(disc)
+    big = b > 0.0
+    return _where(big, 2.0 * gr * q, root - b) / _where(big, b + root, 2.0 * lead)
+
+
+def _scalar_diverges(a: float, c: float, lam):
+    """Where the scalar fixed point diverges, on a float lam or an array:
+    (1 - lam) a^2 >= 1 - CRITICAL_MARGIN, and with c = 0 nothing is sensed,
+    so the open-loop test (0.0 * lam keeps an array's shape)."""
+    return lyapunov_diverges(1.0 - (lam if c else 0.0 * lam), abs(a))
+
+
+def _scalar_trace(model: GaussMarkovModel, lam: float, gamma: float) -> float:
+    """One scalar fixed point (its own trace) on floats, +inf where it diverges."""
+    a, c, q, r = model.scalars()
+    return math.inf if _scalar_diverges(a, c, lam) else _scalar_root(a, c, q, r, lam, gamma)
 
 
 def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray:
@@ -445,51 +483,65 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
     raise NumericalError("policy iteration did not settle in 100 steps")
 
 
-def _solve_grid(model: GaussMarkovModel, lams, gammas) -> list:
-    """min_L phi_{lam,gamma}(L, .) fixed point per (lam, gamma) pair, None where
-    it diverges.
+def _solve_grid(model: GaussMarkovModel, lams, gammas):
+    """(X, finite): the min_L phi_{lam,gamma}(L, .) fixed point per (lam, gamma)
+    pair as an (n, m, m) stack, and the mask of the pairs where it does not
+    diverge; the other members of X are meaningless.
 
-    A scalar model takes the closed-form root.  A matrix model is divergent
-    where (1 - lam) rho(A)^2 >= 1 - CRITICAL_MARGIN (the fixed point
-    dominates S-bar, which diverges there); every other point of a stable or
-    certified model is finite, started from L = 0 or the certificate's gain.
-    On a model the certificate refuses, one ``_contracting_gains`` search
-    finds each point's starting gain, and a point is divergent where none is
-    found.  All started points are solved by one policy iteration.
+    A scalar model takes the closed-form root on the whole grid.  A matrix
+    model is divergent where (1 - lam) rho(A)^2 >= 1 - CRITICAL_MARGIN (the
+    fixed point dominates S-bar, which diverges there); every other point
+    of a stable or certified model is finite, started from L = 0 or the
+    certificate's gain.  On a model the certificate refuses, one
+    ``_contracting_gains`` search finds each point's starting gain, and a
+    point is divergent where none is found.  All started points are solved
+    by one policy iteration.
     """
+    lams = np.asarray(lams, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)
     if model.is_scalar:
-        return [_scalar_root(model, lam, gamma) for lam, gamma in zip(lams, gammas)]
+        a, c, q, r = model.scalars()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = _scalar_root(a, c, q, r, lams, gammas)
+        return v.reshape(-1, 1, 1), ~_scalar_diverges(a, c, lams)
     rho = spectral_radius(model.A)
-    todo = [i for i, lam in enumerate(lams) if not lyapunov_diverges(1.0 - lam, rho)]
-    out = [None] * len(lams)
+    todo = np.flatnonzero(~lyapunov_diverges(1.0 - lams, rho))
     stable = not lyapunov_diverges(1.0, rho)
     gain = np.zeros((model.m, model.k)) if stable else _certificate_gain(model)
     if gain is None:
-        gains = _contracting_gains(model, [lams[i] for i in todo], [gammas[i] for i in todo])
-        todo = [i for i, g in zip(todo, gains) if g is not None]
+        gains = _contracting_gains(model, lams[todo], gammas[todo])
+        todo = todo[np.array([g is not None for g in gains], dtype=bool)]
         gain = np.array([g for g in gains if g is not None])
-    if todo:
-        solved = _policy_iteration(model, [lams[i] for i in todo], [gammas[i] for i in todo], gain)
-        for i, x in zip(todo, solved):
-            out[i] = x
-    return out
+    x = np.zeros((len(lams), model.m, model.m))
+    finite = np.zeros(len(lams), dtype=bool)
+    if todo.size:
+        x[todo] = _policy_iteration(model, lams[todo], gammas[todo], gain)
+        finite[todo] = True
+    return x, finite
 
 
-def _vbar_points(model: GaussMarkovModel, lams) -> list:
-    return _solve_grid(model, lams, [1.0] * len(lams))
+def _vbar_grid(model: GaussMarkovModel, lams):
+    return _solve_grid(model, lams, np.ones(len(lams)))
 
 
-def _mb_points(model: GaussMarkovModel, gammas) -> list:
-    """Multi-beam fixed point per gamma; gamma = inf is the open-loop Lyapunov solve."""
-    finite = [gamma for gamma in gammas if not math.isinf(gamma)]
-    solved = iter(_solve_grid(model, [1.0] * len(finite), finite))
-    open_loop = solve_scaled_lyapunov(model, 1.0) if math.inf in gammas else None
-    return [open_loop if math.isinf(gamma) else next(solved) for gamma in gammas]
+def _mb_grid(model: GaussMarkovModel, gammas):
+    """``_solve_grid`` at lam = 1 over a gamma grid; gamma = inf is the
+    open-loop Lyapunov solve."""
+    gammas = np.asarray(gammas, dtype=float)
+    open_loop = np.isinf(gammas)
+    if not open_loop.any():
+        return _solve_grid(model, np.ones(len(gammas)), gammas)
+    x = np.zeros((len(gammas), model.m, model.m))
+    finite = np.zeros(len(gammas), dtype=bool)
+    sensed = ~open_loop
+    x[sensed], finite[sensed] = _solve_grid(model, np.ones(np.count_nonzero(sensed)), gammas[sensed])
+    x[open_loop], finite[open_loop] = scaled_lyapunov_grid(model, [1.0])
+    return x, finite
 
 
 def vbar(lam: float, model: GaussMarkovModel):
     """Fixed point of the beam-switching map, or None when it diverges."""
-    return _vbar_points(model, [_check_lam(lam)])[0]
+    return vbar_sweep([lam], model)[0]
 
 
 def vbar_sweep(lams, model: GaussMarkovModel) -> list:
@@ -499,7 +551,16 @@ def vbar_sweep(lams, model: GaussMarkovModel) -> list:
     one stack, and a point is None also where it finds no contracting gain
     within GAIN_SEARCH_STEPS steps.
     """
-    return _vbar_points(model, [_check_lam(float(lam)) for lam in lams])
+    return grid_members(_vbar_grid(model, _lam_grid(lams)))
+
+
+def vbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
+    """tr V-bar at every lam of a grid, +inf where it diverges: one stacked
+    trace of ``vbar_sweep``'s solve.  On a scalar model a one-lam call stays
+    on float arithmetic."""
+    if model.is_scalar and len(lams) == 1:
+        return np.array([_scalar_trace(model, _check_lam(float(lams[0])), 1.0)])
+    return grid_traces(_vbar_grid(model, _lam_grid(lams)))
 
 
 def sbar(lam: float, model: GaussMarkovModel):
@@ -509,12 +570,22 @@ def sbar(lam: float, model: GaussMarkovModel):
 
 def sbar_sweep(lams, model: GaussMarkovModel) -> list:
     """S-bar at every lam of a grid, solved together; None where divergent."""
-    return scaled_lyapunov_sweep(model, [1.0 - _check_lam(float(lam)) for lam in lams])
+    return grid_members(scaled_lyapunov_grid(model, 1.0 - _lam_grid(lams)))
+
+
+def sbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
+    """tr S-bar at every lam of a grid, +inf where it diverges; on a scalar
+    model a one-lam call stays on float arithmetic."""
+    if model.is_scalar and len(lams) == 1:
+        a, _, q, _ = model.scalars()
+        alpha = 1.0 - _check_lam(float(lams[0]))
+        return np.array([math.inf if lyapunov_diverges(alpha, abs(a)) else lyapunov_root(a, q, alpha)])
+    return grid_traces(scaled_lyapunov_grid(model, 1.0 - _lam_grid(lams)))
 
 
 def mb_fixed_point(gamma: float, model: GaussMarkovModel):
     """Steady-state covariance of the multi-beam map, or None when divergent."""
-    return _mb_points(model, [_check_gamma(gamma)])[0]
+    return mb_sweep([gamma], model)[0]
 
 
 def mb_sweep(gammas, model: GaussMarkovModel) -> list:
@@ -523,7 +594,16 @@ def mb_sweep(gammas, model: GaussMarkovModel) -> list:
     gamma = inf takes the open-loop Lyapunov route.  An entry is None where
     the fixed point diverges.
     """
-    return _mb_points(model, [_check_gamma(float(g)) for g in gammas])
+    return grid_members(_mb_grid(model, _gamma_grid(gammas)))
+
+
+def mb_traces(gammas, model: GaussMarkovModel) -> np.ndarray:
+    """tr of the multi-beam fixed point at every gamma of a grid, +inf where
+    it diverges; on a scalar model a one-gamma call (gamma < inf) stays on
+    float arithmetic."""
+    if model.is_scalar and len(gammas) == 1 and float(gammas[0]) < math.inf:
+        return np.array([_scalar_trace(model, 1.0, _check_gamma(float(gammas[0])))])
+    return grid_traces(_mb_grid(model, _gamma_grid(gammas)))
 
 
 #: halvings one batched threshold probe decides on matrix models; scalar
@@ -611,14 +691,14 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
     if unstable_modes_observed(model):
         # lam_c = 1 - 1/rho^2: bisect the closed-form test for the same midpoints
         return _bisect(0.0, 1.0, bisect_tol, lambda lams: [not lyapunov_diverges(1.0 - lams[0], rho)])
-    if _vbar_points(model, [1.0])[0] is None:
+    if not _vbar_grid(model, [1.0])[1][0]:
         raise NumericalError(
             "no gain makes the beam-switching map contract even with every "
             "measurement; model is likely not detectable"
         )
 
     def finite(lams) -> list:
-        return [x is not None for x in _vbar_points(model, lams)]
+        return _vbar_grid(model, lams)[1].tolist()
 
     return _bisect(0.0, 1.0, bisect_tol, finite, _bisect_levels(model))
 
@@ -636,7 +716,7 @@ def lambda_s(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     bisection; scalar models probe one lam at a time.
     """
     levels = _bisect_levels(model)
-    return _lambda_threshold(d, lambda lams: sbar_sweep(lams, model), bisect_tol, levels)
+    return _lambda_threshold(d, lambda lams: sbar_traces(lams, model), bisect_tol, levels)
 
 
 def lambda_v(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
@@ -650,15 +730,15 @@ def lambda_v(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     probe at a time.
     """
     levels = _bisect_levels(model)
-    return _lambda_threshold(d, lambda lams: _vbar_points(model, lams), bisect_tol, levels)
+    return _lambda_threshold(d, lambda lams: vbar_traces(lams, model), bisect_tol, levels)
 
 
-def _lambda_threshold(d, solve, bisect_tol, levels):
+def _lambda_threshold(d, traces, bisect_tol, levels):
     _check_budget(d)
     _check_tol(bisect_tol)
 
     def feasible(lams) -> list:
-        return [trace_or_inf(x) <= d for x in solve(lams)]
+        return (traces(lams) <= d).tolist()
 
     at_zero, at_one = feasible([0.0, 1.0])
     if at_zero:
@@ -689,7 +769,7 @@ def gamma_max(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     _check_tol(bisect_tol)
 
     def fits(gammas) -> list:
-        return [trace_or_inf(x) <= d for x in _mb_points(model, gammas)]
+        return (mb_traces(gammas, model) <= d).tolist()
 
     top = math.exp(GAMMA_LOG_RANGE)
     at_one, open_loop, at_top = fits([1.0, math.inf, top])

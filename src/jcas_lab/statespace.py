@@ -4,7 +4,8 @@ Holds the (A, C, Q, R) model container with validity checks, the spectral
 radius, and the scaled Lyapunov solver S = alpha * A S A^T + Q whose fixed
 point lower-bounds the error covariance of an intermittently updated filter.
 The solver iterates nothing: a scalar model takes the closed form
-q / (1 - alpha a^2), and a matrix model solves the Kronecker system
+q / (1 - alpha a^2) (one array expression per grid), and a matrix model
+solves the Kronecker system
 (I - alpha A (x) A) vec S = vec Q, batched over a grid of alphas by
 ``solve_affine``, which the Riccati fixed points reuse.
 
@@ -298,36 +299,60 @@ def solve_affine(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return symmetrize(x.reshape(n, m, m))
 
 
-def scaled_lyapunov_sweep(model: GaussMarkovModel, alphas) -> list:
-    """Fixed point of S = alpha * A S A^T + Q at every alpha of a grid.
+def lyapunov_root(a: float, q: float, alpha):
+    """q / (1 - alpha a^2), the scalar fixed point of S = alpha a S a + q, on a
+    float alpha or an array of them: one expression serves a grid and a
+    threshold's one-alpha probe.  It tests nothing; where
+    ``lyapunov_diverges`` holds it is no fixed point."""
+    return q / (1.0 - alpha * (a * a))
 
-    An entry is None where alpha * rho(A)^2 >= 1 (within CRITICAL_MARGIN),
-    which has no usable fixed point.  A scalar model takes the closed form
-    q / (1 - alpha a^2); a matrix model solves the Kronecker system
-    (I - alpha A (x) A) vec S = vec Q for every finite entry at once, with
-    sqrt(alpha) A as the factor of ``solve_affine``.
+
+def grid_traces(grid) -> np.ndarray:
+    """The trace of every member of a solved grid (S, finite), +inf where
+    ``finite`` is False: one stacked trace."""
+    x, finite = grid
+    return np.where(finite, x.trace(axis1=1, axis2=2), np.inf)
+
+
+def grid_members(grid) -> list:
+    """A solved grid (S, finite) as one m x m fixed point per entry, None
+    where ``finite`` is False."""
+    x, finite = grid
+    return [member if ok else None for member, ok in zip(x, finite.tolist())]
+
+
+def scaled_lyapunov_grid(model: GaussMarkovModel, alphas):
+    """(S, finite): the fixed point of S = alpha * A S A^T + Q at every alpha
+    of a grid, as an (n, m, m) stack, and the mask of the alphas that have
+    one.
+
+    finite is False where alpha * rho(A)^2 >= 1 (within CRITICAL_MARGIN),
+    and those members of S are meaningless.  A scalar model takes
+    ``lyapunov_root`` on the whole grid; a matrix model solves the
+    Kronecker system (I - alpha A (x) A) vec S = vec Q for every finite
+    entry at once, with sqrt(alpha) A as the factor of ``solve_affine``.
     """
-    alphas = [float(alpha) for alpha in alphas]
-    for alpha in alphas:
-        if not (0.0 <= alpha <= 1.0):
-            raise ParameterError(f"alpha must lie in [0, 1], got {alpha}")
-    rho = spectral_radius(model.A)
-    skip = [lyapunov_diverges(alpha, rho) for alpha in alphas]
-    finite = [alpha for alpha, s in zip(alphas, skip) if not s]
+    alphas = np.asarray(alphas, dtype=float)
+    bad = ~((0.0 <= alphas) & (alphas <= 1.0))
+    if bad.any():
+        raise ParameterError(f"alpha must lie in [0, 1], got {alphas[bad][0]}")
+    finite = ~lyapunov_diverges(alphas, spectral_radius(model.A))
     if model.is_scalar:
         a, _, q, _ = model.scalars()
-        solved = iter([np.array([[q / (1.0 - alpha * (a * a))]]) for alpha in finite])
-    elif finite:
-        factors = np.sqrt(np.reshape(finite, (-1, 1, 1, 1))) * model.A
-        rhs = np.broadcast_to(model.Q, (len(finite), model.m, model.m))
-        solved = iter(solve_affine(factors, rhs))
-    return [None if s else next(solved) for s in skip]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return lyapunov_root(a, q, alphas).reshape(-1, 1, 1), finite
+    x = np.zeros((len(alphas), model.m, model.m))
+    kept = alphas[finite]
+    if kept.size:
+        factors = np.sqrt(kept.reshape(-1, 1, 1, 1)) * model.A
+        x[finite] = solve_affine(factors, np.broadcast_to(model.Q, (kept.size, model.m, model.m)))
+    return x, finite
 
 
 def solve_scaled_lyapunov(model: GaussMarkovModel, alpha: float):
     """Fixed point of S = alpha * A S A^T + Q, or None when it diverges.
 
-    A direct solve (see ``scaled_lyapunov_sweep``); alpha * rho(A)^2 >= 1
+    A direct solve (see ``scaled_lyapunov_grid``); alpha * rho(A)^2 >= 1
     (within CRITICAL_MARGIN) has no usable fixed point and returns None.
     """
-    return scaled_lyapunov_sweep(model, [alpha])[0]
+    return grid_members(scaled_lyapunov_grid(model, [alpha]))[0]

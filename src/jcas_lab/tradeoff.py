@@ -6,6 +6,15 @@ the traces of the S-bar (lower/outer) and V-bar (upper/inner) steady states.
 Multi-beam senses every step with gain gamma0 and communicates with the
 complementary power fraction, giving an exact curve.
 
+A curve is solved, traced and ordered as arrays: the fixed points of a whole
+grid come from one solve (``riccati.vbar_traces``, ``sbar_traces``,
+``mb_traces``), their traces from one stacked trace with +inf where they
+diverge, and the order from one stable sort by distortion, ties by param.
+The point list is built once, in that order.  Beam-switching rates are one
+array product; multi-beam rates stay one point at a time through
+``math.log1p``, since numpy's vectorized log1p can round differently and
+would move output bits.
+
 Rates are in nats throughout.
 """
 
@@ -13,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import ParameterError
-from .riccati import mb_sweep, sbar_sweep, trace_or_inf, vbar_sweep
+from .riccati import mb_traces, sbar_traces, vbar_traces
 from .statespace import GaussMarkovModel
 
 
@@ -112,39 +122,34 @@ def mb_rate(channel: ChannelSpec, gamma0: float) -> float:
     return 0.5 * math.log1p(((gamma0 - 1.0) / gamma0) * snr)
 
 
-def _sorted_points(points):
-    return sorted(points, key=lambda p: (p.distortion, p.param))
+def _points(rates: np.ndarray, dists: np.ndarray, kind: str, params: np.ndarray) -> list:
+    """A curve's points in one stable order: by distortion, ties by param."""
+    order = np.lexsort((params, dists))
+    return list(
+        map(RateDistortionPoint, rates[order].tolist(), dists[order].tolist(), repeat(kind), params[order].tolist())
+    )
 
 
 def bs_curve(model: GaussMarkovModel, channel: ChannelSpec, lambda_grid):
     """Inner (V-bar) and outer (S-bar) beam-switching curves over a lam grid.
 
-    Returns (inner_points, outer_points), each sorted by distortion.  Grid
-    values whose steady state diverges -- or sits too close to the
-    divergence boundary to resolve -- are flagged with infinite distortion.
-    Each bound solves the whole grid in one sweep.
+    Returns (inner_points, outer_points), each sorted by distortion, ties by
+    lam.  Grid values whose steady state diverges -- or sits too close to
+    the divergence boundary to resolve -- are flagged with infinite
+    distortion.  Each bound solves and traces the whole grid as arrays.
     """
-    lams = [float(lam) for lam in lambda_grid]
-    rates = [bs_rate(channel, lam) for lam in lams]
-    inner = [
-        RateDistortionPoint(rate, trace_or_inf(v), "inner", lam)
-        for rate, v, lam in zip(rates, vbar_sweep(lams, model), lams)
-    ]
-    outer = [
-        RateDistortionPoint(rate, trace_or_inf(s), "outer", lam)
-        for rate, s, lam in zip(rates, sbar_sweep(lams, model), lams)
-    ]
-    return _sorted_points(inner), _sorted_points(outer)
+    lams = np.asarray(lambda_grid, dtype=float)
+    rates = (1.0 - lams) * full_rate(channel)
+    inner = _points(rates, vbar_traces(lams, model), "inner", lams)
+    return inner, _points(rates, sbar_traces(lams, model), "outer", lams)
 
 
 def mb_curve(model: GaussMarkovModel, channel: ChannelSpec, gamma_grid):
-    """Exact multi-beam curve over a gamma grid, sorted by distortion."""
-    gammas = [float(gamma) for gamma in gamma_grid]
-    rates = [mb_rate(channel, gamma) for gamma in gammas]
-    return _sorted_points(
-        RateDistortionPoint(rate, trace_or_inf(fp), "exact", gamma)
-        for rate, fp, gamma in zip(rates, mb_sweep(gammas, model), gammas)
-    )
+    """Exact multi-beam curve over a gamma grid, sorted by distortion, ties
+    by gamma.  Rates are taken per point by ``mb_rate``."""
+    gammas = np.asarray(gamma_grid, dtype=float)
+    rates = np.array([mb_rate(channel, gamma) for gamma in gammas.tolist()])
+    return _points(rates, mb_traces(gammas, model), "exact", gammas)
 
 
 @dataclass
@@ -173,17 +178,18 @@ class DominanceReport:
 
 
 def _interp_arrays(points):
-    finite = [(p.distortion, p.rate) for p in points if p.finite]
-    finite.sort()
-    dist = []
-    rate = []
-    for d, r in finite:
-        if dist and d == dist[-1]:
-            rate[-1] = max(rate[-1], r)
-            continue
-        dist.append(d)
-        rate.append(r)
-    return np.array(dist), np.array(rate)
+    """(distortions, rates) of a curve's finite points, sorted by distortion;
+    a run of equal distortions keeps its largest rate."""
+    d = np.array([p.distortion for p in points], dtype=float)
+    r = np.array([p.rate for p in points], dtype=float)
+    finite = np.isfinite(d)
+    d, r = d[finite], r[finite]
+    order = np.lexsort((r, d))
+    d, r = d[order], r[order]
+    if not d.size:
+        return d, r
+    starts = np.flatnonzero(np.concatenate(([True], d[1:] != d[:-1])))
+    return d[starts], np.maximum.reduceat(r, starts)
 
 
 def _overlap(da: np.ndarray, db: np.ndarray):

@@ -19,6 +19,10 @@ plain iteration helper.
 ``contracting_gain`` is the gain search of a refused model one point at a
 time, the oracle for each member of the library's batched search.
 
+``scalar_root`` and ``scalar_lyapunov`` are the scalar closed forms one
+grid point at a time on floats, the oracles of the library's array roots.
+``trace_or_inf`` is the trace of one fixed point, +inf for a divergent one.
+
 ``bisect`` is the one-probe bisection: one predicate call per halving.
 ``lambda_s``, ``lambda_v`` and ``gamma_max`` run it on the library's
 single-point solves (``sbar``, ``vbar``, ``mb_fixed_point``), each endpoint
@@ -126,6 +130,34 @@ def vbar_points(model, lams, tol=1e-12, max_iter=1_000_000) -> list:
         status, value, _ = classify_bs(model, float(lam), tol, max_iter)
         out.append(value if status == CONVERGED else None)
     return out
+
+
+def trace_or_inf(matrix) -> float:
+    """Trace of one fixed point; infinite for the None of a divergent one."""
+    return math.inf if matrix is None else float(np.trace(matrix))
+
+
+def scalar_root(model, lam: float, gamma: float):
+    """The scalar closed-form fixed point of min_L phi_{lam,gamma}(L, .) for
+    one (lam, gamma) pair on floats, None where it diverges: the library's
+    root one grid point at a time, with its operations in its order."""
+    a, c, q, r = model.scalars()
+    if lyapunov_diverges(1.0 - lam if c else 1.0, abs(a)):
+        return None
+    gr = gamma * r
+    lead = c * c * (1.0 - (1.0 - lam) * (a * a))
+    b = gr * (1.0 - a * a) - q * (c * c)
+    root = math.sqrt(b * b + 4.0 * lead * gr * q)
+    return 2.0 * gr * q / (b + root) if b > 0.0 else (root - b) / (2.0 * lead)
+
+
+def scalar_lyapunov(model, alpha: float):
+    """The scalar S = alpha a S a + q fixed point q / (1 - alpha a^2) for one
+    alpha on floats, None where it diverges."""
+    a, _, q, _ = model.scalars()
+    if lyapunov_diverges(alpha, abs(a)):
+        return None
+    return q / (1.0 - alpha * (a * a))
 
 
 def dare(model, gamma: float) -> np.ndarray:

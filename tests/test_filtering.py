@@ -387,9 +387,10 @@ class TestInnovationSolve:
                 assert bound <= 1e-10 * np.linalg.norm(gain)
 
     def test_scalar_kernel_matches_matrix_solve(self):
-        # a 1x1 model through LAPACK and through innovation_kernel: the same
-        # expressions but for the solve, which LAPACK may round as a
-        # reciprocal multiply, so they agree within a few ulps
+        # a 1x1 model through innovation and through innovation_kernel: a
+        # one-output solve with one right-hand column is a plain division
+        # (no LAPACK call), in the kernel's own expression order, so the gain
+        # and P' agree bit for bit
         rng = np.random.default_rng(11)
         for _ in range(500):
             a, c = rng.uniform(-2.0, 2.0, 2)
@@ -398,8 +399,8 @@ class TestInnovationSolve:
             model = GaussMarkovModel.scalar(a, c, q, r)
             gain, p_next = riccati.innovation_kernel(a, c, q, r, p, gamma, 1.0)
             mat_gain, mat_next = innovation(model, np.array([[p]]), gamma)
-            assert abs(mat_gain[0, 0] - gain) <= 2 * np.spacing(abs(gain))
-            assert abs(mat_next[0, 0] - p_next) <= 4 * np.spacing(a * p * a + q)
+            assert mat_gain[0, 0] == gain
+            assert mat_next[0, 0] == p_next
             # the gain is the predictor gain a K of the oracle's filter gain K
             assert abs(a * kalman_gain(model, [[p]], gamma)[0, 0] - gain) <= 4 * np.spacing(abs(gain))
 

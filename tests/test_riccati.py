@@ -22,13 +22,15 @@ from jcas_lab.riccati import (
     riccati_step,
     sbar,
     sbar_sweep,
-    trace_or_inf,
+    sbar_traces,
     vbar,
     vbar_sweep,
+    vbar_traces,
 )
 from jcas_lab.statespace import (
     CRITICAL_MARGIN,
     GaussMarkovModel,
+    grid_members,
     lyapunov_step,
     solve_scaled_lyapunov,
     spectral_radius,
@@ -36,6 +38,7 @@ from jcas_lab.statespace import (
 from jcas_lab.tradeoff import ChannelSpec, bs_curve, mb_curve
 
 import riccati_reference as ref
+from riccati_reference import trace_or_inf
 from conftest import quad_mb_root, random_psd, scaled_lyap_root
 
 P1 = np.array([[1.0]])
@@ -1053,8 +1056,8 @@ class TestBatchedProbes:
         lams = [*np.linspace(0.0, 1.0, 9), lam_c + 1e-3, lam_c + 1e-6]
         gammas = [*np.exp(np.linspace(0.0, riccati.GAMMA_LOG_RANGE, 9)), 1.5]
         for ls, gs in ((lams, [1.0] * len(lams)), ([1.0] * len(gammas), gammas)):
-            for got, lam, gamma in zip(riccati._solve_grid(model, ls, gs), ls, gs):
-                assert_same_point(got, riccati._solve_grid(model, [lam], [gamma])[0])
+            for got, lam, gamma in zip(grid_members(riccati._solve_grid(model, ls, gs)), ls, gs):
+                assert_same_point(got, grid_members(riccati._solve_grid(model, [lam], [gamma]))[0])
         for got, lam in zip(sbar_sweep(lams, model), lams):
             assert_same_point(got, sbar(lam, model))
 
@@ -1117,3 +1120,84 @@ class TestBatchedProbes:
             assert_same_point(batched[lam], gain)
         assert [lam for lam in batched if lam < 0.5] == [0.375]
         assert len(searches) < len(sequential)
+
+
+def random_scalar_grid(rng):
+    """A random scalar model and a (lam, gamma) grid on it.  One model in five
+    has c = 0; |a| up to 3 puts b = gamma r (1 - a^2) - q c^2 on both sides of
+    0; the grid holds lam = 0, 1, 1 - 1/a^2, its float neighbours and two
+    points just past CRITICAL_MARGIN, and gamma from 1 to 1e4."""
+    a = rng.uniform(-3.0, 3.0)
+    c = 0.0 if rng.random() < 0.2 else rng.uniform(-2.0, 2.0)
+    q, r = rng.uniform(0.01, 5.0, 2)
+    lam_c = 1.0 - 1.0 / (a * a)
+    edge = [lam_c, np.nextafter(lam_c, 0.0), np.nextafter(lam_c, 1.0), lam_c + 2e-9, lam_c + 1e-6]
+    lams = np.array([0.0, 1.0, *[x for x in edge if 0.0 <= x <= 1.0], *rng.uniform(0.0, 1.0, 60)])
+    gammas = np.exp(rng.uniform(0.0, math.log(1e4), len(lams)))
+    gammas[:2] = (1.0, 1e4)
+    return GaussMarkovModel.scalar(a, c, q, r), lams, gammas
+
+
+class TestArrayRoots:
+    """A scalar grid is one array expression, and a threshold's one-point
+    probe stays on floats; both give the per-point oracle's bits."""
+
+    def test_roots_equal_per_point_oracle(self):
+        rng = np.random.default_rng(26)
+        branches = set()
+        # b = gamma r (1 - a^2) - q c^2 is exactly 0 at gamma = 1
+        edge = GaussMarkovModel.scalar(0.5, 1.0, 0.75, 1.0), np.linspace(0.0, 1.0, 41), np.ones(41)
+        for model, lams, gammas in [edge, *(random_scalar_grid(rng) for _ in range(1000))]:
+            x, finite = riccati._solve_grid(model, lams, gammas)
+            traces = statespace.grid_traces((x, finite))
+            for i, (lam, gamma) in enumerate(zip(lams.tolist(), gammas.tolist())):
+                want = ref.scalar_root(model, lam, gamma)
+                assert finite[i] == (want is not None)
+                want_trace = math.inf if want is None else want
+                assert bits(traces[i]) == bits(want_trace)
+                if want is not None:
+                    assert bits(x[i, 0, 0]) == bits(want)
+                    a, c, q, r = model.scalars()
+                    branches.add((c == 0.0, gamma * r * (1.0 - a * a) - q * (c * c) > 0.0))
+                assert bits(riccati._scalar_trace(model, lam, gamma)) == bits(want_trace)
+            # the public one-point probes: V-bar at gamma = 1, multi-beam at lam = 1
+            for lam, gamma in zip(lams.tolist()[:5], gammas.tolist()[:5]):
+                for got, want in ((vbar_traces([lam], model), ref.scalar_root(model, lam, 1.0)),
+                                  (riccati.mb_traces([gamma], model), ref.scalar_root(model, 1.0, gamma))):
+                    assert bits(got) == bits([math.inf if want is None else want])
+        # c = 0 takes only the b > 0 branch where it converges
+        assert branches == {(True, True), (False, True), (False, False)}
+
+    def test_probes_stay_on_floats(self, monkeypatch, unstable_model):
+        # a one-point probe of a scalar model solves no grid
+        monkeypatch.setattr(riccati, "_solve_grid", lambda *args: pytest.fail("grid solve"))
+        monkeypatch.setattr(riccati, "scaled_lyapunov_grid", lambda *args: pytest.fail("grid solve"))
+        assert vbar_traces([0.6], unstable_model)[0] == ref.scalar_root(unstable_model, 0.6, 1.0)
+        assert riccati.mb_traces([2.0], unstable_model)[0] == ref.scalar_root(unstable_model, 1.0, 2.0)
+        assert sbar_traces([0.6], unstable_model)[0] == ref.scalar_lyapunov(unstable_model, 0.4)
+        assert vbar_traces([0.1], unstable_model)[0] == sbar_traces([0.1], unstable_model)[0] == math.inf
+
+    def test_lyapunov_roots_equal_per_point_oracle(self):
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            model, lams, _ = random_scalar_grid(rng)
+            alphas = 1.0 - lams
+            x, finite = statespace.scaled_lyapunov_grid(model, alphas)
+            for i, alpha in enumerate(alphas.tolist()):
+                want = ref.scalar_lyapunov(model, alpha)
+                assert finite[i] == (want is not None)
+                if want is not None:
+                    assert bits(x[i, 0, 0]) == bits(want)
+                probe = sbar_traces([1.0 - alpha], model)[0]
+                assert bits(probe) == bits(math.inf if want is None else want)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_stacked_trace_equals_member_traces(m):
+    # m = 8 is where numpy's pairwise sum starts to unroll
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((50, m, m)) * np.exp(rng.uniform(-30.0, 30.0, (50, m, m)))
+    finite = rng.random(50) < 0.8
+    traces = statespace.grid_traces((x, finite))
+    for member, ok, tr in zip(x, finite, traces):
+        assert bits(tr) == bits(np.trace(member) if ok else math.inf)

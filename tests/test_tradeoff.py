@@ -1,11 +1,13 @@
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
 
+from jcas_lab import tradeoff
 from jcas_lab.cli import curve_lines, write_lines
 from jcas_lab.errors import ParameterError
-from jcas_lab.riccati import mb_fixed_point
+from jcas_lab.riccati import mb_fixed_point, mb_sweep, sbar_sweep, vbar_sweep
 from jcas_lab.tradeoff import (
     ChannelSpec,
     RateDistortionPoint,
@@ -20,8 +22,45 @@ from jcas_lab.tradeoff import (
 )
 
 from conftest import quad_mb_root, scaled_lyap_root
+from riccati_reference import trace_or_inf
 
 GAUSS_175 = ChannelSpec.gaussian(1.75)
+
+
+def sorted_points(points) -> list:
+    """A curve's order one point at a time: by distortion, ties by param, stable."""
+    return sorted(points, key=lambda p: (p.distortion, p.param))
+
+
+def interp_loop(points):
+    """(distortions, rates) of a curve's finite points one point at a time:
+    sorted by (distortion, rate), each run of equal distortions keeping its
+    largest rate."""
+    finite = sorted((p.distortion, p.rate) for p in points if p.finite)
+    dist, rate = [], []
+    for d, r in finite:
+        if dist and d == dist[-1]:
+            rate[-1] = max(rate[-1], r)
+            continue
+        dist.append(d)
+        rate.append(r)
+    return np.array(dist), np.array(rate)
+
+
+def point_curves(model, channel, lams, gammas):
+    """bs_curve and mb_curve built one point at a time from the sweeps."""
+    def curve(kind, params, rates, fixed_points):
+        return sorted_points(
+            RateDistortionPoint(rate, trace_or_inf(x), kind, param)
+            for rate, x, param in zip(rates, fixed_points, params)
+        )
+
+    bs_rates = [bs_rate(channel, lam) for lam in lams]
+    return (
+        curve("inner", lams, bs_rates, vbar_sweep(lams, model)),
+        curve("outer", lams, bs_rates, sbar_sweep(lams, model)),
+        curve("exact", gammas, [mb_rate(channel, g) for g in gammas], mb_sweep(gammas, model)),
+    )
 
 
 class TestRates:
@@ -199,3 +238,40 @@ class TestCurveCsv:
         rate_nats = float(row.split(",")[1])
         rate_bits = float(row.split(",")[-1])
         assert rate_bits == pytest.approx(rate_nats / math.log(2.0), rel=1e-15)
+
+
+class TestArrayCurves:
+    """Curves are solved, traced and ordered as arrays; they equal the curves
+    built one point at a time."""
+
+    @pytest.mark.parametrize("name", ("unstable_model", "stable_model", "matrix_model", "correlated_model"))
+    def test_curves_equal_point_curves(self, request, name):
+        model = request.getfixturevalue(name)
+        lams = np.linspace(0.0, 1.0, 41).tolist()
+        gammas = [*np.geomspace(1.0, 1e4, 40).tolist(), math.inf]
+        inner, outer, mb = point_curves(model, GAUSS_175, lams, gammas)
+        assert bs_curve(model, GAUSS_175, lams) == (inner, outer)
+        assert mb_curve(model, GAUSS_175, gammas) == mb
+
+    def test_order_equals_sorted(self):
+        # tied distortions, inf among them, and repeated params: the rates
+        # tell equal (distortion, param) pairs apart, so the order is stable
+        rng = np.random.default_rng(3)
+        for n in (*range(6), *rng.integers(6, 60, 200)):
+            dists = rng.choice([0.5, 1.0, 2.0, math.inf], n)
+            params = rng.choice([0.0, 0.25, 1.0, math.inf], n)
+            rates = rng.random(n)
+            points = list(map(RateDistortionPoint, rates.tolist(), dists.tolist(), repeat("exact"), params.tolist()))
+            assert tradeoff._points(rates, dists, "exact", params) == sorted_points(points)
+
+    def test_interp_equals_loop(self):
+        # unsorted curves with runs of equal distortion and infinite points
+        rng = np.random.default_rng(4)
+        for n in (*range(4), *rng.integers(4, 60, 200)):
+            dists = rng.choice([0.5, 1.0, 1.5, 2.0, math.inf], n)
+            rates = rng.choice([0.0, 0.1, 0.2, 0.3], n) + rng.random(n) * (rng.random() < 0.5)
+            points = list(map(RateDistortionPoint, rates.tolist(), dists.tolist(), repeat("exact"), repeat(1.0)))
+            got, want = tradeoff._interp_arrays(points), interp_loop(points)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == float
+                assert g.tobytes() == w.tobytes()
