@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config error, 3 numerical/convergence error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -36,7 +37,7 @@ from .bayes import (
     load_discrete_model,
     sequence_costs,
 )
-from .errors import EnumerationLimitError, EvidenceError, NumericalError, SchemaError
+from .errors import EnumerationLimitError, EvidenceError, NumericalError, ParameterError, SchemaError
 from .filtering import PRECISION_DIGITS, run_filter
 from .montecarlo import expected_covariance_mc
 from .riccati import (
@@ -49,14 +50,7 @@ from .riccati import (
     vbar_traces,
 )
 from .statespace import GaussMarkovModel, validate_model
-from .tradeoff import (
-    ChannelSpec,
-    bs_curve,
-    distortion_overlap,
-    dominance_report,
-    full_rate,
-    mb_curve,
-)
+from .tradeoff import ChannelSpec, bs_curve, dominance_report, full_rate, mb_curve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,6 +163,16 @@ def check_entries(key: str, value) -> None:
     number = expect(key, value, "number")
     if abs(number) == math.inf:
         raise SchemaError(f"config key '{key}' must hold finite numbers, got {json.dumps(number)}")
+
+
+@contextlib.contextmanager
+def config_key(key: str):
+    """Raise a library ParameterError of the block as a SchemaError naming
+    the config key whose value the library refused."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise SchemaError(f"config key '{key}': {exc}") from exc
 
 
 def parse_model(cfg: dict) -> GaussMarkovModel:
@@ -390,21 +394,19 @@ def cmd_riccati(args) -> int:
         raise SchemaError("distortion_budgets: grid is empty")
     head = stamp("riccati", cfg, seed, f"model=[{model.describe()}]")
 
-    traces = zip(lam_grid.tolist(), sbar_traces(lam_grid, model).tolist(), vbar_traces(lam_grid, model).tolist())
+    # every table is computed before the first file is written
+    with config_key("lambda_grid"):
+        traces = zip(lam_grid.tolist(), sbar_traces(lam_grid, model).tolist(), vbar_traces(lam_grid, model).tolist())
+    lam_c = critical_lambda(model)
+    with config_key("distortion_budgets"):
+        thresholds = [(d, lambda_s(d, model), lambda_v(d, model), gamma_max(d, model)) for d in budgets]
+    any_feasible = any(t is not None for row in thresholds for t in row[1:])
+
     lines = [f"# {head}", "lambda,tr_sbar,tr_vbar"]
     lines += [f"{lam!r},{s!r},{v!r}" for lam, s, v in traces]
     write_lines(out / "riccati_fixed_points.csv", lines)
-
-    lam_c = critical_lambda(model)
-    any_feasible = False
     lines = [f"# {head}", f"# lambda_c={lam_c!r}", "D,lambda_s,lambda_v,gamma_max"]
-    for d in budgets:
-        ls = lambda_s(d, model)
-        lv = lambda_v(d, model)
-        gm = gamma_max(d, model)
-        if ls is not None or lv is not None or gm is not None:
-            any_feasible = True
-        lines.append(f"{d!r},{fmt(ls)},{fmt(lv)},{fmt(gm)}")
+    lines += [f"{d!r},{fmt(ls)},{fmt(lv)},{fmt(gm)}" for d, ls, lv, gm in thresholds]
     write_lines(out / "riccati_thresholds.csv", lines)
 
     print(f"riccati: lambda_c={lam_c!r}; wrote 2 files to {out}")
@@ -413,19 +415,15 @@ def cmd_riccati(args) -> int:
     return EXIT_OK
 
 
-def _write_dominance(mb, inner, outer, n_points: int, head: str, out: Path, pattern: str) -> dict:
+def _dominance(mb, inner, outer, n_points: int, head: str, pattern: str):
     """Compare the multi-beam curve with each beam-switching bound they overlap.
 
-    Writes one report per bound to out / pattern.format(label), label being
-    "inner" or "outer", and returns the reports by label.
+    Returns the reports by label, "inner" or "outer", and each report's CSV
+    lines by file name, pattern.format(label).
     """
-    reports = {}
+    reports, files = {}, {}
     for label, other in (("inner", inner), ("outer", outer)):
-        span = distortion_overlap(mb, other)
-        if span is None or span[0] == span[1]:
-            continue
-        lo, hi = span
-        report = dominance_report(mb, other, (np.geomspace if lo > 0 else np.linspace)(lo, hi, n_points))
+        report = dominance_report(mb, other, n_points)
         if report.empty:
             continue
         lines = [
@@ -435,9 +433,8 @@ def _write_dominance(mb, inner, outer, n_points: int, head: str, out: Path, patt
         ]
         rows = (x.tolist() for x in (report.distortions, report.rates_a, report.rates_b, report.gaps))
         lines += [f"{d!r},{ra!r},{rb!r},{gap!r}" for d, ra, rb, gap in zip(*rows)]
-        write_lines(out / pattern.format(label), lines)
-        reports[label] = report
-    return reports
+        reports[label], files[pattern.format(label)] = report, lines
+    return reports, files
 
 
 def cmd_rd_curve(args) -> int:
@@ -451,23 +448,23 @@ def cmd_rd_curve(args) -> int:
         "rd-curve", cfg, seed, f"model=[{model.describe()}] channel={channel.describe()}"
     )
 
-    inner, outer = bs_curve(model, channel, lam_grid)
-    write_lines(out / "bs_curve.csv", curve_lines(inner + outer, head, args.bits))
-    written = ["bs_curve.csv"]
-
+    # every table is computed before the first file is written
+    with config_key("lambda_grid"):
+        inner, outer = bs_curve(model, channel, lam_grid)
+    files = {"bs_curve.csv": curve_lines(inner + outer, head, args.bits)}
     if channel.kind == "gaussian":
         gam_grid = parse_grid(require(cfg, "gamma_grid"), "gamma_grid")
-        mb = mb_curve(model, channel, gam_grid)
-        write_lines(out / "mb_curve.csv", curve_lines(mb, head, args.bits))
-        written.append("mb_curve.csv")
+        with config_key("gamma_grid"):
+            mb = mb_curve(model, channel, gam_grid)
+        files["mb_curve.csv"] = curve_lines(mb, head, args.bits)
         n_points = integer(
             "dominance_grid_points", cfg.get("dominance_grid_points", 60), 1, MAX_GRID_POINTS
         )
-        pattern = "dominance_mb_vs_bs_{}.csv"
-        reports = _write_dominance(mb, inner, outer, n_points, head, out, pattern)
-        written += [pattern.format(label) for label in reports]
+        files.update(_dominance(mb, inner, outer, n_points, head, "dominance_mb_vs_bs_{}.csv")[1])
 
-    print(f"rd-curve: wrote {', '.join(written)} to {out}")
+    for name, lines in files.items():
+        write_lines(out / name, lines)
+    print(f"rd-curve: wrote {', '.join(files)} to {out}")
     return EXIT_OK
 
 
@@ -482,29 +479,22 @@ def cmd_mc_verify(args) -> int:
     head = stamp("mc-verify", cfg, seed, f"model=[{model.describe()}]")
 
     lam_c = critical_lambda(model, bisect_tol=1e-3)
+    # every cell is computed before the first file is written
+    with config_key("mc_lambdas"):
+        reports = [
+            expected_covariance_mc(model, lam, horizon, trials, seed, per_step=True, critical=lam_c)
+            for lam in lams
+        ]
+    for idx, (lam, report) in enumerate(zip(lams, reports)):
+        write_lines(out / f"mc_steps_{idx:03d}.csv", per_step_lines(report, f"{head} lam={lam!r}"))
     rows = [
         f"# {head}",
         "lam,trials,horizon,empirical_mean_trace,std_error,"
         "s_bound_trace,v_bound_trace,verdict,near_critical,infinite_band",
     ]
-    texts = []
-    n_within = 0
-    for idx, lam in enumerate(lams):
-        report = expected_covariance_mc(
-            model,
-            lam,
-            horizon,
-            trials,
-            seed,
-            per_step=True,
-            critical=lam_c,
-        )
-        rows.append(mc_row(report))
-        texts.append(mc_text(report))
-        n_within += report.verdict == "within"
-        write_lines(out / f"mc_steps_{idx:03d}.csv", per_step_lines(report, f"{head} lam={lam!r}"))
-    write_lines(out / "mc_reports.csv", rows)
-    write_lines(out / "mc_reports.txt", texts)
+    write_lines(out / "mc_reports.csv", rows + [mc_row(report) for report in reports])
+    write_lines(out / "mc_reports.txt", [mc_text(report) for report in reports])
+    n_within = sum(report.verdict == "within" for report in reports)
     print(f"mc-verify: {n_within}/{len(lams)} verdicts within; wrote files to {out}")
     return EXIT_OK
 
@@ -677,9 +667,10 @@ def reproduce_fig4(out: Path, seed: int, bits: bool = False) -> list:
             write_lines(out / f"fig4_{tag}_bs.csv", curve_lines(inner + outer, curve_head, bits))
             write_lines(out / f"fig4_{tag}_mb.csv", curve_lines(mb, curve_head, bits))
             written += [f"fig4_{tag}_bs.csv", f"fig4_{tag}_mb.csv"]
-            pattern = f"fig4_{tag}_dominance_{{}}.csv"
-            reports = _write_dominance(mb, inner, outer, 60, head, out, pattern)
-            written += [pattern.format(label) for label in reports]
+            reports, files = _dominance(mb, inner, outer, 60, head, f"fig4_{tag}_dominance_{{}}.csv")
+            for file_name, lines in files.items():
+                write_lines(out / file_name, lines)
+            written += files
             mb_ge_inner = mb_gt_outer_top = ""
             if "inner" in reports:
                 mb_ge_inner = str(int(reports["inner"].n_b_gt_a == 0))

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .filtering import covariance_trials, filter_trials
-from .riccati import BeamPolicy, critical_lambda, gamma_bs, iterate_map
+from .riccati import BeamPolicy, _check_lam, critical_lambda, gamma_bs, iterate_map
 from .statespace import GaussMarkovModel, check_initial_covariance, lyapunov_step
 
 VERDICT_WITHIN = "within"
@@ -150,8 +150,7 @@ def expected_covariance_mc(
     ``critical`` may pass a precomputed critical sensing probability for the
     near-critical flag; None computes it (coarsely), math.nan disables it.
     """
-    if not (0.0 <= lam <= 1.0):
-        raise ParameterError(f"lam must lie in [0, 1], got {lam}")
+    _check_lam(lam)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     if horizon < 1:

@@ -686,7 +686,7 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
     """
     _check_tol(bisect_tol)
     rho = spectral_radius(model.A)
-    if rho * rho < 1.0 - CRITICAL_MARGIN:
+    if not lyapunov_diverges(1.0, rho):
         return 0.0
     if unstable_modes_observed(model):
         # lam_c = 1 - 1/rho^2: bisect the closed-form test for the same midpoints

@@ -24,7 +24,8 @@ from .errors import DimensionError, ParameterError
 #: eigenvalue tolerance for PSD/PD checks, relative to the largest magnitude
 EIG_TOL = 1e-10
 
-#: alpha * rho(A)^2 within this distance of 1 is reported as divergent
+#: alpha * rho(A)^2 within this distance of 1 is reported as divergent, and
+#: an eigenvalue of A with |mu| within it of 1 counts as unstable
 CRITICAL_MARGIN = 1e-9
 
 
@@ -219,7 +220,7 @@ def validate_model(model: GaussMarkovModel) -> ModelValidation:
     # PBH detectability: every eigenvalue on or outside the unit circle must
     # be observable through C.
     for mu in eigs:
-        if abs(mu) < 1.0 - 1e-9:
+        if abs(mu) < 1.0 - CRITICAL_MARGIN:
             continue
         stacked = np.vstack([model.A - mu * eye, model.C.astype(complex)])
         rank = int(np.linalg.matrix_rank(stacked))

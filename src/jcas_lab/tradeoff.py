@@ -27,7 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ParameterError
-from .riccati import mb_traces, sbar_traces, vbar_traces
+from .riccati import _check_lam, mb_traces, sbar_traces, vbar_traces
 from .statespace import GaussMarkovModel
 
 
@@ -101,9 +101,7 @@ def full_rate(channel: ChannelSpec) -> float:
 
 def bs_rate(channel: ChannelSpec, lam: float) -> float:
     """Beam-switching rate (1 - lam) * full rate, in nats."""
-    if not (0.0 <= lam <= 1.0):
-        raise ParameterError(f"lam must lie in [0, 1], got {lam}")
-    return (1.0 - lam) * full_rate(channel)
+    return (1.0 - _check_lam(lam)) * full_rate(channel)
 
 
 def mb_rate(channel: ChannelSpec, gamma0: float) -> float:
@@ -192,32 +190,20 @@ def _interp_arrays(points):
     return d[starts], np.maximum.reduceat(r, starts)
 
 
-def _overlap(da: np.ndarray, db: np.ndarray):
-    """(lo, hi), lo <= hi, the span of two sorted distortion arrays of at
-    least two points each; None when there is no such span."""
-    if da.size < 2 or db.size < 2:
-        return None
-    lo, hi = max(da[0], db[0]), min(da[-1], db[-1])
-    return (lo, hi) if lo <= hi else None
+def dominance_report(curve_a, curve_b, n_points: int) -> DominanceReport:
+    """rate_a(d) - rate_b(d) at n_points distortions, by linear interpolation.
 
-
-def distortion_overlap(curve_a, curve_b):
-    """(lo, hi), the finite distortions both curves reach, or None when
-    they share none (or either has fewer than two distinct ones)."""
-    return _overlap(_interp_arrays(curve_a)[0], _interp_arrays(curve_b)[0])
-
-
-def dominance_report(curve_a, curve_b, distortion_grid) -> DominanceReport:
-    """rate_a(d) - rate_b(d) on shared grid points, linear interpolation.
-
-    Grid points outside the finite-distortion overlap of the two curves
-    (``distortion_overlap``) are dropped; with no overlap the report is empty.
+    The distortions span [lo, hi], the finite distortions both curves reach,
+    log-spaced when lo > 0 and linear otherwise; rounding can push an
+    interior point of a span a few ulps wide out of it, and such a point is
+    dropped.  The report is empty unless lo < hi and each curve has at least
+    two distinct finite distortions.
     """
     da, ra = _interp_arrays(curve_a)
     db, rb = _interp_arrays(curve_b)
-    span = _overlap(da, db)
-    grid = np.asarray(list(distortion_grid), dtype=float)
-    sel = grid[(grid >= span[0]) & (grid <= span[1])] if span else grid[:0]
-    if sel.size == 0:
+    lo, hi = (max(da[0], db[0]), min(da[-1], db[-1])) if da.size > 1 and db.size > 1 else (0.0, 0.0)
+    if not lo < hi:
         return DominanceReport(np.array([]), np.array([]), np.array([]))
-    return DominanceReport(sel, np.interp(sel, da, ra), np.interp(sel, db, rb))
+    grid = (np.geomspace if lo > 0 else np.linspace)(lo, hi, n_points)
+    grid = grid[(grid >= lo) & (grid <= hi)]
+    return DominanceReport(grid, np.interp(grid, da, ra), np.interp(grid, db, rb))

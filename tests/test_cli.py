@@ -275,6 +275,25 @@ class TestErrorPaths:
         assert main(["rd-curve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "gamma_grid: a log grid needs positive start and stop" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("riccati", "distortion_budgets", [0.5, -1.0]),
+            ("riccati", "lambda_grid", [0.5, 1.5]),
+            ("mc-verify", "mc_lambdas", [0.5, 1.5]),
+            ("rd-curve", "gamma_grid", [0.5, 2.0]),
+            ("rd-curve", "lambda_grid", [-0.5, 0.5]),
+        ],
+    )
+    def test_library_range_refusal_names_key_before_any_file(self, tmp_path, capsys, command, key, value):
+        # the library tests the range; the refusal names the key and comes
+        # before the first output file is written
+        cfg = write_config(tmp_path / "cfg.json", **{key: value})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config key '{key}': " in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         taken = tmp_path / "taken"
@@ -719,6 +738,7 @@ OUTPUT_DIR_SHA256 = {
     "mc_verify_2x2": "f42899c5d76d01acdef53768f5995c805c3d2aebaa2ad99c36b877a32bebf770",
     "mc_verify_scalar_unstable": "e8c13a8bc28d30858704e65aae8b31251e63b9f9e96a5f9d1c80ef6f4e5d304f",
     "rd_curve_gaussian_bits": "bfd4bd273946f420cd13737d9f448ba356e1bd5e126490c05b956f8bb03113a6",
+    "rd_curve_2x2": "4e9dd3c8233edd9287fd11d8dd57bb3b9e5b59a0196c28f443c16c01165490b6",
     "riccati_scalar_unstable": "5841de422c41df207332a080abe3f1e982c7097975b13480da5a7d4b2eff76d3",
     "riccati_2x2": "b9ebd7f6294e6f8b502069075de3e395754195024eef095c056dae665b16f4ff",
     "bayes_toy": "c0b41b8ead7cb85d2c2c3d6e2260602f3285cddd057c787d1096d78bea9e7557",
@@ -742,6 +762,9 @@ def output_dir_argv(name, tmp_path):
         return ["mc-verify", "--config", str(write_config(tmp_path / "cfg.json"))]
     if name == "rd_curve_gaussian_bits":
         return ["rd-curve", "--bits", "--config", str(write_config(tmp_path / "cfg.json"))]
+    if name == "rd_curve_2x2":
+        # both curves and both dominance reports of the matrix path
+        return ["rd-curve", "--config", str(write_config(tmp_path / "cfg.json", **BENCH_2X2))]
     if name == "riccati_scalar_unstable":
         return ["riccati", "--config", str(write_config(tmp_path / "cfg.json"))]
     if name == "riccati_2x2":

@@ -589,6 +589,12 @@ class TestPinnedOutputs:
     def test_critical_lambda_2x2(self, bench_model):
         assert critical_lambda(bench_model, bisect_tol=1e-3) == 0.09326171875
 
+    def test_default_tolerance_thresholds(self, bench_model):
+        # the scipy-free CI step asserts these same values
+        assert lambda_v(1.0, bench_model) == 0.6754355430603027
+        assert gamma_max(3.0, bench_model) == 22.595684342105447
+        assert gamma_max(1000.0, two_modes_one_output()) == 103.48340592439696
+
     @pytest.mark.parametrize(
         "a, expected", [(-1.15, 0.24385595321655273), (-1.5, 0.5555558204650879)]
     )

@@ -1,11 +1,12 @@
+import json
 import math
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 import pytest
 
 from jcas_lab import tradeoff
-from jcas_lab.cli import curve_lines, write_lines
+from jcas_lab.cli import curve_lines, main, write_lines
 from jcas_lab.errors import ParameterError
 from jcas_lab.riccati import mb_fixed_point, mb_sweep, sbar_sweep, vbar_sweep
 from jcas_lab.tradeoff import (
@@ -13,7 +14,6 @@ from jcas_lab.tradeoff import (
     RateDistortionPoint,
     bs_curve,
     bs_rate,
-    distortion_overlap,
     dominance_report,
     full_rate,
     mb_curve,
@@ -181,41 +181,72 @@ class TestMbCurve:
             )
 
 
+def curve(*ds):
+    """An exact curve with distortions ds and rates 0, 0.1, 0.2, ..."""
+    return [RateDistortionPoint(0.1 * i, d, "exact", 1.0) for i, d in enumerate(ds)]
+
+
 class TestDominance:
     def test_curve_against_itself_is_zero(self, stable_model):
         pts = mb_curve(stable_model, GAUSS_175, np.geomspace(1.0, 100.0, 25))
-        fin = [p.distortion for p in pts if p.finite]
-        grid = np.linspace(min(fin), max(fin), 11)
-        rep = dominance_report(pts, pts, grid)
-        assert not rep.empty
+        rep = dominance_report(pts, pts, 11)
+        assert rep.distortions.size == 11
         np.testing.assert_allclose(rep.gaps, 0.0, atol=1e-14)
         assert rep.n_b_gt_a == 0
 
-    def test_empty_overlap(self):
-        a = [RateDistortionPoint(0.1, 1.0, "exact", 1.0), RateDistortionPoint(0.2, 2.0, "exact", 2.0)]
-        b = [RateDistortionPoint(0.1, 5.0, "exact", 1.0), RateDistortionPoint(0.2, 6.0, "exact", 2.0)]
-        rep = dominance_report(a, b, np.linspace(0.5, 10.0, 5))
-        assert rep.empty
-
     def test_overlap_of_finite_distortions(self):
-        def curve(*ds):
-            return [RateDistortionPoint(0.1 * i, d, "exact", 1.0) for i, d in enumerate(ds)]
+        rep = dominance_report(curve(1.0, 3.0, math.inf), curve(2.0, 5.0), 7)
+        assert rep.distortions.tolist() == np.geomspace(2.0, 3.0, 7).tolist()
+        np.testing.assert_array_equal(rep.rates_a, np.interp(rep.distortions, [1.0, 3.0], [0.0, 0.1]))
+        np.testing.assert_array_equal(rep.rates_b, np.interp(rep.distortions, [2.0, 5.0], [0.0, 0.1]))
 
-        assert distortion_overlap(curve(1.0, 3.0, math.inf), curve(2.0, 5.0)) == (2.0, 3.0)
-        assert distortion_overlap(curve(1.0, 2.0), curve(2.0, 5.0)) == (2.0, 2.0)
-        assert distortion_overlap(curve(1.0, 2.0), curve(5.0, 6.0)) is None
-        # fewer than two distinct finite distortions is no curve to compare
-        assert distortion_overlap(curve(1.0, 1.0, math.inf), curve(0.5, 5.0)) is None
+    def test_grid_is_linear_from_zero_distortion(self):
+        rep = dominance_report(curve(0.0, 4.0), curve(0.0, 8.0), 5)
+        assert rep.distortions.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert dominance_report(curve(0.0, 4.0), curve(0.0, 8.0), 1).distortions.tolist() == [0.0]
+
+    def test_grid_stays_inside_a_span_a_few_ulps_wide(self):
+        # geomspace rounds some interior points of this span out of it
+        lo, hi = 636.962050359767, 636.9620503597689
+        grid = np.geomspace(lo, hi, 60)
+        assert np.any((grid < lo) | (grid > hi))
+        d = dominance_report(curve(1.0, hi), curve(lo, 1000.0), 60).distortions
+        assert d[0] == lo and d[-1] == hi and np.all((d >= lo) & (d <= hi))
+
+    def test_empty_overlap(self):
+        cases = [
+            ((1.0, 2.0), (5.0, 6.0)),  # disjoint
+            ((1.0, 2.0), (2.0, 5.0)),  # spans that touch: lo == hi
+            ((math.inf, math.inf), (0.5, 5.0)),  # no finite distortion
+            ((1.0, 1.0, math.inf), (0.5, 5.0)),  # fewer than two distinct finite ones
+        ]
+        for (a, b), n_points in product(cases, (1, 60)):
+            assert dominance_report(curve(*a), curve(*b), n_points).empty
+            assert dominance_report(curve(*b), curve(*a), n_points).empty
+
+    def test_interp_arrays_built_once_per_curve(self, tmp_path, monkeypatch):
+        # rd-curve writes two reports; each builds the arrays of its two curves
+        calls = []
+        interp_arrays = tradeoff._interp_arrays
+        monkeypatch.setattr(tradeoff, "_interp_arrays", lambda points: calls.append(1) or interp_arrays(points))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "model": {"A": [[-1.15]], "C": [[1.0]], "Q": [[0.2]], "R": [[1.5]]},
+            "channel": {"kind": "gaussian", "snr_db": 1.75}, "lambda_grid": {"start": 0.0, "stop": 1.0, "count": 21},
+            "gamma_grid": {"start": 1.0, "stop": 100.0, "count": 15, "spacing": "log"},
+        }))
+        assert main(["rd-curve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        reports = [path for path in (tmp_path / "out").iterdir() if path.name.startswith("dominance_")]
+        assert len(reports) == 2
+        assert len(calls) / len(reports) == 2
 
     def test_mb_dominates_bs_inner(self, stable_model):
         grid_l = np.linspace(0.0, 1.0, 60)
         grid_g = np.concatenate([np.geomspace(1.0, 1e4, 60), [math.inf]])
         inner, _ = bs_curve(stable_model, GAUSS_175, grid_l)
         mb = mb_curve(stable_model, GAUSS_175, grid_g)
-        fin_mb = [p.distortion for p in mb if p.finite]
-        fin_in = [p.distortion for p in inner if p.finite]
-        lo, hi = max(min(fin_mb), min(fin_in)), min(max(fin_mb), max(fin_in))
-        rep = dominance_report(mb, inner, np.linspace(lo, hi, 50))
+        rep = dominance_report(mb, inner, 50)
+        assert rep.distortions.size == 50
         assert rep.n_b_gt_a == 0
 
 
