@@ -580,53 +580,38 @@ def load_discrete_model(path) -> DiscreteJcasModel:
             raise SchemaError(f"line {lineno}: {what} has a non-finite entry")
         return values
 
-    def parse_state_rows(name, entries):
-        """The ns x ns table of a section with one ``s : values`` row per state."""
-        table = np.full((ns, ns), np.nan)
+    def parse_rows(name, labels, sizes, width):
+        """The table of a section with one ``labels : values`` row, of width
+        values, per index tuple: ``x s`` for the channel, ``s`` otherwise."""
+        table = np.full((*sizes, width), np.nan)
         seen = set()
         for lineno, line in sections[name]:
             head, _, tail = line.partition(":")
-            if not tail:
-                raise SchemaError(f"line {lineno}: {name} row needs 's : {entries}'")
-            s = parse_index(lineno, head, f"{name} row")
-            if not (0 <= s < ns):
-                raise SchemaError(f"line {lineno}: {name} row (s={s}) out of range")
-            if s in seen:
-                raise SchemaError(f"line {lineno}: duplicate {name} row (s={s})")
-            seen.add(s)
-            table[s] = parse_floats(lineno, tail, ns, f"{name} row (s={s})")
+            heads = head.split()
+            if not tail or len(heads) != len(labels):
+                raise SchemaError(f"line {lineno}: {name} row needs '{' '.join(labels)} : values'")
+            names = [f"{name} {label}" for label in labels] if len(labels) > 1 else [f"{name} row"]
+            index = tuple(parse_index(lineno, text, what) for text, what in zip(heads, names))
+            row = f"{name} row ({', '.join(f'{label}={i}' for label, i in zip(labels, index))})"
+            if not all(0 <= i < n for i, n in zip(index, sizes)):
+                raise SchemaError(f"line {lineno}: {row} out of range")
+            if index in seen:
+                raise SchemaError(f"line {lineno}: duplicate {row}")
+            seen.add(index)
+            table[index] = parse_floats(lineno, tail, width, row)
         if np.isnan(table).any():
             raise SchemaError(f"{name} section is missing one or more rows")
         return table
 
-    channel = np.full((nx, ns, ny, nz), np.nan)
-    seen = set()
-    for lineno, line in sections["channel"]:
-        head, _, tail = line.partition(":")
-        if not tail:
-            raise SchemaError(f"line {lineno}: channel row needs 'x s : probs'")
-        idx = head.split()
-        if len(idx) != 2:
-            raise SchemaError(f"line {lineno}: channel row needs two indices 'x s'")
-        x, s = parse_index(lineno, idx[0], "channel x"), parse_index(lineno, idx[1], "channel s")
-        if not (0 <= x < nx and 0 <= s < ns):
-            raise SchemaError(f"line {lineno}: channel row (x={x}, s={s}) out of range")
-        if (x, s) in seen:
-            raise SchemaError(f"line {lineno}: duplicate channel row (x={x}, s={s})")
-        seen.add((x, s))
-        vals = parse_floats(lineno, tail, ny * nz, f"channel row (x={x}, s={s})")
-        channel[x, s] = np.array(vals).reshape(ny, nz)
-    if np.isnan(channel).any():
-        raise SchemaError("channel section is missing one or more (x, s) rows")
-
-    markov = parse_state_rows("markov", "probs")
+    channel = parse_rows("channel", ("x", "s"), (nx, ns), ny * nz).reshape(nx, ns, ny, nz)
+    markov = parse_rows("markov", ("s",), (ns,), ns)
 
     if len(sections["initial"]) != 1:
         raise SchemaError("[initial] must contain exactly one row")
     lineno, line = sections["initial"][0]
     initial = parse_floats(lineno, line.partition(":")[2] or line, ns, "initial row")
 
-    distortion = parse_state_rows("distortion", "values")
+    distortion = parse_rows("distortion", ("s",), (ns,), ns)
 
     return DiscreteJcasModel(
         channel=channel, markov=markov, initial=np.array(initial), distortion=distortion

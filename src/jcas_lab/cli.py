@@ -37,7 +37,7 @@ from .bayes import (
     load_discrete_model,
     sequence_costs,
 )
-from .errors import EnumerationLimitError, EvidenceError, NumericalError, ParameterError, SchemaError
+from .errors import DimensionError, EnumerationLimitError, EvidenceError, NumericalError, ParameterError, SchemaError
 from .filtering import PRECISION_DIGITS, run_filter
 from .montecarlo import expected_covariance_mc
 from .riccati import (
@@ -49,7 +49,7 @@ from .riccati import (
     sbar_traces,
     vbar_traces,
 )
-from .statespace import GaussMarkovModel, validate_model
+from .statespace import GaussMarkovModel, check_initial_covariance, validate_model
 from .tradeoff import ChannelSpec, bs_curve, dominance_report, full_rate, mb_curve
 
 EXIT_OK = 0
@@ -166,13 +166,15 @@ def check_entries(key: str, value) -> None:
 
 
 @contextlib.contextmanager
-def config_key(key: str):
-    """Raise a library ParameterError of the block as a SchemaError naming
-    the config key whose value the library refused."""
+def config_key(key: str, value=None):
+    """Raise a library refusal of the block (ParameterError, DimensionError
+    or EnumerationLimitError) as a SchemaError naming the config key whose
+    value the library refused, and that value when one is given."""
     try:
         yield
-    except ParameterError as exc:
-        raise SchemaError(f"config key '{key}': {exc}") from exc
+    except (ParameterError, DimensionError, EnumerationLimitError) as exc:
+        shown = "" if value is None else f" = {value}"
+        raise SchemaError(f"config key '{key}'{shown}: {exc}") from exc
 
 
 def parse_model(cfg: dict) -> GaussMarkovModel:
@@ -196,11 +198,14 @@ def parse_channel(cfg: dict) -> ChannelSpec:
     kind = spec.get("kind")
     if kind == "noiseless":
         c0 = expect("channel.c0", spec.get("c0", math.log(2.0)), "number")
-        return ChannelSpec.noiseless(float(c0))
+        with config_key("channel.c0"):
+            return ChannelSpec.noiseless(float(c0))
     if kind == "gaussian":
         if "snr_db" not in spec:
             raise SchemaError("gaussian channel needs 'snr_db'")
-        return ChannelSpec.gaussian(float(expect("channel.snr_db", spec["snr_db"], "number")))
+        snr_db = expect("channel.snr_db", spec["snr_db"], "number")
+        with config_key("channel.snr_db"):
+            return ChannelSpec.gaussian(float(snr_db))
     raise SchemaError(f"channel kind must be 'noiseless' or 'gaussian', got {kind!r}")
 
 
@@ -242,10 +247,9 @@ def parse_policy(cfg: dict) -> BeamPolicy:
         raise SchemaError("policy needs a 'value'")
     value = spec["value"]
     value = math.inf if value == "inf" else float(expect("policy.value", value, "number"))
-    if kind == "switching":
-        return BeamPolicy.switching(value)
-    if kind == "multibeam":
-        return BeamPolicy.multibeam(value)
+    if kind in ("switching", "multibeam"):
+        with config_key("policy.value"):
+            return BeamPolicy(kind, value)
     raise SchemaError(f"policy kind must be 'switching' or 'multibeam', got {kind!r}")
 
 
@@ -510,10 +514,13 @@ def cmd_filter_sim(args) -> int:
     p0 = require(cfg, "p0", "list", "number")
     check_entries("s0_estimate", s0)
     check_entries("p0", p0)
-    s0, p0 = np.asarray(s0, dtype=float), np.asarray(p0, dtype=float)
+    with config_key("p0"):
+        p0 = check_initial_covariance(model, p0)
     head = stamp("filter-sim", cfg, seed, f"model=[{model.describe()}]")
 
-    traj = run_filter(model, policy, horizon, s0, p0, seed)
+    # the horizon and p0 are checked above, so run_filter can refuse only s0
+    with config_key("s0_estimate"):
+        traj = run_filter(model, policy, horizon, np.asarray(s0, dtype=float), p0, seed)
     write_lines(out / "trajectory.csv", trajectory_lines(traj, model, head))
     lost = traj.precision_loss_index()
     if lost is not None:
@@ -547,18 +554,19 @@ def cmd_bayes(args) -> int:
     ]
     trace_len = integer("bayes.trace_len", bayes_cfg.get("trace_len", 2), 0, MAX_STEPS_EXACT)
     if budgets:
-        # the tradeoff search's limits, checked before any table is computed
-        check_grid_search(model, n, resolution)
+        # the tradeoff search's limits, checked before any table is computed:
+        # a one-step grid past them is the resolution's fault, a longer one n's
+        with config_key("bayes.grid_resolution"):
+            check_grid_search(model, 1, resolution)
+        with config_key("bayes.n"):
+            check_grid_search(model, n, resolution)
     # the posterior and cost tables' own library bounds, checked before any
     # file is written; a refusal names the config key that set the size
-    try:
-        key, steps = "bayes.trace_len", trace_len
+    with config_key("bayes.trace_len", trace_len):
         passes = forward_messages([range(model.nx)] * trace_len, model)
         check_posterior_enumeration(model, trace_len)
-        key, steps = "bayes.n", n
+    with config_key("bayes.n", n):
         costs = sequence_costs([range(model.nx)] * n, model).tolist()
-    except EnumerationLimitError as exc:
-        raise SchemaError(f"config key '{key}' = {steps}: {exc}") from exc
     head = stamp("bayes", cfg, seed, f"discrete_model={model_path}")
 
     # every trace's posterior from one forward pass over all inputs, checked
@@ -725,6 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--out",
             help=f"output directory (overrides config out_dir and ${OUT_ENV_VAR})",
         )
+
+    def strict(p):
         p.add_argument(
             "--strict",
             action="store_true",
@@ -733,6 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("riccati", help="fixed points and feasibility thresholds")
     common(p)
+    strict(p)
     p.set_defaults(func=cmd_riccati)
 
     p = sub.add_parser("rd-curve", help="rate-distortion curves and dominance report")
@@ -750,6 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bayes", help="discrete-model posterior, costs and tradeoff")
     common(p)
+    strict(p)
     p.set_defaults(func=cmd_bayes)
 
     p = sub.add_parser("reproduce", help="one-shot reproduction presets")

@@ -268,6 +268,24 @@ def innovation(model: GaussMarkovModel, p: np.ndarray, gamma, lam=1.0):
     return corr.swapaxes(-1, -2), _corrected(model, p, corr, lam)
 
 
+def _step(model: GaussMarkovModel, p: np.ndarray, gamma, lam) -> np.ndarray:
+    """A P A^T + Q - lam A P C^T (C P C^T + gamma R)^{-1} C P A^T, re-symmetrized:
+    the one covariance step behind ``riccati_step``, ``gamma_bs`` and
+    ``gamma_mb``.
+
+    lam = 0 or gamma = infinity takes the open-loop step A P A^T + Q
+    (``lyapunov_step`` at alpha = 1), a scalar model ``innovation_kernel``,
+    and a matrix model, whose p may be a stack (n, m, m), one
+    ``_solve_innovation``.
+    """
+    if lam == 0.0 or math.isinf(gamma):
+        return lyapunov_step(model, p, 1.0)
+    if model.is_scalar:
+        a, c, q, r = model.scalars()
+        return np.array([[innovation_kernel(a, c, q, r, float(p[0, 0]), gamma, lam)[1]]])
+    return _corrected(model, p, _solve_innovation(model, p, gamma), lam)
+
+
 def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:
     """A P A^T + Q - A P C^T (C P C^T + gamma R)^{-1} C P A^T, re-symmetrized.
 
@@ -275,12 +293,7 @@ def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:
     step A P A^T + Q (bitwise identical to the alpha=1 Lyapunov step).
     For a matrix model, p may be a stack (n, m, m) of covariances.
     """
-    if math.isinf(gamma):
-        return lyapunov_step(model, p, 1.0)
-    if model.is_scalar:
-        a, c, q, r = model.scalars()
-        return np.array([[riccati_kernel(a, c, q, r, float(p[0, 0]), gamma)]])
-    return _corrected(model, p, _solve_innovation(model, p, gamma), 1.0)
+    return _step(model, p, gamma, 1.0)
 
 
 def gamma_bs(p: np.ndarray, lam, model: GaussMarkovModel) -> np.ndarray:
@@ -290,18 +303,12 @@ def gamma_bs(p: np.ndarray, lam, model: GaussMarkovModel) -> np.ndarray:
     so the endpoints coincide bit for bit with the Lyapunov and Riccati steps.
     """
     _check_lam(lam)
-    p = as_matrix(p, "P")
-    if lam == 0.0:
-        return lyapunov_step(model, p, 1.0)
-    if model.is_scalar:
-        a, c, q, r = model.scalars()
-        return np.array([[bs_kernel(a, c, q, r, float(p[0, 0]), lam)]])
-    return _corrected(model, p, _solve_innovation(model, p, 1.0), lam)
+    return _step(model, as_matrix(p, "P"), 1.0, lam)
 
 
 def gamma_mb(p: np.ndarray, gamma: float, model: GaussMarkovModel) -> np.ndarray:
     """One application of the multi-beam map (gain-scaled measurement noise)."""
-    return riccati_step(model, as_matrix(p, "P"), _check_gamma(gamma))
+    return _step(model, as_matrix(p, "P"), _check_gamma(gamma), 1.0)
 
 
 def iterate_map(step, p0: np.ndarray, n: int):
@@ -540,24 +547,16 @@ def _mb_grid(model: GaussMarkovModel, gammas):
 
 
 def vbar(lam: float, model: GaussMarkovModel):
-    """Fixed point of the beam-switching map, or None when it diverges."""
-    return vbar_sweep([lam], model)[0]
-
-
-def vbar_sweep(lams, model: GaussMarkovModel) -> list:
-    """V-bar at every lam of a grid, solved together; None where it diverges.
-
-    On a model the certificate refuses, one gain search runs every point as
-    one stack, and a point is None also where it finds no contracting gain
-    within GAIN_SEARCH_STEPS steps.
-    """
-    return grid_members(_vbar_grid(model, _lam_grid(lams)))
+    """Fixed point of the beam-switching map, or None when it diverges: on a
+    model the certificate refuses, also when the gain search finds no
+    contracting gain within GAIN_SEARCH_STEPS steps."""
+    return grid_members(_vbar_grid(model, _lam_grid([lam])))[0]
 
 
 def vbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
-    """tr V-bar at every lam of a grid, +inf where it diverges: one stacked
-    trace of ``vbar_sweep``'s solve.  On a scalar model a one-lam call stays
-    on float arithmetic."""
+    """tr V-bar at every lam of a grid, +inf where it diverges, from one solve
+    of the whole grid.  On a scalar model a one-lam call stays on float
+    arithmetic."""
     if model.is_scalar and len(lams) == 1:
         return np.array([_scalar_trace(model, _check_lam(float(lams[0])), 1.0)])
     return grid_traces(_vbar_grid(model, _lam_grid(lams)))
@@ -566,11 +565,6 @@ def vbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
 def sbar(lam: float, model: GaussMarkovModel):
     """Scaled-Lyapunov lower bound at alpha = 1 - lam, or None when divergent."""
     return solve_scaled_lyapunov(model, 1.0 - _check_lam(lam))
-
-
-def sbar_sweep(lams, model: GaussMarkovModel) -> list:
-    """S-bar at every lam of a grid, solved together; None where divergent."""
-    return grid_members(scaled_lyapunov_grid(model, 1.0 - _lam_grid(lams)))
 
 
 def sbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
@@ -584,17 +578,9 @@ def sbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
 
 
 def mb_fixed_point(gamma: float, model: GaussMarkovModel):
-    """Steady-state covariance of the multi-beam map, or None when divergent."""
-    return mb_sweep([gamma], model)[0]
-
-
-def mb_sweep(gammas, model: GaussMarkovModel) -> list:
-    """Multi-beam fixed point at every gamma of a grid, solved together.
-
-    gamma = inf takes the open-loop Lyapunov route.  An entry is None where
-    the fixed point diverges.
-    """
-    return grid_members(_mb_grid(model, _gamma_grid(gammas)))
+    """Steady-state covariance of the multi-beam map, or None when divergent;
+    gamma = inf takes the open-loop Lyapunov route."""
+    return grid_members(_mb_grid(model, _gamma_grid([gamma])))[0]
 
 
 def mb_traces(gammas, model: GaussMarkovModel) -> np.ndarray:
@@ -677,7 +663,7 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
     with no covariance step.  On a model the certificate refuses it can lie
     higher: 0.4263 against 1 - 1/rho(A)^2 = 0.3056 for A = diag(1.2, 1.1)
     with C = [1, 1].  There the bisection asks whether V-bar is finite, as
-    ``vbar_sweep`` does, and each call decides BISECT_LEVELS halvings: its
+    ``vbar`` does, and each call decides BISECT_LEVELS halvings: its
     midpoints at or below 1 - 1/rho(A)^2 are divergent without a search,
     and the others share one gain search, finite exactly where a gain L
     with rho((1 - lam) A (x) A + lam F (x) F) < 1, F = A - L C, is found,
@@ -723,7 +709,7 @@ def lambda_v(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     """Least lam with tr(V-bar(lam)) <= d, or None when even lam=1 violates it.
 
     The endpoints lam = 0 and 1 are solved together.  On every matrix model
-    each further call of ``vbar_sweep``'s solver then decides BISECT_LEVELS
+    each further call of ``vbar_traces`` then decides BISECT_LEVELS
     halvings of the bisection: one batched policy iteration solves all its
     midpoints, after one gain search over all of them on a model the
     certificate refuses.  Scalar models (closed-form roots) bisect one

@@ -294,6 +294,30 @@ class TestErrorPaths:
         assert f"config key '{key}': " in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, key, overrides",
+        [
+            ("filter-sim", "policy.value", {"policy": {"kind": "switching", "value": 1.5}}),
+            ("filter-sim", "policy.value", {"policy": {"kind": "multibeam", "value": 0.5}}),
+            ("filter-sim", "p0", {"p0": [[-1.0]]}),
+            ("filter-sim", "p0", {"p0": [[1.0, 0.0], [0.0, 1.0]]}),
+            ("filter-sim", "s0_estimate", {"s0_estimate": [0.0, 0.0]}),
+            ("rd-curve", "channel.c0", {"channel": {"kind": "noiseless", "c0": -1.0}}),
+            ("rd-curve", "channel.snr_db", {"channel": {"kind": "gaussian", "snr_db": math.inf}}),
+            ("bayes", "bayes.grid_resolution", {"bayes": {"n": 1, "grid_resolution": 2.0, "budgets": [0.4]}}),
+            ("bayes", "bayes.n", {"bayes": {"n": 5, "budgets": [0.4]}}),
+        ],
+    )
+    def test_library_refusal_names_key(self, tmp_path, capsys, command, key, overrides):
+        # refusals from library constructors and checks, not from the
+        # config reader; json.dumps writes math.inf as Infinity
+        cfg = write_config(tmp_path / "cfg.json", discrete_model=toy_model_path(), **overrides)
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         taken = tmp_path / "taken"
@@ -620,6 +644,14 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["riccati", "--config", "x.json", "--frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ("rd-curve", "mc-verify", "filter-sim", "reproduce fig3"))
+    def test_strict_only_where_read(self, tmp_path, command):
+        # only riccati and bayes read --strict; the others refuse it
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--config", "x.json", "--out", str(tmp_path), "--strict"])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_documents_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -18,13 +18,10 @@ from jcas_lab.riccati import (
     lambda_s,
     lambda_v,
     mb_fixed_point,
-    mb_sweep,
     riccati_step,
     sbar,
-    sbar_sweep,
     sbar_traces,
     vbar,
-    vbar_sweep,
     vbar_traces,
 )
 from jcas_lab.statespace import (
@@ -32,6 +29,7 @@ from jcas_lab.statespace import (
     GaussMarkovModel,
     grid_members,
     lyapunov_step,
+    scaled_lyapunov_grid,
     solve_scaled_lyapunov,
     spectral_radius,
 )
@@ -131,6 +129,46 @@ class TestMaps:
             diff = gamma_bs(p2, lam, matrix_model) - gamma_bs(p1, lam, matrix_model)
             assert np.min(np.linalg.eigvalsh(diff)) >= -1e-9
             assert np.trace(diff) >= -1e-9
+
+
+def step_model(m: int) -> GaussMarkovModel:
+    """Seeded m x m model, one output below m = 4 and two from there on;
+    m = 1 is a scalar model."""
+    rng = np.random.default_rng([7, m])
+    k = 1 if m < 4 else 2
+    return GaussMarkovModel(
+        A=rng.standard_normal((m, m)) / math.sqrt(m),
+        C=rng.standard_normal((k, m)),
+        Q=random_psd(rng, m),
+        R=random_psd(rng, k),
+    )
+
+
+class TestStepDispatch:
+    """Each public covariance step equals, bit for bit, the kernel of its
+    branch: the open-loop ``lyapunov_step`` at lam = 0 or gamma = inf,
+    ``innovation_kernel`` on a scalar model, ``innovation`` on a matrix one."""
+
+    @staticmethod
+    def branch_kernel(model, p, gamma, lam):
+        if lam == 0.0 or math.isinf(gamma):
+            return lyapunov_step(model, p, 1.0)
+        if model.is_scalar:
+            a, c, q, r = model.scalars()
+            return np.array([[riccati.innovation_kernel(a, c, q, r, p[0, 0], gamma, lam)[1]]])
+        return riccati.innovation(model, p, gamma, lam)[1]
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_public_steps_equal_branch_kernels(self, m):
+        model = step_model(m)
+        assert model.is_scalar == (m == 1)
+        p = random_psd(np.random.default_rng([8, m]), m)
+        for gamma in (1.0, 3.0, math.inf):
+            want = bits(self.branch_kernel(model, p, gamma, 1.0))
+            assert bits(riccati_step(model, p, gamma)) == want
+            assert bits(gamma_mb(p, gamma, model)) == want
+        for lam in (0.0, 0.4, 1.0):
+            assert bits(gamma_bs(p, lam, model)) == bits(self.branch_kernel(model, p, 1.0, lam))
 
 
 class TestOverflowedCovariance:
@@ -503,7 +541,7 @@ def mb_oracle(model, gammas) -> list:
 
 
 class TestStackedSweep:
-    """Sweeps and single solves against independent oracles: V-bar against the
+    """Grid solves and single solves against independent oracles: V-bar against the
     iterated map, S-bar against scipy's Lyapunov solver, the multi-beam
     steady state against scipy's DARE."""
 
@@ -512,7 +550,7 @@ class TestStackedSweep:
     def test_vbar(self, request, model_name, grid):
         model = request.getfixturevalue(model_name)
         want = ref.vbar_points(model, grid)
-        assert_close_points(vbar_sweep(grid, model), want)
+        assert_close_points(grid_members(riccati._vbar_grid(model, grid)), want)
         assert_close_points([vbar(lam, model) for lam in grid], want)
 
     @pytest.mark.parametrize("model_name", ORACLE_MODELS)
@@ -520,7 +558,7 @@ class TestStackedSweep:
     def test_sbar(self, request, model_name, grid):
         model = request.getfixturevalue(model_name)
         want = sbar_oracle(model, grid)
-        assert_close_points(sbar_sweep(grid, model), want)
+        assert_close_points(grid_members(scaled_lyapunov_grid(model, 1.0 - np.asarray(grid))), want)
         assert_close_points([sbar(lam, model) for lam in grid], want)
 
     @pytest.mark.parametrize("model_name", ORACLE_MODELS)
@@ -528,7 +566,7 @@ class TestStackedSweep:
     def test_mb(self, request, model_name, grid):
         model = request.getfixturevalue(model_name)
         want = mb_oracle(model, grid)
-        assert_close_points(mb_sweep(grid, model), want)
+        assert_close_points(grid_members(riccati._mb_grid(model, grid)), want)
         assert_close_points([mb_fixed_point(g, model) for g in grid], want)
 
     @pytest.mark.parametrize("model_name", ORACLE_MODELS)
@@ -538,14 +576,15 @@ class TestStackedSweep:
         model = request.getfixturevalue(model_name)
         channel = ChannelSpec.gaussian(1.75)
         steps = (
-            (riccati, "gamma_bs"), (riccati, "riccati_step"), (riccati, "bs_kernel"),
+            (riccati, "_step"), (riccati, "gamma_bs"), (riccati, "riccati_step"), (riccati, "bs_kernel"),
             (riccati, "riccati_kernel"), (statespace, "lyapunov_step"), (statespace, "lyap_kernel"),
         )
         for module, name in steps:
             monkeypatch.setattr(module, name, lambda *args: pytest.fail("covariance step"))
         lams, gammas = LAM_GRIDS["many"], GAMMA_GRIDS["many"]
-        assert len(vbar_sweep(lams, model)) == len(sbar_sweep(lams, model)) == len(lams)
-        assert len(mb_sweep(gammas, model)) == len(gammas)
+        assert len(grid_members(riccati._vbar_grid(model, lams))) == len(lams)
+        assert len(grid_members(scaled_lyapunov_grid(model, 1.0 - np.asarray(lams)))) == len(lams)
+        assert len(grid_members(riccati._mb_grid(model, gammas))) == len(gammas)
         inner, outer = bs_curve(model, channel, lams)
         assert len(inner) == len(outer) == len(lams)
         assert len(mb_curve(model, channel, gammas)) == len(gammas)
@@ -570,7 +609,7 @@ class TestOpenLoopLimit:
         open_loop = solve_scaled_lyapunov(model, 1.0)
         assert (open_loop is None) == (model_name == "bench_model")
         assert_same_point(mb_fixed_point(math.inf, model), open_loop)
-        assert_same_point(mb_sweep([1.0, 2.0, math.inf], model)[2], open_loop)
+        assert_same_point(grid_members(riccati._mb_grid(model, [1.0, 2.0, math.inf]))[2], open_loop)
 
     def test_gamma_max_open_loop_branch(self, request, model_name):
         # gamma_max is inf exactly when the budget covers the open-loop trace
@@ -875,9 +914,10 @@ class TestRefusedSweeps:
         # lies between that and its V-bar threshold, where the search fails
         lams = [0.0, 0.2, 0.5, 0.6, 0.8, 0.95, 1.0]
         want = ref.vbar_points(model, lams)
-        assert_close_points(vbar_sweep(lams, model), want, rtol=1e-12)
+        assert_close_points(grid_members(riccati._vbar_grid(model, lams)), want, rtol=1e-12)
         gammas = [1.0, 1.5, 10.0]
-        assert_close_points(mb_sweep(gammas, model), [ref.dare(model, g) for g in gammas], rtol=1e-12)
+        dares = [ref.dare(model, g) for g in gammas]
+        assert_close_points(grid_members(riccati._mb_grid(model, gammas)), dares, rtol=1e-12)
         assert_gains_contract(searches)
         found = sum(gain is not None for *_, gain in members(searches))
         assert found == sum(w is not None for w in want) + len(gammas)
@@ -903,9 +943,11 @@ class TestRefusedSweeps:
     def test_family_sweeps_match_oracles(self, seed, m, k):
         model = refused_family_model(seed, m, k)
         lams = refused_family_grid(REFUSED_FAMILY[seed, m, k])
-        assert_close_points(vbar_sweep(lams, model), ref.vbar_points(model, lams), rtol=1e-12)
+        want = ref.vbar_points(model, lams)
+        assert_close_points(grid_members(riccati._vbar_grid(model, lams)), want, rtol=1e-12)
         gammas = [1.0, 1.5, 10.0]
-        assert_close_points(mb_sweep(gammas, model), [ref.dare(model, g) for g in gammas], rtol=1e-12)
+        want = [ref.dare(model, g) for g in gammas]
+        assert_close_points(grid_members(riccati._mb_grid(model, gammas)), want, rtol=1e-12)
 
     @pytest.mark.parametrize("seed, m, k", REFUSED_FAMILY)
     def test_family_thresholds_equal_sequential_oracle(self, seed, m, k):
@@ -937,12 +979,13 @@ class TestDirectSolves:
         model = observed_unstable_model(seed, m, pair)
         lam_c = 1.0 - 1.0 / spectral_radius(model.A) ** 2
         lams = [lam_c + 0.1, lam_c + 0.2, 1.0]
-        assert_close_points(vbar_sweep(lams, model), ref.vbar_points(model, lams))
-        assert_close_points(sbar_sweep(lams, model), sbar_oracle(model, lams))
+        assert_close_points(grid_members(riccati._vbar_grid(model, lams)), ref.vbar_points(model, lams))
+        sbars = grid_members(scaled_lyapunov_grid(model, 1.0 - np.asarray(lams)))
+        assert_close_points(sbars, sbar_oracle(model, lams))
         # at gamma = 1e3 scipy's DARE leaves residuals up to 1e-11 on these
         # models, against 1e-15 for the direct solve, so it stops at 10
         gammas = [1.0, 1.5, 10.0]
-        assert_close_points(mb_sweep(gammas, model), mb_oracle(model, gammas))
+        assert_close_points(grid_members(riccati._mb_grid(model, gammas)), mb_oracle(model, gammas))
 
     @pytest.mark.parametrize("model_name", ORACLE_MODELS)
     def test_near_critical(self, request, model_name):
@@ -1064,7 +1107,8 @@ class TestBatchedProbes:
         for ls, gs in ((lams, [1.0] * len(lams)), ([1.0] * len(gammas), gammas)):
             for got, lam, gamma in zip(grid_members(riccati._solve_grid(model, ls, gs)), ls, gs):
                 assert_same_point(got, grid_members(riccati._solve_grid(model, [lam], [gamma]))[0])
-        for got, lam in zip(sbar_sweep(lams, model), lams):
+        sbars = grid_members(scaled_lyapunov_grid(model, 1.0 - np.asarray(lams)))
+        for got, lam in zip(sbars, lams):
             assert_same_point(got, sbar(lam, model))
 
     @pytest.mark.parametrize("tol", (1e-3, 1e-6))

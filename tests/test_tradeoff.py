@@ -5,10 +5,11 @@ from itertools import product, repeat
 import numpy as np
 import pytest
 
-from jcas_lab import tradeoff
+from jcas_lab import riccati, tradeoff
 from jcas_lab.cli import curve_lines, main, write_lines
 from jcas_lab.errors import ParameterError
-from jcas_lab.riccati import mb_fixed_point, mb_sweep, sbar_sweep, vbar_sweep
+from jcas_lab.riccati import mb_fixed_point
+from jcas_lab.statespace import grid_members, scaled_lyapunov_grid
 from jcas_lab.tradeoff import (
     ChannelSpec,
     RateDistortionPoint,
@@ -48,7 +49,7 @@ def interp_loop(points):
 
 
 def point_curves(model, channel, lams, gammas):
-    """bs_curve and mb_curve built one point at a time from the sweeps."""
+    """bs_curve and mb_curve built one point at a time from the solved grids."""
     def curve(kind, params, rates, fixed_points):
         return sorted_points(
             RateDistortionPoint(rate, trace_or_inf(x), kind, param)
@@ -56,10 +57,11 @@ def point_curves(model, channel, lams, gammas):
         )
 
     bs_rates = [bs_rate(channel, lam) for lam in lams]
+    mb_rates = [mb_rate(channel, g) for g in gammas]
     return (
-        curve("inner", lams, bs_rates, vbar_sweep(lams, model)),
-        curve("outer", lams, bs_rates, sbar_sweep(lams, model)),
-        curve("exact", gammas, [mb_rate(channel, g) for g in gammas], mb_sweep(gammas, model)),
+        curve("inner", lams, bs_rates, grid_members(riccati._vbar_grid(model, lams))),
+        curve("outer", lams, bs_rates, grid_members(scaled_lyapunov_grid(model, 1.0 - np.asarray(lams)))),
+        curve("exact", gammas, mb_rates, grid_members(riccati._mb_grid(model, gammas))),
     )
 
 
