@@ -33,8 +33,11 @@ of the ``unstable_modes_observed`` certificate, or, on a model the
 certificate refuses, a gain found by iterating the map itself from Q.
 That search (``_contracting_gains``) runs every point of a call as one
 stack.  Any such L proves the fixed point finite, since phi(L, .) bounds
-the map.  The matching lower bound S-bar is the scaled Lyapunov solve of
-:mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges whenever
+the map.  rho(A) and the certificate's gain are computed once per model
+(``GaussMarkovModel.rho`` and ``.certificate_gain``), and a grid whose
+every lam is 1 (multi-beam points) solves each policy step for the one
+factor A - L C.  The matching lower bound S-bar is the scaled Lyapunov
+solve of :mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges whenever
 (1 - lam) rho(A)^2 >= 1, so V-bar is None there; on scalar, stable and
 certified models it is finite everywhere else, and on refused models
 wherever the search finds a gain.
@@ -67,7 +70,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .statespace import (
-    CRITICAL_MARGIN,
+    CERTIFICATE_COND,  # noqa: F401 -- the certificate's threshold, also named here
     GaussMarkovModel,
     as_matrix,
     grid_members,
@@ -79,7 +82,6 @@ from .statespace import (
     scaled_lyapunov_grid,
     solve_affine,
     solve_scaled_lyapunov,
-    spectral_radius,
     symmetrize,
     times_matrix,
 )
@@ -320,30 +322,6 @@ def iterate_map(step, p0: np.ndarray, n: int):
         yield p
 
 
-#: an eigenbasis of A or a C V_u beyond this condition number is not certified
-CERTIFICATE_COND = 1e8
-
-
-def _certificate_gain(model: GaussMarkovModel):
-    """The gain L = A V_u (C V_u)^+ of ``unstable_modes_observed``, or None
-    when the certificate refuses the model."""
-    if model.m == 1:
-        # eigenbasis [[1]], so C V_u is C; no LAPACK call (and its buffers)
-        a = float(model.A[0, 0])
-        if abs(a) < 1.0 - CRITICAL_MARGIN or not np.any(model.C):
-            return None
-        return a * model.C.T / float(np.sum(model.C * model.C))
-    mu, v = np.linalg.eig(model.A)
-    unstable = np.abs(mu) >= 1.0 - CRITICAL_MARGIN
-    if not 0 < np.count_nonzero(unstable) <= model.k or np.linalg.cond(v) > CERTIFICATE_COND:
-        return None
-    v_u = v[:, unstable]
-    if np.linalg.cond(model.C @ v_u) > CERTIFICATE_COND:
-        return None
-    # conjugate eigenvector pairs give a real gain
-    return np.real(model.A @ v_u @ np.linalg.pinv(model.C @ v_u))
-
-
 def unstable_modes_observed(model: GaussMarkovModel) -> bool:
     """Certify that V-bar is finite exactly where S-bar is, so lam_c = 1 - 1/rho(A)^2.
 
@@ -362,9 +340,10 @@ def unstable_modes_observed(model: GaussMarkovModel) -> bool:
     bound, diverges.  The same L starts the policy iteration of every fixed
     point.  Conservative: False when A has no unstable mode or more of them
     than C has rows, or when its eigenbasis or C V_u is ill conditioned
-    (which covers a defective A and a rank-deficient C V_u).
+    (which covers a defective A and a rank-deficient C V_u).  The model
+    computes its gain, ``model.certificate_gain``, once.
     """
-    return _certificate_gain(model) is not None
+    return model.certificate_gain is not None
 
 
 def _contracting_gains(model: GaussMarkovModel, lams, gammas) -> list:
@@ -468,6 +447,8 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
     lam = np.reshape(lams, (-1, 1, 1))
     gamma = np.reshape(gammas, (-1, 1, 1))
     n = len(lam)
+    # where every lam is 1 the open-loop factor sqrt(1 - lam) A is zero
+    sensed_only = bool((lam == 1.0).all())
     gains = np.broadcast_to(gain, (n, m, model.k))
     best = np.empty((n, m, m))
     best_trace = np.full(n, math.inf)
@@ -475,8 +456,10 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
     # a strictly decreasing float sequence stops within a few steps of
     # rounding level; the bound only turns a defect into an error
     for _ in range(100):
-        # (1 - lam) A X A^T + lam F X F^T with F = A - L C, as two factors
-        factors = np.stack([np.sqrt(1.0 - lam) * a, np.sqrt(lam) * (a - gains @ c)], axis=1)
+        # (1 - lam) A X A^T + lam F X F^T with F = A - L C: two factors, or
+        # the second alone
+        f = np.sqrt(lam) * (a - gains @ c)
+        factors = f[:, None] if sensed_only else np.stack([np.sqrt(1.0 - lam) * a, f], axis=1)
         x = solve_affine(factors, q + lam * gamma * (gains @ r @ gains.swapaxes(1, 2)))
         tr = x.trace(axis1=1, axis2=2)
         if not np.isfinite(tr).all():
@@ -511,10 +494,9 @@ def _solve_grid(model: GaussMarkovModel, lams, gammas):
         with np.errstate(divide="ignore", invalid="ignore"):
             v = _scalar_root(a, c, q, r, lams, gammas)
         return v.reshape(-1, 1, 1), ~_scalar_diverges(a, c, lams)
-    rho = spectral_radius(model.A)
-    todo = np.flatnonzero(~lyapunov_diverges(1.0 - lams, rho))
-    stable = not lyapunov_diverges(1.0, rho)
-    gain = np.zeros((model.m, model.k)) if stable else _certificate_gain(model)
+    todo = np.flatnonzero(~lyapunov_diverges(1.0 - lams, model.rho))
+    stable = not lyapunov_diverges(1.0, model.rho)
+    gain = np.zeros((model.m, model.k)) if stable else model.certificate_gain
     if gain is None:
         gains = _contracting_gains(model, lams[todo], gammas[todo])
         todo = todo[np.array([g is not None for g in gains], dtype=bool)]
@@ -671,7 +653,7 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
     lam = 1; ParameterError unless bisect_tol is positive and finite.
     """
     _check_tol(bisect_tol)
-    rho = spectral_radius(model.A)
+    rho = model.rho
     if not lyapunov_diverges(1.0, rho):
         return 0.0
     if unstable_modes_observed(model):

@@ -1,8 +1,10 @@
 """Gauss-Markov state-space primitives.
 
 Holds the (A, C, Q, R) model container with validity checks, the spectral
-radius, and the scaled Lyapunov solver S = alpha * A S A^T + Q whose fixed
-point lower-bounds the error covariance of an intermittently updated filter.
+radius (which a model computes once for itself, as it does the gain of the
+Riccati certificate), and the scaled Lyapunov solver S = alpha * A S A^T + Q
+whose fixed point lower-bounds the error covariance of an intermittently
+updated filter.
 The solver iterates nothing: a scalar model takes the closed form
 q / (1 - alpha a^2) (one array expression per grid), and a matrix model
 solves the Kronecker system
@@ -16,6 +18,7 @@ state dimension (m, k <= ~8).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +30,9 @@ EIG_TOL = 1e-10
 #: alpha * rho(A)^2 within this distance of 1 is reported as divergent, and
 #: an eigenvalue of A with |mu| within it of 1 counts as unstable
 CRITICAL_MARGIN = 1e-9
+
+#: an eigenbasis of A or a C V_u beyond this condition number is not certified
+CERTIFICATE_COND = 1e8
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -106,7 +112,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussMarkovModel:
     """Linear state-space model s' = A s + w, z = C s + v.
 
@@ -118,6 +124,10 @@ class GaussMarkovModel:
     (Q PSD, R PD, detectability / controllability) is reported by
     :func:`validate_model` so that deliberately broken models can still be
     constructed and inspected.
+
+    The model keeps read-only copies of its matrices, so nothing the caller
+    writes later reaches it, and ``rho`` and ``certificate_gain`` are
+    computed once per model.  Models compare and hash by identity.
     """
 
     A: np.ndarray
@@ -141,6 +151,7 @@ class GaussMarkovModel:
         if r.shape != (k, k):
             raise DimensionError(f"R must be {k}x{k}, got {r.shape}")
         for name, arr in (("A", a), ("C", c), ("Q", q), ("R", r)):
+            arr = np.array(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -168,6 +179,40 @@ class GaussMarkovModel:
             float(self.Q[0, 0]),
             float(self.R[0, 0]),
         )
+
+    @cached_property
+    def rho(self) -> float:
+        """rho(A), the spectral radius of A."""
+        return spectral_radius(self.A)
+
+    @cached_property
+    def certificate_gain(self):
+        """The gain L = A V_u (C V_u)^+ of ``riccati.unstable_modes_observed``,
+        read-only, or None when the certificate refuses the model.
+
+        The columns of V_u are the eigenvectors of A with |mu| >= 1 -
+        CRITICAL_MARGIN.  None when there is none or more of them than C has
+        rows, or when the eigenbasis or C V_u has a condition number above
+        CERTIFICATE_COND.
+        """
+        if self.m == 1:
+            # eigenbasis [[1]], so C V_u is C; no LAPACK call (and its buffers)
+            a = float(self.A[0, 0])
+            if abs(a) < 1.0 - CRITICAL_MARGIN or not np.any(self.C):
+                return None
+            gain = a * self.C.T / float(np.sum(self.C * self.C))
+        else:
+            mu, v = np.linalg.eig(self.A)
+            unstable = np.abs(mu) >= 1.0 - CRITICAL_MARGIN
+            if not 0 < np.count_nonzero(unstable) <= self.k or np.linalg.cond(v) > CERTIFICATE_COND:
+                return None
+            v_u = v[:, unstable]
+            if np.linalg.cond(self.C @ v_u) > CERTIFICATE_COND:
+                return None
+            # conjugate eigenvector pairs give a real gain
+            gain = np.real(self.A @ v_u @ np.linalg.pinv(self.C @ v_u))
+        gain.setflags(write=False)
+        return gain
 
     def describe(self) -> str:
         return (
@@ -337,7 +382,7 @@ def scaled_lyapunov_grid(model: GaussMarkovModel, alphas):
     bad = ~((0.0 <= alphas) & (alphas <= 1.0))
     if bad.any():
         raise ParameterError(f"alpha must lie in [0, 1], got {alphas[bad][0]}")
-    finite = ~lyapunov_diverges(alphas, spectral_radius(model.A))
+    finite = ~lyapunov_diverges(alphas, model.rho)
     if model.is_scalar:
         a, _, q, _ = model.scalars()
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -18,6 +18,10 @@ plain iteration helper.
 
 ``contracting_gain`` is the gain search of a refused model one point at a
 time, the oracle for each member of the library's batched search.
+``certificate_gain`` computes the certificate's gain afresh, the oracle of
+the one each model caches.  ``policy_iteration`` is Hewer's policy
+iteration with both factors of the affine map at every lam, the oracle of
+the library's, which leaves out the zero factor where every lam is 1.
 
 ``scalar_root`` and ``scalar_lyapunov`` are the scalar closed forms one
 grid point at a time on floats, the oracles of the library's array roots.
@@ -39,6 +43,7 @@ from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 from jcas_lab.errors import NumericalError
 from jcas_lab.riccati import (
+    CERTIFICATE_COND,
     GAIN_SEARCH_STEPS,
     GAMMA_LOG_RANGE,
     _corrected,
@@ -49,7 +54,7 @@ from jcas_lab.riccati import (
     sbar,
     vbar,
 )
-from jcas_lab.statespace import CRITICAL_MARGIN, lyapunov_diverges, spectral_radius
+from jcas_lab.statespace import CRITICAL_MARGIN, lyapunov_diverges, solve_affine, spectral_radius
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -216,6 +221,51 @@ def contracting_gain(model, lam: float, gamma: float):
         if not math.isfinite(tr) or tr > TRACE_DIVERGENCE:
             return None
     return None
+
+
+def certificate_gain(model):
+    """The gain A V_u (C V_u)^+ of ``unstable_modes_observed``, or None when
+    the certificate refuses the model, computed afresh on every call."""
+    if model.m == 1:
+        a = float(model.A[0, 0])
+        if abs(a) < 1.0 - CRITICAL_MARGIN or not np.any(model.C):
+            return None
+        return a * model.C.T / float(np.sum(model.C * model.C))
+    mu, v = np.linalg.eig(model.A)
+    unstable = np.abs(mu) >= 1.0 - CRITICAL_MARGIN
+    if not 0 < np.count_nonzero(unstable) <= model.k or np.linalg.cond(v) > CERTIFICATE_COND:
+        return None
+    v_u = v[:, unstable]
+    if np.linalg.cond(model.C @ v_u) > CERTIFICATE_COND:
+        return None
+    return np.real(model.A @ v_u @ np.linalg.pinv(model.C @ v_u))
+
+
+def policy_iteration(model, lams, gammas, gain) -> np.ndarray:
+    """``riccati._policy_iteration`` with the two factors sqrt(1 - lam) A and
+    sqrt(lam) (A - L C) at every lam, the first zero where lam = 1."""
+    a, c, q, r = model.A, model.C, model.Q, model.R
+    m = model.m
+    lam = np.reshape(lams, (-1, 1, 1))
+    gamma = np.reshape(gammas, (-1, 1, 1))
+    n = len(lam)
+    gains = np.broadcast_to(gain, (n, m, model.k))
+    best = np.empty((n, m, m))
+    best_trace = np.full(n, math.inf)
+    live = np.arange(n)
+    for _ in range(100):
+        factors = np.stack([np.sqrt(1.0 - lam) * a, np.sqrt(lam) * (a - gains @ c)], axis=1)
+        x = solve_affine(factors, q + lam * gamma * (gains @ r @ gains.swapaxes(1, 2)))
+        tr = x.trace(axis1=1, axis2=2)
+        if not np.isfinite(tr).all():
+            raise NumericalError("policy iteration produced a non-finite covariance")
+        falling = tr < best_trace[live]
+        live, x, lam, gamma = live[falling], x[falling], lam[falling], gamma[falling]
+        best[live], best_trace[live] = x, tr[falling]
+        if not live.size:
+            return best
+        gains = _solve_innovation(model, x, gamma).swapaxes(1, 2)
+    raise NumericalError("policy iteration did not settle in 100 steps")
 
 
 def bisect(lo: float, hi: float, tol: float, above) -> float:

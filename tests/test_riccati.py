@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -1251,3 +1252,128 @@ def test_stacked_trace_equals_member_traces(m):
     traces = statespace.grid_traces((x, finite))
     for member, ok, tr in zip(x, finite, traces):
         assert bits(tr) == bits(np.trace(member) if ok else math.inf)
+
+
+def analysed_models() -> list:
+    """Seeded m = 1..8 models with one or two outputs: stable, certified
+    (every unstable mode seen by C) and refused (more unstable modes than
+    outputs, or an unstable scalar state no output sees)."""
+    models = [GaussMarkovModel(A=[[1.1]], C=[[0.0], [0.0]], Q=[[1.0]], R=np.eye(2))]
+    for m in range(1, 9):
+        for k in (1, 2):
+            models.append(seeded_random_model([11, m, k], 0.8, m, k))
+            if k <= m:
+                models.append(observed_unstable_model(11, m, k == 2))
+            if k < m:
+                models.append(refused_family_model(11, m, k))
+    return models
+
+
+class TestModelAnalysis:
+    """rho(A) and the certificate gain are computed once per model, and equal
+    a fresh computation bit for bit."""
+
+    def test_bench_model_analysed_once(self, monkeypatch, bench_model):
+        calls = {"eig": 0, "spectral_radius": 0}
+        eig, radius = np.linalg.eig, statespace.spectral_radius
+
+        def counted_eig(a):
+            calls["eig"] += 1
+            return eig(a)
+
+        def counted_radius(a):
+            calls["spectral_radius"] += 1
+            return radius(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted_eig)
+        monkeypatch.setattr(statespace, "spectral_radius", counted_radius)
+        critical_lambda(bench_model, bisect_tol=1e-3)
+        for d in (1.0, 3.0):
+            lambda_s(d, bench_model)
+            lambda_v(d, bench_model)
+            gamma_max(d, bench_model)
+        channel = ChannelSpec.gaussian(1.75)
+        bs_curve(bench_model, channel, np.linspace(0.0, 1.0, 21))
+        mb_curve(bench_model, channel, np.geomspace(1.0, 1e4, 20))
+        assert calls == {"eig": 1, "spectral_radius": 1}
+
+    def test_replaced_model_has_its_own_analysis(self, bench_model):
+        rho, gain = bench_model.rho, bench_model.certificate_gain
+        stable = dataclasses.replace(bench_model, A=[[0.5, 0.2], [0.0, 0.9]])
+        assert stable.rho == spectral_radius([[0.5, 0.2], [0.0, 0.9]]) < 1.0
+        assert stable.certificate_gain is None
+        assert critical_lambda(stable) == 0.0
+        assert bench_model.rho == rho == spectral_radius(bench_model.A) > 1.0
+        assert bench_model.certificate_gain is gain is not None
+
+    def test_cached_analysis_equals_fresh(self):
+        kinds = set()
+        for model in analysed_models():
+            want = ref.certificate_gain(model)
+            kinds.add((model.rho < 1.0, want is None))
+            for _ in range(2):
+                assert bits(model.rho) == bits(spectral_radius(model.A))
+                gain = model.certificate_gain
+                assert (gain is None) == (want is None)
+                if gain is not None:
+                    assert bits(gain) == bits(want)
+                    assert not gain.flags.writeable
+        # stable, certified and refused models all occur
+        assert kinds == {(True, True), (False, False), (False, True)}
+
+
+ONE_FACTOR_MODELS = [
+    (kind, m, k)
+    for m in range(2, 9)
+    for k in (1, 2)
+    for kind in ("stable", "certified", "refused")
+    if kind != "refused" or k < m
+]
+
+
+def one_factor_model(kind: str, m: int, k: int) -> GaussMarkovModel:
+    if kind == "stable":
+        return seeded_random_model([12, m, k], 0.8, m, k)
+    if kind == "certified":
+        return observed_unstable_model(12, m, k == 2)
+    return refused_family_model(12, m, k)
+
+
+class TestOneFactorPolicyStep:
+    """Where every lam of a policy iteration is 1, each step solves for the
+    one factor A - L C; the fixed points equal the two-factor iteration of
+    ``riccati_reference.policy_iteration`` bit for bit, signed zeros
+    included."""
+
+    @pytest.mark.parametrize("kind, m, k", ONE_FACTOR_MODELS)
+    def test_equals_two_factor_oracle(self, monkeypatch, kind, m, k):
+        model = one_factor_model(kind, m, k)
+        assert riccati.unstable_modes_observed(model) == (kind == "certified")
+        assert (model.rho < 1.0) == (kind == "stable")
+        factor_counts = []
+        solve = riccati.solve_affine
+
+        def counted(factors, rhs):
+            factor_counts.append(factors.shape[1])
+            return solve(factors, rhs)
+
+        def grids():
+            # [0.0, 1.0] leaves lam = 1 alone in the policy iteration of an
+            # unstable model, and mixes both lams on a stable one
+            return [
+                riccati._mb_grid(model, [1.0, 1.5, 10.0, 1e3, math.inf]),
+                riccati._vbar_grid(model, [1.0]),
+                riccati._vbar_grid(model, [0.0, 1.0]),
+            ]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(riccati, "solve_affine", counted)
+            got = grids()
+        assert set(factor_counts) == ({1, 2} if kind == "stable" else {1})
+        # every finite gamma and every lam = 1 has a fixed point
+        assert got[0][1][:4].all() and got[1][1].all() and got[2][1][-1]
+        monkeypatch.setattr(riccati, "_policy_iteration", ref.policy_iteration)
+        want = grids()
+        for (x, finite), (want_x, want_finite) in zip(got, want):
+            assert bits(x) == bits(want_x)
+            assert finite.tobytes() == want_finite.tobytes()

@@ -192,6 +192,46 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             stable_model.A[0, 0] = 2.0
 
+    def test_caller_array_stays_its_own(self):
+        a = np.array([[1.05, 0.2], [0.0, 0.9]])
+        model = GaussMarkovModel(A=a, C=[[1.0, 0.0]], Q=np.eye(2), R=[[0.5]])
+        assert a.flags.writeable
+        assert model.A is not a
+        assert not model.A.flags.writeable
+        a[0, 0] = 3.0
+        assert model.A[0, 0] == 1.05
+
+    def test_view_of_caller_array_is_copied(self):
+        base = np.array([[1.05, 0.2], [0.0, 0.9]])
+        model = GaussMarkovModel(A=base[:, :], C=[[1.0, 0.0]], Q=np.eye(2), R=[[0.5]])
+        base[0, 0] = 3.0
+        assert model.A[0, 0] == 1.05
+
+    def test_analysis_ignores_later_writes(self):
+        # rho(A) and the certificate gain belong to the matrices the model
+        # was built with, whether they were read before the write or after
+        a = np.array([[1.05, 0.2], [0.0, 0.9]])
+        c = np.array([[1.0, 0.0]])
+        early = GaussMarkovModel(A=a, C=c, Q=np.eye(2), R=[[0.5]])
+        late = GaussMarkovModel(A=a, C=c, Q=np.eye(2), R=[[0.5]])
+        rho, gain = early.rho, early.certificate_gain
+        a[0, 0], c[0, 0] = 0.5, 0.0
+        for model in (early, late):
+            assert model.rho == rho == spectral_radius([[1.05, 0.2], [0.0, 0.9]])
+            assert model.certificate_gain.tobytes() == gain.tobytes()
+
+    def test_identity_equality_and_hash(self):
+        def make():
+            return GaussMarkovModel(A=[[1.05, 0.2], [0.0, 0.9]], C=[[1.0, 0.0]], Q=np.eye(2), R=[[0.5]])
+
+        one, twin = make(), make()
+        assert one == one
+        assert not one != one
+        assert one != twin
+        assert not one == twin
+        assert hash(one) == hash(one)
+        assert len({one, twin, one}) == 2
+
     def test_symmetrize(self):
         m = np.array([[1.0, 2.0], [0.0, 3.0]])
         s = symmetrize(m)
