@@ -34,10 +34,11 @@ certificate refuses, a gain found by iterating the map itself from Q.
 That search (``_contracting_gains``) runs every point of a call as one
 stack.  Any such L proves the fixed point finite, since phi(L, .) bounds
 the map.  rho(A) and the certificate's gain are computed once per model
-(``GaussMarkovModel.rho`` and ``.certificate_gain``), and a grid whose
-every lam is 1 (multi-beam points) solves each policy step for the one
-factor A - L C.  The matching lower bound S-bar is the scaled Lyapunov
-solve of :mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges whenever
+(``GaussMarkovModel.rho`` and ``.certificate_gain``), and a point with
+lam = 1 (multi-beam points) solves each policy step for the one factor
+A - L C, by doubling when m >= DOUBLING_MIN_M (``solve_affine``).  The
+matching lower bound S-bar is the scaled Lyapunov solve of
+:mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges whenever
 (1 - lam) rho(A)^2 >= 1, so V-bar is None there; on scalar, stable and
 certified models it is finite everywhere else, and on refused models
 wherever the search finds a gain.
@@ -71,6 +72,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .statespace import (
     CERTIFICATE_COND,  # noqa: F401 -- the certificate's threshold, also named here
+    DOUBLING_MIN_M,
     GaussMarkovModel,
     as_matrix,
     grid_members,
@@ -435,22 +437,33 @@ def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray
     it equals the beam-switching map (gamma = 1) or the multi-beam map
     (lam = 1).  Hewer's policy iteration (IEEE TAC 1971) alternates the two
     steps: the affine fixed point for the current gains, one batched
-    Kronecker solve over the grid, then the gain update, read from the
+    ``solve_affine`` over the grid, then the gain update, read from the
     innovation solve.  ``gain`` starts every member, or is a stack of one
     gain per member.  From a gain whose affine map contracts, the iterates
     decrease monotonically to the fixed point, quadratically near it, so a
     member stops at its first step whose trace fails to decrease and keeps
     the iterate before it.
+
+    Where lam = 1 the open-loop factor sqrt(1 - lam) A is zero, so a grid
+    whose every lam is 1 solves for the one factor A - L C.  From
+    m = DOUBLING_MIN_M on, a one-factor solve doubles while a two-factor one
+    takes the Kronecker LU, so a mixed grid is split once into its lam = 1
+    members and the rest, and each member gets the bits of its own solve.
+    Below that both solves are the same LU, and the grid stays one call.
     """
     a, c, q, r = model.A, model.C, model.Q, model.R
     m = model.m
     lam = np.reshape(lams, (-1, 1, 1))
     gamma = np.reshape(gammas, (-1, 1, 1))
     n = len(lam)
-    # where every lam is 1 the open-loop factor sqrt(1 - lam) A is zero
-    sensed_only = bool((lam == 1.0).all())
+    sensed = lam.reshape(-1) == 1.0
+    sensed_only = bool(sensed.all())
     gains = np.broadcast_to(gain, (n, m, model.k))
     best = np.empty((n, m, m))
+    if m >= DOUBLING_MIN_M and sensed.any() and not sensed_only:
+        for part in (sensed, ~sensed):
+            best[part] = _policy_iteration(model, lam[part], gamma[part], gains[part])
+        return best
     best_trace = np.full(n, math.inf)
     live = np.arange(n)
     # a strictly decreasing float sequence stops within a few steps of

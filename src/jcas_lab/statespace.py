@@ -5,11 +5,14 @@ radius (which a model computes once for itself, as it does the gain of the
 Riccati certificate), and the scaled Lyapunov solver S = alpha * A S A^T + Q
 whose fixed point lower-bounds the error covariance of an intermittently
 updated filter.
-The solver iterates nothing: a scalar model takes the closed form
-q / (1 - alpha a^2) (one array expression per grid), and a matrix model
-solves the Kronecker system
-(I - alpha A (x) A) vec S = vec Q, batched over a grid of alphas by
-``solve_affine``, which the Riccati fixed points reuse.
+The solver iterates no covariance map: a scalar model takes the closed
+form q / (1 - alpha a^2) (one array expression per grid), and a matrix
+model solves S = (sqrt(alpha) A) S (sqrt(alpha) A)^T + Q, batched over a
+grid of alphas by ``solve_affine``, which the Riccati fixed points reuse.
+``solve_affine`` solves such a one-factor Stein equation by Smith's
+doubling when m >= DOUBLING_MIN_M (5), O(m^3) products per doubling until
+the sum stops changing, and every other system, two-factor or m <= 4, as
+one dense Kronecker LU (I - sum_t F_t (x) F_t) vec X = vec rhs.
 
 All matrices are dense float64 numpy arrays; the design envelope is small
 state dimension (m, k <= ~8).
@@ -22,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, NumericalError, ParameterError
 
 #: eigenvalue tolerance for PSD/PD checks, relative to the largest magnitude
 EIG_TOL = 1e-10
@@ -33,6 +36,13 @@ CRITICAL_MARGIN = 1e-9
 
 #: an eigenbasis of A or a C V_u beyond this condition number is not certified
 CERTIFICATE_COND = 1e8
+
+#: ``solve_affine`` solves a one-factor system of this state dimension or
+#: more by doubling; below it the Kronecker LU is cheaper
+DOUBLING_MIN_M = 5
+
+#: doublings after which a member still moving has no bounded solution
+DOUBLING_CAP = 64
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -330,11 +340,24 @@ def solve_affine(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve X = sum_t F_t X F_t^T + rhs for every member of a stack.
 
     ``factors`` (n, T, m, m) holds each member's F_1..F_T and ``rhs`` is
-    (n, m, m).  On the row-major vec(X), F X F^T is kron(F, F) vec(X), so a
-    member is one dense (m^2, m^2) system (I - sum_t kron(F_t, F_t)) vec(X)
-    = vec(rhs).  The systems are built in place in one array and solved in
-    one batched call; the solutions come back re-symmetrized.
+    (n, m, m).  A one-factor system with m >= DOUBLING_MIN_M is solved by
+    doubling (``_solve_doubling``), every other one as a dense Kronecker
+    system (``_solve_kronecker``), which costs O(m^6) per member against
+    the O(m^3) products of a doubling and is the cheaper of the two up to
+    m = 4.  The path depends on T and m alone, never on n, and neither
+    path's bits for a member depend on the other members of the stack.
+    The solutions come back re-symmetrized.
     """
+    if factors.shape[1] == 1 and factors.shape[2] >= DOUBLING_MIN_M:
+        return symmetrize(_solve_doubling(factors[:, 0], rhs))
+    return symmetrize(_solve_kronecker(factors, rhs))
+
+
+def _solve_kronecker(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """On the row-major vec(X), F X F^T is kron(F, F) vec(X), so a member is
+    one dense (m^2, m^2) system (I - sum_t kron(F_t, F_t)) vec(X) =
+    vec(rhs).  The systems are built in place in one array and solved in
+    one batched LU call."""
     n, _, m, _ = factors.shape
     size = m * m
     system = np.einsum("ntij,ntkl->nikjl", factors, factors).reshape(n, size, size)
@@ -342,7 +365,39 @@ def solve_affine(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     diagonal = np.arange(size)
     system[:, diagonal, diagonal] += 1.0
     x = np.linalg.solve(system, np.reshape(rhs, (n, size, 1)))
-    return symmetrize(x.reshape(n, m, m))
+    return x.reshape(n, m, m)
+
+
+def _solve_doubling(f: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X = F X F^T + rhs for a stack (n, m, m) of factors by Smith's doubling
+    (SIAM J. Appl. Math. 1968): X_0 = rhs, X_{j+1} = X_j + F_j X_j F_j^T
+    and F_{j+1} = F_j F_j, so X_j sums F^i rhs F^iT over i < 2^j.
+
+    A member stops at its first doubling that leaves its X unchanged bit
+    for bit.  Where rho(F) >= 1 the sum has no limit: a member still moving
+    after DOUBLING_CAP doublings, or stopped at a non-finite X, raises
+    NumericalError.  Each product of the stack is one matmul per member, so
+    a member's bits do not depend on the other members.
+    """
+    x = np.array(rhs, dtype=float)
+    out = np.empty_like(x)
+    live = np.arange(len(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(DOUBLING_CAP):
+            nxt = x + f @ x @ f.swapaxes(1, 2)
+            moved = (nxt.view(np.int64) != x.view(np.int64)).any(axis=(1, 2))
+            if not moved.all():
+                out[live[~moved]] = x[~moved]
+                live, nxt, f = live[moved], nxt[moved], f[moved]
+                if not live.size:
+                    break
+            x = nxt
+            f = f @ f
+    if live.size:
+        raise NumericalError(f"doubling did not settle in {DOUBLING_CAP} doublings (rho(F) >= 1)")
+    if not np.isfinite(out).all():
+        raise NumericalError("doubling produced a non-finite solution (rho(F) >= 1)")
+    return out
 
 
 def lyapunov_root(a: float, q: float, alpha):
@@ -374,9 +429,9 @@ def scaled_lyapunov_grid(model: GaussMarkovModel, alphas):
 
     finite is False where alpha * rho(A)^2 >= 1 (within CRITICAL_MARGIN),
     and those members of S are meaningless.  A scalar model takes
-    ``lyapunov_root`` on the whole grid; a matrix model solves the
-    Kronecker system (I - alpha A (x) A) vec S = vec Q for every finite
-    entry at once, with sqrt(alpha) A as the factor of ``solve_affine``.
+    ``lyapunov_root`` on the whole grid; a matrix model solves every finite
+    entry at once, with the one factor sqrt(alpha) A of ``solve_affine``
+    (by doubling when m >= DOUBLING_MIN_M, by the Kronecker LU below).
     """
     alphas = np.asarray(alphas, dtype=float)
     bad = ~((0.0 <= alphas) & (alphas <= 1.0))

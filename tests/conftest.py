@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jcas_lab import statespace
 from jcas_lab.statespace import GaussMarkovModel
 
 # the two scalar reference systems used throughout
@@ -72,6 +73,56 @@ def quad_mb_root(a: float, c: float, q: float, r: float, gamma: float) -> float:
 def scaled_lyap_root(a: float, q: float, alpha: float) -> float:
     """Closed-form scalar fixed point of s = alpha * a^2 * s + q."""
     return q / (1.0 - alpha * a * a)
+
+
+def rounding_gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53: |fl(x) - x| <= gamma_n |x|
+    bounds n successive roundings, in any order of summation."""
+    u = 2.0**-53
+    return n * u / (1.0 - n * u)
+
+
+def stein_inverse_norm(f: np.ndarray) -> float:
+    """||(I - F (x) F)^{-1}||_2, the Frobenius-norm condition of X = F X F^T + rhs."""
+    size = f.shape[0] ** 2
+    return 1.0 / np.linalg.svd(np.eye(size) - np.kron(f, f), compute_uv=False)[-1]
+
+
+def stein_residual(f: np.ndarray, x: np.ndarray, rhs: np.ndarray) -> tuple:
+    """(||F x F^T + rhs - x||_F as computed, the Frobenius norm of its
+    rounding bound gamma_{2m+2} (|F| |x| |F|^T + |rhs| + |x|))."""
+    m = f.shape[0]
+    r = f @ x @ f.T + rhs - x
+    rounding = rounding_gamma(2 * m + 2) * np.linalg.norm(np.abs(f) @ np.abs(x) @ np.abs(f).T + np.abs(rhs) + np.abs(x))
+    return float(np.linalg.norm(r)), float(rounding)
+
+
+def stein_error_bound(f: np.ndarray, x: np.ndarray, rhs: np.ndarray, slack: float = 0.0) -> float:
+    """A bound on ||x - X||_F, X the exact solution of X = F X F^T + rhs.
+
+    With the exact residual r = F x F^T + rhs - x, (I - F (x) F) vec(x - X) =
+    -vec(r), so ||x - X||_F <= ||(I - F (x) F)^{-1}||_2 ||r||_F.  The residual
+    computed here is within gamma_{2m+2} (|F| |x| |F|^T + |rhs| + |x|) of r
+    entry by entry (two m-term products, then two sums); ``slack`` adds the
+    rounding of F and rhs themselves where the caller computed them.
+    """
+    residual, rounding = stein_residual(f, x, rhs)
+    return stein_inverse_norm(f) * (residual + rounding + slack)
+
+
+def record_solves(patch) -> dict:
+    """Stack sizes of every doubling and every Kronecker solve of
+    ``statespace.solve_affine`` from now on; ``patch`` is a monkeypatch."""
+    calls = {"doubling": [], "kronecker": []}
+    for path in calls:
+        real = getattr(statespace, f"_solve_{path}")
+
+        def spy(factors, rhs, real=real, path=path):
+            calls[path].append(len(factors))
+            return real(factors, rhs)
+
+        patch.setattr(statespace, f"_solve_{path}", spy)
+    return calls
 
 
 def random_psd(rng: np.random.Generator, dim: int) -> np.ndarray:

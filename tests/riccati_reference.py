@@ -20,8 +20,9 @@ plain iteration helper.
 time, the oracle for each member of the library's batched search.
 ``certificate_gain`` computes the certificate's gain afresh, the oracle of
 the one each model caches.  ``policy_iteration`` is Hewer's policy
-iteration with both factors of the affine map at every lam, the oracle of
-the library's, which leaves out the zero factor where every lam is 1.
+iteration with both factors of the affine map at every lam, so every step
+is a Kronecker LU: the oracle of the library's, which leaves out the zero
+factor where lam is 1 and there solves by doubling from m = 5 on.
 
 ``scalar_root`` and ``scalar_lyapunov`` are the scalar closed forms one
 grid point at a time on floats, the oracles of the library's array roots.

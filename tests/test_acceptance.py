@@ -20,6 +20,7 @@ from jcas_lab.statespace import GaussMarkovModel
 from jcas_lab.tradeoff import ChannelSpec, bs_rate, mb_rate
 
 from conftest import quad_mb_root, random_discrete_model, scaled_lyap_root, toy_model_path
+from riccati_reference import dare
 
 UNSTABLE = GaussMarkovModel.scalar(-1.15, 1.0, 0.2, 1.5)
 STABLE = GaussMarkovModel.scalar(-0.95, 1.0, 0.2, 1.5)
@@ -53,6 +54,21 @@ def read_gaps(path):
             continue
         gaps.append(float(line.split(",")[3]))
     return np.array(gaps)
+
+
+def seeded_6x6_model() -> dict:
+    """A seeded 6x6, two-output model with rho(A) = 1.05 (one unstable mode,
+    seen by C), as the ``model`` section of a config."""
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((6, 6))
+    a *= 1.05 / np.max(np.abs(np.linalg.eigvals(a)))
+    lq = rng.standard_normal((6, 6)) / math.sqrt(6.0)
+    return {
+        "A": a.tolist(),
+        "C": rng.standard_normal((2, 6)).tolist(),
+        "Q": (lq @ lq.T + 0.1 * np.eye(6)).tolist(),
+        "R": (0.5 * np.eye(2)).tolist(),
+    }
 
 
 def test_criterion_1_fig3_left(tmp_path):
@@ -268,3 +284,37 @@ def test_criterion_7_cli_determinism(tmp_path):
         all_ok &= same
         details.append(f"{name}={'ok' if same else 'DIFFERS'}")
     check("criterion 7 (CLI rerun byte-identity)", all_ok, ", ".join(details))
+
+
+def test_matrix_6x6_rd_curve(tmp_path):
+    """rd-curve end to end on a seeded 6x6 model over a Gaussian channel,
+    whose multi-beam policy steps solve by doubling: every finite multi-beam
+    point is within 1e-9 of scipy's DARE, and the inner curve at lam = 1
+    equals the multi-beam point at gamma = 1 bit for bit, the lam = 1
+    identity V-bar(1) = multi-beam steady state at gamma = 1."""
+    cfg = {
+        "seed": 1,
+        "model": seeded_6x6_model(),
+        "channel": {"kind": "gaussian", "snr_db": 1.75},
+        "lambda_grid": {"start": 0.0, "stop": 1.0, "count": 41},
+        "gamma_grid": {"start": 1.0, "stop": 1e4, "count": 40, "spacing": "log"},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["rd-curve", "--config", str(cfg_path), "--out", str(out)]) == 0
+    model = GaussMarkovModel(**cfg["model"])
+    assert model.m == 6 and model.rho > 1.0
+    mb = read_curve_csv(out / "mb_curve.csv")
+    finite = [(gamma, dist) for gamma, _, dist, _, ok in mb if ok]
+    assert len(finite) == len(mb) == 40
+    gaps = [abs(dist - np.trace(dare(model, gamma))) / np.trace(dare(model, gamma)) for gamma, dist in finite]
+    check("6x6 multi-beam points vs DARE", max(gaps) <= 1e-9, f"max relative gap {max(gaps):.2e}")
+
+    def lam_one_rows(name, kind):
+        rows = (out / name).read_text().split("\n")
+        return [row for row in rows if row.startswith("1.0,") and row.split(",")[3] == kind]
+
+    (inner,), (at_one,) = lam_one_rows("bs_curve.csv", "inner"), lam_one_rows("mb_curve.csv", "exact")
+    same = inner.split(",")[2] == at_one.split(",")[2]
+    check("6x6 lam = 1 identity (bit for bit)", same, f"inner {inner!r}, multi-beam {at_one!r}")

@@ -38,7 +38,7 @@ from jcas_lab.tradeoff import ChannelSpec, bs_curve, mb_curve
 
 import riccati_reference as ref
 from riccati_reference import trace_or_inf
-from conftest import quad_mb_root, random_psd, scaled_lyap_root
+from conftest import quad_mb_root, random_psd, record_solves, rounding_gamma, scaled_lyap_root, stein_error_bound
 
 P1 = np.array([[1.0]])
 
@@ -1339,41 +1339,106 @@ def one_factor_model(kind: str, m: int, k: int) -> GaussMarkovModel:
     return refused_family_model(12, m, k)
 
 
+def multibeam_error_bound(model: GaussMarkovModel, x: np.ndarray, gamma: float) -> float:
+    """A first-order bound on ||x - X||_F, X the lam = 1 fixed point at gamma.
+
+    With the predictor gain L read off x and F = A - L C, the policy step's
+    residual r = F x F^T + Q + gamma L R L^T - x is the Riccati map's
+    residual at x.  The map's derivative at its fixed point is
+    D -> F D F^T (L minimizes the map, so the gain's first-order term
+    vanishes), hence ||x - X||_F <= ||(I - F (x) F)^{-1}||_2 ||r||_F to first
+    order: ``stein_error_bound``, with the rounding of F (k + 1 roundings
+    per entry, entering F x F^T twice) and of the right-hand side (2 k + 2)
+    as its slack.
+    """
+    k = model.k
+    gain = riccati._solve_innovation(model, x[None], np.full((1, 1, 1), gamma))[0].T
+    f = model.A - gain @ model.C
+    rhs = model.Q + gamma * (gain @ model.R @ gain.T)
+    f_abs = np.abs(model.A) + np.abs(gain) @ np.abs(model.C)
+    slack = np.linalg.norm(
+        3.0 * rounding_gamma(k + 1) * (f_abs @ np.abs(x) @ f_abs.T)
+        + rounding_gamma(2 * k + 2) * (np.abs(model.Q) + gamma * (np.abs(gain) @ np.abs(model.R) @ np.abs(gain).T))
+    )
+    return stein_error_bound(f, x, rhs, slack)
+
+
+#: the grids of ``TestOneFactorPolicyStep``: (kind, lams or gammas)
+ONE_FACTOR_GRIDS = (
+    ("mb", [1.0, 1.5, 10.0, 1e3, math.inf]),
+    ("vbar", [1.0]),
+    # leaves lam = 1 alone in the policy iteration of an unstable model, and
+    # mixes both lams on a stable one
+    ("vbar", [0.0, 1.0]),
+)
+
+
+def one_factor_grids(model: GaussMarkovModel) -> list:
+    solve = {"mb": riccati._mb_grid, "vbar": riccati._vbar_grid}
+    return [solve[kind](model, values) for kind, values in ONE_FACTOR_GRIDS]
+
+
 class TestOneFactorPolicyStep:
-    """Where every lam of a policy iteration is 1, each step solves for the
-    one factor A - L C; the fixed points equal the two-factor iteration of
-    ``riccati_reference.policy_iteration`` bit for bit, signed zeros
-    included."""
+    """Where lam = 1, each policy step solves for the one factor A - L C.  Up
+    to m = 4 that is the Kronecker LU, and the fixed points equal the
+    two-factor iteration of ``riccati_reference.policy_iteration`` bit for
+    bit, signed zeros included.  From m = DOUBLING_MIN_M on the one-factor
+    step doubles: its fixed points lie within ``multibeam_error_bound`` of
+    the oracle's, and every other point (lam < 1, and gamma = inf, the
+    open-loop Lyapunov solve of both) keeps the oracle's bits."""
 
     @pytest.mark.parametrize("kind, m, k", ONE_FACTOR_MODELS)
     def test_equals_two_factor_oracle(self, monkeypatch, kind, m, k):
         model = one_factor_model(kind, m, k)
         assert riccati.unstable_modes_observed(model) == (kind == "certified")
         assert (model.rho < 1.0) == (kind == "stable")
-        factor_counts = []
+        steps = []
         solve = riccati.solve_affine
 
         def counted(factors, rhs):
-            factor_counts.append(factors.shape[1])
-            return solve(factors, rhs)
-
-        def grids():
-            # [0.0, 1.0] leaves lam = 1 alone in the policy iteration of an
-            # unstable model, and mixes both lams on a stable one
-            return [
-                riccati._mb_grid(model, [1.0, 1.5, 10.0, 1e3, math.inf]),
-                riccati._vbar_grid(model, [1.0]),
-                riccati._vbar_grid(model, [0.0, 1.0]),
-            ]
+            before = len(doublings)
+            x = solve(factors, rhs)
+            steps.append((factors.shape[1], len(doublings) > before))
+            return x
 
         with monkeypatch.context() as patch:
             patch.setattr(riccati, "solve_affine", counted)
-            got = grids()
-        assert set(factor_counts) == ({1, 2} if kind == "stable" else {1})
+            doublings = record_solves(patch)["doubling"]
+            got = one_factor_grids(model)
+        assert {count for count, _ in steps} == ({1, 2} if kind == "stable" else {1})
+        # the one-factor steps double from m = 5 on, the two-factor ones never
+        assert all(doubled == (count == 1 and m >= statespace.DOUBLING_MIN_M) for count, doubled in steps)
         # every finite gamma and every lam = 1 has a fixed point
         assert got[0][1][:4].all() and got[1][1].all() and got[2][1][-1]
         monkeypatch.setattr(riccati, "_policy_iteration", ref.policy_iteration)
-        want = grids()
-        for (x, finite), (want_x, want_finite) in zip(got, want):
-            assert bits(x) == bits(want_x)
+        want = one_factor_grids(model)
+        for (grid, values), (x, finite), (want_x, want_finite) in zip(ONE_FACTOR_GRIDS, got, want):
             assert finite.tobytes() == want_finite.tobytes()
+            if m < statespace.DOUBLING_MIN_M:
+                assert bits(x) == bits(want_x)
+                continue
+            for value, ok, member, want_member in zip(values, finite, x, want_x):
+                lam, gamma = (1.0, value) if grid == "mb" else (value, 1.0)
+                if lam < 1.0 or math.isinf(gamma) or not ok:
+                    assert bits(member) == bits(want_member)
+                    continue
+                gap = np.linalg.norm(member - want_member)
+                bound = multibeam_error_bound(model, member, gamma)
+                assert gap <= bound + multibeam_error_bound(model, want_member, gamma)
+
+    def test_small_models_never_double(self, monkeypatch, bench_model):
+        doublings = record_solves(monkeypatch)["doubling"]
+        channel = ChannelSpec.gaussian(1.75)
+        small = [seeded_random_model([13, m, 1], 0.8, m, 1) for m in (3, 4)]
+        for model in (bench_model, *small, observed_unstable_model(13, 4, True)):
+            v1 = trace_or_inf(vbar(1.0, model))
+            bs_curve(model, channel, np.linspace(0.0, 1.0, 21))
+            mb_curve(model, channel, np.geomspace(1.0, 1e4, 20))
+            lambda_s(3.0 * v1, model)
+            lambda_v(3.0 * v1, model)
+            gamma_max(3.0 * v1, model)
+        assert doublings == []
+        # a 5x5 multi-beam curve doubles
+        model = seeded_random_model([13, 5, 1], 0.8, 5, 1)
+        mb_curve(model, channel, np.geomspace(1.0, 1e4, 20))
+        assert doublings

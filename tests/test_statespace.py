@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_discrete_lyapunov
 
-from jcas_lab.errors import DimensionError, ParameterError
+from jcas_lab.errors import DimensionError, NumericalError, ParameterError
 from jcas_lab.riccati import iterate_map
 from jcas_lab.statespace import (
+    CRITICAL_MARGIN,
+    DOUBLING_CAP,
+    DOUBLING_MIN_M,
     GaussMarkovModel,
     lyap_kernel,
+    lyapunov_diverges,
     lyapunov_step,
+    scaled_lyapunov_grid,
+    solve_affine,
     solve_scaled_lyapunov,
     spectral_radius,
     symmetrize,
     validate_model,
 )
 
-from conftest import scaled_lyap_root
+from conftest import random_psd, record_solves, scaled_lyap_root, stein_error_bound, stein_residual
 
 
 class TestSpectralRadius:
@@ -236,3 +243,109 @@ class TestModelConstruction:
         m = np.array([[1.0, 2.0], [0.0, 3.0]])
         s = symmetrize(m)
         assert np.array_equal(s, s.T)
+
+
+def seeded_factor(seed: int, m: int, rho: float) -> np.ndarray:
+    """A seeded m x m Gaussian factor scaled to rho(F) = rho."""
+    f = np.random.default_rng([seed, m]).standard_normal((m, m))
+    return f * (rho / spectral_radius(f))
+
+
+#: rho(F) of the seeded factors, from well inside the unit disc to 1e-6 off it
+DOUBLING_RHOS = (0.5, 0.9, 0.99, 1.0 - 1e-4, 1.0 - 1e-6)
+
+
+def assert_within_bounds(f, rhs, x, others):
+    """x, a doubling's solution, has a small residual, and every solution in
+    ``others`` lies within the sum of its own and x's ``stein_error_bound``
+    of x.
+
+    The bound holds for any x whatever its accuracy, so the residual check
+    carries the claim: each of at most DOUBLING_CAP doublings rounds one
+    sum X + F_j X F_j^T, of the size of the terms the residual's own
+    rounding bound covers, so the residual stays within DOUBLING_CAP times
+    that bound.
+    """
+    residual, rounding = stein_residual(f, x, rhs)
+    assert residual <= DOUBLING_CAP * rounding
+    bound = stein_error_bound(f, x, rhs)
+    for y in others:
+        assert np.linalg.norm(x - y) <= bound + stein_error_bound(f, y, rhs)
+
+
+class TestDoublingSolve:
+    """A one-factor Stein equation X = F X F^T + rhs with m >= DOUBLING_MIN_M
+    is solved by doubling.  It agrees with the Kronecker LU (the same
+    equation with a zero factor stacked beside) and with scipy's
+    ``solve_discrete_lyapunov`` within bounds derived from each solution's
+    residual and ||(I - F (x) F)^{-1}||."""
+
+    @pytest.mark.parametrize("m", range(DOUBLING_MIN_M, 9))
+    def test_agrees_with_kronecker_and_scipy(self, monkeypatch, m):
+        rng = np.random.default_rng([30, m])
+        fs = np.array([seeded_factor(i, m, rho) for i, rho in enumerate(DOUBLING_RHOS)])
+        rhs = np.array([random_psd(rng, m) for _ in DOUBLING_RHOS])
+        calls = record_solves(monkeypatch)
+        doubled = solve_affine(fs[:, None], rhs)
+        two_factor = solve_affine(np.stack([np.zeros_like(fs), fs], axis=1), rhs)
+        assert calls == {"doubling": [len(fs)], "kronecker": [len(fs)]}
+        for f, b, x, y in zip(fs, rhs, doubled, two_factor):
+            assert np.array_equal(x, x.T)
+            assert_within_bounds(f, b, x, (y, solve_discrete_lyapunov(f, b)))
+
+    @pytest.mark.parametrize("m", range(DOUBLING_MIN_M, 9))
+    def test_sbar_at_critical_margin(self, m):
+        # alpha rho(A)^2 = 1 - 2 CRITICAL_MARGIN: the most ill-conditioned
+        # S-bar the library still calls finite
+        rng = np.random.default_rng([31, m])
+        a = seeded_factor(31, m, 1.2)
+        model = GaussMarkovModel(A=a, C=rng.standard_normal((1, m)), Q=random_psd(rng, m), R=[[1.0]])
+        alpha = (1.0 - 2.0 * CRITICAL_MARGIN) / model.rho**2
+        assert not lyapunov_diverges(alpha, model.rho)
+        (x,), finite = scaled_lyapunov_grid(model, [alpha])
+        assert finite.all()
+        f = np.sqrt(alpha) * model.A
+        lu = solve_affine(np.stack([np.zeros_like(f), f])[None], model.Q[None])[0]
+        assert_within_bounds(f, model.Q, x, (lu, solve_discrete_lyapunov(f, model.Q)))
+
+    @pytest.mark.parametrize("m", range(DOUBLING_MIN_M, 9))
+    def test_members_keep_their_bits_in_any_stack(self, m):
+        rng = np.random.default_rng([32, m])
+        fs = np.array([seeded_factor(i, m, rng.uniform(0.1, 0.999)) for i in range(23)])
+        rhs = np.array([random_psd(rng, m) for _ in fs])
+        whole = solve_affine(fs[:, None], rhs)
+        for i in range(len(fs)):
+            assert whole[i].tobytes() == solve_affine(fs[i : i + 1, None], rhs[i : i + 1])[0].tobytes()
+        odd = solve_affine(fs[1::2, None], rhs[1::2])
+        assert whole[1::2].tobytes() == odd.tobytes()
+
+    @pytest.mark.parametrize("m", (DOUBLING_MIN_M, 8))
+    @pytest.mark.parametrize("kind", ("identity", "cycle", 1.0 + 1e-6, 1.01, 2.0))
+    def test_unbounded_sum_raises(self, m, kind):
+        # rho(F) >= 1: the sum over F^i rhs F^iT grows without bound, so the
+        # member never settles, or settles at inf or nan; the identity and
+        # the cyclic shift have rho(F) = 1 exactly, in every power
+        if kind == "identity":
+            f = np.eye(m)
+        elif kind == "cycle":
+            f = np.roll(np.eye(m), 1, axis=0)
+        else:
+            f = seeded_factor(33, m, kind)
+        rhs = np.stack([np.eye(m), np.eye(m)])
+        factors = np.stack([f, seeded_factor(34, m, 0.5)])[:, None]
+        with pytest.raises(NumericalError):
+            solve_affine(factors, rhs)
+
+    def test_path_depends_on_m_and_factor_count_alone(self, monkeypatch):
+        calls = record_solves(monkeypatch)
+        for m in range(1, 9):
+            f = seeded_factor(35, m, 0.9)
+            for n in (1, 7, 200):
+                rhs = np.broadcast_to(np.eye(m), (n, m, m))
+                solve_affine(np.broadcast_to(f, (n, 1, m, m)), rhs)
+                solve_affine(np.broadcast_to(np.stack([0.5 * f, f]), (n, 2, m, m)), rhs)
+        # one-factor solves double from DOUBLING_MIN_M = 5 on at every stack
+        # size; two-factor solves and m <= 4 never double
+        assert DOUBLING_MIN_M == 5
+        assert calls["doubling"] == [1, 7, 200] * 4
+        assert sorted(calls["kronecker"]) == sorted([1, 7, 200] * 12)
