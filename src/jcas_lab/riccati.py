@@ -26,40 +26,31 @@ phi_{lam,gamma}(L, X) = (1 - lam) A X A^T + lam (A - L C) X (A - L C)^T
 multi-beam steady state) (Sinopoli et al., "Kalman filtering with
 intermittent observations", IEEE TAC 2004).  A scalar model takes the
 positive root of the quadratic this fixed point solves, as one array
-expression over a whole grid.  A matrix model runs Hewer's policy
-iteration, batched over a whole lam or gamma grid, from a gain L whose
-affine map contracts: L = 0 when A is stable, the gain
-of the ``unstable_modes_observed`` certificate, or, on a model the
-certificate refuses, a gain found by iterating the map itself from Q.
-That search (``_contracting_gains``) runs every point of a call as one
-stack.  Any such L proves the fixed point finite, since phi(L, .) bounds
-the map.  rho(A) and the certificate's gain are computed once per model
-(``GaussMarkovModel.rho`` and ``.certificate_gain``), and a point with
-lam = 1 (multi-beam points) solves each policy step for the one factor
-A - L C, by doubling when m >= DOUBLING_MIN_M (``solve_affine``).  The
-matching lower bound S-bar is the scaled Lyapunov solve of
-:mod:`.statespace`.  V-bar >= S-bar, and S-bar diverges whenever
-(1 - lam) rho(A)^2 >= 1, so V-bar is None there; on scalar, stable and
-certified models it is finite everywhere else, and on refused models
-wherever the search finds a gain.
+expression over a whole grid.  On a matrix model every lam = 1 point
+(multi-beam points, V-bar at lam = 1, ``gamma_max`` probes) is one
+structure-preserving doubling over its gamma grid (``_sda``), which needs
+no starting gain and calls a point divergent where it does not settle.
+V-bar at lam < 1 runs Hewer's policy iteration over the lam grid from a
+gain L whose affine map contracts: L = 0 when A is stable, the gain of the
+``unstable_modes_observed`` certificate, or, on a model the certificate
+refuses, a gain found by iterating the map itself from Q
+(``_contracting_gains``).  Any such L proves V-bar finite, since phi(L, .)
+bounds the map.  V-bar >= S-bar, the scaled Lyapunov solve of
+:mod:`.statespace`, which diverges whenever (1 - lam) rho(A)^2 >= 1, so
+V-bar is None there; on scalar, stable and certified models it is finite
+everywhere else, and on refused models wherever the search finds a gain.
 
 Thresholds (critical sensing probability, feasible-lambda and feasible-gamma
 boundaries for a distortion budget) are located by one monotone bisection,
 ``_bisect``; the feasibility maps are monotone but not smooth at the
 divergence boundary, so no derivative-based search is attempted.  A
-threshold solves its endpoints in one call of its feasibility test.  On
-every matrix model each further call decides BISECT_LEVELS halvings: every
-midpoint they can visit is solved in one batched policy iteration (or
-S-bar sweep), after one gain search over all of them on a refused model,
-and the bisection reads the verdicts of the midpoints it visits, so it
-returns what a one-probe bisection returns.  Scalar models probe one point
-at a time, since each probe is a closed form, which stays on float
-arithmetic.  Every solve of a grid comes back as a stack and a finite mask
-(``statespace.grid_traces`` and ``grid_members`` read it), so a curve's
-traces are one stacked trace.  On certified models the critical sensing
-probability bisects the closed-form test
-(1 - lam) rho(A)^2 < 1 and needs no covariance step; on refused models it
-bisects on whether V-bar is finite.
+threshold solves its endpoints in one call of its feasibility test, and on
+a matrix model each further call solves, in one batch, every midpoint the
+next BISECT_LEVELS halvings can visit; the bisection reads the verdicts of
+the midpoints it visits, so it returns what a one-probe bisection returns.
+Scalar models probe one closed form at a time, on float arithmetic.  Every
+grid solve comes back as a stack and a finite mask (read by
+``statespace.grid_traces`` and ``grid_members``).
 """
 
 from __future__ import annotations
@@ -71,8 +62,6 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .statespace import (
-    CERTIFICATE_COND,  # noqa: F401 -- the certificate's threshold, also named here
-    DOUBLING_MIN_M,
     GaussMarkovModel,
     as_matrix,
     grid_members,
@@ -83,6 +72,7 @@ from .statespace import (
     matrix_times,
     scaled_lyapunov_grid,
     solve_affine,
+    solve_doubling,
     solve_scaled_lyapunov,
     symmetrize,
     times_matrix,
@@ -339,37 +329,34 @@ def unstable_modes_observed(model: GaussMarkovModel) -> bool:
     (1 - lam) rho^2 < 1.  The beam-switching map is bounded by phi_lam(L, .)
     for every L (Sinopoli et al., IEEE TAC 2004), and its iterates from Q
     are nondecreasing, so they converge there; elsewhere S-bar, a lower
-    bound, diverges.  The same L starts the policy iteration of every fixed
-    point.  Conservative: False when A has no unstable mode or more of them
-    than C has rows, or when its eigenbasis or C V_u is ill conditioned
-    (which covers a defective A and a rank-deficient C V_u).  The model
-    computes its gain, ``model.certificate_gain``, once.
+    bound, diverges.  The same L starts the policy iteration of every V-bar
+    point below lam = 1.  Conservative: False when A has no unstable mode
+    or more of them than C has rows, or when its eigenbasis or C V_u is ill
+    conditioned (which covers a defective A and a rank-deficient C V_u).
+    The model computes its gain, ``model.certificate_gain``, once.
     """
     return model.certificate_gain is not None
 
 
-def _contracting_gains(model: GaussMarkovModel, lams, gammas) -> list:
-    """Per (lam, gamma) pair a predictor gain L whose affine map
-    phi_{lam,gamma}(L, .) contracts, or None where the search calls the point
-    divergent.
+def _contracting_gains(model: GaussMarkovModel, lams) -> list:
+    """Per lam < 1 a predictor gain L whose affine map phi_{lam,1}(L, .)
+    contracts, or None where the search calls the point divergent.
 
-    Every point iterates the min_L phi_{lam,gamma}(L, .) map from Q, all of
-    them as one (n, m, m) stack.  Each step's innovation solve gives both the
-    step and the predictor gain L of that iterate, and at steps 1, 2, 4, 8,
-    ... one batched ``eigvals`` tests every member's L:
-    rho((1 - lam) A (x) A + lam F (x) F) < 1 with F = A - L C.  A member
-    leaves the stack once its gain passes, or as divergent once its trace is
-    non-finite or above TRACE_DIVERGENCE; members left after
-    GAIN_SEARCH_STEPS steps are divergent too.
+    Every point iterates the beam-switching map from Q, all of them as one
+    (n, m, m) stack.  Each step's innovation solve gives the step and the
+    predictor gain L of that iterate, and at steps 1, 2, 4, 8, ... one
+    batched ``eigvals`` tests every member's L: rho((1 - lam) A (x) A +
+    lam F (x) F) < 1 with F = A - L C.  A member leaves the stack once its
+    gain passes, or as divergent once its trace is non-finite or above
+    TRACE_DIVERGENCE or after GAIN_SEARCH_STEPS steps.
     """
     m = model.m
     lam = np.reshape(lams, (-1, 1, 1))
-    gamma = np.reshape(gammas, (-1, 1, 1))
     p = np.broadcast_to(model.Q, (len(lam), m, m))
     found = [None] * len(lam)
     live = np.arange(len(lam))
     for step in range(1, GAIN_SEARCH_STEPS + 1):
-        corr = _solve_innovation(model, p, gamma)
+        corr = _solve_innovation(model, p, 1.0)
         if step & (step - 1) == 0:
             gains = corr.swapaxes(1, 2)
             f = model.A - gains @ model.C
@@ -378,12 +365,12 @@ def _contracting_gains(model: GaussMarkovModel, lams, gammas) -> list:
             passed = np.max(np.abs(np.linalg.eigvals(linear)), axis=1) < 1.0
             for i, gain in zip(live[passed], gains[passed]):
                 found[i] = gain
-            live, p, corr, lam, gamma = (x[~passed] for x in (live, p, corr, lam, gamma))
+            live, p, corr, lam = (x[~passed] for x in (live, p, corr, lam))
         p = _corrected(model, p, corr, lam)
         tr = p.trace(axis1=1, axis2=2)
         rest = tr <= TRACE_DIVERGENCE  # False for NaN and +inf
         if not rest.all():
-            live, p, lam, gamma = (x[rest] for x in (live, p, lam, gamma))
+            live, p, lam = (x[rest] for x in (live, p, lam))
         if not live.size:
             break
     return found
@@ -428,77 +415,61 @@ def _scalar_trace(model: GaussMarkovModel, lam: float, gamma: float) -> float:
     return math.inf if _scalar_diverges(a, c, lam) else _scalar_root(a, c, q, r, lam, gamma)
 
 
-def _policy_iteration(model: GaussMarkovModel, lams, gammas, gain) -> np.ndarray:
-    """Fixed points of min_L phi_{lam,gamma}(L, .) for a grid of (lam, gamma) pairs.
-
-    phi_{lam,gamma}(L, X) = (1 - lam) A X A^T + lam (A - L C) X (A - L C)^T
-    + Q + lam gamma L R L^T is affine in X once L is fixed, and the
-    predictor gain L = A X C^T (C X C^T + gamma R)^{-1} minimizes it, where
-    it equals the beam-switching map (gamma = 1) or the multi-beam map
-    (lam = 1).  Hewer's policy iteration (IEEE TAC 1971) alternates the two
-    steps: the affine fixed point for the current gains, one batched
-    ``solve_affine`` over the grid, then the gain update, read from the
-    innovation solve.  ``gain`` starts every member, or is a stack of one
-    gain per member.  From a gain whose affine map contracts, the iterates
-    decrease monotonically to the fixed point, quadratically near it, so a
-    member stops at its first step whose trace fails to decrease and keeps
-    the iterate before it.
-
-    Where lam = 1 the open-loop factor sqrt(1 - lam) A is zero, so a grid
-    whose every lam is 1 solves for the one factor A - L C.  From
-    m = DOUBLING_MIN_M on, a one-factor solve doubles while a two-factor one
-    takes the Kronecker LU, so a mixed grid is split once into its lam = 1
-    members and the rest, and each member gets the bits of its own solve.
-    Below that both solves are the same LU, and the grid stays one call.
-    """
+def _policy_iteration(model: GaussMarkovModel, lams, gain) -> np.ndarray:
+    """V-bar, the fixed point of min_L phi_{lam,1}(L, .), at every lam < 1 of a
+    grid, by Hewer's policy iteration (IEEE TAC 1971): the affine fixed
+    point for the current gains (one batched two-factor ``solve_affine``),
+    then the gain update read off the innovation solve.  ``gain`` starts
+    every member, or is a stack of one gain per member.  From a contracting
+    gain the iterates decrease monotonically, quadratically near the fixed
+    point, so a member stops at its first step whose trace fails to
+    decrease and keeps the iterate before it."""
     a, c, q, r = model.A, model.C, model.Q, model.R
     m = model.m
     lam = np.reshape(lams, (-1, 1, 1))
-    gamma = np.reshape(gammas, (-1, 1, 1))
     n = len(lam)
-    sensed = lam.reshape(-1) == 1.0
-    sensed_only = bool(sensed.all())
     gains = np.broadcast_to(gain, (n, m, model.k))
     best = np.empty((n, m, m))
-    if m >= DOUBLING_MIN_M and sensed.any() and not sensed_only:
-        for part in (sensed, ~sensed):
-            best[part] = _policy_iteration(model, lam[part], gamma[part], gains[part])
-        return best
     best_trace = np.full(n, math.inf)
     live = np.arange(n)
     # a strictly decreasing float sequence stops within a few steps of
     # rounding level; the bound only turns a defect into an error
     for _ in range(100):
-        # (1 - lam) A X A^T + lam F X F^T with F = A - L C: two factors, or
-        # the second alone
-        f = np.sqrt(lam) * (a - gains @ c)
-        factors = f[:, None] if sensed_only else np.stack([np.sqrt(1.0 - lam) * a, f], axis=1)
-        x = solve_affine(factors, q + lam * gamma * (gains @ r @ gains.swapaxes(1, 2)))
+        factors = np.stack([np.sqrt(1.0 - lam) * a, np.sqrt(lam) * (a - gains @ c)], axis=1)
+        x = solve_affine(factors, q + lam * (gains @ r @ gains.swapaxes(1, 2)))
         tr = x.trace(axis1=1, axis2=2)
         if not np.isfinite(tr).all():
             raise NumericalError("policy iteration produced a non-finite covariance")
         falling = tr < best_trace[live]
-        live, x, lam, gamma = live[falling], x[falling], lam[falling], gamma[falling]
+        live, x, lam = live[falling], x[falling], lam[falling]
         best[live], best_trace[live] = x, tr[falling]
         if not live.size:
             return best
-        gains = _solve_innovation(model, x, gamma).swapaxes(1, 2)
+        gains = _solve_innovation(model, x, 1.0).swapaxes(1, 2)
     raise NumericalError("policy iteration did not settle in 100 steps")
+
+
+def _sda(model: GaussMarkovModel, gammas):
+    """(P, finite): the filter DARE P = A P A^T + Q - A P C^T (C P C^T +
+    gamma R)^{-1} C P A^T at every finite gamma of a grid, by one
+    ``solve_doubling`` from A_0 = A^T, G_0 = C^T (gamma R)^{-1} C and
+    H_0 = Q; a point is divergent exactly where it does not settle."""
+    g = model.C.T @ np.linalg.solve(model.R, model.C) / np.reshape(gammas, (-1, 1, 1))
+    return solve_doubling(np.broadcast_to(model.A.T, g.shape), g, np.broadcast_to(model.Q, g.shape))
 
 
 def _solve_grid(model: GaussMarkovModel, lams, gammas):
     """(X, finite): the min_L phi_{lam,gamma}(L, .) fixed point per (lam, gamma)
     pair as an (n, m, m) stack, and the mask of the pairs where it does not
-    diverge; the other members of X are meaningless.
+    diverge; the other members of X are meaningless.  A pair with lam < 1
+    is a V-bar point, with gamma = 1.
 
-    A scalar model takes the closed-form root on the whole grid.  A matrix
-    model is divergent where (1 - lam) rho(A)^2 >= 1 - CRITICAL_MARGIN (the
-    fixed point dominates S-bar, which diverges there); every other point
-    of a stable or certified model is finite, started from L = 0 or the
-    certificate's gain.  On a model the certificate refuses, one
-    ``_contracting_gains`` search finds each point's starting gain, and a
-    point is divergent where none is found.  All started points are solved
-    by one policy iteration.
+    A scalar model takes the closed-form root on the whole grid.  On a
+    matrix model the lam = 1 points are one ``_sda``.  A point with lam < 1
+    is divergent where S-bar is, (1 - lam) rho(A)^2 >= 1 - CRITICAL_MARGIN;
+    the others start from L = 0, the certificate's gain or, on a refused
+    model, one ``_contracting_gains`` search (divergent where it finds no
+    gain), and are solved by one policy iteration.
     """
     lams = np.asarray(lams, dtype=float)
     gammas = np.asarray(gammas, dtype=float)
@@ -507,17 +478,20 @@ def _solve_grid(model: GaussMarkovModel, lams, gammas):
         with np.errstate(divide="ignore", invalid="ignore"):
             v = _scalar_root(a, c, q, r, lams, gammas)
         return v.reshape(-1, 1, 1), ~_scalar_diverges(a, c, lams)
-    todo = np.flatnonzero(~lyapunov_diverges(1.0 - lams, model.rho))
-    stable = not lyapunov_diverges(1.0, model.rho)
-    gain = np.zeros((model.m, model.k)) if stable else model.certificate_gain
-    if gain is None:
-        gains = _contracting_gains(model, lams[todo], gammas[todo])
-        todo = todo[np.array([g is not None for g in gains], dtype=bool)]
-        gain = np.array([g for g in gains if g is not None])
     x = np.zeros((len(lams), model.m, model.m))
     finite = np.zeros(len(lams), dtype=bool)
+    sensed = lams == 1.0
+    if sensed.any():
+        x[sensed], finite[sensed] = _sda(model, gammas[sensed])
+    todo = np.flatnonzero(~sensed & ~lyapunov_diverges(1.0 - lams, model.rho))
+    stable = not lyapunov_diverges(1.0, model.rho)
+    gain = np.zeros((model.m, model.k)) if stable else model.certificate_gain
+    if gain is None and todo.size:
+        gains = _contracting_gains(model, lams[todo])
+        todo = todo[np.array([g is not None for g in gains], dtype=bool)]
+        gain = np.array([g for g in gains if g is not None])
     if todo.size:
-        x[todo] = _policy_iteration(model, lams[todo], gammas[todo], gain)
+        x[todo] = _policy_iteration(model, lams[todo], gain)
         finite[todo] = True
     return x, finite
 
@@ -542,9 +516,10 @@ def _mb_grid(model: GaussMarkovModel, gammas):
 
 
 def vbar(lam: float, model: GaussMarkovModel):
-    """Fixed point of the beam-switching map, or None when it diverges: on a
-    model the certificate refuses, also when the gain search finds no
-    contracting gain within GAIN_SEARCH_STEPS steps."""
+    """Fixed point of the beam-switching map, or None when it diverges (on a
+    refused model, also where the gain search finds no contracting gain
+    within GAIN_SEARCH_STEPS steps).  At lam = 1 it is ``mb_fixed_point``
+    at gamma = 1, bit for bit."""
     return grid_members(_vbar_grid(model, _lam_grid([lam])))[0]
 
 
@@ -573,8 +548,9 @@ def sbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
 
 
 def mb_fixed_point(gamma: float, model: GaussMarkovModel):
-    """Steady-state covariance of the multi-beam map, or None when divergent;
-    gamma = inf takes the open-loop Lyapunov route."""
+    """Steady-state covariance of the multi-beam map, or None when divergent:
+    on a matrix model where the doubling does not settle.  gamma = inf
+    takes the open-loop Lyapunov route."""
     return grid_members(_mb_grid(model, _gamma_grid([gamma])))[0]
 
 
@@ -658,12 +634,10 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
     with no covariance step.  On a model the certificate refuses it can lie
     higher: 0.4263 against 1 - 1/rho(A)^2 = 0.3056 for A = diag(1.2, 1.1)
     with C = [1, 1].  There the bisection asks whether V-bar is finite, as
-    ``vbar`` does, and each call decides BISECT_LEVELS halvings: its
-    midpoints at or below 1 - 1/rho(A)^2 are divergent without a search,
-    and the others share one gain search, finite exactly where a gain L
-    with rho((1 - lam) A (x) A + lam F (x) F) < 1, F = A - L C, is found,
-    which proves V-bar finite.  NumericalError when V-bar diverges at
-    lam = 1; ParameterError unless bisect_tol is positive and finite.
+    ``vbar`` does, BISECT_LEVELS halvings per call: midpoints at or below
+    1 - 1/rho(A)^2 are divergent, and the others share one gain search.
+    NumericalError when the doubling finds V-bar divergent at lam = 1 (not
+    detectable); ParameterError unless bisect_tol is positive and finite.
     """
     _check_tol(bisect_tol)
     rho = model.rho
@@ -673,10 +647,7 @@ def critical_lambda(model: GaussMarkovModel, bisect_tol: float = 1e-6) -> float:
         # lam_c = 1 - 1/rho^2: bisect the closed-form test for the same midpoints
         return _bisect(0.0, 1.0, bisect_tol, lambda lams: [not lyapunov_diverges(1.0 - lams[0], rho)])
     if not _vbar_grid(model, [1.0])[1][0]:
-        raise NumericalError(
-            "no gain makes the beam-switching map contract even with every "
-            "measurement; model is likely not detectable"
-        )
+        raise NumericalError("V-bar diverges even with every measurement; model is likely not detectable")
 
     def finite(lams) -> list:
         return _vbar_grid(model, lams)[1].tolist()
@@ -703,12 +674,12 @@ def lambda_s(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
 def lambda_v(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     """Least lam with tr(V-bar(lam)) <= d, or None when even lam=1 violates it.
 
-    The endpoints lam = 0 and 1 are solved together.  On every matrix model
-    each further call of ``vbar_traces`` then decides BISECT_LEVELS
-    halvings of the bisection: one batched policy iteration solves all its
-    midpoints, after one gain search over all of them on a model the
-    certificate refuses.  Scalar models (closed-form roots) bisect one
-    probe at a time.
+    The endpoints lam = 0 and 1 are solved together, lam = 1 by the
+    doubling.  On every matrix model each further call of ``vbar_traces``
+    then decides BISECT_LEVELS halvings of the bisection: one batched
+    policy iteration solves all its midpoints, after one gain search over
+    all of them on a model the certificate refuses.  Scalar models
+    (closed-form roots) bisect one probe at a time.
     """
     levels = _bisect_levels(model)
     return _lambda_threshold(d, lambda lams: vbar_traces(lams, model), bisect_tol, levels)
@@ -741,9 +712,9 @@ def gamma_max(d: float, model: GaussMarkovModel, bisect_tol: float = 1e-6):
     (possible only for stable dynamics) and None when gamma = 1, the best
     sensing available, already violates it.  Otherwise bisects on log(gamma)
     over [0, GAMMA_LOG_RANGE].  The endpoints gamma = 1, inf and
-    e^GAMMA_LOG_RANGE are solved together.  As in ``lambda_v``, every
-    matrix model then decides BISECT_LEVELS halvings per batched solve (and
-    gain search, on refused models), and scalar models probe one gamma at a
+    e^GAMMA_LOG_RANGE are solved together.  Every matrix model then decides
+    BISECT_LEVELS halvings per doubling over the midpoints, with no gain
+    search even on refused models, and scalar models probe one gamma at a
     time.
     """
     _check_budget(d)

@@ -8,11 +8,10 @@ updated filter.
 The solver iterates no covariance map: a scalar model takes the closed
 form q / (1 - alpha a^2) (one array expression per grid), and a matrix
 model solves S = (sqrt(alpha) A) S (sqrt(alpha) A)^T + Q, batched over a
-grid of alphas by ``solve_affine``, which the Riccati fixed points reuse.
-``solve_affine`` solves such a one-factor Stein equation by Smith's
-doubling when m >= DOUBLING_MIN_M (5), O(m^3) products per doubling until
-the sum stops changing, and every other system, two-factor or m <= 4, as
-one dense Kronecker LU (I - sum_t F_t (x) F_t) vec X = vec rhs.
+grid of alphas by ``solve_affine``, which V-bar's policy iteration reuses:
+a one-factor system with m >= DOUBLING_MIN_M (5) is the G = 0 case of
+``solve_doubling``, which also solves every sensed-only Riccati fixed
+point, and any other is one dense Kronecker LU.
 
 All matrices are dense float64 numpy arrays; the design envelope is small
 state dimension (m, k <= ~8).
@@ -41,7 +40,7 @@ CERTIFICATE_COND = 1e8
 #: more by doubling; below it the Kronecker LU is cheaper
 DOUBLING_MIN_M = 5
 
-#: doublings after which a member still moving has no bounded solution
+#: doublings after which a member still moving has not settled
 DOUBLING_CAP = 64
 
 
@@ -340,16 +339,19 @@ def solve_affine(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve X = sum_t F_t X F_t^T + rhs for every member of a stack.
 
     ``factors`` (n, T, m, m) holds each member's F_1..F_T and ``rhs`` is
-    (n, m, m).  A one-factor system with m >= DOUBLING_MIN_M is solved by
-    doubling (``_solve_doubling``), every other one as a dense Kronecker
-    system (``_solve_kronecker``), which costs O(m^6) per member against
-    the O(m^3) products of a doubling and is the cheaper of the two up to
-    m = 4.  The path depends on T and m alone, never on n, and neither
-    path's bits for a member depend on the other members of the stack.
+    (n, m, m).  A one-factor system with m >= DOUBLING_MIN_M is the G = 0
+    case of ``solve_doubling``, O(m^3) per doubling, and raises
+    NumericalError where a member does not settle (rho(F) >= 1); every
+    other one is a dense Kronecker system (``_solve_kronecker``), O(m^6)
+    and the cheaper up to m = 4.  The path depends on T and m alone, never
+    on n, and no member's bits depend on the other members of the stack.
     The solutions come back re-symmetrized.
     """
     if factors.shape[1] == 1 and factors.shape[2] >= DOUBLING_MIN_M:
-        return symmetrize(_solve_doubling(factors[:, 0], rhs))
+        x, settled = solve_doubling(factors[:, 0].swapaxes(1, 2), np.zeros_like(rhs), rhs)
+        if not settled.all():
+            raise NumericalError(f"doubling did not settle in {DOUBLING_CAP} doublings (rho(F) >= 1)")
+        return x
     return symmetrize(_solve_kronecker(factors, rhs))
 
 
@@ -368,36 +370,62 @@ def _solve_kronecker(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x.reshape(n, m, m)
 
 
-def _solve_doubling(f: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """X = F X F^T + rhs for a stack (n, m, m) of factors by Smith's doubling
-    (SIAM J. Appl. Math. 1968): X_0 = rhs, X_{j+1} = X_j + F_j X_j F_j^T
-    and F_{j+1} = F_j F_j, so X_j sums F^i rhs F^iT over i < 2^j.
+def solve_doubling(a: np.ndarray, g: np.ndarray, h: np.ndarray):
+    """(X, settled): X = A^T X (I + G X)^{-1} A + H for every member of a
+    stack (n, m, m) of (A, G, H), G and H symmetric PSD, by the
+    structure-preserving doubling algorithm (SDA; Chu, Fan & Lin, Linear
+    Algebra Appl. 2005; Lin & Xu, SIAM J. Matrix Anal. Appl. 2006).
 
-    A member stops at its first doubling that leaves its X unchanged bit
-    for bit.  Where rho(F) >= 1 the sum has no limit: a member still moving
-    after DOUBLING_CAP doublings, or stopped at a non-finite X, raises
-    NumericalError.  Each product of the stack is one matmul per member, so
-    a member's bits do not depend on the other members.
+    From A_0 = a, G_0 = g and H_0 = h, each doubling solves W = I + G H
+    once against [A, G] and sets A <- A W^-1 A, G <- G + A W^-1 G A^T and
+    H <- H + A^T H W^-1 A, so H_k is the map iterated 2^k times from 0.
+    With G = 0 (W = I, whose LU would return [A, G] bit for bit, so the
+    solve is skipped) it is Smith's doubling of X = A^T X A + H (SIAM J.
+    Appl. Math. 1968).  A member is settled at its first doubling that
+    leaves H unchanged bit for bit; where H or G turns non-finite, or H
+    still moves after DOUBLING_CAP doublings, it is not, and its X is
+    meaningless.  Each product and solve is one call per member, so a
+    member's bits do not depend on the other members.  X comes back
+    re-symmetrized.
     """
-    x = np.array(rhs, dtype=float)
-    out = np.empty_like(x)
-    live = np.arange(len(x))
+    m = h.shape[1]
+    out = np.zeros_like(h)
+    settled = np.zeros(len(h), dtype=bool)
+    live = np.arange(len(h))
+    stein = not g.any()
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(DOUBLING_CAP):
-            nxt = x + f @ x @ f.swapaxes(1, 2)
-            moved = (nxt.view(np.int64) != x.view(np.int64)).any(axis=(1, 2))
-            if not moved.all():
-                out[live[~moved]] = x[~moved]
-                live, nxt, f = live[moved], nxt[moved], f[moved]
+            w_a = a
+            if not stein:
+                solved = _solve_members(np.eye(m) + g @ h, np.concatenate([a, g], axis=2))
+                w_a = solved[:, :, :m]
+                g = g + a @ solved[:, :, m:] @ a.swapaxes(1, 2)
+            nxt = h + a.swapaxes(1, 2) @ h @ w_a
+            a = a @ w_a
+            finite = np.isfinite(nxt).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
+            moved = (nxt != h).any(axis=(1, 2))
+            done = finite & ~moved
+            out[live[done]] = nxt[done]
+            settled[live[done]] = True
+            keep = finite & moved
+            if not keep.all():
+                live, a, g, nxt = live[keep], a[keep], g[keep], nxt[keep]
                 if not live.size:
                     break
-            x = nxt
-            f = f @ f
-    if live.size:
-        raise NumericalError(f"doubling did not settle in {DOUBLING_CAP} doublings (rho(F) >= 1)")
-    if not np.isfinite(out).all():
-        raise NumericalError("doubling produced a non-finite solution (rho(F) >= 1)")
-    return out
+            h = nxt
+    return symmetrize(out), settled
+
+
+def _solve_members(w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """W^-1 rhs for a stack of finite W = I + G H.  Where G H outgrows 1 / eps
+    (gamma near e^40 on an unstable model) the identity is lost to rounding
+    and the LU can meet a zero pivot; that member alone takes the pinv."""
+    try:
+        return np.linalg.solve(w, rhs)
+    except np.linalg.LinAlgError:
+        if len(w) == 1:
+            return np.linalg.pinv(w) @ rhs
+        return np.concatenate([_solve_members(w[i : i + 1], rhs[i : i + 1]) for i in range(len(w))])
 
 
 def lyapunov_root(a: float, q: float, alpha):

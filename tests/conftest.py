@@ -111,17 +111,19 @@ def stein_error_bound(f: np.ndarray, x: np.ndarray, rhs: np.ndarray, slack: floa
 
 
 def record_solves(patch) -> dict:
-    """Stack sizes of every doubling and every Kronecker solve of
-    ``statespace.solve_affine`` from now on; ``patch`` is a monkeypatch."""
+    """Stack sizes of every doubling (``solve_doubling``) and every Kronecker
+    solve of ``statespace.solve_affine`` from now on; ``patch`` is a
+    monkeypatch.  ``riccati._sda`` calls the doubling under the name it
+    imported, so its calls are not recorded."""
     calls = {"doubling": [], "kronecker": []}
-    for path in calls:
-        real = getattr(statespace, f"_solve_{path}")
+    for path, name in (("doubling", "solve_doubling"), ("kronecker", "_solve_kronecker")):
+        real = getattr(statespace, name)
 
-        def spy(factors, rhs, real=real, path=path):
-            calls[path].append(len(factors))
-            return real(factors, rhs)
+        def spy(*args, real=real, path=path):
+            calls[path].append(len(args[-1]))
+            return real(*args)
 
-        patch.setattr(statespace, f"_solve_{path}", spy)
+        patch.setattr(statespace, name, spy)
     return calls
 
 

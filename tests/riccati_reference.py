@@ -21,8 +21,10 @@ time, the oracle for each member of the library's batched search.
 ``certificate_gain`` computes the certificate's gain afresh, the oracle of
 the one each model caches.  ``policy_iteration`` is Hewer's policy
 iteration with both factors of the affine map at every lam, so every step
-is a Kronecker LU: the oracle of the library's, which leaves out the zero
-factor where lam is 1 and there solves by doubling from m = 5 on.
+is a Kronecker LU: the oracle of the library's V-bar iteration at lam < 1.
+``multibeam_points`` runs it at lam = 1, from L = 0, the certificate's
+gain or a per-point ``contracting_gain``: the oracle of the doubling that
+solves every lam = 1 point of the library.
 
 ``scalar_root`` and ``scalar_lyapunov`` are the scalar closed forms one
 grid point at a time on floats, the oracles of the library's array roots.
@@ -44,7 +46,6 @@ from scipy.linalg import solve_discrete_are, solve_discrete_lyapunov
 
 from jcas_lab.errors import NumericalError
 from jcas_lab.riccati import (
-    CERTIFICATE_COND,
     GAIN_SEARCH_STEPS,
     GAMMA_LOG_RANGE,
     _corrected,
@@ -55,7 +56,13 @@ from jcas_lab.riccati import (
     sbar,
     vbar,
 )
-from jcas_lab.statespace import CRITICAL_MARGIN, lyapunov_diverges, solve_affine, spectral_radius
+from jcas_lab.statespace import (
+    CERTIFICATE_COND,
+    CRITICAL_MARGIN,
+    lyapunov_diverges,
+    solve_affine,
+    spectral_radius,
+)
 
 CONVERGED = "converged"
 DIVERGED = "diverged"
@@ -243,8 +250,10 @@ def certificate_gain(model):
 
 
 def policy_iteration(model, lams, gammas, gain) -> np.ndarray:
-    """``riccati._policy_iteration`` with the two factors sqrt(1 - lam) A and
-    sqrt(lam) (A - L C) at every lam, the first zero where lam = 1."""
+    """Hewer's policy iteration for min_L phi_{lam,gamma}(L, .) with the two
+    factors sqrt(1 - lam) A and sqrt(lam) (A - L C) at every (lam, gamma)
+    pair, the first zero where lam = 1: ``riccati._policy_iteration`` at
+    any gamma."""
     a, c, q, r = model.A, model.C, model.Q, model.R
     m = model.m
     lam = np.reshape(lams, (-1, 1, 1))
@@ -267,6 +276,23 @@ def policy_iteration(model, lams, gammas, gain) -> np.ndarray:
             return best
         gains = _solve_innovation(model, x, gamma).swapaxes(1, 2)
     raise NumericalError("policy iteration did not settle in 100 steps")
+
+
+def multibeam_points(model, gammas) -> list:
+    """The multi-beam fixed point at each finite gamma by Hewer's policy
+    iteration at lam = 1, one point at a time, None where no start gain is
+    found: L = 0 when A is stable, the certificate's gain, or else the
+    point's ``contracting_gain``."""
+    out = []
+    for gamma in gammas:
+        if not lyapunov_diverges(1.0, spectral_radius(model.A)):
+            gain = np.zeros((model.m, model.k))
+        else:
+            gain = certificate_gain(model)
+            if gain is None:
+                gain = contracting_gain(model, 1.0, gamma)
+        out.append(None if gain is None else policy_iteration(model, [1.0], [gamma], gain)[0])
+    return out
 
 
 def bisect(lo: float, hi: float, tol: float, above) -> float:

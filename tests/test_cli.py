@@ -770,9 +770,9 @@ OUTPUT_DIR_SHA256 = {
     "mc_verify_2x2": "f42899c5d76d01acdef53768f5995c805c3d2aebaa2ad99c36b877a32bebf770",
     "mc_verify_scalar_unstable": "e8c13a8bc28d30858704e65aae8b31251e63b9f9e96a5f9d1c80ef6f4e5d304f",
     "rd_curve_gaussian_bits": "bfd4bd273946f420cd13737d9f448ba356e1bd5e126490c05b956f8bb03113a6",
-    "rd_curve_2x2": "4e9dd3c8233edd9287fd11d8dd57bb3b9e5b59a0196c28f443c16c01165490b6",
+    "rd_curve_2x2": "8bdde88bf4037a6d90e1315971ae7b79464efc5b8932bae4a6763ce93dd25ff0",
     "riccati_scalar_unstable": "5841de422c41df207332a080abe3f1e982c7097975b13480da5a7d4b2eff76d3",
-    "riccati_2x2": "b9ebd7f6294e6f8b502069075de3e395754195024eef095c056dae665b16f4ff",
+    "riccati_2x2": "3bd55dc102f599b90bb198a78dc4838bbc6212e7f63e7a9ac26622ccdec3ca9e",
     "bayes_toy": "c0b41b8ead7cb85d2c2c3d6e2260602f3285cddd057c787d1096d78bea9e7557",
 }
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from jcas_lab.statespace import (
     CRITICAL_MARGIN,
     GaussMarkovModel,
     grid_members,
+    is_psd,
     lyapunov_step,
     scaled_lyapunov_grid,
     solve_scaled_lyapunov,
@@ -736,13 +738,13 @@ def kron_radius(model, lam, gain) -> float:
 
 def record_gain_searches(monkeypatch) -> list:
     """Every batched gain search, in call order, as the list of its members'
-    (model, lam, gamma, gain)."""
+    (model, lam, gain)."""
     searches = []
     search = riccati._contracting_gains
 
-    def recorded(model, lams, gammas):
-        gains = search(model, lams, gammas)
-        searches.append([(model, lam, gamma, gain) for lam, gamma, gain in zip(lams, gammas, gains)])
+    def recorded(model, lams):
+        gains = search(model, lams)
+        searches.append([(model, lam, gain) for lam, gain in zip(lams, gains)])
         return gains
 
     monkeypatch.setattr(riccati, "_contracting_gains", recorded)
@@ -754,7 +756,7 @@ def members(searches) -> list:
 
 
 def assert_gains_contract(searches):
-    for model, lam, _, gain in members(searches):
+    for model, lam, gain in members(searches):
         if gain is not None:
             assert kron_radius(model, lam, gain) < 1.0
 
@@ -813,7 +815,8 @@ class TestCertifiedCriticalLambda:
             ([[1.2, 0.0], [0.0, 1.1]], [[1.0, 1.0]], 1e-3, 0.42626953125),
             # defective eigenbasis
             ([[1.1, 1.0], [0.0, 1.1]], [[1.0, 0.0]], 1e-2, 0.31640625),
-            # unstable mode unseen by C (not detectable): no gain at lam = 1
+            # unstable mode unseen by C (not detectable): the doubling at
+            # lam = 1 does not settle
             ([[1.1, 0.0], [0.0, 0.5]], [[0.0, 1.0]], 1e-2, None),
         ],
     )
@@ -824,7 +827,7 @@ class TestCertifiedCriticalLambda:
         if expected is None:
             with pytest.raises(NumericalError):
                 critical_lambda(model, bisect_tol=tol)
-            assert [[gain for *_, gain in search] for search in searches] == [[None]]
+            assert searches == []
         else:
             # the threshold lies well above 1 - 1/rho^2, so the closed form
             # would be wrong here
@@ -833,9 +836,9 @@ class TestCertifiedCriticalLambda:
             assert_gains_contract(searches)
             assert any(gain is not None for *_, gain in members(searches))
             assert any(gain is None for *_, gain in members(searches))
-            # after lam = 1 alone, each search holds the midpoints of up to
-            # BISECT_LEVELS halvings that lie above 1 - 1/rho^2
-            assert len(searches[0]) == 1
+            # lam = 1 is the doubling's; each search holds the midpoints of
+            # up to BISECT_LEVELS halvings that lie above 1 - 1/rho^2
+            assert all(lam < 1.0 for _, lam, _ in members(searches))
             assert max(len(search) for search in searches) > 1
             assert all(len(search) <= 2**riccati.BISECT_LEVELS - 1 for search in searches)
 
@@ -903,7 +906,8 @@ def refused_family_grid(lam_v: float) -> list:
 
 class TestRefusedSweeps:
     """On refused models one batched gain search starts the one batched
-    policy iteration: V-bar against the iterated map, the multi-beam steady
+    policy iteration of the lam < 1 points, and the doubling solves every
+    lam = 1 point: V-bar against the iterated map, the multi-beam steady
     state against scipy's DARE, both within 1e-12.  Each member of the
     search equals the per-point search bit for bit."""
 
@@ -921,24 +925,25 @@ class TestRefusedSweeps:
         assert_close_points(grid_members(riccati._mb_grid(model, gammas)), dares, rtol=1e-12)
         assert_gains_contract(searches)
         found = sum(gain is not None for *_, gain in members(searches))
-        assert found == sum(w is not None for w in want) + len(gammas)
-        # one search per sweep, over every point above 1 - 1/rho^2
-        searched = sum((1.0 - lam) * spectral_radius(model.A) ** 2 < 1.0 for lam in lams)
-        assert [len(search) for search in searches] == [searched, len(gammas)]
+        assert found == sum(w is not None for w in want[:-1])
+        # one search, over every point of the V-bar sweep above
+        # 1 - 1/rho^2 but lam = 1; the multi-beam sweep searches nothing
+        searched = sum((1.0 - lam) * spectral_radius(model.A) ** 2 < 1.0 for lam in lams[:-1])
+        assert [len(search) for search in searches] == [searched]
 
     @pytest.mark.parametrize("seed, m, k", REFUSED_FAMILY)
     def test_family_searches_equal_per_point_search(self, seed, m, k):
         model = refused_family_model(seed, m, k)
         assert not riccati.unstable_modes_observed(model)
-        lams = refused_family_grid(REFUSED_FAMILY[seed, m, k])
-        # V-bar points (gamma = 1) and multi-beam points (lam = 1) share a stack
-        lams, gammas = lams + [1.0] * 3, [1.0] * len(lams) + [1.5, 10.0, 1e3]
-        got = riccati._contracting_gains(model, lams, gammas)
-        want = [ref.contracting_gain(model, lam, gamma) for lam, gamma in zip(lams, gammas)]
+        lam_v = REFUSED_FAMILY[seed, m, k]
+        # the grid's V-bar points below lam = 1 (the doubling's) and two more
+        lams = [*refused_family_grid(lam_v)[:-1], lam_v + 0.1, 0.9]
+        got = riccati._contracting_gains(model, lams)
+        want = [ref.contracting_gain(model, lam, 1.0) for lam in lams]
         for g, w in zip(got, want):
             assert_same_point(g, w)
         # lam = 0 and the band point diverge; every other point finds a gain
-        assert [w is None for w in want] == [True, True] + [False] * 5
+        assert [w is None for w in want] == [True, True] + [False] * 3
 
     @pytest.mark.parametrize("seed, m, k", REFUSED_FAMILY)
     def test_family_sweeps_match_oracles(self, seed, m, k):
@@ -1141,16 +1146,16 @@ class TestBatchedProbes:
         assert lambda_v(d, model) == ref.lambda_v(d, model, 1e-6)
         assert gamma_max(d, model) == ref.gamma_max(d, model, 1e-6)
 
-    def test_refused_gamma_max_searches_its_endpoints_once(self, monkeypatch):
-        # gamma = 1 finds a gain but fails the budget (tr V-bar(1) = 200.5),
-        # so the one search, shared with e^GAMMA_LOG_RANGE, is the last;
-        # gamma = inf is the open-loop Lyapunov solve and searches nothing
+    def test_refused_gamma_max_searches_nothing(self, monkeypatch):
+        # every endpoint is the doubling's or the open-loop Lyapunov solve's:
+        # gamma = 1 is finite but fails the budget (tr V-bar(1) = 200.5),
+        # e^GAMMA_LOG_RANGE is finite too, and gamma = inf diverges
+        model = two_modes_one_output()
         searches = record_gain_searches(monkeypatch)
-        assert gamma_max(100.0, two_modes_one_output()) is None
-        assert len(searches) == 1
-        (at_one, at_top), top = searches[0], math.exp(riccati.GAMMA_LOG_RANGE)
-        assert at_one[1:3] == (1.0, 1.0) and at_one[3] is not None
-        assert at_top[1:3] == (1.0, top) and at_top[3] is None
+        assert gamma_max(100.0, model) is None
+        top = math.exp(riccati.GAMMA_LOG_RANGE)
+        assert riccati._mb_grid(model, [1.0, top, math.inf])[1].tolist() == [True, True, False]
+        assert searches == []
 
     @pytest.mark.parametrize("d", (250.0, 300.0))
     def test_refused_gain_searches_unchanged(self, monkeypatch, d):
@@ -1166,8 +1171,8 @@ class TestBatchedProbes:
         sequential = members(searches)
         searches.clear()
         assert lambda_v(d, model, 1e-6) == want
-        batched = {lam: gain for _, lam, _, gain in members(searches)}
-        for _, lam, _, gain in sequential:
+        batched = {lam: gain for _, lam, gain in members(searches)}
+        for _, lam, gain in sequential:
             assert_same_point(batched[lam], gain)
         assert [lam for lam in batched if lam < 0.5] == [0.375]
         assert len(searches) < len(sequential)
@@ -1367,8 +1372,8 @@ def multibeam_error_bound(model: GaussMarkovModel, x: np.ndarray, gamma: float) 
 ONE_FACTOR_GRIDS = (
     ("mb", [1.0, 1.5, 10.0, 1e3, math.inf]),
     ("vbar", [1.0]),
-    # leaves lam = 1 alone in the policy iteration of an unstable model, and
-    # mixes both lams on a stable one
+    # leaves lam = 1 alone on an unstable model, and mixes both lams on a
+    # stable one
     ("vbar", [0.0, 1.0]),
 )
 
@@ -1378,56 +1383,73 @@ def one_factor_grids(model: GaussMarkovModel) -> list:
     return [solve[kind](model, values) for kind, values in ONE_FACTOR_GRIDS]
 
 
+def record_sda(monkeypatch) -> list:
+    """The gamma grid of every ``riccati._sda`` call, in call order."""
+    calls = []
+    sda = riccati._sda
+
+    def recorded(model, gammas):
+        calls.append(list(gammas))
+        return sda(model, gammas)
+
+    monkeypatch.setattr(riccati, "_sda", recorded)
+    return calls
+
+
 class TestOneFactorPolicyStep:
-    """Where lam = 1, each policy step solves for the one factor A - L C.  Up
-    to m = 4 that is the Kronecker LU, and the fixed points equal the
-    two-factor iteration of ``riccati_reference.policy_iteration`` bit for
-    bit, signed zeros included.  From m = DOUBLING_MIN_M on the one-factor
-    step doubles: its fixed points lie within ``multibeam_error_bound`` of
-    the oracle's, and every other point (lam < 1, and gamma = inf, the
-    open-loop Lyapunov solve of both) keeps the oracle's bits."""
+    """Every lam = 1 point, whose policy step would have the one factor
+    A - L C, comes from the doubling (``riccati._sda``).  Its fixed points
+    are PSD and lie within ``multibeam_error_bound`` of scipy's DARE and of
+    Hewer's two-factor iteration (``riccati_reference.multibeam_points``);
+    every other point (lam < 1, and gamma = inf, the open-loop Lyapunov
+    solve of both) keeps the bits of the two-factor oracle
+    ``riccati_reference.policy_iteration``.  The models include the
+    refused 8x8 ``refused_family_model(12, 8, 1)``."""
 
     @pytest.mark.parametrize("kind, m, k", ONE_FACTOR_MODELS)
     def test_equals_two_factor_oracle(self, monkeypatch, kind, m, k):
         model = one_factor_model(kind, m, k)
         assert riccati.unstable_modes_observed(model) == (kind == "certified")
         assert (model.rho < 1.0) == (kind == "stable")
-        steps = []
+        counts = []
         solve = riccati.solve_affine
 
         def counted(factors, rhs):
-            before = len(doublings)
-            x = solve(factors, rhs)
-            steps.append((factors.shape[1], len(doublings) > before))
-            return x
+            counts.append(factors.shape[1])
+            return solve(factors, rhs)
 
         with monkeypatch.context() as patch:
             patch.setattr(riccati, "solve_affine", counted)
-            doublings = record_solves(patch)["doubling"]
+            sda_calls = record_sda(patch)
             got = one_factor_grids(model)
-        assert {count for count, _ in steps} == ({1, 2} if kind == "stable" else {1})
-        # the one-factor steps double from m = 5 on, the two-factor ones never
-        assert all(doubled == (count == 1 and m >= statespace.DOUBLING_MIN_M) for count, doubled in steps)
+        # every lam = 1 point is the doubling's, and the policy steps, on a
+        # stable model's lam = 0 alone, have two factors
+        assert sda_calls == [[1.0, 1.5, 10.0, 1e3], [1.0], [1.0]]
+        assert set(counts) == ({2} if kind == "stable" else set())
         # every finite gamma and every lam = 1 has a fixed point
         assert got[0][1][:4].all() and got[1][1].all() and got[2][1][-1]
-        monkeypatch.setattr(riccati, "_policy_iteration", ref.policy_iteration)
-        want = one_factor_grids(model)
-        for (grid, values), (x, finite), (want_x, want_finite) in zip(ONE_FACTOR_GRIDS, got, want):
-            assert finite.tobytes() == want_finite.tobytes()
-            if m < statespace.DOUBLING_MIN_M:
-                assert bits(x) == bits(want_x)
-                continue
-            for value, ok, member, want_member in zip(values, finite, x, want_x):
+        for (grid, values), (x, _) in zip(ONE_FACTOR_GRIDS, got):
+            for value, member in zip(values, x):
                 lam, gamma = (1.0, value) if grid == "mb" else (value, 1.0)
-                if lam < 1.0 or math.isinf(gamma) or not ok:
-                    assert bits(member) == bits(want_member)
+                if lam < 1.0 or math.isinf(gamma):
                     continue
-                gap = np.linalg.norm(member - want_member)
+                assert is_psd(member)
                 bound = multibeam_error_bound(model, member, gamma)
-                assert gap <= bound + multibeam_error_bound(model, want_member, gamma)
+                for want in (ref.dare(model, gamma), ref.multibeam_points(model, [gamma])[0]):
+                    assert np.linalg.norm(member - want) <= bound + multibeam_error_bound(model, want, gamma)
+        def oracle(model, lams, gain):
+            return ref.policy_iteration(model, lams, np.ones(len(lams)), gain)
+
+        monkeypatch.setattr(riccati, "_policy_iteration", oracle)
+        for (x, finite), (want_x, want_finite) in zip(got, one_factor_grids(model)):
+            assert finite.tobytes() == want_finite.tobytes()
+            assert bits(x) == bits(want_x)
 
     def test_small_models_never_double(self, monkeypatch, bench_model):
+        # S-bar keeps the Kronecker LU up to m = 4, so on these models only
+        # the lam = 1 points double, in ``riccati._sda``
         doublings = record_solves(monkeypatch)["doubling"]
+        sda_calls = record_sda(monkeypatch)
         channel = ChannelSpec.gaussian(1.75)
         small = [seeded_random_model([13, m, 1], 0.8, m, 1) for m in (3, 4)]
         for model in (bench_model, *small, observed_unstable_model(13, 4, True)):
@@ -1438,7 +1460,40 @@ class TestOneFactorPolicyStep:
             lambda_v(3.0 * v1, model)
             gamma_max(3.0 * v1, model)
         assert doublings == []
-        # a 5x5 multi-beam curve doubles
+        assert sda_calls
+        # a 5x5 S-bar curve doubles
         model = seeded_random_model([13, 5, 1], 0.8, 5, 1)
-        mb_curve(model, channel, np.geomspace(1.0, 1e4, 20))
+        bs_curve(model, channel, np.linspace(0.0, 1.0, 21))
         assert doublings
+
+
+#: (A, C, tr P at e^GAMMA_LOG_RANGE) of models at the edges of the doubling,
+#: Q = I and R = 1 unless the benchmark 2x2 model: a unit-circle mode and
+#: an unstable mode that C does not see, where the doubling never settles,
+#: and the benchmark model, whose 1.206e16 a trace cutoff would call divergent
+DOUBLING_EDGES = {
+    "unseen-unit-mode": ([[1.0, 0.0], [0.0, 0.5]], [[0.0, 1.0]], math.inf),
+    "unseen-unstable-mode": ([[1.2, 0.0], [0.0, 0.5]], [[0.0, 1.0]], math.inf),
+    "bench": ([[1.05, 0.2], [0.0, 0.9]], [[1.0, 0.0]], 1.206e16),
+}
+
+
+@pytest.mark.parametrize("name", DOUBLING_EDGES)
+def test_doubling_edges(monkeypatch, bench_model, name):
+    # no gain search runs: on the unit-circle mode the search ran its
+    # GAIN_SEARCH_STEPS cap, about 6 s, where the doubling takes milliseconds
+    a, c, want = DOUBLING_EDGES[name]
+    model = bench_model if name == "bench" else GaussMarkovModel(A=a, C=c, Q=np.eye(2), R=[[1.0]])
+    searches = record_gain_searches(monkeypatch)
+    start = time.perf_counter()
+    traces = riccati.mb_traces([1.0, math.exp(riccati.GAMMA_LOG_RANGE)], model)
+    assert time.perf_counter() - start < 1.0
+    assert searches == []
+    if math.isinf(want):
+        assert traces.tolist() == [math.inf, math.inf]
+        assert mb_fixed_point(1.0, model) is None
+        with pytest.raises(NumericalError):
+            critical_lambda(model)
+    else:
+        assert np.isfinite(traces[0])
+        assert traces[1] == pytest.approx(want, rel=1e-3)

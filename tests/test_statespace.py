@@ -18,6 +18,7 @@ from jcas_lab.statespace import (
     lyapunov_step,
     scaled_lyapunov_grid,
     solve_affine,
+    solve_doubling,
     solve_scaled_lyapunov,
     spectral_radius,
     symmetrize,
@@ -275,10 +276,10 @@ def assert_within_bounds(f, rhs, x, others):
 
 class TestDoublingSolve:
     """A one-factor Stein equation X = F X F^T + rhs with m >= DOUBLING_MIN_M
-    is solved by doubling.  It agrees with the Kronecker LU (the same
-    equation with a zero factor stacked beside) and with scipy's
-    ``solve_discrete_lyapunov`` within bounds derived from each solution's
-    residual and ||(I - F (x) F)^{-1}||."""
+    is solved by ``solve_doubling`` with G = 0, A_0 = F^T.  It agrees with
+    the Kronecker LU (the same equation with a zero factor stacked beside)
+    and with scipy's ``solve_discrete_lyapunov`` within bounds derived from
+    each solution's residual and ||(I - F (x) F)^{-1}||."""
 
     @pytest.mark.parametrize("m", range(DOUBLING_MIN_M, 9))
     def test_agrees_with_kronecker_and_scipy(self, monkeypatch, m):
@@ -323,8 +324,10 @@ class TestDoublingSolve:
     @pytest.mark.parametrize("kind", ("identity", "cycle", 1.0 + 1e-6, 1.01, 2.0))
     def test_unbounded_sum_raises(self, m, kind):
         # rho(F) >= 1: the sum over F^i rhs F^iT grows without bound, so the
-        # member never settles, or settles at inf or nan; the identity and
-        # the cyclic shift have rho(F) = 1 exactly, in every power
+        # member still moves at DOUBLING_CAP or turns inf or nan; the
+        # identity and the cyclic shift have rho(F) = 1 exactly, in every
+        # power.  The doubling reports the member unsettled, and
+        # solve_affine raises
         if kind == "identity":
             f = np.eye(m)
         elif kind == "cycle":
@@ -333,6 +336,8 @@ class TestDoublingSolve:
             f = seeded_factor(33, m, kind)
         rhs = np.stack([np.eye(m), np.eye(m)])
         factors = np.stack([f, seeded_factor(34, m, 0.5)])[:, None]
+        _, settled = solve_doubling(factors[:, 0].swapaxes(1, 2), np.zeros_like(rhs), rhs)
+        assert settled.tolist() == [False, True]
         with pytest.raises(NumericalError):
             solve_affine(factors, rhs)
 
