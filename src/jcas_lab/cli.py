@@ -50,7 +50,7 @@ from .riccati import (
     vbar_traces,
 )
 from .statespace import GaussMarkovModel, check_initial_covariance, validate_model
-from .tradeoff import ChannelSpec, bs_curve, dominance_report, full_rate, mb_curve
+from .tradeoff import ChannelSpec, bs_arrays, dominance_report, full_rate, mb_arrays
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -314,15 +314,19 @@ def _reprs(values) -> list:
     return [repr(float(x)) for x in values]
 
 
-def curve_lines(points, head: str, bits: bool) -> list:
-    """A curve as CSV: param, rate_nats, distortion, bound_kind, finite, and
-    with ``bits`` a rate_bits column (the points themselves stay in nats)."""
+def curve_lines(curves, head: str, bits: bool) -> list:
+    """Curves as one CSV: param, rate_nats, distortion, bound_kind, finite,
+    and with ``bits`` a rate_bits column (the curves themselves stay in
+    nats), one row per point, curve after curve."""
     lines = [f"# {head}", "param,rate_nats,distortion,bound_kind,finite" + (",rate_bits" if bits else "")]
-    for p in points:
-        row = f"{float(p.param)!r},{float(p.rate)!r},{float(p.distortion)!r},{p.bound_kind},{int(p.finite)}"
+    for curve in curves:
+        d, kind = curve.distortions, curve.bound_kind
+        columns = [curve.params.tolist(), curve.rates.tolist(), d.tolist(), np.isfinite(d).tolist()]
         if bits:
-            row += f",{float(p.rate / math.log(2.0))!r}"
-        lines.append(row)
+            columns.append((curve.rates / math.log(2.0)).tolist())
+            lines += [f"{p!r},{r!r},{d!r},{kind},{f:d},{b!r}" for p, r, d, f, b in zip(*columns)]
+        else:
+            lines += [f"{p!r},{r!r},{d!r},{kind},{f:d}" for p, r, d, f in zip(*columns)]
     return lines
 
 
@@ -454,13 +458,13 @@ def cmd_rd_curve(args) -> int:
 
     # every table is computed before the first file is written
     with config_key("lambda_grid"):
-        inner, outer = bs_curve(model, channel, lam_grid)
-    files = {"bs_curve.csv": curve_lines(inner + outer, head, args.bits)}
+        inner, outer = bs_arrays(model, channel, lam_grid)
+    files = {"bs_curve.csv": curve_lines((inner, outer), head, args.bits)}
     if channel.kind == "gaussian":
         gam_grid = parse_grid(require(cfg, "gamma_grid"), "gamma_grid")
         with config_key("gamma_grid"):
-            mb = mb_curve(model, channel, gam_grid)
-        files["mb_curve.csv"] = curve_lines(mb, head, args.bits)
+            mb = mb_arrays(model, channel, gam_grid)
+        files["mb_curve.csv"] = curve_lines((mb,), head, args.bits)
         n_points = integer(
             "dominance_grid_points", cfg.get("dominance_grid_points", 60), 1, MAX_GRID_POINTS
         )
@@ -640,9 +644,9 @@ def reproduce_fig3(out: Path, seed: int, bits: bool = False) -> dict:
     lines = [f"# {head}", "system,lambda_c,max_finite_rate"]
     for name in ("unstable", "stable"):
         model = _preset_model(name)
-        inner, outer = bs_curve(model, channel, lam_grid)
+        curves = bs_arrays(model, channel, lam_grid)
         curve_head = f"{head} system={name} channel=noiseless(c0=1.0)"
-        write_lines(out / f"fig3_{name}_bs.csv", curve_lines(inner + outer, curve_head, bits))
+        write_lines(out / f"fig3_{name}_bs.csv", curve_lines(curves, curve_head, bits))
         lam_c = critical_lambda(model)
         max_rate = (1.0 - lam_c) * channel.c0
         summary[name] = (lam_c, max_rate)
@@ -669,11 +673,11 @@ def reproduce_fig4(out: Path, seed: int, bits: bool = False) -> list:
         for snr_db in PRESET_SNRS_DB:
             channel = ChannelSpec.gaussian(snr_db)
             tag = f"{name}_snr{snr_db:g}db"
-            inner, outer = bs_curve(model, channel, lam_grid)
-            mb = mb_curve(model, channel, gam_grid)
+            inner, outer = bs_arrays(model, channel, lam_grid)
+            mb = mb_arrays(model, channel, gam_grid)
             curve_head = f"{head} system={name} channel={channel.describe()}"
-            write_lines(out / f"fig4_{tag}_bs.csv", curve_lines(inner + outer, curve_head, bits))
-            write_lines(out / f"fig4_{tag}_mb.csv", curve_lines(mb, curve_head, bits))
+            write_lines(out / f"fig4_{tag}_bs.csv", curve_lines((inner, outer), curve_head, bits))
+            write_lines(out / f"fig4_{tag}_mb.csv", curve_lines((mb,), curve_head, bits))
             written += [f"fig4_{tag}_bs.csv", f"fig4_{tag}_mb.csv"]
             reports, files = _dominance(mb, inner, outer, 60, head, f"fig4_{tag}_dominance_{{}}.csv")
             for file_name, lines in files.items():

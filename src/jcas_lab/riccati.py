@@ -66,6 +66,7 @@ from .statespace import (
     as_matrix,
     grid_members,
     grid_traces,
+    kronecker_sum,
     lyapunov_diverges,
     lyapunov_root,
     lyapunov_step,
@@ -418,8 +419,9 @@ def _scalar_trace(model: GaussMarkovModel, lam: float, gamma: float) -> float:
 def _policy_iteration(model: GaussMarkovModel, lams, gain) -> np.ndarray:
     """V-bar, the fixed point of min_L phi_{lam,1}(L, .), at every lam < 1 of a
     grid, by Hewer's policy iteration (IEEE TAC 1971): the affine fixed
-    point for the current gains (one batched two-factor ``solve_affine``),
-    then the gain update read off the innovation solve.  ``gain`` starts
+    point for the current gains (one batched two-factor ``solve_affine``,
+    whose open-loop term (1 - lam) A (x) A is built once per call), then
+    the gain update read off the innovation solve.  ``gain`` starts
     every member, or is a stack of one gain per member.  From a contracting
     gain the iterates decrease monotonically, quadratically near the fixed
     point, so a member stops at its first step whose trace fails to
@@ -432,16 +434,17 @@ def _policy_iteration(model: GaussMarkovModel, lams, gain) -> np.ndarray:
     best = np.empty((n, m, m))
     best_trace = np.full(n, math.inf)
     live = np.arange(n)
+    open_loop = kronecker_sum((np.sqrt(1.0 - lam) * a)[:, None])
     # a strictly decreasing float sequence stops within a few steps of
     # rounding level; the bound only turns a defect into an error
     for _ in range(100):
-        factors = np.stack([np.sqrt(1.0 - lam) * a, np.sqrt(lam) * (a - gains @ c)], axis=1)
-        x = solve_affine(factors, q + lam * (gains @ r @ gains.swapaxes(1, 2)))
+        factors = (np.sqrt(lam) * (a - gains @ c))[:, None]
+        x = solve_affine(factors, q + lam * (gains @ r @ gains.swapaxes(1, 2)), open_loop)
         tr = x.trace(axis1=1, axis2=2)
         if not np.isfinite(tr).all():
             raise NumericalError("policy iteration produced a non-finite covariance")
         falling = tr < best_trace[live]
-        live, x, lam = live[falling], x[falling], lam[falling]
+        live, x, lam, open_loop = live[falling], x[falling], lam[falling], open_loop[falling]
         best[live], best_trace[live] = x, tr[falling]
         if not live.size:
             return best

@@ -335,7 +335,7 @@ def lyapunov_step(model: GaussMarkovModel, s: np.ndarray, alpha) -> np.ndarray:
     return symmetrize(alpha * times_matrix(matrix_times(model.A, s), model.A.T) + model.Q)
 
 
-def solve_affine(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_affine(factors: np.ndarray, rhs: np.ndarray, fixed: np.ndarray | None = None) -> np.ndarray:
     """Solve X = sum_t F_t X F_t^T + rhs for every member of a stack.
 
     ``factors`` (n, T, m, m) holds each member's F_1..F_T and ``rhs`` is
@@ -343,26 +343,40 @@ def solve_affine(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     case of ``solve_doubling``, O(m^3) per doubling, and raises
     NumericalError where a member does not settle (rho(F) >= 1); every
     other one is a dense Kronecker system (``_solve_kronecker``), O(m^6)
-    and the cheaper up to m = 4.  The path depends on T and m alone, never
-    on n, and no member's bits depend on the other members of the stack.
-    The solutions come back re-symmetrized.
+    and the cheaper up to m = 4.  ``fixed``, the ``kronecker_sum`` of
+    factors that a loop of solves shares, stands ahead of ``factors`` and
+    makes the system a Kronecker one; it gives the bits of one solve with
+    its factors stacked first.  The path depends on T, m and ``fixed``
+    alone, never on n, and no member's bits depend on the other members
+    of the stack.  The solutions come back re-symmetrized.
     """
-    if factors.shape[1] == 1 and factors.shape[2] >= DOUBLING_MIN_M:
+    if fixed is None and factors.shape[1] == 1 and factors.shape[2] >= DOUBLING_MIN_M:
         x, settled = solve_doubling(factors[:, 0].swapaxes(1, 2), np.zeros_like(rhs), rhs)
         if not settled.all():
             raise NumericalError(f"doubling did not settle in {DOUBLING_CAP} doublings (rho(F) >= 1)")
         return x
-    return symmetrize(_solve_kronecker(factors, rhs))
+    return symmetrize(_solve_kronecker(factors, rhs, fixed))
 
 
-def _solve_kronecker(factors: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """On the row-major vec(X), F X F^T is kron(F, F) vec(X), so a member is
-    one dense (m^2, m^2) system (I - sum_t kron(F_t, F_t)) vec(X) =
-    vec(rhs).  The systems are built in place in one array and solved in
-    one batched LU call."""
+def kronecker_sum(factors: np.ndarray) -> np.ndarray:
+    """sum_t kron(F_t, F_t) for every member of a stack (n, T, m, m), as one
+    (n, m^2, m^2) array: one einsum, which adds the terms to 0 in t order.
+    On the row-major vec(X), F X F^T is kron(F, F) vec(X)."""
+    n, _, m, _ = factors.shape
+    return np.einsum("ntij,ntkl->nikjl", factors, factors).reshape(n, m * m, m * m)
+
+
+def _solve_kronecker(factors: np.ndarray, rhs: np.ndarray, fixed: np.ndarray | None = None) -> np.ndarray:
+    """Each member is one dense (m^2, m^2) system (I - fixed - sum_t
+    kron(F_t, F_t)) vec(X) = vec(rhs).  The systems are built in place in
+    one array and solved in one batched LU call.  einsum adds each term to
+    0, so no sum is -0, and IEEE addition commutes: adding ``fixed`` rounds
+    as one einsum over its factors and then ``factors`` would."""
     n, _, m, _ = factors.shape
     size = m * m
-    system = np.einsum("ntij,ntkl->nikjl", factors, factors).reshape(n, size, size)
+    system = kronecker_sum(factors)
+    if fixed is not None:
+        system += fixed
     np.negative(system, out=system)
     diagonal = np.arange(size)
     system[:, diagonal, diagonal] += 1.0
@@ -402,8 +416,13 @@ def solve_doubling(a: np.ndarray, g: np.ndarray, h: np.ndarray):
                 g = g + a @ solved[:, :, m:] @ a.swapaxes(1, 2)
             nxt = h + a.swapaxes(1, 2) @ h @ w_a
             a = a @ w_a
-            finite = np.isfinite(nxt).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
             moved = (nxt != h).any(axis=(1, 2))
+            # a sum is finite only if every term is: the members are sorted
+            # out only on a doubling where one settled or turned non-finite
+            if moved.all() and np.isfinite(nxt.sum() + g.sum()):
+                h = nxt
+                continue
+            finite = np.isfinite(nxt).all(axis=(1, 2)) & np.isfinite(g).all(axis=(1, 2))
             done = finite & ~moved
             out[live[done]] = nxt[done]
             settled[live[done]] = True

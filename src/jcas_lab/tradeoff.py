@@ -6,14 +6,16 @@ the traces of the S-bar (lower/outer) and V-bar (upper/inner) steady states.
 Multi-beam senses every step with gain gamma0 and communicates with the
 complementary power fraction, giving an exact curve.
 
-A curve is solved, traced and ordered as arrays: the fixed points of a whole
-grid come from one solve (``riccati.vbar_traces``, ``sbar_traces``,
-``mb_traces``), their traces from one stacked trace with +inf where they
-diverge, and the order from one stable sort by distortion, ties by param.
-The point list is built once, in that order.  Beam-switching rates are one
-array product; multi-beam rates stay one point at a time through
-``math.log1p``, since numpy's vectorized log1p can round differently and
-would move output bits.
+A curve is solved, traced and ordered as arrays and stays arrays: the fixed
+points of a whole grid come from one solve (``riccati.vbar_traces``,
+``sbar_traces``, ``mb_traces``), their traces from one stacked trace with
++inf where they diverge, and the order from one stable sort by distortion,
+ties by param.  ``bs_arrays`` and ``mb_arrays`` return each curve as its
+sorted columns (a ``Curve``), which ``dominance_report`` and the CLI read;
+``bs_curve`` and ``mb_curve`` are their point-list view.  Beam-switching
+rates are one array product; multi-beam rates stay one point at a time
+through ``math.log1p``, since numpy's vectorized log1p can round
+differently and would move output bits.
 
 Rates are in nats throughout.
 """
@@ -120,34 +122,61 @@ def mb_rate(channel: ChannelSpec, gamma0: float) -> float:
     return 0.5 * math.log1p(((gamma0 - 1.0) / gamma0) * snr)
 
 
-def _points(rates: np.ndarray, dists: np.ndarray, kind: str, params: np.ndarray) -> list:
-    """A curve's points in one stable order: by distortion, ties by param."""
+@dataclass(frozen=True, eq=False)
+class Curve:
+    """A curve as columns, one entry per grid point, in one stable order: by
+    distortion, ties by param.  Divergent points keep their slot with
+    distortion +inf.  bound_kind is shared by every point (see
+    ``RateDistortionPoint``)."""
+
+    params: np.ndarray
+    rates: np.ndarray
+    distortions: np.ndarray
+    bound_kind: str
+
+
+def _sorted(rates: np.ndarray, dists: np.ndarray, kind: str, params: np.ndarray) -> Curve:
+    """The columns of a curve in its order: by distortion, ties by param."""
     order = np.lexsort((params, dists))
-    return list(
-        map(RateDistortionPoint, rates[order].tolist(), dists[order].tolist(), repeat(kind), params[order].tolist())
-    )
+    return Curve(params[order], rates[order], dists[order], kind)
+
+
+def _points(curve: Curve) -> list:
+    """A curve's points, in its order; the only place a point is made."""
+    columns = curve.rates.tolist(), curve.distortions.tolist(), repeat(curve.bound_kind), curve.params.tolist()
+    return list(map(RateDistortionPoint, *columns))
+
+
+def bs_arrays(model: GaussMarkovModel, channel: ChannelSpec, lambda_grid):
+    """Inner (V-bar) and outer (S-bar) beam-switching curves over a lam grid,
+    as a pair of ``Curve``.  Grid values whose steady state diverges -- or
+    sits too close to the divergence boundary to resolve -- are flagged with
+    infinite distortion.  Each bound solves and traces the whole grid as
+    arrays."""
+    lams = np.asarray(lambda_grid, dtype=float)
+    rates = (1.0 - lams) * full_rate(channel)
+    inner = _sorted(rates, vbar_traces(lams, model), "inner", lams)
+    return inner, _sorted(rates, sbar_traces(lams, model), "outer", lams)
+
+
+def mb_arrays(model: GaussMarkovModel, channel: ChannelSpec, gamma_grid) -> Curve:
+    """Exact multi-beam curve over a gamma grid as a ``Curve``.  Rates are
+    taken per point by ``mb_rate``."""
+    gammas = np.asarray(gamma_grid, dtype=float)
+    rates = np.array([mb_rate(channel, gamma) for gamma in gammas.tolist()])
+    return _sorted(rates, mb_traces(gammas, model), "exact", gammas)
 
 
 def bs_curve(model: GaussMarkovModel, channel: ChannelSpec, lambda_grid):
-    """Inner (V-bar) and outer (S-bar) beam-switching curves over a lam grid.
-
-    Returns (inner_points, outer_points), each sorted by distortion, ties by
-    lam.  Grid values whose steady state diverges -- or sits too close to
-    the divergence boundary to resolve -- are flagged with infinite
-    distortion.  Each bound solves and traces the whole grid as arrays.
-    """
-    lams = np.asarray(lambda_grid, dtype=float)
-    rates = (1.0 - lams) * full_rate(channel)
-    inner = _points(rates, vbar_traces(lams, model), "inner", lams)
-    return inner, _points(rates, sbar_traces(lams, model), "outer", lams)
+    """``bs_arrays`` as (inner_points, outer_points), each a list of
+    ``RateDistortionPoint`` sorted by distortion, ties by lam."""
+    return tuple(map(_points, bs_arrays(model, channel, lambda_grid)))
 
 
-def mb_curve(model: GaussMarkovModel, channel: ChannelSpec, gamma_grid):
-    """Exact multi-beam curve over a gamma grid, sorted by distortion, ties
-    by gamma.  Rates are taken per point by ``mb_rate``."""
-    gammas = np.asarray(gamma_grid, dtype=float)
-    rates = np.array([mb_rate(channel, gamma) for gamma in gammas.tolist()])
-    return _points(rates, mb_traces(gammas, model), "exact", gammas)
+def mb_curve(model: GaussMarkovModel, channel: ChannelSpec, gamma_grid) -> list:
+    """``mb_arrays`` as a list of ``RateDistortionPoint`` sorted by
+    distortion, ties by gamma."""
+    return _points(mb_arrays(model, channel, gamma_grid))
 
 
 @dataclass
@@ -175,11 +204,10 @@ class DominanceReport:
         return self.distortions.size == 0
 
 
-def _interp_arrays(points):
+def _interp_arrays(curve: Curve):
     """(distortions, rates) of a curve's finite points, sorted by distortion;
     a run of equal distortions keeps its largest rate."""
-    d = np.array([p.distortion for p in points], dtype=float)
-    r = np.array([p.rate for p in points], dtype=float)
+    d, r = curve.distortions, curve.rates
     finite = np.isfinite(d)
     d, r = d[finite], r[finite]
     order = np.lexsort((r, d))
@@ -190,8 +218,9 @@ def _interp_arrays(points):
     return d[starts], np.maximum.reduceat(r, starts)
 
 
-def dominance_report(curve_a, curve_b, n_points: int) -> DominanceReport:
-    """rate_a(d) - rate_b(d) at n_points distortions, by linear interpolation.
+def dominance_report(curve_a: Curve, curve_b: Curve, n_points: int) -> DominanceReport:
+    """rate_a(d) - rate_b(d) at n_points distortions, by linear interpolation
+    between the finite points of two ``Curve``.
 
     The distortions span [lo, hi], the finite distortions both curves reach,
     log-spaced when lo > 0 and linear otherwise; rounding can push an

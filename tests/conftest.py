@@ -120,7 +120,7 @@ def record_solves(patch) -> dict:
         real = getattr(statespace, name)
 
         def spy(*args, real=real, path=path):
-            calls[path].append(len(args[-1]))
+            calls[path].append(len(args[0]))
             return real(*args)
 
         patch.setattr(statespace, name, spy)

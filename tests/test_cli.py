@@ -767,10 +767,12 @@ TRAJECTORY_CONFIGS = {
 OUTPUT_DIR_SHA256 = {
     "reproduce_fig3": "9e393be983489b8fc3f124e85717a2a044f25e0071df182393c79f71ca1ece00",
     "reproduce_fig4": "d24ffa321922a0357158733031c5cce7f2499de6cdf0426bc17c3f179baa17d5",
+    "reproduce_fig4_bits": "146a238f6e1769ff3321b7f3671b583b82d7d1f2903a1cb20bd8783307290995",
     "mc_verify_2x2": "f42899c5d76d01acdef53768f5995c805c3d2aebaa2ad99c36b877a32bebf770",
     "mc_verify_scalar_unstable": "e8c13a8bc28d30858704e65aae8b31251e63b9f9e96a5f9d1c80ef6f4e5d304f",
     "rd_curve_gaussian_bits": "bfd4bd273946f420cd13737d9f448ba356e1bd5e126490c05b956f8bb03113a6",
     "rd_curve_2x2": "8bdde88bf4037a6d90e1315971ae7b79464efc5b8932bae4a6763ce93dd25ff0",
+    "rd_curve_noiseless": "64e2fcf538b7b361a772103b543790d91b86b9fe41a649225424b96cc3cc4202",
     "riccati_scalar_unstable": "5841de422c41df207332a080abe3f1e982c7097975b13480da5a7d4b2eff76d3",
     "riccati_2x2": "3bd55dc102f599b90bb198a78dc4838bbc6212e7f63e7a9ac26622ccdec3ca9e",
     "bayes_toy": "c0b41b8ead7cb85d2c2c3d6e2260602f3285cddd057c787d1096d78bea9e7557",
@@ -797,6 +799,10 @@ def output_dir_argv(name, tmp_path):
     if name == "rd_curve_2x2":
         # both curves and both dominance reports of the matrix path
         return ["rd-curve", "--config", str(write_config(tmp_path / "cfg.json", **BENCH_2X2))]
+    if name == "rd_curve_noiseless":
+        # beam switching alone: bs_curve.csv is the only file
+        cfg = write_config(tmp_path / "cfg.json", channel={"kind": "noiseless", "c0": 1.0})
+        return ["rd-curve", "--config", str(cfg)]
     if name == "riccati_scalar_unstable":
         return ["riccati", "--config", str(write_config(tmp_path / "cfg.json"))]
     if name == "riccati_2x2":
@@ -810,6 +816,9 @@ def output_dir_argv(name, tmp_path):
         bayes = {"n": 2, "grid_resolution": 0.05, "budgets": [0.3, 0.6], "trace_len": 3}
         cfg = write_config(tmp_path / "cfg.json", discrete_model="toy_model.txt", bayes=bayes)
         return ["bayes", "--config", str(cfg)]
+    if name == "reproduce_fig4_bits":
+        # the rate_bits column of every preset curve, the gamma = inf rows too
+        return ["reproduce", "fig4", "--bits"]
     return ["reproduce", name.split("_")[1]]
 
 

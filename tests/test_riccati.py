@@ -1414,9 +1414,10 @@ class TestOneFactorPolicyStep:
         counts = []
         solve = riccati.solve_affine
 
-        def counted(factors, rhs):
-            counts.append(factors.shape[1])
-            return solve(factors, rhs)
+        def counted(factors, rhs, fixed=None):
+            # Kronecker terms per system: a shared open-loop term is one
+            counts.append(factors.shape[1] + (fixed is not None))
+            return solve(factors, rhs, fixed)
 
         with monkeypatch.context() as patch:
             patch.setattr(riccati, "solve_affine", counted)

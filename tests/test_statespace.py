@@ -341,6 +341,20 @@ class TestDoublingSolve:
         with pytest.raises(NumericalError):
             solve_affine(factors, rhs)
 
+    def test_non_finite_member_leaves_on_its_doubling(self, monkeypatch):
+        # A = 1e200 I overflows G and H on the first doubling; that member
+        # leaves the stack there, and the other doubles alone until it settles
+        from jcas_lab import statespace
+
+        sizes = []
+        solve = statespace._solve_members
+        monkeypatch.setattr(statespace, "_solve_members", lambda w, rhs: sizes.append(len(w)) or solve(w, rhs))
+        a = np.stack([1e200 * np.eye(2), 0.5 * np.eye(2)])
+        eye = np.broadcast_to(np.eye(2), (2, 2, 2))
+        _, settled = solve_doubling(a, eye, eye)
+        assert settled.tolist() == [False, True]
+        assert sizes[0] == 2 and len(sizes) > 2 and set(sizes[1:]) == {1}
+
     def test_path_depends_on_m_and_factor_count_alone(self, monkeypatch):
         calls = record_solves(monkeypatch)
         for m in range(1, 9):

@@ -12,11 +12,14 @@ from jcas_lab.riccati import mb_fixed_point
 from jcas_lab.statespace import grid_members, scaled_lyapunov_grid
 from jcas_lab.tradeoff import (
     ChannelSpec,
+    Curve,
     RateDistortionPoint,
+    bs_arrays,
     bs_curve,
     bs_rate,
     dominance_report,
     full_rate,
+    mb_arrays,
     mb_curve,
     mb_rate,
     snr_linear,
@@ -46,6 +49,18 @@ def interp_loop(points):
         dist.append(d)
         rate.append(r)
     return np.array(dist), np.array(rate)
+
+
+def point_curve_lines(points, head: str, bits: bool) -> list:
+    """A point list as the curve CSV, one point at a time: the formatter
+    that ``cli.curve_lines`` replaced, kept as its oracle."""
+    lines = [f"# {head}", "param,rate_nats,distortion,bound_kind,finite" + (",rate_bits" if bits else "")]
+    for p in points:
+        row = f"{float(p.param)!r},{float(p.rate)!r},{float(p.distortion)!r},{p.bound_kind},{int(p.finite)}"
+        if bits:
+            row += f",{float(p.rate / math.log(2.0))!r}"
+        lines.append(row)
+    return lines
 
 
 def point_curves(model, channel, lams, gammas):
@@ -185,13 +200,14 @@ class TestMbCurve:
 
 def curve(*ds):
     """An exact curve with distortions ds and rates 0, 0.1, 0.2, ..."""
-    return [RateDistortionPoint(0.1 * i, d, "exact", 1.0) for i, d in enumerate(ds)]
+    n = len(ds)
+    return Curve(np.ones(n), 0.1 * np.arange(n), np.array(ds, dtype=float), "exact")
 
 
 class TestDominance:
     def test_curve_against_itself_is_zero(self, stable_model):
-        pts = mb_curve(stable_model, GAUSS_175, np.geomspace(1.0, 100.0, 25))
-        rep = dominance_report(pts, pts, 11)
+        mb = mb_arrays(stable_model, GAUSS_175, np.geomspace(1.0, 100.0, 25))
+        rep = dominance_report(mb, mb, 11)
         assert rep.distortions.size == 11
         np.testing.assert_allclose(rep.gaps, 0.0, atol=1e-14)
         assert rep.n_b_gt_a == 0
@@ -230,7 +246,7 @@ class TestDominance:
         # rd-curve writes two reports; each builds the arrays of its two curves
         calls = []
         interp_arrays = tradeoff._interp_arrays
-        monkeypatch.setattr(tradeoff, "_interp_arrays", lambda points: calls.append(1) or interp_arrays(points))
+        monkeypatch.setattr(tradeoff, "_interp_arrays", lambda curve: calls.append(1) or interp_arrays(curve))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "seed": 1, "model": {"A": [[-1.15]], "C": [[1.0]], "Q": [[0.2]], "R": [[1.5]]},
@@ -245,8 +261,8 @@ class TestDominance:
     def test_mb_dominates_bs_inner(self, stable_model):
         grid_l = np.linspace(0.0, 1.0, 60)
         grid_g = np.concatenate([np.geomspace(1.0, 1e4, 60), [math.inf]])
-        inner, _ = bs_curve(stable_model, GAUSS_175, grid_l)
-        mb = mb_curve(stable_model, GAUSS_175, grid_g)
+        inner, _ = bs_arrays(stable_model, GAUSS_175, grid_l)
+        mb = mb_arrays(stable_model, GAUSS_175, grid_g)
         rep = dominance_report(mb, inner, 50)
         assert rep.distortions.size == 50
         assert rep.n_b_gt_a == 0
@@ -254,10 +270,10 @@ class TestDominance:
 
 class TestCurveCsv:
     def test_layout_and_determinism(self, stable_model, tmp_path):
-        pts = mb_curve(stable_model, GAUSS_175, [1.0, 2.0, math.inf])
+        mb = mb_arrays(stable_model, GAUSS_175, [1.0, 2.0, math.inf])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_lines(p1, curve_lines(pts, "model=stable grid=3", bits=False))
-        write_lines(p2, curve_lines(pts, "model=stable grid=3", bits=False))
+        write_lines(p1, curve_lines((mb,), "model=stable grid=3", bits=False))
+        write_lines(p2, curve_lines((mb,), "model=stable grid=3", bits=False))
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text().strip().split("\n")
         assert lines[0] == "# model=stable grid=3"
@@ -265,12 +281,66 @@ class TestCurveCsv:
         assert len(lines) == 5
 
     def test_bits_column(self, stable_model, tmp_path):
-        pts = mb_curve(stable_model, GAUSS_175, [2.0])
-        header, row = curve_lines(pts, "bits", bits=True)[1:]
+        mb = mb_arrays(stable_model, GAUSS_175, [2.0])
+        header, row = curve_lines((mb,), "bits", bits=True)[1:]
         assert header.endswith(",rate_bits")
         rate_nats = float(row.split(",")[1])
         rate_bits = float(row.split(",")[-1])
         assert rate_bits == pytest.approx(rate_nats / math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("bits", (False, True))
+    def test_equals_point_formatter(self, bits):
+        # seeded random curves: +inf distortions, distortion ties broken by
+        # param, rate 0.0 at lam = 1 and param +inf
+        rng = np.random.default_rng(5)
+        for n in (*range(4), *rng.integers(4, 80, 100)):
+            curves = []
+            for kind in ("inner", "outer", "exact"):
+                params = rng.choice([0.0, 0.25, 0.5, 1.0, math.inf, *rng.random(3)], n)
+                params[:1] = 1.0
+                rates = np.where(params == 1.0, 0.0, rng.random(n) * rng.choice([1e-300, 1.0, 1e300], n))
+                dists = rng.choice([0.5, 1.0, math.inf, *rng.random(3) * 10.0], n)
+                curves.append(tradeoff._sorted(rates, dists, kind, params))
+            points = [p for c in curves for p in tradeoff._points(c)]
+            assert curve_lines(curves, "random", bits) == point_curve_lines(points, "random", bits)
+
+    @pytest.mark.parametrize("name", ("unstable_model", "stable_model", "matrix_model"))
+    def test_solved_curves_equal_point_formatter(self, request, name):
+        model = request.getfixturevalue(name)
+        lams = np.linspace(0.0, 1.0, 41)
+        gammas = [*np.geomspace(1.0, 1e4, 40).tolist(), math.inf]
+        inner, outer = bs_arrays(model, GAUSS_175, lams)
+        mb = mb_arrays(model, GAUSS_175, gammas)
+        bs_points = [*bs_curve(model, GAUSS_175, lams)]
+        for bits in (False, True):
+            assert curve_lines((inner, outer), "bs", bits) == point_curve_lines(bs_points[0] + bs_points[1], "bs", bits)
+            assert curve_lines((mb,), "mb", bits) == point_curve_lines(mb_curve(model, GAUSS_175, gammas), "mb", bits)
+
+    def test_commands_build_no_points(self, tmp_path, monkeypatch, unstable_model):
+        # reproduce and rd-curve keep every curve as arrays up to the CSV
+        made = []
+        init = RateDistortionPoint.__init__
+
+        def counting(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(RateDistortionPoint, "__init__", counting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "model": {"A": [[-1.15]], "C": [[1.0]], "Q": [[0.2]], "R": [[1.5]]},
+            "channel": {"kind": "gaussian", "snr_db": 1.75}, "lambda_grid": {"start": 0.0, "stop": 1.0, "count": 21},
+            "gamma_grid": {"start": 1.0, "stop": 100.0, "count": 15, "spacing": "log"},
+        }))
+        runs = {fig: ["reproduce", fig] for fig in ("fig3", "fig4")}
+        runs["rd-curve"] = ["rd-curve", "--bits", "--config", str(cfg)]
+        for name, argv in runs.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            assert (tmp_path / name / ("mb_curve.csv" if name == "rd-curve" else f"{name}_summary.txt")).exists()
+        assert made == []
+        # the spy sees the point-list view
+        assert len(bs_curve(unstable_model, GAUSS_175, [0.5])[0]) == 1
+        assert len(made) == 2
 
 
 class TestArrayCurves:
@@ -295,7 +365,7 @@ class TestArrayCurves:
             params = rng.choice([0.0, 0.25, 1.0, math.inf], n)
             rates = rng.random(n)
             points = list(map(RateDistortionPoint, rates.tolist(), dists.tolist(), repeat("exact"), params.tolist()))
-            assert tradeoff._points(rates, dists, "exact", params) == sorted_points(points)
+            assert tradeoff._points(tradeoff._sorted(rates, dists, "exact", params)) == sorted_points(points)
 
     def test_interp_equals_loop(self):
         # unsorted curves with runs of equal distortion and infinite points
@@ -304,7 +374,7 @@ class TestArrayCurves:
             dists = rng.choice([0.5, 1.0, 1.5, 2.0, math.inf], n)
             rates = rng.choice([0.0, 0.1, 0.2, 0.3], n) + rng.random(n) * (rng.random() < 0.5)
             points = list(map(RateDistortionPoint, rates.tolist(), dists.tolist(), repeat("exact"), repeat(1.0)))
-            got, want = tradeoff._interp_arrays(points), interp_loop(points)
+            got, want = tradeoff._interp_arrays(Curve(np.ones(n), rates, dists, "exact")), interp_loop(points)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype == float
                 assert g.tobytes() == w.tobytes()
