@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -660,7 +661,8 @@ def reproduce_fig4(out: Path, seed: int, bits: bool = False) -> list:
     """Beam-switching and multi-beam curves over the Gaussian channel.
 
     2 systems x 2 SNRs x {bs (inner+outer), mb} = 8 curve files, plus
-    dominance reports of mb against each bs bound.
+    dominance reports of mb against each bs bound and the summary; returns
+    the name of every file written.
     """
     cfg = {"preset": "fig4"}
     head = stamp("reproduce", cfg, seed)
@@ -693,7 +695,7 @@ def reproduce_fig4(out: Path, seed: int, bits: bool = False) -> list:
                 f"{name},{snr_db!r},{full_rate(channel)!r},{mb_ge_inner},{mb_gt_outer_top}"
             )
     write_lines(out / "fig4_summary.txt", summary)
-    return written
+    return written + ["fig4_summary.txt"]
 
 
 def cmd_reproduce(args) -> int:
@@ -719,7 +721,10 @@ def require_config(args) -> str:
     return args.config
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each ``parse_args`` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="jcas-lab",
         description=(

@@ -38,18 +38,22 @@ and v_i,
 
 (the intermittent-observation recursion of Sinopoli et al., IEEE TAC
 2004).  e_i stays near sqrt(tr P_i) however large s_i grows, so |e_i|^2
-keeps its digits on unstable models.  A segment runs ``_covariance_pass``,
-whose steps take every trial's L_i and P_{i+1} = A P_i A^T + Q - m_i L_i C
-P_i A^T from one ``riccati.innovation_kernel`` or ``riccati.innovation``
-call with the arrival bits as lam, masks each gain by its arrival bit,
-forms alpha_i and u_i as whole-segment arrays, then runs the error pass.
+keeps its digits on unstable models.  A segment runs a covariance pass
+with the arrival bits as lam.  On a scalar model each step is one
+``riccati.sensing_kernel`` call, the nonnegative one-step form of
+P_{i+1}, and the gains L_i = c a / (c^2 + g r / P_i) of the whole
+segment follow in three array operations on the stored covariances; on a
+matrix model each step takes L_i and P_{i+1} = A P_i A^T + Q - m_i L_i C
+P_i A^T from one ``riccati.innovation`` call.  The segment then masks
+each gain by its arrival bit, forms alpha_i and u_i as whole-segment
+arrays, and runs the error pass.
 Under a multi-beam policy every trial shares one covariance and gain path.
 ``montecarlo.empirical_block_distortion`` keeps only |e_i|^2;
 ``run_filter`` is the recursion with one trial, rebuilds the truth
 s_{i+1} = A s_i + w_i and the measurements z_i = C s_i + sqrt(g) v_i from
 the yielded noise rows and writes shat_i = s_i - e_i.
 ``covariance_trials`` (``montecarlo``'s covariance cells) keeps only the
-covariances of the same pass.  Covariances are floats or ``(trials, 1)``
+covariances of the same pass.  Covariances are np.float64 or ``(trials, 1)``
 arrays for scalar models, ``(m, m)`` matrices or ``(trials, m, m)``
 stacks otherwise.  Each trial equals, bit for bit, the per-trial loops in
 ``tests/mc_reference.py``.  The noise transform is one matrix product per
@@ -57,20 +61,21 @@ time step, so it rounds alike in any chunking.
 
 Memory: a filter run holds its four generators and time-major buffers of
 ``SEGMENT`` + 1 steps for the errors, the noise, the gains and the raw
-draws (which then hold u_i).  A covariance run holds one generator and at
-most 2^16 arrival uniforms at a time.
+draws (which hold a scalar run's arrival caps during the covariance pass,
+then u_i).  A covariance run holds one generator and, for at most 2^15
+covariance entries, their arrival uniforms, caps and covariances at a
+time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .riccati import BeamPolicy, innovation, innovation_kernel
+from .riccati import BeamPolicy, innovation, sensing_kernel
 from .statespace import (
     GaussMarkovModel,
     check_initial_covariance,
@@ -151,15 +156,17 @@ class _ScalarSteps:
     """Steps of a scalar model on trial arrays, through the shared kernels.
 
     A covariance is a length-1 vector per trial, like a state or an error,
-    or a float while every trial shares it.  ``sense`` returns the gain and
-    the next covariance of one innovation computation, lam an arrival mask
-    or 1, in both step classes.  ``coefficients`` gives a segment's
-    alpha_i = a - L_i c, over its masked gains L_i, and
-    u_i = w_i - L_i sqrt(g) v_i, into the buffer ``u``; ``product`` applies
-    alpha_i to an error, whose trailing ``column`` axes it sets.
+    or an np.float64 while every trial shares it (so P = 0 divides as
+    numpy does).  ``sense`` is ``riccati.sensing_kernel``, lam 1 or an
+    arrival cap of ``masks``; it computes no gain.  ``segment`` runs a
+    segment's covariance pass and then takes every step's predictor gain
+    L_i = c a / (c^2 + g r / P_i) from the stored covariances at once.
+    ``coefficients`` gives a segment's alpha_i = a - L_i c, over its masked
+    gains L_i, and u_i = w_i - L_i sqrt(g) v_i, into the buffer ``u``;
+    ``product`` applies alpha_i to an error, whose trailing ``column`` axes
+    it sets.
     """
 
-    core = 1
     column = ()
     gain_shape = (1,)
     product = np.multiply
@@ -167,14 +174,40 @@ class _ScalarSteps:
     def __init__(self, model: GaussMarkovModel):
         self.a, self.c, self.q, self.r = model.scalars()
 
-    def initial(self, p0: np.ndarray) -> float:
-        return float(p0[0, 0])
+    def initial(self, p0: np.ndarray):
+        return p0[0, 0]
+
+    @staticmethod
+    def masks(arrived: np.ndarray, out=None) -> np.ndarray:
+        """Arrival caps of a (rows, trials) mask, into ``out`` if given: 0
+        where z_i arrived, +inf where erased, as 1 / arrived - 1 (np.where
+        branches on a random mask and takes about twice as long)."""
+        caps = np.empty(arrived.shape) if out is None else out
+        np.copyto(caps, arrived)
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, caps, out=caps)
+        caps -= 1.0
+        return caps[..., None]
 
     def open_loop(self, p):
         return lyap_kernel(self.a, self.q, p, 1.0)
 
     def sense(self, p, g: float, lam):
-        return innovation_kernel(self.a, self.c, self.q, self.r, p, g, lam)
+        return sensing_kernel(self.a, self.c, self.q, self.r, p, g, lam)
+
+    def segment(self, p, arrivals, g: float, gains):
+        """[P_i, .., P_{i+rows}] from P_i = p, and each L_i into ``gains``."""
+        covariances = [p, *_covariance_pass(self, p, arrivals, g)]
+        if self.c == 0.0 or math.isinf(g):
+            # nothing is sensed: gain 0, where the form would read 0 / 0 at P = +inf
+            gains.fill(0.0)
+            return covariances
+        for gain, p_i in zip(gains, covariances):
+            gain[...] = p_i
+        np.divide(g * self.r, gains, out=gains)
+        np.add(gains, self.c * self.c, out=gains)
+        np.divide(self.c * self.a, gains, out=gains)
+        return covariances
 
     def coefficients(self, gains, w, noise, u):
         np.subtract(w, np.multiply(gains, noise, out=u), out=u)
@@ -185,10 +218,11 @@ class _ScalarSteps:
 class _MatrixSteps:
     """Steps of a matrix model on (trials, m, m) stacks; errors are (m, 1) columns.
 
-    ``coefficients`` returns alpha_i = A - L_i C as a new array.
+    ``segment`` takes each step's gain and covariance from one
+    ``riccati.innovation``; ``coefficients`` returns alpha_i = A - L_i C as
+    a new array.
     """
 
-    core = 2
     column = (1,)
     product = np.matmul
 
@@ -199,11 +233,25 @@ class _MatrixSteps:
     def initial(self, p0: np.ndarray) -> np.ndarray:
         return p0
 
+    @staticmethod
+    def masks(arrived: np.ndarray, out=None) -> np.ndarray:
+        return arrived[..., None, None]
+
     def open_loop(self, p):
         return lyapunov_step(self.model, p, 1.0)
 
     def sense(self, p, g: float, lam):
-        return innovation(self.model, p, g, lam)
+        return innovation(self.model, p, g, lam)[1]
+
+    def segment(self, p, arrivals, g: float, gains):
+        covariances = [p]
+        for gain, arrived in zip(gains, arrivals):
+            if arrived is False:
+                gain[...], p = 0.0, self.open_loop(p)
+            else:
+                gain[...], p = innovation(self.model, p, g, 1.0 if arrived is True else arrived)
+            covariances.append(p)
+        return covariances
 
     def coefficients(self, gains, w, noise, u):
         np.subtract(w[..., None], gains @ noise[..., None], out=u)
@@ -215,17 +263,14 @@ def _steps(model: GaussMarkovModel):
 
 
 def _covariance_pass(steps, p, arrivals, g: float):
-    """Yield (gain, P_{i+1}) per arrival from P_i = p: ``False`` takes the
-    open-loop step (gain 0), ``True`` the sensing step with noise gain g,
-    and a per-trial mask one sensing step with the mask as lam: an erased
-    trial's P_{i+1} is its open-loop step's, its gain left for the caller to mask."""
+    """Yield P_{i+1} per arrival from P_i = p: ``False`` takes the open-loop
+    step, ``True`` the sensing step with noise gain g, and a row of
+    ``steps.masks`` one sensing step with the mask as lam, in which an
+    erased trial's P_{i+1} is its open-loop step's.  The caller silences
+    numpy's division by zero at P = 0."""
     for arrived in arrivals:
-        if arrived is False:
-            gain, p = 0.0, steps.open_loop(p)
-        else:
-            lam = 1.0 if arrived is True else arrived.reshape((-1,) + (1,) * steps.core)
-            gain, p = steps.sense(p, g, lam)
-        yield gain, p
+        p = steps.open_loop(p) if arrived is False else steps.sense(p, g, 1.0 if arrived is True else arrived)
+        yield p
 
 
 def filter_trials(model, policy, horizon: int, trials: int, seed: int, s0, p0):
@@ -298,15 +343,14 @@ def _recursion(model, policy, horizon: int, trials: int, seed: int, s0, p0):
             # a lone trial shares its arrival, which keeps P unbatched
             arrivals = present[:rows, 0].tolist()
         else:
-            arrivals = list(present[:rows])
+            # the raw draws' buffer holds the arrivals until u_i overwrites it
+            arrivals = list(steps.masks(present[:rows], raw[:rows * trials].reshape(rows, trials)))
         if start == 0:
             arrivals[0] = False
-        covariances = [p]
-        for j, (gain, p) in enumerate(_covariance_pass(steps, p, arrivals, g)):
-            gains[j] = gain
-            covariances.append(p)
-        if width > 1:
-            gains[:rows][~present[:rows]] = 0.0
+        with np.errstate(divide="ignore"):
+            covariances = steps.segment(p, arrivals, g, gains[:rows])
+        p = covariances[-1]
+        gains[:rows][~present[:rows, :width]] = 0.0
         # the error pass e_{i+1} = alpha_i e_i + u_i; u_i reuses the raw draws' buffer
         u = raw[:ws.size].reshape((rows, trials, model.m) + steps.column)
         alpha, u = steps.coefficients(gains[:rows], ws, noise[:rows], u)
@@ -327,21 +371,29 @@ def covariance_trials(model, lam: float, horizon: int, trials: int, seed: int, p
 
     The cell's one arrival generator (``draw_generators``) gives each step
     ``trials`` uniforms, trial t's in column t, drawn in row chunks of at
-    most 2^16 uniforms; step i senses where that uniform is below lam and
-    takes the open-loop step otherwise.  At lam = 0 (1) every trial shares
-    the open-loop (sensing) path, and the other branch is never computed.
+    most ``SEGMENT`` rows and 2^15 covariance entries; step i senses where that
+    uniform is below lam and takes the open-loop step otherwise.  At lam = 0
+    (1) every trial shares the open-loop (sensing) path, and the other
+    branch is never computed.  A chunk's steps are computed before any of
+    them is yielded.
     """
     steps = _steps(model)
     shape = (trials, model.m, model.m)
     yield np.broadcast_to(p0, shape)
-    arrivals = itertools.repeat(lam == 1.0, horizon)
-    if lam not in (0.0, 1.0):
+    chunk = min(SEGMENT, max(1, (1 << 15) // (trials * model.m * model.m)))
+    rows = (min(chunk, horizon - start) for start in range(0, horizon, chunk))
+    if lam in (0.0, 1.0):
+        blocks = ([lam == 1.0] * n for n in rows)
+    else:
         (rng,) = draw_generators(seed, cell=True)
-        chunk = max(1, (1 << 16) // trials)
-        rows = (min(chunk, horizon - start) for start in range(0, horizon, chunk))
-        arrivals = itertools.chain.from_iterable(rng.random((n, trials)) < lam for n in rows)
-    for _, p in _covariance_pass(steps, steps.initial(p0), arrivals, 1.0):
-        yield np.broadcast_to(np.reshape(p, (-1, model.m, model.m)), shape)
+        blocks = (steps.masks(rng.random((n, trials)) < lam) for n in rows)
+    p = steps.initial(p0)
+    for arrivals in blocks:
+        # a block's steps run under one numpy error state, outside the yields
+        with np.errstate(divide="ignore"):
+            covariances = list(_covariance_pass(steps, p, arrivals, 1.0))
+        for p in covariances:
+            yield np.broadcast_to(np.reshape(p, (-1, model.m, model.m)), shape)
 
 
 def run_filter(

@@ -34,8 +34,9 @@ Memory: the block engine holds one ``trials x (horizon+1)`` float64
 distortion matrix, into which each segment of ``filtering.filter_trials``
 writes |e_i|^2 in one expression, plus one generator per draw block and
 O(trials x SEGMENT) segment buffers.  A covariance cell holds the same
-matrix with ``per_step=True``, one generator and at most 2^16 arrival
-uniforms (``filtering``).
+matrix with ``per_step=True``, one generator and, for at most 2^15
+covariance entries, their arrival uniforms, caps and covariances
+(``filtering``).
 """
 
 from __future__ import annotations
@@ -124,9 +125,12 @@ def _centered_mean(values: np.ndarray) -> np.ndarray:
 
 def _std_error(values: np.ndarray) -> float:
     """Standard error of the mean over trials: inf for a single trial or
-    any non-finite value, whose spread is unknown."""
+    any non-finite value, whose spread is unknown, and 0 for identical
+    trials (``np.std`` rounds their mean and can leave about 1e-17)."""
     if len(values) == 1 or not np.isfinite(values).all():
         return math.inf
+    if values.min() == values.max():
+        return 0.0
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 

@@ -9,15 +9,18 @@ Two one-step covariance maps drive everything here:
   whose fixed point is the steady-state covariance when every measurement
   arrives with noise inflated by gamma.
 
-Every gain and correction, here and in the Kalman filter, comes from one
-solve of the innovation covariance S = C P C^T + gamma R against C P A^T:
-``_solve_innovation`` (matrix models) or ``innovation_kernel`` (scalar).
-Its transpose, the predictor gain L = A P C^T S^{-1}, is the only gain; the
-filter, the policy iteration and the gain search use F = A - L C.  On a
-stack of covariances, each product with a model matrix (A P, A P A^T,
-A P C^T) is one 2-D product over every member, and a one-output model
-solves by LAPACK's own 1x1 arithmetic in numpy, so neither makes a BLAS or
-LAPACK call per member and both keep the per-member bits.
+On a matrix model every gain and correction, here and in the Kalman
+filter, comes from one solve of the innovation covariance
+S = C P C^T + gamma R against C P A^T, ``_solve_innovation``.  Its
+transpose, the predictor gain L = A P C^T S^{-1}, is the only gain; the
+filter, the policy iteration and the gain search use F = A - L C.  A
+scalar step is ``sensing_kernel``, the map's one-step form with no
+subtraction, and the scalar filter takes L = c a / (c^2 + gamma r / p) on
+its own (``filtering``).  On a stack of covariances, each product with a
+model matrix (A P, A P A^T, A P C^T) is one 2-D product over every
+member, and a one-output model solves by LAPACK's own 1x1 arithmetic in
+numpy, so neither makes a BLAS or LAPACK call per member and both keep the
+per-member bits.
 
 Fixed points are solved, not iterated.  Once a gain L is fixed, the map
 phi_{lam,gamma}(L, X) = (1 - lam) A X A^T + lam (A - L C) X (A - L C)^T
@@ -151,71 +154,52 @@ def _gamma_grid(gammas) -> np.ndarray:
     return gammas
 
 
-def innovation_kernel(a: float, c: float, q: float, r: float, p: float, gamma: float, lam: float):
-    """Scalar ``innovation``: (l, a p a + q - lam (a p c) l), l = (c p a) / s.
+def sensing_kernel(a: float, c: float, q: float, r: float, p, gamma: float, lam):
+    """Scalar covariance step P' = lam a^2 gamma r / (c^2 + gamma r / p) + (1 - lam) a^2 p + q.
 
-    s = c p c + gamma r is computed once.  Every scalar step reads this one
-    expression, so they agree bit for bit; p and lam may be trial arrays.
-    Where a p a or s overflows, as at an overflowed p = +inf, the expression
-    would give inf - inf or inf / inf; ``_innovation_limit`` takes over.
-    The test reads whichever overflows first: s when |c| > |a|, else a p a,
-    where s overflows alone only if gamma r is near the float maximum and
-    the gain 0 is right.  c p, 0 * inf at c = 0 and p = +inf, comes after
-    the test.
+    The intermittent-observation map (Sinopoli et al., IEEE TAC 2004) in
+    its nonnegative one-step form: no term is subtracted, so nothing
+    cancels once c^2 p >> gamma r.  At p = 0 it gives q (gamma r / p is
+    +inf, a division by zero the caller silences, as numpy does on
+    np.float64 and arrays, so p is one of those).  At p = +inf it
+    gives a^2 gamma r / c^2 + q when c != 0 and lam = 1, and +inf when
+    c = 0 or lam < 1 (c = 0 divides by zero there too).  The open-loop
+    term is (a p) a, the bits of ``statespace.lyap_kernel``, and a term
+    whose weight is 0 is left out.
+
+    lam is the sensing probability, a float in [0, 1], or per trial an
+    arrival cap, an array broadcasting against p: 0 where the measurement
+    arrived and +inf where it was erased.  The cap raises gamma r / p to
+    +inf on an erased trial and lowers p to 0 on a sensing one, so each
+    trial keeps one term, bit for bit a lam = 1 step or an open-loop step.
     """
-    ap = a * p
-    apa = ap * a
-    sensed_first = abs(c) > abs(a)
-    if sensed_first:
-        cp = c * p
-        s = cp * c + gamma * r
-    top = s if sensed_first else apa
-    if (top.max() if isinstance(top, np.ndarray) else top) == math.inf:
-        return _innovation_limit(a, c, q, r, p, gamma, lam)
-    if not sensed_first:
-        cp = c * p
-        s = cp * c + gamma * r
-    gain = (cp * a) / s
-    return gain, apa + q - lam * ((ap * c) * gain)
-
-
-def _innovation_limit(a: float, c: float, q: float, r: float, p, gamma: float, lam: float):
-    """``innovation_kernel`` where a p a, or s = c p c + gamma r when |c| > |a|,
-    overflows to +inf.
-
-    Those entries take the form that stays finite as p -> inf: with
-    d = c^2 + gamma r / p, the gain (c a) / d and the covariance
-    a^2 lam gamma r / d + q + (1 - lam) a^2 p.  At p = +inf that is the gain
-    a/c and a^2 gamma r / c^2 + q at lam = 1, +inf at lam < 1.  With c = 0
-    nothing is sensed (gain 0, covariance +inf).  An array lam is taken
-    entry by entry.  The other entries keep ``innovation_kernel``'s bits:
-    they are picked by the kernel's own test, so they never come back here.
-    """
-    array = isinstance(p, np.ndarray) or isinstance(lam, np.ndarray)
-    big = np.isposinf((c * p) * c + gamma * r if abs(c) > abs(a) else a * p * a)
-    gain, p_next = innovation_kernel(a, c, q, r, np.where(big, 1.0, p), gamma, lam)
-    if c == 0.0:
-        top_gain, top = 0.0, math.inf
-    else:
-        p = np.where(big, p, 1.0)
-        d = c * c + gamma * r / p
-        top_gain, top = (c * a) / d, (a * a) * (lam * (gamma * r) / d) + q
-        if isinstance(lam, np.ndarray) or lam < 1.0:
-            # an entry at lam = 1 adds (0 * 0) a a, never 0 * inf
-            top = top + (1.0 - lam) * np.where(lam < 1.0, p, 0.0) * a * a
-    gain = np.where(big, top_gain, gain)
-    p_next = np.where(big, top, p_next)
-    return (gain, p_next) if array else (float(gain), float(p_next))
+    gr = gamma * r
+    if isinstance(lam, np.ndarray):
+        sensed = np.maximum(gr / p, lam)
+        sensed += c * c
+        np.divide((a * a) * gr, sensed, out=sensed)
+        erased = np.minimum(p, lam)
+        erased *= a
+        erased *= a
+        sensed += erased
+        sensed += q
+        return sensed
+    p_next = q
+    if lam < 1.0:
+        p_next = (1.0 - lam) * ((a * p) * a) + p_next
+    if lam > 0.0:
+        p_next = lam * ((a * a) * gr / (c * c + gr / p)) + p_next
+    return p_next
 
 
 def riccati_kernel(a: float, c: float, q: float, r: float, p: float, gamma: float) -> float:
     """Scalar one-step covariance update with measurement gain gamma."""
-    return innovation_kernel(a, c, q, r, p, gamma, 1.0)[1]
+    return sensing_kernel(a, c, q, r, np.float64(p), gamma, 1.0)
 
 
 def bs_kernel(a: float, c: float, q: float, r: float, p: float, lam: float) -> float:
     """Scalar erasure-averaged covariance step (sensing probability lam)."""
-    return innovation_kernel(a, c, q, r, p, 1.0, lam)[1]
+    return sensing_kernel(a, c, q, r, np.float64(p), 1.0, lam)
 
 
 def _solve_innovation(model: GaussMarkovModel, p: np.ndarray, gamma):
@@ -269,15 +253,15 @@ def _step(model: GaussMarkovModel, p: np.ndarray, gamma, lam) -> np.ndarray:
     ``gamma_mb``.
 
     lam = 0 or gamma = infinity takes the open-loop step A P A^T + Q
-    (``lyapunov_step`` at alpha = 1), a scalar model ``innovation_kernel``,
-    and a matrix model, whose p may be a stack (n, m, m), one
+    (``lyapunov_step`` at alpha = 1), a scalar model ``sensing_kernel`` on
+    the np.float64 entry of its 1x1 P, and a matrix model, whose p may be a stack (n, m, m), one
     ``_solve_innovation``.
     """
     if lam == 0.0 or math.isinf(gamma):
         return lyapunov_step(model, p, 1.0)
     if model.is_scalar:
-        a, c, q, r = model.scalars()
-        return np.array([[innovation_kernel(a, c, q, r, float(p[0, 0]), gamma, lam)[1]]])
+        with np.errstate(divide="ignore"):
+            return np.array([[sensing_kernel(*model.scalars(), p[0, 0], gamma, lam)]])
     return _corrected(model, p, _solve_innovation(model, p, gamma), lam)
 
 
@@ -389,7 +373,7 @@ def _scalar_root(a: float, c: float, q: float, r: float, lam, gamma):
     Clearing the denominator of v = a^2 v + q - lam a^2 c^2 v^2 / (c^2 v + gamma r)
     gives c^2 (1 - (1 - lam) a^2) v^2 + (gamma r (1 - a^2) - q c^2) v - gamma q r = 0,
     whose positive root is taken in the form without cancellation.  lam and
-    gamma are floats, or arrays of a grid, as in ``innovation_kernel``: one
+    gamma are floats, or arrays of a grid: one
     expression serves a threshold's one-point probe on float arithmetic and
     a whole grid, with the same operations in the same order.  A divergent
     entry of an array comes out as nan or inf (the caller silences numpy).

@@ -311,8 +311,8 @@ def lyap_kernel(a: float, q: float, s: float, alpha: float) -> float:
     """Scalar step of the scaled Lyapunov recursion (shared float kernel).
 
     The scalar trial engine's step when no trial senses (erased trials of a
-    masked step get its bits from ``innovation_kernel``, lam = 0), on
-    floats or trial arrays; ``lyapunov_step`` rounds the same on 1x1.
+    masked ``riccati.sensing_kernel`` step get its bits), on floats or
+    trial arrays; ``lyapunov_step`` rounds the same on 1x1.
     """
     return alpha * ((a * s) * a) + q
 

@@ -13,8 +13,9 @@ uniforms, the process noise and the measurement noise.
 A filter trial runs two loops on those draws.  The per-step loop steps the
 truth, the measurements, the covariances and the estimate recursion
 shat_{i+1} = A shat_i + L_i (z_i - C shat_i), with the predictor gain L_i
-and P_{i+1} of one engine innovation computation (``riccati.innovation``,
-or ``innovation_kernel`` on scalar models).  The error loop then steps
+and P_{i+1} as the engine takes them: one ``riccati.innovation`` on
+matrix models, and on scalar models L_i = c a / (c^2 + g r / P_i) beside
+``riccati_kernel``'s one-step form.  The error loop then steps
 e_{i+1} = alpha_i e_i + u_i with alpha_i = A - L_i C and
 u_i = w_i - L_i sqrt(g) v_i, L_i zero where z_i did not arrive, in the
 engine's expressions; the estimate is s_i - e_i and the distortion
@@ -25,8 +26,9 @@ equality.
 
 The per-step loop's own estimates carry the raw state, whose rounding
 grows with |s_i|; ``truth_estimate`` runs the same recursion in any dtype
-(``np.longdouble`` for unstable models), and ``rounding_bound`` bounds
-how far the error loop and such a recursion may drift apart.
+(``np.longdouble`` for unstable matrix models), and ``rounding_bound``
+bounds how far the error loop and such a recursion may drift apart.
+Scalar models are checked against the exact recursion of ``exact_reference``.
 
 The per-step filter API (``FilterState``, ``kalman_gain``,
 ``measurement_update``, ``kalman_step``) lives here: only the tests use it.
@@ -43,7 +45,7 @@ import numpy as np
 
 from jcas_lab.errors import DimensionError, NumericalError, ParameterError
 from jcas_lab.filtering import Trajectory, draw_generators
-from jcas_lab.riccati import innovation, innovation_kernel, riccati_kernel, riccati_step
+from jcas_lab.riccati import innovation, riccati_kernel, riccati_step
 from jcas_lab.statespace import (
     GaussMarkovModel,
     as_matrix,
@@ -164,6 +166,8 @@ def centered_mean(values: list):
 def _std_error(values, trials: int) -> float:
     if trials == 1:
         return math.inf
+    if np.min(values) == np.max(values):
+        return 0.0
     return float(np.std(values, ddof=1) / math.sqrt(trials))
 
 
@@ -174,11 +178,12 @@ def covariance_trial(model, arrivals, p0):
     track = np.empty(horizon + 1)
     if model.is_scalar:
         a, c, q, r = model.scalars()
-        p = float(p0[0, 0])
+        p = p0[0, 0]
         track[0] = p
-        for j in range(horizon):
-            p = riccati_kernel(a, c, q, r, p, 1.0) if arrivals[j] else lyap_kernel(a, q, p, 1.0)
-            track[j + 1] = p
+        with np.errstate(divide="ignore"):
+            for j in range(horizon):
+                p = riccati_kernel(a, c, q, r, p, 1.0) if arrivals[j] else lyap_kernel(a, q, p, 1.0)
+                track[j + 1] = p
         return np.array([[p]]), track
     p = p0
     track[0] = float(np.trace(p))
@@ -252,10 +257,15 @@ def filter_trial(model, policy, horizon, s0_estimate, p0, seed) -> Trajectory:
 
 
 def _sense(model, p, g):
-    """(L, P') of one engine innovation computation, as (m, k) and (m, m) matrices."""
+    """(L, P') of one sensing step as the engine takes them, as (m, k) and
+    (m, m) matrices: on a scalar model L = c a / (c^2 + g r / P), 0 when
+    c = 0, and ``riccati_kernel``; on a matrix model one ``innovation``."""
     if model.is_scalar:
-        gain, p_next = innovation_kernel(*model.scalars(), float(p[0, 0]), g, 1.0)
-        return np.array([[gain]]), np.array([[p_next]])
+        a, c, q, r = model.scalars()
+        p = p[0, 0]
+        with np.errstate(divide="ignore"):
+            gain = 0.0 if c == 0.0 else c * a / (c * c + g * r / p)
+            return np.array([[gain]]), np.array([[riccati_kernel(a, c, q, r, p, g)]])
     return innovation(model, p, g)
 
 

@@ -86,6 +86,37 @@ BENCH_2X2 = {
 
 
 class TestSubcommands:
+    def test_reproduce_fig4_counts_every_file(self, tmp_path, capsys):
+        # the count printed is the count written, fig4_summary.txt included
+        assert main(["reproduce", "fig4", "--out", str(tmp_path)]) == 0
+        printed = int(capsys.readouterr().out.split("fig4: wrote ")[1].split()[0])
+        written = [path for path in tmp_path.iterdir() if path.name.startswith("fig4_")]
+        assert printed == len(written) == 17
+
+    def test_back_to_back_calls_share_one_parser(self, tmp_path):
+        # main parses every call with the parser built once per process;
+        # each call still gets its own namespace, so a flag of one call
+        # does not reach the next
+        import jcas_lab.cli as cli
+
+        cfg = str(write_config(tmp_path / "cfg.json"))
+        runs = {
+            "seeded": ["filter-sim", "--config", cfg, "--seed", "7"],
+            "riccati": ["riccati", "--config", cfg, "--strict"],
+            "default": ["filter-sim", "--config", cfg],
+            "fig3": ["reproduce", "fig3"],
+        }
+        for name, argv in runs.items():
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0, name
+        assert cli.build_parser() is cli.build_parser()
+        seeded, default = ((tmp_path / name / "trajectory.csv").read_text() for name in ("seeded", "default"))
+        assert "seed=7" in seeded.split("\n")[0] and "seed=4242" in default.split("\n")[0]
+        assert seeded != default
+        assert sorted(p.name for p in (tmp_path / "riccati").iterdir()) == [
+            "riccati_fixed_points.csv", "riccati_thresholds.csv",
+        ]
+        assert (tmp_path / "fig3" / "fig3_summary.txt").exists()
+
     def test_riccati_outputs(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "out"
@@ -751,9 +782,9 @@ class TestOutputDirResolution:
 #: distortions of the simulated error (shat = s - e, d = |e|^2); a change of
 #: the draws or of the error recursion moves them
 TRAJECTORY_SHA256 = {
-    "scalar_unstable_switching": "d9944162f7b47308c0a83247e09ba5462ddc20ea526b5efe1dd4619a1224ccc5",
+    "scalar_unstable_switching": "27511dc2466037fcfb727962965f5e19f653a042d1b1c08ae4378cb165ff3839",
     "2x2_switching": "99aa87b4a11c287b7aa179a0a46a4242240008a7ec0faa288b1b7a3f18578889",
-    "scalar_unstable_switching_5000": "6dfdfc1717682382454841f5d86ad51121683b87eaba27f6f9f6915b76d6b5ef",
+    "scalar_unstable_switching_5000": "2438e4d83170e25164639407d4c24afcc318bf534f8b3d04a5accfcb4af2a963",
 }
 
 TRAJECTORY_CONFIGS = {
@@ -768,8 +799,8 @@ OUTPUT_DIR_SHA256 = {
     "reproduce_fig3": "9e393be983489b8fc3f124e85717a2a044f25e0071df182393c79f71ca1ece00",
     "reproduce_fig4": "d24ffa321922a0357158733031c5cce7f2499de6cdf0426bc17c3f179baa17d5",
     "reproduce_fig4_bits": "146a238f6e1769ff3321b7f3671b583b82d7d1f2903a1cb20bd8783307290995",
-    "mc_verify_2x2": "f42899c5d76d01acdef53768f5995c805c3d2aebaa2ad99c36b877a32bebf770",
-    "mc_verify_scalar_unstable": "e8c13a8bc28d30858704e65aae8b31251e63b9f9e96a5f9d1c80ef6f4e5d304f",
+    "mc_verify_2x2": "91847a10d21c72215760a20877e4c1f9d31f0ddf96d802ff9e665c23b39d4e18",
+    "mc_verify_scalar_unstable": "8ada7f017397989ab78157d6172818b03c377a0462150af9218f07d87664c662",
     "rd_curve_gaussian_bits": "bfd4bd273946f420cd13737d9f448ba356e1bd5e126490c05b956f8bb03113a6",
     "rd_curve_2x2": "8bdde88bf4037a6d90e1315971ae7b79464efc5b8932bae4a6763ce93dd25ff0",
     "rd_curve_noiseless": "64e2fcf538b7b361a772103b543790d91b86b9fe41a649225424b96cc3cc4202",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from jcas_lab.filtering import run_filter
 from jcas_lab.riccati import BeamPolicy, gamma_bs, innovation, iterate_map, mb_fixed_point, riccati_step
 from jcas_lab.statespace import GaussMarkovModel, lyapunov_step
 
+import exact_reference
 import mc_reference
 from conftest import BENCH_2X2, random_psd
 from mc_reference import PREDICTED, FilterState, kalman_gain, kalman_step, measurement_update
@@ -183,17 +185,29 @@ class TestErrorRecursion:
     )
     def test_unstable_matches_extended_precision(self, model, policy):
         # at 150 steps |s_i| reaches about 1.15^150 = 1e9: float64 truth and
-        # estimate keep about 7 digits of their difference, np.longdouble
-        # about 10, and the error loop all of them
+        # estimate keep about 7 digits of their difference, and the error
+        # loop all of them.  A scalar trial is held to the exact recursion
+        # of exact_reference (unit 0, plus the rounding of the exact error
+        # to a float), since np.longdouble is plain double on some
+        # platforms; the matrix one to np.longdouble, about 10 digits.
         s0, p0 = np.full(model.m, 0.5), np.eye(model.m)
-        unit = np.finfo(np.longdouble).epsneg
         for ref in mc_reference.filter_trials(model, policy, 150, 3, s0, p0, 43):
-            s, est, z = mc_reference.truth_estimate(model, ref, s0)
-            bound = mc_reference.rounding_bound(model, ref, s, est, z, unit)
-            assert np.all(np.abs(ref.errors - (s - est)) <= bound)
+            if model.is_scalar:
+                a, c = model.scalars()[:2]
+                s, est, exact = exact_reference.truth_estimate(a, c, ref.gains, ref.drive, ref.noise, s0[0])
+                s, est = s[:, None], est[:, None]
+                truth = np.array([float(x) for x in exact])[:, None]
+                z = s @ model.C.T + ref.noise
+                bound = mc_reference.rounding_bound(model, ref, s, est, z, 0.0)
+                bound += np.finfo(float).epsneg * np.abs(truth)
+            else:
+                s, est, z = mc_reference.truth_estimate(model, ref, s0)
+                truth = s - est
+                bound = mc_reference.rounding_bound(model, ref, s, est, z, np.finfo(np.longdouble).epsneg)
+            assert np.all(np.abs(ref.errors - truth) <= bound)
             # the bound is tight enough to reject the float64 raw-state loop
             loop = ref.trajectory.states - ref.loop_estimates
-            assert np.any(np.abs(loop - (s - est)) > bound)
+            assert np.any(np.abs(loop - truth) > bound)
 
 
 class TestKalmanGain:
@@ -387,22 +401,57 @@ class TestInnovationSolve:
                 assert bound <= 1e-10 * np.linalg.norm(gain)
 
     def test_scalar_kernel_matches_matrix_solve(self):
-        # a 1x1 model through innovation and through innovation_kernel: a
-        # one-output solve with one right-hand column is a plain division
-        # (no LAPACK call), in the kernel's own expression order, so the gain
-        # and P' agree bit for bit
+        # a 1x1 model through innovation, the matrix path that subtracts the
+        # correction from a p a + q, and through the scalar filter's steps,
+        # the one-step form of sensing_kernel and the gain
+        # c a / (c^2 + gamma r / p): the two forms round differently by
+        # design, so each is held to the exact step of its float inputs.
+        # Counting roundings (Higham's gamma_n): the scalar P' takes 8 of
+        # nonnegative terms (TestExactStep in test_riccati) and the scalar
+        # gain 5 (gamma r, / p, c^2, the sum, c a, the quotient); the
+        # matrix gain 6 (c p, c p a, gamma r, c p c, the sum, the quotient)
+        # and its P' 10, of terms a p a + q and |a p c L| that cancel.
         rng = np.random.default_rng(11)
         for _ in range(500):
             a, c = rng.uniform(-2.0, 2.0, 2)
             q, r, p = rng.uniform(0.01, 5.0, 3)
             gamma = float(rng.choice([1.0, 2.5, 40.0]))
             model = GaussMarkovModel.scalar(a, c, q, r)
-            gain, p_next = riccati.innovation_kernel(a, c, q, r, p, gamma, 1.0)
+            gains = np.empty((1, 1, 1))
+            _, p_next = filtering._ScalarSteps(model).segment(np.float64(p), [True], gamma, gains)
+            gain = gains[0, 0, 0]
+            exact_next = exact_reference.step(a, c, q, r, p, gamma, 1.0)
+            exact_gain = exact_reference.gain(a, c, r, p, gamma)
+            assert abs(Fraction(float(p_next)) - exact_next) <= exact_reference.unit_bound(8) * exact_next
+            assert abs(Fraction(gain) - exact_gain) <= exact_reference.unit_bound(5) * abs(exact_gain)
             mat_gain, mat_next = innovation(model, np.array([[p]]), gamma)
-            assert mat_gain[0, 0] == gain
-            assert mat_next[0, 0] == p_next
+            assert abs(Fraction(mat_gain[0, 0]) - exact_gain) <= exact_reference.unit_bound(6) * abs(exact_gain)
+            scale = Fraction(a * a * p + q) + abs(Fraction(a * p * c) * exact_gain)
+            assert abs(Fraction(mat_next[0, 0]) - exact_next) <= exact_reference.unit_bound(10) * scale
             # the gain is the predictor gain a K of the oracle's filter gain K
             assert abs(a * kalman_gain(model, [[p]], gamma)[0, 0] - gain) <= 4 * np.spacing(abs(gain))
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 1e4])
+    def test_scalar_gains_within_rounding_of_exact(self, gamma):
+        # L = c a / (c^2 + gamma r / p), 5 roundings (gamma r, / p, c^2, the
+        # sum, c a, the quotient), needs no special case: 0 at p = 0 and
+        # (c a) / c^2, within gamma_3 of a / c, at p = +inf; c = 0 senses
+        # nothing, gain 0.  p runs over 0, 1e-300 .. 1e300 and +inf.
+        p = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 61), [math.inf]])[:, None]
+        for a, c in ((-1.15, 1.0), (-0.95, 1.0), (3.0, 1e3), (-1.15, 0.0)):
+            steps = filtering._ScalarSteps(GaussMarkovModel.scalar(a, c, 0.2, 1.5))
+            gains = np.empty((1,) + p.shape)
+            with np.errstate(divide="ignore"):
+                steps.segment(p, [True], gamma, gains)
+            gains = gains[0, :, 0]
+            assert gains[0] == 0.0 and not np.isnan(gains).any()
+            if not c:
+                assert (gains == 0.0).all()
+                continue
+            assert abs(gains[-1] - a / c) <= exact_reference.unit_bound(3) * abs(a / c)
+            for value, gain in zip(p[1:-1, 0], gains[1:-1]):
+                exact = exact_reference.gain(a, c, 1.5, value, gamma)
+                assert abs(Fraction(gain) - exact) <= exact_reference.unit_bound(5) * abs(exact)
 
 
 class TestKalmanStep:

@@ -151,6 +151,30 @@ def test_centered_mean_adds_in_trial_order(shape):
     assert np.asarray(montecarlo._centered_mean(values)).tobytes() == np.asarray(want).tobytes()
 
 
+class TestFarBelowCritical:
+    """Cells far below the critical lam, where runs of hundreds of erasures
+    leave P huge before a sensing step.  The subtracted step cancelled
+    there: on (3, 1e3) at lam = 0.01 it gave negative covariances and 463
+    of 801 per-step means were nan, and on a = -1.15 it returned 0 once P
+    passed 1e17, about 146 erasures in a row.  The one-step form keeps
+    every covariance at least q, and a mean is finite wherever no trial's
+    open-loop run overflowed (9^323 does on a = 3)."""
+
+    @pytest.mark.parametrize("a, c, horizon", [(3.0, 1e3, 800), (-1.15, 1.0, 2000)])
+    def test_every_covariance_at_least_q(self, a, c, horizon):
+        model = GaussMarkovModel.scalar(a, c, 0.2, 1.5)
+        with np.errstate(over="ignore"):
+            rep = expected_covariance_mc(model, 0.01, horizon, 50, seed=1, per_step=True, critical=math.nan)
+            cell = filtering.covariance_trials(model, 0.01, horizon, 50, 1, model.Q)
+            traces = np.array([np.trace(p, axis1=1, axis2=2) for p in cell])
+        # the cell holds the long erasure runs that broke the subtracted form
+        assert traces.max() > 1e17
+        # nan >= q is False, so neither a nan nor a negative covariance passes
+        assert (traces >= 0.2).all()
+        assert (rep.per_step_mean >= 0.2).all()
+        assert np.isfinite(rep.per_step_mean[np.isfinite(traces).all(axis=1)]).all()
+
+
 class TestBlockDistortion:
     def test_noiseless_perfect_init(self):
         model = GaussMarkovModel.scalar(-0.95, 1.0, 0.0, 1e-12)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from jcas_lab.statespace import (
 )
 from jcas_lab.tradeoff import ChannelSpec, bs_curve, mb_curve
 
+import exact_reference
 import riccati_reference as ref
 from riccati_reference import trace_or_inf
 from conftest import quad_mb_root, random_psd, record_solves, rounding_gamma, scaled_lyap_root, stein_error_bound
@@ -150,7 +152,7 @@ def step_model(m: int) -> GaussMarkovModel:
 class TestStepDispatch:
     """Each public covariance step equals, bit for bit, the kernel of its
     branch: the open-loop ``lyapunov_step`` at lam = 0 or gamma = inf,
-    ``innovation_kernel`` on a scalar model, ``innovation`` on a matrix one."""
+    ``sensing_kernel`` on a scalar model, ``innovation`` on a matrix one."""
 
     @staticmethod
     def branch_kernel(model, p, gamma, lam):
@@ -158,7 +160,7 @@ class TestStepDispatch:
             return lyapunov_step(model, p, 1.0)
         if model.is_scalar:
             a, c, q, r = model.scalars()
-            return np.array([[riccati.innovation_kernel(a, c, q, r, p[0, 0], gamma, lam)[1]]])
+            return np.array([[riccati.sensing_kernel(a, c, q, r, p[0, 0], gamma, lam)]])
         return riccati.innovation(model, p, gamma, lam)[1]
 
     @pytest.mark.parametrize("m", range(1, 9))
@@ -174,15 +176,18 @@ class TestStepDispatch:
             assert bits(gamma_bs(p, lam, model)) == bits(self.branch_kernel(model, p, 1.0, lam))
 
 
+def arrival_caps(mask):
+    """The kernel's arrival caps: 0 where the measurement arrived, +inf where erased."""
+    return np.where(mask, 0.0, math.inf)
+
+
 class TestOverflowedCovariance:
-    """The scalar kernels at an overflowed p = +inf take the limit as p -> inf."""
+    """The scalar step at an overflowed p = +inf takes the limit as p -> inf."""
 
     def test_riccati_step_limit(self):
-        # gain a/c and covariance a^2 gamma r / c^2 + q, where the plain
-        # expression gives inf / inf
+        # a^2 gamma r / c^2 + q, where a p a + q - (a p c)^2 / s gave inf / inf
         for gamma in (1.0, 2.0):
-            gain, p_next = riccati.innovation_kernel(1e30, 2.0, 0.2, 1.5, math.inf, gamma, 1.0)
-            assert gain == 1e30 / 2.0
+            p_next = riccati.sensing_kernel(1e30, 2.0, 0.2, 1.5, np.float64(math.inf), gamma, 1.0)
             assert p_next == pytest.approx(1e60 * gamma * 1.5 / 4.0 + 0.2, rel=1e-15)
         assert riccati.riccati_kernel(1e30, 1.0, 0.2, 1.5, math.inf, 1.0) == pytest.approx(1.5e60)
 
@@ -191,69 +196,123 @@ class TestOverflowedCovariance:
         assert riccati.bs_kernel(-1.15, 1.0, 0.2, 1.5, math.inf, 0.99) == math.inf
 
     def test_unobserved_model(self):
-        assert riccati.innovation_kernel(-1.15, 0.0, 0.2, 1.5, math.inf, 1.0, 1.0) == (0.0, math.inf)
+        # c = 0 senses nothing: c^2 + gamma r / p is 0 at p = +inf
+        with np.errstate(divide="ignore"):
+            for lam in (0.0, 0.5, 1.0):
+                assert riccati.bs_kernel(-1.15, 0.0, 0.2, 1.5, math.inf, lam) == math.inf
 
     def test_finite_entries_keep_their_bits(self):
         a, c, q, r = -1.15, 0.7, 0.2, 1.5
         finite = np.array([[0.0], [1e-3], [1.0], [37.5], [1e12]])
-        for gamma, lam in ((1.0, 1.0), (2.5, 1.0), (1.0, 0.4)):
-            alone = riccati.innovation_kernel(a, c, q, r, finite, gamma, lam)
-            mixed = riccati.innovation_kernel(a, c, q, r, np.vstack([finite, [[math.inf]]]), gamma, lam)
-            for got, want in zip(mixed, alone):
-                assert np.array_equal(got[:-1], want)
-            for i, p in enumerate(finite[:, 0]):
-                cp, ap = c * float(p), a * float(p)
-                s = cp * c + gamma * r
-                plain = ((cp * a) / s, ap * a + q - lam * ((ap * c) * ((cp * a) / s)))
-                assert riccati.innovation_kernel(a, c, q, r, float(p), gamma, lam) == plain
-                assert (alone[0][i, 0], alone[1][i, 0]) == plain
+        with np.errstate(divide="ignore"):
+            for gamma, lam in ((1.0, 1.0), (2.5, 1.0), (1.0, 0.4)):
+                alone = riccati.sensing_kernel(a, c, q, r, finite, gamma, lam)
+                mixed = riccati.sensing_kernel(a, c, q, r, np.vstack([finite, [[math.inf]]]), gamma, lam)
+                assert bits(mixed[:-1]) == bits(alone)
+                for i, p in enumerate(finite[:, 0]):
+                    gr = gamma * r
+                    sensed = lam * ((a * a) * gr / (c * c + gr / p))
+                    plain = sensed + ((1.0 - lam) * ((a * p) * a) + q) if lam < 1.0 else sensed + q
+                    assert riccati.sensing_kernel(a, c, q, r, p, gamma, lam) == plain
+                    assert alone[i, 0] == plain
 
     def test_overflowed_innovation_takes_the_limit(self):
-        # with |c| > |a|, s = c p c + gamma r overflows while a p a does not;
-        # the sensing step then takes the limit form: gain (c a) / d and
-        # a^2 gamma r / d + q with d = c^2 + gamma r / p, near a / c and
-        # a^2 gamma r / c^2 + q (it gave nan, or gain 0 and a p a + q)
+        # with |c| > |a|, s = c p c + gamma r overflowed while a p a did not,
+        # and the subtracted form gave nan, or 0 and a p a + q; the one-step
+        # form stays near a^2 gamma r / c^2 + q without a special case
         a, c, q, r = 1.2, 3.0, 0.2, 1.5
         for p in (2e307, 1e308, 1.7e308, math.inf):
-            gain, p_next = riccati.innovation_kernel(a, c, q, r, p, 1.0, 1.0)
-            assert gain == pytest.approx(a / c, rel=1e-15)
+            p_next = riccati.riccati_kernel(a, c, q, r, p, 1.0)
             assert p_next == pytest.approx(a * a * r / (c * c) + q, rel=1e-15)
-        # on a masked trial array a sensed entry takes the limit, an erased
-        # one the open-loop step's bits, and a finite one the plain step's
+        # on a masked trial array a sensed entry takes the lam = 1 step's
+        # bits and an erased one the open-loop step's
         p = np.repeat([1.0, 2e307, 5e307, 1e308, 1.7e308], 2)[:, None]
         mask = np.arange(p.size)[:, None] % 2 == 1
         with np.errstate(over="ignore"):
-            gain, p_next = riccati.innovation_kernel(a, c, q, r, p, 1.0, mask)
+            p_next = riccati.sensing_kernel(a, c, q, r, p, 1.0, arrival_caps(mask))
             erased = statespace.lyap_kernel(a, q, p, 1.0)
-        d = c * c + r / p[2:]
-        assert bits(gain[2:]) == bits(c * a / d)
-        assert bits(p_next[2:][mask[2:]]) == bits(((a * a) * (r / d) + q)[mask[2:]])
+        sensed = riccati.sensing_kernel(a, c, q, r, p, 1.0, 1.0)
+        assert bits(p_next[mask]) == bits(sensed[mask])
         assert bits(p_next[~mask]) == bits(erased[~mask])
-        plain_gain, plain_next = riccati.innovation_kernel(a, c, q, r, 1.0, 1.0, 1.0)
-        assert bits(gain[:2]) == bits([plain_gain, plain_gain])
-        assert p_next[1, 0] == plain_next
 
     @pytest.mark.parametrize("a, c", [(-1.15, 0.7), (1e30, 1.0), (1e30, 2.0), (-1.15, 0.0)])
     def test_arrival_mask_picks_entry_by_entry(self, a, c):
-        # lam as a 0/1 mask: a 1 entry has the sensing step's bits, a 0 entry
-        # the open-loop step's, from finite p through overflow to +inf
+        # lam as arrival caps: a 0 cap has the sensing step's bits, a +inf
+        # cap the open-loop step's, from p = 0 through overflow to +inf
         q, r = 0.2, 1.5
         values = np.array([0.0, 1e-3, 37.5, 1e12, 1e308, math.inf])
         p = np.repeat(values, 2)[:, None]
         alternating = np.arange(p.size)[:, None] % 2 == 1
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             for gamma in (1.0, 2.5):
-                sensed_gain, sensed = riccati.innovation_kernel(a, c, q, r, p, gamma, 1.0)
+                sensed = riccati.sensing_kernel(a, c, q, r, p, gamma, 1.0)
                 erased = statespace.lyap_kernel(a, q, p, 1.0)
                 for mask in (alternating, ~alternating, np.full(p.shape, True), np.full(p.shape, False)):
-                    gain, p_next = riccati.innovation_kernel(a, c, q, r, p, gamma, mask)
-                    assert bits(gain) == bits(sensed_gain)
+                    p_next = riccati.sensing_kernel(a, c, q, r, p, gamma, arrival_caps(mask))
                     assert bits(p_next) == bits(np.where(mask, sensed, erased))
-                # a p shared by every trial broadcasts against the mask
+                # a p shared by every trial broadcasts against the caps
                 for i, value in enumerate(values):
-                    _, p_next = riccati.innovation_kernel(a, c, q, r, float(value), gamma, alternating)
+                    p_next = riccati.sensing_kernel(a, c, q, r, value, gamma, arrival_caps(alternating))
                     pick = np.where(alternating, sensed[2 * i], erased[2 * i])
                     assert bits(p_next) == bits(pick)
+
+
+class TestExactStep:
+    """``sensing_kernel`` against the exact rational step of its float inputs
+    (``exact_reference.step``) over p from 1e-300 to 1e300, 0 and +inf.
+
+    Each P' is a chain of roundings of sums, products and quotients of
+    nonnegative numbers: on a sensing trial gamma r (1), gamma r / p (2),
+    c^2 (1) and their sum (3), a^2 gamma r (3), the quotient (7) and + q
+    (8); a fractional lam adds one for lam * (.) and (1 - lam) (a p) a + q
+    takes 5; so each P' is within gamma_9 of the exact one, relatively,
+    with no subnormal on this grid.
+    """
+
+    MODELS = {
+        "unstable": (-1.15, 1.0, 0.2, 1.5),
+        "stable": (-0.95, 1.0, 0.2, 1.5),
+        "wide-c": (3.0, 1e3, 0.2, 1.5),
+        "unobserved": (-1.15, 0.0, 0.2, 1.5),
+    }
+    P = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 61), [math.inf]])
+
+    @staticmethod
+    def check(got, a, c, q, r, p, gamma, lam):
+        got = float(got)
+        assert not math.isnan(got) and got >= q
+        exact = exact_reference.step(a, c, q, r, p, gamma, lam)
+        if exact == math.inf:
+            assert got == math.inf
+        else:
+            assert abs(Fraction(got) - exact) <= exact_reference.unit_bound(9) * exact
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("gamma", [1.0, 2.0, 1e4])
+    def test_grid_within_rounding_of_exact(self, name, gamma):
+        a, c, q, r = self.MODELS[name]
+        p = self.P[:, None]
+        mask = np.arange(len(p))[:, None] % 3 != 0
+        with np.errstate(divide="ignore"):
+            for lam in (0.0, 0.3, 0.7, 1.0):
+                for value, got in zip(p[:, 0], riccati.sensing_kernel(a, c, q, r, p, gamma, lam)[:, 0]):
+                    self.check(got, a, c, q, r, value, gamma, lam)
+            masked = riccati.sensing_kernel(a, c, q, r, p, gamma, arrival_caps(mask))
+        for value, arrived, got in zip(p[:, 0], mask[:, 0], masked[:, 0]):
+            self.check(got, a, c, q, r, value, gamma, 1.0 if arrived else 0.0)
+
+    def test_erasure_run_then_sensing(self):
+        # an open-loop run of n steps, then one sensing step: the subtracted
+        # form gave 0 from p = 1e17 on and negative values on (3, 1e3)
+        for a, c, q, r in (self.MODELS["unstable"], self.MODELS["wide-c"]):
+            run = exact_reference.open_loop_run(a, q, q, 600)
+            p = q
+            for n in range(600):
+                p = statespace.lyap_kernel(a, q, p, 1.0)
+                if p == math.inf:
+                    break
+                assert abs(Fraction(p) - run[n + 1]) <= exact_reference.unit_bound(3 * (n + 1)) * run[n + 1]
+                self.check(riccati.riccati_kernel(a, c, q, r, p, 1.0), a, c, q, r, p, 1.0, 1.0)
 
 
 class TestFixedPoints:
