@@ -44,9 +44,9 @@ with the arrival bits as lam.  On a scalar model each step is one
 P_{i+1}, and the gains L_i = c a / (c^2 + g r / P_i) of the whole
 segment follow in three array operations on the stored covariances; on a
 matrix model each step takes L_i and P_{i+1} = A P_i A^T + Q - m_i L_i C
-P_i A^T from one ``riccati.innovation`` call.  The segment then masks
-each gain by its arrival bit, forms alpha_i and u_i as whole-segment
-arrays, and runs the error pass.
+P_i A^T from one ``riccati.innovation`` call.  The segment then
+multiplies each gain by its arrival bit, forms alpha_i and u_i as
+whole-segment arrays, and runs the error pass.
 Under a multi-beam policy every trial shares one covariance and gain path.
 ``montecarlo.empirical_block_distortion`` keeps only |e_i|^2;
 ``run_filter`` is the recursion with one trial, rebuilds the truth
@@ -56,8 +56,9 @@ the yielded noise rows and writes shat_i = s_i - e_i.
 covariances of the same pass.  Covariances are np.float64 or ``(trials, 1)``
 arrays for scalar models, ``(m, m)`` matrices or ``(trials, m, m)``
 stacks otherwise.  Each trial equals, bit for bit, the per-trial loops in
-``tests/mc_reference.py``.  The noise transform is one matrix product per
-time step, so it rounds alike in any chunking.
+``tests/mc_reference.py``.  The noise transform is one product per time
+step (on scalar models a multiply by the scalar root), so it rounds alike
+in any chunking.
 
 Memory: a filter run holds its four generators and time-major buffers of
 ``SEGMENT`` + 1 steps for the errors, the noise, the gains and the raw
@@ -164,7 +165,8 @@ class _ScalarSteps:
     ``coefficients`` gives a segment's alpha_i = a - L_i c, over its masked
     gains L_i, and u_i = w_i - L_i sqrt(g) v_i, into the buffer ``u``;
     ``product`` applies alpha_i to an error, whose trailing ``column`` axes
-    it sets.
+    it sets, and a noise root to raw draws: a multiply here, a matrix
+    product on matrix models.
     """
 
     column = ()
@@ -332,10 +334,10 @@ def _recursion(model, policy, horizon: int, trials: int, seed: int, s0, p0):
             uniforms = arrival.random(out=raw[:rows * trials].reshape(rows, trials))
             np.less(uniforms, policy.value, out=present[1:rows + 1])
         ws = drive[1:rows + 1]
-        np.matmul(process.standard_normal(out=raw[:ws.size].reshape(ws.shape)), lq, out=ws)
+        steps.product(process.standard_normal(out=raw[:ws.size].reshape(ws.shape)), lq, out=ws)
         if sensed:
             vs = noise[1:rows + 1]
-            np.matmul(measurement.standard_normal(out=raw[:vs.size].reshape(vs.shape)), lr, out=vs)
+            steps.product(measurement.standard_normal(out=raw[:vs.size].reshape(vs.shape)), lr, out=vs)
             np.multiply(noise_gain, vs, out=vs)
         if not switching:
             arrivals = [sensed] * rows
@@ -350,7 +352,10 @@ def _recursion(model, policy, horizon: int, trials: int, seed: int, s0, p0):
         with np.errstate(divide="ignore"):
             covariances = steps.segment(p, arrivals, g, gains[:rows])
         p = covariances[-1]
-        gains[:rows][~present[:rows, :width]] = 0.0
+        # m_i L_i as a multiply: a masked write branches on a random mask and
+        # is several times slower
+        arrived = present[:rows, :width].reshape((rows, width) + (1,) * len(steps.gain_shape))
+        np.multiply(gains[:rows], arrived, out=gains[:rows])
         # the error pass e_{i+1} = alpha_i e_i + u_i; u_i reuses the raw draws' buffer
         u = raw[:ws.size].reshape((rows, trials, model.m) + steps.column)
         alpha, u = steps.coefficients(gains[:rows], ws, noise[:rows], u)

@@ -11,16 +11,18 @@ Two one-step covariance maps drive everything here:
 
 On a matrix model every gain and correction, here and in the Kalman
 filter, comes from one solve of the innovation covariance
-S = C P C^T + gamma R against C P A^T, ``_solve_innovation``.  Its
-transpose, the predictor gain L = A P C^T S^{-1}, is the only gain; the
-filter, the policy iteration and the gain search use F = A - L C.  A
-scalar step is ``sensing_kernel``, the map's one-step form with no
-subtraction, and the scalar filter takes L = c a / (c^2 + gamma r / p) on
-its own (``filtering``).  On a stack of covariances, each product with a
-model matrix (A P, A P A^T, A P C^T) is one 2-D product over every
-member, and a one-output model solves by LAPACK's own 1x1 arithmetic in
-numpy, so neither makes a BLAS or LAPACK call per member and both keep the
-per-member bits.
+S = C P C^T + gamma R, ``_solve_innovation``.  Its predictor gain
+L = A P C^T S^{-1} is the only gain; the filter, the policy iteration and
+the gain search use F = A - L C.  A scalar step is ``sensing_kernel``,
+the map's one-step form with no subtraction, and the scalar filter takes
+L = c a / (c^2 + gamma r / p) on its own (``filtering``).  On a stack of
+covariances, each product with a model matrix (A P and C P together,
+A P A^T, A P C^T) is one 2-D product over every member.  With one output
+S adds the m terms of (C P) C^T in a fixed order, L is A P C^T / S and
+the correction (A P C^T) L^T one broadcast product, so a one-output step
+makes no BLAS or LAPACK call per member; with k > 1, S, C P A^T and the
+LAPACK solve stay per member.  Either way each member keeps the bits of
+its own step.
 
 Fixed points are solved, not iterated.  Once a gain L is fixed, the map
 phi_{lam,gamma}(L, X) = (1 - lam) A X A^T + lam (A - L C) X (A - L C)^T
@@ -203,48 +205,59 @@ def bs_kernel(a: float, c: float, q: float, r: float, p: float, lam: float) -> f
 
 
 def _solve_innovation(model: GaussMarkovModel, p: np.ndarray, gamma):
-    """S^{-1} C P A^T for S = C P C^T + gamma R, the transpose of the
-    predictor gain L = A P C^T S^{-1}.
+    """(L, A P, A P C^T): the predictor gain L = A P C^T S^{-1} for
+    S = C P C^T + gamma R, and the two products of P it is built from.
 
     p may be a stack (n, m, m), gamma an array broadcasting against it.  A
     singular S raises NumericalError carrying its condition number, here
-    and nowhere else.  With one output S is 1x1, solved by LAPACK's own
-    arithmetic without a call per member: a multiply by 1 / S, or with one
-    right-hand column (m = 1) a division.
+    and nowhere else.  Over a stack, A P and C P are the rows of one 2-D
+    product with ``model.stacked_ac`` = [A; C], and A P C^T is another.
+    With one output S = (C P) C^T + gamma R adds its m terms in a fixed
+    order and L = A P C^T / S, so the step makes no BLAS call per member.
+    With k > 1, L^T is the LAPACK solve of S against C P A^T, both formed
+    per member.
     """
-    # stacked, unlike A P: with k = 1 each member's C P is a gemv, whose
-    # bits one 2-D product does not give
-    cp = model.C @ p
-    innov = cp @ model.C.T + gamma * model.R
-    rhs = cp @ model.A.T
-    try:
-        if model.k > 1:
-            return np.linalg.solve(innov, rhs)
-        if not innov.all():
-            raise np.linalg.LinAlgError("Singular matrix")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return rhs / innov if model.m == 1 else rhs * (1.0 / innov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"innovation covariance is singular: {exc}",
-            condition=float(np.max(np.linalg.cond(innov))),
-        ) from exc
+    # [A; C] P as one 2-D product keeps each member's bits, which a lone
+    # one-row 2-D C P would not
+    rows = matrix_times(model.stacked_ac, p)
+    ap, cp = rows[..., :model.m, :], rows[..., model.m:, :]
+    apc = times_matrix(ap, model.C.T)
+    if model.k > 1:
+        innov = cp @ model.C.T + gamma * model.R
+        try:
+            return np.linalg.solve(innov, cp @ model.A.T).swapaxes(-1, -2), ap, apc
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"innovation covariance is singular: {exc}",
+                condition=float(np.max(np.linalg.cond(innov))),
+            ) from exc
+    # S adds its m terms in the same order at any stack size
+    terms = model.C * cp
+    innov = terms[..., :1]
+    for j in range(1, model.m):
+        innov = innov + terms[..., j:j + 1]
+    innov = innov + gamma * model.R[0, 0]
+    if not innov.all():
+        raise NumericalError("innovation covariance is singular: Singular matrix", condition=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return apc / innov, ap, apc
 
 
-def _corrected(model: GaussMarkovModel, p: np.ndarray, corr: np.ndarray, lam) -> np.ndarray:
-    """P' = A P A^T + Q - lam A P C^T corr, re-symmetrized, for the solved
-    corr = S^{-1} C P A^T; a stack's products with A and C^T are each one
-    2-D product (``statespace.times_matrix``)."""
-    ap = matrix_times(model.A, p)
-    return symmetrize(times_matrix(ap, model.A.T) + model.Q - lam * (times_matrix(ap, model.C.T) @ corr))
+def _corrected(model: GaussMarkovModel, solved, lam) -> np.ndarray:
+    """P' = A P A^T + Q - lam (A P C^T) L^T, re-symmetrized, from
+    ``solved = _solve_innovation(...)``.  With one output the correction is
+    one broadcast product of the columns A P C^T and L."""
+    gain, ap, apc = solved
+    corr = apc * gain.swapaxes(-1, -2) if model.k == 1 else apc @ gain.swapaxes(-1, -2)
+    return symmetrize(times_matrix(ap, model.A.T) + model.Q - lam * corr)
 
 
 def innovation(model: GaussMarkovModel, p: np.ndarray, gamma, lam=1.0):
     """(L, P') of one ``_solve_innovation``: the predictor gain L = A P C^T S^{-1}
-    and P' = A P A^T + Q - lam L C P A^T, re-symmetrized.  At a 0 entry of
+    and P' = A P A^T + Q - lam A P C^T L^T, re-symmetrized.  At a 0 entry of
     an arrival mask lam, P' is ``lyapunov_step(model, p, 1.0)`` bit for bit."""
-    corr = _solve_innovation(model, p, gamma)
-    return corr.swapaxes(-1, -2), _corrected(model, p, corr, lam)
+    solved = _solve_innovation(model, p, gamma)
+    return solved[0], _corrected(model, solved, lam)
 
 
 def _step(model: GaussMarkovModel, p: np.ndarray, gamma, lam) -> np.ndarray:
@@ -254,15 +267,17 @@ def _step(model: GaussMarkovModel, p: np.ndarray, gamma, lam) -> np.ndarray:
 
     lam = 0 or gamma = infinity takes the open-loop step A P A^T + Q
     (``lyapunov_step`` at alpha = 1), a scalar model ``sensing_kernel`` on
-    the np.float64 entry of its 1x1 P, and a matrix model, whose p may be a stack (n, m, m), one
-    ``_solve_innovation``.
+    the np.float64 entry of its 1x1 P, and a matrix model, whose p may be a
+    stack (n, m, m), one ``_solve_innovation``.  A scalar P = 0 steps to
+    q, the kernel's bits, without its division by zero.
     """
     if lam == 0.0 or math.isinf(gamma):
         return lyapunov_step(model, p, 1.0)
     if model.is_scalar:
-        with np.errstate(divide="ignore"):
-            return np.array([[sensing_kernel(*model.scalars(), p[0, 0], gamma, lam)]])
-    return _corrected(model, p, _solve_innovation(model, p, gamma), lam)
+        a, c, q, r = model.scalars()
+        p = p[0, 0]
+        return np.array([[sensing_kernel(a, c, q, r, p, gamma, lam) if p else q]])
+    return _corrected(model, _solve_innovation(model, p, gamma), lam)
 
 
 def riccati_step(model: GaussMarkovModel, p: np.ndarray, gamma) -> np.ndarray:
@@ -341,17 +356,18 @@ def _contracting_gains(model: GaussMarkovModel, lams) -> list:
     found = [None] * len(lam)
     live = np.arange(len(lam))
     for step in range(1, GAIN_SEARCH_STEPS + 1):
-        corr = _solve_innovation(model, p, 1.0)
+        solved = _solve_innovation(model, p, 1.0)
         if step & (step - 1) == 0:
-            gains = corr.swapaxes(1, 2)
+            gains = solved[0]
             f = model.A - gains @ model.C
             f_kron = (f[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, m * m, m * m)
             linear = (1.0 - lam) * np.kron(model.A, model.A) + lam * f_kron
             passed = np.max(np.abs(np.linalg.eigvals(linear)), axis=1) < 1.0
             for i, gain in zip(live[passed], gains[passed]):
                 found[i] = gain
-            live, p, corr, lam = (x[~passed] for x in (live, p, corr, lam))
-        p = _corrected(model, p, corr, lam)
+            live, lam = live[~passed], lam[~passed]
+            solved = tuple(x[~passed] for x in solved)
+        p = _corrected(model, solved, lam)
         tr = p.trace(axis1=1, axis2=2)
         rest = tr <= TRACE_DIVERGENCE  # False for NaN and +inf
         if not rest.all():
@@ -432,7 +448,7 @@ def _policy_iteration(model: GaussMarkovModel, lams, gain) -> np.ndarray:
         best[live], best_trace[live] = x, tr[falling]
         if not live.size:
             return best
-        gains = _solve_innovation(model, x, 1.0).swapaxes(1, 2)
+        gains = _solve_innovation(model, x, 1.0)[0]
     raise NumericalError("policy iteration did not settle in 100 steps")
 
 

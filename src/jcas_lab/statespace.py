@@ -190,6 +190,14 @@ class GaussMarkovModel:
         )
 
     @cached_property
+    def stacked_ac(self) -> np.ndarray:
+        """[A; C], read-only: ``matrix_times(stacked_ac, P)`` gives A P and
+        C P as the rows of one product."""
+        ac = np.vstack([self.A, self.C])
+        ac.setflags(write=False)
+        return ac
+
+    @cached_property
     def rho(self) -> float:
         """rho(A), the spectral radius of A."""
         return spectral_radius(self.A)

@@ -9,6 +9,9 @@ float code rounds:
   ``gain`` the predictor gain L = c a p / (c^2 p + gamma r), both at a
   float p; p = +inf takes the limit (a^2 gamma r / c^2 + q and a / c when
   c != 0 and lam = 1, else +inf and 0).
+* ``matrix_step`` is the one-output matrix step: S = C P C^T + gamma R,
+  the predictor gain L = A P C^T / S and
+  P' = A P A^T + Q - lam (A P C^T) L^T, at float matrices.
 * ``open_loop_run`` iterates P <- a^2 P + q, the erasure run that leaves
   a huge P before a sensing step.
 * ``truth_estimate`` runs a scalar filter trial's truth and estimate
@@ -58,6 +61,22 @@ def gain(a: float, c: float, r: float, p: float, gamma: float):
         return a / c if c else Fraction(0)
     p = Fraction(p)
     return c * a * p / (c * c * p + gamma * r)
+
+
+def exact_matrix(x) -> np.ndarray:
+    """The float matrix x as an object array of Fractions."""
+    x = np.asarray(x, dtype=float)
+    return np.array([Fraction(float(e)) for e in x.ravel()], dtype=object).reshape(x.shape)
+
+
+def matrix_step(a, c, q, r, p, gamma: float, lam: float):
+    """Exact (L, P') of the one-output matrix step at the float matrices,
+    as object arrays of Fractions."""
+    a, c, q, r, p = map(exact_matrix, (a, c, q, r, p))
+    assert c.shape[0] == 1
+    apc = a @ p @ c.T
+    gain = apc / ((c @ p @ c.T)[0, 0] + Fraction(gamma) * r[0, 0])
+    return gain, a @ p @ a.T + q - Fraction(lam) * (apc @ gain.T)
 
 
 def open_loop_run(a: float, q: float, p0: float, steps: int) -> list:

@@ -218,13 +218,13 @@ def contracting_gain(model, lam: float, gamma: float):
     a_kron = (1.0 - lam) * np.kron(model.A, model.A)
     p = model.Q
     for step in range(1, GAIN_SEARCH_STEPS + 1):
-        corr = _solve_innovation(model, p, gamma)
+        solved = _solve_innovation(model, p, gamma)
         if step & (step - 1) == 0:
-            gain = corr.T
+            gain = solved[0]
             f = model.A - gain @ model.C
             if np.max(np.abs(np.linalg.eigvals(a_kron + lam * np.kron(f, f)))) < 1.0:
                 return gain
-        p = _corrected(model, p, corr, lam)
+        p = _corrected(model, solved, lam)
         tr = float(np.trace(p))
         if not math.isfinite(tr) or tr > TRACE_DIVERGENCE:
             return None
@@ -274,7 +274,7 @@ def policy_iteration(model, lams, gammas, gain) -> np.ndarray:
         best[live], best_trace[live] = x, tr[falling]
         if not live.size:
             return best
-        gains = _solve_innovation(model, x, gamma).swapaxes(1, 2)
+        gains = _solve_innovation(model, x, gamma)[0]
     raise NumericalError("policy iteration did not settle in 100 steps")
 
 

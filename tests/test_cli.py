@@ -780,10 +780,10 @@ class TestOutputDirResolution:
 #: sha256 of trajectory.csv with one generator per draw block, each block
 #: drawn time-major (``filtering.draw_generators``), and the estimates and
 #: distortions of the simulated error (shat = s - e, d = |e|^2); a change of
-#: the draws or of the error recursion moves them
+#: the draws, of the error recursion or of the covariance step moves them
 TRAJECTORY_SHA256 = {
     "scalar_unstable_switching": "27511dc2466037fcfb727962965f5e19f653a042d1b1c08ae4378cb165ff3839",
-    "2x2_switching": "99aa87b4a11c287b7aa179a0a46a4242240008a7ec0faa288b1b7a3f18578889",
+    "2x2_switching": "43b9f9b5196741680b85210337a2a291b0bfa3e267e45d58b3f151ee7d45ad94",
     "scalar_unstable_switching_5000": "2438e4d83170e25164639407d4c24afcc318bf534f8b3d04a5accfcb4af2a963",
 }
 
@@ -799,13 +799,13 @@ OUTPUT_DIR_SHA256 = {
     "reproduce_fig3": "9e393be983489b8fc3f124e85717a2a044f25e0071df182393c79f71ca1ece00",
     "reproduce_fig4": "d24ffa321922a0357158733031c5cce7f2499de6cdf0426bc17c3f179baa17d5",
     "reproduce_fig4_bits": "146a238f6e1769ff3321b7f3671b583b82d7d1f2903a1cb20bd8783307290995",
-    "mc_verify_2x2": "91847a10d21c72215760a20877e4c1f9d31f0ddf96d802ff9e665c23b39d4e18",
+    "mc_verify_2x2": "ade9c3f8cb077c9ecce6ad90914536fc024868d5b38630a1843aae9f4efb8d5d",
     "mc_verify_scalar_unstable": "8ada7f017397989ab78157d6172818b03c377a0462150af9218f07d87664c662",
     "rd_curve_gaussian_bits": "bfd4bd273946f420cd13737d9f448ba356e1bd5e126490c05b956f8bb03113a6",
-    "rd_curve_2x2": "8bdde88bf4037a6d90e1315971ae7b79464efc5b8932bae4a6763ce93dd25ff0",
+    "rd_curve_2x2": "b4922b8d6b7dc27213ea5bcfae8d4d073f082f75e8459fd6a2bada1541463add",
     "rd_curve_noiseless": "64e2fcf538b7b361a772103b543790d91b86b9fe41a649225424b96cc3cc4202",
     "riccati_scalar_unstable": "5841de422c41df207332a080abe3f1e982c7097975b13480da5a7d4b2eff76d3",
-    "riccati_2x2": "3bd55dc102f599b90bb198a78dc4838bbc6212e7f63e7a9ac26622ccdec3ca9e",
+    "riccati_2x2": "83b88db36cb1611a4d36d5856ad37a82734a616deae63c2a6f525479881a12f8",
     "bayes_toy": "c0b41b8ead7cb85d2c2c3d6e2260602f3285cddd057c787d1096d78bea9e7557",
 }
 

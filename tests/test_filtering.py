@@ -282,9 +282,9 @@ class TestInnovationSolve:
 
     def test_one_solve_per_filter_step(self, matrix_model, monkeypatch):
         # every step that senses computes its innovation once, through
-        # riccati._solve_innovation; with one output that is a reciprocal
-        # multiply, with two it is one LAPACK solve against the m columns of
-        # C P A^T
+        # riccati._solve_innovation; with one output that is a division of
+        # A P C^T by S and no LAPACK call, with two it is one LAPACK solve
+        # against the m columns of C P A^T
         innovations, solves = [], []
         innovation_solve, lapack_solve = riccati._solve_innovation, np.linalg.solve
 
@@ -327,10 +327,12 @@ class TestInnovationSolve:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_single_output_solve_is_lapacks(self, m):
-        # with k = 1, S^{-1} C P A^T is the arithmetic of LAPACK's 1x1 solve:
-        # a reciprocal multiply, or with one right-hand column (m = 1) a
-        # division; gamma = 0 makes S = P[0, 0] exactly, so S takes every
-        # magnitude, subnormals, infinities and nan, and C P A^T overflows
+        # with k = 1, L = A P C^T / S is LAPACK's 1x1 solve with one
+        # right-hand column, a division, against each member's own products
+        # [A; C] P and (A P) C^T (stacked matmuls here, one 2-D product each
+        # in the library) and S = (C P) C^T summed over j = 0..m-1 in order.
+        # gamma = 0 and C = e_1 make S = P[0, 0] exactly, so S takes every
+        # magnitude, subnormals, infinities and nan, and A P C^T overflows
         # and turns nan in places
         rng = np.random.default_rng([12, m])
         n = 3000
@@ -343,11 +345,16 @@ class TestInnovationSolve:
         gamma = np.zeros((n, 1, 1))
         assert (s != 0.0).all() and (abs(s[::10]) < np.finfo(float).tiny).all()
         with np.errstate(over="ignore", invalid="ignore"):
-            cp = model.C @ p
-            expected = np.linalg.solve(cp @ model.C.T, cp @ model.A.T)
-            got = riccati._solve_innovation(model, p, gamma)
-            got_2d = [riccati._solve_innovation(model, p[i], 0.0) for i in range(0, n, 97)]
-        # with m = 1, C P A^T = a S, so only nan leaves the finite range
+            rows = np.vstack([model.A, model.C]) @ p
+            apc = rows[:, :-1] @ model.C.T
+            innov = model.C[0, 0] * rows[:, -1:, :1]
+            for j in range(1, m):
+                innov = innov + model.C[0, j] * rows[:, -1:, j:j + 1]
+            columns = np.linalg.solve(np.repeat(innov + gamma * model.R, m, axis=0), apc.reshape(n * m, 1, 1))
+            expected = columns.reshape(n, m, 1)
+            got = riccati._solve_innovation(model, p, gamma)[0]
+            got_2d = [riccati._solve_innovation(model, p[i], 0.0)[0] for i in range(0, n, 97)]
+        # with m = 1, A P C^T = a S, so only nan leaves the finite range
         assert np.isnan(got).any() and (m == 1 or np.isinf(got).any())
 
         def bits(x):
@@ -360,13 +367,22 @@ class TestInnovationSolve:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_predictor_gain_is_a_times_filter_gain(self, m):
-        # L = (S^{-1} C P A^T)^T and A K, K = (S^{-1} C P)^T, share the
-        # computed S and C P.  With Y = S^{-1} fl(C P A^T), X = S^{-1} fl(C P),
+        # With k > 1, L = (S^{-1} C P A^T)^T and A K, K = (S^{-1} C P)^T,
+        # share the computed S and C P.  With Y = S^{-1} fl(C P A^T),
+        # X = S^{-1} fl(C P),
         #   L - A K = (L^T - Y)^T + (Y - X A^T)^T + A (X - K^T)^T + (A K^T - fl(A K^T)).
         # LU with partial pivoting solves (S + dS) x = b with
         # |dS| <= gamma_{3k} |L_S| |U_S| (Higham, Thm 9.4), so a computed
         # solution x^ is off by S^{-1} dS x^; fl(C P A^T) and fl(A K^T) are
         # off by at most gamma_m times the product of the absolute values.
+        # With k = 1 the two sides round apart, each against the exact
+        # L = A K: L = fl(fl(A P) C^T) / S^, whose numerator is within
+        # e_v = gamma_2m |A||P||C^T| and whose S^ (like the oracle's) is
+        # within e_S = gamma_{2m+1} (|C||P||C^T| + gamma R), so L is within
+        # (1 + u) (e_v + |L| e_S) / (S - e_S) + u |L|; the oracle's
+        # K = fl(C P) * fl(1 / S^) (LAPACK's 1x1 solve with m columns) is
+        # within (1 + 2u) (gamma_m |C||P| + |K| e_S) / (S - e_S) + 2u |K|,
+        # and fl(A K^T) adds gamma_m |A||K|.
         rng = np.random.default_rng(100 + m)
         u = np.finfo(float).eps / 2
 
@@ -387,14 +403,24 @@ class TestInnovationSolve:
                 filter_gain = kalman_gain(model, p, gamma)
                 cp = model.C @ p
                 s = cp @ model.C.T + gamma * model.R
-                _, l_s, u_s = scipy.linalg.lu(s)
-                ds = gam(3 * k) * np.linalg.norm(np.abs(l_s) @ np.abs(u_s))
-                inv = np.linalg.norm(np.linalg.inv(s), 2)
-                bound = 2.0 * (
-                    inv * ds * (np.linalg.norm(gain) + np.linalg.norm(a, 2) * np.linalg.norm(filter_gain))
-                    + inv * gam(m) * np.linalg.norm(np.abs(cp) @ np.abs(a.T))
-                    + gam(m) * np.linalg.norm(np.abs(a) @ np.abs(filter_gain))
-                )
+                if k == 1:
+                    c_abs, p_abs = np.abs(model.C), np.abs(p)
+                    e_s = gam(2 * m + 1) * (c_abs @ p_abs @ c_abs.T + gamma * model.R)[0, 0]
+                    e_v = gam(2 * m) * (np.abs(a) @ p_abs @ c_abs.T)
+                    e_gain = (1 + u) * (e_v + np.abs(gain) * e_s) / (s[0, 0] - e_s) + u * np.abs(gain)
+                    e_cp = gam(m) * (c_abs @ p_abs).T
+                    k_abs = np.abs(filter_gain)
+                    e_filter = (1 + 2 * u) * (e_cp + k_abs * e_s) / (s[0, 0] - e_s) + 2 * u * k_abs
+                    bound = 2.0 * np.linalg.norm(e_gain + np.abs(a) @ e_filter + gam(m) * (np.abs(a) @ k_abs))
+                else:
+                    _, l_s, u_s = scipy.linalg.lu(s)
+                    ds = gam(3 * k) * np.linalg.norm(np.abs(l_s) @ np.abs(u_s))
+                    inv = np.linalg.norm(np.linalg.inv(s), 2)
+                    bound = 2.0 * (
+                        inv * ds * (np.linalg.norm(gain) + np.linalg.norm(a, 2) * np.linalg.norm(filter_gain))
+                        + inv * gam(m) * np.linalg.norm(np.abs(cp) @ np.abs(a.T))
+                        + gam(m) * np.linalg.norm(np.abs(a) @ np.abs(filter_gain))
+                    )
                 assert gain.shape == (m, k)
                 assert np.linalg.norm(gain - a @ filter_gain) <= bound
                 # the bound resolves far less than the gain itself
@@ -409,8 +435,9 @@ class TestInnovationSolve:
         # Counting roundings (Higham's gamma_n): the scalar P' takes 8 of
         # nonnegative terms (TestExactStep in test_riccati) and the scalar
         # gain 5 (gamma r, / p, c^2, the sum, c a, the quotient); the
-        # matrix gain 6 (c p, c p a, gamma r, c p c, the sum, the quotient)
-        # and its P' 10, of terms a p a + q and |a p c L| that cancel.
+        # matrix gain 6 on its longest chain ((a p) c over c (p c) + gamma r:
+        # two in the numerator, three in the denominator, the quotient) and
+        # its P' 10, of terms a p a + q and |a p c L| that cancel.
         rng = np.random.default_rng(11)
         for _ in range(500):
             a, c = rng.uniform(-2.0, 2.0, 2)

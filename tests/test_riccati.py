@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,25 @@ class TestStepDispatch:
             assert bits(gamma_mb(p, gamma, model)) == want
         for lam in (0.0, 0.4, 1.0):
             assert bits(gamma_bs(p, lam, model)) == bits(self.branch_kernel(model, p, 1.0, lam))
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_scalar_step_at_zero_is_q(self, zero):
+        # P = 0 steps to q, the kernel's bits, with no division by zero
+        # (pytest turns every RuntimeWarning into an error)
+        model = step_model(1)
+        a, c, q, r = model.scalars()
+        p = np.array([[zero]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steps = [riccati_step(model, p, 3.0), gamma_mb(p, 3.0, model)]
+            steps += [gamma_bs(p, lam, model) for lam in (0.4, 1.0)]
+        with np.errstate(divide="ignore"):
+            kernels = [
+                riccati.sensing_kernel(a, c, q, r, p[0, 0], gamma, lam)
+                for gamma, lam in ((3.0, 1.0), (3.0, 1.0), (1.0, 0.4), (1.0, 1.0))
+            ]
+        for got, want in zip(steps, kernels):
+            assert bits(got) == bits(np.array([[want]])) == bits(np.array([[q]]))
 
 
 def arrival_caps(mask):
@@ -537,26 +557,92 @@ def test_arrival_mask_picks_sensing_or_open_loop(m):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_stack_steps_round_as_member_steps(m):
-    # a stack's products with a model matrix (A P, (A P) A^T, (A P) C^T) are
-    # one 2-D product over all members; every member keeps the bits of its
-    # own step, on stacks of every size from empty up and over nine decades
+    # a stack's products with a model matrix (A P and C P together,
+    # (A P) A^T, (A P) C^T) are one 2-D product over all members, and a
+    # one-output S sums its m terms in a fixed order; every member keeps the
+    # bits of its own step, on stacks of every size from empty up to the
+    # benchmark cells' 1000 members and over nine decades
+    count = 1000
     for k in (1, 2, 3):
         model = seeded_random_model([9, m, k], 1.1, m, k)
         rng = np.random.default_rng([10, m, k])
-        scales = 10.0 ** rng.uniform(-9.0, 9.0, 61)
-        stack = np.stack([s * random_psd(rng, m) for s in scales])
-        mask = (rng.random(61) < 0.5)[:, None, None] * 1.0
-        for n in (0, 1, 2, 5, 61):
+        scales = 10.0 ** rng.uniform(-9.0, 9.0, (count, 1, 1))
+        x = rng.standard_normal((count, m, m))
+        stack = scales * (x @ x.swapaxes(1, 2) + 1e-3 * np.eye(m))
+        mask = (rng.random(count) < 0.5)[:, None, None] * 1.0
+        members = [riccati.innovation(model, p, 2.5, lam) for p, lam in zip(stack, mask)]
+        one_gains = np.array([gain for gain, _ in members]).reshape(count, m, k)
+        one_steps = np.array([p_next for _, p_next in members]).reshape(count, m, m)
+        one_open = np.array([lyapunov_step(model, p, 0.7) for p in stack]).reshape(count, m, m)
+        for n in (0, 1, 2, 3, 4, 5, 8, 61, 256, 999, count):
             p, lam = stack[:n], mask[:n]
             gain, p_next = riccati.innovation(model, p, 2.5, lam)
             open_loop = lyapunov_step(model, p, 0.7)
             assert gain.shape == (n, m, k)
             assert p_next.shape == open_loop.shape == (n, m, m)
-            for i in range(n):
-                one_gain, one_next = riccati.innovation(model, p[i], 2.5, lam[i])
-                assert bits(gain[i]) == bits(one_gain)
-                assert bits(p_next[i]) == bits(one_next)
-                assert bits(open_loop[i]) == bits(lyapunov_step(model, p[i], 0.7))
+            assert bits(gain) == bits(one_gains[:n])
+            assert bits(p_next) == bits(one_steps[:n])
+            assert bits(open_loop) == bits(one_open[:n])
+
+
+class TestExactMatrixStep:
+    """The one-output matrix step against the exact rational step of its
+    float inputs (``exact_reference.matrix_step``), entry by entry.
+
+    With u = 2^-53, Higham's gamma_n and |.| taken entrywise of exact
+    values: a product of matrices computed as two rounded products is off
+    by at most gamma_2m times the product of the absolute values, so
+    A P C^T = v by e_v = gamma_2m |A||P||C^T| and A P A^T by
+    e_a = gamma_2m |A||P||A^T|.  S, the fixed-order sum of the m products
+    of C P (itself within gamma_m) with C^T plus gamma R, is off by
+    e_S = gamma_{2m+1} (|C||P||C^T| + gamma R).  For S > e_S the rounded
+    quotient L = v / S is then off by
+        e_L = (1 + u) (e_v + |L| e_S) / (S - e_S) + u |L|,
+    and each entry of the correction c = v L^T, one rounded product, by
+        e_c = (1 + u) (e_v (|L| + e_L)^T + |v| e_L^T) + u |c|.
+    Adding Q, scaling by lam, subtracting and symmetrizing round four more
+    times (0.5 M is exact in the normal range), so P' is off by at most
+        (1 + gamma_4) (e_a + lam e_c) + gamma_4 (|A||P||A^T| + |Q| + lam |c|).
+    """
+
+    @staticmethod
+    def check(model, p, gamma, lam):
+        m = model.m
+        gain, p_next = riccati.innovation(model, p, gamma, lam)
+        exact_gain, exact_next = exact_reference.matrix_step(model.A, model.C, model.Q, model.R, p, gamma, lam)
+        u = Fraction(1, 2**53)
+        g = lambda n: Fraction(rounding_gamma(n))
+        exact = dict(zip("ACQRP", map(exact_reference.exact_matrix, (model.A, model.C, model.Q, model.R, p))))
+        a, c, q, pa = (np.abs(exact[name]) for name in "ACQP")
+        gr = Fraction(gamma) * exact["R"][0, 0]
+        s = (exact["C"] @ exact["P"] @ exact["C"].T)[0, 0] + gr
+        v = exact["A"] @ exact["P"] @ exact["C"].T
+        e_v = g(2 * m) * (a @ pa @ c.T)
+        e_a = g(2 * m) * (a @ pa @ a.T)
+        e_s = g(2 * m + 1) * ((c @ pa @ c.T)[0, 0] + gr)
+        assert s > e_s
+        abs_gain = np.abs(exact_gain)
+        e_gain = (1 + u) * (e_v + abs_gain * e_s) / (s - e_s) + u * abs_gain
+        corr = v @ exact_gain.T
+        e_c = (1 + u) * (e_v @ (abs_gain + e_gain).T + np.abs(v) @ e_gain.T) + u * np.abs(corr)
+        lam = Fraction(lam)
+        bound = (1 + g(4)) * (e_a + lam * e_c) + g(4) * (a @ pa @ a.T + q + lam * np.abs(corr))
+        gain_error = np.abs(exact_reference.exact_matrix(gain) - exact_gain)
+        step_error = np.abs(exact_reference.exact_matrix(p_next) - exact_next)
+        assert (gain_error <= e_gain).all()
+        assert (step_error <= bound).all()
+        # the bound resolves far less than the step itself
+        assert (bound <= Fraction(1e-12) * (a @ pa @ a.T + q + np.abs(corr))).all()
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_within_rounding_of_exact(self, m):
+        model = seeded_random_model([14, m, 1], 1.1, m, 1)
+        rng = np.random.default_rng([15, m])
+        for scale in 10.0 ** rng.uniform(-3.0, 3.0, 2):
+            p = statespace.symmetrize(scale * random_psd(rng, m))
+            for gamma in (1.0, 2.5):
+                for lam in (1.0, 0.4):
+                    self.check(model, p, gamma, lam)
 
 
 @pytest.fixture
@@ -1416,7 +1502,7 @@ def multibeam_error_bound(model: GaussMarkovModel, x: np.ndarray, gamma: float) 
     as its slack.
     """
     k = model.k
-    gain = riccati._solve_innovation(model, x[None], np.full((1, 1, 1), gamma))[0].T
+    gain = riccati._solve_innovation(model, x[None], np.full((1, 1, 1), gamma))[0][0]
     f = model.A - gain @ model.C
     rhs = model.Q + gamma * (gain @ model.R @ gain.T)
     f_abs = np.abs(model.A) + np.abs(gain) @ np.abs(model.C)
