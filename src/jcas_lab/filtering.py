@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .riccati import BeamPolicy, innovation, sensing_kernel
+from .riccati import BeamPolicy, _check_lam, innovation, sensing_kernel
 from .statespace import (
     GaussMarkovModel,
     check_initial_covariance,
@@ -292,8 +292,7 @@ def filter_trials(model, policy, horizon: int, trials: int, seed: int, s0, p0):
     the mask holds.  The arrays are buffers that the next block overwrites.
     The arguments are checked before this returns.
     """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+    _check_counts(horizon, trials)
     s0 = np.asarray(s0, dtype=float).reshape(-1)
     if s0.size != model.m:
         raise DimensionError(f"initial estimate must have length {model.m}, got {s0.size}")
@@ -371,8 +370,15 @@ def _recursion(model, policy, horizon: int, trials: int, seed: int, s0, p0):
             buffer[0] = buffer[rows]
 
 
+def _check_counts(horizon: int, trials: int) -> None:
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if horizon < 1:
+        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+
+
 def covariance_trials(model, lam: float, horizon: int, trials: int, seed: int, p0):
-    """Every trial's P_i, i = 0..horizon, as (trials, m, m) arrays, from the checked P_0 = p0.
+    """Every trial's P_i, i = 0..horizon, as (trials, m, m) arrays, from P_0 = p0.
 
     The cell's one arrival generator (``draw_generators``) gives each step
     ``trials`` uniforms, trial t's in column t, drawn in row chunks of at
@@ -380,8 +386,14 @@ def covariance_trials(model, lam: float, horizon: int, trials: int, seed: int, p
     uniform is below lam and takes the open-loop step otherwise.  At lam = 0
     (1) every trial shares the open-loop (sensing) path, and the other
     branch is never computed.  A chunk's steps are computed before any of
-    them is yielded.
+    them is yielded.  The arguments are checked before this returns.
     """
+    _check_lam(lam)
+    _check_counts(horizon, trials)
+    return _covariance_run(model, lam, horizon, trials, seed, check_initial_covariance(model, p0))
+
+
+def _covariance_run(model, lam: float, horizon: int, trials: int, seed: int, p0):
     steps = _steps(model)
     shape = (trials, model.m, model.m)
     yield np.broadcast_to(p0, shape)

@@ -46,10 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
 from .filtering import covariance_trials, filter_trials
-from .riccati import BeamPolicy, _check_lam, critical_lambda, gamma_bs, iterate_map
-from .statespace import GaussMarkovModel, check_initial_covariance, lyapunov_step
+from .riccati import BeamPolicy, critical_lambda, gamma_bs, iterate_map
+from .statespace import GaussMarkovModel, lyapunov_step
 
 VERDICT_WITHIN = "within"
 VERDICT_VIOLATED = "violated"
@@ -150,16 +149,13 @@ def expected_covariance_mc(
     taking the full-measurement step on arrival and the open-loop step
     otherwise.  The verdict checks
     tr(S_n) - 3 SE <= tr(mean P_n) <= tr(V_n) + 3 SE.
-    ``p0`` (default Q) must be m x m and PSD.
+    ``p0`` (default Q) must be m x m and PSD; ``covariance_trials``
+    checks every argument before any work.
     ``critical`` may pass a precomputed critical sensing probability for the
     near-critical flag; None computes it (coarsely), math.nan disables it.
     """
-    _check_lam(lam)
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    p0 = model.Q.copy() if p0 is None else check_initial_covariance(model, p0)
+    p0 = model.Q if p0 is None else p0
+    cells = covariance_trials(model, lam, horizon, trials, seed, p0)
 
     # traces of the deterministic finite-horizon bounds S_i and V_i from the
     # same starting covariance, one running iterate each
@@ -169,7 +165,7 @@ def expected_covariance_mc(
     v_traces = np.fromiter(map(np.trace, v_iterates), float, horizon + 1)
 
     track = np.empty((trials, horizon + 1)) if per_step else None
-    for i, p in enumerate(covariance_trials(model, lam, horizon, trials, seed, p0)):
+    for i, p in enumerate(cells):
         if per_step:
             track[:, i] = np.trace(p, axis1=1, axis2=2)
 
@@ -233,8 +229,6 @@ def empirical_block_distortion(
     of the run's draw blocks (``filtering.filter_trials``).  Also returns
     the per-index mean distortion sequence.
     """
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
     run = filter_trials(model, policy, horizon, trials, seed, s0_mean, s0_cov)
     dist = np.empty((trials, horizon + 1))
     for start, errors, *_ in run:

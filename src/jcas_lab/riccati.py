@@ -71,14 +71,14 @@ from .statespace import (
     as_matrix,
     grid_members,
     grid_traces,
-    kronecker_sum,
+    kron_square,
     lyapunov_diverges,
     lyapunov_root,
     lyapunov_step,
     matrix_times,
     scaled_lyapunov_grid,
-    solve_affine,
     solve_doubling,
+    solve_kronecker,
     solve_scaled_lyapunov,
     symmetrize,
     times_matrix,
@@ -90,6 +90,18 @@ TRACE_DIVERGENCE = 1e12
 #: covariance steps the gain search of a refused model takes before it
 #: calls the point divergent
 GAIN_SEARCH_STEPS = 200_000
+
+
+def _check_lam(lam: float) -> float:
+    if not (0.0 <= lam <= 1.0):
+        raise ParameterError(f"lam must lie in [0, 1], got {lam}")
+    return lam
+
+
+def _check_gamma(gamma: float) -> float:
+    if math.isnan(gamma) or gamma < 1.0:
+        raise ParameterError(f"gamma must lie in [1, inf], got {gamma}")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -107,15 +119,9 @@ class BeamPolicy:
 
     def __post_init__(self):
         if self.kind == "switching":
-            if not (0.0 <= self.value <= 1.0):
-                raise ParameterError(
-                    f"switching probability must lie in [0, 1], got {self.value}"
-                )
+            _check_lam(self.value)
         elif self.kind == "multibeam":
-            if math.isnan(self.value) or self.value < 1.0:
-                raise ParameterError(
-                    f"multibeam gain must lie in [1, inf], got {self.value}"
-                )
+            _check_gamma(self.value)
         else:
             raise ParameterError(f"unknown policy kind {self.kind!r}")
 
@@ -126,18 +132,6 @@ class BeamPolicy:
     @classmethod
     def multibeam(cls, gamma0: float) -> "BeamPolicy":
         return cls("multibeam", float(gamma0))
-
-
-def _check_lam(lam: float) -> float:
-    if not (0.0 <= lam <= 1.0):
-        raise ParameterError(f"lam must lie in [0, 1], got {lam}")
-    return lam
-
-
-def _check_gamma(gamma: float) -> float:
-    if math.isnan(gamma) or gamma < 1.0:
-        raise ParameterError(f"gamma must lie in [1, inf], got {gamma}")
-    return gamma
 
 
 def _lam_grid(lams) -> np.ndarray:
@@ -346,32 +340,31 @@ def _contracting_gains(model: GaussMarkovModel, lams) -> list:
     (n, m, m) stack.  Each step's innovation solve gives the step and the
     predictor gain L of that iterate, and at steps 1, 2, 4, 8, ... one
     batched ``eigvals`` tests every member's L: rho((1 - lam) A (x) A +
-    lam F (x) F) < 1 with F = A - L C.  A member leaves the stack once its
-    gain passes, or as divergent once its trace is non-finite or above
-    TRACE_DIVERGENCE or after GAIN_SEARCH_STEPS steps.
+    lam F (x) F) < 1 with F = A - L C, its open-loop term built once per
+    call.  A member leaves the stack once its gain passes, or as divergent
+    once its trace is non-finite or above TRACE_DIVERGENCE or after
+    GAIN_SEARCH_STEPS steps.
     """
-    m = model.m
     lam = np.reshape(lams, (-1, 1, 1))
-    p = np.broadcast_to(model.Q, (len(lam), m, m))
+    p = np.broadcast_to(model.Q, (len(lam), model.m, model.m))
     found = [None] * len(lam)
     live = np.arange(len(lam))
+    open_loop = kron_square(np.sqrt(1.0 - lam) * model.A)
     for step in range(1, GAIN_SEARCH_STEPS + 1):
         solved = _solve_innovation(model, p, 1.0)
         if step & (step - 1) == 0:
             gains = solved[0]
-            f = model.A - gains @ model.C
-            f_kron = (f[:, :, None, :, None] * f[:, None, :, None, :]).reshape(-1, m * m, m * m)
-            linear = (1.0 - lam) * np.kron(model.A, model.A) + lam * f_kron
+            linear = open_loop + kron_square(np.sqrt(lam) * (model.A - gains @ model.C))
             passed = np.max(np.abs(np.linalg.eigvals(linear)), axis=1) < 1.0
             for i, gain in zip(live[passed], gains[passed]):
                 found[i] = gain
-            live, lam = live[~passed], lam[~passed]
+            live, lam, open_loop = live[~passed], lam[~passed], open_loop[~passed]
             solved = tuple(x[~passed] for x in solved)
         p = _corrected(model, solved, lam)
         tr = p.trace(axis1=1, axis2=2)
         rest = tr <= TRACE_DIVERGENCE  # False for NaN and +inf
         if not rest.all():
-            live, p, lam = (x[rest] for x in (live, p, lam))
+            live, p, lam, open_loop = (x[rest] for x in (live, p, lam, open_loop))
         if not live.size:
             break
     return found
@@ -419,13 +412,13 @@ def _scalar_trace(model: GaussMarkovModel, lam: float, gamma: float) -> float:
 def _policy_iteration(model: GaussMarkovModel, lams, gain) -> np.ndarray:
     """V-bar, the fixed point of min_L phi_{lam,1}(L, .), at every lam < 1 of a
     grid, by Hewer's policy iteration (IEEE TAC 1971): the affine fixed
-    point for the current gains (one batched two-factor ``solve_affine``,
-    whose open-loop term (1 - lam) A (x) A is built once per call), then
-    the gain update read off the innovation solve.  ``gain`` starts
-    every member, or is a stack of one gain per member.  From a contracting
-    gain the iterates decrease monotonically, quadratically near the fixed
-    point, so a member stops at its first step whose trace fails to
-    decrease and keeps the iterate before it."""
+    point for the current gains (one batched ``solve_kronecker`` with F =
+    sqrt(lam) (A - L C), whose open-loop term (1 - lam) A (x) A is built
+    once per call), then the gain update read off the innovation solve.
+    ``gain`` starts every member, or is a stack of one gain per member.
+    From a contracting gain the iterates decrease monotonically,
+    quadratically near the fixed point, so a member stops at its first
+    step whose trace fails to decrease and keeps the iterate before it."""
     a, c, q, r = model.A, model.C, model.Q, model.R
     m = model.m
     lam = np.reshape(lams, (-1, 1, 1))
@@ -434,12 +427,11 @@ def _policy_iteration(model: GaussMarkovModel, lams, gain) -> np.ndarray:
     best = np.empty((n, m, m))
     best_trace = np.full(n, math.inf)
     live = np.arange(n)
-    open_loop = kronecker_sum((np.sqrt(1.0 - lam) * a)[:, None])
+    open_loop = kron_square(np.sqrt(1.0 - lam) * a)
     # a strictly decreasing float sequence stops within a few steps of
     # rounding level; the bound only turns a defect into an error
     for _ in range(100):
-        factors = (np.sqrt(lam) * (a - gains @ c))[:, None]
-        x = solve_affine(factors, q + lam * (gains @ r @ gains.swapaxes(1, 2)), open_loop)
+        x = solve_kronecker(np.sqrt(lam) * (a - gains @ c), q + lam * (gains @ r @ gains.swapaxes(1, 2)), open_loop)
         tr = x.trace(axis1=1, axis2=2)
         if not np.isfinite(tr).all():
             raise NumericalError("policy iteration produced a non-finite covariance")

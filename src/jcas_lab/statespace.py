@@ -8,10 +8,10 @@ updated filter.
 The solver iterates no covariance map: a scalar model takes the closed
 form q / (1 - alpha a^2) (one array expression per grid), and a matrix
 model solves S = (sqrt(alpha) A) S (sqrt(alpha) A)^T + Q, batched over a
-grid of alphas by ``solve_affine``, which V-bar's policy iteration reuses:
-a one-factor system with m >= DOUBLING_MIN_M (5) is the G = 0 case of
-``solve_doubling``, which also solves every sensed-only Riccati fixed
-point, and any other is one dense Kronecker LU.
+grid of alphas, on m alone: from m = DOUBLING_MIN_M (5) on it is the G = 0
+case of ``solve_doubling``, which also solves every sensed-only Riccati
+fixed point, and below it one dense Kronecker LU, ``solve_kronecker``,
+which V-bar's policy iteration calls with its open-loop term.
 
 All matrices are dense float64 numpy arrays; the design envelope is small
 state dimension (m, k <= ~8).
@@ -36,8 +36,8 @@ CRITICAL_MARGIN = 1e-9
 #: an eigenbasis of A or a C V_u beyond this condition number is not certified
 CERTIFICATE_COND = 1e8
 
-#: ``solve_affine`` solves a one-factor system of this state dimension or
-#: more by doubling; below it the Kronecker LU is cheaper
+#: ``scaled_lyapunov_grid`` solves a model of this state dimension or more
+#: by doubling; below it the Kronecker LU is cheaper
 DOUBLING_MIN_M = 5
 
 #: doublings after which a member still moving has not settled
@@ -67,7 +67,10 @@ def times_matrix(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """x @ matrix, a stack (n, a, b) of two or more members as one 2-D
     product over its rows (in the order of x's memory, member-major or, as
     ``matrix_times`` returns, row-major), not a BLAS call per member.  Each
-    entry is the same dot product, so it rounds as the stacked product."""
+    entry is the same dot product, so it rounds as the stacked product: so
+    far seen only for the (n m)-row products of the covariance steps on the
+    pinned numpy 2.4.6 / OpenBLAS build (``test_stack_steps_round_as_member_steps``);
+    an (n 9, 8) @ (8, 1) product did not."""
     if x.ndim != 3 or len(x) < 2:
         return x @ matrix
     n, a, b = x.shape
@@ -129,10 +132,10 @@ class GaussMarkovModel:
     noise; the scalar gain gamma >= 1 (infinity meaning "no measurement")
     is supplied per use, not stored here.
 
-    The constructor enforces shape consistency only.  Numeric validity
-    (Q PSD, R PD, detectability / controllability) is reported by
-    :func:`validate_model` so that deliberately broken models can still be
-    constructed and inspected.
+    The constructor enforces shape consistency and finite entries only.
+    Numeric validity (Q PSD, R PD, detectability / controllability) is
+    reported by :func:`validate_model` so that deliberately broken models
+    can still be constructed and inspected.
 
     The model keeps read-only copies of its matrices, so nothing the caller
     writes later reaches it, and ``rho`` and ``certificate_gain`` are
@@ -160,6 +163,8 @@ class GaussMarkovModel:
         if r.shape != (k, k):
             raise DimensionError(f"R must be {k}x{k}, got {r.shape}")
         for name, arr in (("A", a), ("C", c), ("Q", q), ("R", r)):
+            if not np.isfinite(arr).all():
+                raise ParameterError(f"{name} entries must be finite")
             arr = np.array(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -343,53 +348,31 @@ def lyapunov_step(model: GaussMarkovModel, s: np.ndarray, alpha) -> np.ndarray:
     return symmetrize(alpha * times_matrix(matrix_times(model.A, s), model.A.T) + model.Q)
 
 
-def solve_affine(factors: np.ndarray, rhs: np.ndarray, fixed: np.ndarray | None = None) -> np.ndarray:
-    """Solve X = sum_t F_t X F_t^T + rhs for every member of a stack.
-
-    ``factors`` (n, T, m, m) holds each member's F_1..F_T and ``rhs`` is
-    (n, m, m).  A one-factor system with m >= DOUBLING_MIN_M is the G = 0
-    case of ``solve_doubling``, O(m^3) per doubling, and raises
-    NumericalError where a member does not settle (rho(F) >= 1); every
-    other one is a dense Kronecker system (``_solve_kronecker``), O(m^6)
-    and the cheaper up to m = 4.  ``fixed``, the ``kronecker_sum`` of
-    factors that a loop of solves shares, stands ahead of ``factors`` and
-    makes the system a Kronecker one; it gives the bits of one solve with
-    its factors stacked first.  The path depends on T, m and ``fixed``
-    alone, never on n, and no member's bits depend on the other members
-    of the stack.  The solutions come back re-symmetrized.
-    """
-    if fixed is None and factors.shape[1] == 1 and factors.shape[2] >= DOUBLING_MIN_M:
-        x, settled = solve_doubling(factors[:, 0].swapaxes(1, 2), np.zeros_like(rhs), rhs)
-        if not settled.all():
-            raise NumericalError(f"doubling did not settle in {DOUBLING_CAP} doublings (rho(F) >= 1)")
-        return x
-    return symmetrize(_solve_kronecker(factors, rhs, fixed))
+def kron_square(f: np.ndarray) -> np.ndarray:
+    """kron(F, F) for every member of a stack (n, m, m), as one
+    (n, m^2, m^2) array.  On the row-major vec(X), F X F^T is kron(F, F)
+    vec(X).  One einsum over a summed axis of length 1, which adds each
+    product to 0, so no entry is -0 (a plain outer product can leave -0)."""
+    n, m, _ = f.shape
+    return np.einsum("ntij,ntkl->nikjl", f[:, None], f[:, None]).reshape(n, m * m, m * m)
 
 
-def kronecker_sum(factors: np.ndarray) -> np.ndarray:
-    """sum_t kron(F_t, F_t) for every member of a stack (n, T, m, m), as one
-    (n, m^2, m^2) array: one einsum, which adds the terms to 0 in t order.
-    On the row-major vec(X), F X F^T is kron(F, F) vec(X)."""
-    n, _, m, _ = factors.shape
-    return np.einsum("ntij,ntkl->nikjl", factors, factors).reshape(n, m * m, m * m)
-
-
-def _solve_kronecker(factors: np.ndarray, rhs: np.ndarray, fixed: np.ndarray | None = None) -> np.ndarray:
-    """Each member is one dense (m^2, m^2) system (I - fixed - sum_t
-    kron(F_t, F_t)) vec(X) = vec(rhs).  The systems are built in place in
-    one array and solved in one batched LU call.  einsum adds each term to
-    0, so no sum is -0, and IEEE addition commutes: adding ``fixed`` rounds
-    as one einsum over its factors and then ``factors`` would."""
-    n, _, m, _ = factors.shape
+def solve_kronecker(f: np.ndarray, rhs: np.ndarray, fixed: np.ndarray | None = None) -> np.ndarray:
+    """X = F X F^T + rhs for every member of a stack (n, m, m),
+    re-symmetrized: per member one dense (m^2, m^2) system (I - fixed -
+    kron(F, F)) vec(X) = vec(rhs), O(m^6), all in one batched LU call, so
+    no member's bits depend on the others.  ``fixed`` (n, m^2, m^2), such
+    as an open-loop term a loop of solves shares, is added to kron(F, F)."""
+    n, m, _ = f.shape
     size = m * m
-    system = kronecker_sum(factors)
+    system = kron_square(f)
     if fixed is not None:
         system += fixed
     np.negative(system, out=system)
     diagonal = np.arange(size)
     system[:, diagonal, diagonal] += 1.0
     x = np.linalg.solve(system, np.reshape(rhs, (n, size, 1)))
-    return x.reshape(n, m, m)
+    return symmetrize(x.reshape(n, m, m))
 
 
 def solve_doubling(a: np.ndarray, g: np.ndarray, h: np.ndarray):
@@ -485,8 +468,9 @@ def scaled_lyapunov_grid(model: GaussMarkovModel, alphas):
     finite is False where alpha * rho(A)^2 >= 1 (within CRITICAL_MARGIN),
     and those members of S are meaningless.  A scalar model takes
     ``lyapunov_root`` on the whole grid; a matrix model solves every finite
-    entry at once, with the one factor sqrt(alpha) A of ``solve_affine``
-    (by doubling when m >= DOUBLING_MIN_M, by the Kronecker LU below).
+    entry at once, F = sqrt(alpha) A, on m alone: from DOUBLING_MIN_M on by
+    the G = 0 ``solve_doubling`` (NumericalError where a member does not
+    settle), below it by the cheaper ``solve_kronecker``.
     """
     alphas = np.asarray(alphas, dtype=float)
     bad = ~((0.0 <= alphas) & (alphas <= 1.0))
@@ -500,8 +484,14 @@ def scaled_lyapunov_grid(model: GaussMarkovModel, alphas):
     x = np.zeros((len(alphas), model.m, model.m))
     kept = alphas[finite]
     if kept.size:
-        factors = np.sqrt(kept.reshape(-1, 1, 1, 1)) * model.A
-        x[finite] = solve_affine(factors, np.broadcast_to(model.Q, (kept.size, model.m, model.m)))
+        f = np.sqrt(kept.reshape(-1, 1, 1)) * model.A
+        q = np.broadcast_to(model.Q, f.shape)
+        if model.m < DOUBLING_MIN_M:
+            x[finite] = solve_kronecker(f, q)
+        else:
+            x[finite], settled = solve_doubling(f.swapaxes(1, 2), np.zeros_like(q), q)
+            if not settled.all():
+                raise NumericalError(f"doubling did not settle in {DOUBLING_CAP} doublings (rho(F) >= 1)")
     return x, finite
 
 

@@ -29,7 +29,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ParameterError
-from .riccati import _check_lam, mb_traces, sbar_traces, vbar_traces
+from .riccati import _check_gamma, _check_lam, mb_traces, sbar_traces, vbar_traces
 from .statespace import GaussMarkovModel
 
 
@@ -114,8 +114,7 @@ def mb_rate(channel: ChannelSpec, gamma0: float) -> float:
     """
     if channel.kind != "gaussian":
         raise ParameterError("multi-beam rate is defined for the gaussian channel only")
-    if math.isnan(gamma0) or gamma0 < 1.0:
-        raise ParameterError(f"gamma0 must lie in [1, inf], got {gamma0}")
+    _check_gamma(gamma0)
     snr = snr_linear(channel.snr_db)
     if math.isinf(gamma0):
         return 0.5 * math.log1p(snr)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jcas_lab import statespace
+from jcas_lab import riccati, statespace
 from jcas_lab.statespace import GaussMarkovModel
 
 # the two scalar reference systems used throughout
@@ -111,19 +111,24 @@ def stein_error_bound(f: np.ndarray, x: np.ndarray, rhs: np.ndarray, slack: floa
 
 
 def record_solves(patch) -> dict:
-    """Stack sizes of every doubling (``solve_doubling``) and every Kronecker
-    solve of ``statespace.solve_affine`` from now on; ``patch`` is a
+    """Stack sizes of every G = 0 doubling that ``scaled_lyapunov_grid``
+    runs (``statespace.solve_doubling``) and of every ``solve_kronecker``
+    call, S-bar's and the policy iteration's, from now on; ``patch`` is a
     monkeypatch.  ``riccati._sda`` calls the doubling under the name it
     imported, so its calls are not recorded."""
     calls = {"doubling": [], "kronecker": []}
-    for path, name in (("doubling", "solve_doubling"), ("kronecker", "_solve_kronecker")):
-        real = getattr(statespace, name)
+    for module, path, name in (
+        (statespace, "doubling", "solve_doubling"),
+        (statespace, "kronecker", "solve_kronecker"),
+        (riccati, "kronecker", "solve_kronecker"),
+    ):
+        real = getattr(module, name)
 
         def spy(*args, real=real, path=path):
             calls[path].append(len(args[0]))
             return real(*args)
 
-        patch.setattr(statespace, name, spy)
+        patch.setattr(module, name, spy)
     return calls
 
 

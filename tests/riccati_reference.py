@@ -59,8 +59,9 @@ from jcas_lab.riccati import (
 from jcas_lab.statespace import (
     CERTIFICATE_COND,
     CRITICAL_MARGIN,
+    kron_square,
     lyapunov_diverges,
-    solve_affine,
+    solve_kronecker,
     spectral_radius,
 )
 
@@ -251,9 +252,9 @@ def certificate_gain(model):
 
 def policy_iteration(model, lams, gammas, gain) -> np.ndarray:
     """Hewer's policy iteration for min_L phi_{lam,gamma}(L, .) with the two
-    factors sqrt(1 - lam) A and sqrt(lam) (A - L C) at every (lam, gamma)
-    pair, the first zero where lam = 1: ``riccati._policy_iteration`` at
-    any gamma."""
+    terms (1 - lam) A (x) A and F (x) F, F = sqrt(lam) (A - L C), at every
+    (lam, gamma) pair, the first zero where lam = 1:
+    ``riccati._policy_iteration`` at any gamma."""
     a, c, q, r = model.A, model.C, model.Q, model.R
     m = model.m
     lam = np.reshape(lams, (-1, 1, 1))
@@ -264,8 +265,10 @@ def policy_iteration(model, lams, gammas, gain) -> np.ndarray:
     best_trace = np.full(n, math.inf)
     live = np.arange(n)
     for _ in range(100):
-        factors = np.stack([np.sqrt(1.0 - lam) * a, np.sqrt(lam) * (a - gains @ c)], axis=1)
-        x = solve_affine(factors, q + lam * gamma * (gains @ r @ gains.swapaxes(1, 2)))
+        # the open-loop term afresh at every step, where the library builds it once
+        open_loop = kron_square(np.sqrt(1.0 - lam) * a)
+        f = np.sqrt(lam) * (a - gains @ c)
+        x = solve_kronecker(f, q + lam * gamma * (gains @ r @ gains.swapaxes(1, 2)), open_loop)
         tr = x.trace(axis1=1, axis2=2)
         if not np.isfinite(tr).all():
             raise NumericalError("policy iteration produced a non-finite covariance")

@@ -149,6 +149,35 @@ class TestFilterTrials:
             arrived = present[:, t]
             assert np.array_equal(noise[arrived, t], ref.noise[arrived])
 
+    @pytest.mark.parametrize("trials", (0, -1))
+    def test_refuses_trials_on_the_call(self, matrix_model, trials):
+        # 0 and -1 used to fail inside numpy with a broadcast or a
+        # negative-dimension error, once the generator first ran
+        with pytest.raises(ParameterError, match=rf"^trials must be >= 1, got {trials}$"):
+            filtering.filter_trials(matrix_model, BeamPolicy.switching(0.5), 10, trials, 1, [0.0, 0.0], np.eye(2))
+
+
+class TestCovarianceTrials:
+    @pytest.mark.parametrize("model_name", ["unstable_model", "matrix_model"])
+    @pytest.mark.parametrize(
+        "lam, horizon, trials, scale, message",
+        [
+            # each used to run: lam = 1.5 as if every step sensed, -0.5 and
+            # nan as if every step were erased, a negative P0 as given, and
+            # trials = 0 to a ZeroDivisionError
+            (1.5, 10, 5, 1.0, r"^lam must lie in \[0, 1\], got 1.5$"),
+            (-0.5, 10, 5, 1.0, r"^lam must lie in \[0, 1\], got -0.5$"),
+            (math.nan, 10, 5, 1.0, r"^lam must lie in \[0, 1\], got nan$"),
+            (0.5, 10, 0, 1.0, r"^trials must be >= 1, got 0$"),
+            (0.5, 0, 5, 1.0, r"^horizon must be >= 1, got 0$"),
+            (0.5, 10, 5, -1.0, r"^P0 must be positive semidefinite$"),
+        ],
+    )
+    def test_refuses_arguments_on_the_call(self, request, model_name, lam, horizon, trials, scale, message):
+        model = request.getfixturevalue(model_name)
+        with pytest.raises(ParameterError, match=message):
+            filtering.covariance_trials(model, lam, horizon, trials, 1, scale * model.Q)
+
 
 class TestErrorRecursion:
     """The error loop against the truth/estimate recursion on the same draws.

@@ -38,7 +38,7 @@ from jcas_lab.statespace import (
     solve_scaled_lyapunov,
     spectral_radius,
 )
-from jcas_lab.tradeoff import ChannelSpec, bs_curve, mb_curve
+from jcas_lab.tradeoff import ChannelSpec, bs_curve, mb_curve, mb_rate
 
 import exact_reference
 import riccati_reference as ref
@@ -71,6 +71,18 @@ class TestBeamPolicy:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             BeamPolicy("sideways", 0.5)
+
+    def test_refusals_share_the_domain_messages(self):
+        # one check and one message per domain: the policy's value and
+        # mb_rate's gamma0 are refused as gamma_bs and gamma_mb refuse them
+        for value in (-0.01, 1.01, math.nan):
+            with pytest.raises(ParameterError, match=r"^lam must lie in \[0, 1\], got"):
+                BeamPolicy.switching(value)
+        for value in (0.99, -math.inf, math.nan):
+            with pytest.raises(ParameterError, match=r"^gamma must lie in \[1, inf\], got"):
+                BeamPolicy.multibeam(value)
+            with pytest.raises(ParameterError, match=r"^gamma must lie in \[1, inf\], got"):
+                mb_rate(ChannelSpec.gaussian(1.75), value)
 
 
 class TestMaps:
@@ -1557,15 +1569,15 @@ class TestOneFactorPolicyStep:
         assert riccati.unstable_modes_observed(model) == (kind == "certified")
         assert (model.rho < 1.0) == (kind == "stable")
         counts = []
-        solve = riccati.solve_affine
+        solve = riccati.solve_kronecker
 
-        def counted(factors, rhs, fixed=None):
-            # Kronecker terms per system: a shared open-loop term is one
-            counts.append(factors.shape[1] + (fixed is not None))
-            return solve(factors, rhs, fixed)
+        def counted(f, rhs, fixed=None):
+            # Kronecker terms per system: F's, and a shared open-loop term
+            counts.append(1 + (fixed is not None))
+            return solve(f, rhs, fixed)
 
         with monkeypatch.context() as patch:
-            patch.setattr(riccati, "solve_affine", counted)
+            patch.setattr(riccati, "solve_kronecker", counted)
             sda_calls = record_sda(patch)
             got = one_factor_grids(model)
         # every lam = 1 point is the doubling's, and the policy steps, on a

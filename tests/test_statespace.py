@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov
 
 from jcas_lab.errors import DimensionError, NumericalError, ParameterError
+from jcas_lab import riccati, statespace
 from jcas_lab.riccati import iterate_map
 from jcas_lab.statespace import (
     CRITICAL_MARGIN,
@@ -17,8 +18,8 @@ from jcas_lab.statespace import (
     lyapunov_diverges,
     lyapunov_step,
     scaled_lyapunov_grid,
-    solve_affine,
     solve_doubling,
+    solve_kronecker,
     solve_scaled_lyapunov,
     spectral_radius,
     symmetrize,
@@ -196,6 +197,18 @@ class TestModelConstruction:
         with pytest.raises(DimensionError):
             GaussMarkovModel(A=[[1.0]], C=[[1.0]], Q=[[1.0]], R=np.eye(2))
 
+    @pytest.mark.parametrize("name", ("A", "C", "Q", "R"))
+    @pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf))
+    def test_non_finite_entry_rejected(self, name, value):
+        # a NaN in A used to construct and then give critical_lambda 0.0
+        # and nan V-bar traces with no error; the refusal names the matrix
+        matrices = dict(A=np.array([[1.05, 0.2], [0.0, 0.9]]), C=np.array([[1.0, 0.0]]), Q=np.eye(2), R=np.array([[0.5]]))
+        matrices[name][0, 0] = value
+        with pytest.raises(ParameterError, match=f"^{name} entries must be finite"):
+            GaussMarkovModel(**matrices)
+        with pytest.raises(ParameterError, match=f"^{name} "):
+            GaussMarkovModel.scalar(**{key.lower(): value if key == name else 1.0 for key in "ACQR"})
+
     def test_arrays_frozen(self, stable_model):
         with pytest.raises(ValueError):
             stable_model.A[0, 0] = 2.0
@@ -274,39 +287,44 @@ def assert_within_bounds(f, rhs, x, others):
         assert np.linalg.norm(x - y) <= bound + stein_error_bound(f, y, rhs)
 
 
+def doubled(fs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """X = F X F^T + rhs for a stack by the G = 0 doubling (A_0 = F^T),
+    which must settle on every member."""
+    x, settled = solve_doubling(fs.swapaxes(1, 2), np.zeros_like(rhs), rhs)
+    assert settled.all()
+    return x
+
+
 class TestDoublingSolve:
-    """A one-factor Stein equation X = F X F^T + rhs with m >= DOUBLING_MIN_M
-    is solved by ``solve_doubling`` with G = 0, A_0 = F^T.  It agrees with
-    the Kronecker LU (the same equation with a zero factor stacked beside)
-    and with scipy's ``solve_discrete_lyapunov`` within bounds derived from
-    each solution's residual and ||(I - F (x) F)^{-1}||."""
+    """A Stein equation X = F X F^T + rhs with m >= DOUBLING_MIN_M is solved
+    by ``solve_doubling`` with G = 0, A_0 = F^T.  It agrees with the
+    Kronecker LU ``solve_kronecker`` and with scipy's
+    ``solve_discrete_lyapunov`` within bounds derived from each solution's
+    residual and ||(I - F (x) F)^{-1}||."""
 
     @pytest.mark.parametrize("m", range(DOUBLING_MIN_M, 9))
-    def test_agrees_with_kronecker_and_scipy(self, monkeypatch, m):
+    def test_agrees_with_kronecker_and_scipy(self, m):
         rng = np.random.default_rng([30, m])
         fs = np.array([seeded_factor(i, m, rho) for i, rho in enumerate(DOUBLING_RHOS)])
         rhs = np.array([random_psd(rng, m) for _ in DOUBLING_RHOS])
-        calls = record_solves(monkeypatch)
-        doubled = solve_affine(fs[:, None], rhs)
-        two_factor = solve_affine(np.stack([np.zeros_like(fs), fs], axis=1), rhs)
-        assert calls == {"doubling": [len(fs)], "kronecker": [len(fs)]}
-        for f, b, x, y in zip(fs, rhs, doubled, two_factor):
-            assert np.array_equal(x, x.T)
+        for f, b, x, y in zip(fs, rhs, doubled(fs, rhs), solve_kronecker(fs, rhs)):
+            assert np.array_equal(x, x.T) and np.array_equal(y, y.T)
             assert_within_bounds(f, b, x, (y, solve_discrete_lyapunov(f, b)))
 
     @pytest.mark.parametrize("m", range(DOUBLING_MIN_M, 9))
-    def test_sbar_at_critical_margin(self, m):
+    def test_sbar_at_critical_margin(self, monkeypatch, m):
         # alpha rho(A)^2 = 1 - 2 CRITICAL_MARGIN: the most ill-conditioned
-        # S-bar the library still calls finite
+        # S-bar the library still calls finite, and a doubling
         rng = np.random.default_rng([31, m])
         a = seeded_factor(31, m, 1.2)
         model = GaussMarkovModel(A=a, C=rng.standard_normal((1, m)), Q=random_psd(rng, m), R=[[1.0]])
         alpha = (1.0 - 2.0 * CRITICAL_MARGIN) / model.rho**2
         assert not lyapunov_diverges(alpha, model.rho)
+        calls = record_solves(monkeypatch)
         (x,), finite = scaled_lyapunov_grid(model, [alpha])
-        assert finite.all()
+        assert finite.all() and calls == {"doubling": [1], "kronecker": []}
         f = np.sqrt(alpha) * model.A
-        lu = solve_affine(np.stack([np.zeros_like(f), f])[None], model.Q[None])[0]
+        lu = solve_kronecker(f[None], model.Q[None])[0]
         assert_within_bounds(f, model.Q, x, (lu, solve_discrete_lyapunov(f, model.Q)))
 
     @pytest.mark.parametrize("m", range(DOUBLING_MIN_M, 9))
@@ -314,20 +332,21 @@ class TestDoublingSolve:
         rng = np.random.default_rng([32, m])
         fs = np.array([seeded_factor(i, m, rng.uniform(0.1, 0.999)) for i in range(23)])
         rhs = np.array([random_psd(rng, m) for _ in fs])
-        whole = solve_affine(fs[:, None], rhs)
-        for i in range(len(fs)):
-            assert whole[i].tobytes() == solve_affine(fs[i : i + 1, None], rhs[i : i + 1])[0].tobytes()
-        odd = solve_affine(fs[1::2, None], rhs[1::2])
-        assert whole[1::2].tobytes() == odd.tobytes()
+        for solve in (doubled, solve_kronecker):
+            whole = solve(fs, rhs)
+            for i in range(len(fs)):
+                assert whole[i].tobytes() == solve(fs[i : i + 1], rhs[i : i + 1])[0].tobytes()
+            assert whole[1::2].tobytes() == solve(fs[1::2], rhs[1::2]).tobytes()
 
     @pytest.mark.parametrize("m", (DOUBLING_MIN_M, 8))
     @pytest.mark.parametrize("kind", ("identity", "cycle", 1.0 + 1e-6, 1.01, 2.0))
-    def test_unbounded_sum_raises(self, m, kind):
+    def test_unbounded_sum_raises(self, monkeypatch, m, kind):
         # rho(F) >= 1: the sum over F^i rhs F^iT grows without bound, so the
         # member still moves at DOUBLING_CAP or turns inf or nan; the
         # identity and the cyclic shift have rho(F) = 1 exactly, in every
         # power.  The doubling reports the member unsettled, and
-        # solve_affine raises
+        # scaled_lyapunov_grid, past a divergence test patched to pass every
+        # alpha, raises
         if kind == "identity":
             f = np.eye(m)
         elif kind == "cycle":
@@ -335,17 +354,19 @@ class TestDoublingSolve:
         else:
             f = seeded_factor(33, m, kind)
         rhs = np.stack([np.eye(m), np.eye(m)])
-        factors = np.stack([f, seeded_factor(34, m, 0.5)])[:, None]
-        _, settled = solve_doubling(factors[:, 0].swapaxes(1, 2), np.zeros_like(rhs), rhs)
+        fs = np.stack([f, seeded_factor(34, m, 0.5)])
+        _, settled = solve_doubling(fs.swapaxes(1, 2), np.zeros_like(rhs), rhs)
         assert settled.tolist() == [False, True]
+        monkeypatch.setattr(statespace, "lyapunov_diverges", lambda alpha, rho: np.zeros(np.shape(alpha), dtype=bool))
+        model = GaussMarkovModel(A=f, C=np.ones((1, m)), Q=np.eye(m), R=[[1.0]])
+        alpha = (0.5 / spectral_radius(f)) ** 2
+        assert scaled_lyapunov_grid(model, [alpha])[1].all()
         with pytest.raises(NumericalError):
-            solve_affine(factors, rhs)
+            scaled_lyapunov_grid(model, [1.0, alpha])
 
     def test_non_finite_member_leaves_on_its_doubling(self, monkeypatch):
         # A = 1e200 I overflows G and H on the first doubling; that member
         # leaves the stack there, and the other doubles alone until it settles
-        from jcas_lab import statespace
-
         sizes = []
         solve = statespace._solve_members
         monkeypatch.setattr(statespace, "_solve_members", lambda w, rhs: sizes.append(len(w)) or solve(w, rhs))
@@ -355,16 +376,22 @@ class TestDoublingSolve:
         assert settled.tolist() == [False, True]
         assert sizes[0] == 2 and len(sizes) > 2 and set(sizes[1:]) == {1}
 
-    def test_path_depends_on_m_and_factor_count_alone(self, monkeypatch):
+    def test_sbar_doubles_from_m5_and_policy_steps_never_double(self, monkeypatch):
         calls = record_solves(monkeypatch)
         for m in range(1, 9):
-            f = seeded_factor(35, m, 0.9)
+            model = GaussMarkovModel(A=seeded_factor(35, m, 0.9), C=np.ones((1, m)), Q=np.eye(m), R=[[1.0]])
             for n in (1, 7, 200):
-                rhs = np.broadcast_to(np.eye(m), (n, m, m))
-                solve_affine(np.broadcast_to(f, (n, 1, m, m)), rhs)
-                solve_affine(np.broadcast_to(np.stack([0.5 * f, f]), (n, 2, m, m)), rhs)
-        # one-factor solves double from DOUBLING_MIN_M = 5 on at every stack
-        # size; two-factor solves and m <= 4 never double
+                scaled_lyapunov_grid(model, np.linspace(0.2, 1.0, n))
+        # S-bar doubles from DOUBLING_MIN_M = 5 on at every stack size and
+        # takes the Kronecker LU for m = 2..4 (a 1x1 model, the closed form)
         assert DOUBLING_MIN_M == 5
+        assert calls == {"doubling": [1, 7, 200] * 4, "kronecker": [1, 7, 200] * 3}
+        calls["kronecker"].clear()
+        for m in range(2, 9):
+            model = GaussMarkovModel(A=seeded_factor(36, m, 0.9), C=np.ones((1, m)), Q=np.eye(m), R=[[1.0]])
+            for n in (1, 7, 200):
+                riccati._policy_iteration(model, np.linspace(0.0, 0.9, n), np.zeros((m, 1)))
+                # each policy step is one Kronecker LU, the first on every member
+                assert calls["kronecker"][0] == n and len(calls["kronecker"]) > 1
+                calls["kronecker"].clear()
         assert calls["doubling"] == [1, 7, 200] * 4
-        assert sorted(calls["kronecker"]) == sorted([1, 7, 200] * 12)
