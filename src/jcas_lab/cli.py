@@ -51,7 +51,7 @@ from .riccati import (
     vbar_traces,
 )
 from .statespace import GaussMarkovModel, check_initial_covariance, validate_model
-from .tradeoff import ChannelSpec, bs_arrays, dominance_report, full_rate, mb_arrays
+from .tradeoff import ChannelSpec, bs_arrays, bs_rate, dominance_report, full_rate, mb_arrays
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,10 +156,13 @@ def integer(key: str, value, lo: int, hi: int) -> int:
 
 
 def check_entries(key: str, value) -> None:
-    """SchemaError naming the key unless every entry of value is a finite number."""
+    """SchemaError naming the key unless value is a finite number or a
+    rectangular array of them (a list of entries of one shape)."""
     if isinstance(value, list):
         for entry in value:
             check_entries(key, entry)
+        if len({np.shape(entry) for entry in value}) > 1:
+            raise SchemaError(f"config key '{key}' must be a rectangular array, got {json.dumps(value)}")
         return
     number = expect(key, value, "number")
     if abs(number) == math.inf:
@@ -184,10 +187,8 @@ def parse_model(cfg: dict) -> GaussMarkovModel:
         if key not in spec:
             raise SchemaError(f"config model missing matrix '{key}'")
         check_entries(f"model.{key}", spec[key])
-    try:
+    with config_key("model"):
         model = GaussMarkovModel(A=spec["A"], C=spec["C"], Q=spec["Q"], R=spec["R"])
-    except TypeError as exc:
-        raise SchemaError(f"config key 'model' must hold matrices of numbers: {exc}") from exc
     report = validate_model(model)
     if not report.valid:
         raise SchemaError("config model invalid: " + "; ".join(report.violations))
@@ -233,7 +234,10 @@ def parse_grid(spec, name: str) -> np.ndarray:
             raise SchemaError(f"{name}.spacing must be 'linear' or 'log', got {json.dumps(spacing)}")
         if spacing == "log" and not (start > 0.0 and stop > 0.0):
             raise SchemaError(f"{name}: a log grid needs positive start and stop, got {start!r}, {stop!r}")
-        arr = (np.geomspace if spacing == "log" else np.linspace)(start, stop, count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            arr = (np.geomspace if spacing == "log" else np.linspace)(start, stop, count)
+        if not np.isfinite(arr).all():
+            raise SchemaError(f"{name}: grid points must be finite, got start {start!r}, stop {stop!r}")
     else:
         raise SchemaError(f"{name}: grid must be a list or a start/stop/count object")
     if arr.size == 0:
@@ -649,7 +653,7 @@ def reproduce_fig3(out: Path, seed: int, bits: bool = False) -> dict:
         curve_head = f"{head} system={name} channel=noiseless(c0=1.0)"
         write_lines(out / f"fig3_{name}_bs.csv", curve_lines(curves, curve_head, bits))
         lam_c = critical_lambda(model)
-        max_rate = (1.0 - lam_c) * channel.c0
+        max_rate = bs_rate(channel, lam_c)
         summary[name] = (lam_c, max_rate)
         lines.append(f"{name},{lam_c!r},{max_rate!r}")
     lines.append("# rates above max_finite_rate have no finite-distortion guarantee")

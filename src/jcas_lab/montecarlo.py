@@ -4,7 +4,8 @@
 Bernoulli measurement arrivals (covariance only -- the expected covariance
 does not depend on the measurement values, which makes the check sharp and
 fast) and compares the empirical mean at the horizon against the
-finite-horizon lower/upper iterates S_n and V_n started from the same P0.
+finite-horizon lower/upper iterates S_n and V_n started from the same P0;
+the caller passes the critical probability of its near-critical flag.
 
 ``empirical_block_distortion`` runs the filter and averages the per-block
 distortion, the quantity the steady-state traces are supposed to predict.
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtering import covariance_trials, filter_trials
-from .riccati import BeamPolicy, critical_lambda, gamma_bs, iterate_map
+from .riccati import BeamPolicy, gamma_bs, iterate_map
 from .statespace import GaussMarkovModel, lyapunov_step
 
 VERDICT_WITHIN = "within"
@@ -141,7 +142,7 @@ def expected_covariance_mc(
     seed: int,
     p0=None,
     per_step: bool = False,
-    critical: float | None = None,
+    critical: float = math.nan,
 ) -> McReport:
     """Empirical E[P_n] under Bernoulli(lam) arrivals vs the S_n/V_n iterates.
 
@@ -151,8 +152,8 @@ def expected_covariance_mc(
     tr(S_n) - 3 SE <= tr(mean P_n) <= tr(V_n) + 3 SE.
     ``p0`` (default Q) must be m x m and PSD; ``covariance_trials``
     checks every argument before any work.
-    ``critical`` may pass a precomputed critical sensing probability for the
-    near-critical flag; None computes it (coarsely), math.nan disables it.
+    ``critical``, the critical sensing probability, turns on the near-critical
+    flag; the default math.nan leaves it off.
     """
     p0 = model.Q if p0 is None else p0
     cells = covariance_trials(model, lam, horizon, trials, seed, p0)
@@ -174,10 +175,6 @@ def expected_covariance_mc(
     s_trace, v_trace = float(s_traces[-1]), float(v_traces[-1])
     lo, hi = _band(s_trace, v_trace, std_error)
 
-    if critical is None:
-        critical = critical_lambda(model, bisect_tol=1e-3)
-    near = (not math.isnan(critical)) and abs(lam - critical) < NEAR_CRITICAL_BAND
-
     per_mean = per_s = per_v = None
     if per_step:
         per_mean, per_s, per_v = _centered_mean(track), s_traces, v_traces
@@ -191,7 +188,7 @@ def expected_covariance_mc(
         s_bound_trace=s_trace,
         v_bound_trace=v_trace,
         verdict=VERDICT_WITHIN if lo <= emp <= hi else VERDICT_VIOLATED,
-        near_critical=near,
+        near_critical=abs(lam - critical) < NEAR_CRITICAL_BAND,
         infinite_band=trials == 1,
         per_step_mean=per_mean,
         per_step_s=per_s,

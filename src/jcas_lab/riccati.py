@@ -341,9 +341,9 @@ def _contracting_gains(model: GaussMarkovModel, lams) -> list:
     predictor gain L of that iterate, and at steps 1, 2, 4, 8, ... one
     batched ``eigvals`` tests every member's L: rho((1 - lam) A (x) A +
     lam F (x) F) < 1 with F = A - L C, its open-loop term built once per
-    call.  A member leaves the stack once its gain passes, or as divergent
-    once its trace is non-finite or above TRACE_DIVERGENCE or after
-    GAIN_SEARCH_STEPS steps.
+    call.  Every live member takes the step; then a member leaves the
+    stack once its gain passes, or as divergent once its trace is
+    non-finite or above TRACE_DIVERGENCE or after GAIN_SEARCH_STEPS steps.
     """
     lam = np.reshape(lams, (-1, 1, 1))
     p = np.broadcast_to(model.Q, (len(lam), model.m, model.m))
@@ -352,17 +352,15 @@ def _contracting_gains(model: GaussMarkovModel, lams) -> list:
     open_loop = kron_square(np.sqrt(1.0 - lam) * model.A)
     for step in range(1, GAIN_SEARCH_STEPS + 1):
         solved = _solve_innovation(model, p, 1.0)
+        p = _corrected(model, solved, lam)
+        rest = p.trace(axis1=1, axis2=2) <= TRACE_DIVERGENCE  # False for NaN and +inf
         if step & (step - 1) == 0:
             gains = solved[0]
             linear = open_loop + kron_square(np.sqrt(lam) * (model.A - gains @ model.C))
             passed = np.max(np.abs(np.linalg.eigvals(linear)), axis=1) < 1.0
             for i, gain in zip(live[passed], gains[passed]):
                 found[i] = gain
-            live, lam, open_loop = live[~passed], lam[~passed], open_loop[~passed]
-            solved = tuple(x[~passed] for x in solved)
-        p = _corrected(model, solved, lam)
-        tr = p.trace(axis1=1, axis2=2)
-        rest = tr <= TRACE_DIVERGENCE  # False for NaN and +inf
+            rest &= ~passed
         if not rest.all():
             live, p, lam, open_loop = (x[rest] for x in (live, p, lam, open_loop))
         if not live.size:

@@ -65,19 +65,18 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 def times_matrix(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """x @ matrix, a stack (n, a, b) of two or more members as one 2-D
-    product over its rows (in the order of x's memory, member-major or, as
-    ``matrix_times`` returns, row-major), not a BLAS call per member.  Each
-    entry is the same dot product, so it rounds as the stacked product: so
-    far seen only for the (n m)-row products of the covariance steps on the
-    pinned numpy 2.4.6 / OpenBLAS build (``test_stack_steps_round_as_member_steps``);
-    an (n 9, 8) @ (8, 1) product did not."""
+    product over its rows in row-major order, the layout ``matrix_times``
+    returns (any other layout is copied into it by the reshape), not a BLAS
+    call per member.  Each entry is the same dot product, so it rounds as
+    the stacked product: so far seen only for the (n m)-row products of the
+    covariance steps on the pinned numpy 2.4.6 / OpenBLAS build
+    (``test_stack_steps_round_as_member_steps``); an (n 9, 8) @ (8, 1)
+    product did not."""
     if x.ndim != 3 or len(x) < 2:
         return x @ matrix
     n, a, b = x.shape
-    rows = x.transpose(1, 0, 2)
-    if rows.flags.c_contiguous:
-        return (rows.reshape(a * n, b) @ matrix).reshape(a, n, matrix.shape[1]).transpose(1, 0, 2)
-    return (x.reshape(n * a, b) @ matrix).reshape(n, a, matrix.shape[1])
+    rows = x.transpose(1, 0, 2).reshape(a * n, b)
+    return (rows @ matrix).reshape(a, n, matrix.shape[1]).transpose(1, 0, 2)
 
 
 def matrix_times(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -245,13 +244,9 @@ class GaussMarkovModel:
 
 @dataclass
 class ModelValidation:
-    """Outcome of validate_model: violated invariants plus raw diagnostics."""
+    """Outcome of validate_model: each violated invariant, listed once."""
 
     violations: list = field(default_factory=list)
-    symmetry_residual_q: float = 0.0
-    symmetry_residual_r: float = 0.0
-    detectability_ranks: list = field(default_factory=list)   # (eigenvalue, rank)
-    controllability_ranks: list = field(default_factory=list)
 
     @property
     def valid(self) -> bool:
@@ -259,55 +254,41 @@ class ModelValidation:
 
 
 def validate_model(model: GaussMarkovModel) -> ModelValidation:
-    """Check the model invariants and report every violation.
+    """Check the model invariants and report every violation, each message once.
 
     Checks: Q symmetric PSD, R symmetric PD, (A, C) detectable and
-    (A, Q^{1/2}) controllable via PBH rank tests.  Never raises; returns a
-    report whose ``violations`` list is empty iff the model is valid.
+    (A, Q^{1/2}) controllable via PBH rank tests.  Where a rank test's
+    matrix is not finite (the eigenvalues of A or the entries of Q^{1/2}
+    overflow), no rank test runs and that is the violation.  Never raises
+    or warns; returns a report whose ``violations`` list is empty iff the
+    model is valid.
     """
-    rep = ModelValidation()
     m = model.m
+    violations = []
+    with np.errstate(all="ignore"):
+        for name, x in (("Q", model.Q), ("R", model.R)):
+            if float(np.max(np.abs(x - x.T))) > EIG_TOL * max(1.0, float(np.max(np.abs(x)))):
+                violations.append(f"{name} not symmetric")
+        if not is_psd(model.Q):
+            violations.append("Q not positive semidefinite")
+        if not is_pd(model.R):
+            violations.append("R not positive definite")
 
-    rep.symmetry_residual_q = float(np.max(np.abs(model.Q - model.Q.T)))
-    rep.symmetry_residual_r = float(np.max(np.abs(model.R - model.R.T)))
-    q_scale = max(1.0, float(np.max(np.abs(model.Q))))
-    r_scale = max(1.0, float(np.max(np.abs(model.R))))
-    if rep.symmetry_residual_q > EIG_TOL * q_scale:
-        rep.violations.append("Q not symmetric")
-    if rep.symmetry_residual_r > EIG_TOL * r_scale:
-        rep.violations.append("R not symmetric")
-    if not is_psd(model.Q):
-        rep.violations.append("Q not positive semidefinite")
-    if not is_pd(model.R):
-        rep.violations.append("R not positive definite")
-
-    eigs = np.linalg.eigvals(model.A)
-    eye = np.eye(m)
-
-    # PBH detectability: every eigenvalue on or outside the unit circle must
-    # be observable through C.
-    for mu in eigs:
-        if abs(mu) < 1.0 - CRITICAL_MARGIN:
-            continue
-        stacked = np.vstack([model.A - mu * eye, model.C.astype(complex)])
-        rank = int(np.linalg.matrix_rank(stacked))
-        rep.detectability_ranks.append((complex(mu), rank))
-        if rank < m:
-            rep.violations.append(f"(A, C) not detectable at eigenvalue {mu:.6g}")
-
-    # PBH controllability of (A, Q^{1/2}): every mode must be excitable by
-    # the process noise.
-    q_sqrt = psd_sqrt(model.Q)
-    for mu in eigs:
-        wide = np.hstack([model.A - mu * eye, q_sqrt.astype(complex)])
-        rank = int(np.linalg.matrix_rank(wide))
-        rep.controllability_ranks.append((complex(mu), rank))
-        if rank < m:
-            rep.violations.append(
-                f"(A, Q^1/2) not controllable at eigenvalue {mu:.6g}"
-            )
-
-    return rep
+        # PBH: detectable if every eigenvalue on or outside the unit circle is
+        # observable through C, controllable if the process noise excites
+        # every mode
+        eigs = np.linalg.eigvals(model.A)
+        shifted = [model.A - mu * np.eye(m) for mu in eigs]
+        tests = [(np.vstack([a_mu, model.C.astype(complex)]), f"(A, C) not detectable at eigenvalue {mu:.6g}")
+                 for mu, a_mu in zip(eigs, shifted) if abs(mu) >= 1.0 - CRITICAL_MARGIN]
+        q_sqrt = psd_sqrt(model.Q).astype(complex)
+        tests += [(np.hstack([a_mu, q_sqrt]), f"(A, Q^1/2) not controllable at eigenvalue {mu:.6g}")
+                  for mu, a_mu in zip(eigs, shifted)]
+        if all(np.isfinite(block).all() for block, _ in tests):
+            violations += [message for block, message in tests if np.linalg.matrix_rank(block) < m]
+        else:
+            violations.append("A or Q too large for the PBH rank tests (not finite)")
+    return ModelValidation(list(dict.fromkeys(violations)))
 
 
 def check_initial_covariance(model: GaussMarkovModel, p0) -> np.ndarray:

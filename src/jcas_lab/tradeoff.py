@@ -114,11 +114,9 @@ def mb_rate(channel: ChannelSpec, gamma0: float) -> float:
     """
     if channel.kind != "gaussian":
         raise ParameterError("multi-beam rate is defined for the gaussian channel only")
-    _check_gamma(gamma0)
-    snr = snr_linear(channel.snr_db)
-    if math.isinf(gamma0):
-        return 0.5 * math.log1p(snr)
-    return 0.5 * math.log1p(((gamma0 - 1.0) / gamma0) * snr)
+    if math.isinf(_check_gamma(gamma0)):
+        return full_rate(channel)
+    return 0.5 * math.log1p(((gamma0 - 1.0) / gamma0) * snr_linear(channel.snr_db))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -11,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jcas_lab
-from jcas_lab.cli import main
-from jcas_lab.errors import EnumerationLimitError
+from jcas_lab.cli import main, parse_channel, parse_grid, parse_model, parse_policy
+from jcas_lab.errors import EnumerationLimitError, SchemaError
 
 from conftest import toy_model_path
 
@@ -473,6 +476,26 @@ class TestErrorPaths:
         assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"config key 'model.{matrix}' must" in err and shown in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"A": [[1.0, 2.0], [3.0]]}, "config key 'model.A' must be a rectangular array, got [[1.0, 2.0], [3.0]]\n"),
+            ({"A": [[1e308, 1e308], [1e308, 1e308]]}, "config model invalid: A or Q too large for the PBH rank tests"),
+            ({"A": [[1.0, 0.0]]}, "config error: config key 'model': A must be square, got (1, 2)\n"),
+            ({"A": [[1.0, 0.0], [0.0, 1.0]]}, "config model invalid: (A, C) not detectable at eigenvalue 1\n"),
+        ],
+        ids=["ragged", "eigenvalues-overflow", "not-square", "violation-listed-once"],
+    )
+    def test_model_refusal_names_model(self, tmp_path, capsys, overrides, message):
+        # a ragged A used to print numpy's "inhomogeneous shape" error, a
+        # finite A whose eigenvalues overflow made validate_model raise
+        # LinAlgError, a shape refusal did not name the key, and a repeated
+        # eigenvalue repeated its violation
+        model = {"A": [[0.5, 0.0], [0.0, 0.5]], "C": [[1.0, 0.0]], "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]], **overrides}
+        cfg = write_config(tmp_path / "cfg.json", model=model)
+        assert main(["riccati", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, key",
@@ -946,3 +969,106 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("path", sorted(Path(jcas_lab.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_source_file_imports_scipy(path):
+    """scipy is a test oracle only, checked statically: an import of it at any
+    depth of a source file, such as a lazy one in a function no run reaches,
+    fails here."""
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.append(node.module)
+    assert not [name for name in imported if name == "scipy" or name.startswith("scipy.")]
+
+
+#: what json.loads can give a number: an int of any size, or a float
+#: (NaN, Infinity and the overflow of 1e400 included), the edges of the
+#: float range drawn often
+JSON_NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan, 1e308, -1.7976931348623157e308, 5e-324, 10**400]),
+)
+
+#: any value json.loads can give, a few entries deep
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), JSON_NUMBERS, st.text(max_size=3), st.just("inf")),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def rectangular(rows: int, cols: int):
+    return st.lists(st.lists(JSON_NUMBERS, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+#: up to 3 x 3, rows of independent lengths
+RAGGED = st.lists(st.lists(JSON_NUMBERS, max_size=3), max_size=3)
+
+
+@st.composite
+def model_specs(draw):
+    """A model section whose matrices have the shapes of an m-state, k-output
+    model, or are ragged, mis-shaped, missing or not matrices at all."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shapes = {"A": (m, m), "C": (k, m), "Q": (m, m), "R": (k, k)}
+    spec = {}
+    for key, shape in shapes.items():
+        value = draw(st.one_of(rectangular(*shape), rectangular(*shape), RAGGED, JSON_VALUES, st.none()))
+        if value is not None:
+            spec[key] = value
+    return spec
+
+
+GRID_SPECS = st.one_of(
+    st.lists(st.one_of(JSON_NUMBERS, st.just("inf"), JSON_VALUES), max_size=5),
+    st.fixed_dictionaries(
+        {"start": JSON_NUMBERS, "stop": JSON_NUMBERS, "count": st.one_of(st.integers(-1, 50), st.sampled_from([2.0, 2.5, True, "3"]))},
+        optional={"spacing": st.one_of(st.sampled_from(["linear", "log"]), JSON_VALUES)},
+    ),
+    JSON_VALUES,
+)
+
+
+class TestConfigParsersFuzz:
+    """Every JSON-like section a config parser is given either parses or is
+    refused with a SchemaError (exit 2); nothing else escapes, not even a
+    RuntimeWarning."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=st.one_of(model_specs(), JSON_VALUES))
+    def test_parse_model(self, spec):
+        try:
+            parse_model({"model": spec})
+        except SchemaError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=GRID_SPECS)
+    def test_parse_grid(self, spec):
+        try:
+            parse_grid(spec, "lambda_grid")
+        except SchemaError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.one_of(st.sampled_from(["switching", "multibeam"]), JSON_VALUES),
+           value=st.one_of(JSON_NUMBERS, st.just("inf"), JSON_VALUES))
+    def test_parse_policy(self, kind, value):
+        try:
+            parse_policy({"policy": {"kind": kind, "value": value}})
+        except SchemaError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.one_of(st.sampled_from(["noiseless", "gaussian"]), JSON_VALUES),
+           extra=st.dictionaries(st.sampled_from(["c0", "snr_db"]), st.one_of(JSON_NUMBERS, JSON_VALUES)))
+    def test_parse_channel(self, kind, extra):
+        try:
+            parse_channel({"channel": {"kind": kind, **extra}})
+        except SchemaError:
+            pass

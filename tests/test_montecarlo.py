@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jcas_lab import filtering, montecarlo
+from jcas_lab import filtering, montecarlo, riccati
 from jcas_lab.errors import DimensionError, ParameterError
 from jcas_lab.cli import mc_row, per_step_lines, write_lines
 from jcas_lab.montecarlo import empirical_block_distortion, expected_covariance_mc
@@ -79,6 +79,17 @@ class TestExpectedCovarianceMc:
         hot = expected_covariance_mc(unstable_model, 0.26, 10, 50, seed=6, critical=lam_c)
         cold = expected_covariance_mc(unstable_model, 0.9, 10, 50, seed=6, critical=lam_c)
         assert hot.near_critical and not cold.near_critical
+
+    def test_default_cell_runs_no_bisection(self, monkeypatch):
+        # the near-critical flag is off unless the caller passes the threshold;
+        # a default cell on the refused diag(1.2, 1.1) model used to bisect for it
+        def no_bisection(*args, **kwargs):
+            raise AssertionError("a Monte Carlo cell ran a threshold bisection")
+
+        monkeypatch.setattr(riccati, "_bisect", no_bisection)
+        refused = GaussMarkovModel(A=np.diag([1.2, 1.1]), C=[[1.0, 1.0]], Q=np.eye(2), R=[[1.0]])
+        rep = expected_covariance_mc(refused, 0.5, 20, 100, seed=1)
+        assert not rep.near_critical
 
     def test_lambda_validated(self, stable_model):
         with pytest.raises(ParameterError):

@@ -166,8 +166,26 @@ class TestValidateModel:
             A=np.eye(2), C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]]
         )
         report = validate_model(model)
-        assert any("not detectable" in v for v in report.violations)
-        assert any(rank < 2 for _, rank in report.detectability_ranks)
+        assert "(A, C) not detectable at eigenvalue 1" in report.violations
+
+    def test_each_violation_listed_once(self):
+        # both eigenvalues 1 fail the same PBH test; the message used to be listed twice
+        model = GaussMarkovModel(A=np.eye(2), C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]])
+        violations = validate_model(model).violations
+        assert violations == ["(A, C) not detectable at eigenvalue 1"]
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("A", [[1e308, 1e308], [1e308, 1e308]]), ("A", [[1.7e308, 0.0], [0.0, -1.7e308]]), ("Q", [[1e308, 1e308], [1e308, 1e308]])],
+        ids=["A-eigenvalue-overflows", "A-shift-overflows", "Q-root-overflows"],
+    )
+    def test_overflowing_rank_test_is_a_violation(self, name, value):
+        # finite entries whose eigenvalues or PBH matrices overflow used to
+        # raise LinAlgError (SVD did not converge) after a RuntimeWarning
+        matrices = dict(A=0.5 * np.eye(2), C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]])
+        matrices[name] = value
+        report = validate_model(GaussMarkovModel(**matrices))
+        assert report.violations == ["A or Q too large for the PBH rank tests (not finite)"]
 
     def test_controllability_violation(self):
         model = GaussMarkovModel(
@@ -184,7 +202,6 @@ class TestValidateModel:
             R=np.eye(2),
         )
         report = validate_model(model)
-        assert report.symmetry_residual_q == pytest.approx(0.2)
         assert any("Q not symmetric" in v for v in report.violations)
 
 
