@@ -511,8 +511,13 @@ def load_discrete_model(path) -> DiscreteJcasModel:
     """
     sections: dict = {}
     current = None
-    with open(path) as fh:
+    # undecodable bytes become lone surrogates, which UTF-8 cannot encode
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise SchemaError(f"{path}: line {lineno}, column {exc.start + 1}: not UTF-8 text") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

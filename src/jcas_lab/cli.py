@@ -99,8 +99,8 @@ KNOWN_KEYS = {
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(text)

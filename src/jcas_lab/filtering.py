@@ -76,10 +76,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .riccati import BeamPolicy, _check_lam, innovation, sensing_kernel
+from .riccati import BeamPolicy, innovation, sensing_kernel
 from .statespace import (
     GaussMarkovModel,
     check_initial_covariance,
+    check_range,
     lyap_kernel,
     lyapunov_step,
     psd_sqrt,
@@ -296,6 +297,8 @@ def filter_trials(model, policy, horizon: int, trials: int, seed: int, s0, p0):
     s0 = np.asarray(s0, dtype=float).reshape(-1)
     if s0.size != model.m:
         raise DimensionError(f"initial estimate must have length {model.m}, got {s0.size}")
+    if not np.isfinite(s0).all():
+        raise ParameterError(f"initial estimate must be finite, got {s0.tolist()}")
     p0 = check_initial_covariance(model, p0)
     return _recursion(model, policy, horizon, trials, seed, s0, p0)
 
@@ -388,7 +391,7 @@ def covariance_trials(model, lam: float, horizon: int, trials: int, seed: int, p
     branch is never computed.  A chunk's steps are computed before any of
     them is yielded.  The arguments are checked before this returns.
     """
-    _check_lam(lam)
+    check_range("lam", lam, 0, 1)
     _check_counts(horizon, trials)
     return _covariance_run(model, lam, horizon, trials, seed, check_initial_covariance(model, p0))
 

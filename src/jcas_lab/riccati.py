@@ -69,6 +69,8 @@ from .errors import NumericalError, ParameterError
 from .statespace import (
     GaussMarkovModel,
     as_matrix,
+    check_grid,
+    check_range,
     grid_members,
     grid_traces,
     kron_square,
@@ -92,18 +94,6 @@ TRACE_DIVERGENCE = 1e12
 GAIN_SEARCH_STEPS = 200_000
 
 
-def _check_lam(lam: float) -> float:
-    if not (0.0 <= lam <= 1.0):
-        raise ParameterError(f"lam must lie in [0, 1], got {lam}")
-    return lam
-
-
-def _check_gamma(gamma: float) -> float:
-    if math.isnan(gamma) or gamma < 1.0:
-        raise ParameterError(f"gamma must lie in [1, inf], got {gamma}")
-    return gamma
-
-
 @dataclass(frozen=True)
 class BeamPolicy:
     """Transmit strategy: switching(lam) or multibeam(gamma0).
@@ -119,9 +109,9 @@ class BeamPolicy:
 
     def __post_init__(self):
         if self.kind == "switching":
-            _check_lam(self.value)
+            check_range("lam", self.value, 0, 1)
         elif self.kind == "multibeam":
-            _check_gamma(self.value)
+            check_range("gamma", self.value, 1, math.inf)
         else:
             raise ParameterError(f"unknown policy kind {self.kind!r}")
 
@@ -132,22 +122,6 @@ class BeamPolicy:
     @classmethod
     def multibeam(cls, gamma0: float) -> "BeamPolicy":
         return cls("multibeam", float(gamma0))
-
-
-def _lam_grid(lams) -> np.ndarray:
-    lams = np.asarray(lams, dtype=float)
-    bad = ~((0.0 <= lams) & (lams <= 1.0))
-    if bad.any():
-        _check_lam(lams[bad][0])
-    return lams
-
-
-def _gamma_grid(gammas) -> np.ndarray:
-    gammas = np.asarray(gammas, dtype=float)
-    bad = np.isnan(gammas) | (gammas < 1.0)
-    if bad.any():
-        _check_gamma(gammas[bad][0])
-    return gammas
 
 
 def sensing_kernel(a: float, c: float, q: float, r: float, p, gamma: float, lam):
@@ -290,13 +264,13 @@ def gamma_bs(p: np.ndarray, lam, model: GaussMarkovModel) -> np.ndarray:
     lam = 0 takes the open-loop step, and at lam = 1 the factor 1.0 is exact,
     so the endpoints coincide bit for bit with the Lyapunov and Riccati steps.
     """
-    _check_lam(lam)
+    check_range("lam", lam, 0, 1)
     return _step(model, as_matrix(p, "P"), 1.0, lam)
 
 
 def gamma_mb(p: np.ndarray, gamma: float, model: GaussMarkovModel) -> np.ndarray:
     """One application of the multi-beam map (gain-scaled measurement noise)."""
-    return _step(model, as_matrix(p, "P"), _check_gamma(gamma), 1.0)
+    return _step(model, as_matrix(p, "P"), check_range("gamma", gamma, 1, math.inf), 1.0)
 
 
 def iterate_map(step, p0: np.ndarray, n: int):
@@ -513,7 +487,7 @@ def vbar(lam: float, model: GaussMarkovModel):
     refused model, also where the gain search finds no contracting gain
     within GAIN_SEARCH_STEPS steps).  At lam = 1 it is ``mb_fixed_point``
     at gamma = 1, bit for bit."""
-    return grid_members(_vbar_grid(model, _lam_grid([lam])))[0]
+    return grid_members(_vbar_grid(model, check_grid("lam", [lam], 0, 1)))[0]
 
 
 def vbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
@@ -521,13 +495,13 @@ def vbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
     of the whole grid.  On a scalar model a one-lam call stays on float
     arithmetic."""
     if model.is_scalar and len(lams) == 1:
-        return np.array([_scalar_trace(model, _check_lam(float(lams[0])), 1.0)])
-    return grid_traces(_vbar_grid(model, _lam_grid(lams)))
+        return np.array([_scalar_trace(model, check_range("lam", float(lams[0]), 0, 1), 1.0)])
+    return grid_traces(_vbar_grid(model, check_grid("lam", lams, 0, 1)))
 
 
 def sbar(lam: float, model: GaussMarkovModel):
     """Scaled-Lyapunov lower bound at alpha = 1 - lam, or None when divergent."""
-    return solve_scaled_lyapunov(model, 1.0 - _check_lam(lam))
+    return solve_scaled_lyapunov(model, 1.0 - check_range("lam", lam, 0, 1))
 
 
 def sbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
@@ -535,16 +509,16 @@ def sbar_traces(lams, model: GaussMarkovModel) -> np.ndarray:
     model a one-lam call stays on float arithmetic."""
     if model.is_scalar and len(lams) == 1:
         a, _, q, _ = model.scalars()
-        alpha = 1.0 - _check_lam(float(lams[0]))
+        alpha = 1.0 - check_range("lam", float(lams[0]), 0, 1)
         return np.array([math.inf if lyapunov_diverges(alpha, abs(a)) else lyapunov_root(a, q, alpha)])
-    return grid_traces(scaled_lyapunov_grid(model, 1.0 - _lam_grid(lams)))
+    return grid_traces(scaled_lyapunov_grid(model, 1.0 - check_grid("lam", lams, 0, 1)))
 
 
 def mb_fixed_point(gamma: float, model: GaussMarkovModel):
     """Steady-state covariance of the multi-beam map, or None when divergent:
     on a matrix model where the doubling does not settle.  gamma = inf
     takes the open-loop Lyapunov route."""
-    return grid_members(_mb_grid(model, _gamma_grid([gamma])))[0]
+    return grid_members(_mb_grid(model, check_grid("gamma", [gamma], 1, math.inf)))[0]
 
 
 def mb_traces(gammas, model: GaussMarkovModel) -> np.ndarray:
@@ -552,8 +526,8 @@ def mb_traces(gammas, model: GaussMarkovModel) -> np.ndarray:
     it diverges; on a scalar model a one-gamma call (gamma < inf) stays on
     float arithmetic."""
     if model.is_scalar and len(gammas) == 1 and float(gammas[0]) < math.inf:
-        return np.array([_scalar_trace(model, 1.0, _check_gamma(float(gammas[0])))])
-    return grid_traces(_mb_grid(model, _gamma_grid(gammas)))
+        return np.array([_scalar_trace(model, 1.0, check_range("gamma", float(gammas[0]), 1, math.inf))])
+    return grid_traces(_mb_grid(model, check_grid("gamma", gammas, 1, math.inf)))
 
 
 #: halvings one batched threshold probe decides on matrix models; scalar

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import DimensionError, NumericalError, ParameterError
 
-#: eigenvalue tolerance for PSD/PD checks, relative to the largest magnitude
+#: eigenvalue and symmetry tolerance of ``covariance_violations``, relative
+#: to the largest magnitude
 EIG_TOL = 1e-10
 
 #: alpha * rho(A)^2 within this distance of 1 is reported as divergent, and
@@ -100,21 +101,42 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(arr))))
 
 
-def min_sym_eig(m: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetrized matrix."""
-    return float(np.min(np.linalg.eigvalsh(symmetrize(m))))
+def check_range(name: str, value, lo, hi):
+    """value, or ParameterError naming it unless lo <= value <= hi (nan
+    never is); the one range rule of every lam, alpha and gamma."""
+    if not lo <= value <= hi:
+        raise ParameterError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    return value
 
 
-def is_psd(m: np.ndarray, tol: float = EIG_TOL) -> bool:
-    eigs = np.linalg.eigvalsh(symmetrize(m))
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return bool(np.min(eigs) >= -tol * max(scale, 1.0))
+def check_grid(name: str, values, lo, hi) -> np.ndarray:
+    """values as a float array, refused as ``check_range`` refuses its
+    first entry outside [lo, hi]."""
+    values = np.asarray(values, dtype=float)
+    bad = ~((lo <= values) & (values <= hi))
+    if bad.any():
+        check_range(name, values[bad][0], lo, hi)
+    return values
 
 
-def is_pd(m: np.ndarray, tol: float = EIG_TOL) -> bool:
-    eigs = np.linalg.eigvalsh(symmetrize(m))
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return bool(np.min(eigs) > tol * scale)
+def covariance_violations(name: str, x: np.ndarray, definite: bool = False) -> list:
+    """Each broken part of the covariance x, one message each: entries not
+    finite (then nothing else is checked), asymmetry above EIG_TOL times
+    max(1, largest |entry|), and a least eigenvalue of (x + x^T) / 2 below
+    -EIG_TOL times max(1, largest |eigenvalue|) or, when ``definite``, not
+    above EIG_TOL times the largest |eigenvalue|.  The one covariance rule
+    of Q, R and P0."""
+    if not np.isfinite(x).all():
+        return [f"{name} entries must be finite"]
+    violations = []
+    with np.errstate(all="ignore"):
+        if float(np.max(np.abs(x - x.T))) > EIG_TOL * max(1.0, float(np.max(np.abs(x)))):
+            violations.append(f"{name} not symmetric")
+        eigs = np.linalg.eigvalsh(symmetrize(x))
+        least, scale = float(np.min(eigs)), float(np.max(np.abs(eigs)))
+    if not (least > EIG_TOL * scale if definite else least >= -EIG_TOL * max(scale, 1.0)):
+        violations.append(f"{name} not positive {'definite' if definite else 'semidefinite'}")
+    return violations
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -264,16 +286,8 @@ def validate_model(model: GaussMarkovModel) -> ModelValidation:
     model is valid.
     """
     m = model.m
-    violations = []
+    violations = covariance_violations("Q", model.Q) + covariance_violations("R", model.R, definite=True)
     with np.errstate(all="ignore"):
-        for name, x in (("Q", model.Q), ("R", model.R)):
-            if float(np.max(np.abs(x - x.T))) > EIG_TOL * max(1.0, float(np.max(np.abs(x)))):
-                violations.append(f"{name} not symmetric")
-        if not is_psd(model.Q):
-            violations.append("Q not positive semidefinite")
-        if not is_pd(model.R):
-            violations.append("R not positive definite")
-
         # PBH: detectable if every eigenvalue on or outside the unit circle is
         # observable through C, controllable if the process noise excites
         # every mode
@@ -292,12 +306,14 @@ def validate_model(model: GaussMarkovModel) -> ModelValidation:
 
 
 def check_initial_covariance(model: GaussMarkovModel, p0) -> np.ndarray:
-    """P0 as an m x m float array; DimensionError / ParameterError unless PSD."""
+    """P0 as an m x m float array; DimensionError unless m x m, ParameterError
+    listing its ``covariance_violations`` unless a finite, symmetric PSD matrix."""
     p0 = as_matrix(p0, "P0")
     if p0.shape != (model.m, model.m):
         raise DimensionError(f"P0 must be {model.m}x{model.m}, got {p0.shape}")
-    if min_sym_eig(p0) < -EIG_TOL * max(1.0, float(np.max(np.abs(p0)))):
-        raise ParameterError("P0 must be positive semidefinite")
+    violations = covariance_violations("P0", p0)
+    if violations:
+        raise ParameterError("; ".join(violations))
     return p0
 
 
@@ -453,10 +469,7 @@ def scaled_lyapunov_grid(model: GaussMarkovModel, alphas):
     the G = 0 ``solve_doubling`` (NumericalError where a member does not
     settle), below it by the cheaper ``solve_kronecker``.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    bad = ~((0.0 <= alphas) & (alphas <= 1.0))
-    if bad.any():
-        raise ParameterError(f"alpha must lie in [0, 1], got {alphas[bad][0]}")
+    alphas = check_grid("alpha", alphas, 0, 1)
     finite = ~lyapunov_diverges(alphas, model.rho)
     if model.is_scalar:
         a, _, q, _ = model.scalars()

@@ -29,8 +29,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ParameterError
-from .riccati import _check_gamma, _check_lam, mb_traces, sbar_traces, vbar_traces
-from .statespace import GaussMarkovModel
+from .riccati import mb_traces, sbar_traces, vbar_traces
+from .statespace import GaussMarkovModel, check_range
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,10 @@ class ChannelSpec:
         elif self.kind == "gaussian":
             if not math.isfinite(self.snr_db):
                 raise ParameterError(f"snr_db must be finite, got {self.snr_db}")
+            try:
+                snr_linear(self.snr_db)
+            except OverflowError:
+                raise ParameterError(f"snr_db must keep 10^(snr_db / 10) finite, got {self.snr_db}") from None
         else:
             raise ParameterError(f"unknown channel kind {self.kind!r}")
 
@@ -103,7 +107,7 @@ def full_rate(channel: ChannelSpec) -> float:
 
 def bs_rate(channel: ChannelSpec, lam: float) -> float:
     """Beam-switching rate (1 - lam) * full rate, in nats."""
-    return (1.0 - _check_lam(lam)) * full_rate(channel)
+    return (1.0 - check_range("lam", lam, 0, 1)) * full_rate(channel)
 
 
 def mb_rate(channel: ChannelSpec, gamma0: float) -> float:
@@ -114,7 +118,7 @@ def mb_rate(channel: ChannelSpec, gamma0: float) -> float:
     """
     if channel.kind != "gaussian":
         raise ParameterError("multi-beam rate is defined for the gaussian channel only")
-    if math.isinf(_check_gamma(gamma0)):
+    if math.isinf(check_range("gamma", gamma0, 1, math.inf)):
         return full_rate(channel)
     return 0.5 * math.log1p(((gamma0 - 1.0) / gamma0) * snr_linear(channel.snr_db))
 

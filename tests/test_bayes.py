@@ -969,6 +969,31 @@ class TestModelLoading:
         with pytest.raises(SchemaError, match=re.escape(message)):
             load_discrete_model(path)
 
+    def test_undecodable_byte_names_file_and_line(self, tmp_path):
+        # the decode error used to escape naming neither the file nor the line
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(open(toy_model_path(), "rb").read().replace(b"X = 2", b"X = 2\xff", 1))
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: line 7, column 6: not UTF-8 text")):
+            load_discrete_model(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_lines_load_or_raise_schema_error(self, tmp_path_factory, data):
+        lines = open(toy_model_path(), "rb").read().split(b"\n")
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(lines) - 1))
+            lines[at] = data.draw(st.one_of(
+                st.binary(max_size=24),
+                st.text("0123456789 .:-+=#[]eEXSZYinfa\t", max_size=24).map(str.encode),
+                st.sampled_from(lines).map(lambda line: line.replace(b"2", b"3").replace(b"0.5", b"1e400")),
+            ))
+        path = tmp_path_factory.getbasetemp() / "mutated.txt"
+        path.write_bytes(b"\n".join(lines))
+        try:
+            load_discrete_model(path)
+        except SchemaError:
+            pass
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "missing.txt"
         path.write_text("[alphabets]\nX = 2\nS = 2\nZ = 2\nY = 2\n")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jcas_lab
-from jcas_lab.cli import main, parse_channel, parse_grid, parse_model, parse_policy
+from jcas_lab.cli import load_config, main, parse_channel, parse_grid, parse_model, parse_policy
 from jcas_lab.errors import EnumerationLimitError, SchemaError
 
 from conftest import toy_model_path
@@ -258,6 +258,20 @@ class TestErrorPaths:
         assert main(["riccati", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["config", "discrete_model"])
+    def test_undecodable_file_named(self, tmp_path, capsys, which):
+        bad = tmp_path / "latin1"
+        if which == "config":
+            bad.write_bytes(b'{"seed": 1, "note": "\xff"}')
+            cfg = bad
+        else:
+            bad.write_bytes(open(toy_model_path(), "rb").read().replace(b"[markov]", b"[markov\xff]"))
+            cfg = write_config(tmp_path / "cfg.json", discrete_model=str(bad), bayes={"n": 1, "budgets": [0.4]})
+        assert main(["bayes", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert ("position 21" if which == "config" else "line 19, column 8: not UTF-8 text") in err
+
     def test_missing_seed(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         write_config(cfg_path)
@@ -340,6 +354,9 @@ class TestErrorPaths:
             ("rd-curve", "channel.snr_db", {"channel": {"kind": "gaussian", "snr_db": math.inf}}),
             ("bayes", "bayes.grid_resolution", {"bayes": {"n": 1, "grid_resolution": 2.0, "budgets": [0.4]}}),
             ("bayes", "bayes.n", {"bayes": {"n": 5, "budgets": [0.4]}}),
+            # an asymmetric p0 used to run; 10^(snr_db / 10) used to overflow in a traceback
+            ("filter-sim", "p0", {**BENCH_2X2, "p0": [[1.0, 5.0], [-5.0, 1.0]]}),
+            ("rd-curve", "channel.snr_db", {"channel": {"kind": "gaussian", "snr_db": 5000.0}}),
         ],
     )
     def test_library_refusal_names_key(self, tmp_path, capsys, command, key, overrides):
@@ -1061,6 +1078,16 @@ class TestConfigParsersFuzz:
     def test_parse_policy(self, kind, value):
         try:
             parse_policy({"policy": {"kind": kind, "value": value}})
+        except SchemaError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=48), JSON_VALUES.map(lambda v: json.dumps(v).encode())))
+    def test_load_config(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_bytes(data)
+        try:
+            load_config(path)
         except SchemaError:
             pass
 

@@ -149,6 +149,15 @@ class TestFilterTrials:
             arrived = present[:, t]
             assert np.array_equal(noise[arrived, t], ref.noise[arrived])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_refuses_non_finite_estimate_on_the_call(self, matrix_model, value):
+        # a nan estimate used to run to distortions that were all nan
+        policy = BeamPolicy.switching(0.5)
+        with pytest.raises(ParameterError, match=r"^initial estimate must be finite, got \[0.0, (nan|inf)\]$"):
+            filtering.filter_trials(matrix_model, policy, 10, 2, 1, [0.0, value], np.eye(2))
+        with pytest.raises(ParameterError, match=r"^initial estimate must be finite"):
+            run_filter(matrix_model, policy, 10, [0.0, value], np.eye(2), 1)
+
     @pytest.mark.parametrize("trials", (0, -1))
     def test_refuses_trials_on_the_call(self, matrix_model, trials):
         # 0 and -1 used to fail inside numpy with a broadcast or a
@@ -170,13 +179,26 @@ class TestCovarianceTrials:
             (math.nan, 10, 5, 1.0, r"^lam must lie in \[0, 1\], got nan$"),
             (0.5, 10, 0, 1.0, r"^trials must be >= 1, got 0$"),
             (0.5, 0, 5, 1.0, r"^horizon must be >= 1, got 0$"),
-            (0.5, 10, 5, -1.0, r"^P0 must be positive semidefinite$"),
+            (0.5, 10, 5, -1.0, r"^P0 not positive semidefinite$"),
         ],
     )
     def test_refuses_arguments_on_the_call(self, request, model_name, lam, horizon, trials, scale, message):
         model = request.getfixturevalue(model_name)
         with pytest.raises(ParameterError, match=message):
             filtering.covariance_trials(model, lam, horizon, trials, 1, scale * model.Q)
+
+    def test_refuses_asymmetric_p0(self):
+        # its symmetric part is I, which the PSD test alone passed: the
+        # sensing cell at lam = 1 then returned tr P_1 = -11.35
+        with pytest.raises(ParameterError, match=r"^P0 not symmetric$"):
+            filtering.covariance_trials(BENCH_2X2, 1.0, 10, 5, 1, [[1.0, 5.0], [-5.0, 1.0]])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_refuses_non_finite_p0(self, unstable_model, value):
+        with pytest.raises(ParameterError, match=r"^P0 entries must be finite$"):
+            filtering.covariance_trials(unstable_model, 0.5, 10, 5, 1, [[value]])
+        with pytest.raises(ParameterError, match=r"^P0 entries must be finite$"):
+            run_filter(unstable_model, BeamPolicy.switching(0.5), 10, [0.0], [[value]], 1)
 
 
 class TestErrorRecursion:

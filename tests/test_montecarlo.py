@@ -187,6 +187,11 @@ class TestFarBelowCritical:
 
 
 class TestBlockDistortion:
+    def test_refuses_non_finite_estimate(self, stable_model):
+        # used to return mean nan with no error
+        with pytest.raises(ParameterError, match=r"^initial estimate must be finite, got \[nan\]$"):
+            empirical_block_distortion(stable_model, BeamPolicy.switching(0.5), 10, 5, 1, [math.nan], [[1.0]])
+
     def test_noiseless_perfect_init(self):
         model = GaussMarkovModel.scalar(-0.95, 1.0, 0.0, 1e-12)
         rep = empirical_block_distortion(

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov
 
 from jcas_lab.errors import DimensionError, NumericalError, ParameterError
-from jcas_lab import riccati, statespace
+from jcas_lab import filtering, riccati, statespace, tradeoff
 from jcas_lab.riccati import iterate_map
 from jcas_lab.statespace import (
     CRITICAL_MARGIN,
     DOUBLING_CAP,
     DOUBLING_MIN_M,
     GaussMarkovModel,
+    covariance_violations,
     lyap_kernel,
     lyapunov_diverges,
     lyapunov_step,
@@ -26,7 +27,7 @@ from jcas_lab.statespace import (
     validate_model,
 )
 
-from conftest import random_psd, record_solves, scaled_lyap_root, stein_error_bound, stein_residual
+from conftest import UNSTABLE, random_psd, record_solves, scaled_lyap_root, stein_error_bound, stein_residual
 
 
 class TestSpectralRadius:
@@ -203,6 +204,74 @@ class TestValidateModel:
         )
         report = validate_model(model)
         assert any("Q not symmetric" in v for v in report.violations)
+
+
+#: a call through every lam, alpha and gamma range check, float and grid,
+#: and its refusal word for word (a grid names its first entry out of
+#: range; a one-point grid on the scalar model is a float check)
+SCALAR = GaussMarkovModel.scalar(**UNSTABLE)
+
+RANGE_REFUSALS = [
+    ("gamma_bs", lambda m: riccati.gamma_bs(np.eye(2), 1.5, m), "lam must lie in [0, 1], got 1.5"),
+    ("gamma_bs int", lambda m: riccati.gamma_bs(np.eye(2), 2, m), "lam must lie in [0, 1], got 2"),
+    ("BeamPolicy.switching", lambda m: riccati.BeamPolicy.switching(math.nan), "lam must lie in [0, 1], got nan"),
+    ("sbar", lambda m: riccati.sbar(-0.5, m), "lam must lie in [0, 1], got -0.5"),
+    ("scalar vbar_traces", lambda m: riccati.vbar_traces([1.5], SCALAR), "lam must lie in [0, 1], got 1.5"),
+    ("scalar sbar_traces", lambda m: riccati.sbar_traces([math.nan], SCALAR), "lam must lie in [0, 1], got nan"),
+    ("bs_rate", lambda m: tradeoff.bs_rate(tradeoff.ChannelSpec.noiseless(), 1.5), "lam must lie in [0, 1], got 1.5"),
+    ("covariance_trials", lambda m: filtering.covariance_trials(m, math.nan, 5, 2, 1, np.eye(2)), "lam must lie in [0, 1], got nan"),
+    ("vbar grid", lambda m: riccati.vbar(2, m), "lam must lie in [0, 1], got 2.0"),
+    ("vbar_traces grid", lambda m: riccati.vbar_traces([0.5, 1.5, -1.0], m), "lam must lie in [0, 1], got 1.5"),
+    ("sbar_traces grid", lambda m: riccati.sbar_traces([0.5, math.nan], m), "lam must lie in [0, 1], got nan"),
+    ("scaled_lyapunov_grid", lambda m: scaled_lyapunov_grid(m, [0.5, 2.0]), "alpha must lie in [0, 1], got 2.0"),
+    ("solve_scaled_lyapunov", lambda m: solve_scaled_lyapunov(m, math.nan), "alpha must lie in [0, 1], got nan"),
+    ("solve_scaled_lyapunov", lambda m: solve_scaled_lyapunov(m, -0.1), "alpha must lie in [0, 1], got -0.1"),
+    ("gamma_mb", lambda m: riccati.gamma_mb(np.eye(2), 0.5, m), "gamma must lie in [1, inf], got 0.5"),
+    ("BeamPolicy.multibeam", lambda m: riccati.BeamPolicy.multibeam(math.nan), "gamma must lie in [1, inf], got nan"),
+    ("scalar mb_traces", lambda m: riccati.mb_traces([0.5], SCALAR), "gamma must lie in [1, inf], got 0.5"),
+    ("mb_rate", lambda m: tradeoff.mb_rate(tradeoff.ChannelSpec.gaussian(0.0), math.nan), "gamma must lie in [1, inf], got nan"),
+    ("mb_fixed_point grid", lambda m: riccati.mb_fixed_point(0, m), "gamma must lie in [1, inf], got 0.0"),
+    ("mb_traces grid", lambda m: riccati.mb_traces([2.0, math.nan, 0.5], m), "gamma must lie in [1, inf], got nan"),
+    ("mb_traces grid", lambda m: riccati.mb_traces([math.inf, -math.inf], m), "gamma must lie in [1, inf], got -inf"),
+]
+
+
+class TestInputRules:
+    """The range rule of lam, alpha and gamma and the covariance rule of Q,
+    R and P0, each written once in ``statespace``."""
+
+    def test_range_refusals_word_for_word(self, matrix_model):
+        for where, call, message in RANGE_REFUSALS:
+            with pytest.raises(ParameterError) as refused:
+                call(matrix_model)
+            assert (where, str(refused.value)) == (where, message)
+
+    def test_range_bounds_accepted(self):
+        assert statespace.check_range("gamma", math.inf, 1, math.inf) == math.inf
+        assert statespace.check_grid("lam", [0.0, 1.0], 0, 1).tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "x, definite, violations",
+        [
+            (np.eye(2), False, []),
+            (np.zeros((2, 2)), False, []),
+            (np.zeros((2, 2)), True, ["X not positive definite"]),
+            (-np.eye(2), False, ["X not positive semidefinite"]),
+            ([[1.0, 5.0], [-5.0, 1.0]], False, ["X not symmetric"]),
+            ([[1.0, 5.0], [1.0, 1.0]], False, ["X not symmetric", "X not positive semidefinite"]),
+            ([[math.nan]], False, ["X entries must be finite"]),
+            ([[1.0, math.inf], [0.0, 1.0]], True, ["X entries must be finite"]),
+        ],
+    )
+    def test_covariance_violations(self, x, definite, violations):
+        assert covariance_violations("X", np.array(x, dtype=float), definite) == violations
+
+    def test_model_and_p0_share_the_rule(self, matrix_model):
+        q = [[1.0, 0.2], [0.0, 1.0]]
+        model = GaussMarkovModel(A=matrix_model.A, C=matrix_model.C, Q=q, R=matrix_model.R)
+        assert validate_model(model).violations[0] == "Q not symmetric"
+        with pytest.raises(ParameterError, match=r"^P0 not symmetric$"):
+            statespace.check_initial_covariance(matrix_model, q)
 
 
 class TestModelConstruction:

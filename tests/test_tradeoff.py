@@ -90,6 +90,15 @@ class TestRates:
         for db in (-3.0, 0.0, 1.75, 12.5):
             assert 10.0 * math.log10(snr_linear(db)) == pytest.approx(db, abs=1e-12)
 
+    def test_snr_db_whose_power_overflows_refused(self):
+        # 10 ** (snr_db / 10) overflows from about 3082.55 dB; rd-curve used
+        # to end there in an OverflowError traceback
+        top = 3082.547155599167
+        assert math.isfinite(full_rate(ChannelSpec.gaussian(top)))
+        for snr_db in (math.nextafter(top, math.inf), 5000.0):
+            with pytest.raises(ParameterError, match=rf"^snr_db must keep 10\^\(snr_db / 10\) finite, got {snr_db}$"):
+                ChannelSpec.gaussian(snr_db)
+
     def test_bs_rate_endpoints(self):
         assert bs_rate(GAUSS_175, 1.0) == 0.0
         assert bs_rate(ChannelSpec.noiseless(1.0), 0.5) == 0.5
